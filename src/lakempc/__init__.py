@@ -9,9 +9,9 @@ comparing them.
 from .ddp import DdpConfig, ValueTable, backward_induction, simulate_policy, stage_cost, trace_cost
 from .hydrology import (
     LakeParams,
-    LakeState,
     aggregate_daily,
     level_of_storage,
+    mass_balance,
     release_bounds,
     saturate_release,
     step_hourly,
@@ -36,7 +36,7 @@ from .scenario import (
     synth_inflow,
     synthetic_year,
 )
-from .trace import ClosedLoopTrace, mass_balance_error
+from .trace import ClosedLoopTrace, closed_loop, mass_balance_error
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "DdpConfig",
     "GaussianInflowParams",
     "LakeParams",
-    "LakeState",
     "MpcConfig",
     "MpcInfeasibleError",
     "MpcStepResult",
@@ -57,6 +56,7 @@ __all__ = [
     "aggregate_daily",
     "assemble_qp",
     "backward_induction",
+    "closed_loop",
     "compare_runs",
     "compute_report",
     "interpret_demand_slack",
@@ -64,6 +64,7 @@ __all__ = [
     "lambda_sweep",
     "level_of_storage",
     "load_timeseries",
+    "mass_balance",
     "mass_balance_error",
     "release_bounds",
     "run_daily",

@@ -116,24 +116,13 @@ def parse_s0(spec: str, params: LakeParams) -> float:
 # file IO
 
 
-def _infer_kind(path, quantity: str, explicit: str) -> str:
-    if explicit != "auto":
-        return f"{quantity}_{explicit}"
-    with Path(path).open(encoding="utf-8") as handle:
-        n_rows = max(sum(1 for line in handle if line.strip()) - 1, 0)
-    mode = "hourly" if n_rows % scenario_mod.HOURS_PER_DAY == 0 else "daily"
-    return f"{quantity}_{mode}"
-
-
 def load_scenario(args, params: LakeParams) -> scenario_mod.Scenario:
-    inflow_kind = _infer_kind(args.scenario, "inflow", args.inflow_kind)
-    inflow = scenario_mod.load_timeseries(args.scenario, inflow_kind)
+    inflow = scenario_mod.load_timeseries(args.scenario, f"inflow_{args.inflow_kind}")
     inflow_daily = None
-    if inflow_kind.endswith("_daily"):
+    if args.inflow_kind == "daily":
         inflow_daily = inflow[:: scenario_mod.HOURS_PER_DAY].copy()
     if args.demand:
-        demand_kind = _infer_kind(args.demand, "demand", args.demand_kind)
-        demand = scenario_mod.load_timeseries(args.demand, demand_kind)
+        demand = scenario_mod.load_timeseries(args.demand, f"demand_{args.demand_kind}")
     else:
         demand = scenario_mod.expand_daily(
             scenario_mod.default_daily_demand(inflow.size // scenario_mod.HOURS_PER_DAY)
@@ -275,7 +264,6 @@ def _mpc_config(args, mpc_overrides: dict) -> mpc_mod.MpcConfig:
         kwargs["lam"] = args.lam
     if args.horizon is not None:
         kwargs["horizon"] = args.horizon
-    kwargs["mode"] = args.mode
     return mpc_mod.MpcConfig(**kwargs)
 
 
@@ -286,7 +274,7 @@ def cmd_simulate(args) -> int:
     config = _mpc_config(args, mpc_overrides)
     scn = load_scenario(args, params)
     s0 = parse_s0(args.s0, params)
-    if config.mode == mpc_mod.HOURLY:
+    if args.mode == "hourly":
         trace = mpc_mod.run_hourly(params, config, scn, s0)
     else:
         trace = mpc_mod.run_daily(params, config, scn, s0)
@@ -302,7 +290,6 @@ def cmd_sweep(args) -> int:
     params, mpc_overrides, _ = build_settings(
         parse_config_file(args.config) if args.config else {}
     )
-    mpc_overrides.setdefault("mode", mpc_mod.HOURLY)
     if args.horizon is not None:
         mpc_overrides["horizon"] = args.horizon
     base_config = mpc_mod.MpcConfig(**mpc_overrides)
@@ -370,12 +357,12 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="inflow CSV (hourly or daily)")
     parser.add_argument("--demand", default=None, help="demand CSV; default: built-in profile")
     parser.add_argument(
-        "--inflow-kind", choices=("auto", "hourly", "daily"), default="auto",
-        help="resolution of the inflow file (default: infer from row count)",
+        "--inflow-kind", choices=("hourly", "daily"), required=True,
+        help="resolution of the inflow file",
     )
     parser.add_argument(
-        "--demand-kind", choices=("auto", "hourly", "daily"), default="auto",
-        help="resolution of the demand file (default: infer from row count)",
+        "--demand-kind", choices=("hourly", "daily"), default=None,
+        help="resolution of the demand file; required with --demand",
     )
     parser.add_argument("--s0", default="level:0.4", help="initial storage, m^3 or level:<m>")
     parser.add_argument("--config", default=None, help="key=value file overriding defaults")
@@ -391,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="closed-loop controller run")
     _add_scenario_flags(p_sim)
-    p_sim.add_argument("--mode", choices=(mpc_mod.HOURLY, mpc_mod.DAILY), default=mpc_mod.HOURLY)
+    p_sim.add_argument("--mode", choices=("hourly", "daily"), default="hourly")
     p_sim.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="demand-slack weight (default 1)")
     p_sim.add_argument("--horizon", type=int, default=None, help="prediction horizon, hours")
@@ -430,6 +417,8 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "demand", None) and args.demand_kind is None:
+            parser.error("--demand-kind is required with --demand")
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:

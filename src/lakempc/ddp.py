@@ -4,7 +4,12 @@ Backward induction over a discretized storage grid with the disturbance
 (inflow) perfectly known over the whole run, giving the offline-optimal
 release policy the online controller is measured against. Cost-to-go is
 interpolated linearly between grid nodes; the forward pass looks the policy
-up at the nearest node and still goes through the physical saturation.
+up at the nearest node and runs it through the same closed-loop engine and
+plant as the controllers.
+
+One stage is one hour. The backward pass moves every (node, action) pair
+through :func:`hydrology.mass_balance`, the plant's own transition, so a
+release that would overdraw the lake empties it to exactly 0 here too.
 """
 
 from __future__ import annotations
@@ -14,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hydrology import HOUR_SECONDS, LakeParams, level_of_storage, release_bounds, saturate_release
-from .trace import ClosedLoopTrace
-
-HOURLY = "hourly"
-DAILY = "daily"
-DAY_SECONDS = 24.0 * HOUR_SECONDS
+from .hydrology import LakeParams, level_of_storage, mass_balance, release_bounds
+from .trace import ClosedLoopTrace, closed_loop
 
 
 @dataclass
@@ -38,7 +39,6 @@ class DdpConfig:
     grid_points: int = 201
     storage_range: tuple[float, float] = (0.0, 656_550_000.0)
     action_samples: int = 101
-    time_step: str = HOURLY
     demand_ref: float = 100.0
 
     def __post_init__(self) -> None:
@@ -53,14 +53,8 @@ class DdpConfig:
         lo, hi = self.storage_range
         if not 0.0 <= lo < hi:
             raise ValueError(f"storage_range must satisfy 0 <= lo < hi, got {self.storage_range}")
-        if self.time_step not in (HOURLY, DAILY):
-            raise ValueError(f"time_step must be '{HOURLY}' or '{DAILY}'")
         if self.demand_ref <= 0.0:
             raise ValueError("demand_ref must be positive")
-
-    @property
-    def seconds_per_step(self) -> float:
-        return HOUR_SECONDS if self.time_step == HOURLY else DAY_SECONDS
 
 
 @dataclass
@@ -75,7 +69,6 @@ class ValueTable:
     values: np.ndarray
     policy: np.ndarray
     grid: np.ndarray
-    seconds_per_step: float
     out_of_grid: int = 0
 
     @property
@@ -83,44 +76,32 @@ class ValueTable:
         return self.policy.shape[0]
 
 
-def stage_cost(
-    params: LakeParams, config: DdpConfig, level: float, release: float, demand: float
-) -> float:
-    """Weighted quadratic-hinge cost of one step.
+def stage_cost(params: LakeParams, config: DdpConfig, level, release, demand):
+    """Weighted quadratic-hinge cost of one step, element-wise over arrays.
 
     The level is the one reached at the end of the step, matching how the
-    closed-loop trace records levels.
+    closed-loop trace records levels. Terms are summed flood, dry, demand.
     """
-    flood = max(level - params.flood_threshold, 0.0)
-    dry = max(params.dry_threshold - level, 0.0)
-    deficit = max((demand - release) / config.demand_ref, 0.0)
-    return (
-        config.w_flood * flood**2
-        + config.w_demand * deficit**2
-        + config.w_dry * dry**2
-    )
+    cost = config.w_flood * np.maximum(level - params.flood_threshold, 0.0) ** 2
+    cost += config.w_dry * np.maximum(params.dry_threshold - level, 0.0) ** 2
+    cost += config.w_demand * np.maximum((demand - release) / config.demand_ref, 0.0) ** 2
+    return cost
 
 
 def trace_cost(params: LakeParams, config: DdpConfig, trace: ClosedLoopTrace) -> float:
     """Total stage cost of a recorded trace under the DDP objective."""
-    flood = np.maximum(trace.levels - params.flood_threshold, 0.0)
-    dry = np.maximum(params.dry_threshold - trace.levels, 0.0)
-    deficit = np.maximum((trace.demands - trace.releases) / config.demand_ref, 0.0)
-    return float(
-        config.w_flood * np.sum(flood**2)
-        + config.w_demand * np.sum(deficit**2)
-        + config.w_dry * np.sum(dry**2)
-    )
+    return float(np.sum(stage_cost(params, config, trace.levels, trace.releases, trace.demands)))
 
 
 def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) -> ValueTable:
     """Solve the finite-horizon problem backwards over the storage grid.
 
     For every node, action_samples candidate releases uniform in the node's
-    physical bounds are tried; the next storage follows the mass balance,
-    the cost-to-go is interpolated linearly, and ties go to the smaller
-    release. Transitions leaving the grid are clamped to its boundary
-    without extra penalty (counted in out_of_grid).
+    physical bounds are tried; the next storage and the discharged release
+    follow the plant's mass balance, the cost-to-go is interpolated
+    linearly, and ties go to the smaller release. Transitions leaving the
+    grid are clamped to its boundary without extra penalty (counted in
+    out_of_grid).
     """
     inflow = np.asarray(inflow, dtype=float)
     demand = np.asarray(demand, dtype=float)
@@ -128,7 +109,6 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
         raise ValueError("inflow and demand must be equal-length nonempty 1-d arrays")
     t_end = inflow.size
     grid = np.linspace(config.storage_range[0], config.storage_range[1], config.grid_points)
-    dt = config.seconds_per_step
     area = params.surface_area
     offset = params.level_offset
 
@@ -137,20 +117,19 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     for i in range(n_nodes):
         r_min, r_max = release_bounds(params, level_of_storage(params, grid[i]))
         actions[i] = np.linspace(r_min, r_max, n_act)
-    next_base = grid[:, None] - dt * actions
+    nodes = grid[:, None]
 
     values = np.zeros((t_end + 1, n_nodes))
     policy = np.zeros((t_end, n_nodes))
     node_range = np.arange(n_nodes)
     out_of_grid = 0
     for t in range(t_end - 1, -1, -1):
-        next_raw = next_base + dt * inflow[t]
-        out_of_grid += int(np.sum((next_raw < grid[0]) | (next_raw > grid[-1])))
-        next_s = np.clip(next_raw, grid[0], grid[-1])
-        level_next = next_s / area + offset
-        stage = config.w_flood * np.maximum(level_next - params.flood_threshold, 0.0) ** 2
-        stage += config.w_dry * np.maximum(params.dry_threshold - level_next, 0.0) ** 2
-        stage += config.w_demand * np.maximum((demand[t] - actions) / config.demand_ref, 0.0) ** 2
+        next_s, released = mass_balance(nodes, inflow[t], actions)
+        outside = (next_s < grid[0]) | (next_s > grid[-1])
+        if outside.any():
+            out_of_grid += int(np.sum(outside))
+            next_s = np.clip(next_s, grid[0], grid[-1])
+        stage = stage_cost(params, config, next_s / area + offset, released, demand[t])
         total = stage + np.interp(next_s.ravel(), grid, values[t + 1]).reshape(n_nodes, n_act)
         best = np.argmin(total, axis=1)  # first minimum: ties go to the smaller release
         values[t] = total[node_range, best]
@@ -160,9 +139,7 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
             f"{out_of_grid} grid transitions were clamped to the storage-grid boundary",
             stacklevel=2,
         )
-    return ValueTable(
-        values=values, policy=policy, grid=grid, seconds_per_step=dt, out_of_grid=out_of_grid
-    )
+    return ValueTable(values=values, policy=policy, grid=grid, out_of_grid=out_of_grid)
 
 
 def simulate_policy(
@@ -171,7 +148,7 @@ def simulate_policy(
     """Forward pass: apply the tabulated policy from the nearest storage node.
 
     The commanded release still passes through the physical saturation at
-    the true (off-grid) level, and storage is floored at zero, so the trace
+    the true (off-grid) level and the plant's mass balance, so the trace
     obeys the same plant model as every other run.
     """
     inflow = np.asarray(inflow, dtype=float)
@@ -180,15 +157,8 @@ def simulate_policy(
     if inflow.shape != (t_end,) or demand.shape != (t_end,):
         raise ValueError(f"inflow/demand must have length {t_end} to match the value table")
     grid = table.grid
-    dt = table.seconds_per_step
 
-    levels = np.zeros(t_end)
-    storages = np.zeros(t_end + 1)
-    releases = np.zeros(t_end)
-    commands = np.zeros(t_end)
-    storage = float(s0)
-    storages[0] = storage
-    for t in range(t_end):
+    def decide(t, storage):
         pos = int(np.searchsorted(grid, storage))
         if pos <= 0:
             node = 0
@@ -196,20 +166,6 @@ def simulate_policy(
             node = grid.size - 1
         else:
             node = pos if grid[pos] - storage < storage - grid[pos - 1] else pos - 1
-        command = float(table.policy[t, node])
-        level = level_of_storage(params, storage)
-        release = saturate_release(release_bounds(params, level), command)
-        storage = max(storage + dt * (inflow[t] - release), 0.0)
-        storages[t + 1] = storage
-        levels[t] = level_of_storage(params, storage)
-        commands[t] = command
-        releases[t] = release
-    return ClosedLoopTrace(
-        levels=levels,
-        storages=storages,
-        releases=releases,
-        commands=commands,
-        inflows=inflow.copy(),
-        demands=demand.copy(),
-        label="ddp",
-    )
+        return table.policy[t, node:node + 1], None
+
+    return closed_loop(params, inflow, demand, s0, decide, "ddp")

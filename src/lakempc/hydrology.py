@@ -1,9 +1,16 @@
 """Plant model of a regulated lake.
 
 Hourly mass balance, level/storage conversion, and the nonlinear release
-saturation of the dam. All quantities are plain floats: storage in m^3,
-levels in m relative to the gauge zero, flows in m^3/s. One step is one
-hour (3600 s).
+saturation of the dam. Storage is in m^3, levels in m relative to the gauge
+zero, flows in m^3/s. One step is one hour (3600 s).
+
+:func:`mass_balance` is the only transition: :func:`step_hourly` applies it
+to one saturated command in every closed-loop run, and the DDP backward pass
+applies it to its whole node x action array at once. It works element-wise
+on floats or NumPy arrays. A release asking for more water than the lake
+holds plus the hour's inflow empties the lake: the release is cut to the
+water available and the storage ends at exactly 0, so the storage change
+always equals the net flow. The other functions take plain floats.
 
 Everything here is a pure function of value types and safe to call from
 multiple threads.
@@ -12,6 +19,8 @@ multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 HOUR_SECONDS = 3600.0
 
@@ -53,18 +62,6 @@ class LakeParams:
             raise ValueError("dry_threshold must lie below flood_threshold")
         if not self.level_offset < self.dry_threshold:
             raise ValueError("level_offset must lie below dry_threshold")
-
-
-@dataclass(frozen=True)
-class LakeState:
-    """Regulated storage (m^3) at an hourly time index."""
-
-    storage: float
-    time_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.storage < 0.0:
-            raise ValueError("storage must be nonnegative")
 
 
 def level_of_storage(params: LakeParams, storage: float) -> float:
@@ -118,26 +115,44 @@ def saturate_release(bounds: tuple[float, float], command: float) -> float:
     return min(max(command, r_min), r_max)
 
 
-def step_hourly(
-    params: LakeParams, state: LakeState, inflow: float, command: float
-) -> tuple[LakeState, float]:
-    """Advance the mass balance by one hour.
+def mass_balance(storage, inflow, release):
+    """Advance storage (m^3) by one hour of inflow and release (m^3/s).
 
-    The release bounds are evaluated at the pre-step level (explicit-Euler
-    convention), the command is saturated to the applied release r, and the
-    storage is updated by 3600 * (inflow - r), floored at zero.
+    Element-wise over floats or broadcastable arrays. Where the release is
+    more than the water available, storage / 3600 + inflow (the new storage
+    would be negative), it is cut to exactly that amount and the new storage
+    is exactly 0.
 
     Returns:
-        (new state, applied release in m^3/s)
+        (new storage, release actually discharged)
+    """
+    new_storage = storage + HOUR_SECONDS * (inflow - release)
+    empty = new_storage < 0.0
+    # Plain floats give the bool False here; skip the per-call cost of np.any.
+    if empty is not False and np.any(empty):
+        release = np.where(empty, storage / HOUR_SECONDS + inflow, release)
+        new_storage = np.where(empty, 0.0, new_storage)
+    return new_storage, release
+
+
+def step_hourly(
+    params: LakeParams, storage: float, inflow: float, command: float
+) -> tuple[float, float]:
+    """Apply one hourly command to the lake.
+
+    The release bounds are evaluated at the pre-step level (explicit-Euler
+    convention), the command is saturated to them, and the result goes
+    through :func:`mass_balance`.
+
+    Returns:
+        (new storage in m^3, release actually discharged in m^3/s)
     """
     if inflow < 0.0:
         raise ValueError(f"inflow must be nonnegative, got {inflow}")
-    level = level_of_storage(params, state.storage)
+    level = level_of_storage(params, storage)
     release = saturate_release(release_bounds(params, level), command)
-    new_storage = state.storage + HOUR_SECONDS * (inflow - release)
-    if new_storage < 0.0:
-        new_storage = 0.0
-    return LakeState(storage=new_storage, time_index=state.time_index + 1), release
+    new_storage, release = mass_balance(storage, inflow, release)
+    return float(new_storage), float(release)
 
 
 def aggregate_daily(hourly_inflows, hourly_releases) -> tuple[float, float]:

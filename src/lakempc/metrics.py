@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hydrology import LakeParams
-from .mpc import HOURLY, MpcConfig, run_hourly
+from .mpc import MpcConfig, run_hourly
 from .scenario import Scenario
 from .trace import ClosedLoopTrace
 
@@ -175,7 +175,7 @@ def lambda_sweep(
         raise ValueError("sweep weights must be positive")
     reports = []
     for lam in lambdas:
-        config = replace(base_config, lam=lam, mode=HOURLY)
+        config = replace(base_config, lam=lam)
         try:
             trace = run_hourly(params, config, scenario, s0, n_steps=n_steps)
         except Exception as err:

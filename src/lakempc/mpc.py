@@ -24,19 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qp
-from .hydrology import (
-    HOUR_SECONDS,
-    LakeParams,
-    LakeState,
-    level_of_storage,
-    release_bounds,
-    step_hourly,
-)
+from .hydrology import HOUR_SECONDS, LakeParams, level_of_storage, release_bounds
 from .scenario import HOURS_PER_DAY, Scenario
-from .trace import ClosedLoopTrace
-
-HOURLY = "hourly"
-DAILY = "daily"
+from .trace import ClosedLoopTrace, closed_loop
 
 # Storage bounds matching the default LakeParams thresholds mapped through
 # the level-storage relation.
@@ -70,7 +60,6 @@ class MpcConfig:
     s_max: float = DEFAULT_S_MAX
     tie_break_weight: float = 1e-6
     feasibility_recovery: bool = True
-    mode: str = HOURLY
     flood_slack_ref: float = 1.0
     demand_ref: float = 100.0
     dry_penalty_weight: float = 1e6
@@ -85,8 +74,6 @@ class MpcConfig:
             raise ValueError("s_min must lie below s_max")
         if self.tie_break_weight < 0.0:
             raise ValueError("tie_break_weight must be nonnegative")
-        if self.mode not in (HOURLY, DAILY):
-            raise ValueError(f"mode must be '{HOURLY}' or '{DAILY}', got {self.mode!r}")
         if self.flood_slack_ref <= 0.0 or self.demand_ref <= 0.0:
             raise ValueError("slack normalizations must be positive")
         if self.dry_penalty_weight <= 0.0:
@@ -317,16 +304,9 @@ def solve_step(
     )
 
 
-def _trace_arrays(n_steps):
-    return {
-        "levels": np.zeros(n_steps),
-        "storages": np.zeros(n_steps + 1),
-        "releases": np.zeros(n_steps),
-        "commands": np.zeros(n_steps),
-        "slack_flood": np.zeros(n_steps),
-        "slack_demand": np.zeros(n_steps),
-        "kkt_residuals": np.zeros(n_steps),
-    }
+def _frozen_bounds(params: LakeParams, storage: float, n: int) -> np.ndarray:
+    """The release bounds at the storage's level, repeated over n hours."""
+    return np.tile(release_bounds(params, level_of_storage(params, storage)), (n, 1))
 
 
 def run_hourly(
@@ -342,8 +322,6 @@ def run_hourly(
     (deterministic control). Every step needs a full horizon of lookahead,
     so at most scenario.n_hours - horizon steps can be simulated.
     """
-    if config.mode != HOURLY:
-        raise ValueError(f"run_hourly needs mode='{HOURLY}', got {config.mode!r}")
     h = config.horizon
     limit = scenario.n_hours - h
     if limit < 1:
@@ -351,46 +329,30 @@ def run_hourly(
     n_steps = limit if n_steps is None else int(n_steps)
     if not 1 <= n_steps <= limit:
         raise ValueError(f"n_steps must lie in [1, {limit}], got {n_steps}")
-
-    arrays = _trace_arrays(n_steps)
-    statuses: list[str] = []
-    state = LakeState(storage=float(s0), time_index=0)
-    arrays["storages"][0] = state.storage
-    recovery_hours = 0
     hint = None
-    for t in range(n_steps):
-        level = level_of_storage(params, state.storage)
-        bounds = release_bounds(params, level)
-        u_bounds = np.tile(bounds, (h, 1))
+
+    def decide(t, storage):
+        nonlocal hint
         step = solve_step(
             params,
             config,
-            state.storage,
+            storage,
             scenario.inflow_hourly[t:t + h],
             scenario.demand_hourly[t:t + h],
-            u_bounds,
+            _frozen_bounds(params, storage, h),
             u_hint=hint,
             hour=t,
         )
-        command = float(step.planned_releases[0])
-        state, release = step_hourly(params, state, float(scenario.inflow_hourly[t]), command)
-        arrays["storages"][t + 1] = state.storage
-        arrays["levels"][t] = level_of_storage(params, state.storage)
-        arrays["commands"][t] = command
-        arrays["releases"][t] = release
-        arrays["slack_flood"][t] = step.slack_max[0]
-        arrays["slack_demand"][t] = step.slack_demand[0]
-        arrays["kkt_residuals"][t] = step.solve_diagnostics.kkt_residual
-        statuses.append(step.solve_diagnostics.status)
-        recovery_hours += int(step.recovery_used)
         hint = np.append(step.planned_releases[1:], step.planned_releases[-1])
-    return ClosedLoopTrace(
-        inflows=scenario.inflow_hourly[:n_steps].copy(),
-        demands=scenario.demand_hourly[:n_steps].copy(),
-        recovery_hours=recovery_hours,
-        label=f"mpc-hourly(lam={config.lam:g})",
-        solve_statuses=statuses,
-        **arrays,
+        return step.planned_releases[:1], step
+
+    return closed_loop(
+        params,
+        scenario.inflow_hourly[:n_steps],
+        scenario.demand_hourly[:n_steps],
+        s0,
+        decide,
+        f"mpc-hourly(lam={config.lam:g})",
     )
 
 
@@ -409,8 +371,6 @@ def run_daily(
     mean), held constant over the 24 hours. The plant still saturates every
     applied action at its true hourly bounds.
     """
-    if config.mode != DAILY:
-        raise ValueError(f"run_daily needs mode='{DAILY}', got {config.mode!r}")
     if config.horizon != HOURS_PER_DAY:
         raise ValueError("daily mode requires a 24-hour horizon")
     n_steps = scenario.n_hours if n_steps is None else int(n_steps)
@@ -418,48 +378,32 @@ def run_daily(
         raise ValueError(f"n_steps must be a positive multiple of 24, got {n_steps}")
     if n_steps > scenario.n_hours:
         raise ValueError(f"n_steps {n_steps} exceeds scenario length {scenario.n_hours}")
-
-    arrays = _trace_arrays(n_steps)
-    statuses: list[str] = []
-    state = LakeState(storage=float(s0), time_index=0)
-    arrays["storages"][0] = state.storage
-    recovery_hours = 0
     hint = None
-    for day in range(n_steps // HOURS_PER_DAY):
-        t0 = day * HOURS_PER_DAY
-        level = level_of_storage(params, state.storage)
-        bounds = release_bounds(params, level)
-        u_bounds = np.tile(bounds, (HOURS_PER_DAY, 1))
+
+    def decide(t0, storage):
+        nonlocal hint
         if scenario.inflow_daily is not None:
-            day_inflow = float(scenario.inflow_daily[day])
+            day_inflow = float(scenario.inflow_daily[t0 // HOURS_PER_DAY])
         else:
             day_inflow = float(np.mean(scenario.inflow_hourly[t0:t0 + HOURS_PER_DAY]))
-        forecast = np.full(HOURS_PER_DAY, day_inflow)
-        demand = scenario.demand_hourly[t0:t0 + HOURS_PER_DAY]
         step = solve_step(
-            params, config, state.storage, forecast, demand, u_bounds, u_hint=hint, hour=t0
+            params,
+            config,
+            storage,
+            np.full(HOURS_PER_DAY, day_inflow),
+            scenario.demand_hourly[t0:t0 + HOURS_PER_DAY],
+            _frozen_bounds(params, storage, HOURS_PER_DAY),
+            u_hint=hint,
+            hour=t0,
         )
-        recovery_hours += HOURS_PER_DAY * int(step.recovery_used)
-        for k in range(HOURS_PER_DAY):
-            t = t0 + k
-            command = float(step.planned_releases[k])
-            state, release = step_hourly(
-                params, state, float(scenario.inflow_hourly[t]), command
-            )
-            arrays["storages"][t + 1] = state.storage
-            arrays["levels"][t] = level_of_storage(params, state.storage)
-            arrays["commands"][t] = command
-            arrays["releases"][t] = release
-            arrays["slack_flood"][t] = step.slack_max[k]
-            arrays["slack_demand"][t] = step.slack_demand[k]
-            arrays["kkt_residuals"][t] = step.solve_diagnostics.kkt_residual
-            statuses.append(step.solve_diagnostics.status)
         hint = step.planned_releases
-    return ClosedLoopTrace(
-        inflows=scenario.inflow_hourly[:n_steps].copy(),
-        demands=scenario.demand_hourly[:n_steps].copy(),
-        recovery_hours=recovery_hours,
-        label=f"mpc-daily(lam={config.lam:g})",
-        solve_statuses=statuses,
-        **arrays,
+        return step.planned_releases, step
+
+    return closed_loop(
+        params,
+        scenario.inflow_hourly[:n_steps],
+        scenario.demand_hourly[:n_steps],
+        s0,
+        decide,
+        f"mpc-daily(lam={config.lam:g})",
     )

@@ -1,12 +1,29 @@
-"""Closed-loop trace: what a simulated run records, one row per hour."""
+"""Closed-loop runs: the engine that drives the plant, and what it records.
+
+:func:`closed_loop` owns the hour loop of every simulated run (hourly MPC,
+daily MPC and the DDP forward pass). A run differs only in its policy,
+decide(t, storage), which the engine calls at hour 0 and again whenever the
+previous plan is used up, with the storage at the start of hour t. It
+returns (commands, step):
+
+* commands: the release commands (m^3/s) for hours t, t + 1, ..., applied
+  in order through :func:`hydrology.step_hourly`; commands past the end of
+  the run are dropped. The hourly MPC and the DDP table return one command,
+  the daily MPC 24.
+* step: the MpcStepResult of the QP solve behind the commands, whose slacks,
+  KKT residual, status and recovery flag are recorded for each applied
+  hour, or None for a policy without solver diagnostics.
+
+The result is a :class:`ClosedLoopTrace`, one row per hour.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hydrology import HOUR_SECONDS
+from .hydrology import HOUR_SECONDS, LakeParams, step_hourly
 
 
 @dataclass
@@ -70,3 +87,56 @@ def mass_balance_error(trace: ClosedLoopTrace) -> float:
         1.0,
     )
     return abs(ds - flux) / scale
+
+
+def closed_loop(
+    params: LakeParams, inflow, demand, s0: float, decide, label: str
+) -> ClosedLoopTrace:
+    """Run the plant over len(inflow) hours under the policy decide (see module docstring)."""
+    inflow = np.array(inflow, dtype=float)
+    demand = np.array(demand, dtype=float)
+    n_hours = inflow.size
+    storages = np.zeros(n_hours + 1)
+    releases = np.zeros(n_hours)
+    commands = np.zeros(n_hours)
+    slack_flood = np.zeros(n_hours)
+    slack_demand = np.zeros(n_hours)
+    kkt_residuals = np.zeros(n_hours)
+    statuses: list[str] = []
+    recovery_hours = 0
+    storage = storages[0] = float(s0)
+    t = 0
+    while t < n_hours:
+        plan, step = decide(t, storage)
+        n_apply = min(len(plan), n_hours - t)
+        if n_apply < 1:
+            raise ValueError(f"policy returned no command at hour {t}")
+        for k in range(n_apply):
+            command = float(plan[k])
+            storage, release = step_hourly(params, storage, float(inflow[t]), command)
+            storages[t + 1] = storage
+            commands[t] = command
+            releases[t] = release
+            if step is not None:
+                slack_flood[t] = step.slack_max[k]
+                slack_demand[t] = step.slack_demand[k]
+                kkt_residuals[t] = step.solve_diagnostics.kkt_residual
+                statuses.append(step.solve_diagnostics.status)
+            t += 1
+        if step is not None:
+            recovery_hours += n_apply * int(step.recovery_used)
+    solved = bool(statuses)
+    return ClosedLoopTrace(
+        levels=storages[1:] / params.surface_area + params.level_offset,
+        storages=storages,
+        releases=releases,
+        commands=commands,
+        inflows=inflow,
+        demands=demand,
+        recovery_hours=recovery_hours,
+        label=label,
+        slack_flood=slack_flood if solved else None,
+        slack_demand=slack_demand if solved else None,
+        kkt_residuals=kkt_residuals if solved else None,
+        solve_statuses=statuses if solved else None,
+    )

@@ -70,6 +70,6 @@ def gaussian_runs(params):
     )
     s0 = hydrology.storage_of_level(params, 0.4)
     n_steps = 140 * 24
-    hourly = mpc.run_hourly(params, mpc.MpcConfig(mode="hourly"), scn, s0, n_steps=n_steps)
-    daily = mpc.run_daily(params, mpc.MpcConfig(mode="daily"), scn, s0, n_steps=n_steps)
+    hourly = mpc.run_hourly(params, mpc.MpcConfig(), scn, s0, n_steps=n_steps)
+    daily = mpc.run_daily(params, mpc.MpcConfig(), scn, s0, n_steps=n_steps)
     return SimpleNamespace(scenario=scn, s0=s0, hourly=hourly, daily=daily)

@@ -207,13 +207,12 @@ def brute_force_ddp_value(
     demand = np.asarray(demand, dtype=float)
     if t == len(inflow):
         return 0.0
-    dt = config.seconds_per_step
     level = level_of_storage(params, storage)
     r_min, r_max = release_bounds(params, level)
     best = np.inf
     for release in np.linspace(r_min, r_max, config.action_samples):
         applied = saturate_release((r_min, r_max), release)
-        nxt = max(storage + dt * (inflow[t] - applied), 0.0)
+        nxt = max(storage + HOUR_SECONDS * (inflow[t] - applied), 0.0)
         value = stage_cost(
             params, config, level_of_storage(params, nxt), applied, float(demand[t])
         ) + brute_force_ddp_value(params, config, nxt, inflow, demand, t + 1)

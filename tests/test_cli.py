@@ -1,0 +1,59 @@
+"""Command-line tests: every subcommand end to end on a 3-day synthetic scenario."""
+
+import pytest
+
+from lakempc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli_main
+
+
+@pytest.fixture
+def scenario_dir(tmp_path):
+    assert cli_main(["synth", "--days", "3", "--out", str(tmp_path / "scn")]) == EXIT_OK
+    return tmp_path / "scn"
+
+
+def scenario_args(scenario_dir):
+    return [
+        "--scenario", str(scenario_dir / "inflow_hourly.csv"),
+        "--inflow-kind", "hourly",
+        "--demand", str(scenario_dir / "demand_hourly.csv"),
+        "--demand-kind", "hourly",
+    ]
+
+
+def test_subcommands_run_and_simulate_is_reproducible(tmp_path, scenario_dir):
+    common = scenario_args(scenario_dir)
+    hourly = ["simulate", "--mode", "hourly", "--horizon", "6", *common]  # short QPs keep this fast
+    runs = {
+        "ddp": ["ddp", *common],
+        "hourly": hourly,
+        "hourly-again": hourly,
+        "daily": ["simulate", "--mode", "daily", *common],
+    }
+    for name, argv in runs.items():
+        assert cli_main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK, name
+    first = (tmp_path / "hourly" / "trace.csv").read_bytes()
+    assert first == (tmp_path / "hourly-again" / "trace.csv").read_bytes()
+    reports = [f"{name}={tmp_path / name / 'report.csv'}" for name in ("ddp", "hourly", "daily")]
+    assert cli_main(["compare", *reports, "--out", str(tmp_path / "cmp")]) == EXIT_OK
+    assert (tmp_path / "cmp" / "comparison.csv").exists()
+
+
+def test_missing_inflow_kind_is_usage_error(tmp_path, scenario_dir, capsys):
+    argv = ["ddp", "--scenario", str(scenario_dir / "inflow_daily.csv"), "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_USAGE
+    assert "--inflow-kind" in capsys.readouterr().err
+
+
+def test_demand_without_kind_is_usage_error(tmp_path, scenario_dir, capsys):
+    argv = scenario_args(scenario_dir)[:-2] + ["--out", str(tmp_path)]
+    assert cli_main(["ddp", *argv]) == EXIT_USAGE
+    assert "--demand-kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["mode = daily", "time_step = hourly"])
+def test_removed_config_keys_rejected(tmp_path, scenario_dir, capsys, line):
+    config = tmp_path / "settings.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    argv = ["ddp", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert "unknown config keys" in capsys.readouterr().err

@@ -6,12 +6,13 @@ import pytest
 from helpers import brute_force_ddp_value, exact_grid_ddp_instance
 from lakempc.ddp import (
     DdpConfig,
+    ValueTable,
     backward_induction,
     simulate_policy,
     stage_cost,
     trace_cost,
 )
-from lakempc.hydrology import LakeParams, level_of_storage, release_bounds
+from lakempc.hydrology import HOUR_SECONDS, LakeParams, level_of_storage, release_bounds
 from lakempc.scenario import synthetic_year
 from lakempc.trace import mass_balance_error
 
@@ -133,6 +134,17 @@ class TestSimulatePolicy:
         )
         assert mass_balance_error(trace) <= 1e-6
 
+    def test_overdraw_empties_lake_and_conserves_mass(self):
+        # 100 m^3/s lies within the release bounds at 1e5 m^3, but the lake
+        # holds only 27.78 m^3/s for the hour: the plant cuts the release.
+        grid = np.array([0.0, 1e5, 2e5])
+        table = ValueTable(values=np.zeros((2, 3)), policy=np.full((1, 3), 100.0), grid=grid)
+        trace = simulate_policy(PARAMS, table, [0.0], [0.0], 1e5)
+        assert trace.commands[0] == 100.0
+        assert trace.releases[0] == pytest.approx(1e5 / HOUR_SECONDS, rel=1e-15)
+        assert trace.storages[-1] == 0.0
+        assert mass_balance_error(trace) <= 1e-15
+
     def test_length_mismatch_rejected(self):
         params, config, grid = exact_grid_ddp_instance()
         table = backward_induction(params, config, [0.0], [0.0])
@@ -173,7 +185,6 @@ class TestConfigValidation:
             {"action_samples": 1},
             {"storage_range": (5.0, 1.0)},
             {"storage_range": (-1.0, 1.0)},
-            {"time_step": "weekly"},
         ],
     )
     def test_validation(self, kwargs):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lakempc.hydrology import (
     HOUR_SECONDS,
     LakeParams,
-    LakeState,
     aggregate_daily,
     level_of_storage,
     release_bounds,
@@ -128,24 +127,30 @@ class TestSaturateRelease:
 
 class TestStepHourly:
     def test_direct_arithmetic(self):
-        state, release = step_hourly(PARAMS, LakeState(1e8), inflow=100.0, command=50.0)
+        storage, release = step_hourly(PARAMS, 1e8, inflow=100.0, command=50.0)
         assert release == 50.0
-        assert state.storage == pytest.approx(100_180_000.0, rel=1e-15)
-        assert state.time_index == 1
+        assert storage == pytest.approx(100_180_000.0, rel=1e-15)
 
     def test_balance(self):
-        state, release = step_hourly(PARAMS, LakeState(1e8, 5), inflow=80.0, command=80.0)
-        assert state.storage == pytest.approx(1e8)
-        assert state.time_index == 6
+        storage, release = step_hourly(PARAMS, 1e8, inflow=80.0, command=80.0)
+        assert storage == pytest.approx(1e8)
 
     def test_empty_lake_cannot_release(self):
-        state, release = step_hourly(PARAMS, LakeState(0.0), inflow=0.0, command=50.0)
+        storage, release = step_hourly(PARAMS, 0.0, inflow=0.0, command=50.0)
         assert release == 0.0
-        assert state.storage == 0.0
+        assert storage == 0.0
+
+    def test_overdraw_empties_lake_exactly(self):
+        # 1e5 m^3 and no inflow hold 27.78 m^3/s for one hour; 100 m^3/s is
+        # within the release bounds at that level, so the plant must cut it.
+        storage, release = step_hourly(PARAMS, 1e5, inflow=0.0, command=100.0)
+        assert storage == 0.0
+        assert release == pytest.approx(1e5 / HOUR_SECONDS, rel=1e-15)
+        assert abs(0.0 - 1e5 - HOUR_SECONDS * (0.0 - release)) <= 1e-15 * 1e5
 
     def test_negative_inflow_rejected(self):
         with pytest.raises(ValueError, match="inflow"):
-            step_hourly(PARAMS, LakeState(1e8), inflow=-1.0, command=0.0)
+            step_hourly(PARAMS, 1e8, inflow=-1.0, command=0.0)
 
     @given(
         commands=st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=1, max_size=50),
@@ -154,15 +159,15 @@ class TestStepHourly:
     @settings(max_examples=60)
     def test_conservation(self, commands, inflows):
         # Start high enough that the zero floor can never bind.
-        state = LakeState(4e8)
+        storage = 4e8
         total_in = 0.0
         total_out = 0.0
         for command, inflow in zip(commands, inflows):
-            state, release = step_hourly(PARAMS, state, inflow, command)
+            storage, release = step_hourly(PARAMS, storage, inflow, command)
             total_in += inflow
             total_out += release
         expected = 4e8 + HOUR_SECONDS * (total_in - total_out)
-        assert state.storage == pytest.approx(expected, rel=1e-6)
+        assert storage == pytest.approx(expected, rel=1e-6)
 
     @given(
         command=st.floats(min_value=0.0, max_value=800.0),
@@ -170,7 +175,7 @@ class TestStepHourly:
     )
     def test_applied_release_respects_prestep_bounds(self, command, storage):
         bounds = release_bounds(PARAMS, level_of_storage(PARAMS, storage))
-        _, release = step_hourly(PARAMS, LakeState(storage), inflow=10.0, command=command)
+        _, release = step_hourly(PARAMS, storage, inflow=10.0, command=command)
         assert bounds[0] - 1e-12 <= release <= bounds[1] + 1e-12
 
 
@@ -197,14 +202,14 @@ class TestAggregateDaily:
         rng = np.random.default_rng(7)
         inflows = rng.uniform(50.0, 200.0, 24)
         commands = rng.uniform(20.0, 120.0, 24)  # within bounds at these levels
-        state = LakeState(1.5e8)
+        storage = 1.5e8
         releases = []
         for q, u in zip(inflows, commands):
-            state, release = step_hourly(PARAMS, state, q, u)
+            storage, release = step_hourly(PARAMS, storage, q, u)
             releases.append(release)
         assert releases == pytest.approx(list(commands))  # no saturation occurred
         delta, mean_release = aggregate_daily(inflows, releases)
-        assert state.storage - 1.5e8 == pytest.approx(delta, rel=1e-9)
+        assert storage - 1.5e8 == pytest.approx(delta, rel=1e-9)
         assert mean_release == pytest.approx(np.mean(commands))
 
 
@@ -233,5 +238,5 @@ class TestParamsValidation:
             LakeParams(**kwargs)
 
     def test_negative_state_rejected(self):
-        with pytest.raises(ValueError):
-            LakeState(-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            step_hourly(PARAMS, -1.0, inflow=0.0, command=0.0)

@@ -158,13 +158,6 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="too short"):
             run_hourly(PARAMS, MpcConfig(), scn, 1e8)
 
-    def test_wrong_mode_rejected(self):
-        scn = constant_scenario(10.0, 10.0, 2)
-        with pytest.raises(ValueError, match="mode"):
-            run_hourly(PARAMS, MpcConfig(mode="daily"), scn, 1e8)
-        with pytest.raises(ValueError, match="mode"):
-            run_daily(PARAMS, MpcConfig(mode="hourly"), scn, 1e8)
-
 
 class TestRecovery:
     def test_recovery_exercised_when_mef_conflicts_with_dry_bound(self):
@@ -185,20 +178,20 @@ class TestRecovery:
 class TestDailyMode:
     def test_constant_scenario_matches_hourly(self):
         scn = constant_scenario(120.0, 100.0, 5)
-        hourly = run_hourly(PARAMS, MpcConfig(mode="hourly"), scn, 1.4e8, n_steps=96)
-        daily = run_daily(PARAMS, MpcConfig(mode="daily"), scn, 1.4e8, n_steps=96)
+        hourly = run_hourly(PARAMS, MpcConfig(), scn, 1.4e8, n_steps=96)
+        daily = run_daily(PARAMS, MpcConfig(), scn, 1.4e8, n_steps=96)
         assert daily.commands == pytest.approx(hourly.commands, abs=1e-6)
         assert daily.storages == pytest.approx(hourly.storages, rel=1e-12)
 
     def test_requires_24h_horizon(self):
         scn = constant_scenario(10.0, 10.0, 2)
         with pytest.raises(ValueError, match="24"):
-            run_daily(PARAMS, MpcConfig(mode="daily", horizon=12), scn, 1e8)
+            run_daily(PARAMS, MpcConfig(horizon=12), scn, 1e8)
 
     def test_steps_must_cover_whole_days(self):
         scn = constant_scenario(10.0, 10.0, 2)
         with pytest.raises(ValueError, match="multiple of 24"):
-            run_daily(PARAMS, MpcConfig(mode="daily"), scn, 1e8, n_steps=30)
+            run_daily(PARAMS, MpcConfig(), scn, 1e8, n_steps=30)
 
     def test_plant_saturation_can_clip_frozen_plan(self):
         # Daily plan is cut against the bounds at the day's first level; with
@@ -208,7 +201,7 @@ class TestDailyMode:
         demand = np.full(48, 400.0)
         scn = Scenario(inflow_hourly=inflow, demand_hourly=demand)
         s0 = storage_of_level(PARAMS, 0.35)
-        daily = run_daily(PARAMS, MpcConfig(mode="daily"), scn, s0, n_steps=48)
+        daily = run_daily(PARAMS, MpcConfig(), scn, s0, n_steps=48)
         assert np.any(daily.releases < daily.commands - 1e-9)
 
     def test_daily_forecast_prefers_daily_metadata(self):
@@ -223,8 +216,8 @@ class TestDailyMode:
         )
         without_meta = Scenario(inflow_hourly=swing, demand_hourly=np.full(72, 100.0))
         s0 = 1.3e8
-        a = run_daily(PARAMS, MpcConfig(mode="daily"), with_meta, s0, n_steps=72)
-        b = run_daily(PARAMS, MpcConfig(mode="daily"), without_meta, s0, n_steps=72)
+        a = run_daily(PARAMS, MpcConfig(), with_meta, s0, n_steps=72)
+        b = run_daily(PARAMS, MpcConfig(), without_meta, s0, n_steps=72)
         assert a.commands == pytest.approx(b.commands, abs=1e-9)
 
 
@@ -241,7 +234,7 @@ class TestConfig:
             {"lam": -1.0},
             {"s_min": 3e8, "s_max": 2e8},
             {"tie_break_weight": -1e-9},
-            {"mode": "weekly"},
+            {"flood_slack_ref": 0.0},
             {"demand_ref": 0.0},
         ],
     )
