@@ -14,12 +14,22 @@ Cost per step of the horizon, after nondimensionalization:
 
 The tie-break term selects the demand-tracking point of the optimal set
 (the slack costs alone leave u flat wherever no constraint is near) and is
-small enough to leave the two real objectives untouched.
+small enough to leave the two real objectives untouched. lam and the
+tie-break weight must be positive so the Hessian is positive definite.
+
+Each step hands the solver a feasible start, so it never searches for one.
+Every coefficient of u in the hard dry rows is nonnegative (they cap the
+cumulative release), so lowering a release never breaks one: the hard
+problem is feasible exactly when the minimum-release plan u = lower bound
+meets them. The flood and demand rows hold once their slacks take their
+binding values. The start is the clipped guess if it meets the dry rows,
+else the minimum-release plan; if neither does, the step goes straight to
+the softened recovery problem, where a slacked start is always feasible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,12 +78,12 @@ class MpcConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        if self.lam <= 0.0:
+            raise ValueError("lam must be positive")
         if not self.s_min < self.s_max:
             raise ValueError("s_min must lie below s_max")
-        if self.tie_break_weight < 0.0:
-            raise ValueError("tie_break_weight must be nonnegative")
+        if self.tie_break_weight <= 0.0:
+            raise ValueError("tie_break_weight must be positive")
         if self.flood_slack_ref <= 0.0 or self.demand_ref <= 0.0:
             raise ValueError("slack normalizations must be positive")
         if self.dry_penalty_weight <= 0.0:
@@ -217,10 +227,8 @@ def assemble_qp(
     )
 
 
-def _feasible_point(config, problem, s0, inflow_forecast, demand, u_guess, area, soften_dry):
-    """Cheap feasible hint: clip u, then set every slack to its binding value."""
-    h = config.horizon
-    u = np.clip(u_guess, problem.lower[:h], problem.upper[:h])
+def _with_slacks(config, s0, inflow_forecast, demand, u, area, soften_dry):
+    """The plan u with every slack set to its binding value."""
     storage = (s0 + HOUR_SECONDS * np.cumsum(inflow_forecast - u)) / area
     em = np.maximum(storage - config.s_max / area, 0.0)
     ed = np.minimum(u - demand, 0.0)
@@ -228,6 +236,26 @@ def _feasible_point(config, problem, s0, inflow_forecast, demand, u_guess, area,
     if soften_dry:
         parts.append(np.maximum(config.s_min / area + config.dry_margin - storage, 0.0))
     return np.concatenate(parts)
+
+
+def _feasible_point(config, problem, s0, inflow_forecast, demand, u_guess, area):
+    """A feasible start for the hard problem, or the dry row that rules one out.
+
+    Returns (x, None) with x the clipped guess, or failing that the
+    minimum-release plan, when it meets every dry row within
+    qp.FEASIBILITY_TOL. Otherwise returns (None, (t, shortfall)): the first
+    horizon step t whose dry row fails even at minimum release, and by how
+    much, in m. The dry rows are the first H rows of the problem.
+    """
+    h = config.horizon
+    lower = problem.lower[:h]
+    for u in (np.clip(u_guess, lower, problem.upper[:h]), lower):
+        x = _with_slacks(config, s0, inflow_forecast, demand, u, area, False)
+        excess = problem.ineq_matrix[:h] @ x - problem.ineq_rhs[:h]
+        if np.max(excess) <= qp.FEASIBILITY_TOL:
+            return x, None
+    t = int(np.argmax(excess > qp.FEASIBILITY_TOL))
+    return None, (t, float(excess[t]))
 
 
 def step_objective(config: MpcConfig, u, slack_max, slack_demand, demand, dry_slack=None) -> float:
@@ -261,31 +289,29 @@ def solve_step(
     h = config.horizon
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
+    area = params.surface_area
     problem = assemble_qp(params, config, s0, inflow_forecast, demand, u_bounds)
     guess = demand if u_hint is None else np.asarray(u_hint, dtype=float)
-    hint = _feasible_point(
-        config, problem, s0, inflow_forecast, demand, guess, params.surface_area, False
+    hint, dry_failure = _feasible_point(
+        config, problem, s0, inflow_forecast, demand, guess, area
     )
-    solution = qp.solve(problem, initial_point=hint)
-    recovery_used = False
-    dry_slack = None
-    if solution.status == "infeasible":
+    recovery_used = dry_failure is not None
+    if recovery_used:
         if not config.feasibility_recovery:
+            t, shortfall = dry_failure
             where = f" at hour {hour}" if hour is not None else ""
             raise MpcInfeasibleError(
-                f"decision step infeasible{where}: {solution.message}", hour=hour
+                f"decision step infeasible{where}: the dry bound at horizon step {t} "
+                f"fails even at minimum release, short by {shortfall:.6g} m",
+                hour=hour,
             )
         problem = assemble_qp(
             params, config, s0, inflow_forecast, demand, u_bounds, soften_dry=True
         )
-        hint = _feasible_point(
-            config, problem, s0, inflow_forecast, demand, guess, params.surface_area, True
-        )
-        solution = qp.solve(problem, initial_point=hint)
-        if solution.status == "infeasible":  # softened problem is always feasible
-            raise RuntimeError(f"recovery solve reported infeasible: {solution.message}")
-        recovery_used = True
-        dry_slack = solution.x[3 * h:]
+        u = np.clip(guess, problem.lower[:h], problem.upper[:h])
+        hint = _with_slacks(config, s0, inflow_forecast, demand, u, area, True)
+    solution = qp.solve(problem, initial_point=hint)
+    dry_slack = solution.x[3 * h:] if recovery_used else None
     u = solution.x[:h]
     slack_max = solution.x[h:2 * h]
     slack_demand = solution.x[2 * h:3 * h]

@@ -2,12 +2,14 @@
 
 Solves
     min 0.5 x'Qx + c'x
-    s.t. A_eq x = b_eq,  A_in x <= b_in,  lower <= x <= upper
+    s.t. A x <= b,  lower <= x <= upper
 
 with a primal active-set method on an equilibrated copy of the data. The
-Hessian may be positive semidefinite; flat directions are resolved through
-an eigendecomposition of the reduced Hessian. Feasible starting points come
-from an elastic phase-1 LP (scipy's HiGHS) unless a feasible hint is given.
+Hessian must be positive definite, so every reduced Hessian has a Cholesky
+factor and the optimum is unique. There are inequality rows and bounds only.
+A caller that knows a feasible point passes it as the hint and the solver
+starts there; only without one does an elastic phase-1 LP (scipy's HiGHS)
+search for a start.
 
 Every returned solution carries an independently recomputed KKT residual;
 `status == "optimal"` is only reported when that residual passes the
@@ -17,7 +19,7 @@ variables, low hundreds of constraints), so all linear algebra is dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -51,8 +53,6 @@ class QpProblem:
 
     hessian: np.ndarray
     linear_cost: np.ndarray
-    eq_matrix: np.ndarray | None = None
-    eq_rhs: np.ndarray | None = None
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
     lower: np.ndarray | None = None
@@ -62,8 +62,6 @@ class QpProblem:
         self.hessian = np.asarray(self.hessian, dtype=float)
         self.linear_cost = _as_vector(self.linear_cost)
         n = self.linear_cost.size
-        self.eq_matrix = _as_matrix(self.eq_matrix, n)
-        self.eq_rhs = _as_vector(self.eq_rhs, self.eq_matrix.shape[0])
         self.ineq_matrix = _as_matrix(self.ineq_matrix, n)
         self.ineq_rhs = _as_vector(self.ineq_rhs, self.ineq_matrix.shape[0])
         self.lower = np.full(n, -np.inf) if self.lower is None else _as_vector(self.lower)
@@ -74,12 +72,10 @@ class QpProblem:
         return self.linear_cost.size
 
     def validate(self) -> None:
-        """Raise ValueError on inconsistent dimensions or a non-PSD Hessian."""
+        """Raise ValueError on bad dimensions or a Hessian that is not positive definite."""
         n = self.n
         if self.hessian.shape != (n, n):
             raise ValueError(f"hessian shape {self.hessian.shape} does not match n={n}")
-        if self.eq_matrix.shape[1] != n or self.eq_rhs.shape != (self.eq_matrix.shape[0],):
-            raise ValueError("equality block dimensions inconsistent")
         if self.ineq_matrix.shape[1] != n or self.ineq_rhs.shape != (self.ineq_matrix.shape[0],):
             raise ValueError("inequality block dimensions inconsistent")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
@@ -91,20 +87,15 @@ class QpProblem:
             sym = 0.5 * (self.hessian + self.hessian.T)
             diag = np.diag(sym)
             if not np.any(sym - np.diag(diag)):
-                if float(np.min(diag)) < -1e-9 * scale:
-                    raise ValueError(
-                        f"hessian is not positive semidefinite (min eig {np.min(diag):.3e})"
-                    )
+                definite = bool(np.min(diag) > 0.0)
             else:
-                # A shifted Cholesky succeeding certifies min eig > -1e-9*scale.
                 try:
-                    np.linalg.cholesky(sym + (1e-9 * scale) * np.eye(n))
+                    np.linalg.cholesky(sym)
+                    definite = True
                 except np.linalg.LinAlgError:
-                    eigs = np.linalg.eigvalsh(sym)
-                    if eigs[0] < -1e-9 * scale:
-                        raise ValueError(
-                            f"hessian is not positive semidefinite (min eig {eigs[0]:.3e})"
-                        ) from None
+                    definite = False
+            if not definite:
+                raise ValueError("hessian is not positive definite")
         if np.any(self.lower > self.upper):
             j = int(np.argmax(self.lower > self.upper))
             raise ValueError(f"lower bound exceeds upper bound at variable {j}")
@@ -117,7 +108,6 @@ class QpProblem:
 @dataclass
 class QpSolution:
     x: np.ndarray
-    eq_duals: np.ndarray
     ineq_duals: np.ndarray
     bound_duals: np.ndarray
     objective: float
@@ -135,24 +125,18 @@ def kkt_components(problem: QpProblem, solution: QpSolution) -> dict[str, float]
     """
     x = np.asarray(solution.x, dtype=float)
     q, c = problem.hessian, problem.linear_cost
-    a_eq, b_eq = problem.eq_matrix, problem.eq_rhs
     a_in, b_in = problem.ineq_matrix, problem.ineq_rhs
     lo, hi = problem.lower, problem.upper
-    nu = _as_vector(solution.eq_duals, a_eq.shape[0])
     mu = _as_vector(solution.ineq_duals, a_in.shape[0])
     beta = _as_vector(solution.bound_duals, problem.n)
 
     grad = q @ x + c
-    if a_eq.shape[0]:
-        grad = grad + a_eq.T @ nu
     if a_in.shape[0]:
         grad = grad + a_in.T @ mu
     grad = grad + beta
     stationarity = float(np.max(np.abs(grad), initial=0.0))
 
     primal = 0.0
-    if a_eq.shape[0]:
-        primal = max(primal, float(np.max(np.abs(a_eq @ x - b_eq))))
     slack = b_in - a_in @ x if a_in.shape[0] else np.zeros(0)
     if slack.size:
         primal = max(primal, float(np.max(-slack, initial=0.0)))
@@ -193,10 +177,6 @@ class _Folded:
     kind: np.ndarray       # row origin: _ROW_INEQ / _ROW_LOWER / _ROW_UPPER
     orig_index: np.ndarray  # index into ineq rows or variable index for bounds
     row_scale: np.ndarray  # original dual = row_scale * scaled dual
-    a_eq: np.ndarray       # scaled independent equality rows
-    b_eq: np.ndarray
-    eq_keep: np.ndarray    # indices of kept (independent) equality rows
-    eq_row_scale: np.ndarray
     col_scale: np.ndarray  # x_original = col_scale * x_scaled
 
 
@@ -230,7 +210,7 @@ def _fold_and_scale(problem: QpProblem) -> _Folded:
     # One equilibration pass: column scales from the stacked data, then unit
     # inf-norm rows. Keeps mixed-unit problems (storage vs flow columns)
     # within a sane condition number for the dense factorizations below.
-    stacked = np.vstack([problem.hessian, problem.eq_matrix, a_all])
+    stacked = np.vstack([problem.hessian, a_all])
     col_norm = np.max(np.abs(stacked), axis=0)
     col_scale = 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
 
@@ -240,32 +220,12 @@ def _fold_and_scale(problem: QpProblem) -> _Folded:
     a_s = a_s * row_scale[:, None]
     b_s = b_all * row_scale
 
-    a_eq_s = problem.eq_matrix * col_scale[None, :]
-    eq_norm = np.max(np.abs(a_eq_s), axis=1, initial=0.0) if a_eq_s.shape[0] else np.zeros(0)
-    eq_row_scale = 1.0 / np.maximum(eq_norm, 1e-12)
-    a_eq_s = a_eq_s * eq_row_scale[:, None]
-    b_eq_s = problem.eq_rhs * eq_row_scale
-
-    if a_eq_s.shape[0]:
-        # Keep an independent subset of equality rows; feasibility of dropped
-        # (dependent) rows is certified by phase 1 / the final KKT check.
-        _, r, piv = scipy.linalg.qr(a_eq_s.T, pivoting=True, mode="economic")
-        diag = np.abs(np.diag(r))
-        rank = int(np.sum(diag > 1e-12 * max(1.0, diag[0] if diag.size else 1.0)))
-        eq_keep = np.sort(piv[:rank])
-    else:
-        eq_keep = np.zeros(0, dtype=int)
-
     return _Folded(
         a=a_s,
         b=b_s,
         kind=kind_all,
         orig_index=oidx_all,
         row_scale=row_scale,
-        a_eq=a_eq_s[eq_keep],
-        b_eq=b_eq_s[eq_keep],
-        eq_keep=eq_keep,
-        eq_row_scale=eq_row_scale,
         col_scale=col_scale,
     )
 
@@ -273,11 +233,6 @@ def _fold_and_scale(problem: QpProblem) -> _Folded:
 def _max_violation(problem: QpProblem, x: np.ndarray) -> tuple[float, str]:
     """Largest constraint violation at x and a human-readable culprit."""
     worst, label = 0.0, "none"
-    if problem.eq_matrix.shape[0]:
-        res = np.abs(problem.eq_matrix @ x - problem.eq_rhs)
-        i = int(np.argmax(res))
-        if res[i] > worst:
-            worst, label = float(res[i]), f"equality row {i}"
     if problem.ineq_matrix.shape[0]:
         res = problem.ineq_matrix @ x - problem.ineq_rhs
         i = int(np.argmax(res))
@@ -297,43 +252,31 @@ def _max_violation(problem: QpProblem, x: np.ndarray) -> tuple[float, str]:
 def _phase1(problem: QpProblem, feasibility_tol: float) -> tuple[np.ndarray | None, str]:
     """Elastic LP: minimize total constraint violation under the native bounds.
 
-    Returns (feasible point, "") or (least-infeasible point, diagnostic).
+    Returns (feasible point, "") or (least-infeasible point, diagnostic). The
+    point counts as feasible by the test a hint must pass: no row or bound
+    violated by more than feasibility_tol.
     """
     n = problem.n
     mi = problem.ineq_matrix.shape[0]
-    me = problem.eq_matrix.shape[0]
-    cost = np.concatenate([np.zeros(n), np.ones(mi + 2 * me)])
+    cost = np.concatenate([np.zeros(n), np.ones(mi)])
     a_ub = None
     b_ub = None
     if mi:
-        a_ub = np.hstack([problem.ineq_matrix, -np.eye(mi), np.zeros((mi, 2 * me))])
+        a_ub = np.hstack([problem.ineq_matrix, -np.eye(mi)])
         b_ub = problem.ineq_rhs
-    a_eq = None
-    b_eq = None
-    if me:
-        a_eq = np.hstack([problem.eq_matrix, np.zeros((me, mi)), np.eye(me), -np.eye(me)])
-        b_eq = problem.eq_rhs
     bounds = [(problem.lower[j], problem.upper[j]) for j in range(n)]
-    bounds += [(0.0, None)] * (mi + 2 * me)
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    bounds += [(0.0, None)] * mi
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"phase-1 LP failed: {res.message}")
     x = np.clip(res.x[:n], problem.lower, problem.upper)
-    scale = 1.0 + float(np.max(np.abs(np.concatenate([problem.ineq_rhs, problem.eq_rhs])), initial=0.0))
-    if res.fun <= max(1e-7, feasibility_tol) * scale:
-        return x, ""
     worst, label = _max_violation(problem, x)
+    if worst <= feasibility_tol:
+        return x, ""
     return x, (
         f"infeasible: at the least-infeasible point the most violated constraint "
         f"is {label} (violation {worst:.6g})"
     )
-
-
-def _null_basis(a: np.ndarray, n: int) -> np.ndarray:
-    if a.shape[0] == 0:
-        return np.eye(n)
-    qfull, _ = np.linalg.qr(a.T, mode="complete")
-    return qfull[:, a.shape[0]:]
 
 
 def _working_duals(a_w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -358,8 +301,8 @@ def solve(
     phase-1 LP finds a starting point. On infeasible problems the returned
     solution carries the least-infeasible point and a diagnostic message.
 
-    Raises ValueError for dimension errors and for objectives unbounded
-    below along a zero-curvature direction.
+    Raises ValueError for dimension errors and for a Hessian that is not
+    positive definite.
     """
     problem.validate()
     n = problem.n
@@ -368,18 +311,12 @@ def solve(
 
     def _finish(x_s, w_list, status, iterations, message=""):
         x = fold.col_scale * x_s
-        eq_duals = np.zeros(problem.eq_matrix.shape[0])
         ineq_duals = np.zeros(problem.ineq_matrix.shape[0])
         bound_duals = np.zeros(n)
         if status != "infeasible":
-            a_w = np.vstack([fold.a_eq, fold.a[w_list]]) if (fold.a_eq.shape[0] or w_list) else np.zeros((0, n))
-            g = _scaled_grad(x_s)
-            lam = _working_duals(a_w, g)
-            ne = fold.a_eq.shape[0]
-            for pos, row in enumerate(fold.eq_keep):
-                eq_duals[row] = fold.eq_row_scale[row] * lam[pos]
+            lam = _working_duals(fold.a[w_list], _scaled_grad(x_s))
             for pos, row in enumerate(w_list):
-                val = fold.row_scale[row] * lam[ne + pos]
+                val = fold.row_scale[row] * lam[pos]
                 if fold.kind[row] == _ROW_INEQ:
                     ineq_duals[fold.orig_index[row]] += val
                 elif fold.kind[row] == _ROW_UPPER:
@@ -392,7 +329,6 @@ def solve(
             ineq_duals[(ineq_duals < 0.0) & (ineq_duals > -tiny)] = 0.0
         sol = QpSolution(
             x=x,
-            eq_duals=eq_duals,
             ineq_duals=ineq_duals,
             bound_duals=bound_duals,
             objective=problem.objective_value(x),
@@ -432,14 +368,10 @@ def solve(
     tight = np.where(resid >= -1e-9 * (1.0 + np.abs(fold.b)))[0]
     w_list: list[int] = []
     if tight.size:
-        z_eq = _null_basis(fold.a_eq, n)
-        reduced = fold.a[tight] @ z_eq
-        if reduced.shape[1]:
-            _, r, piv = scipy.linalg.qr(reduced.T, pivoting=True, mode="economic")
-            diag = np.abs(np.diag(r))
-            ref = diag[0] if diag.size else 0.0
-            rank = int(np.sum(diag > 1e-10 * max(1.0, ref)))
-            w_list = sorted(int(tight[i]) for i in piv[:rank])
+        _, r, piv = scipy.linalg.qr(fold.a[tight].T, pivoting=True, mode="economic")
+        diag = np.abs(np.diag(r))
+        rank = int(np.sum(diag > 1e-10 * max(1.0, diag[0])))
+        w_list = sorted(int(tight[i]) for i in piv[:rank])
 
     in_w = np.zeros(m, dtype=bool)
     in_w[w_list] = True
@@ -448,14 +380,14 @@ def solve(
         """Exact solve on the final working set; clears drift the null-space
         steps inherited from the starting point, which otherwise shows up as
         a complementarity residual against large constraint multipliers."""
-        a_w = np.vstack([fold.a_eq, fold.a[w_cur]]) if (fold.a_eq.shape[0] or w_cur) else np.zeros((0, n))
+        a_w = fold.a[w_cur]
         mw = a_w.shape[0]
         kkt = np.zeros((n + mw, n + mw))
         kkt[:n, :n] = q_s
         if mw:
             kkt[:n, n:] = a_w.T
             kkt[n:, :n] = a_w
-        rhs = np.concatenate([-c_s, fold.b_eq, fold.b[np.asarray(w_cur, dtype=int)]])
+        rhs = np.concatenate([-c_s, fold.b[w_cur]])
         try:
             sol = np.linalg.solve(kkt, rhs)
             bad = not np.all(np.isfinite(sol)) or float(
@@ -469,8 +401,6 @@ def solve(
         if not np.all(np.isfinite(x_new)):
             return x_cur
         viol = float(np.max(fold.a @ x_new - fold.b, initial=0.0))
-        if fold.a_eq.shape[0]:
-            viol = max(viol, float(np.max(np.abs(fold.a_eq @ x_new - fold.b_eq))))
         if viol <= 1e-9 * (1.0 + float(np.max(np.abs(fold.b), initial=0.0))):
             return x_new
         return x_cur
@@ -478,9 +408,8 @@ def solve(
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        n_eq = fold.a_eq.shape[0]
-        if n_eq or w_list:
-            a_w = np.vstack([fold.a_eq, fold.a[w_list]])
+        if w_list:
+            a_w = fold.a[w_list]
             mw = a_w.shape[0]
             qf, rfull = np.linalg.qr(a_w.T, mode="complete")
             r1 = rfull[:mw, :]
@@ -491,79 +420,48 @@ def solve(
             qf = r1 = None
             z = np.eye(n)
         g = _scaled_grad(x_s)
-        ray = False
         if z.shape[1] == 0:
             p = np.zeros(n)
         else:
             hz = z.T @ q_s @ z
             hz = 0.5 * (hz + hz.T)
             gz = z.T @ g
-            try:
-                cho = scipy.linalg.cho_factor(hz)
-                pz = scipy.linalg.cho_solve(cho, -gz)
-                pz += scipy.linalg.cho_solve(cho, -gz - hz @ pz)  # one refinement
-            except np.linalg.LinAlgError:
-                pz = None
-            if pz is None:
-                evals, evecs = np.linalg.eigh(hz)
-                top = max(1.0, float(evals[-1]))
-                big = evals > 1e-10 * top
-                gproj = evecs.T @ gz
-                flat_grad = np.where(big, 0.0, gproj)
-                if np.max(np.abs(flat_grad), initial=0.0) > 1e-10 * max(1.0, float(np.max(np.abs(gz), initial=0.0))):
-                    # Zero-curvature descent direction: follow it to a blocking row.
-                    i_flat = int(np.argmax(np.abs(flat_grad)))
-                    d = -np.sign(gproj[i_flat]) * evecs[:, i_flat]
-                    p = z @ d
-                    ray = True
-                else:
-                    pz = -(evecs[:, big] @ (gproj[big] / evals[big]))
-                    p = z @ pz
+            cho = scipy.linalg.cho_factor(hz)
+            pz = scipy.linalg.cho_solve(cho, -gz)
+            pz += scipy.linalg.cho_solve(cho, -gz - hz @ pz)  # one refinement
+            p = z @ pz
+        p_norm = float(np.max(np.abs(p), initial=0.0))
+        if p_norm <= 1e-11 * (1.0 + float(np.max(np.abs(x_s), initial=0.0))):
+            if mw == 0:
+                lam = np.zeros(0)
             else:
-                p = z @ pz
-        if not ray:
-            p_norm = float(np.max(np.abs(p), initial=0.0))
-            if p_norm <= 1e-11 * (1.0 + float(np.max(np.abs(x_s), initial=0.0))):
-                if mw == 0:
-                    lam = np.zeros(0)
+                diag_r = np.abs(np.diag(r1))
+                if diag_r.size and float(np.min(diag_r)) > 1e-12 * max(1.0, float(np.max(diag_r))):
+                    lam = scipy.linalg.solve_triangular(r1, (qf.T @ (-g))[:mw])
                 else:
-                    diag_r = np.abs(np.diag(r1))
-                    if diag_r.size and float(np.min(diag_r)) > 1e-12 * max(1.0, float(np.max(diag_r))):
-                        lam = scipy.linalg.solve_triangular(r1, (qf.T @ (-g))[:mw])
-                    else:
-                        lam = _working_duals(a_w, g)
-                mu_w = lam[n_eq:]
-                if mu_w.size == 0 or np.min(mu_w) >= -1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0))):
-                    return _finish(_snap(x_s, w_list), w_list, "optimal", iterations)
-                drop = int(np.argmin(mu_w))
-                row = w_list.pop(drop)
-                in_w[row] = False
-                continue
+                    lam = _working_duals(a_w, g)
+            if lam.size == 0 or np.min(lam) >= -1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0))):
+                return _finish(_snap(x_s, w_list), w_list, "optimal", iterations)
+            row = w_list.pop(int(np.argmin(lam)))
+            in_w[row] = False
+            continue
 
         denom = fold.a @ p
         slack = np.maximum(fold.b - fold.a @ x_s, 0.0)
         blocking = (~in_w) & (denom > 1e-11 * max(1.0, float(np.max(np.abs(p), initial=0.0))))
         if not np.any(blocking):
-            if ray:
-                raise ValueError("objective is unbounded below along a zero-curvature direction")
             x_s = x_s + p
             continue
         ratios = np.full(m, np.inf)
         ratios[blocking] = slack[blocking] / denom[blocking]
         blocker = int(np.argmin(ratios))
         alpha = float(ratios[blocker])
-        if ray:
+        if alpha < 1.0:
             x_s = x_s + alpha * p
             w_list.append(blocker)
             w_list.sort()
             in_w[blocker] = True
         else:
-            if alpha < 1.0:
-                x_s = x_s + alpha * p
-                w_list.append(blocker)
-                w_list.sort()
-                in_w[blocker] = True
-            else:
-                x_s = x_s + p
+            x_s = x_s + p
 
     return _finish(x_s, w_list, "iteration-limit", iterations, "iteration limit reached")

@@ -47,13 +47,12 @@ def enumeration_oracle(problem: qp.QpProblem) -> tuple[float, np.ndarray]:
             rows.append((e, float(problem.upper[j])))
     a_all = np.array([r[0] for r in rows]).reshape(len(rows), n)
     b_all = np.array([r[1] for r in rows])
-    a_eq, b_eq = problem.eq_matrix, problem.eq_rhs
     best_val, best_x = np.inf, None
     for size in range(len(rows) + 1):
         for subset in itertools.combinations(range(len(rows)), size):
             idx = list(subset)
-            a_act = np.vstack([a_eq, a_all[idx]]) if idx or a_eq.shape[0] else np.zeros((0, n))
-            b_act = np.concatenate([b_eq, b_all[idx]])
+            a_act = a_all[idx]
+            b_act = b_all[idx]
             m = a_act.shape[0]
             kkt = np.zeros((n + m, n + m))
             kkt[:n, :n] = problem.hessian
@@ -63,8 +62,6 @@ def enumeration_oracle(problem: qp.QpProblem) -> tuple[float, np.ndarray]:
             rhs = np.concatenate([-problem.linear_cost, b_act])
             sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
             x = sol[:n]
-            if a_eq.shape[0] and np.max(np.abs(a_eq @ x - b_eq)) > 1e-8:
-                continue
             if len(rows) and np.max(a_all @ x - b_all) > 1e-8:
                 continue
             value = problem.objective_value(x)

@@ -57,3 +57,9 @@ def test_removed_config_keys_rejected(tmp_path, scenario_dir, capsys, line):
     argv = ["ddp", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_RUNTIME
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_zero_lambda_rejected(tmp_path, scenario_dir, capsys):
+    argv = ["simulate", *scenario_args(scenario_dir), "--lambda", "0", "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert "lam must be positive" in capsys.readouterr().err

@@ -1,7 +1,12 @@
 """Controller tests: QP assembly, slack semantics, closed-loop behavior."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lakempc import qp
 from lakempc.hydrology import LakeParams, level_of_storage, release_bounds, storage_of_level
@@ -16,7 +21,7 @@ from lakempc.mpc import (
     run_hourly,
     solve_step,
 )
-from lakempc.scenario import Scenario, constant_scenario, expand_daily
+from lakempc.scenario import Scenario, constant_scenario, expand_daily, synthetic_year
 from lakempc.trace import mass_balance_error
 
 PARAMS = LakeParams()
@@ -171,8 +176,54 @@ class TestRecovery:
     def test_recovery_disabled_raises_with_hour(self):
         scn = constant_scenario(0.0, 0.0, 2)
         config = MpcConfig(feasibility_recovery=False)
-        with pytest.raises(MpcInfeasibleError, match="hour 0"):
+        with pytest.raises(
+            MpcInfeasibleError, match=r"hour 0: the dry bound at horizon step 0 .*short by"
+        ) as info:
             run_hourly(PARAMS, config, scn, DEFAULT_S_MIN + 100.0, n_steps=2)
+        # The 10 m^3/s minimum release drains 36000 m^3 against 100 m^3 to spare.
+        expected = (36_000.0 - 100.0) / PARAMS.surface_area + config.dry_margin
+        shortfall = float(re.search(r"short by (\S+) m", str(info.value)).group(1))
+        assert shortfall == pytest.approx(expected, rel=1e-5)
+
+
+def _no_linprog(*args, **kwargs):
+    raise AssertionError("the MPC reached the phase-1 LP")
+
+
+class TestFeasibleStart:
+    def test_dry_bound_and_recovery_runs_never_call_phase1(self):
+        # From day 182 at 0.29 m the summer demand drags the lake down. From
+        # about hour 100 on, the clipped demand hint would cross the dry
+        # bound within the 24-hour horizon, and the minimum-release plan must
+        # supply the start.
+        summer = synthetic_year(6, first_day=182)
+        dry = constant_scenario(0.0, 0.0, 2)
+        with mock.patch.object(qp, "linprog", _no_linprog):
+            trace = run_hourly(
+                PARAMS, MpcConfig(), summer, storage_of_level(PARAMS, 0.29), n_steps=108
+            )
+            recovery = run_hourly(PARAMS, MpcConfig(), dry, DEFAULT_S_MIN + 100.0, n_steps=2)
+        assert np.min(trace.levels) >= PARAMS.dry_threshold - 1e-9
+        assert set(trace.solve_statuses) == {"optimal"}
+        assert recovery.recovery_hours == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        offset=st.floats(0.0, 2e5),
+        inflow=st.lists(st.floats(0.0, 20.0), min_size=4, max_size=4),
+        demand=st.lists(st.floats(0.0, 300.0), min_size=4, max_size=4),
+    )
+    # Short of the dry bound by 2.7e-5 m at the last step: an LP tolerance
+    # scaled by the 300 m^3/s demand once called this feasible.
+    @example(offset=7999.03, inflow=[17.28, 14.42, 2.5, 2.5], demand=[0.0, 178.5, 299.0, 50.0])
+    def test_feasibility_verdict_matches_phase1(self, offset, inflow, demand):
+        config = MpcConfig(horizon=4)
+        s0 = DEFAULT_S_MIN + offset
+        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (4, 1))
+        step = solve_step(PARAMS, config, s0, inflow, demand, bounds)
+        reference = qp.solve(assemble_qp(PARAMS, config, s0, inflow, demand, bounds))
+        assert step.recovery_used == (reference.status == "infeasible")
+        assert step.solve_diagnostics.status == "optimal"
 
 
 class TestDailyMode:
@@ -236,6 +287,8 @@ class TestConfig:
             {"tie_break_weight": -1e-9},
             {"flood_slack_ref": 0.0},
             {"demand_ref": 0.0},
+            {"lam": 0.0},
+            {"tie_break_weight": 0.0},
         ],
     )
     def test_validation(self, kwargs):
