@@ -153,6 +153,7 @@ def write_trace_csv(path, trace: ClosedLoopTrace) -> None:
         ("slack_flood_m", trace.slack_flood),
         ("slack_demand_m3s", trace.slack_demand),
         ("kkt_residual", trace.kkt_residuals),
+        ("qp_iterations", trace.solve_iterations),
     ):
         if series is not None:
             columns.append((name, series))

@@ -5,11 +5,21 @@ Solves
     s.t. A x <= b,  lower <= x <= upper
 
 with a primal active-set method on an equilibrated copy of the data. The
-Hessian must be positive definite, so every reduced Hessian has a Cholesky
-factor and the optimum is unique. There are inequality rows and bounds only.
-A caller that knows a feasible point passes it as the hint and the solver
-starts there; only without one does an elastic phase-1 LP (scipy's HiGHS)
-search for a start.
+Hessian must be positive definite, so the optimum is unique. There are
+inequality rows and bounds only. A caller that knows a feasible point passes
+it as the hint and the solver starts there; only without one does an elastic
+phase-1 LP (scipy's HiGHS) search for a start.
+
+Each solve factors the scaled Hessian once, Q = LL', and works in the
+coordinates y = L'x of Goldfarb & Idnani (1983), where the Hessian is the
+identity. With Z the null-space basis of the working rows in y, the step is
+the projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or
+factored. The complete QR of the working rows is computed once and then
+updated by one scipy qr_insert or qr_delete per iteration (Gill, Golub,
+Murray & Saunders 1974). Multipliers are often exactly tied (the MPC's
+hours are alike), so among those within a relative 1e-9 of the most
+negative the solver drops the one last in the working set, rather than
+leaving the choice to rounding; that also shortens long solves.
 
 Every returned solution carries an independently recomputed KKT residual;
 `status == "optimal"` is only reported when that residual passes the
@@ -19,6 +29,7 @@ variables, low hundreds of constraints), so all linear algebra is dense.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,50 +416,40 @@ def solve(
             return x_new
         return x_cur
 
+    # y = L'x with q_s = LL' (see module docstring); l_inv_t is L^-T.
+    l_inv_t = scipy.linalg.solve_triangular(np.linalg.cholesky(q_s), np.eye(n), lower=True).T
+    a_y = fold.a @ l_inv_t
+    qf, rf = np.linalg.qr(a_y[w_list].T, mode="complete")
+
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        if w_list:
-            a_w = fold.a[w_list]
-            mw = a_w.shape[0]
-            qf, rfull = np.linalg.qr(a_w.T, mode="complete")
-            r1 = rfull[:mw, :]
-            z = qf[:, mw:]
-        else:
-            a_w = np.zeros((0, n))
-            mw = 0
-            qf = r1 = None
-            z = np.eye(n)
+        mw = len(w_list)
         g = _scaled_grad(x_s)
-        if z.shape[1] == 0:
-            p = np.zeros(n)
-        else:
-            hz = z.T @ q_s @ z
-            hz = 0.5 * (hz + hz.T)
-            gz = z.T @ g
-            cho = scipy.linalg.cho_factor(hz)
-            pz = scipy.linalg.cho_solve(cho, -gz)
-            pz += scipy.linalg.cho_solve(cho, -gz - hz @ pz)  # one refinement
-            p = z @ pz
+        g_y = l_inv_t.T @ g
+        z = qf[:, mw:]
+        p = -(l_inv_t @ (z @ (z.T @ g_y)))
         p_norm = float(np.max(np.abs(p), initial=0.0))
         if p_norm <= 1e-11 * (1.0 + float(np.max(np.abs(x_s), initial=0.0))):
             if mw == 0:
                 lam = np.zeros(0)
             else:
-                diag_r = np.abs(np.diag(r1))
-                if diag_r.size and float(np.min(diag_r)) > 1e-12 * max(1.0, float(np.max(diag_r))):
-                    lam = scipy.linalg.solve_triangular(r1, (qf.T @ (-g))[:mw])
+                diag_r = np.abs(np.diag(rf[:mw]))
+                if float(np.min(diag_r)) > 1e-12 * max(1.0, float(np.max(diag_r))):
+                    lam = scipy.linalg.solve_triangular(rf[:mw], -(qf[:, :mw].T @ g_y))
                 else:
-                    lam = _working_duals(a_w, g)
+                    lam = _working_duals(fold.a[w_list], g)
             if lam.size == 0 or np.min(lam) >= -1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0))):
                 return _finish(_snap(x_s, w_list), w_list, "optimal", iterations)
-            row = w_list.pop(int(np.argmin(lam)))
-            in_w[row] = False
+            lam_min = float(np.min(lam))
+            pos = int(np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1])
+            in_w[w_list.pop(pos)] = False
+            qf, rf = scipy.linalg.qr_delete(qf, rf, pos, which="col", check_finite=False)
             continue
 
         denom = fold.a @ p
         slack = np.maximum(fold.b - fold.a @ x_s, 0.0)
-        blocking = (~in_w) & (denom > 1e-11 * max(1.0, float(np.max(np.abs(p), initial=0.0))))
+        blocking = (~in_w) & (denom > 1e-11 * max(1.0, p_norm))
         if not np.any(blocking):
             x_s = x_s + p
             continue
@@ -458,9 +459,12 @@ def solve(
         alpha = float(ratios[blocker])
         if alpha < 1.0:
             x_s = x_s + alpha * p
-            w_list.append(blocker)
-            w_list.sort()
+            pos = bisect.bisect(w_list, blocker)
+            w_list.insert(pos, blocker)
             in_w[blocker] = True
+            qf, rf = scipy.linalg.qr_insert(
+                qf, rf, a_y[blocker], pos, which="col", check_finite=False
+            )
         else:
             x_s = x_s + p
 

@@ -11,8 +11,8 @@ returns (commands, step):
   the run are dropped. The hourly MPC and the DDP table return one command,
   the daily MPC 24.
 * step: the MpcStepResult of the QP solve behind the commands, whose slacks,
-  KKT residual, status and recovery flag are recorded for each applied
-  hour, or None for a policy without solver diagnostics.
+  KKT residual, iteration count, status and recovery flag are recorded for
+  each applied hour, or None for a policy without solver diagnostics.
 
 The result is a :class:`ClosedLoopTrace`, one row per hour.
 """
@@ -35,8 +35,9 @@ class ClosedLoopTrace:
     level of storages[t + 1]. commands are the controller outputs before
     plant saturation, releases the flows actually discharged.
 
-    The controller diagnostics (slacks, KKT residuals, solver statuses) are
-    None for runs that did not come from the QP controller.
+    The controller diagnostics (slacks, KKT residuals, active-set iterations
+    of the solve behind each hour, solver statuses) are None for runs that
+    did not come from the QP controller.
     """
 
     levels: np.ndarray
@@ -50,6 +51,7 @@ class ClosedLoopTrace:
     slack_flood: np.ndarray | None = None
     slack_demand: np.ndarray | None = None
     kkt_residuals: np.ndarray | None = None
+    solve_iterations: np.ndarray | None = None
     solve_statuses: list[str] | None = None
 
     def __post_init__(self) -> None:
@@ -63,10 +65,13 @@ class ClosedLoopTrace:
                 raise ValueError(f"{name} length {getattr(self, name).size} != {t}")
         if self.storages.size != t + 1:
             raise ValueError(f"storages must have length {t + 1}, got {self.storages.size}")
-        for name in ("slack_flood", "slack_demand", "kkt_residuals"):
+        for name, dtype in (
+            ("slack_flood", float), ("slack_demand", float), ("kkt_residuals", float),
+            ("solve_iterations", int),
+        ):
             value = getattr(self, name)
             if value is not None:
-                value = np.asarray(value, dtype=float)
+                value = np.asarray(value, dtype=dtype)
                 setattr(self, name, value)
                 if value.size != t:
                     raise ValueError(f"{name} length {value.size} != {t}")
@@ -102,6 +107,7 @@ def closed_loop(
     slack_flood = np.zeros(n_hours)
     slack_demand = np.zeros(n_hours)
     kkt_residuals = np.zeros(n_hours)
+    iterations = np.zeros(n_hours, dtype=int)
     statuses: list[str] = []
     recovery_hours = 0
     storage = storages[0] = float(s0)
@@ -121,6 +127,7 @@ def closed_loop(
                 slack_flood[t] = step.slack_max[k]
                 slack_demand[t] = step.slack_demand[k]
                 kkt_residuals[t] = step.solve_diagnostics.kkt_residual
+                iterations[t] = step.solve_diagnostics.iterations
                 statuses.append(step.solve_diagnostics.status)
             t += 1
         if step is not None:
@@ -138,5 +145,6 @@ def closed_loop(
         slack_flood=slack_flood if solved else None,
         slack_demand=slack_demand if solved else None,
         kkt_residuals=kkt_residuals if solved else None,
+        solve_iterations=iterations if solved else None,
         solve_statuses=statuses if solved else None,
     )

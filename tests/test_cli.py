@@ -1,5 +1,7 @@
 """Command-line tests: every subcommand end to end on a 3-day synthetic scenario."""
 
+import csv
+
 import pytest
 
 from lakempc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli_main
@@ -36,6 +38,15 @@ def test_subcommands_run_and_simulate_is_reproducible(tmp_path, scenario_dir):
     reports = [f"{name}={tmp_path / name / 'report.csv'}" for name in ("ddp", "hourly", "daily")]
     assert cli_main(["compare", *reports, "--out", str(tmp_path / "cmp")]) == EXIT_OK
     assert (tmp_path / "cmp" / "comparison.csv").exists()
+
+
+def test_hourly_trace_csv_has_qp_iterations(tmp_path, scenario_dir):
+    argv = ["simulate", "--mode", "hourly", "--horizon", "6", *scenario_args(scenario_dir)]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    with (tmp_path / "trace.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 3 * 24 - 6
+    assert all(int(row["qp_iterations"]) >= 1 for row in rows)
 
 
 def test_missing_inflow_kind_is_usage_error(tmp_path, scenario_dir, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lakempc import qp
+from lakempc import mpc, qp
 from lakempc.hydrology import LakeParams, level_of_storage, release_bounds, storage_of_level
 from lakempc.mpc import (
     DEFAULT_S_MAX,
@@ -157,6 +157,24 @@ class TestClosedLoop:
         assert np.min(trace.storages) >= config.s_min - 1e-6 * config.s_min
         assert trace.recovery_hours == 0
         assert np.min(trace.levels) >= PARAMS.dry_threshold - 1e-9
+
+    def test_trace_records_solver_iterations(self, monkeypatch):
+        iterations = []
+        inner = mpc.solve_step
+
+        def recording(*args, **kwargs):
+            step = inner(*args, **kwargs)
+            iterations.append(step.solve_diagnostics.iterations)
+            return step
+
+        monkeypatch.setattr(mpc, "solve_step", recording)
+        trace = run_hourly(PARAMS, MpcConfig(), constant_scenario(80.0, 90.0, 3), 1.2e8, n_steps=12)
+        assert trace.solve_iterations.dtype.kind == "i"
+        assert trace.solve_iterations.tolist() == iterations
+        assert min(iterations) >= 1
+        iterations.clear()
+        daily = run_daily(PARAMS, MpcConfig(), constant_scenario(80.0, 90.0, 2), 1.2e8)
+        assert daily.solve_iterations.tolist() == np.repeat(iterations, 24).tolist()
 
     def test_scenario_too_short_rejected(self):
         scn = constant_scenario(10.0, 10.0, 1)

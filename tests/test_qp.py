@@ -1,10 +1,14 @@
 """QP solver tests: certification against the active-set enumeration oracle."""
 
+import collections
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import enumeration_oracle, random_qp
-from lakempc import qp
+from lakempc import mpc, qp
+from lakempc.hydrology import LakeParams, level_of_storage, release_bounds
 
 
 def _solve(problem, **kwargs):
@@ -207,3 +211,68 @@ class TestEdgesAndErrors:
         solution = qp.solve(problem, initial_point=np.array([0.0, 0.0]))
         assert solution.status == "optimal"
         assert solution.x == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
+def _dense_qp(seed, n=40, m=80):
+    """A strictly convex QP at MPC scale: dense Hessian of condition 1e4, m
+    inequality rows and box bounds, with a known feasible point. The
+    unconstrained optimum lies far outside, so many rows end up active."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    hessian = (basis * np.logspace(0, 4, n)) @ basis.T
+    hessian = 0.5 * (hessian + hessian.T)
+    a = rng.standard_normal((m, n))
+    x_feasible = rng.uniform(-0.5, 0.5, n)
+    b = a @ x_feasible + rng.uniform(0.0, 1.0, m)
+    problem = qp.QpProblem(
+        hessian=hessian,
+        linear_cost=-hessian @ rng.uniform(-5.0, 5.0, n),
+        ineq_matrix=a,
+        ineq_rhs=b,
+        lower=-np.ones(n),
+        upper=np.ones(n),
+    )
+    return problem, x_feasible
+
+
+class TestMpcScale:
+    def test_dense_hessian_long_solve_from_hint_and_phase1(self):
+        problem, x_feasible = _dense_qp(0)
+        hinted = qp.solve(problem, initial_point=x_feasible)
+        cold = qp.solve(problem)
+        for solution in (hinted, cold):
+            assert solution.status == "optimal"
+            assert solution.kkt_residual <= 1e-9
+            assert solution.iterations >= 30
+        assert hinted.x == pytest.approx(cold.x, abs=1e-8)
+
+    def test_factorizations_per_solve_not_per_iteration(self, monkeypatch):
+        # The first step of the hard dry-bound run: demand 300 against inflow
+        # 20, 3e6 m^3 above the dry storage, started from the MPC's own hint.
+        counts = collections.Counter()
+
+        def counting(label, inner):
+            def wrapper(*args, **kwargs):
+                counts[label] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for owner, name in (
+            (np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "cholesky"), (scipy.linalg, "cho_factor")
+        ):
+            monkeypatch.setattr(owner, name, counting(f"{owner.__name__}.{name}", getattr(owner, name)))
+        params, config = LakeParams(), mpc.MpcConfig()
+        h = config.horizon
+        s0 = mpc.DEFAULT_S_MIN + 3e6
+        inflow, demand = np.full(h, 20.0), np.full(h, 300.0)
+        bounds = np.tile(release_bounds(params, level_of_storage(params, s0)), (h, 1))
+        problem = mpc.assemble_qp(params, config, s0, inflow, demand, bounds)
+        hint, failure = mpc._feasible_point(
+            config, problem, s0, inflow, demand, demand, params.surface_area
+        )
+        assert failure is None
+        counts.clear()
+        solution = qp.solve(problem, initial_point=hint)
+        assert solution.status == "optimal"
+        assert solution.iterations <= 69
+        assert sum(counts.values()) <= 4, dict(counts)
