@@ -17,14 +17,23 @@ The tie-break term selects the demand-tracking point of the optimal set
 small enough to leave the two real objectives untouched. lam and the
 tie-break weight must be positive so the Hessian is positive definite.
 
-Each step hands the solver a feasible start, so it never searches for one.
-Every coefficient of u in the hard dry rows is nonnegative (they cap the
-cumulative release), so lowering a release never breaks one: the hard
-problem is feasible exactly when the minimum-release plan u = lower bound
-meets them. The flood and demand rows hold once their slacks take their
-binding values. The start is the clipped guess if it meets the dry rows,
-else the minimum-release plan; if neither does, the step goes straight to
-the softened recovery problem, where a slacked start is always feasible.
+Each step hands the solver a feasible start close to its optimum, so the
+solver never searches for one and usually needs only a few active-set
+iterations. Every coefficient of u in the hard dry rows is nonnegative (they
+cap the cumulative release, sum_{tau<=t} u <= c_t), so lowering a release
+never breaks one: the hard problem is feasible exactly when the
+minimum-release plan u = lower bound meets them. The flood and demand rows
+hold once their slacks take their binding values. Two guesses are tried: the
+previous step's plan (shifted by an hour in hourly mode) and the demand. A
+guess, clipped into the bounds, that crosses a dry row is trimmed onto the
+rows: its cumulative release is cut to the budget C_t, the tightest later
+cap less the minimum releases still to come. That leaves it between the
+lower bound and the guess, and it meets the rows whenever the
+minimum-release plan does. Of the feasible candidates the one with the lower
+objective is the start. The minimum-release plan is only the witness of
+infeasibility: when no candidate meets the dry rows, its first failing row
+is reported, and the step goes straight to the softened recovery problem,
+where a slacked start is always feasible.
 """
 
 from __future__ import annotations
@@ -238,22 +247,55 @@ def _with_slacks(config, s0, inflow_forecast, demand, u, area, soften_dry):
     return np.concatenate(parts)
 
 
-def _feasible_point(config, problem, s0, inflow_forecast, demand, u_guess, area):
+def _trim_to_dry_rows(u, lower, cap):
+    """The plan u with its cumulative release cut onto the caps sum u <= cap.
+
+    The budget C_t = L_t + min_{k>=t}(cap_k - L_k), with L the cumulative
+    minimum release, is the tightest later cap less the minimum releases in
+    between; the trimmed cumulative release is U + min(0, running min of
+    C - U), U = cumsum(u). The result lies in [lower, u] and meets every cap
+    whenever the minimum-release plan does; otherwise the clip leaves a row
+    that still fails.
+    """
+    floor = np.cumsum(lower)
+    budget = floor + np.minimum.accumulate((cap - floor)[::-1])[::-1]
+    total = np.cumsum(u)
+    total += np.minimum(np.minimum.accumulate(budget - total), 0.0)
+    return np.clip(np.diff(total, prepend=0.0), lower, u)
+
+
+def _feasible_point(config, problem, s0, inflow_forecast, demand, u_hint, area):
     """A feasible start for the hard problem, or the dry row that rules one out.
 
-    Returns (x, None) with x the clipped guess, or failing that the
-    minimum-release plan, when it meets every dry row within
-    qp.FEASIBILITY_TOL. Otherwise returns (None, (t, shortfall)): the first
-    horizon step t whose dry row fails even at minimum release, and by how
-    much, in m. The dry rows are the first H rows of the problem.
+    The guesses are u_hint (when given) and the demand, each clipped into
+    the bounds. A guess that fails a dry row (the first H rows of the
+    problem) by more than qp.FEASIBILITY_TOL is replaced by its trim onto
+    the dry rows (_trim_to_dry_rows). Returns (x, None) with x the feasible
+    candidate of lower objective, u_hint's on a tie. When neither is
+    feasible, neither is the minimum-release plan, and the result is
+    (None, (t, shortfall)): the first horizon step t whose dry row that plan
+    fails, and by how much, in m.
     """
     h = config.horizon
-    lower = problem.lower[:h]
-    for u in (np.clip(u_guess, lower, problem.upper[:h]), lower):
+    lower, upper = problem.lower[:h], problem.upper[:h]
+    dry_matrix, dry_rhs = problem.ineq_matrix[:h], problem.ineq_rhs[:h]
+    cap = dry_rhs * area / HOUR_SECONDS
+
+    def with_excess(u):
         x = _with_slacks(config, s0, inflow_forecast, demand, u, area, False)
-        excess = problem.ineq_matrix[:h] @ x - problem.ineq_rhs[:h]
+        return x, dry_matrix @ x - dry_rhs
+
+    starts = []
+    for guess in (demand,) if u_hint is None else (u_hint, demand):
+        u = np.clip(guess, lower, upper)
+        x, excess = with_excess(u)
+        if np.max(excess) > qp.FEASIBILITY_TOL:
+            x, excess = with_excess(_trim_to_dry_rows(u, lower, cap))
         if np.max(excess) <= qp.FEASIBILITY_TOL:
-            return x, None
+            starts.append(x)
+    if starts:
+        return min(starts, key=problem.objective_value), None
+    _, excess = with_excess(lower)
     t = int(np.argmax(excess > qp.FEASIBILITY_TOL))
     return None, (t, float(excess[t]))
 
@@ -283,8 +325,12 @@ def solve_step(
 ) -> MpcStepResult:
     """Assemble and solve one decision step, with the recovery fallback.
 
-    u_hint warm-starts the solver (a shifted previous plan in closed loop);
-    when absent the demand profile clipped into the bounds is used.
+    u_hint is a guess at the plan (the shifted previous plan in closed
+    loop). The solver starts from whichever of it and the demand, each
+    clipped into the bounds and, where it crosses a dry row, trimmed onto
+    the dry rows, has the lower objective (see _feasible_point). In
+    recovery the slacked start is built from u_hint, or the demand when
+    u_hint is absent.
     """
     h = config.horizon
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
@@ -293,7 +339,7 @@ def solve_step(
     problem = assemble_qp(params, config, s0, inflow_forecast, demand, u_bounds)
     guess = demand if u_hint is None else np.asarray(u_hint, dtype=float)
     hint, dry_failure = _feasible_point(
-        config, problem, s0, inflow_forecast, demand, guess, area
+        config, problem, s0, inflow_forecast, demand, u_hint, area
     )
     recovery_used = dry_failure is not None
     if recovery_used:

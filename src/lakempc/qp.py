@@ -19,7 +19,9 @@ updated by one scipy qr_insert or qr_delete per iteration (Gill, Golub,
 Murray & Saunders 1974). Multipliers are often exactly tied (the MPC's
 hours are alike), so among those within a relative 1e-9 of the most
 negative the solver drops the one last in the working set, rather than
-leaving the choice to rounding; that also shortens long solves.
+leaving the choice to rounding; that also shortens long solves. At the end
+one dense KKT solve on the working set snaps x onto its rows and gives the
+final multipliers.
 
 Every returned solution carries an independently recomputed KKT residual;
 `status == "optimal"` is only reported when that residual passes the
@@ -320,12 +322,13 @@ def solve(
     fold = _fold_and_scale(problem)
     m = fold.a.shape[0]
 
-    def _finish(x_s, w_list, status, iterations, message=""):
+    def _finish(x_s, w_list, status, iterations, message="", lam=None):
         x = fold.col_scale * x_s
         ineq_duals = np.zeros(problem.ineq_matrix.shape[0])
         bound_duals = np.zeros(n)
         if status != "infeasible":
-            lam = _working_duals(fold.a[w_list], _scaled_grad(x_s))
+            if lam is None:
+                lam = _working_duals(fold.a[w_list], _scaled_grad(x_s))
             for pos, row in enumerate(w_list):
                 val = fold.row_scale[row] * lam[pos]
                 if fold.kind[row] == _ROW_INEQ:
@@ -390,7 +393,10 @@ def solve(
     def _snap(x_cur, w_cur):
         """Exact solve on the final working set; clears drift the null-space
         steps inherited from the starting point, which otherwise shows up as
-        a complementarity residual against large constraint multipliers."""
+        a complementarity residual against large constraint multipliers.
+
+        Returns (x, multipliers of the working rows): the solved pair when
+        x is feasible, else (x_cur, None) and _finish computes them."""
         a_w = fold.a[w_cur]
         mw = a_w.shape[0]
         kkt = np.zeros((n + mw, n + mw))
@@ -410,11 +416,11 @@ def solve(
             sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
         x_new = sol[:n]
         if not np.all(np.isfinite(x_new)):
-            return x_cur
+            return x_cur, None
         viol = float(np.max(fold.a @ x_new - fold.b, initial=0.0))
         if viol <= 1e-9 * (1.0 + float(np.max(np.abs(fold.b), initial=0.0))):
-            return x_new
-        return x_cur
+            return x_new, sol[n:]
+        return x_cur, None
 
     # y = L'x with q_s = LL' (see module docstring); l_inv_t is L^-T.
     l_inv_t = scipy.linalg.solve_triangular(np.linalg.cholesky(q_s), np.eye(n), lower=True).T
@@ -440,7 +446,8 @@ def solve(
                 else:
                     lam = _working_duals(fold.a[w_list], g)
             if lam.size == 0 or np.min(lam) >= -1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0))):
-                return _finish(_snap(x_s, w_list), w_list, "optimal", iterations)
+                x_s, lam = _snap(x_s, w_list)
+                return _finish(x_s, w_list, "optimal", iterations, lam=lam)
             lam_min = float(np.min(lam))
             pos = int(np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1])
             in_w[w_list.pop(pos)] = False

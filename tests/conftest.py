@@ -1,0 +1,10 @@
+"""Test-suite set-up: one BLAS thread, set before anything imports numpy.
+
+The solver's dense calls are small; with several BLAS threads they thrash on
+a machine with few cores. An explicit setting in the environment wins.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")

@@ -49,6 +49,17 @@ def test_hourly_trace_csv_has_qp_iterations(tmp_path, scenario_dir):
     assert all(int(row["qp_iterations"]) >= 1 for row in rows)
 
 
+def test_sweep_writes_one_row_per_weight(tmp_path, scenario_dir):
+    argv = ["sweep", "--lambdas", "1e-2..1e2", "--horizon", "6", *scenario_args(scenario_dir)]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    with (tmp_path / "sweep.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [float(row["lambda"]) for row in rows] == pytest.approx([1e-2, 1e-1, 1.0, 1e1, 1e2])
+    for row in rows:
+        for column in ("flood_hours_norm", "deficit_hours_norm"):
+            assert 0.0 <= float(row[column]) <= 1.0
+
+
 def test_missing_inflow_kind_is_usage_error(tmp_path, scenario_dir, capsys):
     argv = ["ddp", "--scenario", str(scenario_dir / "inflow_daily.csv"), "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_USAGE

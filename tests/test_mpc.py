@@ -9,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lakempc import mpc, qp
-from lakempc.hydrology import LakeParams, level_of_storage, release_bounds, storage_of_level
+from lakempc.hydrology import (
+    HOUR_SECONDS,
+    LakeParams,
+    level_of_storage,
+    release_bounds,
+    storage_of_level,
+)
 from lakempc.mpc import (
     DEFAULT_S_MAX,
     DEFAULT_S_MIN,
@@ -211,9 +217,9 @@ def _no_linprog(*args, **kwargs):
 class TestFeasibleStart:
     def test_dry_bound_and_recovery_runs_never_call_phase1(self):
         # From day 182 at 0.29 m the summer demand drags the lake down. From
-        # about hour 100 on, the clipped demand hint would cross the dry
-        # bound within the 24-hour horizon, and the minimum-release plan must
-        # supply the start.
+        # about hour 100 on, the clipped demand would cross the dry bound
+        # within the 24-hour horizon, and a plan trimmed onto the dry rows
+        # must supply the start.
         summer = synthetic_year(6, first_day=182)
         dry = constant_scenario(0.0, 0.0, 2)
         with mock.patch.object(qp, "linprog", _no_linprog):
@@ -242,6 +248,85 @@ class TestFeasibleStart:
         reference = qp.solve(assemble_qp(PARAMS, config, s0, inflow, demand, bounds))
         assert step.recovery_used == (reference.status == "infeasible")
         assert step.solve_diagnostics.status == "optimal"
+
+
+def _minimum_release_start(config, problem, s0, inflow, demand, u_hint, area):
+    u = problem.lower[:config.horizon]
+    return mpc._with_slacks(config, s0, inflow, demand, u, area, False), None
+
+
+class TestStartFromGuesses:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        horizon=st.integers(1, 24),
+        offset=st.floats(0.0, 3e6),
+        inflow=st.lists(st.floats(0.0, 60.0), min_size=24, max_size=24),
+        guess=st.lists(st.floats(0.0, 500.0), min_size=24, max_size=24),
+    )
+    @example(horizon=24, offset=100.0, inflow=[0.0] * 24, guess=[300.0] * 24)
+    def test_trim_meets_the_dry_rows_whenever_minimum_release_does(
+        self, horizon, offset, inflow, guess
+    ):
+        config = MpcConfig(horizon=horizon)
+        s0 = DEFAULT_S_MIN + offset
+        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (horizon, 1))
+        problem = assemble_qp(PARAMS, config, s0, inflow[:horizon], np.zeros(horizon), bounds)
+        lower, upper = problem.lower[:horizon], problem.upper[:horizon]
+        rows, rhs = problem.ineq_matrix[:horizon, :horizon], problem.ineq_rhs[:horizon]
+        u = np.clip(guess[:horizon], lower, upper)
+        cap = rhs * PARAMS.surface_area / HOUR_SECONDS
+        trimmed = mpc._trim_to_dry_rows(u, lower, cap)
+
+        def meets(plan):
+            return np.max(rows @ plan - rhs) <= qp.FEASIBILITY_TOL
+
+        assert np.all(lower <= trimmed) and np.all(trimmed <= u)
+        assert meets(trimmed) == meets(lower)
+        if np.all(rows @ u <= rhs):
+            assert trimmed == pytest.approx(u, rel=1e-12, abs=1e-9)
+
+    def test_start_is_the_feasible_candidate_of_lower_objective(self):
+        config = MpcConfig(horizon=6)
+        h, area = config.horizon, PARAMS.surface_area
+        inflow, demand = np.full(h, 20.0), np.full(h, 150.0)
+
+        def start(s0, u_hint):
+            bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
+            problem = assemble_qp(PARAMS, config, s0, inflow, demand, bounds)
+            x, failure = mpc._feasible_point(config, problem, s0, inflow, demand, u_hint, area)
+            assert failure is None
+            assert np.max(problem.ineq_matrix[:h] @ x - problem.ineq_rhs[:h]) <= qp.FEASIBILITY_TOL
+            minimum = mpc._with_slacks(config, s0, inflow, demand, problem.lower[:h], area, False)
+            return problem, x, minimum
+
+        # Far above the dry bound both guesses meet the dry rows as they are,
+        # and the demand beats a hint at minimum release.
+        problem, x, _ = start(1.2e8, np.full(h, 10.0))
+        assert np.array_equal(x[:h], np.clip(demand, problem.lower[:h], problem.upper[:h]))
+        # Just above it both guesses cross a dry row, and their trims beat
+        # the minimum-release plan.
+        problem, x, minimum = start(DEFAULT_S_MIN + 2e6, np.full(h, 300.0))
+        assert problem.objective_value(x) < problem.objective_value(minimum)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize(
+        "first_day, days, level, n_steps",
+        # The summer run of TestFeasibleStart, and a flood window in which
+        # the lake crosses the flood threshold and falls back below it.
+        [(182, 6, 0.29, 108), (104, 3, 1.08, 30)],
+    )
+    def test_start_changes_the_path_not_the_answer(self, lam, first_day, days, level, n_steps):
+        scn = synthetic_year(days, first_day=first_day)
+        s0 = storage_of_level(PARAMS, level)
+        config = MpcConfig(lam=lam)
+        trace = run_hourly(PARAMS, config, scn, s0, n_steps=n_steps)
+        with mock.patch.object(mpc, "_feasible_point", _minimum_release_start):
+            reference = run_hourly(PARAMS, config, scn, s0, n_steps=n_steps)
+        for run in (trace, reference):
+            assert set(run.solve_statuses) == {"optimal"}
+            assert run.recovery_hours == 0
+        assert trace.releases == pytest.approx(reference.releases, rel=1e-9, abs=0.0)
+        assert trace.solve_iterations.sum() < reference.solve_iterations.sum()
 
 
 class TestDailyMode:

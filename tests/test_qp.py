@@ -248,7 +248,9 @@ class TestMpcScale:
 
     def test_factorizations_per_solve_not_per_iteration(self, monkeypatch):
         # The first step of the hard dry-bound run: demand 300 against inflow
-        # 20, 3e6 m^3 above the dry storage, started from the MPC's own hint.
+        # 20, 3e6 m^3 above the dry storage, started from the minimum-release
+        # plan, not the MPC's own start, so that the solve stays long enough
+        # to run many row insertions and deletions.
         counts = collections.Counter()
 
         def counting(label, inner):
@@ -267,10 +269,9 @@ class TestMpcScale:
         inflow, demand = np.full(h, 20.0), np.full(h, 300.0)
         bounds = np.tile(release_bounds(params, level_of_storage(params, s0)), (h, 1))
         problem = mpc.assemble_qp(params, config, s0, inflow, demand, bounds)
-        hint, failure = mpc._feasible_point(
-            config, problem, s0, inflow, demand, demand, params.surface_area
+        hint = mpc._with_slacks(
+            config, s0, inflow, demand, problem.lower[:h], params.surface_area, False
         )
-        assert failure is None
         counts.clear()
         solution = qp.solve(problem, initial_point=hint)
         assert solution.status == "optimal"
