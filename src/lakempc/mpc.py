@@ -34,10 +34,17 @@ objective is the start. The minimum-release plan is only the witness of
 infeasibility: when no candidate meets the dry rows, its first failing row
 is reported, and the step goes straight to the softened recovery problem,
 where a slacked start is always feasible.
+
+The QP's Hessian and row matrix depend only on the horizon, the surface
+area, the cost weights and whether the dry rows are softened, so they are
+built once per such configuration and shared read-only by every step; the
+solver then folds, scales and factors them once per run, and each step
+supplies only its right-hand side, linear cost and bounds.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,67 +180,97 @@ def assemble_qp(
     with s(t) = s0 + 3600 * sum_{tau<t} (q - u). When soften_dry is set the
     hard rows gain a heavily penalized nonnegative slack (in level units)
     so the problem is always feasible.
+
+    The Hessian and the row matrix are read-only and shared by every call
+    with the same horizon, surface area, cost weights and soften_dry.
     """
     h = config.horizon
     inflow_forecast, demand, u_bounds = _check_horizon_inputs(
         config, s0, inflow_forecast, demand, u_bounds
     )
     area = params.surface_area
-    n_var = 4 * h if soften_dry else 3 * h
-    iu, iem, ied, idry = 0, h, 2 * h, 3 * h
-
-    diag = np.zeros(n_var)
-    diag[iu:iem] = 2.0 * config.tie_break_weight
-    diag[iem:ied] = 2.0 / config.flood_slack_ref**2
-    diag[ied:ied + h] = 2.0 * config.lam / config.demand_ref**2
-    if soften_dry:
-        diag[idry:] = 2.0 * config.dry_penalty_weight / config.flood_slack_ref**2
-    hessian = np.diag(diag)
+    hessian, ineq_matrix = _qp_matrices(
+        h,
+        area,
+        config.tie_break_weight,
+        config.flood_slack_ref,
+        config.lam,
+        config.demand_ref,
+        config.dry_penalty_weight,
+        soften_dry,
+    )
+    n_var = hessian.shape[0]
     linear = np.zeros(n_var)
-    linear[iu:iem] = -2.0 * config.tie_break_weight * demand
+    linear[:h] = -2.0 * config.tie_break_weight * demand
 
     # s(t) for t=1..H before releases, all divided by the surface area.
-    stored_q = (s0 + HOUR_SECONDS * np.cumsum(inflow_forecast)) / area
-    lower_tri = np.tril(np.ones((h, h))) * (HOUR_SECONDS / area)
-
-    rows = []
-    rhs = []
-    # Hard dry bound (optionally softened): 3600/A sum u <= (s(t)_inflow - s_min)/A - margin
-    dry_rows = np.zeros((h, n_var))
-    dry_rows[:, iu:iem] = lower_tri
-    if soften_dry:
-        dry_rows[:, idry:] = -np.eye(h)
-    rows.append(dry_rows)
-    rhs.append(stored_q - config.s_min / area - config.dry_margin)
-    # Soft flood bound: -3600/A sum u - slack_flood <= (s_max - s(t)_inflow)/A
-    flood_rows = np.zeros((h, n_var))
-    flood_rows[:, iu:iem] = -lower_tri
-    flood_rows[:, iem:ied] = -np.eye(h)
-    rows.append(flood_rows)
-    rhs.append(config.s_max / area - stored_q)
-    # Demand: -u + slack_demand <= -w
-    demand_rows = np.zeros((h, n_var))
-    demand_rows[:, iu:iem] = -np.eye(h)
-    demand_rows[:, ied:ied + h] = np.eye(h)
-    rows.append(demand_rows)
-    rhs.append(-demand)
+    inflow_volume = HOUR_SECONDS * np.cumsum(inflow_forecast)
+    stored_q = (s0 + inflow_volume) / area
+    rhs = [
+        # Dry: 3600/A sum u (- dry slack) <= (s(t)_inflow - s_min)/A - margin.
+        # s0 - s_min first: near the dry bound it is exact, and the cap does
+        # not lose its digits to the cancellation of two large storages.
+        (s0 - config.s_min + inflow_volume) / area - config.dry_margin,
+        # Flood: -3600/A sum u - slack_flood <= (s_max - s(t)_inflow)/A
+        config.s_max / area - stored_q,
+        # Demand: -u + slack_demand <= -w
+        -demand,
+    ]
 
     lower = np.full(n_var, -np.inf)
     upper = np.full(n_var, np.inf)
-    lower[iu:iem] = u_bounds[:, 0]
-    upper[iu:iem] = u_bounds[:, 1]
-    lower[iem:ied] = 0.0
+    lower[:h] = u_bounds[:, 0]
+    upper[:h] = u_bounds[:, 1]
+    lower[h:2 * h] = 0.0
     if soften_dry:
-        lower[idry:] = 0.0
+        lower[3 * h:] = 0.0
 
     return qp.QpProblem(
         hessian=hessian,
         linear_cost=linear,
-        ineq_matrix=np.vstack(rows),
+        ineq_matrix=ineq_matrix,
         ineq_rhs=np.concatenate(rhs),
         lower=lower,
         upper=upper,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _qp_matrices(
+    h, area, tie_break_weight, flood_slack_ref, lam, demand_ref, dry_penalty_weight, soften_dry
+):
+    """The read-only Hessian and row matrix of assemble_qp's QP.
+
+    They depend only on the arguments, so every hour of a run shares one
+    copy, and qp.solve factors it once (it memoizes on read-only arrays).
+    """
+    n_var = 4 * h if soften_dry else 3 * h
+    iu, iem, ied, idry = 0, h, 2 * h, 3 * h
+
+    diag = np.zeros(n_var)
+    diag[iu:iem] = 2.0 * tie_break_weight
+    diag[iem:ied] = 2.0 / flood_slack_ref**2
+    diag[ied:ied + h] = 2.0 * lam / demand_ref**2
+    if soften_dry:
+        diag[idry:] = 2.0 * dry_penalty_weight / flood_slack_ref**2
+    hessian = np.diag(diag)
+
+    lower_tri = np.tril(np.ones((h, h))) * (HOUR_SECONDS / area)
+    dry_rows = np.zeros((h, n_var))
+    dry_rows[:, iu:iem] = lower_tri
+    if soften_dry:
+        dry_rows[:, idry:] = -np.eye(h)
+    flood_rows = np.zeros((h, n_var))
+    flood_rows[:, iu:iem] = -lower_tri
+    flood_rows[:, iem:ied] = -np.eye(h)
+    demand_rows = np.zeros((h, n_var))
+    demand_rows[:, iu:iem] = -np.eye(h)
+    demand_rows[:, ied:ied + h] = np.eye(h)
+    ineq_matrix = np.vstack([dry_rows, flood_rows, demand_rows])
+
+    hessian.flags.writeable = False
+    ineq_matrix.flags.writeable = False
+    return hessian, ineq_matrix
 
 
 def _with_slacks(config, s0, inflow_forecast, demand, u, area, soften_dry):

@@ -10,18 +10,31 @@ inequality rows and bounds only. A caller that knows a feasible point passes
 it as the hint and the solver starts there; only without one does an elastic
 phase-1 LP (scipy's HiGHS) search for a start.
 
-Each solve factors the scaled Hessian once, Q = LL', and works in the
-coordinates y = L'x of Goldfarb & Idnani (1983), where the Hessian is the
-identity. With Z the null-space basis of the working rows in y, the step is
-the projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or
-factored. The complete QR of the working rows is computed once and then
-updated by one scipy qr_insert or qr_delete per iteration (Gill, Golub,
-Murray & Saunders 1974). Multipliers are often exactly tied (the MPC's
-hours are alike), so among those within a relative 1e-9 of the most
-negative the solver drops the one last in the working set, rather than
-leaving the choice to rounding; that also shortens long solves. At the end
-one dense KKT solve on the working set snaps x onto its rows and gives the
-final multipliers.
+The work that depends only on the Hessian, the rows and which bounds are
+finite is done once per such structure: folding the finite bounds in as
+rows, the equilibration, the positive-definiteness check, the factor of the
+scaled Hessian, Q = LL', and the rows in the coordinates y = L'x of
+Goldfarb & Idnani (1983), where the Hessian is the identity. A caller that
+re-solves one structure with new right-hand sides, costs and bound values
+(the MPC, every hour) marks its Hessian and row matrix read-only, and the
+solver memoizes the structure on them; writable arrays are factored for
+each solve. Each solve scales its own right-hand side and cost, checks its
+vectors and the hint, and certifies its result on the full problem.
+
+With Z the null-space basis of the working rows in y, the step is the
+projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
+The complete QR of the working rows is computed once per solve and then
+updated by scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders
+1974). At a stationary point every working row whose multiplier is negative
+is dropped at once, highest position first. Dropping several rows can steer
+the next step straight back into one of them. So when the step after such a
+drop is blocked at zero length, the solve drops one row at a time from then
+on, and it cannot cycle between multi-drops and re-insertions. A single
+drop takes the most negative multiplier; among multipliers within a
+relative 1e-9 of it (the MPC's hours are alike, so ties are exact) it takes
+the row last in the working set, rather than leaving the choice to
+rounding. At the end one dense KKT solve on the working set snaps x onto
+its rows and gives the final multipliers.
 
 Every returned solution carries an independently recomputed KKT residual;
 `status == "optimal"` is only reported when that residual passes the
@@ -85,14 +98,28 @@ class QpProblem:
         return self.linear_cost.size
 
     def validate(self) -> None:
-        """Raise ValueError on bad dimensions or a Hessian that is not positive definite."""
+        """Raise ValueError on bad dimensions, crossed bounds or a Hessian not positive definite."""
+        self._check_data()
+        self._check_matrices()
+
+    def _check_data(self) -> None:
+        """The checks on the vectors, which solve repeats for every problem."""
         n = self.n
-        if self.hessian.shape != (n, n):
-            raise ValueError(f"hessian shape {self.hessian.shape} does not match n={n}")
-        if self.ineq_matrix.shape[1] != n or self.ineq_rhs.shape != (self.ineq_matrix.shape[0],):
+        if self.ineq_rhs.shape != (self.ineq_matrix.shape[0],):
             raise ValueError("inequality block dimensions inconsistent")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bound vectors must have length n")
+        if np.any(self.lower > self.upper):
+            j = int(np.argmax(self.lower > self.upper))
+            raise ValueError(f"lower bound exceeds upper bound at variable {j}")
+
+    def _check_matrices(self) -> None:
+        """The checks on the Hessian and the rows, which solve runs once per structure."""
+        n = self.n
+        if self.hessian.shape != (n, n):
+            raise ValueError(f"hessian shape {self.hessian.shape} does not match n={n}")
+        if self.ineq_matrix.shape[1] != n:
+            raise ValueError("inequality block dimensions inconsistent")
         scale = max(1.0, float(np.max(np.abs(self.hessian))) if self.hessian.size else 1.0)
         if float(np.max(np.abs(self.hessian - self.hessian.T), initial=0.0)) > 1e-9 * scale:
             raise ValueError("hessian is not symmetric")
@@ -109,9 +136,6 @@ class QpProblem:
                     definite = False
             if not definite:
                 raise ValueError("hessian is not positive definite")
-        if np.any(self.lower > self.upper):
-            j = int(np.argmax(self.lower > self.upper))
-            raise ValueError(f"lower bound exceeds upper bound at variable {j}")
 
     def objective_value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -181,44 +205,86 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     return max(kkt_components(problem, solution).values())
 
 
-@dataclass
-class _Folded:
-    """Inequalities with finite bounds folded in as rows, plus the scaling used."""
+@dataclass(frozen=True)
+class _Structure:
+    """What a solve needs from the Hessian, the rows and which bounds are finite.
 
-    a: np.ndarray          # (m, n) scaled rows, unit inf-norm
-    b: np.ndarray          # (m,) scaled rhs
-    kind: np.ndarray       # row origin: _ROW_INEQ / _ROW_LOWER / _ROW_UPPER
+    The inequalities with the finite bounds folded in as rows, their
+    equilibration, and the factor of the scaled Hessian. The right-hand side
+    and the linear cost are scaled per solve with row_scale and col_scale.
+    """
+
+    a: np.ndarray           # (m, n) scaled rows, unit inf-norm
+    kind: np.ndarray        # row origin: _ROW_INEQ / _ROW_LOWER / _ROW_UPPER
     orig_index: np.ndarray  # index into ineq rows or variable index for bounds
-    row_scale: np.ndarray  # original dual = row_scale * scaled dual
-    col_scale: np.ndarray  # x_original = col_scale * x_scaled
+    finite_lo: np.ndarray   # variables whose lower bound is a row
+    finite_hi: np.ndarray   # variables whose upper bound is a row
+    row_scale: np.ndarray   # original dual = row_scale * scaled dual
+    col_scale: np.ndarray   # x_original = col_scale * x_scaled
+    q_s: np.ndarray         # scaled Hessian
+    l_inv_t: np.ndarray     # L^-T with q_s = LL'
+    a_y: np.ndarray         # the rows in y = L'x coordinates, a @ L^-T
 
 
-def _fold_and_scale(problem: QpProblem) -> _Folded:
+_STRUCTURE_CACHE_SIZE = 8
+# (id(hessian), id(ineq_matrix), finite-bound masks) -> (hessian, ineq_matrix, structure).
+# An entry holds its arrays, so their ids cannot be reused while it lives.
+_structures: dict[tuple, tuple[np.ndarray, np.ndarray, _Structure]] = {}
+
+
+def _read_only(arr: np.ndarray) -> bool:
+    """True when neither arr nor the array whose memory it views can be written."""
+    base = arr.base
+    return not arr.flags.writeable and (
+        base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
+    )
+
+
+def _structure(problem: QpProblem) -> _Structure:
+    """The problem's structure, memoized while its Hessian and rows are read-only.
+
+    A caller that solves a family of problems with the same Hessian and rows
+    (the MPC, hour after hour) marks them read-only and gets the folding,
+    scaling and factorization once; it must not make them writable again.
+    Writable arrays are never memoized.
+    """
+    finite_lo = np.isfinite(problem.lower)
+    finite_hi = np.isfinite(problem.upper)
+    if not (_read_only(problem.hessian) and _read_only(problem.ineq_matrix)):
+        return _build_structure(problem, finite_lo, finite_hi)
+    key = (id(problem.hessian), id(problem.ineq_matrix), finite_lo.tobytes(), finite_hi.tobytes())
+    entry = _structures.get(key)
+    if entry is None:
+        structure = _build_structure(problem, finite_lo, finite_hi)
+        entry = _structures[key] = (problem.hessian, problem.ineq_matrix, structure)
+        if len(_structures) > _STRUCTURE_CACHE_SIZE:
+            del _structures[next(iter(_structures))]
+    return entry[2]
+
+
+def _build_structure(
+    problem: QpProblem, finite_lo: np.ndarray, finite_hi: np.ndarray
+) -> _Structure:
+    problem._check_matrices()
     n = problem.n
+    finite_lo = np.flatnonzero(finite_lo)
+    finite_hi = np.flatnonzero(finite_hi)
     rows = [problem.ineq_matrix]
-    rhs = [problem.ineq_rhs]
     kind = [np.full(problem.ineq_matrix.shape[0], _ROW_INEQ)]
     oidx = [np.arange(problem.ineq_matrix.shape[0])]
-    finite_lo = np.where(np.isfinite(problem.lower))[0]
-    finite_hi = np.where(np.isfinite(problem.upper))[0]
     if finite_lo.size:
         lo_rows = np.zeros((finite_lo.size, n))
         lo_rows[np.arange(finite_lo.size), finite_lo] = -1.0
         rows.append(lo_rows)
-        rhs.append(-problem.lower[finite_lo])
         kind.append(np.full(finite_lo.size, _ROW_LOWER))
         oidx.append(finite_lo)
     if finite_hi.size:
         hi_rows = np.zeros((finite_hi.size, n))
         hi_rows[np.arange(finite_hi.size), finite_hi] = 1.0
         rows.append(hi_rows)
-        rhs.append(problem.upper[finite_hi])
         kind.append(np.full(finite_hi.size, _ROW_UPPER))
         oidx.append(finite_hi)
     a_all = np.vstack(rows)
-    b_all = np.concatenate(rhs)
-    kind_all = np.concatenate(kind)
-    oidx_all = np.concatenate(oidx)
 
     # One equilibration pass: column scales from the stacked data, then unit
     # inf-norm rows. Keeps mixed-unit problems (storage vs flow columns)
@@ -231,15 +297,21 @@ def _fold_and_scale(problem: QpProblem) -> _Folded:
     row_norm = np.max(np.abs(a_s), axis=1, initial=0.0)
     row_scale = 1.0 / np.maximum(row_norm, 1e-12)
     a_s = a_s * row_scale[:, None]
-    b_s = b_all * row_scale
 
-    return _Folded(
+    # y = L'x with q_s = LL' (see module docstring).
+    q_s = col_scale[:, None] * problem.hessian * col_scale[None, :]
+    l_inv_t = scipy.linalg.solve_triangular(np.linalg.cholesky(q_s), np.eye(n), lower=True).T
+    return _Structure(
         a=a_s,
-        b=b_s,
-        kind=kind_all,
-        orig_index=oidx_all,
+        kind=np.concatenate(kind),
+        orig_index=np.concatenate(oidx),
+        finite_lo=finite_lo,
+        finite_hi=finite_hi,
         row_scale=row_scale,
         col_scale=col_scale,
+        q_s=q_s,
+        l_inv_t=l_inv_t,
+        a_y=a_s @ l_inv_t,
     )
 
 
@@ -314,13 +386,27 @@ def solve(
     phase-1 LP finds a starting point. On infeasible problems the returned
     solution carries the least-infeasible point and a diagnostic message.
 
-    Raises ValueError for dimension errors and for a Hessian that is not
-    positive definite.
+    Raises ValueError for dimension errors, a hint whose length is not n,
+    and a Hessian that is not positive definite.
     """
-    problem.validate()
+    problem._check_data()
     n = problem.n
-    fold = _fold_and_scale(problem)
+    if initial_point is not None:
+        initial_point = np.asarray(initial_point, dtype=float)
+        if initial_point.shape != (n,):
+            raise ValueError(
+                f"initial_point must have length {n}, got shape {initial_point.shape}"
+            )
+    fold = _structure(problem)
     m = fold.a.shape[0]
+    q_s, l_inv_t, a_y = fold.q_s, fold.l_inv_t, fold.a_y
+    b_s = fold.row_scale * np.concatenate(
+        [problem.ineq_rhs, -problem.lower[fold.finite_lo], problem.upper[fold.finite_hi]]
+    )
+    c_s = fold.col_scale * problem.linear_cost
+
+    def _scaled_grad(x_s):
+        return q_s @ x_s + c_s
 
     def _finish(x_s, w_list, status, iterations, message="", lam=None):
         x = fold.col_scale * x_s
@@ -357,17 +443,11 @@ def solve(
             sol.message = f"converged but certification failed (kkt residual {sol.kkt_residual:.3e})"
         return sol
 
-    q_s = fold.col_scale[:, None] * problem.hessian * fold.col_scale[None, :]
-    c_s = fold.col_scale * problem.linear_cost
-
-    def _scaled_grad(x_s):
-        return q_s @ x_s + c_s
-
     # Starting point: feasible hint if offered, phase-1 LP otherwise.
     x0 = None
     if initial_point is not None:
-        cand = np.clip(np.asarray(initial_point, dtype=float), problem.lower, problem.upper)
-        if cand.shape == (n,) and _max_violation(problem, cand)[0] <= feasibility_tol:
+        cand = np.clip(initial_point, problem.lower, problem.upper)
+        if _max_violation(problem, cand)[0] <= feasibility_tol:
             x0 = cand
     if x0 is None:
         x0, diagnostic = _phase1(problem, feasibility_tol)
@@ -378,8 +458,8 @@ def solve(
     x_s = x0 / fold.col_scale
 
     # Initial working set: independent subset of the rows tight at x0.
-    resid = fold.a @ x_s - fold.b
-    tight = np.where(resid >= -1e-9 * (1.0 + np.abs(fold.b)))[0]
+    resid = fold.a @ x_s - b_s
+    tight = np.where(resid >= -1e-9 * (1.0 + np.abs(b_s)))[0]
     w_list: list[int] = []
     if tight.size:
         _, r, piv = scipy.linalg.qr(fold.a[tight].T, pivoting=True, mode="economic")
@@ -404,7 +484,7 @@ def solve(
         if mw:
             kkt[:n, n:] = a_w.T
             kkt[n:, :n] = a_w
-        rhs = np.concatenate([-c_s, fold.b[w_cur]])
+        rhs = np.concatenate([-c_s, b_s[w_cur]])
         try:
             sol = np.linalg.solve(kkt, rhs)
             bad = not np.all(np.isfinite(sol)) or float(
@@ -417,16 +497,17 @@ def solve(
         x_new = sol[:n]
         if not np.all(np.isfinite(x_new)):
             return x_cur, None
-        viol = float(np.max(fold.a @ x_new - fold.b, initial=0.0))
-        if viol <= 1e-9 * (1.0 + float(np.max(np.abs(fold.b), initial=0.0))):
+        viol = float(np.max(fold.a @ x_new - b_s, initial=0.0))
+        if viol <= 1e-9 * (1.0 + float(np.max(np.abs(b_s), initial=0.0))):
             return x_new, sol[n:]
         return x_cur, None
 
-    # y = L'x with q_s = LL' (see module docstring); l_inv_t is L^-T.
-    l_inv_t = scipy.linalg.solve_triangular(np.linalg.cholesky(q_s), np.eye(n), lower=True).T
-    a_y = fold.a @ l_inv_t
     qf, rf = np.linalg.qr(a_y[w_list].T, mode="complete")
 
+    # Drops are multi until a multi-drop is followed by a zero-length step;
+    # from then on this solve drops one row at a time.
+    single_drop = False
+    multi_dropped = False
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
@@ -436,7 +517,8 @@ def solve(
         z = qf[:, mw:]
         p = -(l_inv_t @ (z @ (z.T @ g_y)))
         p_norm = float(np.max(np.abs(p), initial=0.0))
-        if p_norm <= 1e-11 * (1.0 + float(np.max(np.abs(x_s), initial=0.0))):
+        step_tol = 1e-11 * (1.0 + float(np.max(np.abs(x_s), initial=0.0)))
+        if p_norm <= step_tol:
             if mw == 0:
                 lam = np.zeros(0)
             else:
@@ -445,25 +527,36 @@ def solve(
                     lam = scipy.linalg.solve_triangular(rf[:mw], -(qf[:, :mw].T @ g_y))
                 else:
                     lam = _working_duals(fold.a[w_list], g)
-            if lam.size == 0 or np.min(lam) >= -1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0))):
+            lam_tol = -1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
+            if lam.size == 0 or np.min(lam) >= lam_tol:
                 x_s, lam = _snap(x_s, w_list)
                 return _finish(x_s, w_list, "optimal", iterations, lam=lam)
-            lam_min = float(np.min(lam))
-            pos = int(np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1])
-            in_w[w_list.pop(pos)] = False
-            qf, rf = scipy.linalg.qr_delete(qf, rf, pos, which="col", check_finite=False)
+            if single_drop:
+                lam_min = float(np.min(lam))
+                drop = np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1:]
+            else:
+                drop = np.flatnonzero(lam < lam_tol)
+            # Highest position first, so the positions still to drop hold.
+            for pos in drop[::-1]:
+                in_w[w_list.pop(pos)] = False
+                qf, rf = scipy.linalg.qr_delete(qf, rf, pos, which="col", check_finite=False)
+            multi_dropped = drop.size > 1
             continue
 
         denom = fold.a @ p
-        slack = np.maximum(fold.b - fold.a @ x_s, 0.0)
+        slack = np.maximum(b_s - fold.a @ x_s, 0.0)
         blocking = (~in_w) & (denom > 1e-11 * max(1.0, p_norm))
         if not np.any(blocking):
             x_s = x_s + p
+            multi_dropped = False
             continue
         ratios = np.full(m, np.inf)
         ratios[blocking] = slack[blocking] / denom[blocking]
         blocker = int(np.argmin(ratios))
         alpha = float(ratios[blocker])
+        if multi_dropped and alpha * p_norm <= step_tol:
+            single_drop = True
+        multi_dropped = False
         if alpha < 1.0:
             x_s = x_s + alpha * p
             pos = bisect.bisect(w_list, blocker)

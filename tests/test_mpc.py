@@ -1,6 +1,7 @@
 """Controller tests: QP assembly, slack semantics, closed-loop behavior."""
 
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -89,6 +90,84 @@ class TestAssembly:
         assert problem.upper[:3] == pytest.approx([400.0] * 3)
         assert problem.lower[3:6] == pytest.approx([0.0] * 3)  # flood slack >= 0
         assert np.all(np.isinf(problem.lower[6:9]))  # demand slack free below
+
+    def test_dry_rows_right_hand_side_keeps_its_digits(self):
+        # Just above the dry bound each right-hand side is a small difference
+        # of two storages near 3e7 m^3. Against exact rational arithmetic on
+        # the same floats it must hold to a few units in the last place.
+        config = MpcConfig()
+        h, area = config.horizon, PARAMS.surface_area
+        bounds = np.tile((0.0, 1.0), (h, 1))
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        for _ in range(200):
+            s0 = config.s_min + float(rng.uniform(0.0, 5e4))
+            inflow = rng.uniform(0.0, 5.0, h)
+            rhs = assemble_qp(PARAMS, config, s0, inflow, np.zeros(h), bounds).ineq_rhs[:h]
+            volume = Fraction(s0) - Fraction(config.s_min)
+            for t in range(h):
+                volume += Fraction(HOUR_SECONDS) * Fraction(float(inflow[t]))
+                exact = volume / Fraction(area) - Fraction(config.dry_margin)
+                worst = max(worst, abs(float((Fraction(float(rhs[t])) - exact) / exact)))
+        assert worst <= 4e-15
+
+
+class TestMatricesPerConfiguration:
+    def test_matrices_are_shared_and_read_only(self):
+        config = MpcConfig(horizon=3)
+        args = ([50.0] * 3, [80.0] * 3, [(10.0, 400.0)] * 3)
+        first = assemble_qp(PARAMS, config, 1e8, *args)
+        second = assemble_qp(PARAMS, config, 1.1e8, *args)
+        for name in ("hessian", "ineq_matrix"):
+            matrix = getattr(first, name)
+            assert matrix is getattr(second, name)
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+
+    def test_one_factorization_per_run(self, monkeypatch):
+        # A weight no other test uses, so the run starts with nothing memoized.
+        calls = []
+        inner = np.linalg.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        trace = run_hourly(
+            PARAMS, MpcConfig(lam=0.37), constant_scenario(100.0, 90.0, 4), 1.2e8, n_steps=48
+        )
+        assert set(trace.solve_statuses) == {"optimal"}
+        assert len(calls) <= 2
+
+    def test_writable_copies_give_the_same_bits(self):
+        # A flood-window step from the demand start, which takes 7
+        # iterations. The copies are writable, so the solver cannot use the
+        # factorization it memoized for the shared matrices.
+        config = MpcConfig()
+        h = config.horizon
+        scn = synthetic_year(3, first_day=104)
+        s0 = storage_of_level(PARAMS, 1.08)
+        inflow, demand = scn.inflow_hourly[12:12 + h], scn.demand_hourly[12:12 + h]
+        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
+        problem = assemble_qp(PARAMS, config, s0, inflow, demand, bounds)
+        hint, _ = mpc._feasible_point(
+            config, problem, s0, inflow, demand, None, PARAMS.surface_area
+        )
+        copied = qp.QpProblem(
+            hessian=problem.hessian.copy(),
+            linear_cost=problem.linear_cost,
+            ineq_matrix=problem.ineq_matrix.copy(),
+            ineq_rhs=problem.ineq_rhs,
+            lower=problem.lower,
+            upper=problem.upper,
+        )
+        shared = qp.solve(problem, initial_point=hint)
+        alone = qp.solve(copied, initial_point=hint)
+        assert shared.status == alone.status == "optimal"
+        assert shared.iterations == alone.iterations > 1
+        for name in ("x", "ineq_duals", "bound_duals"):
+            assert np.array_equal(getattr(shared, name), getattr(alone, name))
 
 
 class TestDemandSlack:
@@ -181,6 +260,14 @@ class TestClosedLoop:
         iterations.clear()
         daily = run_daily(PARAMS, MpcConfig(), constant_scenario(80.0, 90.0, 2), 1.2e8)
         assert daily.solve_iterations.tolist() == np.repeat(iterations, 24).tolist()
+
+    def test_flood_window_solves_stay_short(self):
+        # The demand start holds every demand row tight while the optimum
+        # releases more than the demand; the solver drops those rows together.
+        scn = synthetic_year(3, first_day=104)
+        trace = run_hourly(PARAMS, MpcConfig(), scn, storage_of_level(PARAMS, 1.08), n_steps=30)
+        assert set(trace.solve_statuses) == {"optimal"}
+        assert max(trace.solve_iterations) <= 10
 
     def test_scenario_too_short_rejected(self):
         scn = constant_scenario(10.0, 10.0, 1)

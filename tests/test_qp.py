@@ -34,6 +34,74 @@ class TestTrivialProblems:
         assert solution.x[0] == pytest.approx(1.0, abs=1e-10)
 
 
+def _vertex_qp(hessian, tight_rows, lam, vertex, slack_rows, slack):
+    """A QP whose vertex has the given multipliers on its tight rows.
+
+    tight_rows hold with equality at vertex, slack_rows with the given
+    slacks. The linear cost makes vertex stationary with multipliers lam on
+    tight_rows; negative ones pull the optimum off those rows."""
+    tight_rows = np.asarray(tight_rows, dtype=float)
+    slack_rows = np.asarray(slack_rows, dtype=float).reshape(-1, tight_rows.shape[1])
+    return qp.QpProblem(
+        hessian=hessian,
+        linear_cost=-hessian @ vertex - tight_rows.T @ lam,
+        ineq_matrix=np.vstack([tight_rows, slack_rows]),
+        ineq_rhs=np.concatenate([tight_rows @ vertex, slack_rows @ vertex + slack]),
+    )
+
+
+def _degenerate_vertex_qp(rng):
+    """n independent rows tight at a vertex with negative multipliers, all
+    equal in half the draws, plus two duplicated or scaled copies of them
+    (tight too, zero multiplier) and random slack rows: 9 rows in all."""
+    n = int(rng.integers(2, 5))
+    basis = rng.standard_normal((n, n))
+    hessian = basis.T @ basis + 0.5 * np.eye(n)
+    vertex = rng.standard_normal(n)
+    rows = rng.standard_normal((n, n))
+    lam = -np.ones(n) if rng.random() < 0.5 else -rng.uniform(0.2, 2.0, n)
+    copies = [
+        rows[i] * (1.0 if rng.random() < 0.5 else rng.uniform(0.5, 3.0))
+        for i in rng.choice(n, size=2, replace=False)
+    ]
+    k = 9 - n - len(copies)
+    problem = _vertex_qp(
+        hessian,
+        np.vstack([rows, *copies]),
+        np.concatenate([lam, np.zeros(len(copies))]),
+        vertex,
+        rng.standard_normal((k, n)),
+        rng.uniform(0.05, 1.0, k),
+    )
+    return problem, vertex
+
+
+def _cone_qp(rng):
+    """Up to 10 rows with small integer entries, all tight at the origin, so
+    that many are degenerate there and multipliers tie."""
+    n = int(rng.integers(3, 6))
+    while True:
+        rows = rng.integers(-2, 3, (int(rng.integers(n + 1, 11)), n)).astype(float)
+        rows = rows[np.any(rows != 0.0, axis=1)]
+        if np.linalg.matrix_rank(rows) == n:
+            break
+    problem = qp.QpProblem(
+        hessian=np.eye(n),
+        linear_cost=rng.integers(-3, 4, n).astype(float),
+        ineq_matrix=rows,
+        ineq_rhs=np.zeros(rows.shape[0]),
+    )
+    return problem, np.zeros(n)
+
+
+def _check_from_vertex(problem, vertex):
+    solution = qp.solve(problem, initial_point=vertex)
+    assert solution.status == "optimal"
+    _, oracle_x = enumeration_oracle(problem)
+    assert solution.x == pytest.approx(oracle_x, abs=1e-6)
+    assert solution.iterations <= 12
+
+
 class TestAgainstOracle:
     def test_random_strictly_convex(self):
         rng = np.random.default_rng(202406)
@@ -45,6 +113,29 @@ class TestAgainstOracle:
             assert solution.objective == pytest.approx(oracle_value, abs=1e-6)
             assert solution.x == pytest.approx(oracle_x, abs=1e-6)
             assert solution.kkt_residual <= 1e-6
+
+    # Degenerate vertex starts: several working rows carry negative
+    # multipliers, so the solver drops them together; some of these steps
+    # stall at zero length and the solve goes on one drop at a time.
+    def test_vertex_start_with_copied_rows_and_tied_multipliers(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            _check_from_vertex(*_degenerate_vertex_qp(rng))
+
+    def test_vertex_start_on_a_degenerate_cone(self):
+        # Instance 11 cycles forever if drops stay multi after a zero-length
+        # step.
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            _check_from_vertex(*_cone_qp(rng))
+
+    def test_vertex_start_whose_drop_steps_back_across_a_dropped_row(self):
+        # x1 <= 0 and -x1 + 0.1 x2 <= 0 tight at 0 with multipliers -0.1 and
+        # -1: with both dropped, the step crosses x1 <= 0 at once.
+        problem = _vertex_qp(
+            np.eye(2), [[1.0, 0.0], [-1.0, 0.1]], [-0.1, -1.0], np.zeros(2), [[0.0, 1.0]], [5.0]
+        )
+        _check_from_vertex(problem, np.zeros(2))
 
 
 class TestInvariants:
@@ -200,6 +291,14 @@ class TestEdgesAndErrors:
         solution = qp.solve(problem, initial_point=np.array([3.0, 3.0]))
         assert solution.status == "optimal"
         assert solution.x == pytest.approx([1.0, 1.0], abs=1e-9)
+
+    def test_hint_of_wrong_length_rejected(self):
+        problem = qp.QpProblem(
+            hessian=2.0 * np.eye(3), linear_cost=np.zeros(3), lower=np.zeros(3), upper=np.ones(3)
+        )
+        for hint in ([0.5], [0.5, 0.5], np.zeros(4), np.full((3, 1), 0.5)):
+            with pytest.raises(ValueError, match="initial_point must have length 3"):
+                qp.solve(problem, initial_point=hint)
 
     def test_infeasible_hint_falls_back(self):
         problem = qp.QpProblem(
