@@ -17,9 +17,9 @@ The tie-break term selects the demand-tracking point of the optimal set
 small enough to leave the two real objectives untouched. lam and the
 tie-break weight must be positive so the Hessian is positive definite.
 
-Each step hands the solver a feasible start close to its optimum, so the
-solver never searches for one and usually needs only a few active-set
-iterations. Every coefficient of u in the hard dry rows is nonnegative (they
+qp.solve requires a feasible start, and each step builds one close to its
+optimum, so the solver usually needs only a few active-set iterations.
+Every coefficient of u in the hard dry rows is nonnegative (they
 cap the cumulative release, sum_{tau<=t} u <= c_t), so lowering a release
 never breaks one: the hard problem is feasible exactly when the
 minimum-release plan u = lower bound meets them. The flood and demand rows
@@ -479,6 +479,11 @@ def run_daily(
     resolution (scenario.inflow_daily when available, otherwise the day's
     mean), held constant over the 24 hours. The plant still saturates every
     applied action at its true hourly bounds.
+
+    The day's QP is degenerate under a constant forecast (weakly active
+    rows, tied multipliers), so the last bits of its plan, duals and KKT
+    residual depend on the solver's rounding path: a change to the solver's
+    arithmetic can move daily traces by about 1e-14 relative.
     """
     if config.horizon != HOURS_PER_DAY:
         raise ValueError("daily mode requires a 24-hour horizon")

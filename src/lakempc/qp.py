@@ -6,9 +6,9 @@ Solves
 
 with a primal active-set method on an equilibrated copy of the data. The
 Hessian must be positive definite, so the optimum is unique. There are
-inequality rows and bounds only. A caller that knows a feasible point passes
-it as the hint and the solver starts there; only without one does an elastic
-phase-1 LP (scipy's HiGHS) search for a start.
+inequality rows and bounds only. The caller supplies a feasible start, and
+the solver does not search for one: a start that, clipped into the bounds,
+still violates a row by more than FEASIBILITY_TOL is rejected.
 
 The work that depends only on the Hessian, the rows and which bounds are
 finite is done once per such structure: folding the finite bounds in as
@@ -19,7 +19,7 @@ re-solves one structure with new right-hand sides, costs and bound values
 (the MPC, every hour) marks its Hessian and row matrix read-only, and the
 solver memoizes the structure on them; writable arrays are factored for
 each solve. Each solve scales its own right-hand side and cost, checks its
-vectors and the hint, and certifies its result on the full problem.
+vectors and the start, and certifies its result on the full problem.
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
@@ -49,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
+# Unused here; perfbench/tracer.LAYER_FUNCTIONS wraps qp.linprog by name.
+from scipy.optimize import linprog  # noqa: F401
 
 FEASIBILITY_TOL = 1e-8
 KKT_TOL = 1e-6
@@ -97,11 +98,6 @@ class QpProblem:
     def n(self) -> int:
         return self.linear_cost.size
 
-    def validate(self) -> None:
-        """Raise ValueError on bad dimensions, crossed bounds or a Hessian not positive definite."""
-        self._check_data()
-        self._check_matrices()
-
     def _check_data(self) -> None:
         """The checks on the vectors, which solve repeats for every problem."""
         n = self.n
@@ -148,7 +144,7 @@ class QpSolution:
     ineq_duals: np.ndarray
     bound_duals: np.ndarray
     objective: float
-    status: str  # "optimal" | "infeasible" | "iteration-limit"
+    status: str  # "optimal" | "iteration-limit"
     kkt_residual: float
     iterations: int = 0
     message: str = ""
@@ -316,52 +312,15 @@ def _build_structure(
 
 
 def _max_violation(problem: QpProblem, x: np.ndarray) -> tuple[float, str]:
-    """Largest constraint violation at x and a human-readable culprit."""
-    worst, label = 0.0, "none"
-    if problem.ineq_matrix.shape[0]:
-        res = problem.ineq_matrix @ x - problem.ineq_rhs
-        i = int(np.argmax(res))
-        if res[i] > worst:
-            worst, label = float(res[i]), f"inequality row {i}"
-    lo_gap = np.where(np.isfinite(problem.lower), problem.lower - x, -np.inf)
-    if lo_gap.size and np.max(lo_gap) > worst:
-        j = int(np.argmax(lo_gap))
-        worst, label = float(lo_gap[j]), f"lower bound of variable {j}"
-    hi_gap = np.where(np.isfinite(problem.upper), x - problem.upper, -np.inf)
-    if hi_gap.size and np.max(hi_gap) > worst:
-        j = int(np.argmax(hi_gap))
-        worst, label = float(hi_gap[j]), f"upper bound of variable {j}"
-    return worst, label
+    """Largest inequality-row violation at x and the row's name.
 
-
-def _phase1(problem: QpProblem, feasibility_tol: float) -> tuple[np.ndarray | None, str]:
-    """Elastic LP: minimize total constraint violation under the native bounds.
-
-    Returns (feasible point, "") or (least-infeasible point, diagnostic). The
-    point counts as feasible by the test a hint must pass: no row or bound
-    violated by more than feasibility_tol.
+    The bounds are not checked: solve clips x into them first.
     """
-    n = problem.n
-    mi = problem.ineq_matrix.shape[0]
-    cost = np.concatenate([np.zeros(n), np.ones(mi)])
-    a_ub = None
-    b_ub = None
-    if mi:
-        a_ub = np.hstack([problem.ineq_matrix, -np.eye(mi)])
-        b_ub = problem.ineq_rhs
-    bounds = [(problem.lower[j], problem.upper[j]) for j in range(n)]
-    bounds += [(0.0, None)] * mi
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"phase-1 LP failed: {res.message}")
-    x = np.clip(res.x[:n], problem.lower, problem.upper)
-    worst, label = _max_violation(problem, x)
-    if worst <= feasibility_tol:
-        return x, ""
-    return x, (
-        f"infeasible: at the least-infeasible point the most violated constraint "
-        f"is {label} (violation {worst:.6g})"
-    )
+    res = problem.ineq_matrix @ x - problem.ineq_rhs
+    if res.size == 0:
+        return 0.0, "no row"
+    i = int(np.argmax(res))
+    return float(res[i]), f"inequality row {i}"
 
 
 def _working_duals(a_w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -374,29 +333,25 @@ def _working_duals(a_w: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def solve(
     problem: QpProblem,
-    initial_point: np.ndarray | None = None,
+    initial_point: np.ndarray,
     max_iterations: int = MAX_ITERATIONS,
-    feasibility_tol: float = FEASIBILITY_TOL,
-    kkt_tol: float = KKT_TOL,
 ) -> QpSolution:
-    """Solve a dense convex QP and certify the result.
+    """Solve a dense convex QP from a feasible start and certify the result.
 
-    initial_point is only a hint: it is used (after clipping into the bounds)
-    when it is feasible, which also seeds the working set; otherwise a
-    phase-1 LP finds a starting point. On infeasible problems the returned
-    solution carries the least-infeasible point and a diagnostic message.
+    initial_point, clipped into the bounds, must meet every row within
+    FEASIBILITY_TOL; the rows tight there seed the working set.
 
-    Raises ValueError for dimension errors, a hint whose length is not n,
-    and a Hessian that is not positive definite.
+    Raises ValueError for dimension errors, a Hessian that is not positive
+    definite, and a start that is not of length n, not finite or not
+    feasible (the message names its most violated constraint).
     """
     problem._check_data()
     n = problem.n
-    if initial_point is not None:
-        initial_point = np.asarray(initial_point, dtype=float)
-        if initial_point.shape != (n,):
-            raise ValueError(
-                f"initial_point must have length {n}, got shape {initial_point.shape}"
-            )
+    initial_point = np.asarray(initial_point, dtype=float)
+    if initial_point.shape != (n,):
+        raise ValueError(
+            f"initial_point must have length {n}, got shape {initial_point.shape}"
+        )
     fold = _structure(problem)
     m = fold.a.shape[0]
     q_s, l_inv_t, a_y = fold.q_s, fold.l_inv_t, fold.a_y
@@ -412,21 +367,20 @@ def solve(
         x = fold.col_scale * x_s
         ineq_duals = np.zeros(problem.ineq_matrix.shape[0])
         bound_duals = np.zeros(n)
-        if status != "infeasible":
-            if lam is None:
-                lam = _working_duals(fold.a[w_list], _scaled_grad(x_s))
-            for pos, row in enumerate(w_list):
-                val = fold.row_scale[row] * lam[pos]
-                if fold.kind[row] == _ROW_INEQ:
-                    ineq_duals[fold.orig_index[row]] += val
-                elif fold.kind[row] == _ROW_UPPER:
-                    bound_duals[fold.orig_index[row]] += val
-                else:
-                    bound_duals[fold.orig_index[row]] -= val
-            # Scrub multiplier noise: tiny negatives on inequality rows are
-            # numerical, not meaningful.
-            tiny = 1e-9 * max(1.0, float(np.max(np.abs(ineq_duals), initial=0.0)))
-            ineq_duals[(ineq_duals < 0.0) & (ineq_duals > -tiny)] = 0.0
+        if lam is None:
+            lam = _working_duals(fold.a[w_list], _scaled_grad(x_s))
+        for pos, row in enumerate(w_list):
+            val = fold.row_scale[row] * lam[pos]
+            if fold.kind[row] == _ROW_INEQ:
+                ineq_duals[fold.orig_index[row]] += val
+            elif fold.kind[row] == _ROW_UPPER:
+                bound_duals[fold.orig_index[row]] += val
+            else:
+                bound_duals[fold.orig_index[row]] -= val
+        # Scrub multiplier noise: tiny negatives on inequality rows are
+        # numerical, not meaningful.
+        tiny = 1e-9 * max(1.0, float(np.max(np.abs(ineq_duals), initial=0.0)))
+        ineq_duals[(ineq_duals < 0.0) & (ineq_duals > -tiny)] = 0.0
         sol = QpSolution(
             x=x,
             ineq_duals=ineq_duals,
@@ -438,23 +392,19 @@ def solve(
             message=message,
         )
         sol.kkt_residual = kkt_residual(problem, sol)
-        if status == "optimal" and sol.kkt_residual > kkt_tol:
+        if status == "optimal" and sol.kkt_residual > KKT_TOL:
             sol.status = "iteration-limit"
             sol.message = f"converged but certification failed (kkt residual {sol.kkt_residual:.3e})"
         return sol
 
-    # Starting point: feasible hint if offered, phase-1 LP otherwise.
-    x0 = None
-    if initial_point is not None:
-        cand = np.clip(initial_point, problem.lower, problem.upper)
-        if _max_violation(problem, cand)[0] <= feasibility_tol:
-            x0 = cand
-    if x0 is None:
-        x0, diagnostic = _phase1(problem, feasibility_tol)
-        if diagnostic:
-            x_s = x0 / fold.col_scale
-            sol = _finish(x_s, [], "infeasible", 0, diagnostic)
-            return sol
+    x0 = np.clip(initial_point, problem.lower, problem.upper)
+    # A NaN would pass the violation test below, which only compares.
+    if not np.all(np.isfinite(x0)):
+        j = int(np.argmin(np.isfinite(x0)))
+        raise ValueError(f"initial_point is not finite at variable {j}")
+    worst, label = _max_violation(problem, x0)
+    if worst > FEASIBILITY_TOL:
+        raise ValueError(f"initial_point is infeasible: {label} violated by {worst:.6g}")
     x_s = x0 / fold.col_scale
 
     # Initial working set: independent subset of the rows tight at x0.

@@ -64,7 +64,7 @@ class GaussianInflowParams:
 
 @dataclass
 class Scenario:
-    """Hourly inflow/demand trajectories plus horizon metadata.
+    """Hourly inflow/demand trajectories, a label and optional daily inflows.
 
     inflow_daily optionally carries the per-day inflow values when the
     scenario was built from daily information; the daily controller uses it
@@ -73,7 +73,6 @@ class Scenario:
 
     inflow_hourly: np.ndarray
     demand_hourly: np.ndarray
-    start_hour: int = 0
     label: str = ""
     inflow_daily: np.ndarray | None = None
 

@@ -1,8 +1,9 @@
 """Independent oracles and instance builders shared by the test modules.
 
 Everything here recomputes expected values by brute force (active-set
-enumeration, exhaustive action sequences, dense grid search) so the tests
-never trust the code paths they are checking.
+enumeration, exhaustive action sequences, dense grid search) or by another
+solver (a feasibility LP) so the tests never trust the code paths they are
+checking.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from lakempc import qp
 from lakempc.ddp import DdpConfig, stage_cost
@@ -70,8 +71,32 @@ def enumeration_oracle(problem: qp.QpProblem) -> tuple[float, np.ndarray]:
     return best_val, best_x
 
 
-def random_qp(rng: np.random.Generator) -> qp.QpProblem:
-    """Random strictly convex QP with n <= 6 and at most 8 constraint rows."""
+def phase1_point(problem: qp.QpProblem) -> np.ndarray | None:
+    """A feasible point of the QP's constraints, or None when there is none.
+
+    An elastic LP (scipy's HiGHS) minimizes the total violation of the
+    inequality rows under the native bounds. Its point, clipped into the
+    bounds, counts as feasible by the test qp.solve applies to a start: no
+    row violated by more than qp.FEASIBILITY_TOL.
+    """
+    n = problem.n
+    a_in, b_in = problem.ineq_matrix, problem.ineq_rhs
+    mi = a_in.shape[0]
+    res = linprog(
+        np.concatenate([np.zeros(n), np.ones(mi)]),
+        A_ub=np.hstack([a_in, -np.eye(mi)]) if mi else None,
+        b_ub=b_in if mi else None,
+        bounds=[(problem.lower[j], problem.upper[j]) for j in range(n)] + [(0.0, None)] * mi,
+        method="highs",
+    )
+    assert res.success, res.message
+    x = np.clip(res.x[:n], problem.lower, problem.upper)
+    return x if np.max(a_in @ x - b_in, initial=0.0) <= qp.FEASIBILITY_TOL else None
+
+
+def random_qp(rng: np.random.Generator) -> tuple[qp.QpProblem, np.ndarray]:
+    """Random strictly convex QP with n <= 6 and at most 8 constraint rows,
+    and a point that meets every row and bound with some slack."""
     n = int(rng.integers(1, 7))
     m_total = int(rng.integers(0, 9))
     m_ineq = int(rng.integers(0, m_total + 1))
@@ -90,7 +115,7 @@ def random_qp(rng: np.random.Generator) -> qp.QpProblem:
             lower[j] = feas[j] - abs(rng.standard_normal()) - 0.05
         else:
             upper[j] = feas[j] + abs(rng.standard_normal()) + 0.05
-    return qp.QpProblem(
+    problem = qp.QpProblem(
         hessian=hessian,
         linear_cost=cost,
         ineq_matrix=a_in,
@@ -98,6 +123,7 @@ def random_qp(rng: np.random.Generator) -> qp.QpProblem:
         lower=lower,
         upper=upper,
     )
+    return problem, feas
 
 
 def direct_cost_minimum(

@@ -6,21 +6,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import enumeration_oracle, random_qp
+from helpers import enumeration_oracle, phase1_point, random_qp
 from lakempc import mpc, qp
 from lakempc.hydrology import LakeParams, level_of_storage, release_bounds
-
-
-def _solve(problem, **kwargs):
-    solution = qp.solve(problem, **kwargs)
-    return solution
 
 
 class TestTrivialProblems:
     def test_active_lower_bound(self):
         # min x^2 s.t. x >= 1
         problem = qp.QpProblem(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
-        solution = _solve(problem)
+        solution = qp.solve(problem, [2.0])
         assert solution.status == "optimal"
         assert solution.x[0] == pytest.approx(1.0, abs=1e-10)
         assert solution.objective == pytest.approx(1.0, abs=1e-10)
@@ -30,7 +25,7 @@ class TestTrivialProblems:
         problem = qp.QpProblem(
             hessian=[[2.0]], linear_cost=[-4.0], lower=[0.0], upper=[1.0]
         )
-        solution = _solve(problem)
+        solution = qp.solve(problem, [0.5])
         assert solution.x[0] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -106,8 +101,8 @@ class TestAgainstOracle:
     def test_random_strictly_convex(self):
         rng = np.random.default_rng(202406)
         for _ in range(120):
-            problem = random_qp(rng)
-            solution = _solve(problem)
+            problem, feasible = random_qp(rng)
+            solution = qp.solve(problem, feasible)
             assert solution.status == "optimal"
             oracle_value, oracle_x = enumeration_oracle(problem)
             assert solution.objective == pytest.approx(oracle_value, abs=1e-6)
@@ -142,8 +137,8 @@ class TestInvariants:
     def test_objective_recomputed_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            problem = random_qp(rng)
-            solution = _solve(problem)
+            problem, feasible = random_qp(rng)
+            solution = qp.solve(problem, feasible)
             recomputed = 0.5 * solution.x @ problem.hessian @ solution.x
             recomputed += problem.linear_cost @ solution.x
             assert solution.objective == pytest.approx(recomputed, rel=1e-9, abs=1e-12)
@@ -151,8 +146,8 @@ class TestInvariants:
     def test_scaling_invariance_of_argmin(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            problem = random_qp(rng)
-            base = _solve(problem)
+            problem, feasible = random_qp(rng)
+            base = qp.solve(problem, feasible)
             alpha = 10.0 ** rng.uniform(-2, 2)
             scaled = qp.QpProblem(
                 hessian=alpha * problem.hessian,
@@ -162,15 +157,15 @@ class TestInvariants:
                 lower=problem.lower,
                 upper=problem.upper,
             )
-            again = _solve(scaled)
+            again = qp.solve(scaled, feasible)
             assert again.x == pytest.approx(base.x, abs=1e-6)
             assert again.objective == pytest.approx(alpha * base.objective, rel=1e-6, abs=1e-9)
 
     def test_ineq_duals_nonnegative(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
-            problem = random_qp(rng)
-            solution = _solve(problem)
+            problem, feasible = random_qp(rng)
+            solution = qp.solve(problem, feasible)
             if solution.ineq_duals.size:
                 assert np.min(solution.ineq_duals) >= -1e-9
 
@@ -190,7 +185,7 @@ class TestKktResidual:
 
     def test_perturbed_free_coordinate_detected(self):
         problem = qp.QpProblem(hessian=2.0 * np.eye(2), linear_cost=[-2.0, -2.0])
-        solution = _solve(problem)
+        solution = qp.solve(problem, np.zeros(2))
         assert solution.kkt_residual <= 1e-9
         nudged = qp.QpSolution(
             x=solution.x + np.array([1e-3, 0.0]),
@@ -223,19 +218,23 @@ class TestKktResidual:
 
 class TestEdgesAndErrors:
     def test_infeasible_diagnostic(self):
+        # x <= 0 and x >= 1: no start is feasible.
         problem = qp.QpProblem(
             hessian=[[2.0]],
             linear_cost=[0.0],
             ineq_matrix=[[1.0], [-1.0]],
             ineq_rhs=[0.0, -1.0],
         )
-        solution = qp.solve(problem)
-        assert solution.status == "infeasible"
-        assert "violat" in solution.message
+        assert phase1_point(problem) is None
+        with pytest.raises(
+            ValueError, match=r"^initial_point is infeasible: inequality row 1 violated by 1$"
+        ):
+            qp.solve(problem, [0.0])
 
     def test_phase1_judges_with_the_hint_tolerance(self):
         # x <= -2e-5 against x >= 0 misses by 2e-5, far above FEASIBILITY_TOL.
-        # A large but slack right-hand side elsewhere must not hide that.
+        # A large but slack right-hand side elsewhere must not hide that, and
+        # the clip into x >= 0 must not either.
         problem = qp.QpProblem(
             hessian=[[2.0]],
             linear_cost=[0.0],
@@ -243,40 +242,40 @@ class TestEdgesAndErrors:
             ineq_rhs=[-2e-5, 1e3],
             lower=[0.0],
         )
-        solution = qp.solve(problem)
-        assert solution.status == "infeasible"
-        assert "inequality row 0" in solution.message
+        assert phase1_point(problem) is None
+        with pytest.raises(ValueError, match=r"inequality row 0 violated by 2e-05$"):
+            qp.solve(problem, [-2e-5])
 
     def test_crossed_bounds_rejected(self):
         problem = qp.QpProblem(
             hessian=[[2.0]], linear_cost=[0.0], lower=[1.0], upper=[0.0]
         )
         with pytest.raises(ValueError, match="bound"):
-            qp.solve(problem)
+            qp.solve(problem, [0.5])
 
     def test_dimension_mismatch_rejected(self):
         problem = qp.QpProblem(
             hessian=np.eye(2), linear_cost=[0.0, 0.0], ineq_matrix=[[1.0, 0.0]], ineq_rhs=[1.0, 2.0]
         )
         with pytest.raises(ValueError, match="inequality"):
-            qp.solve(problem)
+            qp.solve(problem, np.zeros(2))
 
     def test_asymmetric_hessian_rejected(self):
         problem = qp.QpProblem(hessian=[[1.0, 0.5], [0.0, 1.0]], linear_cost=[0.0, 0.0])
         with pytest.raises(ValueError, match="symmetric"):
-            qp.solve(problem)
+            qp.solve(problem, np.zeros(2))
 
     def test_indefinite_hessian_rejected(self):
         # Singular counts too: the solver needs a positive-definite Hessian.
         for hessian in ([[-1.0]], [[0.0]], [[1.0, 1.0], [1.0, 1.0]]):
             problem = qp.QpProblem(hessian=hessian, linear_cost=np.zeros(len(hessian)))
             with pytest.raises(ValueError, match="not positive definite"):
-                qp.solve(problem)
+                qp.solve(problem, np.zeros(len(hessian)))
 
     def test_iteration_limit_status(self):
         rng = np.random.default_rng(3)
-        problem = random_qp(rng)
-        solution = qp.solve(problem, max_iterations=1)
+        problem, feasible = random_qp(rng)
+        solution = qp.solve(problem, feasible, max_iterations=1)
         assert solution.status in ("optimal", "iteration-limit")
         if solution.status == "iteration-limit":
             assert solution.iterations == 1
@@ -300,16 +299,35 @@ class TestEdgesAndErrors:
             with pytest.raises(ValueError, match="initial_point must have length 3"):
                 qp.solve(problem, initial_point=hint)
 
+    def test_non_finite_start_rejected(self):
+        # A NaN compares false against every row, so it would otherwise count
+        # as feasible and run the solver to its iteration limit.
+        problem = qp.QpProblem(
+            hessian=2.0 * np.eye(2),
+            linear_cost=np.zeros(2),
+            ineq_matrix=[[1.0, 0.0]],
+            ineq_rhs=[1.0],
+            lower=[-np.inf, 0.0],
+            upper=[np.inf, 1.0],
+        )
+        for start in ([np.nan, 0.5], [0.0, np.nan], [-np.inf, 0.5]):
+            with pytest.raises(ValueError, match="initial_point is not finite at variable"):
+                qp.solve(problem, start)
+        # An infinite entry that the bounds clip is a finite start.
+        assert qp.solve(problem, [0.0, np.inf]).status == "optimal"
+
     def test_infeasible_hint_falls_back(self):
+        # The problem is feasible, but the start is not: the solver rejects
+        # it rather than searching for another.
         problem = qp.QpProblem(
             hessian=2.0 * np.eye(2),
             linear_cost=np.zeros(2),
             ineq_matrix=[[-1.0, -1.0]],
             ineq_rhs=[-2.0],
         )
-        solution = qp.solve(problem, initial_point=np.array([0.0, 0.0]))
-        assert solution.status == "optimal"
-        assert solution.x == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert phase1_point(problem) is not None
+        with pytest.raises(ValueError, match=r"inequality row 0 violated by 2$"):
+            qp.solve(problem, initial_point=np.array([0.0, 0.0]))
 
 
 def _dense_qp(seed, n=40, m=80):
@@ -338,7 +356,7 @@ class TestMpcScale:
     def test_dense_hessian_long_solve_from_hint_and_phase1(self):
         problem, x_feasible = _dense_qp(0)
         hinted = qp.solve(problem, initial_point=x_feasible)
-        cold = qp.solve(problem)
+        cold = qp.solve(problem, initial_point=phase1_point(problem))
         for solution in (hinted, cold):
             assert solution.status == "optimal"
             assert solution.kkt_residual <= 1e-9
