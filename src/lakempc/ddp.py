@@ -10,6 +10,11 @@ plant as the controllers.
 One stage is one hour. The backward pass moves every (node, action) pair
 through :func:`hydrology.mass_balance`, the plant's own transition, so a
 release that would overdraw the lake empties it to exactly 0 here too.
+The actions and the grid are fixed for the run, so the transition depends
+only on the hour's (inflow, demand) pair: it is computed once per run of
+equal hours (a daily-held series repeats it 24 times), and the repeated
+hours interpolate from a cached grid locator that reproduces ``np.interp``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -80,10 +85,12 @@ def stage_cost(params: LakeParams, config: DdpConfig, level, release, demand):
     """Weighted quadratic-hinge cost of one step, element-wise over arrays.
 
     The level is the one reached at the end of the step, matching how the
-    closed-loop trace records levels. Terms are summed flood, dry, demand.
+    closed-loop trace records levels. Terms are summed flood, dry, demand;
+    the dry term is skipped at zero weight, where it adds exactly 0.
     """
     cost = config.w_flood * np.maximum(level - params.flood_threshold, 0.0) ** 2
-    cost += config.w_dry * np.maximum(params.dry_threshold - level, 0.0) ** 2
+    if config.w_dry:
+        cost += config.w_dry * np.maximum(params.dry_threshold - level, 0.0) ** 2
     cost += config.w_demand * np.maximum((demand - release) / config.demand_ref, 0.0) ** 2
     return cost
 
@@ -93,6 +100,34 @@ def trace_cost(params: LakeParams, config: DdpConfig, trace: ClosedLoopTrace) ->
     return float(np.sum(stage_cost(params, config, trace.levels, trace.releases, trace.demands)))
 
 
+class _GridLocator:
+    """Cached cells of fixed points on a grid, for repeated ``np.interp`` calls.
+
+    ``np.interp(x, grid, fp)`` returns ``slope * (x - grid[j]) + fp[j]`` in the
+    cell ``grid[j] < x < grid[j + 1]``, with ``slope = (fp[j + 1] - fp[j]) /
+    (grid[j + 1] - grid[j])``, and ``fp[j]`` itself where ``x == grid[j]``, the
+    top node included. :meth:`interp` evaluates the same expressions from the
+    cached cell, offset and on-node points, so for finite ``fp`` it equals
+    ``np.interp`` bit for bit. The points must lie within the grid.
+    """
+
+    def __init__(self, grid: np.ndarray, x: np.ndarray) -> None:
+        upper = np.searchsorted(grid, x)  # first node >= x, at most the top node
+        self.cell = np.maximum(upper - 1, 0)
+        self.offset = x - grid[self.cell]
+        self.on_node = np.flatnonzero(grid[upper] == x)
+        self.node = upper[self.on_node]
+        self.spacing = np.diff(grid)
+
+    def interp(self, fp: np.ndarray) -> np.ndarray:
+        slopes = np.diff(fp) / self.spacing
+        out = slopes.take(self.cell)
+        out *= self.offset
+        out += fp.take(self.cell)
+        out[self.on_node] = fp[self.node]
+        return out
+
+
 def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) -> ValueTable:
     """Solve the finite-horizon problem backwards over the storage grid.
 
@@ -100,17 +135,35 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     physical bounds are tried; the next storage and the discharged release
     follow the plant's mass balance, the cost-to-go is interpolated
     linearly, and ties go to the smaller release. Transitions leaving the
-    grid are clamped to its boundary without extra penalty (counted in
-    out_of_grid).
+    grid are clamped to its boundary without extra penalty; out_of_grid
+    counts them on every hour, repeated hours included.
+
+    A stage's transition (next storages, discharged releases, stage costs
+    and out-of-grid count) is computed once per run of hours with equal
+    (inflow, demand) pairs and reused for the rest of the run. The first
+    hour of a run interpolates with ``np.interp``; the others reuse a grid
+    locator built on the second hour, which gives the same bits.
+
+    Raises:
+        ValueError: if the series differ in length or are empty, or if an
+            inflow or demand is negative or not finite (naming the first such
+            hour).
     """
     inflow = np.asarray(inflow, dtype=float)
     demand = np.asarray(demand, dtype=float)
     if inflow.shape != demand.shape or inflow.ndim != 1 or inflow.size == 0:
         raise ValueError("inflow and demand must be equal-length nonempty 1-d arrays")
+    for name, series in (("inflow", inflow), ("demand", demand)):
+        bad = np.flatnonzero(~np.isfinite(series) | (series < 0.0))
+        if bad.size:
+            hour = int(bad[0])
+            raise ValueError(
+                f"{name} must be finite and nonnegative, got {series[hour]} at hour {hour}"
+            )
     t_end = inflow.size
     grid = np.linspace(config.storage_range[0], config.storage_range[1], config.grid_points)
     area = params.surface_area
-    offset = params.level_offset
+    level_offset = params.level_offset
 
     n_nodes, n_act = config.grid_points, config.action_samples
     actions = np.zeros((n_nodes, n_act))
@@ -124,13 +177,23 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     node_range = np.arange(n_nodes)
     out_of_grid = 0
     for t in range(t_end - 1, -1, -1):
-        next_s, released = mass_balance(nodes, inflow[t], actions)
-        outside = (next_s < grid[0]) | (next_s > grid[-1])
-        if outside.any():
-            out_of_grid += int(np.sum(outside))
-            next_s = np.clip(next_s, grid[0], grid[-1])
-        stage = stage_cost(params, config, next_s / area + offset, released, demand[t])
-        total = stage + np.interp(next_s.ravel(), grid, values[t + 1]).reshape(n_nodes, n_act)
+        if t == t_end - 1 or inflow[t] != inflow[t + 1] or demand[t] != demand[t + 1]:
+            next_s, released = mass_balance(nodes, inflow[t], actions)
+            outside = (next_s < grid[0]) | (next_s > grid[-1])
+            n_outside = int(np.count_nonzero(outside))
+            if n_outside:
+                next_s = np.clip(next_s, grid[0], grid[-1])
+            stage = stage_cost(params, config, next_s / area + level_offset, released, demand[t])
+            next_s = next_s.ravel()
+            locator = None
+            cost_to_go = np.interp(next_s, grid, values[t + 1])
+        else:
+            if locator is None:
+                locator = _GridLocator(grid, next_s)
+            cost_to_go = locator.interp(values[t + 1])
+        out_of_grid += n_outside
+        total = cost_to_go.reshape(n_nodes, n_act)
+        total += stage
         best = np.argmin(total, axis=1)  # first minimum: ties go to the smaller release
         values[t] = total[node_range, best]
         policy[t] = actions[node_range, best]

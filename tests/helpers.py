@@ -14,11 +14,12 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from lakempc import qp
-from lakempc.ddp import DdpConfig, stage_cost
+from lakempc.ddp import DdpConfig, ValueTable, stage_cost
 from lakempc.hydrology import (
     HOUR_SECONDS,
     LakeParams,
     level_of_storage,
+    mass_balance,
     release_bounds,
     saturate_release,
 )
@@ -241,3 +242,40 @@ def brute_force_ddp_value(
         ) + brute_force_ddp_value(params, config, nxt, inflow, demand, t + 1)
         best = min(best, value)
     return best
+
+
+def reference_backward_induction(
+    params: LakeParams, config: DdpConfig, inflow, demand
+) -> ValueTable:
+    """The DDP backward pass as one plain loop: every stage from scratch.
+
+    Each hour moves every (node, action) pair through the plant's mass
+    balance, clamps to the grid, charges the stage cost and interpolates the
+    cost-to-go with ``np.interp``; nothing is carried from one hour to the
+    next. ``ddp.backward_induction`` must reproduce its tables bit for bit.
+    """
+    inflow = np.asarray(inflow, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    t_end = inflow.size
+    grid = np.linspace(config.storage_range[0], config.storage_range[1], config.grid_points)
+    n_nodes, n_act = config.grid_points, config.action_samples
+    actions = np.zeros((n_nodes, n_act))
+    for i in range(n_nodes):
+        r_min, r_max = release_bounds(params, level_of_storage(params, grid[i]))
+        actions[i] = np.linspace(r_min, r_max, n_act)
+    values = np.zeros((t_end + 1, n_nodes))
+    policy = np.zeros((t_end, n_nodes))
+    node_range = np.arange(n_nodes)
+    out_of_grid = 0
+    for t in range(t_end - 1, -1, -1):
+        next_s, released = mass_balance(grid[:, None], inflow[t], actions)
+        outside = (next_s < grid[0]) | (next_s > grid[-1])
+        out_of_grid += int(np.sum(outside))
+        next_s = np.clip(next_s, grid[0], grid[-1])
+        level = next_s / params.surface_area + params.level_offset
+        stage = stage_cost(params, config, level, released, demand[t])
+        total = stage + np.interp(next_s.ravel(), grid, values[t + 1]).reshape(n_nodes, n_act)
+        best = np.argmin(total, axis=1)
+        values[t] = total[node_range, best]
+        policy[t] = actions[node_range, best]
+    return ValueTable(values=values, policy=policy, grid=grid, out_of_grid=out_of_grid)

@@ -1,10 +1,13 @@
 """Command-line tests: every subcommand end to end on a 3-day synthetic scenario."""
 
 import csv
+from pathlib import Path
 
 import pytest
 
 from lakempc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli_main
+
+GOLDEN_DDP = Path(__file__).parent / "data" / "ddp_3day"
 
 
 @pytest.fixture
@@ -38,6 +41,22 @@ def test_subcommands_run_and_simulate_is_reproducible(tmp_path, scenario_dir):
     reports = [f"{name}={tmp_path / name / 'report.csv'}" for name in ("ddp", "hourly", "daily")]
     assert cli_main(["compare", *reports, "--out", str(tmp_path / "cmp")]) == EXIT_OK
     assert (tmp_path / "cmp" / "comparison.csv").exists()
+
+
+def test_ddp_output_matches_golden_files(tmp_path):
+    # The expected files were written by `lakempc ddp` on these inputs before
+    # the backward pass reused transitions across equal hours.
+    argv = [
+        "ddp",
+        "--scenario", str(GOLDEN_DDP / "inflow_hourly.csv"),
+        "--inflow-kind", "hourly",
+        "--demand", str(GOLDEN_DDP / "demand_hourly.csv"),
+        "--demand-kind", "hourly",
+        "--out", str(tmp_path),
+    ]
+    assert cli_main(argv) == EXIT_OK
+    for name in ("trace.csv", "report.csv", "plotdata_level.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DDP / name).read_bytes(), name
 
 
 def test_hourly_trace_csv_has_qp_iterations(tmp_path, scenario_dir):

@@ -1,9 +1,16 @@
 """Dynamic-programming benchmark tests: DP optimality on exact-grid instances."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import brute_force_ddp_value, exact_grid_ddp_instance
+from helpers import (
+    brute_force_ddp_value,
+    exact_grid_ddp_instance,
+    reference_backward_induction,
+)
+from lakempc import ddp
 from lakempc.ddp import (
     DdpConfig,
     ValueTable,
@@ -12,8 +19,14 @@ from lakempc.ddp import (
     stage_cost,
     trace_cost,
 )
-from lakempc.hydrology import HOUR_SECONDS, LakeParams, level_of_storage, release_bounds
-from lakempc.scenario import synthetic_year
+from lakempc.hydrology import (
+    HOUR_SECONDS,
+    LakeParams,
+    level_of_storage,
+    mass_balance,
+    release_bounds,
+)
+from lakempc.scenario import GaussianInflowParams, expand_daily, synthetic_year
 from lakempc.trace import mass_balance_error
 
 PARAMS = LakeParams()
@@ -105,6 +118,96 @@ class TestBackwardInduction:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
             backward_induction(PARAMS, DdpConfig(), [1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize(
+        ("inflow", "demand", "message"),
+        [
+            ([100.0, np.nan, 100.0], [50.0] * 3, "inflow .* got nan at hour 1"),
+            ([100.0, -50.0, 100.0], [50.0] * 3, "inflow .* got -50.0 at hour 1"),
+            ([100.0, 100.0, np.inf], [50.0] * 3, "inflow .* got inf at hour 2"),
+            ([100.0] * 3, [50.0, 50.0, np.inf], "demand .* got inf at hour 2"),
+            ([100.0] * 3, [np.nan, 50.0, 50.0], "demand .* got nan at hour 0"),
+            ([100.0] * 3, [50.0, -1.0, 50.0], "demand .* got -1.0 at hour 1"),
+        ],
+    )
+    def test_poisoned_series_rejected_naming_the_hour(self, inflow, demand, message):
+        config = DdpConfig(grid_points=21, action_samples=11)
+        with pytest.raises(ValueError, match=message):
+            backward_induction(PARAMS, config, inflow, demand)
+
+
+def _clamping_instance():
+    """A 2-day daily-held input on a grid that every hour leaves at both ends.
+
+    The bottom node's largest release outruns the inflow and the top node's
+    smallest release does not, so both boundary clamps occur on every hour,
+    repeated hours included.
+    """
+    config = DdpConfig(grid_points=11, storage_range=(1e6, 2e6), action_samples=21)
+    inflow = expand_daily([50.0, 60.0])
+    lo, hi = config.storage_range
+    assert release_bounds(PARAMS, level_of_storage(PARAMS, lo))[1] > inflow.max()
+    assert release_bounds(PARAMS, level_of_storage(PARAMS, hi))[0] < inflow.min()
+    return PARAMS, config, inflow, expand_daily([40.0, 45.0])
+
+
+def _bit_identity_cases():
+    """Inputs on which the backward pass must match the stage-by-stage reference.
+
+    The daily-held window repeats each hour's transition 23 times a day; the
+    intra-day window never repeats one. On the exact grid the next storages
+    land on interior nodes and on the top node, and with these demands the
+    cell formula alone would miss some node values by an ulp.
+    """
+    window = synthetic_year(10, first_day=130)
+    intraday = synthetic_year(10, first_day=130, intraday=GaussianInflowParams())
+    exact_params, exact_config, _ = exact_grid_ddp_instance()
+    return {
+        "daily-held-window": (PARAMS, DdpConfig(), window.inflow_hourly, window.demand_hourly),
+        "intraday-window": (PARAMS, DdpConfig(), intraday.inflow_hourly, intraday.demand_hourly),
+        "clamped-both-ends": _clamping_instance(),
+        "exact-grid": (exact_params, exact_config, [0.0] * 6, [30.0] * 3 + [7.0] * 3),
+    }
+
+
+class TestTransitionReuse:
+    @pytest.mark.parametrize("case", sorted(_bit_identity_cases()))
+    def test_tables_bit_identical_to_stagewise_reference(self, case):
+        params, config, inflow, demand = _bit_identity_cases()[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clamped case warns
+            table = backward_induction(params, config, inflow, demand)
+        expected = reference_backward_induction(params, config, inflow, demand)
+        assert np.array_equal(table.values, expected.values)
+        assert np.array_equal(table.policy, expected.policy)
+        assert table.out_of_grid == expected.out_of_grid
+        if case == "clamped-both-ends":
+            assert table.out_of_grid > 0
+
+    def test_locator_interp_equals_np_interp(self):
+        # Node values spread over six decades, so the cell formula evaluated at
+        # a node (or the top node from the cell below) would differ in the
+        # last bits from the node value np.interp returns there.
+        rng = np.random.default_rng(3)
+        grid = np.linspace(0.0, 656_550_000.0, 201)
+        x = np.concatenate([rng.uniform(grid[0], grid[-1], 2000), grid, grid[-1:]])
+        locator = ddp._GridLocator(grid, x)
+        for _ in range(5):
+            fp = rng.random(grid.size) * 10.0 ** rng.uniform(-3.0, 3.0, grid.size)
+            assert np.array_equal(locator.interp(fp), np.interp(x, grid, fp))
+
+    @pytest.mark.parametrize(("intraday", "calls"), [(None, 3), (GaussianInflowParams(), 72)])
+    def test_transition_evaluated_once_per_run_of_equal_hours(self, monkeypatch, intraday, calls):
+        counted = []
+
+        def counting_mass_balance(*args):
+            counted.append(args)
+            return mass_balance(*args)
+
+        monkeypatch.setattr(ddp, "mass_balance", counting_mass_balance)
+        scn = synthetic_year(3, first_day=100, intraday=intraday)
+        backward_induction(PARAMS, DdpConfig(), scn.inflow_hourly, scn.demand_hourly)
+        assert len(counted) == calls
 
 
 class TestSimulatePolicy:
