@@ -141,20 +141,26 @@ def interpret_demand_slack(u: float, w: float) -> float:
     return min(u - w, 0.0)
 
 
-def _check_horizon_inputs(config, s0, inflow_forecast, demand, u_bounds):
+def _check_horizon_inputs(config, s0, inflow_forecast, demand, u_bounds, hour=None):
     h = config.horizon
-    if s0 < 0.0:
-        raise ValueError(f"s0 must be nonnegative, got {s0}")
+    where = f" at hour {hour}" if hour is not None else ""
+    if not 0.0 <= s0 < np.inf:
+        raise ValueError(f"s0 must be finite and nonnegative{where}, got {s0}")
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
     u_bounds = np.asarray(u_bounds, dtype=float).reshape(-1, 2)
     if inflow_forecast.shape != (h,) or demand.shape != (h,) or u_bounds.shape != (h, 2):
         raise ValueError(
-            f"horizon mismatch: expected {h} forecast/demand/bound entries, got "
+            f"horizon mismatch{where}: expected {h} forecast/demand/bound entries, got "
             f"{inflow_forecast.size}/{demand.size}/{u_bounds.shape[0]}"
         )
+    for name, series in (("inflow forecast", inflow_forecast), ("demand", demand)):
+        finite = np.isfinite(series)
+        if not finite.all():
+            t = int(np.argmin(finite))
+            raise ValueError(f"{name} is {series[t]} at horizon step {t}{where}")
     if np.any(u_bounds[:, 0] > u_bounds[:, 1]):
-        raise ValueError("u_bounds must be ordered (lower <= upper)")
+        raise ValueError(f"u_bounds must be ordered (lower <= upper){where}")
     return inflow_forecast, demand, u_bounds
 
 
@@ -166,6 +172,7 @@ def assemble_qp(
     demand,
     u_bounds,
     soften_dry: bool = False,
+    hour: int | None = None,
 ) -> qp.QpProblem:
     """Build the decision-step QP.
 
@@ -183,10 +190,15 @@ def assemble_qp(
 
     The Hessian and the row matrix are read-only and shared by every call
     with the same horizon, surface area, cost weights and soften_dry.
+
+    Raises ValueError for a negative or non-finite s0, arrays whose length
+    is not the horizon, a forecast or demand entry that is not finite (the
+    message names the series and the horizon step) and unordered bounds.
+    Each message names the hour when one is given.
     """
     h = config.horizon
     inflow_forecast, demand, u_bounds = _check_horizon_inputs(
-        config, s0, inflow_forecast, demand, u_bounds
+        config, s0, inflow_forecast, demand, u_bounds, hour
     )
     area = params.surface_area
     hessian, ineq_matrix = _qp_matrices(
@@ -373,7 +385,7 @@ def solve_step(
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
     area = params.surface_area
-    problem = assemble_qp(params, config, s0, inflow_forecast, demand, u_bounds)
+    problem = assemble_qp(params, config, s0, inflow_forecast, demand, u_bounds, hour=hour)
     guess = demand if u_hint is None else np.asarray(u_hint, dtype=float)
     hint, dry_failure = _feasible_point(
         config, problem, s0, inflow_forecast, demand, u_hint, area

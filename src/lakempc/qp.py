@@ -23,9 +23,11 @@ vectors and the start, and certifies its result on the full problem.
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
-The complete QR of the working rows is computed once per solve and then
-updated by scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders
-1974). At a stationary point every working row whose multiplier is negative
+Each solve computes one complete QR, of the rows tight at the start; when
+they are dependent (or outnumber the variables), a pivoted QR first picks an
+independent subset and that is factored instead. The factor is then updated
+by scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974).
+At a stationary point every working row whose multiplier is negative
 is dropped at once, highest position first. Dropping several rows can steer
 the next step straight back into one of them. So when the step after such a
 drop is blocked at zero length, the solve drops one row at a time from then
@@ -33,8 +35,9 @@ on, and it cannot cycle between multi-drops and re-insertions. A single
 drop takes the most negative multiplier; among multipliers within a
 relative 1e-9 of it (the MPC's hours are alike, so ties are exact) it takes
 the row last in the working set, rather than leaving the choice to
-rounding. At the end one dense KKT solve on the working set snaps x onto
-its rows and gives the final multipliers.
+rounding. At the end the same factor gives the exact optimum on the
+working rows and its multipliers, in two triangular solves (see _snap):
+that snaps x onto the rows, and no KKT matrix is formed.
 
 Every returned solution carries an independently recomputed KKT residual;
 `status == "optimal"` is only reported when that residual passes the
@@ -105,6 +108,17 @@ class QpProblem:
             raise ValueError("inequality block dimensions inconsistent")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bound vectors must have length n")
+        # Infinite bounds are absent bounds; a NaN anywhere would pass every
+        # comparison below and in the certification. (v == v fails only at NaN.)
+        for name, vec, entry, ok in (
+            ("linear_cost", self.linear_cost, "variable", np.isfinite(self.linear_cost)),
+            ("ineq_rhs", self.ineq_rhs, "row", np.isfinite(self.ineq_rhs)),
+            ("lower bound", self.lower, "variable", self.lower == self.lower),
+            ("upper bound", self.upper, "variable", self.upper == self.upper),
+        ):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ValueError(f"{name} is {vec[i]} at {entry} {i}")
         if np.any(self.lower > self.upper):
             j = int(np.argmax(self.lower > self.upper))
             raise ValueError(f"lower bound exceeds upper bound at variable {j}")
@@ -167,38 +181,32 @@ def kkt_components(problem: QpProblem, solution: QpSolution) -> dict[str, float]
     if a_in.shape[0]:
         grad = grad + a_in.T @ mu
     grad = grad + beta
-    stationarity = float(np.max(np.abs(grad), initial=0.0))
-
-    primal = 0.0
-    slack = b_in - a_in @ x if a_in.shape[0] else np.zeros(0)
-    if slack.size:
-        primal = max(primal, float(np.max(-slack, initial=0.0)))
-    primal = max(primal, float(np.max(np.where(np.isfinite(lo), lo - x, 0.0), initial=0.0)))
-    primal = max(primal, float(np.max(np.where(np.isfinite(hi), x - hi, 0.0), initial=0.0)))
-
-    dual = float(np.max(-mu, initial=0.0))
-    # A bound multiplier pushing against an absent (infinite) bound is a dual violation.
-    dual = max(dual, float(np.max(np.where(np.isfinite(hi), 0.0, np.maximum(beta, 0.0)), initial=0.0)))
-    dual = max(dual, float(np.max(np.where(np.isfinite(lo), 0.0, np.maximum(-beta, 0.0)), initial=0.0)))
-
-    comp = 0.0
-    if slack.size:
-        comp = max(comp, float(np.max(np.abs(mu * slack), initial=0.0)))
-    gap_hi = np.where(np.isfinite(hi), hi - x, 0.0)
-    gap_lo = np.where(np.isfinite(lo), x - lo, 0.0)
-    comp = max(comp, float(np.max(np.abs(np.where(beta > 0.0, beta * gap_hi, beta * gap_lo)), initial=0.0)))
-
+    slack = b_in - a_in @ x
+    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
+    gap_lo = np.where(finite_lo, x - lo, 0.0)
+    gap_hi = np.where(finite_hi, hi - x, 0.0)
     return {
-        "stationarity": stationarity,
-        "primal": primal,
-        "dual": dual,
-        "complementarity": comp,
+        "stationarity": _worst(np.abs(grad)),
+        "primal": _worst(-slack, -gap_lo, -gap_hi),
+        # A bound multiplier pushing against an absent (infinite) bound is a dual violation.
+        "dual": _worst(-mu, np.where(finite_hi, 0.0, beta), np.where(finite_lo, 0.0, -beta)),
+        "complementarity": _worst(
+            np.abs(mu * slack), np.abs(np.where(beta > 0.0, beta * gap_hi, beta * gap_lo))
+        ),
     }
 
 
+def _worst(*terms: np.ndarray) -> float:
+    """The largest entry of the terms, at least 0; NaN when any entry is NaN."""
+    return float(np.max(np.concatenate(terms), initial=0.0))
+
+
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
-    """Max-norm KKT residual over stationarity, feasibility, dual sign and complementarity."""
-    return max(kkt_components(problem, solution).values())
+    """Max-norm KKT residual over stationarity, feasibility, dual sign and complementarity.
+
+    NaN when any component is NaN.
+    """
+    return _worst(np.fromiter(kkt_components(problem, solution).values(), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -323,6 +331,13 @@ def _max_violation(problem: QpProblem, x: np.ndarray) -> tuple[float, str]:
     return float(res[i]), f"inequality row {i}"
 
 
+def _full_rank(r: np.ndarray, tol: float) -> bool:
+    """True when no diagonal entry of the triangular factor r is below tol
+    times its largest one (or 1). An empty factor has full rank."""
+    diag = np.abs(np.diag(r))
+    return diag.size == 0 or float(np.min(diag)) > tol * max(1.0, float(np.max(diag)))
+
+
 def _working_duals(a_w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Least-squares multipliers for A_w' lam = -g."""
     if a_w.shape[0] == 0:
@@ -342,8 +357,10 @@ def solve(
     FEASIBILITY_TOL; the rows tight there seed the working set.
 
     Raises ValueError for dimension errors, a Hessian that is not positive
-    definite, and a start that is not of length n, not finite or not
-    feasible (the message names its most violated constraint).
+    definite, a cost or right-hand side entry that is not finite, a NaN
+    bound (infinite bounds are absent bounds), and a start that is not of
+    length n, not finite or not feasible (the message names its most
+    violated constraint).
     """
     problem._check_data()
     n = problem.n
@@ -369,18 +386,19 @@ def solve(
         bound_duals = np.zeros(n)
         if lam is None:
             lam = _working_duals(fold.a[w_list], _scaled_grad(x_s))
-        for pos, row in enumerate(w_list):
-            val = fold.row_scale[row] * lam[pos]
-            if fold.kind[row] == _ROW_INEQ:
-                ineq_duals[fold.orig_index[row]] += val
-            elif fold.kind[row] == _ROW_UPPER:
-                bound_duals[fold.orig_index[row]] += val
-            else:
-                bound_duals[fold.orig_index[row]] -= val
-        # Scrub multiplier noise: tiny negatives on inequality rows are
-        # numerical, not meaningful.
-        tiny = 1e-9 * max(1.0, float(np.max(np.abs(ineq_duals), initial=0.0)))
-        ineq_duals[(ineq_duals < 0.0) & (ineq_duals > -tiny)] = 0.0
+        rows = np.asarray(w_list, dtype=int)
+        vals = fold.row_scale[rows] * lam
+        kind, index = fold.kind[rows], fold.orig_index[rows]
+        # Scrub multiplier noise: tiny negatives on working rows are
+        # numerical, not meaningful. On a bound row, one would push against
+        # the opposite bound, which may be absent.
+        ineq = kind == _ROW_INEQ
+        tiny = 1e-9 * max(1.0, float(np.max(np.abs(vals[ineq]), initial=0.0)))
+        vals[(vals < 0.0) & (vals > -tiny)] = 0.0
+        ineq_duals[index[ineq]] = vals[ineq]
+        upper, lower = kind == _ROW_UPPER, kind == _ROW_LOWER
+        bound_duals[index[upper]] = vals[upper]
+        bound_duals[index[lower]] -= vals[lower]
         sol = QpSolution(
             x=x,
             ineq_duals=ineq_duals,
@@ -392,7 +410,7 @@ def solve(
             message=message,
         )
         sol.kkt_residual = kkt_residual(problem, sol)
-        if status == "optimal" and sol.kkt_residual > KKT_TOL:
+        if status == "optimal" and not sol.kkt_residual <= KKT_TOL:
             sol.status = "iteration-limit"
             sol.message = f"converged but certification failed (kkt residual {sol.kkt_residual:.3e})"
         return sol
@@ -407,52 +425,56 @@ def solve(
         raise ValueError(f"initial_point is infeasible: {label} violated by {worst:.6g}")
     x_s = x0 / fold.col_scale
 
-    # Initial working set: independent subset of the rows tight at x0.
+    # Initial working set: the rows tight at x0. When they are independent,
+    # their complete QR in y is the working-set factor. Otherwise a pivoted
+    # QR picks an independent subset, which is then factored; L^-T is
+    # nonsingular, so independence in y is independence of the rows.
     resid = fold.a @ x_s - b_s
-    tight = np.where(resid >= -1e-9 * (1.0 + np.abs(b_s)))[0]
-    w_list: list[int] = []
-    if tight.size:
+    tight = np.flatnonzero(resid >= -1e-9 * (1.0 + np.abs(b_s)))
+    w_list: list[int] = tight.tolist()
+    if tight.size <= n:
+        qf, rf = np.linalg.qr(a_y[tight].T, mode="complete")
+    if tight.size > n or not _full_rank(rf, 1e-8):
         _, r, piv = scipy.linalg.qr(fold.a[tight].T, pivoting=True, mode="economic")
         diag = np.abs(np.diag(r))
         rank = int(np.sum(diag > 1e-10 * max(1.0, diag[0])))
         w_list = sorted(int(tight[i]) for i in piv[:rank])
+        qf, rf = np.linalg.qr(a_y[w_list].T, mode="complete")
 
     in_w = np.zeros(m, dtype=bool)
     in_w[w_list] = True
 
-    def _snap(x_cur, w_cur):
-        """Exact solve on the final working set; clears drift the null-space
-        steps inherited from the starting point, which otherwise shows up as
-        a complementarity residual against large constraint multipliers.
+    def _snap(x_cur):
+        """The exact optimum on the working set, from the working-set factor.
 
-        Returns (x, multipliers of the working rows): the solved pair when
-        x is feasible, else (x_cur, None) and _finish computes them."""
-        a_w = fold.a[w_cur]
-        mw = a_w.shape[0]
-        kkt = np.zeros((n + mw, n + mw))
-        kkt[:n, :n] = q_s
+        Clears drift the null-space steps inherited from the starting point,
+        which otherwise shows up as a complementarity residual against large
+        constraint multipliers. With A_w' = Q1 R in y, Z the rest of the
+        complete Q, c_y = L^-1 c and t = R^-T b_w, the optimum on the rows is
+        y = Q1 t - ZZ'c_y with multipliers lam = -R^-1 (t + Q1'c_y).
+
+        Returns (x, multipliers of the working rows) when R is well
+        conditioned and x is feasible, else (x_cur, None) and _finish
+        computes the multipliers."""
+        mw = len(w_list)
+        c_y = l_inv_t.T @ c_s
+        z = qf[:, mw:]
+        y = -(z @ (z.T @ c_y))
+        lam = np.zeros(0)
         if mw:
-            kkt[:n, n:] = a_w.T
-            kkt[n:, :n] = a_w
-        rhs = np.concatenate([-c_s, b_s[w_cur]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-            bad = not np.all(np.isfinite(sol)) or float(
-                np.max(np.abs(kkt @ sol - rhs), initial=0.0)
-            ) > 1e-8 * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
-        except np.linalg.LinAlgError:
-            bad = True
-        if bad:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        x_new = sol[:n]
-        if not np.all(np.isfinite(x_new)):
-            return x_cur, None
+            r = rf[:mw]
+            if not _full_rank(r, 1e-12):
+                return x_cur, None
+            q1 = qf[:, :mw]
+            t = scipy.linalg.solve_triangular(r, b_s[w_list], trans="T", check_finite=False)
+            y += q1 @ t
+            lam = -scipy.linalg.solve_triangular(r, t + q1.T @ c_y, check_finite=False)
+        x_new = l_inv_t @ y
+        # A NaN in x_new fails this test too.
         viol = float(np.max(fold.a @ x_new - b_s, initial=0.0))
         if viol <= 1e-9 * (1.0 + float(np.max(np.abs(b_s), initial=0.0))):
-            return x_new, sol[n:]
+            return x_new, lam
         return x_cur, None
-
-    qf, rf = np.linalg.qr(a_y[w_list].T, mode="complete")
 
     # Drops are multi until a multi-drop is followed by a zero-length step;
     # from then on this solve drops one row at a time.
@@ -471,15 +493,15 @@ def solve(
         if p_norm <= step_tol:
             if mw == 0:
                 lam = np.zeros(0)
+            elif _full_rank(rf[:mw], 1e-12):
+                lam = scipy.linalg.solve_triangular(
+                    rf[:mw], -(qf[:, :mw].T @ g_y), check_finite=False
+                )
             else:
-                diag_r = np.abs(np.diag(rf[:mw]))
-                if float(np.min(diag_r)) > 1e-12 * max(1.0, float(np.max(diag_r))):
-                    lam = scipy.linalg.solve_triangular(rf[:mw], -(qf[:, :mw].T @ g_y))
-                else:
-                    lam = _working_duals(fold.a[w_list], g)
+                lam = _working_duals(fold.a[w_list], g)
             lam_tol = -1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
             if lam.size == 0 or np.min(lam) >= lam_tol:
-                x_s, lam = _snap(x_s, w_list)
+                x_s, lam = _snap(x_s)
                 return _finish(x_s, w_list, "optimal", iterations, lam=lam)
             if single_drop:
                 lam_min = float(np.min(lam))

@@ -95,6 +95,35 @@ def phase1_point(problem: qp.QpProblem) -> np.ndarray | None:
     return x if np.max(a_in @ x - b_in, initial=0.0) <= qp.FEASIBILITY_TOL else None
 
 
+def dense_kkt_solution(
+    problem: qp.QpProblem, solution: qp.QpSolution
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The optimum on the rows whose returned multiplier is nonzero, by one
+    dense KKT solve on the unscaled data.
+
+    The rows are the inequality rows with a nonzero ineq_dual and, for each
+    variable with a nonzero bound_dual, its upper bound (positive dual) or
+    its lower bound (negative dual). Returns (x, ineq_duals, bound_duals) in
+    QpSolution's conventions; rows outside that set get zero multipliers.
+    """
+    n = problem.n
+    ineq = np.flatnonzero(solution.ineq_duals)
+    bound = np.flatnonzero(solution.bound_duals)
+    sign = np.sign(solution.bound_duals[bound])
+    rows = np.vstack([problem.ineq_matrix[ineq], sign[:, None] * np.eye(n)[bound]])
+    rhs = np.concatenate(
+        [problem.ineq_rhs[ineq], np.where(sign > 0, problem.upper[bound], -problem.lower[bound])]
+    )
+    m = rows.shape[0]
+    kkt = np.block([[problem.hessian, rows.T], [rows, np.zeros((m, m))]])
+    sol = np.linalg.solve(kkt, np.concatenate([-problem.linear_cost, rhs]))
+    ineq_duals = np.zeros(problem.ineq_matrix.shape[0])
+    ineq_duals[ineq] = sol[n:n + ineq.size]
+    bound_duals = np.zeros(n)
+    bound_duals[bound] = sign * sol[n + ineq.size:]
+    return sol[:n], ineq_duals, bound_duals
+
+
 def random_qp(rng: np.random.Generator) -> tuple[qp.QpProblem, np.ndarray]:
     """Random strictly convex QP with n <= 6 and at most 8 constraint rows,
     and a point that meets every row and bound with some slack."""

@@ -81,6 +81,36 @@ class TestAssembly:
         with pytest.raises(ValueError, match="s0"):
             assemble_qp(PARAMS, config, -1.0, [0.0], [0.0], [(0.0, 10.0)])
 
+    @pytest.mark.parametrize("s0", [np.nan, np.inf])
+    def test_non_finite_storage_rejected(self, s0):
+        config = MpcConfig(horizon=1)
+        with pytest.raises(ValueError, match=r"^s0 must be finite and nonnegative at hour 3, got"):
+            solve_step(PARAMS, config, s0, [0.0], [0.0], [(0.0, 10.0)], hour=3)
+
+    @pytest.mark.parametrize(
+        "series, step, value",
+        [("inflow forecast", 5, np.nan), ("demand", 7, np.inf), ("demand", 0, -np.inf)],
+    )
+    def test_non_finite_forecast_named_with_step_and_hour(self, series, step, value):
+        # These used to surface as a non-finite start at some QP variable.
+        config = MpcConfig()
+        h = config.horizon
+        inflow, demand = np.full(h, 50.0), np.full(h, 80.0)
+        (inflow if series == "inflow forecast" else demand)[step] = value
+        bounds = np.tile((10.0, 400.0), (h, 1))
+        message = f"^{series} is {value} at horizon step {step}"
+        with pytest.raises(ValueError, match=message + " at hour 17$"):
+            solve_step(PARAMS, config, 1.2e8, inflow, demand, bounds, hour=17)
+        with pytest.raises(ValueError, match=message + "$"):
+            assemble_qp(PARAMS, config, 1.2e8, inflow, demand, bounds)
+
+    def test_poisoned_scenario_fails_at_the_first_hour_that_sees_it(self):
+        # Hour 7's 24-hour forecast is the first to reach index 30.
+        scn = constant_scenario(80.0, 90.0, 3)
+        scn.inflow_hourly[30] = np.nan
+        with pytest.raises(ValueError, match=r"^inflow forecast is nan at horizon step 23 at hour 7$"):
+            run_hourly(PARAMS, MpcConfig(), scn, 1.2e8, n_steps=12)
+
     def test_decision_vector_layout(self):
         config = MpcConfig(horizon=3)
         problem = assemble_qp(

@@ -1,14 +1,22 @@
 """QP solver tests: certification against the active-set enumeration oracle."""
 
 import collections
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import enumeration_oracle, phase1_point, random_qp
+from helpers import dense_kkt_solution, enumeration_oracle, phase1_point, random_qp
 from lakempc import mpc, qp
-from lakempc.hydrology import LakeParams, level_of_storage, release_bounds
+from lakempc.hydrology import (
+    HOUR_SECONDS,
+    LakeParams,
+    level_of_storage,
+    release_bounds,
+    storage_of_level,
+)
+from lakempc.scenario import synthetic_year
 
 
 class TestTrivialProblems:
@@ -216,6 +224,78 @@ class TestKktResidual:
         assert qp.kkt_components(problem, point)["primal"] == pytest.approx(1.5)
 
 
+    def test_nan_component_makes_the_residual_nan(self):
+        # max() drops a NaN that is not its first argument; the residual
+        # must not.
+        problem = qp.QpProblem(
+            hessian=np.eye(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[np.nan]
+        )
+        solution = qp.QpSolution(
+            x=np.ones(2), ineq_duals=np.zeros(1), bound_duals=np.zeros(2),
+            objective=-1.0, status="optimal", kkt_residual=0.0,
+        )
+        assert np.isnan(qp.kkt_components(problem, solution)["primal"])
+        assert np.isnan(qp.kkt_residual(problem, solution))
+        finite = qp.QpProblem(hessian=np.eye(2), linear_cost=[-1.0, -1.0])
+        solution.x = np.array([1.0, np.nan])
+        assert np.isnan(qp.kkt_residual(finite, solution))
+
+    def test_nan_residual_is_not_certified(self, monkeypatch):
+        monkeypatch.setattr(qp, "kkt_residual", lambda problem, solution: float("nan"))
+        problem = qp.QpProblem(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
+        solution = qp.solve(problem, [2.0])
+        assert solution.status == "iteration-limit"
+        assert "certification failed" in solution.message
+
+
+class TestNonFiniteData:
+    @staticmethod
+    def _problem():
+        return qp.QpProblem(
+            hessian=np.eye(2),
+            linear_cost=[-1.0, -1.0],
+            ineq_matrix=[[1.0, 1.0]],
+            ineq_rhs=[1.0],
+            lower=[-np.inf, 0.0],
+            upper=[np.inf, 5.0],
+        )
+
+    def test_nan_row_bound_rejected_not_certified(self):
+        # Certified as optimal at x = (1, 1) with a zero residual before the
+        # data was checked.
+        problem = qp.QpProblem(
+            hessian=np.eye(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[np.nan]
+        )
+        with pytest.raises(ValueError, match=r"^ineq_rhs is nan at row 0$"):
+            qp.solve(problem, np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "field, index, value, message",
+        [
+            ("linear_cost", 1, np.nan, "linear_cost is nan at variable 1"),
+            ("linear_cost", 0, np.inf, "linear_cost is inf at variable 0"),
+            ("linear_cost", 1, -np.inf, "linear_cost is -inf at variable 1"),
+            ("ineq_rhs", 0, np.inf, "ineq_rhs is inf at row 0"),
+            ("lower", 1, np.nan, "lower bound is nan at variable 1"),
+            ("upper", 0, np.nan, "upper bound is nan at variable 0"),
+        ],
+    )
+    def test_non_finite_entry_named(self, field, index, value, message):
+        # A non-finite cost used to run all MAX_ITERATIONS iterations.
+        problem = self._problem()
+        getattr(problem, field)[index] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qp.solve(problem, np.zeros(2))
+
+    def test_infinite_bounds_are_absent_bounds(self):
+        problem = self._problem()
+        problem.upper[1] = np.inf
+        problem.lower[1] = -np.inf
+        solution = qp.solve(problem, np.zeros(2))
+        assert solution.status == "optimal"
+        assert solution.x == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
 class TestEdgesAndErrors:
     def test_infeasible_diagnostic(self):
         # x <= 0 and x >= 1: no start is feasible.
@@ -352,6 +432,117 @@ def _dense_qp(seed, n=40, m=80):
     return problem, x_feasible
 
 
+def _assert_matches_dense_kkt(problem, solution):
+    """x within 1e-10 and the multipliers within 1e-8 of the dense KKT
+    oracle on the rows the solution holds active, relative to their largest
+    entries."""
+    x, ineq_duals, bound_duals = dense_kkt_solution(problem, solution)
+    assert np.max(np.abs(solution.x - x)) <= 1e-10 * np.max(np.abs(x))
+    duals = np.concatenate([solution.ineq_duals, solution.bound_duals])
+    oracle = np.concatenate([ineq_duals, bound_duals])
+    assert np.max(np.abs(duals - oracle), initial=0.0) <= 1e-8 * np.max(np.abs(oracle), initial=0.0)
+
+
+# (first day, start level in m, starts whose tight rows are dependent).
+# Days 104-105 from 1.08 m cross the flood threshold: solves of up to 7
+# iterations, and three starts whose 72 tight rows have rank 48. Days
+# 182-183 from 0.29 m: one-iteration solves.
+HOURLY_WINDOWS = [(104, 1.08, 3), (182, 0.29, 0)]
+FACTOR_CALLS = ((np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "solve"), (np.linalg, "lstsq"))
+
+
+def _count_calls(monkeypatch, functions):
+    """A Counter of the calls of each (owner, name) in functions, keyed
+    "module.name", for as long as the monkeypatch lasts."""
+    counts = collections.Counter()
+    for owner, name in functions:
+        def counting(*args, _inner=getattr(owner, name), _label=f"{owner.__name__}.{name}", **kwargs):
+            counts[_label] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+def _hourly_window(monkeypatch, first_day, level, counted=()):
+    """Every qp.solve of 48 closed-loop MPC hours from first_day at level m:
+    (problem, start, solution, calls of each (owner, name) in counted)."""
+    counts = _count_calls(monkeypatch, counted)
+    steps = []
+    inner = qp.solve
+
+    def recording(problem, initial_point, **kwargs):
+        counts.clear()
+        solution = inner(problem, initial_point, **kwargs)
+        steps.append((problem, initial_point, solution, dict(counts)))
+        return solution
+
+    monkeypatch.setattr(qp, "solve", recording)
+    params = LakeParams()
+    trace = mpc.run_hourly(
+        params, mpc.MpcConfig(), synthetic_year(3, first_day=first_day),
+        storage_of_level(params, level), n_steps=48,
+    )
+    monkeypatch.undo()
+    assert set(trace.solve_statuses) == {"optimal"}
+    assert len(steps) == 48
+    return steps
+
+
+def _tight_rows(problem, start):
+    """The rows (finite bounds folded in) tight at the clipped start."""
+    n = problem.n
+    lo, hi = np.flatnonzero(np.isfinite(problem.lower)), np.flatnonzero(np.isfinite(problem.upper))
+    rows = np.vstack([problem.ineq_matrix, -np.eye(n)[lo], np.eye(n)[hi]])
+    rhs = np.concatenate([problem.ineq_rhs, -problem.lower[lo], problem.upper[hi]])
+    x = np.clip(start, problem.lower, problem.upper)
+    return rows[rhs - rows @ x <= 1e-9 * (np.abs(rhs) + np.abs(rows) @ np.abs(x))]
+
+
+def _independent(rows, n):
+    """Whether rows number at most n and are linearly independent."""
+    k = rows.shape[0]
+    return k == 0 or (k <= n and np.linalg.matrix_rank(rows) == k)
+
+
+def _minimum_release_at_a_dry_cap(demand):
+    """The MPC problem, and its minimum-release plan as the start, for a
+    lake that plan takes exactly onto the dry bound in the first hour: the
+    lake starts one hour of minimum release (10 m^3/s) above the bound, and
+    that hour has no inflow. The tight dry row is then a multiple of the
+    first release's lower-bound row. With the demand above the minimum
+    release every demand row is tight too: 73 tight rows for 72 variables."""
+    params, config = LakeParams(), mpc.MpcConfig()
+    h, area = config.horizon, params.surface_area
+    inflow = np.full(h, 20.0)
+    inflow[0] = 0.0
+    demand = np.full(h, demand)
+    bounds = np.tile([10.0, 400.0], (h, 1))
+    s0 = config.s_min + area * config.dry_margin + HOUR_SECONDS * 10.0
+    problem = mpc.assemble_qp(params, config, s0, inflow, demand, bounds)
+    start = mpc._with_slacks(config, s0, inflow, demand, bounds[:, 0], area, False)
+    return problem, start
+
+
+class TestSnapAgainstDenseKkt:
+    """qp.solve's x and multipliers against one dense KKT solve on the rows
+    its multipliers mark active."""
+
+    def test_random_strictly_convex(self):
+        rng = np.random.default_rng(202406)
+        for _ in range(120):
+            problem, feasible = random_qp(rng)
+            _assert_matches_dense_kkt(problem, qp.solve(problem, feasible))
+
+    def test_dense_mpc_scale(self):
+        problem, x_feasible = _dense_qp(0)
+        _assert_matches_dense_kkt(problem, qp.solve(problem, x_feasible))
+
+    @pytest.mark.parametrize("first_day, level", [window[:2] for window in HOURLY_WINDOWS])
+    def test_every_step_of_an_hourly_window(self, monkeypatch, first_day, level):
+        for problem, _, solution, _ in _hourly_window(monkeypatch, first_day, level):
+            _assert_matches_dense_kkt(problem, solution)
+
+
 class TestMpcScale:
     def test_dense_hessian_long_solve_from_hint_and_phase1(self):
         problem, x_feasible = _dense_qp(0)
@@ -394,3 +585,43 @@ class TestMpcScale:
         assert solution.status == "optimal"
         assert solution.iterations <= 69
         assert sum(counts.values()) <= 4, dict(counts)
+
+    @pytest.mark.parametrize("first_day, level, n_dependent", HOURLY_WINDOWS)
+    def test_one_qr_per_hourly_solve(self, monkeypatch, first_day, level, n_dependent):
+        # Tight rows that are independent are factored once and that factor
+        # serves the whole solve, snap included. Dependent ones are first
+        # thinned by a pivoted QR. No step solves a dense system.
+        dependent = 0
+        for problem, start, _, counts in _hourly_window(
+            monkeypatch, first_day, level, FACTOR_CALLS
+        ):
+            tight = _tight_rows(problem, start)
+            if _independent(tight, problem.n):
+                assert counts == {"numpy.linalg.qr": 1}
+            else:
+                dependent += 1
+                # The first QR is skipped when the rows outnumber the variables.
+                np_qr_calls = 1 if tight.shape[0] > problem.n else 2
+                assert counts == {"scipy.linalg.qr": 1, "numpy.linalg.qr": np_qr_calls}
+        assert dependent == n_dependent
+
+    @pytest.mark.parametrize(
+        "demand, n_tight, np_qr_calls", [(300.0, 73, 1), (5.0, 49, 2)]
+    )
+    def test_dependent_tight_rows_take_the_pivoted_path(
+        self, monkeypatch, demand, n_tight, np_qr_calls
+    ):
+        # More tight rows than variables skip the first QR; fewer but
+        # dependent ones fail its rank test. Either way one pivoted QR picks
+        # the working set and one complete QR factors it.
+        problem, start = _minimum_release_at_a_dry_cap(demand)
+        tight = _tight_rows(problem, start)
+        assert tight.shape[0] == n_tight
+        assert not _independent(tight, problem.n)
+        counts = _count_calls(monkeypatch, FACTOR_CALLS)
+        solution = qp.solve(problem, start)
+        monkeypatch.undo()
+        assert counts == {"scipy.linalg.qr": 1, "numpy.linalg.qr": np_qr_calls}
+        assert solution.status == "optimal"
+        assert solution.kkt_residual <= 1e-9
+        _assert_matches_dense_kkt(problem, solution)
