@@ -23,7 +23,6 @@ from .mpc import (
     MpcInfeasibleError,
     MpcStepResult,
     assemble_qp,
-    interpret_demand_slack,
     run_daily,
     run_hourly,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "closed_loop",
     "compare_runs",
     "compute_report",
-    "interpret_demand_slack",
     "kkt_residual",
     "lambda_sweep",
     "level_of_storage",

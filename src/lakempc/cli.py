@@ -43,8 +43,11 @@ def _fmt(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configuration files: plain "key = value" lines, keys named after the
-# LakeParams / MpcConfig / DdpConfig fields ("lambda" is accepted for "lam").
+# configuration files: plain "key = value" lines. Each key is a field of
+# exactly one of LakeParams, MpcConfig and DdpConfig, which share no field
+# name, so a key sets one value ("lambda" is accepted for "lam"). The lake's
+# thresholds live only in LakeParams; the MPC derives its storage bounds
+# from them.
 
 
 def _cast_like(default, raw: str):
@@ -59,9 +62,6 @@ def _cast_like(default, raw: str):
         return int(raw)
     if isinstance(default, float):
         return float(raw)
-    if isinstance(default, tuple):
-        parts = [p for p in raw.replace("(", "").replace(")", "").split(",") if p.strip()]
-        return tuple(float(p) for p in parts)
     return raw.strip()
 
 

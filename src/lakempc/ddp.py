@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hydrology import LakeParams, level_of_storage, mass_balance, release_bounds
+from .hydrology import DEMAND_REF, LakeParams, level_of_storage, mass_balance, release_bounds
 from .trace import ClosedLoopTrace, closed_loop
 
 
@@ -32,19 +32,18 @@ from .trace import ClosedLoopTrace, closed_loop
 class DdpConfig:
     """Weights, grid and action sampling for the backward optimization.
 
-    demand_ref (m^3/s) normalizes the deficit term so the published weights
-    act on commensurate quantities; the flood and dry terms are already in
-    meters. The default grid spans storages from empty to three times the
-    flood-threshold storage.
+    hydrology.DEMAND_REF (m^3/s) normalizes the deficit term so the published
+    weights act on commensurate quantities; the flood and dry terms are
+    already in meters. The grid spans storages from the empty lake to
+    storage_max, by default three times the flood-threshold storage.
     """
 
     w_flood: float = 0.4
     w_demand: float = 0.6
     w_dry: float = 0.0
     grid_points: int = 201
-    storage_range: tuple[float, float] = (0.0, 656_550_000.0)
+    storage_max: float = 656_550_000.0
     action_samples: int = 101
-    demand_ref: float = 100.0
 
     def __post_init__(self) -> None:
         if min(self.w_flood, self.w_demand, self.w_dry) < 0.0:
@@ -55,11 +54,8 @@ class DdpConfig:
             raise ValueError("grid_points must be at least 3")
         if self.action_samples < 2:
             raise ValueError("action_samples must be at least 2")
-        lo, hi = self.storage_range
-        if not 0.0 <= lo < hi:
-            raise ValueError(f"storage_range must satisfy 0 <= lo < hi, got {self.storage_range}")
-        if self.demand_ref <= 0.0:
-            raise ValueError("demand_ref must be positive")
+        if not 0.0 < self.storage_max < np.inf:
+            raise ValueError(f"storage_max must be positive and finite, got {self.storage_max}")
 
 
 @dataclass
@@ -68,7 +64,7 @@ class ValueTable:
 
     values[t][i] is the optimal cost from node i with t..T-1 still to play;
     the terminal layer values[T] is identically zero. out_of_grid counts
-    transitions that left the grid and were clamped to its boundary.
+    transitions that rose above the grid and were clamped to its top node.
     """
 
     values: np.ndarray
@@ -91,7 +87,7 @@ def stage_cost(params: LakeParams, config: DdpConfig, level, release, demand):
     cost = config.w_flood * np.maximum(level - params.flood_threshold, 0.0) ** 2
     if config.w_dry:
         cost += config.w_dry * np.maximum(params.dry_threshold - level, 0.0) ** 2
-    cost += config.w_demand * np.maximum((demand - release) / config.demand_ref, 0.0) ** 2
+    cost += config.w_demand * np.maximum((demand - release) / DEMAND_REF, 0.0) ** 2
     return cost
 
 
@@ -134,9 +130,10 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     For every node, action_samples candidate releases uniform in the node's
     physical bounds are tried; the next storage and the discharged release
     follow the plant's mass balance, the cost-to-go is interpolated
-    linearly, and ties go to the smaller release. Transitions leaving the
-    grid are clamped to its boundary without extra penalty; out_of_grid
-    counts them on every hour, repeated hours included.
+    linearly, and ties go to the smaller release. The grid starts at the
+    empty lake, below which the mass balance never goes; transitions above
+    its top are clamped to the top node without extra penalty, and
+    out_of_grid counts them on every hour, repeated hours included.
 
     A stage's transition (next storages, discharged releases, stage costs
     and out-of-grid count) is computed once per run of hours with equal
@@ -161,7 +158,7 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
                 f"{name} must be finite and nonnegative, got {series[hour]} at hour {hour}"
             )
     t_end = inflow.size
-    grid = np.linspace(config.storage_range[0], config.storage_range[1], config.grid_points)
+    grid = np.linspace(0.0, config.storage_max, config.grid_points)
     area = params.surface_area
     level_offset = params.level_offset
 
@@ -179,10 +176,9 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     for t in range(t_end - 1, -1, -1):
         if t == t_end - 1 or inflow[t] != inflow[t + 1] or demand[t] != demand[t + 1]:
             next_s, released = mass_balance(nodes, inflow[t], actions)
-            outside = (next_s < grid[0]) | (next_s > grid[-1])
-            n_outside = int(np.count_nonzero(outside))
+            n_outside = int(np.count_nonzero(next_s > grid[-1]))
             if n_outside:
-                next_s = np.clip(next_s, grid[0], grid[-1])
+                next_s = np.minimum(next_s, grid[-1])
             stage = stage_cost(params, config, next_s / area + level_offset, released, demand[t])
             next_s = next_s.ravel()
             locator = None
@@ -199,7 +195,7 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
         policy[t] = actions[node_range, best]
     if out_of_grid:
         warnings.warn(
-            f"{out_of_grid} grid transitions were clamped to the storage-grid boundary",
+            f"{out_of_grid} grid transitions were clamped to the storage grid's top node",
             stacklevel=2,
         )
     return ValueTable(values=values, policy=policy, grid=grid, out_of_grid=out_of_grid)

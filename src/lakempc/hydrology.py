@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 HOUR_SECONDS = 3600.0
+# Normalization (m^3/s) of the demand deficit in the MPC's and the DDP's costs.
+DEMAND_REF = 100.0
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,7 @@ _BLOCK_LABELS = {
     ),
 }
 ALL_BLOCKS = ("flood", "demand", "dry")
+_BLOCK_TYPES = {"flood": FloodMetrics, "demand": DemandMetrics, "dry": DryMetrics}
 
 
 def _violation_stats(violation: np.ndarray) -> tuple[float, int, float]:
@@ -124,27 +125,13 @@ def report_from_rows(rows, label: str = "") -> RunReport:
     staging: dict[str, dict[str, float]] = {b: {} for b in ALL_BLOCKS}
     for block, key, value in rows:
         staging[block][key] = float(value)
-    return RunReport(
-        flood=FloodMetrics(
-            rmse=staging["flood"]["rmse"],
-            peak=staging["flood"]["peak"],
-            hours=int(staging["flood"]["hours"]),
-            area=staging["flood"]["area"],
-        ),
-        demand=DemandMetrics(
-            rmse=staging["demand"]["rmse"],
-            deficit_peak=staging["demand"]["deficit_peak"],
-            hours=int(staging["demand"]["hours"]),
-            area=staging["demand"]["area"],
-        ),
-        dry=DryMetrics(
-            rmse=staging["dry"]["rmse"],
-            level_min=staging["dry"]["level_min"],
-            hours=int(staging["dry"]["hours"]),
-            area=staging["dry"]["area"],
-        ),
-        label=label,
-    )
+    blocks = {}
+    for block, fields in _BLOCK_LABELS.items():
+        values = staging[block]
+        blocks[block] = _BLOCK_TYPES[block](
+            **{key: int(values[key]) if key == "hours" else values[key] for key, _ in fields}
+        )
+    return RunReport(**blocks, label=label)
 
 
 @dataclass

@@ -8,14 +8,23 @@ absolute feasibility tolerances are meaningful.
 
 Cost per step of the horizon, after nondimensionalization:
 
-    (slack_flood / flood_slack_ref)^2
-    + lam * (slack_demand / demand_ref)^2
-    + tie_break_weight * (u - w)^2
+    (slack_flood / FLOOD_SLACK_REF)^2
+    + lam * (slack_demand / DEMAND_REF)^2
+    + TIE_BREAK_WEIGHT * (u - w)^2
 
-The tie-break term selects the demand-tracking point of the optimal set
-(the slack costs alone leave u flat wherever no constraint is near) and is
-small enough to leave the two real objectives untouched. lam and the
-tie-break weight must be positive so the Hessian is positive definite.
+FLOOD_SLACK_REF = 1 m and DEMAND_REF = 100 m^3/s make the two slack costs
+commensurate at lam = 1: a 1 m flood exceedance costs as much as a
+100 m^3/s deficit. The tie-break term (TIE_BREAK_WEIGHT = 1e-6) selects the
+demand-tracking point of the optimal set (the slack costs alone leave u
+flat wherever no constraint is near) and is small enough to leave the two
+real objectives untouched. lam must be positive so the Hessian is positive
+definite. The recovery problem adds DRY_PENALTY_WEIGHT * (slack_dry /
+FLOOD_SLACK_REF)^2 per step.
+
+The storage bounds come from the LakeParams the controller runs on: s_min
+and s_max are the storages at the dry and flood thresholds
+(_storage_bounds). The hard dry rows are backed off by DRY_MARGIN (m) so
+plant arithmetic cannot land a whisker below the bound.
 
 qp.solve requires a feasible start, and each step builds one close to its
 optimum, so the solver usually needs only a few active-set iterations.
@@ -36,7 +45,7 @@ is reported, and the step goes straight to the softened recovery problem,
 where a slacked start is always feasible.
 
 The QP's Hessian and row matrix depend only on the horizon, the surface
-area, the cost weights and whether the dry rows are softened, so they are
+area, lam and whether the dry rows are softened, so they are
 built once per such configuration and shared read-only by every step; the
 solver then folds, scales and factors them once per run, and each step
 supplies only its right-hand side, linear cost and bounds.
@@ -50,14 +59,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .hydrology import HOUR_SECONDS, LakeParams, level_of_storage, release_bounds
+from .hydrology import (
+    DEMAND_REF,
+    HOUR_SECONDS,
+    LakeParams,
+    level_of_storage,
+    release_bounds,
+    storage_of_level,
+)
 from .scenario import HOURS_PER_DAY, Scenario
 from .trace import ClosedLoopTrace, closed_loop
 
-# Storage bounds matching the default LakeParams thresholds mapped through
-# the level-storage relation.
-DEFAULT_S_MIN = 29_180_000.0
-DEFAULT_S_MAX = 218_850_000.0
+# The constant scalings of the cost (see the module docstring).
+TIE_BREAK_WEIGHT = 1e-6
+FLOOD_SLACK_REF = 1.0  # m
+DRY_PENALTY_WEIGHT = 1e6
+DRY_MARGIN = 1e-9  # m
 
 
 class MpcInfeasibleError(RuntimeError):
@@ -72,50 +89,28 @@ class MpcInfeasibleError(RuntimeError):
 class MpcConfig:
     """Controller configuration.
 
-    s_min is the hard dry storage bound, s_max the storage at the flood
-    threshold (exceedance above it is soft). flood_slack_ref (m) and
-    demand_ref (m^3/s) are the unit normalizations making the two slack
-    costs commensurate at lam = 1: a 1 m flood exceedance costs as much as a
-    100 m^3/s deficit. dry_margin (m, in level units) backs the hard bound
-    off by a hair so plant arithmetic cannot land a whisker below it.
+    horizon is the prediction horizon in hours and lam the weight of the
+    demand-deficit cost, in the cost
+
+        (slack_flood / FLOOD_SLACK_REF)^2 + lam * (slack_demand / DEMAND_REF)^2
+        + TIE_BREAK_WEIGHT * (u - w)^2
+
+    whose scalings are module constants. With feasibility_recovery a step
+    whose dry rows no release plan meets solves the softened recovery
+    problem; without it the step raises MpcInfeasibleError naming the hour
+    and the dry row. The storage bounds come from LakeParams: s_min and
+    s_max are the storages at its dry and flood thresholds.
     """
 
     horizon: int = 24
     lam: float = 1.0
-    s_min: float = DEFAULT_S_MIN
-    s_max: float = DEFAULT_S_MAX
-    tie_break_weight: float = 1e-6
     feasibility_recovery: bool = True
-    flood_slack_ref: float = 1.0
-    demand_ref: float = 100.0
-    dry_penalty_weight: float = 1e6
-    dry_margin: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
-        if not self.s_min < self.s_max:
-            raise ValueError("s_min must lie below s_max")
-        if self.tie_break_weight <= 0.0:
-            raise ValueError("tie_break_weight must be positive")
-        if self.flood_slack_ref <= 0.0 or self.demand_ref <= 0.0:
-            raise ValueError("slack normalizations must be positive")
-        if self.dry_penalty_weight <= 0.0:
-            raise ValueError("dry_penalty_weight must be positive")
-        if self.dry_margin < 0.0:
-            raise ValueError("dry_margin must be nonnegative")
-
-    @classmethod
-    def for_lake(cls, params: LakeParams, **overrides) -> "MpcConfig":
-        """Config with storage bounds derived from the lake's thresholds."""
-        area = params.surface_area
-        return cls(
-            s_min=(params.dry_threshold - params.level_offset) * area,
-            s_max=(params.flood_threshold - params.level_offset) * area,
-            **overrides,
-        )
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -130,15 +125,16 @@ class MpcStepResult:
     planned_releases: np.ndarray
     slack_max: np.ndarray
     slack_demand: np.ndarray
-    objective: float
     recovery_used: bool
     solve_diagnostics: SolveInfo
-    dry_slack: np.ndarray | None = None
 
 
-def interpret_demand_slack(u: float, w: float) -> float:
-    """Optimal demand slack for a release u against demand w: min(u - w, 0)."""
-    return min(u - w, 0.0)
+def _storage_bounds(params: LakeParams) -> tuple[float, float]:
+    """(s_min, s_max): the storages at the lake's dry and flood thresholds."""
+    return (
+        storage_of_level(params, params.dry_threshold),
+        storage_of_level(params, params.flood_threshold),
+    )
 
 
 def _check_horizon_inputs(config, s0, inflow_forecast, demand, u_bounds, hour=None):
@@ -180,16 +176,17 @@ def assemble_qp(
     plus a dry-recovery slack block when soften_dry is set. slack_flood[t]
     refers to the storage reached after step t. Constraint rows:
 
-        storage lower (hard):  s(t)/A >= (s_min)/A + dry_margin
+        storage lower (hard):  s(t)/A >= s_min/A + DRY_MARGIN
         storage upper (soft):  s(t)/A <= s_max/A + slack_flood(t)
         demand:                u(t) >= w(t) + slack_demand(t)
 
-    with s(t) = s0 + 3600 * sum_{tau<t} (q - u). When soften_dry is set the
+    with s(t) = s0 + 3600 * sum_{tau<t} (q - u) and s_min, s_max the
+    storages at the lake's dry and flood thresholds. When soften_dry is set the
     hard rows gain a heavily penalized nonnegative slack (in level units)
     so the problem is always feasible.
 
     The Hessian and the row matrix are read-only and shared by every call
-    with the same horizon, surface area, cost weights and soften_dry.
+    with the same horizon, surface area, lam and soften_dry.
 
     Raises ValueError for a negative or non-finite s0, arrays whose length
     is not the horizon, a forecast or demand entry that is not finite (the
@@ -201,19 +198,11 @@ def assemble_qp(
         config, s0, inflow_forecast, demand, u_bounds, hour
     )
     area = params.surface_area
-    hessian, ineq_matrix = _qp_matrices(
-        h,
-        area,
-        config.tie_break_weight,
-        config.flood_slack_ref,
-        config.lam,
-        config.demand_ref,
-        config.dry_penalty_weight,
-        soften_dry,
-    )
+    s_min, s_max = _storage_bounds(params)
+    hessian, ineq_matrix = _qp_matrices(h, area, config.lam, soften_dry)
     n_var = hessian.shape[0]
     linear = np.zeros(n_var)
-    linear[:h] = -2.0 * config.tie_break_weight * demand
+    linear[:h] = -2.0 * TIE_BREAK_WEIGHT * demand
 
     # s(t) for t=1..H before releases, all divided by the surface area.
     inflow_volume = HOUR_SECONDS * np.cumsum(inflow_forecast)
@@ -222,9 +211,9 @@ def assemble_qp(
         # Dry: 3600/A sum u (- dry slack) <= (s(t)_inflow - s_min)/A - margin.
         # s0 - s_min first: near the dry bound it is exact, and the cap does
         # not lose its digits to the cancellation of two large storages.
-        (s0 - config.s_min + inflow_volume) / area - config.dry_margin,
+        (s0 - s_min + inflow_volume) / area - DRY_MARGIN,
         # Flood: -3600/A sum u - slack_flood <= (s_max - s(t)_inflow)/A
-        config.s_max / area - stored_q,
+        s_max / area - stored_q,
         # Demand: -u + slack_demand <= -w
         -demand,
     ]
@@ -248,9 +237,7 @@ def assemble_qp(
 
 
 @functools.lru_cache(maxsize=16)
-def _qp_matrices(
-    h, area, tie_break_weight, flood_slack_ref, lam, demand_ref, dry_penalty_weight, soften_dry
-):
+def _qp_matrices(h, area, lam, soften_dry):
     """The read-only Hessian and row matrix of assemble_qp's QP.
 
     They depend only on the arguments, so every hour of a run shares one
@@ -260,11 +247,11 @@ def _qp_matrices(
     iu, iem, ied, idry = 0, h, 2 * h, 3 * h
 
     diag = np.zeros(n_var)
-    diag[iu:iem] = 2.0 * tie_break_weight
-    diag[iem:ied] = 2.0 / flood_slack_ref**2
-    diag[ied:ied + h] = 2.0 * lam / demand_ref**2
+    diag[iu:iem] = 2.0 * TIE_BREAK_WEIGHT
+    diag[iem:ied] = 2.0 / FLOOD_SLACK_REF**2
+    diag[ied:ied + h] = 2.0 * lam / DEMAND_REF**2
     if soften_dry:
-        diag[idry:] = 2.0 * dry_penalty_weight / flood_slack_ref**2
+        diag[idry:] = 2.0 * DRY_PENALTY_WEIGHT / FLOOD_SLACK_REF**2
     hessian = np.diag(diag)
 
     lower_tri = np.tril(np.ones((h, h))) * (HOUR_SECONDS / area)
@@ -285,14 +272,16 @@ def _qp_matrices(
     return hessian, ineq_matrix
 
 
-def _with_slacks(config, s0, inflow_forecast, demand, u, area, soften_dry):
+def _with_slacks(params, s0, inflow_forecast, demand, u, soften_dry):
     """The plan u with every slack set to its binding value."""
+    area = params.surface_area
+    s_min, s_max = _storage_bounds(params)
     storage = (s0 + HOUR_SECONDS * np.cumsum(inflow_forecast - u)) / area
-    em = np.maximum(storage - config.s_max / area, 0.0)
+    em = np.maximum(storage - s_max / area, 0.0)
     ed = np.minimum(u - demand, 0.0)
     parts = [u, em, ed]
     if soften_dry:
-        parts.append(np.maximum(config.s_min / area + config.dry_margin - storage, 0.0))
+        parts.append(np.maximum(s_min / area + DRY_MARGIN - storage, 0.0))
     return np.concatenate(parts)
 
 
@@ -313,7 +302,7 @@ def _trim_to_dry_rows(u, lower, cap):
     return np.clip(np.diff(total, prepend=0.0), lower, u)
 
 
-def _feasible_point(config, problem, s0, inflow_forecast, demand, u_hint, area):
+def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint):
     """A feasible start for the hard problem, or the dry row that rules one out.
 
     The guesses are u_hint (when given) and the demand, each clipped into
@@ -325,13 +314,13 @@ def _feasible_point(config, problem, s0, inflow_forecast, demand, u_hint, area):
     (None, (t, shortfall)): the first horizon step t whose dry row that plan
     fails, and by how much, in m.
     """
-    h = config.horizon
+    h = demand.size
     lower, upper = problem.lower[:h], problem.upper[:h]
     dry_matrix, dry_rhs = problem.ineq_matrix[:h], problem.ineq_rhs[:h]
-    cap = dry_rhs * area / HOUR_SECONDS
+    cap = dry_rhs * params.surface_area / HOUR_SECONDS
 
     def with_excess(u):
-        x = _with_slacks(config, s0, inflow_forecast, demand, u, area, False)
+        x = _with_slacks(params, s0, inflow_forecast, demand, u, False)
         return x, dry_matrix @ x - dry_rhs
 
     starts = []
@@ -347,19 +336,6 @@ def _feasible_point(config, problem, s0, inflow_forecast, demand, u_hint, area):
     _, excess = with_excess(lower)
     t = int(np.argmax(excess > qp.FEASIBILITY_TOL))
     return None, (t, float(excess[t]))
-
-
-def step_objective(config: MpcConfig, u, slack_max, slack_demand, demand, dry_slack=None) -> float:
-    """The interpretable soft cost of a horizon plan (see module docstring)."""
-    u = np.asarray(u, dtype=float)
-    cost = float(np.sum((np.asarray(slack_max) / config.flood_slack_ref) ** 2))
-    cost += config.lam * float(np.sum((np.asarray(slack_demand) / config.demand_ref) ** 2))
-    cost += config.tie_break_weight * float(np.sum((u - np.asarray(demand)) ** 2))
-    if dry_slack is not None:
-        cost += config.dry_penalty_weight * float(
-            np.sum((np.asarray(dry_slack) / config.flood_slack_ref) ** 2)
-        )
-    return cost
 
 
 def solve_step(
@@ -384,12 +360,9 @@ def solve_step(
     h = config.horizon
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
-    area = params.surface_area
     problem = assemble_qp(params, config, s0, inflow_forecast, demand, u_bounds, hour=hour)
     guess = demand if u_hint is None else np.asarray(u_hint, dtype=float)
-    hint, dry_failure = _feasible_point(
-        config, problem, s0, inflow_forecast, demand, u_hint, area
-    )
+    hint, dry_failure = _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint)
     recovery_used = dry_failure is not None
     if recovery_used:
         if not config.feasibility_recovery:
@@ -404,24 +377,18 @@ def solve_step(
             params, config, s0, inflow_forecast, demand, u_bounds, soften_dry=True
         )
         u = np.clip(guess, problem.lower[:h], problem.upper[:h])
-        hint = _with_slacks(config, s0, inflow_forecast, demand, u, area, True)
+        hint = _with_slacks(params, s0, inflow_forecast, demand, u, True)
     solution = qp.solve(problem, initial_point=hint)
-    dry_slack = solution.x[3 * h:] if recovery_used else None
-    u = solution.x[:h]
-    slack_max = solution.x[h:2 * h]
-    slack_demand = solution.x[2 * h:3 * h]
     return MpcStepResult(
-        planned_releases=u,
-        slack_max=slack_max,
-        slack_demand=slack_demand,
-        objective=step_objective(config, u, slack_max, slack_demand, demand, dry_slack),
+        planned_releases=solution.x[:h],
+        slack_max=solution.x[h:2 * h],
+        slack_demand=solution.x[2 * h:3 * h],
         recovery_used=recovery_used,
         solve_diagnostics=SolveInfo(
             status=solution.status,
             kkt_residual=solution.kkt_residual,
             iterations=solution.iterations,
         ),
-        dry_slack=dry_slack,
     )
 
 

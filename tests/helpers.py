@@ -13,9 +13,10 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from lakempc import qp
+from lakempc import mpc, qp
 from lakempc.ddp import DdpConfig, ValueTable, stage_cost
 from lakempc.hydrology import (
+    DEMAND_REF,
     HOUR_SECONDS,
     LakeParams,
     level_of_storage,
@@ -170,7 +171,7 @@ def direct_cost_minimum(
     The cost is the nonlinear form of the controller objective (no slack
     variables, no tie-break):
 
-        sum ((h_t - h_F)+ / flood_slack_ref)^2 + lam * sum ((w - u)+ / demand_ref)^2
+        sum ((h_t - h_F)+ / FLOOD_SLACK_REF)^2 + lam * sum ((w - u)+ / DEMAND_REF)^2
 
     minimized over the same feasible set as the QP (release box and the hard
     dry storage rows). The objective is convex, so the SLSQP polish from the
@@ -181,14 +182,14 @@ def direct_cost_minimum(
     demand = np.asarray(demand, dtype=float)
     u_bounds = np.asarray(u_bounds, dtype=float).reshape(h, 2)
     area = params.surface_area
-    s_floor = config.s_min + area * config.dry_margin
+    s_floor = mpc._storage_bounds(params)[0] + area * mpc.DRY_MARGIN
 
     def cost(u_flat: np.ndarray) -> float:
         u = np.asarray(u_flat, dtype=float).reshape(-1, h)
         storages = s0 + HOUR_SECONDS * np.cumsum(inflow[None, :] - u, axis=1)
         levels = storages / area + params.level_offset
-        flood = np.maximum(levels - params.flood_threshold, 0.0) / config.flood_slack_ref
-        deficit = np.maximum(demand[None, :] - u, 0.0) / config.demand_ref
+        flood = np.maximum(levels - params.flood_threshold, 0.0) / mpc.FLOOD_SLACK_REF
+        deficit = np.maximum(demand[None, :] - u, 0.0) / DEMAND_REF
         return np.sum(flood**2, axis=1) + config.lam * np.sum(deficit**2, axis=1)
 
     def feasible(u_flat: np.ndarray) -> np.ndarray:
@@ -240,7 +241,7 @@ def exact_grid_ddp_instance() -> tuple[LakeParams, DdpConfig, np.ndarray]:
         w_demand=0.6,
         w_dry=0.0,
         grid_points=3,
-        storage_range=(0.0, 2.0 * spacing),
+        storage_max=2.0 * spacing,
         action_samples=2,
     )
     grid = np.linspace(0.0, 2.0 * spacing, 3)
@@ -279,14 +280,15 @@ def reference_backward_induction(
     """The DDP backward pass as one plain loop: every stage from scratch.
 
     Each hour moves every (node, action) pair through the plant's mass
-    balance, clamps to the grid, charges the stage cost and interpolates the
+    balance, clamps to both ends of the grid (the bottom, the empty lake,
+    never binds), charges the stage cost and interpolates the
     cost-to-go with ``np.interp``; nothing is carried from one hour to the
     next. ``ddp.backward_induction`` must reproduce its tables bit for bit.
     """
     inflow = np.asarray(inflow, dtype=float)
     demand = np.asarray(demand, dtype=float)
     t_end = inflow.size
-    grid = np.linspace(config.storage_range[0], config.storage_range[1], config.grid_points)
+    grid = np.linspace(0.0, config.storage_max, config.grid_points)
     n_nodes, n_act = config.grid_points, config.action_samples
     actions = np.zeros((n_nodes, n_act))
     for i in range(n_nodes):

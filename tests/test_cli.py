@@ -1,13 +1,19 @@
 """Command-line tests: every subcommand end to end on a 3-day synthetic scenario."""
 
 import csv
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from lakempc import qp, scenario
 from lakempc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli_main
+from lakempc.ddp import DdpConfig
+from lakempc.hydrology import LakeParams
+from lakempc.mpc import MpcConfig
 
 GOLDEN_DDP = Path(__file__).parent / "data" / "ddp_3day"
+GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate_3day"
 
 
 @pytest.fixture
@@ -59,6 +65,71 @@ def test_ddp_output_matches_golden_files(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN_DDP / name).read_bytes(), name
 
 
+def _read_csv(path):
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+@pytest.mark.parametrize(
+    "mode_args", [["--mode", "hourly", "--horizon", "6"], ["--mode", "daily"]], ids=["hourly", "daily"]
+)
+def test_simulate_output_matches_golden_files(tmp_path, mode_args):
+    # Days 104-106 from 1.08 m, where the flood rows bind. The expected files
+    # were written by `lakempc simulate` on these inputs before the storage
+    # bounds moved from MpcConfig to LakeParams. kkt_residual prints
+    # round-off noise whose digits follow the solver's rounding path, so it
+    # is checked against the solver's tolerance instead of byte for byte.
+    golden = GOLDEN_SIMULATE / mode_args[1]
+    argv = [
+        "simulate", *mode_args,
+        "--scenario", str(GOLDEN_SIMULATE / "inflow_hourly.csv"),
+        "--inflow-kind", "hourly",
+        "--demand", str(GOLDEN_SIMULATE / "demand_hourly.csv"),
+        "--demand-kind", "hourly",
+        "--s0", "level:1.08",
+        "--out", str(tmp_path),
+    ]
+    assert cli_main(argv) == EXIT_OK
+    for name in ("report.csv", "plotdata_level.csv"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+    got, expected = _read_csv(tmp_path / "trace.csv"), _read_csv(golden / "trace.csv")
+    assert got[0] == expected[0]
+    kkt = got[0].index("kkt_residual")
+    assert len(got) == len(expected)
+    for row, want in zip(got[1:], expected[1:]):
+        assert row[:kkt] + row[kkt + 1:] == want[:kkt] + want[kkt + 1:], row[0]
+        assert 0.0 <= float(row[kkt]) <= qp.KKT_TOL, row[0]
+
+
+@pytest.mark.parametrize(
+    "mode_args", [["--mode", "hourly", "--horizon", "6"], ["--mode", "daily"]], ids=["hourly", "daily"]
+)
+def test_configured_dry_threshold_holds(tmp_path, mode_args):
+    # From 0.32 m in the summer the demand drags the lake down onto a dry
+    # threshold raised to 0.3 m. The controller once kept its own copy of
+    # Lake Como's thresholds and let the lake fall to 0.01 m (hourly) and
+    # -0.01 m (daily).
+    scn = scenario.synthetic_year(3, first_day=190)
+    scenario.save_timeseries(tmp_path / "inflow.csv", scn.inflow_hourly, "inflow")
+    scenario.save_timeseries(tmp_path / "demand.csv", scn.demand_hourly, "demand")
+    config = tmp_path / "lake.cfg"
+    config.write_text("dry_threshold = 0.3\n", encoding="utf-8")
+    argv = [
+        "simulate", *mode_args,
+        "--scenario", str(tmp_path / "inflow.csv"),
+        "--inflow-kind", "hourly",
+        "--demand", str(tmp_path / "demand.csv"),
+        "--demand-kind", "hourly",
+        "--s0", "level:0.32",
+        "--config", str(config),
+        "--out", str(tmp_path / "out"),
+    ]
+    assert cli_main(argv) == EXIT_OK
+    with (tmp_path / "out" / "trace.csv").open(newline="", encoding="utf-8") as handle:
+        levels = [float(row["level_m"]) for row in csv.DictReader(handle)]
+    assert min(levels) >= 0.3 - 1e-9
+
+
 def test_hourly_trace_csv_has_qp_iterations(tmp_path, scenario_dir):
     argv = ["simulate", "--mode", "hourly", "--horizon", "6", *scenario_args(scenario_dir)]
     assert cli_main([*argv, "--out", str(tmp_path)]) == EXIT_OK
@@ -91,13 +162,30 @@ def test_demand_without_kind_is_usage_error(tmp_path, scenario_dir, capsys):
     assert "--demand-kind" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["mode = daily", "time_step = hourly"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "mode = daily",
+        "time_step = hourly",
+        "s_min = 3e7",
+        "tie_break_weight = 1e-3",
+        "demand_ref = 50",
+        "storage_range = (0, 1e8)",
+    ],
+)
 def test_removed_config_keys_rejected(tmp_path, scenario_dir, capsys, line):
     config = tmp_path / "settings.cfg"
     config.write_text(line + "\n", encoding="utf-8")
     argv = ["ddp", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_RUNTIME
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_config_classes_share_no_field_name():
+    # The CLI routes each config key to every class with that field, so a
+    # shared name would set two values at once.
+    names = [{f.name for f in dataclasses.fields(cls)} for cls in (LakeParams, MpcConfig, DdpConfig)]
+    assert sum(len(group) for group in names) == len(set().union(*names))
 
 
 def test_zero_lambda_rejected(tmp_path, scenario_dir, capsys):

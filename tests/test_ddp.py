@@ -53,7 +53,7 @@ class TestStageCost:
         assert value == pytest.approx(2.0 * 0.1**2, rel=1e-12)
 
     def test_demand_normalization(self):
-        config = DdpConfig(w_flood=0.0, w_demand=1.0, w_dry=0.0, demand_ref=100.0)
+        config = DdpConfig(w_flood=0.0, w_demand=1.0, w_dry=0.0)
         value = stage_cost(PARAMS, config, level=0.0, release=50.0, demand=150.0)
         assert value == pytest.approx(1.0, rel=1e-12)
 
@@ -110,10 +110,21 @@ class TestBackwardInduction:
 
     def test_out_of_grid_transitions_counted(self):
         # A grid far too small for the flows: transitions clamp and warn.
-        config = DdpConfig(grid_points=3, storage_range=(0.0, 1e5), action_samples=3)
+        config = DdpConfig(grid_points=3, storage_max=1e5, action_samples=3)
         with pytest.warns(UserWarning, match="clamped"):
             table = backward_induction(PARAMS, config, [500.0] * 2, [0.0] * 2)
         assert table.out_of_grid > 0
+
+    def test_grid_starts_at_the_empty_lake(self):
+        # Demand far above inflow for two days: no node holds enough water,
+        # so every node pays a deficit. A grid bottom above the empty lake
+        # once lifted the low storages onto it for free, and every
+        # cost-to-go came out 0.
+        config = DdpConfig(grid_points=11, storage_max=2e6, action_samples=21)
+        table = backward_induction(PARAMS, config, [5.0] * 48, [100.0] * 48)
+        assert table.grid[0] == 0.0
+        assert table.out_of_grid == 0
+        assert np.all(table.values[0] > 0.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
@@ -137,17 +148,15 @@ class TestBackwardInduction:
 
 
 def _clamping_instance():
-    """A 2-day daily-held input on a grid that every hour leaves at both ends.
+    """A 2-day daily-held input on a grid that every hour leaves at the top.
 
-    The bottom node's largest release outruns the inflow and the top node's
-    smallest release does not, so both boundary clamps occur on every hour,
-    repeated hours included.
+    The top node's smallest release does not outrun the inflow, so the top
+    clamp occurs on every hour, repeated hours included.
     """
-    config = DdpConfig(grid_points=11, storage_range=(1e6, 2e6), action_samples=21)
+    config = DdpConfig(grid_points=11, storage_max=2e6, action_samples=21)
     inflow = expand_daily([50.0, 60.0])
-    lo, hi = config.storage_range
-    assert release_bounds(PARAMS, level_of_storage(PARAMS, lo))[1] > inflow.max()
-    assert release_bounds(PARAMS, level_of_storage(PARAMS, hi))[0] < inflow.min()
+    top = level_of_storage(PARAMS, config.storage_max)
+    assert release_bounds(PARAMS, top)[0] < inflow.min()
     return PARAMS, config, inflow, expand_daily([40.0, 45.0])
 
 
@@ -165,7 +174,7 @@ def _bit_identity_cases():
     return {
         "daily-held-window": (PARAMS, DdpConfig(), window.inflow_hourly, window.demand_hourly),
         "intraday-window": (PARAMS, DdpConfig(), intraday.inflow_hourly, intraday.demand_hourly),
-        "clamped-both-ends": _clamping_instance(),
+        "clamped-at-top": _clamping_instance(),
         "exact-grid": (exact_params, exact_config, [0.0] * 6, [30.0] * 3 + [7.0] * 3),
     }
 
@@ -181,7 +190,7 @@ class TestTransitionReuse:
         assert np.array_equal(table.values, expected.values)
         assert np.array_equal(table.policy, expected.policy)
         assert table.out_of_grid == expected.out_of_grid
-        if case == "clamped-both-ends":
+        if case == "clamped-at-top":
             assert table.out_of_grid > 0
 
     def test_locator_interp_equals_np_interp(self):
@@ -286,8 +295,10 @@ class TestConfigValidation:
             {"w_flood": 0.0, "w_demand": 0.0, "w_dry": 0.0},
             {"grid_points": 2},
             {"action_samples": 1},
-            {"storage_range": (5.0, 1.0)},
-            {"storage_range": (-1.0, 1.0)},
+            {"storage_max": 0.0},
+            {"storage_max": -1.0},
+            {"storage_max": np.nan},
+            {"storage_max": np.inf},
         ],
     )
     def test_validation(self, kwargs):

@@ -19,12 +19,9 @@ from lakempc.hydrology import (
     storage_of_level,
 )
 from lakempc.mpc import (
-    DEFAULT_S_MAX,
-    DEFAULT_S_MIN,
     MpcConfig,
     MpcInfeasibleError,
     assemble_qp,
-    interpret_demand_slack,
     run_daily,
     run_hourly,
     solve_step,
@@ -33,19 +30,18 @@ from lakempc.scenario import Scenario, constant_scenario, expand_daily, syntheti
 from lakempc.trace import mass_balance_error
 
 PARAMS = LakeParams()
-TIE = 1e-6
+S_MIN, S_MAX = mpc._storage_bounds(PARAMS)
 
 
 class TestAssembly:
     def test_single_step_tie_break_pulls_to_lower_bound(self):
         # q = w = 0: nothing to do, tie-break wants u = 0, the MEF-style lower
-        # bound stops it at 10. Objective is the tie-break cost alone.
+        # bound stops it at 10.
         config = MpcConfig(horizon=1)
         step = solve_step(PARAMS, config, 1.2e8, [0.0], [0.0], [(10.0, 440.0)])
         assert step.planned_releases[0] == pytest.approx(10.0, abs=1e-9)
         assert step.slack_demand[0] == pytest.approx(0.0, abs=1e-9)
         assert step.slack_max[0] == pytest.approx(0.0, abs=1e-9)
-        assert step.objective == pytest.approx(TIE * 100.0, rel=1e-6)
 
     def test_single_step_deficit_slack(self):
         # Demand 100 but the release is capped at 50: slack carries the deficit.
@@ -132,13 +128,13 @@ class TestAssembly:
         rng = np.random.default_rng(8)
         worst = 0.0
         for _ in range(200):
-            s0 = config.s_min + float(rng.uniform(0.0, 5e4))
+            s0 = S_MIN + float(rng.uniform(0.0, 5e4))
             inflow = rng.uniform(0.0, 5.0, h)
             rhs = assemble_qp(PARAMS, config, s0, inflow, np.zeros(h), bounds).ineq_rhs[:h]
-            volume = Fraction(s0) - Fraction(config.s_min)
+            volume = Fraction(s0) - Fraction(S_MIN)
             for t in range(h):
                 volume += Fraction(HOUR_SECONDS) * Fraction(float(inflow[t]))
-                exact = volume / Fraction(area) - Fraction(config.dry_margin)
+                exact = volume / Fraction(area) - Fraction(mpc.DRY_MARGIN)
                 worst = max(worst, abs(float((Fraction(float(rhs[t])) - exact) / exact)))
         assert worst <= 4e-15
 
@@ -182,9 +178,7 @@ class TestMatricesPerConfiguration:
         inflow, demand = scn.inflow_hourly[12:12 + h], scn.demand_hourly[12:12 + h]
         bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
         problem = assemble_qp(PARAMS, config, s0, inflow, demand, bounds)
-        hint, _ = mpc._feasible_point(
-            config, problem, s0, inflow, demand, None, PARAMS.surface_area
-        )
+        hint, _ = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, None)
         copied = qp.QpProblem(
             hessian=problem.hessian.copy(),
             linear_cost=problem.linear_cost,
@@ -201,15 +195,21 @@ class TestMatricesPerConfiguration:
             assert np.array_equal(getattr(shared, name), getattr(alone, name))
 
 
+def _demand_slack(u, w):
+    """The binding demand slack _with_slacks sets for release u against demand w."""
+    x = mpc._with_slacks(PARAMS, 1.2e8, np.zeros(1), np.array([w]), np.array([u]), False)
+    return x[2]
+
+
 class TestDemandSlack:
     def test_met(self):
-        assert interpret_demand_slack(120.0, 100.0) == 0.0
+        assert _demand_slack(120.0, 100.0) == 0.0
 
     def test_deficit(self):
-        assert interpret_demand_slack(80.0, 100.0) == -20.0
+        assert _demand_slack(80.0, 100.0) == -20.0
 
     def test_boundary(self):
-        assert interpret_demand_slack(100.0, 100.0) == 0.0
+        assert _demand_slack(100.0, 100.0) == 0.0
 
 
 class TestSlackOptimality:
@@ -218,7 +218,7 @@ class TestSlackOptimality:
         # narrow release capacity. At the optimum the slacks must equal their
         # closed-form values implied by the plan.
         config = MpcConfig(horizon=8)
-        s0 = DEFAULT_S_MAX - 5e6
+        s0 = S_MAX - 5e6
         inflow = np.full(8, 900.0)
         demand = np.full(8, 150.0)
         level = level_of_storage(PARAMS, s0)
@@ -269,8 +269,8 @@ class TestClosedLoop:
         # constraint must stop it there, releases capped at the dry budget.
         scn = constant_scenario(20.0, 300.0, 10)
         config = MpcConfig()
-        trace = run_hourly(PARAMS, config, scn, DEFAULT_S_MIN + 3e6, n_steps=216)
-        assert np.min(trace.storages) >= config.s_min - 1e-6 * config.s_min
+        trace = run_hourly(PARAMS, config, scn, S_MIN + 3e6, n_steps=216)
+        assert np.min(trace.storages) >= S_MIN - 1e-6 * S_MIN
         assert trace.recovery_hours == 0
         assert np.min(trace.levels) >= PARAMS.dry_threshold - 1e-9
 
@@ -311,7 +311,7 @@ class TestRecovery:
         # Lake a hair above the dry storage bound, no inflow: the MEF lower
         # bound forces a release the hard constraint cannot absorb.
         scn = constant_scenario(0.0, 0.0, 2)
-        trace = run_hourly(PARAMS, MpcConfig(), scn, DEFAULT_S_MIN + 100.0, n_steps=2)
+        trace = run_hourly(PARAMS, MpcConfig(), scn, S_MIN + 100.0, n_steps=2)
         assert trace.recovery_hours == 2
         assert trace.commands == pytest.approx([10.0, 10.0], abs=1e-8)
 
@@ -321,9 +321,9 @@ class TestRecovery:
         with pytest.raises(
             MpcInfeasibleError, match=r"hour 0: the dry bound at horizon step 0 .*short by"
         ) as info:
-            run_hourly(PARAMS, config, scn, DEFAULT_S_MIN + 100.0, n_steps=2)
+            run_hourly(PARAMS, config, scn, S_MIN + 100.0, n_steps=2)
         # The 10 m^3/s minimum release drains 36000 m^3 against 100 m^3 to spare.
-        expected = (36_000.0 - 100.0) / PARAMS.surface_area + config.dry_margin
+        expected = (36_000.0 - 100.0) / PARAMS.surface_area + mpc.DRY_MARGIN
         shortfall = float(re.search(r"short by (\S+) m", str(info.value)).group(1))
         assert shortfall == pytest.approx(expected, rel=1e-5)
 
@@ -344,14 +344,14 @@ class TestFeasibleStart:
             trace = run_hourly(
                 PARAMS, MpcConfig(), summer, storage_of_level(PARAMS, 0.29), n_steps=108
             )
-            recovery = run_hourly(PARAMS, MpcConfig(), dry, DEFAULT_S_MIN + 100.0, n_steps=2)
+            recovery = run_hourly(PARAMS, MpcConfig(), dry, S_MIN + 100.0, n_steps=2)
         assert np.min(trace.levels) >= PARAMS.dry_threshold - 1e-9
         assert set(trace.solve_statuses) == {"optimal"}
         assert recovery.recovery_hours == 2
 
     @settings(max_examples=40, deadline=None)
     @given(
-        offset=st.floats(-DEFAULT_S_MIN, 2e5),
+        offset=st.floats(-S_MIN, 2e5),
         inflow=st.lists(st.floats(0.0, 20.0), min_size=4, max_size=4),
         demand=st.lists(st.floats(0.0, 300.0), min_size=4, max_size=4),
     )
@@ -360,7 +360,7 @@ class TestFeasibleStart:
     @example(offset=7999.03, inflow=[17.28, 14.42, 2.5, 2.5], demand=[0.0, 178.5, 299.0, 50.0])
     def test_feasibility_verdict_matches_phase1(self, offset, inflow, demand):
         config = MpcConfig(horizon=4)
-        s0 = DEFAULT_S_MIN + offset
+        s0 = S_MIN + offset
         bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (4, 1))
         step = solve_step(PARAMS, config, s0, inflow, demand, bounds)
         reference = phase1_point(assemble_qp(PARAMS, config, s0, inflow, demand, bounds))
@@ -368,9 +368,9 @@ class TestFeasibleStart:
         assert step.solve_diagnostics.status == "optimal"
 
 
-def _minimum_release_start(config, problem, s0, inflow, demand, u_hint, area):
-    u = problem.lower[:config.horizon]
-    return mpc._with_slacks(config, s0, inflow, demand, u, area, False), None
+def _minimum_release_start(params, problem, s0, inflow, demand, u_hint):
+    u = problem.lower[:demand.size]
+    return mpc._with_slacks(params, s0, inflow, demand, u, False), None
 
 
 class TestStartFromGuesses:
@@ -386,7 +386,7 @@ class TestStartFromGuesses:
         self, horizon, offset, inflow, guess
     ):
         config = MpcConfig(horizon=horizon)
-        s0 = DEFAULT_S_MIN + offset
+        s0 = S_MIN + offset
         bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (horizon, 1))
         problem = assemble_qp(PARAMS, config, s0, inflow[:horizon], np.zeros(horizon), bounds)
         lower, upper = problem.lower[:horizon], problem.upper[:horizon]
@@ -405,16 +405,16 @@ class TestStartFromGuesses:
 
     def test_start_is_the_feasible_candidate_of_lower_objective(self):
         config = MpcConfig(horizon=6)
-        h, area = config.horizon, PARAMS.surface_area
+        h = config.horizon
         inflow, demand = np.full(h, 20.0), np.full(h, 150.0)
 
         def start(s0, u_hint):
             bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
             problem = assemble_qp(PARAMS, config, s0, inflow, demand, bounds)
-            x, failure = mpc._feasible_point(config, problem, s0, inflow, demand, u_hint, area)
+            x, failure = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, u_hint)
             assert failure is None
             assert np.max(problem.ineq_matrix[:h] @ x - problem.ineq_rhs[:h]) <= qp.FEASIBILITY_TOL
-            minimum = mpc._with_slacks(config, s0, inflow, demand, problem.lower[:h], area, False)
+            minimum = mpc._with_slacks(PARAMS, s0, inflow, demand, problem.lower[:h], False)
             return problem, x, minimum
 
         # Far above the dry bound both guesses meet the dry rows as they are,
@@ -423,7 +423,7 @@ class TestStartFromGuesses:
         assert np.array_equal(x[:h], np.clip(demand, problem.lower[:h], problem.upper[:h]))
         # Just above it both guesses cross a dry row, and their trims beat
         # the minimum-release plan.
-        problem, x, minimum = start(DEFAULT_S_MIN + 2e6, np.full(h, 300.0))
+        problem, x, minimum = start(S_MIN + 2e6, np.full(h, 300.0))
         assert problem.objective_value(x) < problem.objective_value(minimum)
 
     @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4])
@@ -495,21 +495,18 @@ class TestDailyMode:
 
 class TestConfig:
     def test_default_storage_bounds_match_thresholds(self):
-        config = MpcConfig.for_lake(PARAMS)
-        assert config.s_min == pytest.approx(DEFAULT_S_MIN)
-        assert config.s_max == pytest.approx(DEFAULT_S_MAX)
+        # The storages at Lake Como's dry and flood thresholds, to the bit.
+        assert mpc._storage_bounds(PARAMS) == (29_180_000.0, 218_850_000.0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"horizon": 0},
             {"lam": -1.0},
-            {"s_min": 3e8, "s_max": 2e8},
-            {"tie_break_weight": -1e-9},
-            {"flood_slack_ref": 0.0},
-            {"demand_ref": 0.0},
             {"lam": 0.0},
-            {"tie_break_weight": 0.0},
+            # These once passed and failed inside the solver without naming lam.
+            {"lam": np.nan},
+            {"lam": np.inf},
         ],
     )
     def test_validation(self, kwargs):

@@ -517,9 +517,9 @@ def _minimum_release_at_a_dry_cap(demand):
     inflow[0] = 0.0
     demand = np.full(h, demand)
     bounds = np.tile([10.0, 400.0], (h, 1))
-    s0 = config.s_min + area * config.dry_margin + HOUR_SECONDS * 10.0
+    s0 = mpc._storage_bounds(params)[0] + area * mpc.DRY_MARGIN + HOUR_SECONDS * 10.0
     problem = mpc.assemble_qp(params, config, s0, inflow, demand, bounds)
-    start = mpc._with_slacks(config, s0, inflow, demand, bounds[:, 0], area, False)
+    start = mpc._with_slacks(params, s0, inflow, demand, bounds[:, 0], False)
     return problem, start
 
 
@@ -573,13 +573,11 @@ class TestMpcScale:
             monkeypatch.setattr(owner, name, counting(f"{owner.__name__}.{name}", getattr(owner, name)))
         params, config = LakeParams(), mpc.MpcConfig()
         h = config.horizon
-        s0 = mpc.DEFAULT_S_MIN + 3e6
+        s0 = mpc._storage_bounds(params)[0] + 3e6
         inflow, demand = np.full(h, 20.0), np.full(h, 300.0)
         bounds = np.tile(release_bounds(params, level_of_storage(params, s0)), (h, 1))
         problem = mpc.assemble_qp(params, config, s0, inflow, demand, bounds)
-        hint = mpc._with_slacks(
-            config, s0, inflow, demand, problem.lower[:h], params.surface_area, False
-        )
+        hint = mpc._with_slacks(params, s0, inflow, demand, problem.lower[:h], False)
         counts.clear()
         solution = qp.solve(problem, initial_point=hint)
         assert solution.status == "optimal"
