@@ -2,10 +2,14 @@
 
 A report mirrors the benchmark tables: one block per objective (flood,
 demand, dry), each with an RMSE, an extreme value, a violation-hour count
-and a violated area. RMSE is taken over violation hours only; an hour
-sitting exactly on a threshold counts as no violation. The demand deficit
-is measured against the applied release (what the districts receive), and
-the deficit peak is reported with a negative sign.
+and a violated area. An hour counts as a violation hour only when its
+violation exceeds LEVEL_TOL (levels) or DEFICIT_REL_TOL times the demand
+(deficits): a plan that sits on a threshold or meets the demand exactly
+leaves rounding noise of a few units in the last place, and that noise is
+no violation. RMSE is taken over the counted hours; the areas are exact
+sums over every hour. The demand deficit is measured against the applied
+release (what the districts receive), and the deficit peak is reported with
+a negative sign.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from .scenario import Scenario
 from .trace import ClosedLoopTrace
 
 REL_DIFF_FLOOR = 1e-9
+# Violations up to these count no violation hour (see the module docstring).
+LEVEL_TOL = 1e-9  # m
+DEFICIT_REL_TOL = 1e-9  # times the hour's demand
 
 
 @dataclass(frozen=True)
@@ -79,9 +86,12 @@ ALL_BLOCKS = ("flood", "demand", "dry")
 _BLOCK_TYPES = {"flood": FloodMetrics, "demand": DemandMetrics, "dry": DryMetrics}
 
 
-def _violation_stats(violation: np.ndarray) -> tuple[float, int, float]:
-    """(rmse over violated hours, violated hours, violated area) for a hinge series."""
-    mask = violation > 0.0
+def _violation_stats(violation: np.ndarray, tol) -> tuple[float, int, float]:
+    """(rmse over counted hours, counted hours, area) for a hinge series.
+
+    An hour counts when its violation exceeds tol; the area sums every hour.
+    """
+    mask = violation > tol
     hours = int(np.sum(mask))
     area = float(np.sum(violation))
     rmse = math.sqrt(float(np.mean(violation[mask] ** 2))) if hours else 0.0
@@ -92,11 +102,11 @@ def compute_report(params: LakeParams, trace: ClosedLoopTrace) -> RunReport:
     """Pure function of a trace; recomputation yields identical results."""
     levels = trace.levels
     flood_violation = np.maximum(levels - params.flood_threshold, 0.0)
-    rmse_f, hours_f, area_f = _violation_stats(flood_violation)
+    rmse_f, hours_f, area_f = _violation_stats(flood_violation, LEVEL_TOL)
     deficit = np.maximum(trace.demands - trace.releases, 0.0)
-    rmse_d, hours_d, area_d = _violation_stats(deficit)
+    rmse_d, hours_d, area_d = _violation_stats(deficit, DEFICIT_REL_TOL * trace.demands)
     dry_violation = np.maximum(params.dry_threshold - levels, 0.0)
-    rmse_l, hours_l, area_l = _violation_stats(dry_violation)
+    rmse_l, hours_l, area_l = _violation_stats(dry_violation, LEVEL_TOL)
     return RunReport(
         flood=FloodMetrics(rmse=rmse_f, peak=float(np.max(levels)), hours=hours_f, area=area_f),
         demand=DemandMetrics(

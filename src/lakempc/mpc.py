@@ -18,37 +18,42 @@ commensurate at lam = 1: a 1 m flood exceedance costs as much as a
 demand-tracking point of the optimal set (the slack costs alone leave u
 flat wherever no constraint is near) and is small enough to leave the two
 real objectives untouched. lam must be positive so the Hessian is positive
-definite. The recovery problem adds DRY_PENALTY_WEIGHT * (slack_dry /
-FLOOD_SLACK_REF)^2 per step.
+definite.
 
 The storage bounds come from the LakeParams the controller runs on: s_min
 and s_max are the storages at the dry and flood thresholds
 (_storage_bounds). The hard dry rows are backed off by DRY_MARGIN (m) so
 plant arithmetic cannot land a whisker below the bound.
 
+Every coefficient of u in the hard dry rows is nonnegative (they cap the
+cumulative release, sum_{tau<=t} u <= c_t), so lowering a release never
+breaks one: the hard problem is feasible exactly when the minimum-release
+plan u = lower bound meets them. When it does not, the step is a recovery
+step with a lexicographic policy: release the minimum until the lake can be
+held at the dry bound again, then minimize the usual cost. With k the last
+horizon step whose dry row that plan fails, the releases of steps 0..k are
+fixed at their lower bounds, the dry rows up to k are lifted to the plan's
+value at k and the later rows to the plan's values. Only bounds and
+right-hand sides change, so recovery steps share the factorization of
+every other step.
+
 qp.solve requires a feasible start, and each step builds one close to its
 optimum, so the solver usually needs only a few active-set iterations.
-Every coefficient of u in the hard dry rows is nonnegative (they
-cap the cumulative release, sum_{tau<=t} u <= c_t), so lowering a release
-never breaks one: the hard problem is feasible exactly when the
-minimum-release plan u = lower bound meets them. The flood and demand rows
-hold once their slacks take their binding values. Two guesses are tried: the
-previous step's plan (shifted by an hour in hourly mode) and the demand. A
-guess, clipped into the bounds, that crosses a dry row is trimmed onto the
-rows: its cumulative release is cut to the budget C_t, the tightest later
-cap less the minimum releases still to come. That leaves it between the
-lower bound and the guess, and it meets the rows whenever the
-minimum-release plan does. Of the feasible candidates the one with the lower
-objective is the start. The minimum-release plan is only the witness of
-infeasibility: when no candidate meets the dry rows, its first failing row
-is reported, and the step goes straight to the softened recovery problem,
-where a slacked start is always feasible.
+The flood and demand rows hold once their slacks take their binding
+values. Two guesses are tried: the previous step's plan (shifted by an hour
+in hourly mode) and the demand. A guess, clipped into the bounds, that
+crosses a dry row is trimmed onto the rows: its cumulative release is cut
+to the budget C_t, the tightest later cap less the minimum releases still
+to come. That leaves it between the lower bound and the guess, and it meets
+the rows whenever the minimum-release plan does, which after the lift is
+always. Of the feasible candidates the one with the lower objective is the
+start.
 
 The QP's Hessian and row matrix depend only on the horizon, the surface
-area, lam and whether the dry rows are softened, so they are
-built once per such configuration and shared read-only by every step; the
-solver then folds, scales and factors them once per run, and each step
-supplies only its right-hand side, linear cost and bounds.
+area and lam, so they are built once per such configuration and shared
+read-only by every step; the solver then folds, scales and factors them
+once per run, and each step supplies only its right-hand side, linear cost
+and bounds.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ from .trace import ClosedLoopTrace, closed_loop
 # The constant scalings of the cost (see the module docstring).
 TIE_BREAK_WEIGHT = 1e-6
 FLOOD_SLACK_REF = 1.0  # m
-DRY_PENALTY_WEIGHT = 1e6
 DRY_MARGIN = 1e-9  # m
 
 
@@ -96,10 +100,11 @@ class MpcConfig:
         + TIE_BREAK_WEIGHT * (u - w)^2
 
     whose scalings are module constants. With feasibility_recovery a step
-    whose dry rows no release plan meets solves the softened recovery
-    problem; without it the step raises MpcInfeasibleError naming the hour
-    and the dry row. The storage bounds come from LakeParams: s_min and
-    s_max are the storages at its dry and flood thresholds.
+    whose dry rows no release plan meets releases the minimum until the lake
+    can be held at the dry bound again (see the module docstring); without
+    it the step raises MpcInfeasibleError naming the hour and the dry row.
+    The storage bounds come from LakeParams: s_min and s_max are the
+    storages at its dry and flood thresholds.
     """
 
     horizon: int = 24
@@ -167,26 +172,25 @@ def assemble_qp(
     inflow_forecast,
     demand,
     u_bounds,
-    soften_dry: bool = False,
     hour: int | None = None,
 ) -> qp.QpProblem:
     """Build the decision-step QP.
 
-    Decision vector: (u[0..H-1], slack_flood[0..H-1], slack_demand[0..H-1])
-    plus a dry-recovery slack block when soften_dry is set. slack_flood[t]
-    refers to the storage reached after step t. Constraint rows:
+    Decision vector: (u[0..H-1], slack_flood[0..H-1], slack_demand[0..H-1]).
+    slack_flood[t] refers to the storage reached after step t. Constraint
+    rows:
 
         storage lower (hard):  s(t)/A >= s_min/A + DRY_MARGIN
         storage upper (soft):  s(t)/A <= s_max/A + slack_flood(t)
         demand:                u(t) >= w(t) + slack_demand(t)
 
     with s(t) = s0 + 3600 * sum_{tau<t} (q - u) and s_min, s_max the
-    storages at the lake's dry and flood thresholds. When soften_dry is set the
-    hard rows gain a heavily penalized nonnegative slack (in level units)
-    so the problem is always feasible.
+    storages at the lake's dry and flood thresholds. The problem may be
+    infeasible: when the minimum-release plan fails a dry row, solve_step
+    fixes the leading releases and lifts the dry rows before solving it.
 
     The Hessian and the row matrix are read-only and shared by every call
-    with the same horizon, surface area, lam and soften_dry.
+    with the same horizon, surface area and lam.
 
     Raises ValueError for a negative or non-finite s0, arrays whose length
     is not the horizon, a forecast or demand entry that is not finite (the
@@ -199,7 +203,7 @@ def assemble_qp(
     )
     area = params.surface_area
     s_min, s_max = _storage_bounds(params)
-    hessian, ineq_matrix = _qp_matrices(h, area, config.lam, soften_dry)
+    hessian, ineq_matrix = _qp_matrices(h, area, config.lam)
     n_var = hessian.shape[0]
     linear = np.zeros(n_var)
     linear[:h] = -2.0 * TIE_BREAK_WEIGHT * demand
@@ -208,7 +212,7 @@ def assemble_qp(
     inflow_volume = HOUR_SECONDS * np.cumsum(inflow_forecast)
     stored_q = (s0 + inflow_volume) / area
     rhs = [
-        # Dry: 3600/A sum u (- dry slack) <= (s(t)_inflow - s_min)/A - margin.
+        # Dry: 3600/A sum u <= (s(t)_inflow - s_min)/A - margin.
         # s0 - s_min first: near the dry bound it is exact, and the cap does
         # not lose its digits to the cancellation of two large storages.
         (s0 - s_min + inflow_volume) / area - DRY_MARGIN,
@@ -223,8 +227,6 @@ def assemble_qp(
     lower[:h] = u_bounds[:, 0]
     upper[:h] = u_bounds[:, 1]
     lower[h:2 * h] = 0.0
-    if soften_dry:
-        lower[3 * h:] = 0.0
 
     return qp.QpProblem(
         hessian=hessian,
@@ -237,34 +239,30 @@ def assemble_qp(
 
 
 @functools.lru_cache(maxsize=16)
-def _qp_matrices(h, area, lam, soften_dry):
+def _qp_matrices(h, area, lam):
     """The read-only Hessian and row matrix of assemble_qp's QP.
 
     They depend only on the arguments, so every hour of a run shares one
     copy, and qp.solve factors it once (it memoizes on read-only arrays).
     """
-    n_var = 4 * h if soften_dry else 3 * h
-    iu, iem, ied, idry = 0, h, 2 * h, 3 * h
+    n_var = 3 * h
+    iu, iem, ied = 0, h, 2 * h
 
     diag = np.zeros(n_var)
     diag[iu:iem] = 2.0 * TIE_BREAK_WEIGHT
     diag[iem:ied] = 2.0 / FLOOD_SLACK_REF**2
-    diag[ied:ied + h] = 2.0 * lam / DEMAND_REF**2
-    if soften_dry:
-        diag[idry:] = 2.0 * DRY_PENALTY_WEIGHT / FLOOD_SLACK_REF**2
+    diag[ied:] = 2.0 * lam / DEMAND_REF**2
     hessian = np.diag(diag)
 
     lower_tri = np.tril(np.ones((h, h))) * (HOUR_SECONDS / area)
     dry_rows = np.zeros((h, n_var))
     dry_rows[:, iu:iem] = lower_tri
-    if soften_dry:
-        dry_rows[:, idry:] = -np.eye(h)
     flood_rows = np.zeros((h, n_var))
     flood_rows[:, iu:iem] = -lower_tri
     flood_rows[:, iem:ied] = -np.eye(h)
     demand_rows = np.zeros((h, n_var))
     demand_rows[:, iu:iem] = -np.eye(h)
-    demand_rows[:, ied:ied + h] = np.eye(h)
+    demand_rows[:, ied:] = np.eye(h)
     ineq_matrix = np.vstack([dry_rows, flood_rows, demand_rows])
 
     hessian.flags.writeable = False
@@ -272,17 +270,14 @@ def _qp_matrices(h, area, lam, soften_dry):
     return hessian, ineq_matrix
 
 
-def _with_slacks(params, s0, inflow_forecast, demand, u, soften_dry):
-    """The plan u with every slack set to its binding value."""
+def _with_slacks(params, s0, inflow_forecast, demand, u):
+    """The plan u with both slacks set to their binding values."""
     area = params.surface_area
-    s_min, s_max = _storage_bounds(params)
+    s_max = _storage_bounds(params)[1]
     storage = (s0 + HOUR_SECONDS * np.cumsum(inflow_forecast - u)) / area
     em = np.maximum(storage - s_max / area, 0.0)
     ed = np.minimum(u - demand, 0.0)
-    parts = [u, em, ed]
-    if soften_dry:
-        parts.append(np.maximum(s_min / area + DRY_MARGIN - storage, 0.0))
-    return np.concatenate(parts)
+    return np.concatenate([u, em, ed])
 
 
 def _trim_to_dry_rows(u, lower, cap):
@@ -303,16 +298,15 @@ def _trim_to_dry_rows(u, lower, cap):
 
 
 def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint):
-    """A feasible start for the hard problem, or the dry row that rules one out.
+    """A start for a problem whose minimum-release plan meets the dry rows.
 
     The guesses are u_hint (when given) and the demand, each clipped into
     the bounds. A guess that fails a dry row (the first H rows of the
     problem) by more than qp.FEASIBILITY_TOL is replaced by its trim onto
-    the dry rows (_trim_to_dry_rows). Returns (x, None) with x the feasible
-    candidate of lower objective, u_hint's on a tie. When neither is
-    feasible, neither is the minimum-release plan, and the result is
-    (None, (t, shortfall)): the first horizon step t whose dry row that plan
-    fails, and by how much, in m.
+    the dry rows (_trim_to_dry_rows). Returns the feasible candidate of
+    lower objective, u_hint's on a tie. The trim meets the rows whenever the
+    minimum-release plan does, so that plan is returned only when rounding
+    leaves neither trimmed guess within tolerance.
     """
     h = demand.size
     lower, upper = problem.lower[:h], problem.upper[:h]
@@ -320,7 +314,7 @@ def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint):
     cap = dry_rhs * params.surface_area / HOUR_SECONDS
 
     def with_excess(u):
-        x = _with_slacks(params, s0, inflow_forecast, demand, u, False)
+        x = _with_slacks(params, s0, inflow_forecast, demand, u)
         return x, dry_matrix @ x - dry_rhs
 
     starts = []
@@ -332,10 +326,8 @@ def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint):
         if np.max(excess) <= qp.FEASIBILITY_TOL:
             starts.append(x)
     if starts:
-        return min(starts, key=problem.objective_value), None
-    _, excess = with_excess(lower)
-    t = int(np.argmax(excess > qp.FEASIBILITY_TOL))
-    return None, (t, float(excess[t]))
+        return min(starts, key=problem.objective_value)
+    return _with_slacks(params, s0, inflow_forecast, demand, lower)
 
 
 def solve_step(
@@ -348,41 +340,48 @@ def solve_step(
     u_hint=None,
     hour: int | None = None,
 ) -> MpcStepResult:
-    """Assemble and solve one decision step, with the recovery fallback.
+    """Assemble and solve one decision step.
+
+    When the minimum-release plan fails a dry row, the step is a recovery
+    step: it holds the minimum release through the last failing row and
+    lifts the dry rows (see the module docstring). Without
+    config.feasibility_recovery it raises MpcInfeasibleError naming the hour
+    and the first failing dry row instead.
 
     u_hint is a guess at the plan (the shifted previous plan in closed
     loop). The solver starts from whichever of it and the demand, each
     clipped into the bounds and, where it crosses a dry row, trimmed onto
-    the dry rows, has the lower objective (see _feasible_point). In
-    recovery the slacked start is built from u_hint, or the demand when
-    u_hint is absent.
+    the dry rows, has the lower objective (see _feasible_point).
     """
     h = config.horizon
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
     problem = assemble_qp(params, config, s0, inflow_forecast, demand, u_bounds, hour=hour)
-    guess = demand if u_hint is None else np.asarray(u_hint, dtype=float)
-    hint, dry_failure = _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint)
-    recovery_used = dry_failure is not None
+    lower, dry_rhs = problem.lower[:h], problem.ineq_rhs[:h]
+    # The dry rows of the minimum-release plan: no plan reaches lower values.
+    floor = problem.ineq_matrix[:h, :h] @ lower
+    failing = np.flatnonzero(floor - dry_rhs > qp.FEASIBILITY_TOL)
+    recovery_used = failing.size > 0
     if recovery_used:
         if not config.feasibility_recovery:
-            t, shortfall = dry_failure
+            t = int(failing[0])
             where = f" at hour {hour}" if hour is not None else ""
             raise MpcInfeasibleError(
                 f"decision step infeasible{where}: the dry bound at horizon step {t} "
-                f"fails even at minimum release, short by {shortfall:.6g} m",
+                f"fails even at minimum release, short by {floor[t] - dry_rhs[t]:.6g} m",
                 hour=hour,
             )
-        problem = assemble_qp(
-            params, config, s0, inflow_forecast, demand, u_bounds, soften_dry=True
-        )
-        u = np.clip(guess, problem.lower[:h], problem.upper[:h])
-        hint = _with_slacks(params, s0, inflow_forecast, demand, u, True)
+        # dry_rhs is a view of problem.ineq_rhs: the lift edits the problem.
+        k = int(failing[-1])
+        problem.upper[:k + 1] = lower[:k + 1]
+        dry_rhs[:k + 1] = np.maximum(dry_rhs[:k + 1], floor[k])
+        dry_rhs[k + 1:] = np.maximum(dry_rhs[k + 1:], floor[k + 1:])
+    hint = _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint)
     solution = qp.solve(problem, initial_point=hint)
     return MpcStepResult(
         planned_releases=solution.x[:h],
         slack_max=solution.x[h:2 * h],
-        slack_demand=solution.x[2 * h:3 * h],
+        slack_demand=solution.x[2 * h:],
         recovery_used=recovery_used,
         solve_diagnostics=SolveInfo(
             status=solution.status,

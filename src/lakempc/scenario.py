@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,14 +44,17 @@ class GaussianInflowParams:
     shape: str = SQUARED_EXPONENT
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        if self.decay <= 0.0:
-            raise ValueError("decay must be positive")
+        # Written so that NaN fails each test.
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
+        if not 0.0 < self.decay < math.inf:
+            raise ValueError(f"decay must be positive and finite, got {self.decay}")
         if not 0.0 <= self.mid_hour <= 23.0:
             raise ValueError("mid_hour must lie in [0, 23]")
         if self.shape not in (SQUARED_EXPONENT, LITERAL_EXPONENT):
             raise ValueError(f"unknown shape {self.shape!r}")
+        if not np.all(np.isfinite(self.intraday())):
+            raise ValueError(f"decay {self.decay} overflows the intra-day perturbation")
 
     def intraday(self) -> np.ndarray:
         """The 24 perturbation values for hours 0..23 of a day."""
@@ -111,18 +113,18 @@ def expand_daily(daily_values) -> np.ndarray:
 def synth_inflow(daily_values, g: GaussianInflowParams) -> np.ndarray:
     """Hourly inflow: daily values held constant plus the intra-day perturbation.
 
-    The perturbation repeats every day. In literal_exponent mode a negative
-    sum is clamped at zero (the squared mode cannot go negative for
-    nonnegative daily values).
+    The perturbation repeats every day. It is a nonnegative amplitude times
+    a positive exponential, so the sum is never negative. A daily value that
+    is negative or not finite raises ValueError naming the day.
     """
     daily = np.asarray(daily_values, dtype=float)
-    if np.any(daily < 0.0):
-        raise ValueError("daily inflow values must be nonnegative")
-    hourly = expand_daily(daily) + np.tile(g.intraday(), daily.size)
-    if np.any(hourly < 0.0):
-        warnings.warn("negative synthetic inflow clamped at zero", stacklevel=2)
-        hourly = np.maximum(hourly, 0.0)
-    return hourly
+    ok = (daily >= 0.0) & (daily < math.inf)
+    if not ok.all():
+        day = int(np.argmin(ok))
+        raise ValueError(
+            f"daily inflow must be finite and nonnegative, got {daily[day]} on day {day}"
+        )
+    return expand_daily(daily) + np.tile(g.intraday(), daily.size)
 
 
 def default_daily_inflow(n_days: int = 366) -> np.ndarray:

@@ -157,6 +157,20 @@ def random_qp(rng: np.random.Generator) -> tuple[qp.QpProblem, np.ndarray]:
     return problem, feas
 
 
+def controller_cost(params: LakeParams, config: MpcConfig, s0: float, inflow, demand, u):
+    """The nonlinear form of the controller objective (no slack variables,
+    no tie-break) of each plan in u, one plan per row:
+
+        sum ((h_t - h_F)+ / FLOOD_SLACK_REF)^2 + lam * sum ((w - u)+ / DEMAND_REF)^2
+    """
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    storages = s0 + HOUR_SECONDS * np.cumsum(np.asarray(inflow, dtype=float)[None, :] - u, axis=1)
+    levels = storages / params.surface_area + params.level_offset
+    flood = np.maximum(levels - params.flood_threshold, 0.0) / mpc.FLOOD_SLACK_REF
+    deficit = np.maximum(np.asarray(demand, dtype=float)[None, :] - u, 0.0) / DEMAND_REF
+    return np.sum(flood**2, axis=1) + config.lam * np.sum(deficit**2, axis=1)
+
+
 def direct_cost_minimum(
     params: LakeParams,
     config: MpcConfig,
@@ -166,63 +180,66 @@ def direct_cost_minimum(
     u_bounds,
     grid_points: int = 41,
 ) -> float:
-    """Minimum of the piecewise-quadratic cost by dense grid search plus polish.
+    """Minimum of controller_cost by dense grid search plus polish.
 
-    The cost is the nonlinear form of the controller objective (no slack
-    variables, no tie-break):
-
-        sum ((h_t - h_F)+ / FLOOD_SLACK_REF)^2 + lam * sum ((w - u)+ / DEMAND_REF)^2
-
-    minimized over the same feasible set as the QP (release box and the hard
-    dry storage rows). The objective is convex, so the SLSQP polish from the
-    best grid point is a global minimizer.
+    The feasible set is the release box and the hard dry storage rows,
+    s(t) >= s_min + A * DRY_MARGIN. When the minimum-release plan breaks
+    some row by more than qp.FEASIBILITY_TOL (in m), the dry bound cannot be
+    held, and the set is that of the lexicographic recovery policy: with k
+    the last step whose row that plan breaks, the releases of steps 0..k are
+    held at their lower bounds and only the rows after k are imposed. The
+    objective is convex, so the SLSQP polish from the best grid point is a
+    global minimizer. A point counts as feasible with 1e-3 m^3 (7e-12 m) of
+    slack on the storage rows, which SLSQP's point in level units needs.
     """
     h = config.horizon
     inflow = np.asarray(inflow, dtype=float)
-    demand = np.asarray(demand, dtype=float)
     u_bounds = np.asarray(u_bounds, dtype=float).reshape(h, 2)
     area = params.surface_area
     s_floor = mpc._storage_bounds(params)[0] + area * mpc.DRY_MARGIN
 
-    def cost(u_flat: np.ndarray) -> float:
-        u = np.asarray(u_flat, dtype=float).reshape(-1, h)
-        storages = s0 + HOUR_SECONDS * np.cumsum(inflow[None, :] - u, axis=1)
-        levels = storages / area + params.level_offset
-        flood = np.maximum(levels - params.flood_threshold, 0.0) / mpc.FLOOD_SLACK_REF
-        deficit = np.maximum(demand[None, :] - u, 0.0) / DEMAND_REF
-        return np.sum(flood**2, axis=1) + config.lam * np.sum(deficit**2, axis=1)
+    def storages(u):
+        return s0 + HOUR_SECONDS * np.cumsum(inflow[None, :] - np.atleast_2d(u), axis=1)
 
-    def feasible(u_flat: np.ndarray) -> np.ndarray:
-        u = np.asarray(u_flat, dtype=float).reshape(-1, h)
-        storages = s0 + HOUR_SECONDS * np.cumsum(inflow[None, :] - u, axis=1)
-        return np.all(storages >= s_floor - 1e-6, axis=1)
+    lower = u_bounds[:, 0]
+    broken = np.flatnonzero((s_floor - storages(lower)[0]) / area > qp.FEASIBILITY_TOL)
+    fixed = int(broken[-1]) + 1 if broken.size else 0
+    if fixed == h:
+        return float(controller_cost(params, config, s0, inflow, demand, lower)[0])
 
-    axes = [np.linspace(u_bounds[t, 0], u_bounds[t, 1], grid_points) for t in range(h)]
+    def plans(free):
+        free = np.atleast_2d(free)
+        return np.hstack([np.tile(lower[:fixed], (free.shape[0], 1)), free])
+
+    def cost(free):
+        return controller_cost(params, config, s0, inflow, demand, plans(free))
+
+    def feasible(free):
+        return np.all(storages(plans(free))[:, fixed:] >= s_floor - 1e-3, axis=1)
+
+    axes = [np.linspace(u_bounds[t, 0], u_bounds[t, 1], grid_points) for t in range(fixed, h)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     values = cost(mesh)
     values[~feasible(mesh)] = np.inf
     seed = mesh[int(np.argmin(values))]
 
     constraints = [
-        {
-            "type": "ineq",
-            "fun": lambda u, t=t: (
-                s0 + HOUR_SECONDS * (np.sum(inflow[: t + 1]) - np.sum(u[: t + 1])) - s_floor
-            )
-            / area,
-        }
-        for t in range(h)
+        {"type": "ineq", "fun": lambda free, t=t: (storages(plans(free))[0, t] - s_floor) / area}
+        for t in range(fixed, h)
     ]
     result = minimize(
-        lambda u: float(cost(u)[0]),
+        lambda free: float(cost(free)[0]),
         seed,
         method="SLSQP",
-        bounds=[(u_bounds[t, 0], u_bounds[t, 1]) for t in range(h)],
+        bounds=[(u_bounds[t, 0], u_bounds[t, 1]) for t in range(fixed, h)],
         constraints=constraints,
         options={"ftol": 1e-14, "maxiter": 500},
     )
-    best = min(float(values.min()), float(result.fun)) if result.success else float(values.min())
-    return best
+    # SLSQP can stop at its iteration limit on a point that is already
+    # feasible and better than the grid: keep any feasible polish.
+    polished = np.clip(result.x, u_bounds[fixed:, 0], u_bounds[fixed:, 1])
+    polished_value = float(cost(polished)[0]) if feasible(polished)[0] else np.inf
+    return min(float(values.min()), polished_value)
 
 
 def exact_grid_ddp_instance() -> tuple[LakeParams, DdpConfig, np.ndarray]:

@@ -130,6 +130,24 @@ def test_configured_dry_threshold_holds(tmp_path, mode_args):
     assert min(levels) >= 0.3 - 1e-9
 
 
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "recovery"])
+def test_strict_mode_names_the_infeasible_hour(tmp_path, scenario_dir, capsys, strict):
+    # From -0.25 m the lake starts below the -0.2 m dry bound, so no release
+    # plan of the first hour holds it.
+    config = tmp_path / "lake.cfg"
+    config.write_text("feasibility_recovery = false\n" if strict else "\n", encoding="utf-8")
+    argv = [
+        "simulate", "--mode", "hourly", "--horizon", "6", *scenario_args(scenario_dir),
+        "--s0", "level:-0.25", "--config", str(config), "--out", str(tmp_path / "out"),
+    ]
+    if strict:
+        assert cli_main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "hour 0" in err and "horizon step 0" in err
+    else:
+        assert cli_main(argv) == EXIT_OK
+
 def test_hourly_trace_csv_has_qp_iterations(tmp_path, scenario_dir):
     argv = ["simulate", "--mode", "hourly", "--horizon", "6", *scenario_args(scenario_dir)]
     assert cli_main([*argv, "--out", str(tmp_path)]) == EXIT_OK

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import phase1_point
+from helpers import controller_cost, direct_cost_minimum, phase1_point
 from lakempc import mpc, qp
 from lakempc.hydrology import (
     HOUR_SECONDS,
@@ -31,6 +31,20 @@ from lakempc.trace import mass_balance_error
 
 PARAMS = LakeParams()
 S_MIN, S_MAX = mpc._storage_bounds(PARAMS)
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """One entry per np.linalg.cholesky call made during the test."""
+    calls = []
+    inner = np.linalg.cholesky
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
 
 
 class TestAssembly:
@@ -151,21 +165,13 @@ class TestMatricesPerConfiguration:
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = 1.0
 
-    def test_one_factorization_per_run(self, monkeypatch):
+    def test_one_factorization_per_run(self, cholesky_calls):
         # A weight no other test uses, so the run starts with nothing memoized.
-        calls = []
-        inner = np.linalg.cholesky
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
         trace = run_hourly(
             PARAMS, MpcConfig(lam=0.37), constant_scenario(100.0, 90.0, 4), 1.2e8, n_steps=48
         )
         assert set(trace.solve_statuses) == {"optimal"}
-        assert len(calls) <= 2
+        assert len(cholesky_calls) <= 2
 
     def test_writable_copies_give_the_same_bits(self):
         # A flood-window step from the demand start, which takes 7
@@ -178,7 +184,7 @@ class TestMatricesPerConfiguration:
         inflow, demand = scn.inflow_hourly[12:12 + h], scn.demand_hourly[12:12 + h]
         bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
         problem = assemble_qp(PARAMS, config, s0, inflow, demand, bounds)
-        hint, _ = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, None)
+        hint = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, None)
         copied = qp.QpProblem(
             hessian=problem.hessian.copy(),
             linear_cost=problem.linear_cost,
@@ -197,7 +203,7 @@ class TestMatricesPerConfiguration:
 
 def _demand_slack(u, w):
     """The binding demand slack _with_slacks sets for release u against demand w."""
-    x = mpc._with_slacks(PARAMS, 1.2e8, np.zeros(1), np.array([w]), np.array([u]), False)
+    x = mpc._with_slacks(PARAMS, 1.2e8, np.zeros(1), np.array([w]), np.array([u]))
     return x[2]
 
 
@@ -327,6 +333,80 @@ class TestRecovery:
         shortfall = float(re.search(r"short by (\S+) m", str(info.value)).group(1))
         assert shortfall == pytest.approx(expected, rel=1e-5)
 
+    @pytest.mark.parametrize("run", [run_hourly, run_daily], ids=["hourly", "daily"])
+    def test_recovery_solves_are_certified(self, run):
+        # From -0.30 m in the summer the lake starts below the dry bound and
+        # the demand keeps it there for days. A dry slack with a 1e6 weight
+        # once left one daily solve uncertified (KKT 2.6e-6) and 51 hourly
+        # solves above 1e-9.
+        scn = synthetic_year(20, first_day=182)
+        trace = run(PARAMS, MpcConfig(), scn, storage_of_level(PARAMS, -0.30))
+        assert trace.recovery_hours > 0
+        assert set(trace.solve_statuses) == {"optimal"}
+        assert np.max(trace.kkt_residuals) <= 1e-9
+
+    def test_recovery_steps_share_the_factorization(self, cholesky_calls):
+        # A weight no other test uses, so the run starts with nothing memoized.
+        # Recovery hours change only bounds and right-hand sides.
+        trace = run_hourly(
+            PARAMS,
+            MpcConfig(lam=0.43),
+            constant_scenario(50.0, 30.0, 2),
+            storage_of_level(PARAMS, -0.21),
+            n_steps=24,
+        )
+        assert trace.recovery_hours == 10
+        assert set(trace.solve_statuses) == {"optimal"}
+        assert len(cholesky_calls) == 1
+
+    def test_recovery_releases_the_minimum_until_the_bound_can_hold(self):
+        # Below the dry bound with inflow above the 10 m^3/s minimum release:
+        # the plan releases the minimum through the last step whose dry row
+        # that plan fails, and the lake sits on the bound after it.
+        config = MpcConfig(horizon=12)
+        h = config.horizon
+        s0 = storage_of_level(PARAMS, -0.2005)
+        inflow, demand = np.full(h, 30.0), np.full(h, 200.0)
+        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
+        step = solve_step(PARAMS, config, s0, inflow, demand, bounds)
+        assert step.recovery_used
+        assert step.solve_diagnostics.kkt_residual <= 1e-9
+
+        def levels(u):
+            storages = s0 + HOUR_SECONDS * np.cumsum(inflow - u)
+            return storages / PARAMS.surface_area + PARAMS.level_offset
+
+        at_minimum = levels(bounds[:, 0])
+        k = int(np.flatnonzero(at_minimum < PARAMS.dry_threshold + mpc.DRY_MARGIN)[-1])
+        assert step.planned_releases[:k + 1] == pytest.approx(bounds[:k + 1, 0], abs=1e-9)
+        assert np.min(levels(step.planned_releases)[k + 1:]) >= PARAMS.dry_threshold
+        assert step.planned_releases[k + 1] > bounds[k + 1, 0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        horizon=st.integers(2, 3),
+        offset=st.floats(-1e5, 1e5),
+        inflow=st.lists(st.floats(0.0, 40.0), min_size=3, max_size=3),
+        demand=st.lists(st.floats(0.0, 200.0), min_size=3, max_size=3),
+        lam=st.sampled_from([0.1, 1.0, 10.0]),
+    )
+    # A recovery step that holds the minimum release for two hours, a normal
+    # step whose dry rows cap the releases, and one that starts on the
+    # bound, where SLSQP stops at its iteration limit.
+    @example(horizon=3, offset=-5e4, inflow=[12.0, 20.0, 40.0], demand=[150.0] * 3, lam=1.0)
+    @example(horizon=3, offset=1e5, inflow=[5.0] * 3, demand=[150.0] * 3, lam=1.0)
+    @example(horizon=2, offset=0.0, inflow=[39.25, 25.0, 0.0], demand=[39.25, 25.0, 0.0], lam=10.0)
+    def test_plan_cost_matches_the_oracle(self, horizon, offset, inflow, demand, lam):
+        config = MpcConfig(horizon=horizon, lam=lam)
+        s0 = S_MIN + offset
+        inflow, demand = inflow[:horizon], demand[:horizon]
+        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (horizon, 1))
+        step = solve_step(PARAMS, config, s0, inflow, demand, bounds)
+        assert step.solve_diagnostics.status == "optimal"
+        cost = controller_cost(PARAMS, config, s0, inflow, demand, step.planned_releases)[0]
+        best = direct_cost_minimum(PARAMS, config, s0, inflow, demand, bounds)
+        assert cost == pytest.approx(best, rel=1e-6, abs=1e-12)
+
 
 def _no_linprog(*args, **kwargs):
     raise AssertionError("the MPC reached the phase-1 LP")
@@ -370,7 +450,7 @@ class TestFeasibleStart:
 
 def _minimum_release_start(params, problem, s0, inflow, demand, u_hint):
     u = problem.lower[:demand.size]
-    return mpc._with_slacks(params, s0, inflow, demand, u, False), None
+    return mpc._with_slacks(params, s0, inflow, demand, u)
 
 
 class TestStartFromGuesses:
@@ -411,10 +491,9 @@ class TestStartFromGuesses:
         def start(s0, u_hint):
             bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
             problem = assemble_qp(PARAMS, config, s0, inflow, demand, bounds)
-            x, failure = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, u_hint)
-            assert failure is None
+            x = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, u_hint)
             assert np.max(problem.ineq_matrix[:h] @ x - problem.ineq_rhs[:h]) <= qp.FEASIBILITY_TOL
-            minimum = mpc._with_slacks(PARAMS, s0, inflow, demand, problem.lower[:h], False)
+            minimum = mpc._with_slacks(PARAMS, s0, inflow, demand, problem.lower[:h])
             return problem, x, minimum
 
         # Far above the dry bound both guesses meet the dry rows as they are,

@@ -519,7 +519,7 @@ def _minimum_release_at_a_dry_cap(demand):
     bounds = np.tile([10.0, 400.0], (h, 1))
     s0 = mpc._storage_bounds(params)[0] + area * mpc.DRY_MARGIN + HOUR_SECONDS * 10.0
     problem = mpc.assemble_qp(params, config, s0, inflow, demand, bounds)
-    start = mpc._with_slacks(params, s0, inflow, demand, bounds[:, 0], False)
+    start = mpc._with_slacks(params, s0, inflow, demand, bounds[:, 0])
     return problem, start
 
 
@@ -577,7 +577,7 @@ class TestMpcScale:
         inflow, demand = np.full(h, 20.0), np.full(h, 300.0)
         bounds = np.tile(release_bounds(params, level_of_storage(params, s0)), (h, 1))
         problem = mpc.assemble_qp(params, config, s0, inflow, demand, bounds)
-        hint = mpc._with_slacks(params, s0, inflow, demand, problem.lower[:h], False)
+        hint = mpc._with_slacks(params, s0, inflow, demand, problem.lower[:h])
         counts.clear()
         solution = qp.solve(problem, initial_point=hint)
         assert solution.status == "optimal"

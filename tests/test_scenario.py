@@ -50,11 +50,25 @@ class TestGaussianInflow:
             {"decay": 0.0},
             {"mid_hour": 25.0},
             {"shape": "cubed"},
+            # These once passed; the perturbation was then NaN or infinite.
+            {"amplitude": np.nan},
+            {"amplitude": np.inf},
+            {"decay": np.nan},
+            {"decay": np.inf},
+            {"decay": 100.0, "shape": "literal_exponent"},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GaussianInflowParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "daily, day", [([np.nan, 10.0], 0), ([10.0, np.inf], 1), ([10.0, 5.0, -1.0], 2)]
+    )
+    def test_bad_daily_value_named_with_its_day(self, daily, day):
+        # NaN used to come back as NaN inflow, silently.
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got .* on day {day}$"):
+            synth_inflow(daily, GaussianInflowParams())
 
     def test_zero_amplitude_is_constant_hold(self):
         daily = np.array([10.0, 40.0])
