@@ -9,7 +9,6 @@ comparing them.
 from .ddp import DdpConfig, ValueTable, backward_induction, simulate_policy, stage_cost, trace_cost
 from .hydrology import (
     LakeParams,
-    aggregate_daily,
     level_of_storage,
     mass_balance,
     release_bounds,
@@ -52,7 +51,6 @@ __all__ = [
     "RunReport",
     "Scenario",
     "ValueTable",
-    "aggregate_daily",
     "assemble_qp",
     "backward_induction",
     "closed_loop",

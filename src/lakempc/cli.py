@@ -58,11 +58,9 @@ def _cast_like(default, raw: str):
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, int):
         return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw.strip()
+    return float(raw)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -82,8 +80,9 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def build_settings(overrides: dict[str, str]):
-    """Route override keys onto the three config dataclasses."""
+    """Route override keys onto the three config dataclasses; bad values name their key."""
     overrides = dict(overrides)
+    written = {"lam": "lambda"} if "lambda" in overrides else {}
     if "lambda" in overrides:
         overrides["lam"] = overrides.pop("lambda")
     targets = [
@@ -97,7 +96,10 @@ def build_settings(overrides: dict[str, str]):
         for field in dataclasses.fields(cls):
             known.add(field.name)
             if field.name in overrides:
-                kwargs[field.name] = _cast_like(getattr(default, field.name), overrides[field.name])
+                try:
+                    kwargs[field.name] = _cast_like(getattr(default, field.name), overrides[field.name])
+                except ValueError as exc:
+                    raise ValueError(f"config key {written.get(field.name, field.name)}: {exc}") from None
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")

@@ -156,14 +156,3 @@ def step_hourly(
     new_storage, release = mass_balance(storage, inflow, release)
     return float(new_storage), float(release)
 
-
-def aggregate_daily(hourly_inflows, hourly_releases) -> tuple[float, float]:
-    """Daily net storage change (m^3) and mean release (m^3/s) of 24 hourly values."""
-    if len(hourly_inflows) != 24 or len(hourly_releases) != 24:
-        raise ValueError(
-            f"expected 24 hourly values, got {len(hourly_inflows)} inflows "
-            f"and {len(hourly_releases)} releases"
-        )
-    q_sum = float(sum(hourly_inflows))
-    r_sum = float(sum(hourly_releases))
-    return (HOUR_SECONDS * (q_sum - r_sum), r_sum / 24.0)

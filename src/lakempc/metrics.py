@@ -6,10 +6,10 @@ and a violated area. An hour counts as a violation hour only when its
 violation exceeds LEVEL_TOL (levels) or DEFICIT_REL_TOL times the demand
 (deficits): a plan that sits on a threshold or meets the demand exactly
 leaves rounding noise of a few units in the last place, and that noise is
-no violation. RMSE is taken over the counted hours; the areas are exact
-sums over every hour. The demand deficit is measured against the applied
-release (what the districts receive), and the deficit peak is reported with
-a negative sign.
+no violation. RMSE and the deficit peak are taken over the counted hours
+(0 when none counts); the areas are exact sums over every hour. The demand
+deficit is measured against the applied release (what the districts
+receive), and the deficit peak is reported with a negative sign.
 """
 
 from __future__ import annotations
@@ -104,14 +104,15 @@ def compute_report(params: LakeParams, trace: ClosedLoopTrace) -> RunReport:
     flood_violation = np.maximum(levels - params.flood_threshold, 0.0)
     rmse_f, hours_f, area_f = _violation_stats(flood_violation, LEVEL_TOL)
     deficit = np.maximum(trace.demands - trace.releases, 0.0)
-    rmse_d, hours_d, area_d = _violation_stats(deficit, DEFICIT_REL_TOL * trace.demands)
+    deficit_tol = DEFICIT_REL_TOL * trace.demands
+    rmse_d, hours_d, area_d = _violation_stats(deficit, deficit_tol)
     dry_violation = np.maximum(params.dry_threshold - levels, 0.0)
     rmse_l, hours_l, area_l = _violation_stats(dry_violation, LEVEL_TOL)
     return RunReport(
         flood=FloodMetrics(rmse=rmse_f, peak=float(np.max(levels)), hours=hours_f, area=area_f),
         demand=DemandMetrics(
             rmse=rmse_d,
-            deficit_peak=-float(np.max(deficit, initial=0.0)) + 0.0,
+            deficit_peak=-float(np.max(deficit, where=deficit > deficit_tol, initial=0.0)) + 0.0,
             hours=hours_d,
             area=area_d,
         ),

@@ -94,12 +94,8 @@ class MpcConfig:
     """Controller configuration.
 
     horizon is the prediction horizon in hours and lam the weight of the
-    demand-deficit cost, in the cost
-
-        (slack_flood / FLOOD_SLACK_REF)^2 + lam * (slack_demand / DEMAND_REF)^2
-        + TIE_BREAK_WEIGHT * (u - w)^2
-
-    whose scalings are module constants. With feasibility_recovery a step
+    demand-deficit cost (the module docstring gives the cost, whose other
+    scalings are module constants). With feasibility_recovery a step
     whose dry rows no release plan meets releases the minimum until the lake
     can be held at the dry bound again (see the module docstring); without
     it the step raises MpcInfeasibleError naming the hour and the dry row.
@@ -118,20 +114,13 @@ class MpcConfig:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class SolveInfo:
-    status: str
-    kkt_residual: float
-    iterations: int = 0
-
-
 @dataclass
 class MpcStepResult:
     planned_releases: np.ndarray
     slack_max: np.ndarray
     slack_demand: np.ndarray
     recovery_used: bool
-    solve_diagnostics: SolveInfo
+    solve_diagnostics: qp.QpSolution
 
 
 def _storage_bounds(params: LakeParams) -> tuple[float, float]:
@@ -383,11 +372,7 @@ def solve_step(
         slack_max=solution.x[h:2 * h],
         slack_demand=solution.x[2 * h:],
         recovery_used=recovery_used,
-        solve_diagnostics=SolveInfo(
-            status=solution.status,
-            kkt_residual=solution.kkt_residual,
-            iterations=solution.iterations,
-        ),
+        solve_diagnostics=solution,
     )
 
 

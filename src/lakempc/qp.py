@@ -12,8 +12,8 @@ still violates a row by more than FEASIBILITY_TOL is rejected.
 
 The work that depends only on the Hessian, the rows and which bounds are
 finite is done once per such structure: folding the finite bounds in as
-rows, the equilibration, the positive-definiteness check, the factor of the
-scaled Hessian, Q = LL', and the rows in the coordinates y = L'x of
+rows, the equilibration, the factor of the scaled Hessian, Q = LL' (it
+fails unless the Hessian is positive definite), and the rows in y = L'x of
 Goldfarb & Idnani (1983), where the Hessian is the identity. A caller that
 re-solves one structure with new right-hand sides, costs and bound values
 (the MPC, every hour) marks its Hessian and row matrix read-only, and the
@@ -38,6 +38,11 @@ the row last in the working set, rather than leaving the choice to
 rounding. At the end the same factor gives the exact optimum on the
 working rows and its multipliers, in two triangular solves (see _snap):
 that snaps x onto the rows, and no KKT matrix is formed.
+Every multiplier is read from that factor, lam = -R^-1 Q1'g in y (Nocedal &
+Wright, Numerical Optimization, ch. 16), at the iteration limit too. R is
+tested for rank only at the start: a row enters the working set only when it
+blocks the step (a.p > 0 with p in the working rows' null space), so it adds
+rank, and "optimal" is still decided by the certification below.
 
 Every returned solution carries an independently recomputed KKT residual;
 `status == "optimal"` is only reported when that residual passes the
@@ -133,19 +138,6 @@ class QpProblem:
         scale = max(1.0, float(np.max(np.abs(self.hessian))) if self.hessian.size else 1.0)
         if float(np.max(np.abs(self.hessian - self.hessian.T), initial=0.0)) > 1e-9 * scale:
             raise ValueError("hessian is not symmetric")
-        if n > 0:
-            sym = 0.5 * (self.hessian + self.hessian.T)
-            diag = np.diag(sym)
-            if not np.any(sym - np.diag(diag)):
-                definite = bool(np.min(diag) > 0.0)
-            else:
-                try:
-                    np.linalg.cholesky(sym)
-                    definite = True
-                except np.linalg.LinAlgError:
-                    definite = False
-            if not definite:
-                raise ValueError("hessian is not positive definite")
 
     def objective_value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -304,7 +296,11 @@ def _build_structure(
 
     # y = L'x with q_s = LL' (see module docstring).
     q_s = col_scale[:, None] * problem.hessian * col_scale[None, :]
-    l_inv_t = scipy.linalg.solve_triangular(np.linalg.cholesky(q_s), np.eye(n), lower=True).T
+    try:
+        l_factor = np.linalg.cholesky(q_s)
+    except np.linalg.LinAlgError:
+        raise ValueError("hessian is not positive definite") from None
+    l_inv_t = scipy.linalg.solve_triangular(l_factor, np.eye(n), lower=True).T
     return _Structure(
         a=a_s,
         kind=np.concatenate(kind),
@@ -336,14 +332,6 @@ def _full_rank(r: np.ndarray, tol: float) -> bool:
     times its largest one (or 1). An empty factor has full rank."""
     diag = np.abs(np.diag(r))
     return diag.size == 0 or float(np.min(diag)) > tol * max(1.0, float(np.max(diag)))
-
-
-def _working_duals(a_w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Least-squares multipliers for A_w' lam = -g."""
-    if a_w.shape[0] == 0:
-        return np.zeros(0)
-    lam, *_ = np.linalg.lstsq(a_w.T, -g, rcond=None)
-    return lam
 
 
 def solve(
@@ -380,12 +368,10 @@ def solve(
     def _scaled_grad(x_s):
         return q_s @ x_s + c_s
 
-    def _finish(x_s, w_list, status, iterations, message="", lam=None):
+    def _finish(x_s, lam, status, iterations, message=""):
         x = fold.col_scale * x_s
         ineq_duals = np.zeros(problem.ineq_matrix.shape[0])
         bound_duals = np.zeros(n)
-        if lam is None:
-            lam = _working_duals(fold.a[w_list], _scaled_grad(x_s))
         rows = np.asarray(w_list, dtype=int)
         vals = fold.row_scale[rows] * lam
         kind, index = fold.kind[rows], fold.orig_index[rows]
@@ -444,7 +430,12 @@ def solve(
     in_w = np.zeros(m, dtype=bool)
     in_w[w_list] = True
 
-    def _snap(x_cur):
+    def _factor_duals(g_y):
+        """The working rows' multipliers -R^-1 Q1'g_y, with A_w' = Q1 R in y."""
+        mw = len(w_list)
+        return scipy.linalg.solve_triangular(rf[:mw], -(qf[:, :mw].T @ g_y), check_finite=False)
+
+    def _snap(x_cur, lam_cur):
         """The exact optimum on the working set, from the working-set factor.
 
         Clears drift the null-space steps inherited from the starting point,
@@ -453,9 +444,8 @@ def solve(
         complete Q, c_y = L^-1 c and t = R^-T b_w, the optimum on the rows is
         y = Q1 t - ZZ'c_y with multipliers lam = -R^-1 (t + Q1'c_y).
 
-        Returns (x, multipliers of the working rows) when R is well
-        conditioned and x is feasible, else (x_cur, None) and _finish
-        computes the multipliers."""
+        Returns (x, multipliers of the working rows) when x is feasible, else
+        (x_cur, lam_cur)."""
         mw = len(w_list)
         c_y = l_inv_t.T @ c_s
         z = qf[:, mw:]
@@ -463,8 +453,6 @@ def solve(
         lam = np.zeros(0)
         if mw:
             r = rf[:mw]
-            if not _full_rank(r, 1e-12):
-                return x_cur, None
             q1 = qf[:, :mw]
             t = scipy.linalg.solve_triangular(r, b_s[w_list], trans="T", check_finite=False)
             y += q1 @ t
@@ -474,7 +462,7 @@ def solve(
         viol = float(np.max(fold.a @ x_new - b_s, initial=0.0))
         if viol <= 1e-9 * (1.0 + float(np.max(np.abs(b_s), initial=0.0))):
             return x_new, lam
-        return x_cur, None
+        return x_cur, lam_cur
 
     # Drops are multi until a multi-drop is followed by a zero-length step;
     # from then on this solve drops one row at a time.
@@ -491,18 +479,10 @@ def solve(
         p_norm = float(np.max(np.abs(p), initial=0.0))
         step_tol = 1e-11 * (1.0 + float(np.max(np.abs(x_s), initial=0.0)))
         if p_norm <= step_tol:
-            if mw == 0:
-                lam = np.zeros(0)
-            elif _full_rank(rf[:mw], 1e-12):
-                lam = scipy.linalg.solve_triangular(
-                    rf[:mw], -(qf[:, :mw].T @ g_y), check_finite=False
-                )
-            else:
-                lam = _working_duals(fold.a[w_list], g)
+            lam = _factor_duals(g_y)
             lam_tol = -1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
             if lam.size == 0 or np.min(lam) >= lam_tol:
-                x_s, lam = _snap(x_s)
-                return _finish(x_s, w_list, "optimal", iterations, lam=lam)
+                return _finish(*_snap(x_s, lam), "optimal", iterations)
             if single_drop:
                 lam_min = float(np.min(lam))
                 drop = np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1:]
@@ -540,4 +520,5 @@ def solve(
         else:
             x_s = x_s + p
 
-    return _finish(x_s, w_list, "iteration-limit", iterations, "iteration limit reached")
+    lam = _factor_duals(l_inv_t.T @ _scaled_grad(x_s))
+    return _finish(x_s, lam, "iteration-limit", iterations, "iteration limit reached")

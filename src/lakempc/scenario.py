@@ -21,27 +21,20 @@ import numpy as np
 
 HOURS_PER_DAY = 24
 
-SQUARED_EXPONENT = "squared_exponent"
-LITERAL_EXPONENT = "literal_exponent"
-
 TIMESERIES_KINDS = ("inflow_daily", "inflow_hourly", "demand_daily", "demand_hourly")
 _HEADERS = {"inflow": "t,q_m3s", "demand": "t,w_m3s"}
 
 
 @dataclass(frozen=True)
 class GaussianInflowParams:
-    """Bell-shaped intra-day inflow perturbation added on top of daily values.
-
-    shape selects the exponent form: "squared_exponent" uses
-    amplitude * exp(-decay * (hour - mid_hour)**2), which is the bell curve;
-    "literal_exponent" uses amplitude * exp(-decay * (hour - mid_hour)),
-    a plain exponential kept for fidelity with the printed formula.
+    """Bell-shaped intra-day inflow perturbation added on top of daily values:
+    amplitude * exp(-decay * (hour - mid_hour)**2). The exponent is at most
+    0, so the perturbation lies in [0, amplitude] and cannot overflow.
     """
 
     amplitude: float = 50.0
     decay: float = 0.06
     mid_hour: float = 12.0
-    shape: str = SQUARED_EXPONENT
 
     def __post_init__(self) -> None:
         # Written so that NaN fails each test.
@@ -51,17 +44,11 @@ class GaussianInflowParams:
             raise ValueError(f"decay must be positive and finite, got {self.decay}")
         if not 0.0 <= self.mid_hour <= 23.0:
             raise ValueError("mid_hour must lie in [0, 23]")
-        if self.shape not in (SQUARED_EXPONENT, LITERAL_EXPONENT):
-            raise ValueError(f"unknown shape {self.shape!r}")
-        if not np.all(np.isfinite(self.intraday())):
-            raise ValueError(f"decay {self.decay} overflows the intra-day perturbation")
 
     def intraday(self) -> np.ndarray:
         """The 24 perturbation values for hours 0..23 of a day."""
         tau = np.arange(HOURS_PER_DAY, dtype=float)
-        if self.shape == SQUARED_EXPONENT:
-            return self.amplitude * np.exp(-self.decay * (tau - self.mid_hour) ** 2)
-        return self.amplitude * np.exp(-self.decay * (tau - self.mid_hour))
+        return self.amplitude * np.exp(-self.decay * (tau - self.mid_hour) ** 2)
 
 
 @dataclass

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from lakempc import qp, scenario
-from lakempc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli_main
+from lakempc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _fmt, cli_main
 from lakempc.ddp import DdpConfig
-from lakempc.hydrology import LakeParams
-from lakempc.mpc import MpcConfig
+from lakempc.hydrology import LakeParams, storage_of_level
+from lakempc.mpc import MpcConfig, run_daily
 
 GOLDEN_DDP = Path(__file__).parent / "data" / "ddp_3day"
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate_3day"
@@ -147,6 +147,58 @@ def test_strict_mode_names_the_infeasible_hour(tmp_path, scenario_dir, capsys, s
         assert "hour 0" in err and "horizon step 0" in err
     else:
         assert cli_main(argv) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "line", ["horizon = six", "mef = ten", "feasibility_recovery = maybe", "lambda = abc"]
+)
+def test_bad_config_value_names_its_key(tmp_path, scenario_dir, capsys, line):
+    config = tmp_path / "settings.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    argv = ["simulate", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert f"config key {line.split()[0]}: " in capsys.readouterr().err
+
+
+def test_config_values_act_like_their_flags(tmp_path, scenario_dir):
+    # The int cast, the float cast of "lambda" and the true-boolean cast.
+    config = tmp_path / "settings.cfg"
+    config.write_text("horizon = 6\nlambda = 0.5\nfeasibility_recovery = yes\n", encoding="utf-8")
+    common = ["simulate", "--mode", "hourly", *scenario_args(scenario_dir)]
+    by_file = [*common, "--config", str(config), "--out", str(tmp_path / "file")]
+    by_flags = [*common, "--horizon", "6", "--lambda", "0.5", "--out", str(tmp_path / "flags")]
+    assert cli_main(by_file) == EXIT_OK
+    assert cli_main(by_flags) == EXIT_OK
+    trace = (tmp_path / "file" / "trace.csv").read_bytes()
+    assert trace == (tmp_path / "flags" / "trace.csv").read_bytes()
+
+
+def test_daily_inflow_file_with_the_default_demand(tmp_path):
+    # Days 104-106 as a daily inflow file and no demand file: the CLI holds
+    # each day's inflow over its hours, forecasts with the daily values and
+    # takes the built-in demand of days 0-2.
+    inflow_csv = tmp_path / "inflow_daily.csv"
+    scenario.save_timeseries(
+        inflow_csv, scenario.synthetic_year(3, first_day=104).inflow_daily, "inflow"
+    )
+    argv = [
+        "simulate", "--mode", "daily", "--scenario", str(inflow_csv), "--inflow-kind", "daily",
+        "--s0", "level:1.08", "--out", str(tmp_path / "out"),
+    ]
+    assert cli_main(argv) == EXIT_OK
+    inflow = scenario.load_timeseries(inflow_csv, "inflow_daily")
+    scn = scenario.Scenario(
+        inflow_hourly=inflow,
+        demand_hourly=scenario.expand_daily(scenario.default_daily_demand(3)),
+        inflow_daily=inflow[::24],
+    )
+    params = LakeParams()
+    trace = run_daily(params, MpcConfig(), scn, storage_of_level(params, 1.08))
+    with (tmp_path / "out" / "trace.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 72
+    assert [row["release_m3s"] for row in rows] == [_fmt(r) for r in trace.releases]
+
 
 def test_hourly_trace_csv_has_qp_iterations(tmp_path, scenario_dir):
     argv = ["simulate", "--mode", "hourly", "--horizon", "6", *scenario_args(scenario_dir)]

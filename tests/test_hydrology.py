@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lakempc.hydrology import (
     HOUR_SECONDS,
     LakeParams,
-    aggregate_daily,
     level_of_storage,
     release_bounds,
     saturate_release,
@@ -180,23 +179,7 @@ class TestStepHourly:
 
 
 class TestAggregateDaily:
-    def test_constant_day(self):
-        delta, mean_release = aggregate_daily([100.0] * 24, [50.0] * 24)
-        assert delta == pytest.approx(4_320_000.0)
-        assert mean_release == 50.0
-
-    def test_balance(self):
-        delta, mean_release = aggregate_daily([75.0] * 24, [75.0] * 24)
-        assert delta == 0.0
-        assert mean_release == 75.0
-
-    def test_mean_of_burst(self):
-        releases = [0.0] * 23 + [240.0]
-        assert aggregate_daily([0.0] * 24, releases)[1] == pytest.approx(10.0)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="24"):
-            aggregate_daily([1.0] * 23, [1.0] * 24)
+    """Daily totals of hourly plant steps."""
 
     def test_matches_hourly_steps_without_saturation(self):
         rng = np.random.default_rng(7)
@@ -208,9 +191,9 @@ class TestAggregateDaily:
             storage, release = step_hourly(PARAMS, storage, q, u)
             releases.append(release)
         assert releases == pytest.approx(list(commands))  # no saturation occurred
-        delta, mean_release = aggregate_daily(inflows, releases)
+        delta = HOUR_SECONDS * (np.sum(inflows) - np.sum(releases))
         assert storage - 1.5e8 == pytest.approx(delta, rel=1e-9)
-        assert mean_release == pytest.approx(np.mean(commands))
+        assert np.mean(releases) == pytest.approx(np.mean(commands))
 
 
 class TestParamsValidation:

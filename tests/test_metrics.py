@@ -68,3 +68,10 @@ def test_violations_within_tolerance_are_not_counted():
     assert (report.flood.hours, report.demand.hours) == (2, 1)
     assert report.flood.rmse == pytest.approx(np.sqrt(((2.0 * tol) ** 2 + 3.0**2) / 2.0))
     assert report.flood.area == pytest.approx(2.5 * tol + 3.0)
+    assert report.demand.deficit_peak == pytest.approx(-2.0 * metrics.DEFICIT_REL_TOL * 100.0)
+    # Every deficit under the tolerance: no hour and no peak, but the area
+    # still sums them.
+    releases = demands - 0.5 * metrics.DEFICIT_REL_TOL * demands
+    report = metrics.compute_report(params, _trace(levels, releases, demands))
+    assert (report.demand.hours, report.demand.rmse, report.demand.deficit_peak) == (0, 0.0, 0.0)
+    assert report.demand.area == pytest.approx(3 * 0.5 * metrics.DEFICIT_REL_TOL * 100.0)

@@ -311,7 +311,7 @@ class TestEdgesAndErrors:
         ):
             qp.solve(problem, [0.0])
 
-    def test_phase1_judges_with_the_hint_tolerance(self):
+    def test_start_infeasibility_judged_with_the_feasibility_tolerance(self):
         # x <= -2e-5 against x >= 0 misses by 2e-5, far above FEASIBILITY_TOL.
         # A large but slack right-hand side elsewhere must not hide that, and
         # the clip into x >= 0 must not either.
@@ -353,12 +353,14 @@ class TestEdgesAndErrors:
                 qp.solve(problem, np.zeros(len(hessian)))
 
     def test_iteration_limit_status(self):
-        rng = np.random.default_rng(3)
-        problem, feasible = random_qp(rng)
-        solution = qp.solve(problem, feasible, max_iterations=1)
-        assert solution.status in ("optimal", "iteration-limit")
-        if solution.status == "iteration-limit":
-            assert solution.iterations == 1
+        # The solve from this start takes more than 30 iterations. Stopped
+        # after 3, it still reads its multipliers off the working-set factor.
+        problem, feasible = _dense_qp(0)
+        solution = qp.solve(problem, feasible, max_iterations=3)
+        assert (solution.status, solution.iterations) == ("iteration-limit", 3)
+        duals = np.concatenate([solution.ineq_duals, solution.bound_duals])
+        assert np.all(np.isfinite(duals))
+        assert np.count_nonzero(duals) >= 1
 
     def test_feasible_hint_is_used(self):
         problem = qp.QpProblem(
@@ -396,7 +398,7 @@ class TestEdgesAndErrors:
         # An infinite entry that the bounds clip is a finite start.
         assert qp.solve(problem, [0.0, np.inf]).status == "optimal"
 
-    def test_infeasible_hint_falls_back(self):
+    def test_infeasible_start_of_a_feasible_problem_rejected(self):
         # The problem is feasible, but the start is not: the solver rejects
         # it rather than searching for another.
         problem = qp.QpProblem(

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lakempc.hydrology import aggregate_daily
 from lakempc.scenario import (
     GaussianInflowParams,
     Scenario,
@@ -24,7 +23,6 @@ class TestGaussianInflow:
     def test_defaults(self):
         g = GaussianInflowParams()
         assert (g.amplitude, g.decay, g.mid_hour) == (50.0, 0.06, 12.0)
-        assert g.shape == "squared_exponent"
 
     def test_peak_at_mid_hour(self):
         bump = GaussianInflowParams().intraday()
@@ -37,25 +35,17 @@ class TestGaussianInflow:
         assert bump[7] == pytest.approx(11.156508007421492, rel=1e-12)
         assert bump[17] == pytest.approx(11.156508007421492, rel=1e-12)
 
-    def test_literal_exponent_as_printed(self):
-        bump = GaussianInflowParams(shape="literal_exponent").intraday()
-        assert bump[12] == pytest.approx(50.0)
-        assert bump[0] == pytest.approx(50.0 * np.exp(0.72), rel=1e-12)
-        assert not np.allclose(bump[7], bump[17])  # not symmetric around noon
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"amplitude": -1.0},
             {"decay": 0.0},
             {"mid_hour": 25.0},
-            {"shape": "cubed"},
             # These once passed; the perturbation was then NaN or infinite.
             {"amplitude": np.nan},
             {"amplitude": np.inf},
             {"decay": np.nan},
             {"decay": np.inf},
-            {"decay": 100.0, "shape": "literal_exponent"},
         ],
     )
     def test_validation(self, kwargs):
@@ -122,11 +112,8 @@ class TestScenarioType:
             demand_hourly=np.zeros(72),
             inflow_daily=daily,
         )
-        for d, value in enumerate(daily):
-            delta, _ = aggregate_daily(
-                scn.inflow_hourly[24 * d:24 * (d + 1)], np.zeros(24)
-            )
-            assert delta == pytest.approx(3600.0 * 24.0 * value, rel=1e-12)
+        day_totals = scn.inflow_hourly.reshape(scn.n_days, 24).sum(axis=1)
+        assert day_totals == pytest.approx(24.0 * daily, rel=1e-12)
 
 
 class TestSyntheticYear:
