@@ -107,6 +107,17 @@ def build_settings(overrides: dict[str, str]):
     return params, targets[1][1], targets[2][1]
 
 
+def _settings(args):
+    """build_settings on the entries of args.config, if any; an error names the file."""
+    if not args.config:
+        return build_settings({})
+    entries = parse_config_file(args.config)
+    try:
+        return build_settings(entries)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
+
+
 def parse_s0(spec: str, params: LakeParams) -> float:
     """Initial storage: either cubic meters or 'level:<m>'."""
     if spec.startswith("level:"):
@@ -271,9 +282,7 @@ def _mpc_config(args, mpc_overrides: dict) -> mpc_mod.MpcConfig:
 
 
 def cmd_simulate(args) -> int:
-    params, mpc_overrides, _ = build_settings(
-        parse_config_file(args.config) if args.config else {}
-    )
+    params, mpc_overrides, _ = _settings(args)
     config = _mpc_config(args, mpc_overrides)
     scn = load_scenario(args, params)
     s0 = parse_s0(args.s0, params)
@@ -290,9 +299,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params, mpc_overrides, _ = build_settings(
-        parse_config_file(args.config) if args.config else {}
-    )
+    params, mpc_overrides, _ = _settings(args)
     if args.horizon is not None:
         mpc_overrides["horizon"] = args.horizon
     base_config = mpc_mod.MpcConfig(**mpc_overrides)
@@ -306,9 +313,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ddp(args) -> int:
-    params, _, ddp_overrides = build_settings(
-        parse_config_file(args.config) if args.config else {}
-    )
+    params, _, ddp_overrides = _settings(args)
     config = ddp_mod.DdpConfig(**ddp_overrides)
     scn = load_scenario(args, params)
     s0 = parse_s0(args.s0, params)

@@ -23,10 +23,17 @@ vectors and the start, and certifies its result on the full problem.
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
-Each solve computes one complete QR, of the rows tight at the start; when
-they are dependent (or outnumber the variables), a pivoted QR first picks an
-independent subset and that is factored instead. The factor is then updated
-by scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974).
+The working-set factor starts as the complete QR of the rows tight at the
+start; when they are dependent (or outnumber the variables), a pivoted QR
+first picks an independent subset and that is factored instead. A memoized
+structure keeps this start factor for each set of tight rows it has seen,
+up to _START_CACHE_SIZE sets (first in, first out; about 70 kB each at the
+MPC's 72 variables), so the MPC's hours, which start from few distinct sets,
+pay one QR per set rather than one per solve. The cached Q and R are
+read-only: the solve only replaces them. The factor is then updated by
+scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and
+the triangular solves call LAPACK's trtrs; both skip scipy's argument
+checks, which cost more than the work on matrices this small.
 At a stationary point every working row whose multiplier is negative
 is dropped at once, highest position first. Dropping several rows can steer
 the next step straight back into one of them. So when the step after such a
@@ -63,6 +70,12 @@ from scipy.optimize import linprog  # noqa: F401
 FEASIBILITY_TOL = 1e-8
 KKT_TOL = 1e-6
 MAX_ITERATIONS = 10_000
+
+# The QR updates without scipy's array validation (the solver passes
+# checked, finite float arrays), and LAPACK's triangular solve.
+_qr_insert = getattr(scipy.linalg.qr_insert, "__wrapped__", scipy.linalg.qr_insert)
+_qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
+(_trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 _ROW_INEQ = 0
 _ROW_LOWER = 1
@@ -109,6 +122,8 @@ class QpProblem:
     def _check_data(self) -> None:
         """The checks on the vectors, which solve repeats for every problem."""
         n = self.n
+        if n == 0:
+            raise ValueError("the problem has no variables (linear_cost is empty)")
         if self.ineq_rhs.shape != (self.ineq_matrix.shape[0],):
             raise ValueError("inequality block dimensions inconsistent")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
@@ -220,9 +235,13 @@ class _Structure:
     q_s: np.ndarray         # scaled Hessian
     l_inv_t: np.ndarray     # L^-T with q_s = LL'
     a_y: np.ndarray         # the rows in y = L'x coordinates, a @ L^-T
+    # Memoized structures only: tight.tobytes() -> (working rows, Q, R) of
+    # the start (see _start_factor). None on a structure built for one solve.
+    starts: dict[bytes, tuple[tuple[int, ...], np.ndarray, np.ndarray]] | None
 
 
 _STRUCTURE_CACHE_SIZE = 8
+_START_CACHE_SIZE = 64
 # (id(hessian), id(ineq_matrix), finite-bound masks) -> (hessian, ineq_matrix, structure).
 # An entry holds its arrays, so their ids cannot be reused while it lives.
 _structures: dict[tuple, tuple[np.ndarray, np.ndarray, _Structure]] = {}
@@ -241,17 +260,18 @@ def _structure(problem: QpProblem) -> _Structure:
 
     A caller that solves a family of problems with the same Hessian and rows
     (the MPC, hour after hour) marks them read-only and gets the folding,
-    scaling and factorization once; it must not make them writable again.
+    scaling and factorization once, and the factor of each start's tight
+    rows once per set of rows; it must not make them writable again.
     Writable arrays are never memoized.
     """
     finite_lo = np.isfinite(problem.lower)
     finite_hi = np.isfinite(problem.upper)
     if not (_read_only(problem.hessian) and _read_only(problem.ineq_matrix)):
-        return _build_structure(problem, finite_lo, finite_hi)
+        return _build_structure(problem, finite_lo, finite_hi, starts=None)
     key = (id(problem.hessian), id(problem.ineq_matrix), finite_lo.tobytes(), finite_hi.tobytes())
     entry = _structures.get(key)
     if entry is None:
-        structure = _build_structure(problem, finite_lo, finite_hi)
+        structure = _build_structure(problem, finite_lo, finite_hi, starts={})
         entry = _structures[key] = (problem.hessian, problem.ineq_matrix, structure)
         if len(_structures) > _STRUCTURE_CACHE_SIZE:
             del _structures[next(iter(_structures))]
@@ -259,7 +279,7 @@ def _structure(problem: QpProblem) -> _Structure:
 
 
 def _build_structure(
-    problem: QpProblem, finite_lo: np.ndarray, finite_hi: np.ndarray
+    problem: QpProblem, finite_lo: np.ndarray, finite_hi: np.ndarray, starts: dict | None
 ) -> _Structure:
     problem._check_matrices()
     n = problem.n
@@ -312,6 +332,7 @@ def _build_structure(
         q_s=q_s,
         l_inv_t=l_inv_t,
         a_y=a_s @ l_inv_t,
+        starts=starts,
     )
 
 
@@ -334,6 +355,57 @@ def _full_rank(r: np.ndarray, tol: float) -> bool:
     return diag.size == 0 or float(np.min(diag)) > tol * max(1.0, float(np.max(diag)))
 
 
+def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """x with r x = b (trans 0) or r' x = b (trans 1), r upper triangular.
+
+    scipy.linalg.solve_triangular(r, b, trans=trans, check_finite=False) bit
+    for bit: the same LAPACK call, with its rule for a C-ordered r (solve the
+    transposed lower system), without its argument checks.
+    """
+    if b.size == 0:
+        return np.empty_like(b)  # LAPACK rejects an empty system
+    if r.flags.f_contiguous:
+        x, info = _trtrs(r, b, lower=0, trans=trans)
+    else:
+        x, info = _trtrs(r.T, b, lower=1, trans=1 - trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed: LAPACK trtrs info {info}")
+    return x
+
+
+def _start_factor(
+    fold: _Structure, tight: np.ndarray
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The initial working rows and their complete QR in y (read-only), from
+    the rows tight at the start; kept in fold.starts when fold is memoized.
+
+    When the tight rows are independent, they are the working rows.
+    Otherwise a pivoted QR picks an independent subset, which is then
+    factored; L^-T is nonsingular, so independence in y is independence of
+    the rows.
+    """
+    key = tight.tobytes()
+    if fold.starts is not None and key in fold.starts:
+        return fold.starts[key]
+    w_rows = tight
+    if tight.size <= fold.a.shape[1]:
+        qf, rf = np.linalg.qr(fold.a_y[tight].T, mode="complete")
+    if tight.size > fold.a.shape[1] or not _full_rank(rf, 1e-8):
+        _, r, piv = scipy.linalg.qr(fold.a[tight].T, pivoting=True, mode="economic")
+        diag = np.abs(np.diag(r))
+        rank = int(np.sum(diag > 1e-10 * max(1.0, diag[0])))
+        w_rows = np.sort(tight[piv[:rank]])
+        qf, rf = np.linalg.qr(fold.a_y[w_rows].T, mode="complete")
+    qf.flags.writeable = False
+    rf.flags.writeable = False
+    start = (tuple(w_rows.tolist()), qf, rf)
+    if fold.starts is not None:
+        fold.starts[key] = start
+        if len(fold.starts) > _START_CACHE_SIZE:
+            del fold.starts[next(iter(fold.starts))]
+    return start
+
+
 def solve(
     problem: QpProblem,
     initial_point: np.ndarray,
@@ -344,11 +416,11 @@ def solve(
     initial_point, clipped into the bounds, must meet every row within
     FEASIBILITY_TOL; the rows tight there seed the working set.
 
-    Raises ValueError for dimension errors, a Hessian that is not positive
-    definite, a cost or right-hand side entry that is not finite, a NaN
-    bound (infinite bounds are absent bounds), and a start that is not of
-    length n, not finite or not feasible (the message names its most
-    violated constraint).
+    Raises ValueError for a problem with no variables, dimension errors, a
+    Hessian that is not positive definite, a cost or right-hand side entry
+    that is not finite, a NaN bound (infinite bounds are absent bounds), and
+    a start that is not of length n, not finite or not feasible (the message
+    names its most violated constraint).
     """
     problem._check_data()
     n = problem.n
@@ -411,21 +483,11 @@ def solve(
         raise ValueError(f"initial_point is infeasible: {label} violated by {worst:.6g}")
     x_s = x0 / fold.col_scale
 
-    # Initial working set: the rows tight at x0. When they are independent,
-    # their complete QR in y is the working-set factor. Otherwise a pivoted
-    # QR picks an independent subset, which is then factored; L^-T is
-    # nonsingular, so independence in y is independence of the rows.
+    # Initial working set: from the rows tight at x0.
     resid = fold.a @ x_s - b_s
     tight = np.flatnonzero(resid >= -1e-9 * (1.0 + np.abs(b_s)))
-    w_list: list[int] = tight.tolist()
-    if tight.size <= n:
-        qf, rf = np.linalg.qr(a_y[tight].T, mode="complete")
-    if tight.size > n or not _full_rank(rf, 1e-8):
-        _, r, piv = scipy.linalg.qr(fold.a[tight].T, pivoting=True, mode="economic")
-        diag = np.abs(np.diag(r))
-        rank = int(np.sum(diag > 1e-10 * max(1.0, diag[0])))
-        w_list = sorted(int(tight[i]) for i in piv[:rank])
-        qf, rf = np.linalg.qr(a_y[w_list].T, mode="complete")
+    w_rows, qf, rf = _start_factor(fold, tight)
+    w_list = list(w_rows)
 
     in_w = np.zeros(m, dtype=bool)
     in_w[w_list] = True
@@ -433,7 +495,7 @@ def solve(
     def _factor_duals(g_y):
         """The working rows' multipliers -R^-1 Q1'g_y, with A_w' = Q1 R in y."""
         mw = len(w_list)
-        return scipy.linalg.solve_triangular(rf[:mw], -(qf[:, :mw].T @ g_y), check_finite=False)
+        return _solve_upper(rf[:mw], -(qf[:, :mw].T @ g_y))
 
     def _snap(x_cur, lam_cur):
         """The exact optimum on the working set, from the working-set factor.
@@ -454,9 +516,9 @@ def solve(
         if mw:
             r = rf[:mw]
             q1 = qf[:, :mw]
-            t = scipy.linalg.solve_triangular(r, b_s[w_list], trans="T", check_finite=False)
+            t = _solve_upper(r, b_s[w_list], trans=1)
             y += q1 @ t
-            lam = -scipy.linalg.solve_triangular(r, t + q1.T @ c_y, check_finite=False)
+            lam = -_solve_upper(r, t + q1.T @ c_y)
         x_new = l_inv_t @ y
         # A NaN in x_new fails this test too.
         viol = float(np.max(fold.a @ x_new - b_s, initial=0.0))
@@ -491,7 +553,7 @@ def solve(
             # Highest position first, so the positions still to drop hold.
             for pos in drop[::-1]:
                 in_w[w_list.pop(pos)] = False
-                qf, rf = scipy.linalg.qr_delete(qf, rf, pos, which="col", check_finite=False)
+                qf, rf = _qr_delete(qf, rf, pos, which="col", check_finite=False)
             multi_dropped = drop.size > 1
             continue
 
@@ -514,9 +576,7 @@ def solve(
             pos = bisect.bisect(w_list, blocker)
             w_list.insert(pos, blocker)
             in_w[blocker] = True
-            qf, rf = scipy.linalg.qr_insert(
-                qf, rf, a_y[blocker], pos, which="col", check_finite=False
-            )
+            qf, rf = _qr_insert(qf, rf, a_y[blocker], pos, which="col", check_finite=False)
         else:
             x_s = x_s + p
 

@@ -8,3 +8,14 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+
+@pytest.fixture
+def no_memoized_structures():
+    """Empty the QP solver's memo of structures and their start factors, so
+    that a test counting factorizations does not depend on test order."""
+    from lakempc import qp
+
+    qp._structures.clear()

@@ -157,7 +157,7 @@ def test_bad_config_value_names_its_key(tmp_path, scenario_dir, capsys, line):
     config.write_text(line + "\n", encoding="utf-8")
     argv = ["simulate", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_RUNTIME
-    assert f"config key {line.split()[0]}: " in capsys.readouterr().err
+    assert f"error: {config}: config key {line.split()[0]}: " in capsys.readouterr().err
 
 
 def test_config_values_act_like_their_flags(tmp_path, scenario_dir):

@@ -165,8 +165,7 @@ class TestMatricesPerConfiguration:
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = 1.0
 
-    def test_one_factorization_per_run(self, cholesky_calls):
-        # A weight no other test uses, so the run starts with nothing memoized.
+    def test_one_factorization_per_run(self, cholesky_calls, no_memoized_structures):
         trace = run_hourly(
             PARAMS, MpcConfig(lam=0.37), constant_scenario(100.0, 90.0, 4), 1.2e8, n_steps=48
         )
@@ -345,8 +344,7 @@ class TestRecovery:
         assert set(trace.solve_statuses) == {"optimal"}
         assert np.max(trace.kkt_residuals) <= 1e-9
 
-    def test_recovery_steps_share_the_factorization(self, cholesky_calls):
-        # A weight no other test uses, so the run starts with nothing memoized.
+    def test_recovery_steps_share_the_factorization(self, cholesky_calls, no_memoized_structures):
         # Recovery hours change only bounds and right-hand sides.
         trace = run_hourly(
             PARAMS,

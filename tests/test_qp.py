@@ -333,6 +333,11 @@ class TestEdgesAndErrors:
         with pytest.raises(ValueError, match="bound"):
             qp.solve(problem, [0.5])
 
+    def test_problem_without_variables_rejected(self):
+        problem = qp.QpProblem(hessian=np.zeros((0, 0)), linear_cost=np.zeros(0))
+        with pytest.raises(ValueError, match="no variables"):
+            qp.solve(problem, np.zeros(0))
+
     def test_dimension_mismatch_rejected(self):
         problem = qp.QpProblem(
             hessian=np.eye(2), linear_cost=[0.0, 0.0], ineq_matrix=[[1.0, 0.0]], ineq_rhs=[1.0, 2.0]
@@ -447,9 +452,11 @@ def _assert_matches_dense_kkt(problem, solution):
 
 # (first day, start level in m, starts whose tight rows are dependent).
 # Days 104-105 from 1.08 m cross the flood threshold: solves of up to 7
-# iterations, and three starts whose 72 tight rows have rank 48. Days
-# 182-183 from 0.29 m: one-iteration solves.
+# iterations from 24 distinct sets of tight rows, and three starts whose 72
+# tight rows have rank 48 (one set). Days 182-183 from 0.29 m: one-iteration
+# solves, all from one set.
 HOURLY_WINDOWS = [(104, 1.08, 3), (182, 0.29, 0)]
+START_SETS = {104: 24, 182: 1}
 FACTOR_CALLS = ((np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "solve"), (np.linalg, "lstsq"))
 
 
@@ -556,7 +563,7 @@ class TestMpcScale:
             assert solution.iterations >= 30
         assert hinted.x == pytest.approx(cold.x, abs=1e-8)
 
-    def test_factorizations_per_solve_not_per_iteration(self, monkeypatch):
+    def test_factorizations_per_solve_not_per_iteration(self, monkeypatch, no_memoized_structures):
         # The first step of the hard dry-bound run: demand 300 against inflow
         # 20, 3e6 m^3 above the dry storage, started from the minimum-release
         # plan, not the MPC's own start, so that the solve stays long enough
@@ -587,29 +594,41 @@ class TestMpcScale:
         assert sum(counts.values()) <= 4, dict(counts)
 
     @pytest.mark.parametrize("first_day, level, n_dependent", HOURLY_WINDOWS)
-    def test_one_qr_per_hourly_solve(self, monkeypatch, first_day, level, n_dependent):
-        # Tight rows that are independent are factored once and that factor
-        # serves the whole solve, snap included. Dependent ones are first
-        # thinned by a pivoted QR. No step solves a dense system.
+    def test_one_qr_per_hourly_solve(
+        self, monkeypatch, no_memoized_structures, first_day, level, n_dependent
+    ):
+        # At most one complete QR per solve: tight rows that are independent
+        # are factored once and that factor serves the whole solve, snap
+        # included. Dependent ones are first thinned by a pivoted QR. A later
+        # hour that starts from a set of rows seen before reuses its factor
+        # and makes none. No step solves a dense system.
+        seen = set()
         dependent = 0
         for problem, start, _, counts in _hourly_window(
             monkeypatch, first_day, level, FACTOR_CALLS
         ):
             tight = _tight_rows(problem, start)
-            if _independent(tight, problem.n):
+            independent = _independent(tight, problem.n)
+            dependent += not independent
+            if tight.tobytes() in seen:
+                assert counts == {}
+            elif independent:
                 assert counts == {"numpy.linalg.qr": 1}
             else:
-                dependent += 1
                 # The first QR is skipped when the rows outnumber the variables.
                 np_qr_calls = 1 if tight.shape[0] > problem.n else 2
                 assert counts == {"scipy.linalg.qr": 1, "numpy.linalg.qr": np_qr_calls}
+            seen.add(tight.tobytes())
         assert dependent == n_dependent
+        assert len(seen) == START_SETS[first_day]
+        (structure,) = [entry[2] for entry in qp._structures.values()]
+        assert len(structure.starts) == len(seen)
 
     @pytest.mark.parametrize(
         "demand, n_tight, np_qr_calls", [(300.0, 73, 1), (5.0, 49, 2)]
     )
     def test_dependent_tight_rows_take_the_pivoted_path(
-        self, monkeypatch, demand, n_tight, np_qr_calls
+        self, monkeypatch, no_memoized_structures, demand, n_tight, np_qr_calls
     ):
         # More tight rows than variables skip the first QR; fewer but
         # dependent ones fail its rank test. Either way one pivoted QR picks
@@ -625,3 +644,108 @@ class TestMpcScale:
         assert solution.status == "optimal"
         assert solution.kkt_residual <= 1e-9
         _assert_matches_dense_kkt(problem, solution)
+
+
+def _only_structure():
+    """The one structure the solver has memoized."""
+    (structure,) = [entry[2] for entry in qp._structures.values()]
+    return structure
+
+
+def _assert_same_bits(solution, reference):
+    for name in ("x", "ineq_duals", "bound_duals"):
+        assert np.array_equal(getattr(solution, name), getattr(reference, name))
+    assert (solution.kkt_residual, solution.iterations) == (
+        reference.kkt_residual, reference.iterations
+    )
+
+
+class TestStartFactorCache:
+    """A memoized structure keeps the factor of each start's tight rows."""
+
+    def test_cold_and_warm_starts_give_the_same_bits(self, monkeypatch, no_memoized_structures):
+        steps = _hourly_window(monkeypatch, 104, 1.08)
+        structure = _only_structure()
+        assert len(structure.starts) == START_SETS[104]
+        for problem, start, solution, _ in steps:
+            _assert_same_bits(qp.solve(problem, start), solution)
+        for problem, start, solution, _ in steps:
+            structure.starts.clear()
+            _assert_same_bits(qp.solve(problem, start), solution)
+
+    def test_writable_problem_leaves_no_cached_start(self, monkeypatch, no_memoized_structures):
+        # Its structure serves one solve, so solving it again pays the
+        # start's factorizations again (here the pivoted path's three).
+        shared, start = _minimum_release_at_a_dry_cap(5.0)
+        problem = qp.QpProblem(
+            hessian=shared.hessian.copy(),
+            linear_cost=shared.linear_cost,
+            ineq_matrix=shared.ineq_matrix.copy(),
+            ineq_rhs=shared.ineq_rhs,
+            lower=shared.lower,
+            upper=shared.upper,
+        )
+        counts = _count_calls(monkeypatch, FACTOR_CALLS)
+        first = qp.solve(problem, start)
+        first_counts = dict(counts)
+        counts.clear()
+        _assert_same_bits(qp.solve(problem, start), first)
+        assert dict(counts) == first_counts == {"scipy.linalg.qr": 1, "numpy.linalg.qr": 2}
+        assert qp._structures == {}
+
+    def test_cached_factor_is_read_only_and_unchanged_by_a_solve(
+        self, monkeypatch, no_memoized_structures
+    ):
+        # The window's longest solve (7 iterations) inserts and drops rows,
+        # starting from the factor its first solve cached.
+        steps = _hourly_window(monkeypatch, 104, 1.08)
+        problem, start, solution, _ = max(steps, key=lambda step: step[2].iterations)
+        starts = _only_structure().starts
+        for _, q, r in starts.values():
+            assert not (q.flags.writeable or r.flags.writeable)
+        before = {key: (rows, q.copy(), r.copy()) for key, (rows, q, r) in starts.items()}
+        counts = _count_calls(monkeypatch, ((qp, "_qr_insert"), (qp, "_qr_delete")))
+        _assert_same_bits(qp.solve(problem, start), solution)
+        monkeypatch.undo()
+        assert counts["lakempc.qp._qr_insert"] > 0 and counts["lakempc.qp._qr_delete"] > 0
+        assert starts.keys() == before.keys()
+        for key, (rows, q, r) in starts.items():
+            assert rows == before[key][0]
+            assert np.array_equal(q, before[key][1]) and np.array_equal(r, before[key][2])
+
+
+def _upper_factor(layout):
+    """A well-conditioned 48x48 upper-triangular factor: C-ordered,
+    F-ordered, or the leading rows of an F-ordered 72x48 factor (neither),
+    the shapes the solver's R takes."""
+    rng = np.random.default_rng(48)
+    full = np.triu(rng.standard_normal((72, 48))) + 8.0 * np.eye(72, 48)
+    if layout == "C":
+        return np.ascontiguousarray(full[:48])
+    if layout == "F":
+        return np.asfortranarray(full[:48])
+    return np.asfortranarray(full)[:48]
+
+
+class TestSolveUpper:
+    """qp._solve_upper against scipy.linalg.solve_triangular, bit for bit."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "F rows"])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_matches_solve_triangular(self, layout, trans):
+        r = _upper_factor(layout)
+        b = np.random.default_rng(7).standard_normal(48)
+        expected = scipy.linalg.solve_triangular(r, b, trans=trans, check_finite=False)
+        assert np.array_equal(qp._solve_upper(r, b, trans), expected)
+
+    def test_empty_system(self):
+        x = qp._solve_upper(np.zeros((0, 0)), np.zeros(0))
+        expected = scipy.linalg.solve_triangular(np.zeros((0, 0)), np.zeros(0), check_finite=False)
+        assert x.shape == expected.shape == (0,) and x.dtype == expected.dtype
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_zero_diagonal_raises(self, layout):
+        r = _upper_factor(layout).copy(order="K")
+        r[5, 5] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            qp._solve_upper(r, np.ones(48))
