@@ -37,8 +37,15 @@ value at k and the later rows to the plan's values. Only bounds and
 right-hand sides change, so recovery steps share the factorization of
 every other step.
 
-qp.solve requires a feasible start, and each step builds one close to its
-optimum, so the solver usually needs only a few active-set iterations.
+Each step first offers qp.solve a guess at its optimal active set: the
+previous step's final working set, shifted by an hour or as it is (see
+run_hourly), or the previous day's in daily mode. Between steps only the
+right-hand side and the cost move, so the guess is often optimal, and then
+its snapped point is the step's solution (a warm start).
+
+Otherwise qp.solve needs a feasible start, and the step builds one close
+to its optimum, so the solver usually needs only a few active-set
+iterations. It is passed as a function, built only when the guess fails.
 The flood and demand rows hold once their slacks take their binding
 values. Two guesses are tried: the previous step's plan (shifted by an hour
 in hourly mode) and the demand. A guess, clipped into the bounds, that
@@ -259,6 +266,12 @@ def _qp_matrices(h, area, lam):
     return hessian, ineq_matrix
 
 
+def forget_structure(params: LakeParams, config: MpcConfig) -> None:
+    """Drop the solver's memo of this configuration's QP (qp.forget): its
+    factor and cached starts. A later step with it builds them again."""
+    qp.forget(*_qp_matrices(config.horizon, params.surface_area, config.lam))
+
+
 def _with_slacks(params, s0, inflow_forecast, demand, u):
     """The plan u with both slacks set to their binding values."""
     area = params.surface_area
@@ -328,6 +341,7 @@ def solve_step(
     u_bounds,
     u_hint=None,
     hour: int | None = None,
+    working_set=None,
 ) -> MpcStepResult:
     """Assemble and solve one decision step.
 
@@ -337,10 +351,13 @@ def solve_step(
     config.feasibility_recovery it raises MpcInfeasibleError naming the hour
     and the first failing dry row instead.
 
-    u_hint is a guess at the plan (the shifted previous plan in closed
-    loop). The solver starts from whichever of it and the demand, each
-    clipped into the bounds and, where it crosses a dry row, trimmed onto
-    the dry rows, has the lower objective (see _feasible_point).
+    working_set is a guess at the optimal active set, in the form of
+    qp.QpSolution.working_set, which qp.solve tries first. When it is not
+    optimal, the solver starts from a point built from u_hint, a guess at
+    the plan (the shifted previous plan in closed loop): whichever of it and
+    the demand, each clipped into the bounds and, where it crosses a dry
+    row, trimmed onto the dry rows, has the lower objective (see
+    _feasible_point). That point is built only then.
     """
     h = config.horizon
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
@@ -365,8 +382,13 @@ def solve_step(
         problem.upper[:k + 1] = lower[:k + 1]
         dry_rhs[:k + 1] = np.maximum(dry_rhs[:k + 1], floor[k])
         dry_rhs[k + 1:] = np.maximum(dry_rhs[k + 1:], floor[k + 1:])
-    hint = _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint)
-    solution = qp.solve(problem, initial_point=hint)
+    solution = qp.solve(
+        problem,
+        initial_point=lambda: _feasible_point(
+            params, problem, s0, inflow_forecast, demand, u_hint
+        ),
+        working_set=working_set,
+    )
     return MpcStepResult(
         planned_releases=solution.x[:h],
         slack_max=solution.x[h:2 * h],
@@ -381,6 +403,18 @@ def _frozen_bounds(params: LakeParams, storage: float, n: int) -> np.ndarray:
     return np.tile(release_bounds(params, level_of_storage(params, storage)), (n, 1))
 
 
+def _shifted(working_set, h: int):
+    """The working set one hour later: in every block of h rows or
+    variables, position p moves to p - 1, position 0 leaves, and position
+    h - 1 also stays (the next plan's guess repeats the last release)."""
+    def shift(index):
+        index = index.tolist()
+        moved = [i - 1 for i in index if i % h] + [i for i in index if i % h == h - 1]
+        return np.array(sorted(moved), dtype=np.intp)
+
+    return tuple(shift(index) for index in working_set)
+
+
 def run_hourly(
     params: LakeParams,
     config: MpcConfig,
@@ -393,6 +427,11 @@ def run_hourly(
     The forecast handed to each step is the true future inflow slice
     (deterministic control). Every step needs a full horizon of lookahead,
     so at most scenario.n_hours - horizon steps can be simulated.
+
+    Each step offers the solver one guess at its active set, built from the
+    previous step's: that set shifted by an hour (_shifted), or the set as
+    it is. The first guess is shifted, and a guess that is not optimal
+    switches the form for the next step.
     """
     h = config.horizon
     limit = scenario.n_hours - h
@@ -401,10 +440,14 @@ def run_hourly(
     n_steps = limit if n_steps is None else int(n_steps)
     if not 1 <= n_steps <= limit:
         raise ValueError(f"n_steps must lie in [1, {limit}], got {n_steps}")
-    hint = None
+    hint = previous = None
+    shift = True
 
     def decide(t, storage):
-        nonlocal hint
+        nonlocal hint, previous, shift
+        guess = previous
+        if previous is not None and shift:
+            guess = _shifted(previous, h)
         step = solve_step(
             params,
             config,
@@ -414,7 +457,12 @@ def run_hourly(
             _frozen_bounds(params, storage, h),
             u_hint=hint,
             hour=t,
+            working_set=guess,
         )
+        solution = step.solve_diagnostics
+        if guess is not None and not solution.warm_start:
+            shift = not shift
+        previous = solution.working_set
         hint = np.append(step.planned_releases[1:], step.planned_releases[-1])
         return step.planned_releases[:1], step
 
@@ -455,10 +503,10 @@ def run_daily(
         raise ValueError(f"n_steps must be a positive multiple of 24, got {n_steps}")
     if n_steps > scenario.n_hours:
         raise ValueError(f"n_steps {n_steps} exceeds scenario length {scenario.n_hours}")
-    hint = None
+    hint = previous = None
 
     def decide(t0, storage):
-        nonlocal hint
+        nonlocal hint, previous
         if scenario.inflow_daily is not None:
             day_inflow = float(scenario.inflow_daily[t0 // HOURS_PER_DAY])
         else:
@@ -472,8 +520,10 @@ def run_daily(
             _frozen_bounds(params, storage, HOURS_PER_DAY),
             u_hint=hint,
             hour=t0,
+            working_set=previous,
         )
         hint = step.planned_releases
+        previous = step.solve_diagnostics.working_set
         return step.planned_releases, step
 
     return closed_loop(

@@ -10,6 +10,19 @@ inequality rows and bounds only. The caller supplies a feasible start, and
 the solver does not search for one: a start that, clipped into the bounds,
 still violates a row by more than FEASIBILITY_TOL is rejected.
 
+A caller that solves a family of problems can first offer a guess at the
+optimal active set: a working set, in the form of QpSolution.working_set
+(the rows the last solve ended on). The solver snaps onto its rows (see
+_snap) from the factor the structure caches for that set of rows, and
+returns that point, counted as one iteration, when every row holds within
+1e-9 (1 + |b_i|) of its own scaled right-hand side and every multiplier
+passes the loop's sign test. The feasibility test is row by row: with
+_snap's scale, the largest |b|, three hours of the MPC's synthetic year
+accept a flood row broken by up to 2e-5 m, and one of them, broken by
+4.9e-7 m, even passes certification. Otherwise the solve starts from the
+caller's start, which may be given as a function so that it is built only
+then. Either way the result is certified as below.
+
 The work that depends only on the Hessian, the rows and which bounds are
 finite is done once per such structure: folding the finite bounds in as
 rows, the equilibration, the factor of the scaled Hessian, Q = LL' (it
@@ -27,9 +40,12 @@ The working-set factor starts as the complete QR of the rows tight at the
 start; when they are dependent (or outnumber the variables), a pivoted QR
 first picks an independent subset and that is factored instead. A memoized
 structure keeps this start factor for each set of tight rows it has seen,
-up to _START_CACHE_SIZE sets (first in, first out; about 70 kB each at the
-MPC's 72 variables), so the MPC's hours, which start from few distinct sets,
-pay one QR per set rather than one per solve. The cached Q and R are
+and for each working-set hint (below), up to _START_CACHE_SIZE sets (first
+in, first out; about 70 kB each at the MPC's 72 variables), so the MPC's
+hours, which start from few distinct sets, pay one QR per set rather than
+one per solve. A solve can add two sets, its hint's and its start's: the
+daily MPC on two jittered years uses 65 sets, and with room for 64 it paid
+79 QRs again on every pass over them. The cached Q and R are
 read-only: the solve only replaces them. The factor is then updated by
 scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and
 the triangular solves call LAPACK's trtrs; both skip scipy's argument
@@ -60,6 +76,7 @@ variables, low hundreds of constraints), so all linear algebra is dense.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +156,7 @@ class QpProblem:
             if not ok.all():
                 i = int(np.argmin(ok))
                 raise ValueError(f"{name} is {vec[i]} at {entry} {i}")
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             j = int(np.argmax(self.lower > self.upper))
             raise ValueError(f"lower bound exceeds upper bound at variable {j}")
 
@@ -169,6 +186,11 @@ class QpSolution:
     kkt_residual: float
     iterations: int = 0
     message: str = ""
+    # The final working rows as (inequality rows, variables at their lower
+    # bound, variables at their upper bound), in the problem's numbering;
+    # solve accepts it back as a working_set hint.
+    working_set: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    warm_start: bool = False  # the working_set hint was optimal
 
 
 def kkt_components(problem: QpProblem, solution: QpSolution) -> dict[str, float]:
@@ -205,7 +227,7 @@ def kkt_components(problem: QpProblem, solution: QpSolution) -> dict[str, float]
 
 def _worst(*terms: np.ndarray) -> float:
     """The largest entry of the terms, at least 0; NaN when any entry is NaN."""
-    return float(np.max(np.concatenate(terms), initial=0.0))
+    return float(np.concatenate(terms).max(initial=0.0))
 
 
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
@@ -235,13 +257,17 @@ class _Structure:
     q_s: np.ndarray         # scaled Hessian
     l_inv_t: np.ndarray     # L^-T with q_s = LL'
     a_y: np.ndarray         # the rows in y = L'x coordinates, a @ L^-T
+    # Row of each entry of a working set: inequality row i at i, the lower
+    # bound of variable j at m_in + j, its upper bound at m_in + n + j; -1
+    # where that bound is infinite.
+    hint_row: np.ndarray
     # Memoized structures only: tight.tobytes() -> (working rows, Q, R) of
     # the start (see _start_factor). None on a structure built for one solve.
     starts: dict[bytes, tuple[tuple[int, ...], np.ndarray, np.ndarray]] | None
 
 
 _STRUCTURE_CACHE_SIZE = 8
-_START_CACHE_SIZE = 64
+_START_CACHE_SIZE = 128
 # (id(hessian), id(ineq_matrix), finite-bound masks) -> (hessian, ineq_matrix, structure).
 # An entry holds its arrays, so their ids cannot be reused while it lives.
 _structures: dict[tuple, tuple[np.ndarray, np.ndarray, _Structure]] = {}
@@ -276,6 +302,17 @@ def _structure(problem: QpProblem) -> _Structure:
         if len(_structures) > _STRUCTURE_CACHE_SIZE:
             del _structures[next(iter(_structures))]
     return entry[2]
+
+
+def forget(hessian: np.ndarray, ineq_matrix: np.ndarray) -> None:
+    """Drop the memoized structures of these arrays, with their cached starts.
+
+    For a caller done with a family of problems (a finished weight of a
+    sweep), so that its factors do not wait for FIFO eviction.
+    """
+    for key in [key for key, entry in _structures.items()
+                if entry[0] is hessian and entry[1] is ineq_matrix]:
+        del _structures[key]
 
 
 def _build_structure(
@@ -321,6 +358,11 @@ def _build_structure(
     except np.linalg.LinAlgError:
         raise ValueError("hessian is not positive definite") from None
     l_inv_t = scipy.linalg.solve_triangular(l_factor, np.eye(n), lower=True).T
+    m_in = problem.ineq_matrix.shape[0]
+    hint_row = np.full(m_in + 2 * n, -1)
+    hint_row[:m_in] = np.arange(m_in)
+    hint_row[m_in + finite_lo] = m_in + np.arange(finite_lo.size)
+    hint_row[m_in + n + finite_hi] = m_in + finite_lo.size + np.arange(finite_hi.size)
     return _Structure(
         a=a_s,
         kind=np.concatenate(kind),
@@ -332,6 +374,7 @@ def _build_structure(
         q_s=q_s,
         l_inv_t=l_inv_t,
         a_y=a_s @ l_inv_t,
+        hint_row=hint_row,
         starts=starts,
     )
 
@@ -406,29 +449,56 @@ def _start_factor(
     return start
 
 
+def _hint_rows(problem: QpProblem, fold: _Structure, working_set) -> np.ndarray:
+    """The sorted rows of fold that working_set names: (inequality rows,
+    lower-bound variables, upper-bound variables) in the problem's numbering.
+
+    Raises ValueError naming an index out of range or an infinite bound.
+    """
+    n, m_in = problem.n, problem.ineq_matrix.shape[0]
+    parts = [np.asarray(part, dtype=np.intp).reshape(-1) for part in working_set]
+    names = ("inequality row", "lower bound of variable", "upper bound of variable")
+    for name, index, size in zip(names, parts, (m_in, n, n)):
+        if index.size and not (index.min() >= 0 and index.max() < size):
+            bad = index[(index < 0) | (index >= size)][0]
+            raise ValueError(f"working_set {name} {bad} is out of range [0, {size})")
+    rows = np.unique(
+        fold.hint_row[np.concatenate([parts[0], parts[1] + m_in, parts[2] + (m_in + n)])]
+    )
+    if rows.size and rows[0] < 0:
+        for name, index, offset in zip(names[1:], parts[1:], (m_in, m_in + n)):
+            infinite = index[fold.hint_row[offset + index] < 0]
+            if infinite.size:
+                raise ValueError(f"working_set names the {name} {infinite[0]}, which is infinite")
+    return rows
+
+
 def solve(
     problem: QpProblem,
-    initial_point: np.ndarray,
+    initial_point: np.ndarray | Callable[[], np.ndarray],
     max_iterations: int = MAX_ITERATIONS,
+    working_set: tuple | None = None,
 ) -> QpSolution:
     """Solve a dense convex QP from a feasible start and certify the result.
 
+    working_set, in the form of QpSolution.working_set, is tried first: the
+    optimum on its rows is returned as the solution, in one iteration, when
+    it meets every row and its multipliers have the right sign (see the
+    module docstring). Otherwise the solve starts from initial_point, an
+    array or a function of no arguments that returns one, called only then.
     initial_point, clipped into the bounds, must meet every row within
     FEASIBILITY_TOL; the rows tight there seed the working set.
 
     Raises ValueError for a problem with no variables, dimension errors, a
     Hessian that is not positive definite, a cost or right-hand side entry
-    that is not finite, a NaN bound (infinite bounds are absent bounds), and
-    a start that is not of length n, not finite or not feasible (the message
-    names its most violated constraint).
+    that is not finite, a NaN bound (infinite bounds are absent bounds), a
+    working_set that names a row out of range or an infinite bound, and a
+    start that is not of length n, not finite or not feasible (the message
+    names its most violated constraint). The start is checked only when it
+    is used.
     """
     problem._check_data()
     n = problem.n
-    initial_point = np.asarray(initial_point, dtype=float)
-    if initial_point.shape != (n,):
-        raise ValueError(
-            f"initial_point must have length {n}, got shape {initial_point.shape}"
-        )
     fold = _structure(problem)
     m = fold.a.shape[0]
     q_s, l_inv_t, a_y = fold.q_s, fold.l_inv_t, fold.a_y
@@ -440,7 +510,11 @@ def solve(
     def _scaled_grad(x_s):
         return q_s @ x_s + c_s
 
-    def _finish(x_s, lam, status, iterations, message=""):
+    def _lam_tol(g):
+        """The most negative multiplier that still counts as nonnegative."""
+        return -1e-9 * (1.0 + float(np.abs(g).max(initial=0.0)))
+
+    def _finish(x_s, lam, status, iterations, message="", warm_start=False):
         x = fold.col_scale * x_s
         ineq_duals = np.zeros(problem.ineq_matrix.shape[0])
         bound_duals = np.zeros(n)
@@ -451,7 +525,7 @@ def solve(
         # numerical, not meaningful. On a bound row, one would push against
         # the opposite bound, which may be absent.
         ineq = kind == _ROW_INEQ
-        tiny = 1e-9 * max(1.0, float(np.max(np.abs(vals[ineq]), initial=0.0)))
+        tiny = 1e-9 * max(1.0, float(np.abs(vals[ineq]).max(initial=0.0)))
         vals[(vals < 0.0) & (vals > -tiny)] = 0.0
         ineq_duals[index[ineq]] = vals[ineq]
         upper, lower = kind == _ROW_UPPER, kind == _ROW_LOWER
@@ -466,6 +540,8 @@ def solve(
             kkt_residual=np.nan,
             iterations=iterations,
             message=message,
+            working_set=tuple(index[kind == k] for k in (_ROW_INEQ, _ROW_LOWER, _ROW_UPPER)),
+            warm_start=warm_start,
         )
         sol.kkt_residual = kkt_residual(problem, sol)
         if status == "optimal" and not sol.kkt_residual <= KKT_TOL:
@@ -473,9 +549,47 @@ def solve(
             sol.message = f"converged but certification failed (kkt residual {sol.kkt_residual:.3e})"
         return sol
 
+    def _working_optimum():
+        """The exact optimum on the working rows and its multipliers, from
+        the working-set factor.
+
+        With A_w' = Q1 R in y, Z the rest of the complete Q, c_y = L^-1 c
+        and t = R^-T b_w, the optimum on the rows is y = Q1 t - ZZ'c_y with
+        multipliers lam = -R^-1 (t + Q1'c_y)."""
+        mw = len(w_list)
+        c_y = l_inv_t.T @ c_s
+        z = qf[:, mw:]
+        y = -(z @ (z.T @ c_y))
+        lam = np.zeros(0)
+        if mw:
+            r = rf[:mw]
+            q1 = qf[:, :mw]
+            t = _solve_upper(r, b_s[w_list], trans=1)
+            y += q1 @ t
+            lam = -_solve_upper(r, t + q1.T @ c_y)
+        return l_inv_t @ y, lam
+
+    if working_set is not None:
+        w_rows, qf, rf = _start_factor(fold, _hint_rows(problem, fold, working_set))
+        w_list = list(w_rows)
+        x_s, lam = _working_optimum()
+        # Row by row, so that a row with a small right-hand side is held to
+        # its own scale; a NaN fails both tests.
+        if (fold.a @ x_s - b_s <= 1e-9 * (1.0 + np.abs(b_s))).all() and (
+            lam >= _lam_tol(_scaled_grad(x_s))
+        ).all():
+            return _finish(x_s, lam, "optimal", 1, warm_start=True)
+
+    if callable(initial_point):
+        initial_point = initial_point()
+    initial_point = np.asarray(initial_point, dtype=float)
+    if initial_point.shape != (n,):
+        raise ValueError(
+            f"initial_point must have length {n}, got shape {initial_point.shape}"
+        )
     x0 = np.clip(initial_point, problem.lower, problem.upper)
     # A NaN would pass the violation test below, which only compares.
-    if not np.all(np.isfinite(x0)):
+    if not np.isfinite(x0).all():
         j = int(np.argmin(np.isfinite(x0)))
         raise ValueError(f"initial_point is not finite at variable {j}")
     worst, label = _max_violation(problem, x0)
@@ -498,31 +612,16 @@ def solve(
         return _solve_upper(rf[:mw], -(qf[:, :mw].T @ g_y))
 
     def _snap(x_cur, lam_cur):
-        """The exact optimum on the working set, from the working-set factor.
+        """The exact optimum on the working set (_working_optimum) when it is
+        feasible, else (x_cur, lam_cur).
 
         Clears drift the null-space steps inherited from the starting point,
         which otherwise shows up as a complementarity residual against large
-        constraint multipliers. With A_w' = Q1 R in y, Z the rest of the
-        complete Q, c_y = L^-1 c and t = R^-T b_w, the optimum on the rows is
-        y = Q1 t - ZZ'c_y with multipliers lam = -R^-1 (t + Q1'c_y).
-
-        Returns (x, multipliers of the working rows) when x is feasible, else
-        (x_cur, lam_cur)."""
-        mw = len(w_list)
-        c_y = l_inv_t.T @ c_s
-        z = qf[:, mw:]
-        y = -(z @ (z.T @ c_y))
-        lam = np.zeros(0)
-        if mw:
-            r = rf[:mw]
-            q1 = qf[:, :mw]
-            t = _solve_upper(r, b_s[w_list], trans=1)
-            y += q1 @ t
-            lam = -_solve_upper(r, t + q1.T @ c_y)
-        x_new = l_inv_t @ y
+        constraint multipliers."""
+        x_new, lam = _working_optimum()
         # A NaN in x_new fails this test too.
-        viol = float(np.max(fold.a @ x_new - b_s, initial=0.0))
-        if viol <= 1e-9 * (1.0 + float(np.max(np.abs(b_s), initial=0.0))):
+        viol = float((fold.a @ x_new - b_s).max(initial=0.0))
+        if viol <= 1e-9 * (1.0 + float(np.abs(b_s).max(initial=0.0))):
             return x_new, lam
         return x_cur, lam_cur
 
@@ -538,15 +637,15 @@ def solve(
         g_y = l_inv_t.T @ g
         z = qf[:, mw:]
         p = -(l_inv_t @ (z @ (z.T @ g_y)))
-        p_norm = float(np.max(np.abs(p), initial=0.0))
-        step_tol = 1e-11 * (1.0 + float(np.max(np.abs(x_s), initial=0.0)))
+        p_norm = float(np.abs(p).max(initial=0.0))
+        step_tol = 1e-11 * (1.0 + float(np.abs(x_s).max(initial=0.0)))
         if p_norm <= step_tol:
             lam = _factor_duals(g_y)
-            lam_tol = -1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
-            if lam.size == 0 or np.min(lam) >= lam_tol:
+            lam_tol = _lam_tol(g)
+            if lam.size == 0 or lam.min() >= lam_tol:
                 return _finish(*_snap(x_s, lam), "optimal", iterations)
             if single_drop:
-                lam_min = float(np.min(lam))
+                lam_min = float(lam.min())
                 drop = np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1:]
             else:
                 drop = np.flatnonzero(lam < lam_tol)
@@ -560,7 +659,7 @@ def solve(
         denom = fold.a @ p
         slack = np.maximum(b_s - fold.a @ x_s, 0.0)
         blocking = (~in_w) & (denom > 1e-11 * max(1.0, p_norm))
-        if not np.any(blocking):
+        if not blocking.any():
             x_s = x_s + p
             multi_dropped = False
             continue

@@ -11,8 +11,9 @@ returns (commands, step):
   the run are dropped. The hourly MPC and the DDP table return one command,
   the daily MPC 24.
 * step: the MpcStepResult of the QP solve behind the commands, whose slacks,
-  KKT residual, iteration count, status and recovery flag are recorded for
-  each applied hour, or None for a policy without solver diagnostics.
+  KKT residual, iteration count, warm start, status and recovery flag are
+  recorded for each applied hour, or None for a policy without solver
+  diagnostics.
 
 The result is a :class:`ClosedLoopTrace`, one row per hour.
 """
@@ -36,8 +37,9 @@ class ClosedLoopTrace:
     plant saturation, releases the flows actually discharged.
 
     The controller diagnostics (slacks, KKT residuals, active-set iterations
-    of the solve behind each hour, solver statuses) are None for runs that
-    did not come from the QP controller.
+    of the solve behind each hour, whether that solve's working-set hint was
+    optimal, solver statuses) are None for runs that did not come from the
+    QP controller.
     """
 
     levels: np.ndarray
@@ -52,6 +54,7 @@ class ClosedLoopTrace:
     slack_demand: np.ndarray | None = None
     kkt_residuals: np.ndarray | None = None
     solve_iterations: np.ndarray | None = None
+    warm_starts: np.ndarray | None = None
     solve_statuses: list[str] | None = None
 
     def __post_init__(self) -> None:
@@ -67,7 +70,7 @@ class ClosedLoopTrace:
             raise ValueError(f"storages must have length {t + 1}, got {self.storages.size}")
         for name, dtype in (
             ("slack_flood", float), ("slack_demand", float), ("kkt_residuals", float),
-            ("solve_iterations", int),
+            ("solve_iterations", int), ("warm_starts", bool),
         ):
             value = getattr(self, name)
             if value is not None:
@@ -108,6 +111,7 @@ def closed_loop(
     slack_demand = np.zeros(n_hours)
     kkt_residuals = np.zeros(n_hours)
     iterations = np.zeros(n_hours, dtype=int)
+    warm_starts = np.zeros(n_hours, dtype=bool)
     statuses: list[str] = []
     recovery_hours = 0
     storage = storages[0] = float(s0)
@@ -128,6 +132,7 @@ def closed_loop(
                 slack_demand[t] = step.slack_demand[k]
                 kkt_residuals[t] = step.solve_diagnostics.kkt_residual
                 iterations[t] = step.solve_diagnostics.iterations
+                warm_starts[t] = step.solve_diagnostics.warm_start
                 statuses.append(step.solve_diagnostics.status)
             t += 1
         if step is not None:
@@ -146,5 +151,6 @@ def closed_loop(
         slack_demand=slack_demand if solved else None,
         kkt_residuals=kkt_residuals if solved else None,
         solve_iterations=iterations if solved else None,
+        warm_starts=warm_starts if solved else None,
         solve_statuses=statuses if solved else None,
     )

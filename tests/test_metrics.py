@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lakempc import metrics
+from lakempc import metrics, mpc, qp
 from lakempc.hydrology import LakeParams, storage_of_level
 from lakempc.mpc import MpcConfig, run_hourly
 from lakempc.scenario import synthetic_year
@@ -75,3 +75,27 @@ def test_violations_within_tolerance_are_not_counted():
     report = metrics.compute_report(params, _trace(levels, releases, demands))
     assert (report.demand.hours, report.demand.rmse, report.demand.deficit_peak) == (0, 0.0, 0.0)
     assert report.demand.area == pytest.approx(3 * 0.5 * metrics.DEFICIT_REL_TOL * 100.0)
+
+
+def test_sweep_leaves_only_the_last_weights_structure(monkeypatch, no_memoized_structures):
+    # Each weight has its own Hessian, so its own solver structure and
+    # cached starts. A repeated run of the last weight reuses them: no QR.
+    params, config = LakeParams(), MpcConfig(horizon=6)
+    scn = synthetic_year(2, first_day=104)
+    s0 = storage_of_level(params, 1.08)
+    sweep = metrics.lambda_sweep(params, config, scn, s0, [0.1, 1.0, 10.0], n_steps=24)
+    assert len(sweep.reports) == 3
+    hessian, ineq_matrix = mpc._qp_matrices(6, params.surface_area, 10.0)
+    (entry,) = qp._structures.values()
+    assert entry[0] is hessian and entry[1] is ineq_matrix
+    calls = []
+    inner = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    run_hourly(params, MpcConfig(horizon=6, lam=10.0), scn, s0, n_steps=24)
+    assert calls == []
+    assert list(qp._structures.values()) == [entry]

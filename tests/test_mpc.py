@@ -280,12 +280,13 @@ class TestClosedLoop:
         assert np.min(trace.levels) >= PARAMS.dry_threshold - 1e-9
 
     def test_trace_records_solver_iterations(self, monkeypatch):
-        iterations = []
+        iterations, warm_starts = [], []
         inner = mpc.solve_step
 
         def recording(*args, **kwargs):
             step = inner(*args, **kwargs)
             iterations.append(step.solve_diagnostics.iterations)
+            warm_starts.append(step.solve_diagnostics.warm_start)
             return step
 
         monkeypatch.setattr(mpc, "solve_step", recording)
@@ -293,9 +294,14 @@ class TestClosedLoop:
         assert trace.solve_iterations.dtype.kind == "i"
         assert trace.solve_iterations.tolist() == iterations
         assert min(iterations) >= 1
+        assert trace.warm_starts.dtype.kind == "b"
+        assert trace.warm_starts.tolist() == warm_starts
+        assert not warm_starts[0] and any(warm_starts)
         iterations.clear()
+        warm_starts.clear()
         daily = run_daily(PARAMS, MpcConfig(), constant_scenario(80.0, 90.0, 2), 1.2e8)
         assert daily.solve_iterations.tolist() == np.repeat(iterations, 24).tolist()
+        assert daily.warm_starts.tolist() == np.repeat(warm_starts, 24).tolist()
 
     def test_flood_window_solves_stay_short(self):
         # The demand start holds every demand row tight while the optimum
@@ -343,6 +349,25 @@ class TestRecovery:
         assert trace.recovery_hours > 0
         assert set(trace.solve_statuses) == {"optimal"}
         assert np.max(trace.kkt_residuals) <= 1e-9
+
+    @pytest.mark.parametrize("run", [run_hourly, run_daily], ids=["hourly", "daily"])
+    def test_recovery_steps_take_the_hint(self, monkeypatch, run):
+        # The run of test_recovery_solves_are_certified: recovery changes
+        # bounds and right-hand sides, and the previous step's working set
+        # is still optimal for some recovery steps.
+        steps = []
+        inner = mpc.solve_step
+
+        def recording(*args, **kwargs):
+            steps.append(inner(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(mpc, "solve_step", recording)
+        run(PARAMS, MpcConfig(), synthetic_year(20, first_day=182), storage_of_level(PARAMS, -0.30))
+        recovery = [step.solve_diagnostics for step in steps if step.recovery_used]
+        assert any(solution.warm_start for solution in recovery)
+        for solution in recovery:
+            assert solution.status == "optimal" and solution.kkt_residual <= 1e-9
 
     def test_recovery_steps_share_the_factorization(self, cholesky_calls, no_memoized_structures):
         # Recovery hours change only bounds and right-hand sides.
@@ -522,6 +547,61 @@ class TestStartFromGuesses:
             assert run.recovery_hours == 0
         assert trace.releases == pytest.approx(reference.releases, rel=1e-9, abs=0.0)
         assert trace.solve_iterations.sum() < reference.solve_iterations.sum()
+
+
+class TestWorkingSetHints:
+    def test_shift_moves_every_block_by_an_hour(self):
+        # Blocks of 6: position 0 leaves, 5 moves to 4 and also stays.
+        shifted = mpc._shifted((np.array([0, 5, 6, 11, 14]), np.array([2]), np.array([], int)), 6)
+        assert [rows.tolist() for rows in shifted] == [[4, 5, 10, 11, 13], [1], []]
+
+    def test_hit_builds_no_start(self):
+        config = MpcConfig()
+        h = config.horizon
+        scn = synthetic_year(2, first_day=182)
+        s0 = storage_of_level(PARAMS, 0.29)
+        args = (
+            PARAMS, config, s0, scn.inflow_hourly[:h], scn.demand_hourly[:h],
+            np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1)),
+        )
+        with mock.patch.object(mpc, "_feasible_point", wraps=mpc._feasible_point) as start:
+            cold = solve_step(*args)
+            assert start.call_count == 1
+            warm = solve_step(*args, working_set=cold.solve_diagnostics.working_set)
+            assert start.call_count == 1
+        assert warm.solve_diagnostics.warm_start and not cold.solve_diagnostics.warm_start
+        assert warm.planned_releases == pytest.approx(cold.planned_releases, rel=1e-12)
+
+    def test_each_miss_switches_the_form_of_the_guess(self, monkeypatch):
+        # On the flood window: the guess is the previous working set shifted
+        # until a guess is not optimal, then the set as it is until the next
+        # miss, and so on. The start is built only for a miss.
+        h = MpcConfig().horizon
+        guesses, solutions = [], []
+        inner = mpc.solve_step
+
+        def recording(*args, **kwargs):
+            guesses.append(kwargs["working_set"])
+            step = inner(*args, **kwargs)
+            solutions.append(step.solve_diagnostics)
+            return step
+
+        monkeypatch.setattr(mpc, "solve_step", recording)
+        with mock.patch.object(mpc, "_feasible_point", wraps=mpc._feasible_point) as start:
+            trace = run_hourly(
+                PARAMS, MpcConfig(), synthetic_year(3, first_day=104),
+                storage_of_level(PARAMS, 1.08), n_steps=48,
+            )
+        assert guesses[0] is None
+        shift, switches = True, 0
+        for t in range(1, len(guesses)):
+            previous = solutions[t - 1].working_set
+            expected = mpc._shifted(previous, h) if shift else previous
+            assert [rows.tolist() for rows in guesses[t]] == [rows.tolist() for rows in expected]
+            if not solutions[t].warm_start:
+                shift, switches = not shift, switches + 1
+        assert switches >= 2
+        assert start.call_count == int(np.sum(~trace.warm_starts)) == switches + 1
 
 
 class TestDailyMode:

@@ -451,12 +451,14 @@ def _assert_matches_dense_kkt(problem, solution):
 
 
 # (first day, start level in m, starts whose tight rows are dependent).
-# Days 104-105 from 1.08 m cross the flood threshold: solves of up to 7
-# iterations from 24 distinct sets of tight rows, and three starts whose 72
-# tight rows have rank 48 (one set). Days 182-183 from 0.29 m: one-iteration
-# solves, all from one set.
+# Days 104-105 from 1.08 m cross the flood threshold: 35 of the 48 working-set
+# hints are optimal, and the other 13 solves take up to 7 iterations from
+# their starts, three of whose 72 tight rows have rank 48 (one set). The
+# hints and the starts use 24 distinct sets of rows. Days 182-183 from
+# 0.29 m: 47 optimal hints and one one-iteration solve, all on one set.
 HOURLY_WINDOWS = [(104, 1.08, 3), (182, 0.29, 0)]
 START_SETS = {104: 24, 182: 1}
+WARM_STARTS = {104: 35, 182: 47}
 FACTOR_CALLS = ((np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "solve"), (np.linalg, "lstsq"))
 
 
@@ -474,15 +476,18 @@ def _count_calls(monkeypatch, functions):
 
 def _hourly_window(monkeypatch, first_day, level, counted=()):
     """Every qp.solve of 48 closed-loop MPC hours from first_day at level m:
-    (problem, start, solution, calls of each (owner, name) in counted)."""
+    (problem, start, working-set hint, solution, calls of each (owner, name)
+    in counted). The start is the MPC's, built after the solve, so it is
+    there also for a solve that did not use it."""
     counts = _count_calls(monkeypatch, counted)
     steps = []
     inner = qp.solve
 
-    def recording(problem, initial_point, **kwargs):
+    def recording(problem, initial_point, working_set=None):
         counts.clear()
-        solution = inner(problem, initial_point, **kwargs)
-        steps.append((problem, initial_point, solution, dict(counts)))
+        solution = inner(problem, initial_point, working_set=working_set)
+        calls = dict(counts)
+        steps.append((problem, initial_point(), working_set, solution, calls))
         return solution
 
     monkeypatch.setattr(qp, "solve", recording)
@@ -505,6 +510,14 @@ def _tight_rows(problem, start):
     rhs = np.concatenate([problem.ineq_rhs, -problem.lower[lo], problem.upper[hi]])
     x = np.clip(start, problem.lower, problem.upper)
     return rows[rhs - rows @ x <= 1e-9 * (np.abs(rhs) + np.abs(rows) @ np.abs(x))]
+
+
+def _hint_rows(problem, working_set):
+    """The rows (finite bounds folded in) a working set names, in the order
+    of _tight_rows."""
+    ineq, lower, upper = working_set
+    eye = np.eye(problem.n)
+    return np.vstack([problem.ineq_matrix[ineq], -eye[lower], eye[upper]])
 
 
 def _independent(rows, n):
@@ -548,7 +561,7 @@ class TestSnapAgainstDenseKkt:
 
     @pytest.mark.parametrize("first_day, level", [window[:2] for window in HOURLY_WINDOWS])
     def test_every_step_of_an_hourly_window(self, monkeypatch, first_day, level):
-        for problem, _, solution, _ in _hourly_window(monkeypatch, first_day, level):
+        for problem, _, _, solution, _ in _hourly_window(monkeypatch, first_day, level):
             _assert_matches_dense_kkt(problem, solution)
 
 
@@ -597,32 +610,37 @@ class TestMpcScale:
     def test_one_qr_per_hourly_solve(
         self, monkeypatch, no_memoized_structures, first_day, level, n_dependent
     ):
-        # At most one complete QR per solve: tight rows that are independent
-        # are factored once and that factor serves the whole solve, snap
-        # included. Dependent ones are first thinned by a pivoted QR. A later
-        # hour that starts from a set of rows seen before reuses its factor
-        # and makes none. No step solves a dense system.
+        # A solve factors the rows of its working-set hint and, when the
+        # hint is not optimal, the rows tight at its start. Independent rows
+        # take one complete QR, which serves the whole solve, snap included;
+        # dependent ones are first thinned by a pivoted QR. A set of rows
+        # seen before in the window reuses its factor and takes none. No
+        # step solves a dense system.
         seen = set()
         dependent = 0
-        for problem, start, _, counts in _hourly_window(
+        for problem, start, hint, solution, counts in _hourly_window(
             monkeypatch, first_day, level, FACTOR_CALLS
         ):
-            tight = _tight_rows(problem, start)
-            independent = _independent(tight, problem.n)
-            dependent += not independent
-            if tight.tobytes() in seen:
-                assert counts == {}
-            elif independent:
-                assert counts == {"numpy.linalg.qr": 1}
-            else:
-                # The first QR is skipped when the rows outnumber the variables.
-                np_qr_calls = 1 if tight.shape[0] > problem.n else 2
-                assert counts == {"scipy.linalg.qr": 1, "numpy.linalg.qr": np_qr_calls}
-            seen.add(tight.tobytes())
+            row_sets = [] if hint is None else [_hint_rows(problem, hint)]
+            if not solution.warm_start:
+                tight = _tight_rows(problem, start)
+                dependent += not _independent(tight, problem.n)
+                row_sets.append(tight)
+            expected = collections.Counter()
+            for rows in row_sets:
+                if rows.tobytes() in seen:
+                    continue
+                seen.add(rows.tobytes())
+                if _independent(rows, problem.n):
+                    expected["numpy.linalg.qr"] += 1
+                else:
+                    # The first QR is skipped when the rows outnumber the variables.
+                    expected["scipy.linalg.qr"] += 1
+                    expected["numpy.linalg.qr"] += 1 if rows.shape[0] > problem.n else 2
+            assert counts == expected
         assert dependent == n_dependent
         assert len(seen) == START_SETS[first_day]
-        (structure,) = [entry[2] for entry in qp._structures.values()]
-        assert len(structure.starts) == len(seen)
+        assert len(_only_structure().starts) == len(seen)
 
     @pytest.mark.parametrize(
         "demand, n_tight, np_qr_calls", [(300.0, 73, 1), (5.0, 49, 2)]
@@ -655,23 +673,28 @@ def _only_structure():
 def _assert_same_bits(solution, reference):
     for name in ("x", "ineq_duals", "bound_duals"):
         assert np.array_equal(getattr(solution, name), getattr(reference, name))
-    assert (solution.kkt_residual, solution.iterations) == (
-        reference.kkt_residual, reference.iterations
+    assert (solution.kkt_residual, solution.iterations, solution.warm_start) == (
+        reference.kkt_residual, reference.iterations, reference.warm_start
     )
+    for rows, expected in zip(solution.working_set, reference.working_set):
+        assert np.array_equal(rows, expected)
 
 
 class TestStartFactorCache:
     """A memoized structure keeps the factor of each start's tight rows."""
 
     def test_cold_and_warm_starts_give_the_same_bits(self, monkeypatch, no_memoized_structures):
+        # Every solve of the window again, with the same start and
+        # working-set hint: from the factors the window cached, then with
+        # the cache cleared before each solve.
         steps = _hourly_window(monkeypatch, 104, 1.08)
         structure = _only_structure()
         assert len(structure.starts) == START_SETS[104]
-        for problem, start, solution, _ in steps:
-            _assert_same_bits(qp.solve(problem, start), solution)
-        for problem, start, solution, _ in steps:
+        for problem, start, hint, solution, _ in steps:
+            _assert_same_bits(qp.solve(problem, start, working_set=hint), solution)
+        for problem, start, hint, solution, _ in steps:
             structure.starts.clear()
-            _assert_same_bits(qp.solve(problem, start), solution)
+            _assert_same_bits(qp.solve(problem, start, working_set=hint), solution)
 
     def test_writable_problem_leaves_no_cached_start(self, monkeypatch, no_memoized_structures):
         # Its structure serves one solve, so solving it again pays the
@@ -699,7 +722,7 @@ class TestStartFactorCache:
         # The window's longest solve (7 iterations) inserts and drops rows,
         # starting from the factor its first solve cached.
         steps = _hourly_window(monkeypatch, 104, 1.08)
-        problem, start, solution, _ = max(steps, key=lambda step: step[2].iterations)
+        problem, start, _, solution, _ = max(steps, key=lambda step: step[3].iterations)
         starts = _only_structure().starts
         for _, q, r in starts.values():
             assert not (q.flags.writeable or r.flags.writeable)
@@ -712,6 +735,106 @@ class TestStartFactorCache:
         for key, (rows, q, r) in starts.items():
             assert rows == before[key][0]
             assert np.array_equal(q, before[key][1]) and np.array_equal(r, before[key][2])
+
+
+def _corner_qp(upper=(3.0, 3.0)):
+    """min 0.5 |x - (2, -1)|^2 s.t. x0 + x1 <= 1 and 0 <= x <= upper. The
+    optimum (1, 0) holds the row (multiplier 1) and x1's lower bound
+    (multiplier 2), so its working set is ([0], [1], [])."""
+    return qp.QpProblem(
+        hessian=np.eye(2),
+        linear_cost=[-2.0, 1.0],
+        ineq_matrix=[[1.0, 1.0]],
+        ineq_rhs=[1.0],
+        lower=np.zeros(2),
+        upper=upper,
+    )
+
+
+class _CountedStart:
+    """A feasible start for _corner_qp, as a function that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return np.zeros(2)
+
+
+class TestWorkingSetHint:
+    """qp.solve tries a working-set hint before its start."""
+
+    def test_solution_reports_its_working_set(self):
+        solution = qp.solve(_corner_qp(), np.zeros(2))
+        assert not solution.warm_start
+        assert [rows.tolist() for rows in solution.working_set] == [[0], [1], []]
+
+    def test_optimal_hint_is_the_solution_without_the_start(self):
+        problem = _corner_qp()
+        start = _CountedStart()
+        cold = qp.solve(problem, np.zeros(2))
+        warm = qp.solve(problem, start, working_set=cold.working_set)
+        assert start.calls == 0
+        assert (warm.warm_start, warm.iterations, warm.status) == (True, 1, "optimal")
+        assert warm.x == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert warm.ineq_duals == pytest.approx([1.0]) and warm.bound_duals == pytest.approx([0.0, -2.0])
+
+    @pytest.mark.parametrize(
+        "working_set",
+        [
+            # The optima on these rows break a row: (2, -1) and (2, -1) break
+            # x1 >= 0, (2, 0) breaks x0 + x1 <= 1.
+            ([], [], []), ([0], [], []), ([], [1], []),
+            # The optimum on these rows, (0, 0), is feasible, but x0's lower
+            # bound has multiplier -2.
+            ([], [0, 1], []),
+        ],
+        ids=["no rows", "row only", "bound only", "negative multiplier"],
+    )
+    def test_hint_that_is_not_optimal_falls_back_to_the_start(self, working_set):
+        problem = _corner_qp()
+        start = _CountedStart()
+        solution = qp.solve(problem, start, working_set=working_set)
+        assert start.calls == 1
+        assert not solution.warm_start
+        _assert_same_bits(solution, qp.solve(problem, np.zeros(2)))
+
+    @pytest.mark.parametrize(
+        "working_set, message",
+        [
+            (([1], [], []), r"working_set inequality row 1 is out of range \[0, 1\)"),
+            (([-1], [], []), r"working_set inequality row -1 is out of range \[0, 1\)"),
+            (([0], [2], []), r"working_set lower bound of variable 2 is out of range \[0, 2\)"),
+            (([], [], [5]), r"working_set upper bound of variable 5 is out of range \[0, 2\)"),
+            (([], [], [1]), r"working_set names the upper bound of variable 1, which is infinite"),
+        ],
+    )
+    def test_hint_naming_a_missing_row_rejected(self, working_set, message):
+        with pytest.raises(ValueError, match=message):
+            qp.solve(_corner_qp(upper=[3.0, np.inf]), np.zeros(2), working_set=working_set)
+
+    def test_rows_are_held_to_their_own_scale(self):
+        # The optimum on no rows, x0 = 1e-4, breaks x0 <= 0 by 1e-4: within
+        # 1e-9 of the largest right-hand side (1e6) but not of its own.
+        problem = qp.QpProblem(
+            hessian=np.eye(2), linear_cost=[-1e-4, 0.0], ineq_matrix=np.eye(2), ineq_rhs=[0.0, 1e6]
+        )
+        solution = qp.solve(problem, np.zeros(2), working_set=([], [], []))
+        assert not solution.warm_start
+        assert solution.status == "optimal"
+        assert solution.x == pytest.approx([0.0, 0.0], abs=1e-15)
+
+    @pytest.mark.parametrize("first_day, level", [window[:2] for window in HOURLY_WINDOWS])
+    def test_optimal_hints_match_the_cold_solve(self, monkeypatch, first_day, level):
+        steps = _hourly_window(monkeypatch, first_day, level)
+        warm = [step for step in steps if step[3].warm_start]
+        assert len(warm) == WARM_STARTS[first_day]
+        for problem, start, _, solution, _ in warm:
+            cold = qp.solve(problem, start)
+            assert (solution.status, solution.iterations) == ("optimal", 1)
+            assert solution.kkt_residual <= 1e-9
+            assert np.max(np.abs(solution.x - cold.x)) <= 1e-12 * np.max(np.abs(cold.x))
 
 
 def _upper_factor(layout):
