@@ -37,7 +37,7 @@ EXIT_USAGE = 2
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return f"{float(value):.6g}"
 
@@ -167,6 +167,7 @@ def write_trace_csv(path, trace: ClosedLoopTrace) -> None:
         ("slack_demand_m3s", trace.slack_demand),
         ("kkt_residual", trace.kkt_residuals),
         ("qp_iterations", trace.solve_iterations),
+        ("warm_start", trace.warm_starts),
     ):
         if series is not None:
             columns.append((name, series))

@@ -37,15 +37,19 @@ value at k and the later rows to the plan's values. Only bounds and
 right-hand sides change, so recovery steps share the factorization of
 every other step.
 
-Each step first offers qp.solve a guess at its optimal active set: the
-previous step's final working set, shifted by an hour or as it is (see
-run_hourly), or the previous day's in daily mode. Between steps only the
-right-hand side and the cost move, so the guess is often optimal, and then
-its snapped point is the step's solution (a warm start).
+Each step first offers qp.solve candidates for its optimal active set.
+Between steps only the right-hand side and the cost move, so the optimum
+is affine in the data on each active set, and the same few sets come back
+(the critical regions of explicit MPC). An hourly step offers the last
+_RECENT_SETS distinct final working sets of the run, each shifted by an
+hour and as it is (see run_hourly); a daily step offers the previous day's
+set. When a candidate is optimal its snapped point is the step's solution
+(a warm start).
 
 Otherwise qp.solve needs a feasible start, and the step builds one close
 to its optimum, so the solver usually needs only a few active-set
-iterations. It is passed as a function, built only when the guess fails.
+iterations. It is passed as a function, built only when every candidate
+fails.
 The flood and demand rows hold once their slacks take their binding
 values. Two guesses are tried: the previous step's plan (shifted by an hour
 in hourly mode) and the demand. A guess, clipped into the bounds, that
@@ -86,6 +90,8 @@ from .trace import ClosedLoopTrace, closed_loop
 TIE_BREAK_WEIGHT = 1e-6
 FLOOD_SLACK_REF = 1.0  # m
 DRY_MARGIN = 1e-9  # m
+# The distinct final working sets an hourly run keeps as candidates.
+_RECENT_SETS = 8
 
 
 class MpcInfeasibleError(RuntimeError):
@@ -341,7 +347,7 @@ def solve_step(
     u_bounds,
     u_hint=None,
     hour: int | None = None,
-    working_set=None,
+    working_sets=(),
 ) -> MpcStepResult:
     """Assemble and solve one decision step.
 
@@ -351,9 +357,9 @@ def solve_step(
     config.feasibility_recovery it raises MpcInfeasibleError naming the hour
     and the first failing dry row instead.
 
-    working_set is a guess at the optimal active set, in the form of
-    qp.QpSolution.working_set, which qp.solve tries first. When it is not
-    optimal, the solver starts from a point built from u_hint, a guess at
+    working_sets are candidates for the optimal active set, each in the form
+    of qp.QpSolution.working_set, which qp.solve tries in order. When none
+    is optimal, the solver starts from a point built from u_hint, a guess at
     the plan (the shifted previous plan in closed loop): whichever of it and
     the demand, each clipped into the bounds and, where it crosses a dry
     row, trimmed onto the dry rows, has the lower objective (see
@@ -387,7 +393,7 @@ def solve_step(
         initial_point=lambda: _feasible_point(
             params, problem, s0, inflow_forecast, demand, u_hint
         ),
-        working_set=working_set,
+        working_sets=working_sets,
     )
     return MpcStepResult(
         planned_releases=solution.x[:h],
@@ -415,6 +421,11 @@ def _shifted(working_set, h: int):
     return tuple(shift(index) for index in working_set)
 
 
+def _key(working_set) -> tuple[bytes, ...]:
+    """A hashable value equal for equal working sets."""
+    return tuple(index.tobytes() for index in working_set)
+
+
 def run_hourly(
     params: LakeParams,
     config: MpcConfig,
@@ -428,10 +439,13 @@ def run_hourly(
     (deterministic control). Every step needs a full horizon of lookahead,
     so at most scenario.n_hours - horizon steps can be simulated.
 
-    Each step offers the solver one guess at its active set, built from the
-    previous step's: that set shifted by an hour (_shifted), or the set as
-    it is. The first guess is shifted, and a guess that is not optimal
-    switches the form for the next step.
+    Each step offers the solver candidates for its active set: the last
+    _RECENT_SETS distinct final working sets of the run, most recent first,
+    each in two forms, shifted by an hour (_shifted, computed once when the
+    set enters the list) and as it is, without repeats. The form that was
+    optimal last goes first in each pair; until a candidate is, the shifted
+    one. On the flood window the sets cycle with a period of about ten
+    hours, so the set that fits an hour was often final a few hours before.
     """
     h = config.horizon
     limit = scenario.n_hours - h
@@ -440,14 +454,18 @@ def run_hourly(
     n_steps = limit if n_steps is None else int(n_steps)
     if not 1 <= n_steps <= limit:
         raise ValueError(f"n_steps must lie in [1, {limit}], got {n_steps}")
-    hint = previous = None
-    shift = True
+    hint = None
+    # ((key, set), (key, shifted set)) of each recent final set, most recent first.
+    recent = []
+    shift_first = True
 
     def decide(t, storage):
-        nonlocal hint, previous, shift
-        guess = previous
-        if previous is not None and shift:
-            guess = _shifted(previous, h)
+        nonlocal hint, shift_first
+        offered = {}  # key -> (shifted, candidate), in the order offered
+        for forms in recent:
+            for shifted in (shift_first, not shift_first):
+                key, candidate = forms[shifted]
+                offered.setdefault(key, (shifted, candidate))
         step = solve_step(
             params,
             config,
@@ -457,12 +475,20 @@ def run_hourly(
             _frozen_bounds(params, storage, h),
             u_hint=hint,
             hour=t,
-            working_set=guess,
+            working_sets=[candidate for _, candidate in offered.values()],
         )
         solution = step.solve_diagnostics
-        if guess is not None and not solution.warm_start:
-            shift = not shift
-        previous = solution.working_set
+        key = _key(solution.working_set)
+        if solution.warm_start and key in offered:
+            shift_first = offered[key][0]
+        forms = next((forms for forms in recent if forms[0][0] == key), None)
+        if forms is None:
+            shifted = _shifted(solution.working_set, h)
+            forms = ((key, solution.working_set), (_key(shifted), shifted))
+        else:
+            recent.remove(forms)
+        recent.insert(0, forms)
+        del recent[_RECENT_SETS:]
         hint = np.append(step.planned_releases[1:], step.planned_releases[-1])
         return step.planned_releases[:1], step
 
@@ -495,6 +521,11 @@ def run_daily(
     rows, tied multipliers), so the last bits of its plan, duals and KKT
     residual depend on the solver's rounding path: a change to the solver's
     arithmetic can move daily traces by about 1e-14 relative.
+
+    Each day offers the solver one candidate, the previous day's final
+    working set, not run_hourly's list: a day that takes no candidate pays
+    for every one it rejects, and 82 of the synthetic year's 366 days take
+    none.
     """
     if config.horizon != HOURS_PER_DAY:
         raise ValueError("daily mode requires a 24-hour horizon")
@@ -520,7 +551,7 @@ def run_daily(
             _frozen_bounds(params, storage, HOURS_PER_DAY),
             u_hint=hint,
             hour=t0,
-            working_set=previous,
+            working_sets=() if previous is None else (previous,),
         )
         hint = step.planned_releases
         previous = step.solve_diagnostics.working_set

@@ -10,18 +10,24 @@ inequality rows and bounds only. The caller supplies a feasible start, and
 the solver does not search for one: a start that, clipped into the bounds,
 still violates a row by more than FEASIBILITY_TOL is rejected.
 
-A caller that solves a family of problems can first offer a guess at the
-optimal active set: a working set, in the form of QpSolution.working_set
-(the rows the last solve ended on). The solver snaps onto its rows (see
-_snap) from the factor the structure caches for that set of rows, and
-returns that point, counted as one iteration, when every row holds within
-1e-9 (1 + |b_i|) of its own scaled right-hand side and every multiplier
-passes the loop's sign test. The feasibility test is row by row: with
-_snap's scale, the largest |b|, three hours of the MPC's synthetic year
-accept a flood row broken by up to 2e-5 m, and one of them, broken by
-4.9e-7 m, even passes certification. Otherwise the solve starts from the
-caller's start, which may be given as a function so that it is built only
-then. Either way the result is certified as below.
+A caller that solves a family of problems can first offer candidate
+active sets: working sets in the form of QpSolution.working_set (the rows a
+solve ended on), tried in order. For each, the solver snaps onto its rows
+(see _snap) from the factor the structure caches for that set of rows, and
+returns the first such point, counted as one iteration, at which every row
+holds within 1e-9 (1 + |b_i|) of its own scaled right-hand side and every
+multiplier passes the loop's sign test. The feasibility test is row by
+row: with _snap's scale, the largest |b|, three hours of the MPC's
+synthetic year accept a flood row broken by up to 2e-5 m, and one of them,
+broken by 4.9e-7 m, even passes certification. Only when every candidate
+is rejected does the solve start from the caller's start, which may be
+given as a function so that it is built only then. Either way the result
+is certified as below. A memoized structure also remembers the rows of
+each candidate it has checked, keyed by the candidate's bytes, so a
+candidate seen before costs a dict lookup, the snap and the two tests when
+it is rejected: about 30 us at the MPC's size on a 2-vCPU Xeon, against
+150 us for a solve that takes its first candidate and 550 us for one from
+the start.
 
 The work that depends only on the Hessian, the rows and which bounds are
 finite is done once per such structure: folding the finite bounds in as
@@ -40,13 +46,12 @@ The working-set factor starts as the complete QR of the rows tight at the
 start; when they are dependent (or outnumber the variables), a pivoted QR
 first picks an independent subset and that is factored instead. A memoized
 structure keeps this start factor for each set of tight rows it has seen,
-and for each working-set hint (below), up to _START_CACHE_SIZE sets (first
+and for each candidate's rows (above), up to _START_CACHE_SIZE sets (first
 in, first out; about 70 kB each at the MPC's 72 variables), so the MPC's
 hours, which start from few distinct sets, pay one QR per set rather than
-one per solve. A solve can add two sets, its hint's and its start's: the
-daily MPC on two jittered years uses 65 sets, and with room for 64 it paid
-79 QRs again on every pass over them. The cached Q and R are
-read-only: the solve only replaces them. The factor is then updated by
+one per solve. The daily MPC on two jittered years uses 65 sets, and with
+room for 64 it paid 79 QRs again on every pass over them. The cached Q
+and R are read-only: the solve only replaces them. The factor is then updated by
 scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and
 the triangular solves call LAPACK's trtrs; both skip scipy's argument
 checks, which cost more than the work on matrices this small.
@@ -76,7 +81,7 @@ variables, low hundreds of constraints), so all linear algebra is dense.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,9 +193,9 @@ class QpSolution:
     message: str = ""
     # The final working rows as (inequality rows, variables at their lower
     # bound, variables at their upper bound), in the problem's numbering;
-    # solve accepts it back as a working_set hint.
+    # solve accepts it back as a candidate working set.
     working_set: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    warm_start: bool = False  # the working_set hint was optimal
+    warm_start: bool = False  # a candidate working set was optimal
 
 
 def kkt_components(problem: QpProblem, solution: QpSolution) -> dict[str, float]:
@@ -260,14 +265,18 @@ class _Structure:
     # Row of each entry of a working set: inequality row i at i, the lower
     # bound of variable j at m_in + j, its upper bound at m_in + n + j; -1
     # where that bound is infinite.
-    hint_row: np.ndarray
-    # Memoized structures only: tight.tobytes() -> (working rows, Q, R) of
-    # the start (see _start_factor). None on a structure built for one solve.
+    candidate_row: np.ndarray
+    # Memoized structures only, None on a structure built for one solve:
+    # tight.tobytes() -> (working rows, Q, R) of the start (see
+    # _start_factor), and the bytes of each part of a candidate working set
+    # -> its rows (see _candidate_rows).
     starts: dict[bytes, tuple[tuple[int, ...], np.ndarray, np.ndarray]] | None
+    candidates: dict[tuple[bytes, ...], np.ndarray] | None
 
 
 _STRUCTURE_CACHE_SIZE = 8
 _START_CACHE_SIZE = 128
+# Both caches of a memoized structure hold at most _START_CACHE_SIZE entries.
 # (id(hessian), id(ineq_matrix), finite-bound masks) -> (hessian, ineq_matrix, structure).
 # An entry holds its arrays, so their ids cannot be reused while it lives.
 _structures: dict[tuple, tuple[np.ndarray, np.ndarray, _Structure]] = {}
@@ -286,18 +295,19 @@ def _structure(problem: QpProblem) -> _Structure:
 
     A caller that solves a family of problems with the same Hessian and rows
     (the MPC, hour after hour) marks them read-only and gets the folding,
-    scaling and factorization once, and the factor of each start's tight
-    rows once per set of rows; it must not make them writable again.
+    scaling and factorization once, the factor of each start's tight rows
+    once per set of rows, and the validation of each candidate working set
+    once; it must not make them writable again.
     Writable arrays are never memoized.
     """
     finite_lo = np.isfinite(problem.lower)
     finite_hi = np.isfinite(problem.upper)
     if not (_read_only(problem.hessian) and _read_only(problem.ineq_matrix)):
-        return _build_structure(problem, finite_lo, finite_hi, starts=None)
+        return _build_structure(problem, finite_lo, finite_hi, memoized=False)
     key = (id(problem.hessian), id(problem.ineq_matrix), finite_lo.tobytes(), finite_hi.tobytes())
     entry = _structures.get(key)
     if entry is None:
-        structure = _build_structure(problem, finite_lo, finite_hi, starts={})
+        structure = _build_structure(problem, finite_lo, finite_hi, memoized=True)
         entry = _structures[key] = (problem.hessian, problem.ineq_matrix, structure)
         if len(_structures) > _STRUCTURE_CACHE_SIZE:
             del _structures[next(iter(_structures))]
@@ -305,7 +315,8 @@ def _structure(problem: QpProblem) -> _Structure:
 
 
 def forget(hessian: np.ndarray, ineq_matrix: np.ndarray) -> None:
-    """Drop the memoized structures of these arrays, with their cached starts.
+    """Drop the memoized structures of these arrays, with their cached starts
+    and candidates.
 
     For a caller done with a family of problems (a finished weight of a
     sweep), so that its factors do not wait for FIFO eviction.
@@ -316,7 +327,7 @@ def forget(hessian: np.ndarray, ineq_matrix: np.ndarray) -> None:
 
 
 def _build_structure(
-    problem: QpProblem, finite_lo: np.ndarray, finite_hi: np.ndarray, starts: dict | None
+    problem: QpProblem, finite_lo: np.ndarray, finite_hi: np.ndarray, memoized: bool
 ) -> _Structure:
     problem._check_matrices()
     n = problem.n
@@ -359,10 +370,10 @@ def _build_structure(
         raise ValueError("hessian is not positive definite") from None
     l_inv_t = scipy.linalg.solve_triangular(l_factor, np.eye(n), lower=True).T
     m_in = problem.ineq_matrix.shape[0]
-    hint_row = np.full(m_in + 2 * n, -1)
-    hint_row[:m_in] = np.arange(m_in)
-    hint_row[m_in + finite_lo] = m_in + np.arange(finite_lo.size)
-    hint_row[m_in + n + finite_hi] = m_in + finite_lo.size + np.arange(finite_hi.size)
+    candidate_row = np.full(m_in + 2 * n, -1)
+    candidate_row[:m_in] = np.arange(m_in)
+    candidate_row[m_in + finite_lo] = m_in + np.arange(finite_lo.size)
+    candidate_row[m_in + n + finite_hi] = m_in + finite_lo.size + np.arange(finite_hi.size)
     return _Structure(
         a=a_s,
         kind=np.concatenate(kind),
@@ -374,8 +385,9 @@ def _build_structure(
         q_s=q_s,
         l_inv_t=l_inv_t,
         a_y=a_s @ l_inv_t,
-        hint_row=hint_row,
-        starts=starts,
+        candidate_row=candidate_row,
+        starts={} if memoized else None,
+        candidates={} if memoized else None,
     )
 
 
@@ -443,31 +455,50 @@ def _start_factor(
     rf.flags.writeable = False
     start = (tuple(w_rows.tolist()), qf, rf)
     if fold.starts is not None:
-        fold.starts[key] = start
-        if len(fold.starts) > _START_CACHE_SIZE:
-            del fold.starts[next(iter(fold.starts))]
+        _remember(fold.starts, key, start)
     return start
 
 
-def _hint_rows(problem: QpProblem, fold: _Structure, working_set) -> np.ndarray:
+def _remember(cache: dict, key, value) -> None:
+    """cache[key] = value, evicting the oldest entry beyond _START_CACHE_SIZE."""
+    cache[key] = value
+    if len(cache) > _START_CACHE_SIZE:
+        del cache[next(iter(cache))]
+
+
+def _candidate_rows(problem: QpProblem, fold: _Structure, working_set) -> np.ndarray:
     """The sorted rows of fold that working_set names: (inequality rows,
     lower-bound variables, upper-bound variables) in the problem's numbering.
 
     Raises ValueError naming an index out of range or an infinite bound.
+    A memoized fold remembers the rows of each working set it has checked.
     """
-    n, m_in = problem.n, problem.ineq_matrix.shape[0]
     parts = [np.asarray(part, dtype=np.intp).reshape(-1) for part in working_set]
+    if fold.candidates is None:
+        return _checked_rows(problem, fold, parts)
+    key = tuple(part.tobytes() for part in parts)
+    rows = fold.candidates.get(key)
+    if rows is None:
+        rows = _checked_rows(problem, fold, parts)
+        rows.flags.writeable = False
+        _remember(fold.candidates, key, rows)
+    return rows
+
+
+def _checked_rows(problem: QpProblem, fold: _Structure, parts: list[np.ndarray]) -> np.ndarray:
+    """_candidate_rows without the memo."""
+    n, m_in = problem.n, problem.ineq_matrix.shape[0]
     names = ("inequality row", "lower bound of variable", "upper bound of variable")
     for name, index, size in zip(names, parts, (m_in, n, n)):
         if index.size and not (index.min() >= 0 and index.max() < size):
             bad = index[(index < 0) | (index >= size)][0]
             raise ValueError(f"working_set {name} {bad} is out of range [0, {size})")
     rows = np.unique(
-        fold.hint_row[np.concatenate([parts[0], parts[1] + m_in, parts[2] + (m_in + n)])]
+        fold.candidate_row[np.concatenate([parts[0], parts[1] + m_in, parts[2] + (m_in + n)])]
     )
     if rows.size and rows[0] < 0:
         for name, index, offset in zip(names[1:], parts[1:], (m_in, m_in + n)):
-            infinite = index[fold.hint_row[offset + index] < 0]
+            infinite = index[fold.candidate_row[offset + index] < 0]
             if infinite.size:
                 raise ValueError(f"working_set names the {name} {infinite[0]}, which is infinite")
     return rows
@@ -477,25 +508,29 @@ def solve(
     problem: QpProblem,
     initial_point: np.ndarray | Callable[[], np.ndarray],
     max_iterations: int = MAX_ITERATIONS,
-    working_set: tuple | None = None,
+    working_sets: Sequence[tuple] = (),
 ) -> QpSolution:
     """Solve a dense convex QP from a feasible start and certify the result.
 
-    working_set, in the form of QpSolution.working_set, is tried first: the
-    optimum on its rows is returned as the solution, in one iteration, when
-    it meets every row and its multipliers have the right sign (see the
-    module docstring). Otherwise the solve starts from initial_point, an
-    array or a function of no arguments that returns one, called only then.
-    initial_point, clipped into the bounds, must meet every row within
-    FEASIBILITY_TOL; the rows tight there seed the working set.
+    working_sets are candidate active sets, each in the form of
+    QpSolution.working_set, tried in order: the optimum on the first
+    candidate's rows that meets every row and whose multipliers have the
+    right sign is returned as the solution, in one iteration (see the module
+    docstring). A rejected candidate costs its snap and two tests, plus, the
+    first time a memoized structure sees it, its validation and the QR of
+    its rows. Only when every candidate is rejected does the solve start
+    from initial_point, an array or a function of no arguments that returns
+    one, called only then. initial_point, clipped into the bounds, must meet
+    every row within FEASIBILITY_TOL; the rows tight there seed the working
+    set.
 
     Raises ValueError for a problem with no variables, dimension errors, a
     Hessian that is not positive definite, a cost or right-hand side entry
     that is not finite, a NaN bound (infinite bounds are absent bounds), a
-    working_set that names a row out of range or an infinite bound, and a
-    start that is not of length n, not finite or not feasible (the message
-    names its most violated constraint). The start is checked only when it
-    is used.
+    candidate that names a row out of range or an infinite bound (checked
+    when the candidate is reached), and a start that is not of length n, not
+    finite or not feasible (the message names its most violated constraint).
+    The start is checked only when it is used.
     """
     problem._check_data()
     n = problem.n
@@ -506,6 +541,9 @@ def solve(
         [problem.ineq_rhs, -problem.lower[fold.finite_lo], problem.upper[fold.finite_hi]]
     )
     c_s = fold.col_scale * problem.linear_cost
+    c_y = l_inv_t.T @ c_s
+    # A row holds when within this of its own scaled right-hand side.
+    row_tol = 1e-9 * (1.0 + np.abs(b_s))
 
     def _scaled_grad(x_s):
         return q_s @ x_s + c_s
@@ -557,7 +595,6 @@ def solve(
         and t = R^-T b_w, the optimum on the rows is y = Q1 t - ZZ'c_y with
         multipliers lam = -R^-1 (t + Q1'c_y)."""
         mw = len(w_list)
-        c_y = l_inv_t.T @ c_s
         z = qf[:, mw:]
         y = -(z @ (z.T @ c_y))
         lam = np.zeros(0)
@@ -569,13 +606,13 @@ def solve(
             lam = -_solve_upper(r, t + q1.T @ c_y)
         return l_inv_t @ y, lam
 
-    if working_set is not None:
-        w_rows, qf, rf = _start_factor(fold, _hint_rows(problem, fold, working_set))
+    for working_set in working_sets:
+        w_rows, qf, rf = _start_factor(fold, _candidate_rows(problem, fold, working_set))
         w_list = list(w_rows)
         x_s, lam = _working_optimum()
         # Row by row, so that a row with a small right-hand side is held to
         # its own scale; a NaN fails both tests.
-        if (fold.a @ x_s - b_s <= 1e-9 * (1.0 + np.abs(b_s))).all() and (
+        if (fold.a @ x_s - b_s <= row_tol).all() and (
             lam >= _lam_tol(_scaled_grad(x_s))
         ).all():
             return _finish(x_s, lam, "optimal", 1, warm_start=True)
@@ -599,7 +636,7 @@ def solve(
 
     # Initial working set: from the rows tight at x0.
     resid = fold.a @ x_s - b_s
-    tight = np.flatnonzero(resid >= -1e-9 * (1.0 + np.abs(b_s)))
+    tight = np.flatnonzero(resid >= -row_tol)
     w_rows, qf, rf = _start_factor(fold, tight)
     w_list = list(w_rows)
 

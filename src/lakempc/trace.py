@@ -37,8 +37,8 @@ class ClosedLoopTrace:
     plant saturation, releases the flows actually discharged.
 
     The controller diagnostics (slacks, KKT residuals, active-set iterations
-    of the solve behind each hour, whether that solve's working-set hint was
-    optimal, solver statuses) are None for runs that did not come from the
+    of the solve behind each hour, whether that solve took a candidate
+    working set, solver statuses) are None for runs that did not come from the
     QP controller.
     """
 

@@ -14,8 +14,9 @@ import pytest  # noqa: E402
 
 @pytest.fixture
 def no_memoized_structures():
-    """Empty the QP solver's memo of structures and their start factors, so
-    that a test counting factorizations does not depend on test order."""
+    """Empty the QP solver's memo of structures, with their start factors
+    and the rows of the candidate working sets they have checked, so that a
+    test counting factorizations or checks does not depend on test order."""
     from lakempc import qp
 
     qp._structures.clear()

@@ -14,6 +14,7 @@ from lakempc.mpc import MpcConfig, run_daily
 
 GOLDEN_DDP = Path(__file__).parent / "data" / "ddp_3day"
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate_3day"
+GOLDEN_COMPARE = Path(__file__).parent / "data" / "compare_3day"
 
 
 @pytest.fixture
@@ -75,8 +76,9 @@ def _read_csv(path):
 )
 def test_simulate_output_matches_golden_files(tmp_path, mode_args):
     # Days 104-106 from 1.08 m, where the flood rows bind. The expected files
-    # were written by `lakempc simulate` on these inputs before the storage
-    # bounds moved from MpcConfig to LakeParams. kkt_residual prints
+    # were written by `lakempc simulate` on these inputs: the reports and
+    # plot data before the storage bounds moved from MpcConfig to
+    # LakeParams, trace.csv when it gained warm_start. kkt_residual prints
     # round-off noise whose digits follow the solver's rounding path, so it
     # is checked against the solver's tolerance instead of byte for byte.
     golden = GOLDEN_SIMULATE / mode_args[1]
@@ -99,6 +101,15 @@ def test_simulate_output_matches_golden_files(tmp_path, mode_args):
     for row, want in zip(got[1:], expected[1:]):
         assert row[:kkt] + row[kkt + 1:] == want[:kkt] + want[kkt + 1:], row[0]
         assert 0.0 <= float(row[kkt]) <= qp.KKT_TOL, row[0]
+
+
+def test_compare_output_matches_golden_files(tmp_path):
+    # The expected files were written by `lakempc compare` on the hourly and
+    # daily golden reports above; each run is named by its report's folder.
+    reports = [str(GOLDEN_SIMULATE / mode / "report.csv") for mode in ("hourly", "daily")]
+    assert cli_main(["compare", *reports, "--out", str(tmp_path)]) == EXIT_OK
+    for name in ("comparison.csv", "comparison.txt"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_COMPARE / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -207,6 +218,10 @@ def test_hourly_trace_csv_has_qp_iterations(tmp_path, scenario_dir):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 3 * 24 - 6
     assert all(int(row["qp_iterations"]) >= 1 for row in rows)
+    # Then whether the solve took a candidate working set: the first hour has none.
+    assert list(rows[0])[-2:] == ["qp_iterations", "warm_start"]
+    assert {row["warm_start"] for row in rows} == {"0", "1"} and rows[0]["warm_start"] == "0"
+    assert all(row["qp_iterations"] == "1" for row in rows if row["warm_start"] == "1")
 
 
 def test_sweep_writes_one_row_per_weight(tmp_path, scenario_dir):

@@ -78,8 +78,9 @@ def test_violations_within_tolerance_are_not_counted():
 
 
 def test_sweep_leaves_only_the_last_weights_structure(monkeypatch, no_memoized_structures):
-    # Each weight has its own Hessian, so its own solver structure and
-    # cached starts. A repeated run of the last weight reuses them: no QR.
+    # Each weight has its own Hessian, so its own solver structure, cached
+    # starts and checked candidates. A repeated run of the last weight
+    # reuses them: no QR, and no candidate working set checked again.
     params, config = LakeParams(), MpcConfig(horizon=6)
     scn = synthetic_year(2, first_day=104)
     s0 = storage_of_level(params, 1.08)
@@ -88,14 +89,17 @@ def test_sweep_leaves_only_the_last_weights_structure(monkeypatch, no_memoized_s
     hessian, ineq_matrix = mpc._qp_matrices(6, params.surface_area, 10.0)
     (entry,) = qp._structures.values()
     assert entry[0] is hessian and entry[1] is ineq_matrix
+    assert entry[2].candidates
     calls = []
-    inner = np.linalg.qr
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counting(inner):
+        def wrapper(*args, **kwargs):
+            calls.append(inner.__name__)
+            return inner(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "qr", counting)
+    monkeypatch.setattr(np.linalg, "qr", counting(np.linalg.qr))
+    monkeypatch.setattr(qp, "_checked_rows", counting(qp._checked_rows))
     run_hourly(params, MpcConfig(horizon=6, lam=10.0), scn, s0, n_steps=24)
     assert calls == []
     assert list(qp._structures.values()) == [entry]

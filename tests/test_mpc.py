@@ -567,21 +567,22 @@ class TestWorkingSetHints:
         with mock.patch.object(mpc, "_feasible_point", wraps=mpc._feasible_point) as start:
             cold = solve_step(*args)
             assert start.call_count == 1
-            warm = solve_step(*args, working_set=cold.solve_diagnostics.working_set)
+            warm = solve_step(*args, working_sets=[cold.solve_diagnostics.working_set])
             assert start.call_count == 1
         assert warm.solve_diagnostics.warm_start and not cold.solve_diagnostics.warm_start
         assert warm.planned_releases == pytest.approx(cold.planned_releases, rel=1e-12)
 
-    def test_each_miss_switches_the_form_of_the_guess(self, monkeypatch):
-        # On the flood window: the guess is the previous working set shifted
-        # until a guess is not optimal, then the set as it is until the next
-        # miss, and so on. The start is built only for a miss.
+    def test_candidates_are_the_recent_final_sets_in_both_forms(self, monkeypatch):
+        # Five flood days: each hour offers the last 8 distinct final working
+        # sets, most recent first, each shifted and as it is, the form last
+        # taken first (shifted until one is taken), and no candidate twice.
+        # The start is built only for an hour that takes none.
         h = MpcConfig().horizon
-        guesses, solutions = [], []
+        offered, solutions = [], []
         inner = mpc.solve_step
 
         def recording(*args, **kwargs):
-            guesses.append(kwargs["working_set"])
+            offered.append([[rows.tolist() for rows in c] for c in kwargs["working_sets"]])
             step = inner(*args, **kwargs)
             solutions.append(step.solve_diagnostics)
             return step
@@ -589,19 +590,38 @@ class TestWorkingSetHints:
         monkeypatch.setattr(mpc, "solve_step", recording)
         with mock.patch.object(mpc, "_feasible_point", wraps=mpc._feasible_point) as start:
             trace = run_hourly(
-                PARAMS, MpcConfig(), synthetic_year(3, first_day=104),
-                storage_of_level(PARAMS, 1.08), n_steps=48,
+                PARAMS, MpcConfig(), synthetic_year(6, first_day=104),
+                storage_of_level(PARAMS, 1.08), n_steps=120,
             )
-        assert guesses[0] is None
-        shift, switches = True, 0
-        for t in range(1, len(guesses)):
-            previous = solutions[t - 1].working_set
-            expected = mpc._shifted(previous, h) if shift else previous
-            assert [rows.tolist() for rows in guesses[t]] == [rows.tolist() for rows in expected]
-            if not solutions[t].warm_start:
-                shift, switches = not shift, switches + 1
-        assert switches >= 2
-        assert start.call_count == int(np.sum(~trace.warm_starts)) == switches + 1
+
+        def shifted(rows):
+            return [index.tolist() for index in mpc._shifted(tuple(np.array(i, int) for i in rows), h)]
+
+        recent, shift_first = [], True
+        taken_forms, taken_older, distinct = set(), 0, set()
+        for candidates, solution in zip(offered, solutions):
+            expected = {}  # candidate (as a string) -> whether it is a shifted form
+            for rows in recent:
+                forms = [(shifted(rows), True), (rows, False)]
+                for form, is_shifted in forms if shift_first else forms[::-1]:
+                    expected.setdefault(repr(form), is_shifted)
+            assert [repr(c) for c in candidates] == list(expected)
+            final = [rows.tolist() for rows in solution.working_set]
+            if solution.warm_start:
+                shift_first = expected[repr(final)]
+                taken_forms.add(shift_first)
+                taken_older += repr(final) not in (repr(recent[0]), repr(shifted(recent[0])))
+            distinct.add(repr(final))
+            if final in recent:
+                recent.remove(final)
+            recent = [final, *recent][:8]
+        assert taken_forms == {True, False}
+        assert taken_older > 0
+        # The list fills, and on the flood the shifted form of one set is
+        # often an older set as it is, so no hour offers 16 candidates.
+        assert len(recent) == 8 and len(distinct) > 8
+        assert max(len(c) for c in offered) < 16
+        assert start.call_count == int(np.sum(~trace.warm_starts)) < 10
 
 
 class TestDailyMode:

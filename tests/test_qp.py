@@ -451,14 +451,15 @@ def _assert_matches_dense_kkt(problem, solution):
 
 
 # (first day, start level in m, starts whose tight rows are dependent).
-# Days 104-105 from 1.08 m cross the flood threshold: 35 of the 48 working-set
-# hints are optimal, and the other 13 solves take up to 7 iterations from
-# their starts, three of whose 72 tight rows have rank 48 (one set). The
-# hints and the starts use 24 distinct sets of rows. Days 182-183 from
-# 0.29 m: 47 optimal hints and one one-iteration solve, all on one set.
+# Days 104-105 from 1.08 m cross the flood threshold: 41 of the 48 solves
+# take a candidate working set, and the other 7 take up to 7 iterations
+# from their starts, three of whose 72 tight rows have rank 48 (one set).
+# The candidates tried and the starts use 24 distinct sets of rows. Days
+# 182-183 from 0.29 m: 47 optimal candidates and one one-iteration solve,
+# all on one set.
 HOURLY_WINDOWS = [(104, 1.08, 3), (182, 0.29, 0)]
 START_SETS = {104: 24, 182: 1}
-WARM_STARTS = {104: 35, 182: 47}
+WARM_STARTS = {104: 41, 182: 47}
 FACTOR_CALLS = ((np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "solve"), (np.linalg, "lstsq"))
 
 
@@ -476,18 +477,18 @@ def _count_calls(monkeypatch, functions):
 
 def _hourly_window(monkeypatch, first_day, level, counted=()):
     """Every qp.solve of 48 closed-loop MPC hours from first_day at level m:
-    (problem, start, working-set hint, solution, calls of each (owner, name)
-    in counted). The start is the MPC's, built after the solve, so it is
-    there also for a solve that did not use it."""
+    (problem, start, candidate working sets, solution, calls of each (owner,
+    name) in counted). The start is the MPC's, built after the solve, so it
+    is there also for a solve that did not use it."""
     counts = _count_calls(monkeypatch, counted)
     steps = []
     inner = qp.solve
 
-    def recording(problem, initial_point, working_set=None):
+    def recording(problem, initial_point, working_sets=()):
         counts.clear()
-        solution = inner(problem, initial_point, working_set=working_set)
+        solution = inner(problem, initial_point, working_sets=working_sets)
         calls = dict(counts)
-        steps.append((problem, initial_point(), working_set, solution, calls))
+        steps.append((problem, initial_point(), list(working_sets), solution, calls))
         return solution
 
     monkeypatch.setattr(qp, "solve", recording)
@@ -510,6 +511,14 @@ def _tight_rows(problem, start):
     rhs = np.concatenate([problem.ineq_rhs, -problem.lower[lo], problem.upper[hi]])
     x = np.clip(start, problem.lower, problem.upper)
     return rows[rhs - rows @ x <= 1e-9 * (np.abs(rhs) + np.abs(rows) @ np.abs(x))]
+
+
+def _tried(candidates, solution):
+    """The candidates a solve tried: up to the one it took, or all of them."""
+    if not solution.warm_start:
+        return candidates
+    keys = [tuple(np.asarray(part).tobytes() for part in candidate) for candidate in candidates]
+    return candidates[:keys.index(tuple(part.tobytes() for part in solution.working_set)) + 1]
 
 
 def _hint_rows(problem, working_set):
@@ -610,18 +619,18 @@ class TestMpcScale:
     def test_one_qr_per_hourly_solve(
         self, monkeypatch, no_memoized_structures, first_day, level, n_dependent
     ):
-        # A solve factors the rows of its working-set hint and, when the
-        # hint is not optimal, the rows tight at its start. Independent rows
-        # take one complete QR, which serves the whole solve, snap included;
-        # dependent ones are first thinned by a pivoted QR. A set of rows
-        # seen before in the window reuses its factor and takes none. No
-        # step solves a dense system.
+        # A solve factors the rows of each candidate working set it tries
+        # and, when none is optimal, the rows tight at its start. Independent
+        # rows take one complete QR, which serves the whole solve, snap
+        # included; dependent ones are first thinned by a pivoted QR. A set
+        # of rows seen before in the window, by any candidate or start,
+        # reuses its factor and takes none. No step solves a dense system.
         seen = set()
         dependent = 0
-        for problem, start, hint, solution, counts in _hourly_window(
+        for problem, start, candidates, solution, counts in _hourly_window(
             monkeypatch, first_day, level, FACTOR_CALLS
         ):
-            row_sets = [] if hint is None else [_hint_rows(problem, hint)]
+            row_sets = [_hint_rows(problem, c) for c in _tried(candidates, solution)]
             if not solution.warm_start:
                 tight = _tight_rows(problem, start)
                 dependent += not _independent(tight, problem.n)
@@ -685,16 +694,17 @@ class TestStartFactorCache:
 
     def test_cold_and_warm_starts_give_the_same_bits(self, monkeypatch, no_memoized_structures):
         # Every solve of the window again, with the same start and
-        # working-set hint: from the factors the window cached, then with
-        # the cache cleared before each solve.
+        # candidates: from the factors and candidate rows the window cached,
+        # then with both caches cleared before each solve.
         steps = _hourly_window(monkeypatch, 104, 1.08)
         structure = _only_structure()
         assert len(structure.starts) == START_SETS[104]
-        for problem, start, hint, solution, _ in steps:
-            _assert_same_bits(qp.solve(problem, start, working_set=hint), solution)
-        for problem, start, hint, solution, _ in steps:
+        for problem, start, candidates, solution, _ in steps:
+            _assert_same_bits(qp.solve(problem, start, working_sets=candidates), solution)
+        for problem, start, candidates, solution, _ in steps:
             structure.starts.clear()
-            _assert_same_bits(qp.solve(problem, start, working_set=hint), solution)
+            structure.candidates.clear()
+            _assert_same_bits(qp.solve(problem, start, working_sets=candidates), solution)
 
     def test_writable_problem_leaves_no_cached_start(self, monkeypatch, no_memoized_structures):
         # Its structure serves one solve, so solving it again pays the
@@ -762,8 +772,17 @@ class _CountedStart:
         return np.zeros(2)
 
 
+def _read_only_corner_qp():
+    """_corner_qp with a read-only Hessian and rows, whose structure the
+    solver memoizes."""
+    problem = _corner_qp()
+    problem.hessian.flags.writeable = False
+    problem.ineq_matrix.flags.writeable = False
+    return problem
+
+
 class TestWorkingSetHint:
-    """qp.solve tries a working-set hint before its start."""
+    """qp.solve tries candidate working sets, in order, before its start."""
 
     def test_solution_reports_its_working_set(self):
         solution = qp.solve(_corner_qp(), np.zeros(2))
@@ -774,7 +793,7 @@ class TestWorkingSetHint:
         problem = _corner_qp()
         start = _CountedStart()
         cold = qp.solve(problem, np.zeros(2))
-        warm = qp.solve(problem, start, working_set=cold.working_set)
+        warm = qp.solve(problem, start, working_sets=[cold.working_set])
         assert start.calls == 0
         assert (warm.warm_start, warm.iterations, warm.status) == (True, 1, "optimal")
         assert warm.x == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -795,7 +814,7 @@ class TestWorkingSetHint:
     def test_hint_that_is_not_optimal_falls_back_to_the_start(self, working_set):
         problem = _corner_qp()
         start = _CountedStart()
-        solution = qp.solve(problem, start, working_set=working_set)
+        solution = qp.solve(problem, start, working_sets=[working_set])
         assert start.calls == 1
         assert not solution.warm_start
         _assert_same_bits(solution, qp.solve(problem, np.zeros(2)))
@@ -812,7 +831,57 @@ class TestWorkingSetHint:
     )
     def test_hint_naming_a_missing_row_rejected(self, working_set, message):
         with pytest.raises(ValueError, match=message):
-            qp.solve(_corner_qp(upper=[3.0, np.inf]), np.zeros(2), working_set=working_set)
+            qp.solve(_corner_qp(upper=[3.0, np.inf]), np.zeros(2), working_sets=[working_set])
+
+    def test_rejected_candidates_then_an_optimal_one_build_no_start(self):
+        problem = _corner_qp()
+        start = _CountedStart()
+        optimal = qp.solve(problem, np.zeros(2)).working_set
+        # A row broken, then a negative multiplier (see the test above).
+        solution = qp.solve(problem, start, working_sets=[([], [], []), ([], [0, 1], []), optimal])
+        assert start.calls == 0
+        assert (solution.warm_start, solution.iterations) == (True, 1)
+        _assert_same_bits(solution, qp.solve(problem, start, working_sets=[optimal]))
+
+    def test_every_rejected_candidate_falls_back_to_the_start(self):
+        problem = _corner_qp()
+        start = _CountedStart()
+        solution = qp.solve(problem, start, working_sets=[([], [], []), ([0], [], []), ([], [0, 1], [])])
+        assert start.calls == 1
+        _assert_same_bits(solution, qp.solve(problem, np.zeros(2)))
+
+    def test_memoized_structure_checks_each_candidate_once(self, monkeypatch, no_memoized_structures):
+        # A memoized structure remembers each candidate's rows: offering the
+        # same candidates again checks none of them. A candidate naming a
+        # missing row is rejected on first sight and on every later one,
+        # and the memo keeps nothing for it.
+        problem = _read_only_corner_qp()
+        candidates = [([], [], []), ([], [0, 1], []), ([0], [1], [])]
+        checks = _count_calls(monkeypatch, ((qp, "_checked_rows"),))
+        first = qp.solve(problem, np.zeros(2), working_sets=candidates)
+        assert checks["lakempc.qp._checked_rows"] == 3
+        _assert_same_bits(qp.solve(problem, np.zeros(2), working_sets=candidates), first)
+        assert checks["lakempc.qp._checked_rows"] == 3
+        assert first.warm_start
+        memo = _only_structure().candidates
+        assert len(memo) == 3
+        for bad, message in (
+            (([0], [2], []), r"working_set lower bound of variable 2 is out of range \[0, 2\)"),
+            (([3], [], []), r"working_set inequality row 3 is out of range \[0, 1\)"),
+        ):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    qp.solve(problem, np.zeros(2), working_sets=[candidates[0], bad])
+        assert len(memo) == 3
+        monkeypatch.undo()
+
+    def test_infinite_bound_rejected_on_a_memoized_structure(self, no_memoized_structures):
+        problem = _read_only_corner_qp()
+        problem.upper = np.array([3.0, np.inf])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="upper bound of variable 1, which is infinite"):
+                qp.solve(problem, np.zeros(2), working_sets=[([], [], [1])])
+        assert _only_structure().candidates == {}
 
     def test_rows_are_held_to_their_own_scale(self):
         # The optimum on no rows, x0 = 1e-4, breaks x0 <= 0 by 1e-4: within
@@ -820,7 +889,7 @@ class TestWorkingSetHint:
         problem = qp.QpProblem(
             hessian=np.eye(2), linear_cost=[-1e-4, 0.0], ineq_matrix=np.eye(2), ineq_rhs=[0.0, 1e6]
         )
-        solution = qp.solve(problem, np.zeros(2), working_set=([], [], []))
+        solution = qp.solve(problem, np.zeros(2), working_sets=[([], [], [])])
         assert not solution.warm_start
         assert solution.status == "optimal"
         assert solution.x == pytest.approx([0.0, 0.0], abs=1e-15)
