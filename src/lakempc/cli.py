@@ -254,17 +254,28 @@ def write_comparison_files(outdir: Path, table: metrics.ComparisonTable) -> None
 
 
 def _parse_lambdas(spec: str) -> list[float]:
-    if ".." in spec:
-        lo_text, hi_text = spec.split("..", 1)
-        lo_exp = np.log10(float(lo_text))
-        hi_exp = np.log10(float(hi_text))
-        if abs(lo_exp - round(lo_exp)) > 1e-9 or abs(hi_exp - round(hi_exp)) > 1e-9:
-            raise ValueError("range endpoints must be powers of ten, e.g. 1e-4..1e4")
-        lo_exp, hi_exp = int(round(lo_exp)), int(round(hi_exp))
-        if hi_exp < lo_exp:
-            raise ValueError("empty weight range")
-        return [10.0**e for e in range(lo_exp, hi_exp + 1)]
-    return [float(part) for part in spec.split(",") if part.strip()]
+    """The weights of --lambdas: a comma-separated list, or lo..hi for every
+    power of ten from lo to hi. ValueError naming spec unless it gives at
+    least one weight and every weight or endpoint is positive and finite."""
+    is_range = ".." in spec
+    parts = spec.split("..", 1) if is_range else [p for p in spec.split(",") if p.strip()]
+    try:
+        values = [float(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"--lambdas {spec!r}: not a number") from None
+    if not values:
+        raise ValueError(f"--lambdas {spec!r} names no weight")
+    if not all(0.0 < v < np.inf for v in values):
+        raise ValueError(f"--lambdas {spec!r}: weights must be positive and finite")
+    if not is_range:
+        return values
+    lo_exp, hi_exp = np.log10(values)
+    if abs(lo_exp - round(lo_exp)) > 1e-9 or abs(hi_exp - round(hi_exp)) > 1e-9:
+        raise ValueError(f"--lambdas {spec!r}: endpoints must be powers of ten, e.g. 1e-4..1e4")
+    lo_exp, hi_exp = int(round(lo_exp)), int(round(hi_exp))
+    if hi_exp < lo_exp:
+        raise ValueError(f"--lambdas {spec!r}: empty weight range")
+    return [10.0**e for e in range(lo_exp, hi_exp + 1)]
 
 
 def _prepare_out(path) -> Path:
@@ -300,13 +311,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    lambdas = _parse_lambdas(args.lambdas)
     params, mpc_overrides, _ = _settings(args)
     if args.horizon is not None:
         mpc_overrides["horizon"] = args.horizon
     base_config = mpc_mod.MpcConfig(**mpc_overrides)
     scn = load_scenario(args, params)
     s0 = parse_s0(args.s0, params)
-    sweep = metrics.lambda_sweep(params, base_config, scn, s0, _parse_lambdas(args.lambdas))
+    sweep = metrics.lambda_sweep(params, base_config, scn, s0, lambdas)
     out = _prepare_out(args.out)
     write_sweep_files(out, sweep)
     print(f"sweep: wrote sweep.csv and plotdata_sweep.csv to {out}")

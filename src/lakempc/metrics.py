@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hydrology import LakeParams
-from .mpc import MpcConfig, forget_structure, run_hourly
+from .mpc import MpcConfig, run_hourly
 from .scenario import Scenario
 from .trace import ClosedLoopTrace
 
@@ -166,13 +166,14 @@ def lambda_sweep(
     """Run the hourly controller once per demand weight and tabulate metrics.
 
     The normalized columns divide each hour count by its maximum over the
-    sweep (zero stays zero when no run violates at all). The solver's memo
-    of each weight's QP is dropped once its run is over, except the last
-    weight's, so a sweep leaves at most one behind.
+    sweep (zero stays zero when no run violates at all). Each weight's run
+    replaces the previous weight's solver structure (mpc._qp_structure), so
+    a sweep holds one at a time. Raises ValueError unless there is at least
+    one weight and every weight is positive and finite.
     """
     lambdas = [float(v) for v in lambdas]
-    if any(v <= 0.0 for v in lambdas):
-        raise ValueError("sweep weights must be positive")
+    if not lambdas or not all(0.0 < v < np.inf for v in lambdas):
+        raise ValueError(f"sweep weights must be one or more, positive and finite: {lambdas}")
     reports = []
     for lam in lambdas:
         config = replace(base_config, lam=lam)
@@ -181,8 +182,6 @@ def lambda_sweep(
         except Exception as err:
             raise RuntimeError(f"sweep run failed at lambda={lam:g}: {err}") from err
         reports.append(compute_report(params, trace))
-        if lam != lambdas[-1]:
-            forget_structure(params, config)
     flood_hours = np.array([r.flood.hours for r in reports], dtype=float)
     deficit_hours = np.array([r.demand.hours for r in reports], dtype=float)
     flood_norm = flood_hours / flood_hours.max() if flood_hours.max() > 0 else flood_hours

@@ -61,15 +61,17 @@ always. Of the feasible candidates the one with the lower objective is the
 start.
 
 The QP's Hessian and row matrix depend only on the horizon, the surface
-area and lam, so they are built once per such configuration and shared
-read-only by every step; the solver then folds, scales and factors them
-once per run, and each step supplies only its right-hand side, linear cost
-and bounds.
+area and lam, so _qp_structure builds them, as a qp.Structure that also
+holds their factors and the solver's caches, once per such configuration.
+Every step's problem holds the structure's read-only matrices, and the
+step passes the structure to qp.solve. Only the latest configuration's
+structure is kept: a lambda sweep drops each weight's when it moves on.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +94,13 @@ FLOOD_SLACK_REF = 1.0  # m
 DRY_MARGIN = 1e-9  # m
 # The distinct final working sets an hourly run keeps as candidates.
 _RECENT_SETS = 8
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError naming it unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class MpcInfeasibleError(RuntimeError):
@@ -121,6 +130,7 @@ class MpcConfig:
     feasibility_recovery: bool = True
 
     def __post_init__(self) -> None:
+        self.horizon = _integer("horizon", self.horizon)
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if not 0.0 < self.lam < np.inf:
@@ -162,6 +172,8 @@ def _check_horizon_inputs(config, s0, inflow_forecast, demand, u_bounds, hour=No
         if not finite.all():
             t = int(np.argmin(finite))
             raise ValueError(f"{name} is {series[t]} at horizon step {t}{where}")
+    if not np.isfinite(u_bounds).all():
+        raise ValueError(f"u_bounds must be finite{where}")
     if np.any(u_bounds[:, 0] > u_bounds[:, 1]):
         raise ValueError(f"u_bounds must be ordered (lower <= upper){where}")
     return inflow_forecast, demand, u_bounds
@@ -191,12 +203,13 @@ def assemble_qp(
     infeasible: when the minimum-release plan fails a dry row, solve_step
     fixes the leading releases and lifts the dry rows before solving it.
 
-    The Hessian and the row matrix are read-only and shared by every call
-    with the same horizon, surface area and lam.
+    The Hessian and the row matrix are those of _qp_structure, read-only
+    and shared by every call with the same horizon, surface area and lam.
 
     Raises ValueError for a negative or non-finite s0, arrays whose length
     is not the horizon, a forecast or demand entry that is not finite (the
-    message names the series and the horizon step) and unordered bounds.
+    message names the series and the horizon step) and bounds that are not
+    finite or not ordered.
     Each message names the hour when one is given.
     """
     h = config.horizon
@@ -205,8 +218,8 @@ def assemble_qp(
     )
     area = params.surface_area
     s_min, s_max = _storage_bounds(params)
-    hessian, ineq_matrix = _qp_matrices(h, area, config.lam)
-    n_var = hessian.shape[0]
+    structure = _qp_structure(h, area, config.lam)
+    n_var = structure.hessian.shape[0]
     linear = np.zeros(n_var)
     linear[:h] = -2.0 * TIE_BREAK_WEIGHT * demand
 
@@ -231,21 +244,21 @@ def assemble_qp(
     lower[h:2 * h] = 0.0
 
     return qp.QpProblem(
-        hessian=hessian,
+        hessian=structure.hessian,
         linear_cost=linear,
-        ineq_matrix=ineq_matrix,
+        ineq_matrix=structure.ineq_matrix,
         ineq_rhs=np.concatenate(rhs),
         lower=lower,
         upper=upper,
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _qp_matrices(h, area, lam):
-    """The read-only Hessian and row matrix of assemble_qp's QP.
-
-    They depend only on the arguments, so every hour of a run shares one
-    copy, and qp.solve factors it once (it memoizes on read-only arrays).
+@functools.lru_cache(maxsize=1)
+def _qp_structure(h: int, area: float, lam: float) -> qp.Structure:
+    """The qp.Structure of assemble_qp's QP: its read-only Hessian and row
+    matrix, their factors, and the start factors and candidate rows that
+    qp.solve caches. Every step of a run, and of any later run of the same
+    configuration while it is the last one asked for, shares it.
     """
     n_var = 3 * h
     iu, iem, ied = 0, h, 2 * h
@@ -267,15 +280,10 @@ def _qp_matrices(h, area, lam):
     demand_rows[:, ied:] = np.eye(h)
     ineq_matrix = np.vstack([dry_rows, flood_rows, demand_rows])
 
-    hessian.flags.writeable = False
-    ineq_matrix.flags.writeable = False
-    return hessian, ineq_matrix
-
-
-def forget_structure(params: LakeParams, config: MpcConfig) -> None:
-    """Drop the solver's memo of this configuration's QP (qp.forget): its
-    factor and cached starts. A later step with it builds them again."""
-    qp.forget(*_qp_matrices(config.horizon, params.surface_area, config.lam))
+    # assemble_qp's finite bounds: both on u, the lower on slack_flood.
+    lower, upper = np.full(n_var, -np.inf), np.full(n_var, np.inf)
+    lower[:ied] = upper[:iem] = 0.0
+    return qp.Structure(qp.QpProblem(hessian, np.zeros(n_var), ineq_matrix, None, lower, upper))
 
 
 def _with_slacks(params, s0, inflow_forecast, demand, u):
@@ -394,6 +402,7 @@ def solve_step(
             params, problem, s0, inflow_forecast, demand, u_hint
         ),
         working_sets=working_sets,
+        structure=_qp_structure(h, params.surface_area, config.lam),
     )
     return MpcStepResult(
         planned_releases=solution.x[:h],
@@ -451,7 +460,7 @@ def run_hourly(
     limit = scenario.n_hours - h
     if limit < 1:
         raise ValueError(f"scenario too short: {scenario.n_hours} hours for horizon {h}")
-    n_steps = limit if n_steps is None else int(n_steps)
+    n_steps = limit if n_steps is None else _integer("n_steps", n_steps)
     if not 1 <= n_steps <= limit:
         raise ValueError(f"n_steps must lie in [1, {limit}], got {n_steps}")
     hint = None
@@ -529,7 +538,7 @@ def run_daily(
     """
     if config.horizon != HOURS_PER_DAY:
         raise ValueError("daily mode requires a 24-hour horizon")
-    n_steps = scenario.n_hours if n_steps is None else int(n_steps)
+    n_steps = scenario.n_hours if n_steps is None else _integer("n_steps", n_steps)
     if n_steps < HOURS_PER_DAY or n_steps % HOURS_PER_DAY != 0:
         raise ValueError(f"n_steps must be a positive multiple of 24, got {n_steps}")
     if n_steps > scenario.n_hours:

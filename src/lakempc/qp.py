@@ -22,7 +22,7 @@ synthetic year accept a flood row broken by up to 2e-5 m, and one of them,
 broken by 4.9e-7 m, even passes certification. Only when every candidate
 is rejected does the solve start from the caller's start, which may be
 given as a function so that it is built only then. Either way the result
-is certified as below. A memoized structure also remembers the rows of
+is certified as below. The structure (below) also remembers the rows of
 each candidate it has checked, keyed by the candidate's bytes, so a
 candidate seen before costs a dict lookup, the snap and the two tests when
 it is rejected: about 30 us at the MPC's size on a 2-vCPU Xeon, against
@@ -30,21 +30,24 @@ it is rejected: about 30 us at the MPC's size on a 2-vCPU Xeon, against
 the start.
 
 The work that depends only on the Hessian, the rows and which bounds are
-finite is done once per such structure: folding the finite bounds in as
-rows, the equilibration, the factor of the scaled Hessian, Q = LL' (it
-fails unless the Hessian is positive definite), and the rows in y = L'x of
-Goldfarb & Idnani (1983), where the Hessian is the identity. A caller that
-re-solves one structure with new right-hand sides, costs and bound values
-(the MPC, every hour) marks its Hessian and row matrix read-only, and the
-solver memoizes the structure on them; writable arrays are factored for
-each solve. Each solve scales its own right-hand side and cost, checks its
-vectors and the start, and certifies its result on the full problem.
+finite is held by a Structure: folding the finite bounds in as rows, the
+equilibration, the factor of the scaled Hessian, Q = LL' (it fails unless
+the Hessian is positive definite), and the rows in y = L'x of Goldfarb &
+Idnani (1983), where the Hessian is the identity. A caller that re-solves
+one family of problems with new right-hand sides, costs and bound values
+(the MPC, every hour) builds one Structure and passes it to every solve;
+it and its caches (below) live as long as the caller holds it. It keeps
+read-only copies of the Hessian and the row matrix, and solve rejects a
+problem that does not hold those very arrays, so no factor can go stale.
+Without a structure, solve builds one for that solve alone. Each solve
+scales its own right-hand side and cost, checks its vectors and the
+start, and certifies its result on the full problem.
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
 The working-set factor starts as the complete QR of the rows tight at the
 start; when they are dependent (or outnumber the variables), a pivoted QR
-first picks an independent subset and that is factored instead. A memoized
+first picks an independent subset and that is factored instead. A
 structure keeps this start factor for each set of tight rows it has seen,
 and for each candidate's rows (above), up to _START_CACHE_SIZE sets (first
 in, first out; about 70 kB each at the MPC's 72 variables), so the MPC's
@@ -243,152 +246,79 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> float:
     return _worst(np.fromiter(kkt_components(problem, solution).values(), dtype=float))
 
 
-@dataclass(frozen=True)
-class _Structure:
-    """What a solve needs from the Hessian, the rows and which bounds are finite.
+class Structure:
+    """What the solves of one family of problems share: the work that
+    depends only on the Hessian, the rows and which bounds are finite, and
+    the factors the solves cache.
 
-    The inequalities with the finite bounds folded in as rows, their
-    equilibration, and the factor of the scaled Hessian. The right-hand side
-    and the linear cost are scaled per solve with row_scale and col_scale.
+    Built from a problem, it serves every problem that holds its hessian and
+    ineq_matrix, read-only copies of the problem's, and has finite bounds
+    where it has (see solve). It folds the finite bounds in as rows, and
+    holds their equilibration and the factor of the scaled Hessian. The
+    right-hand side and the linear cost are scaled per solve with row_scale
+    and col_scale.
     """
 
-    a: np.ndarray           # (m, n) scaled rows, unit inf-norm
-    kind: np.ndarray        # row origin: _ROW_INEQ / _ROW_LOWER / _ROW_UPPER
-    orig_index: np.ndarray  # index into ineq rows or variable index for bounds
-    finite_lo: np.ndarray   # variables whose lower bound is a row
-    finite_hi: np.ndarray   # variables whose upper bound is a row
-    row_scale: np.ndarray   # original dual = row_scale * scaled dual
-    col_scale: np.ndarray   # x_original = col_scale * x_scaled
-    q_s: np.ndarray         # scaled Hessian
-    l_inv_t: np.ndarray     # L^-T with q_s = LL'
-    a_y: np.ndarray         # the rows in y = L'x coordinates, a @ L^-T
-    # Row of each entry of a working set: inequality row i at i, the lower
-    # bound of variable j at m_in + j, its upper bound at m_in + n + j; -1
-    # where that bound is infinite.
-    candidate_row: np.ndarray
-    # Memoized structures only, None on a structure built for one solve:
-    # tight.tobytes() -> (working rows, Q, R) of the start (see
-    # _start_factor), and the bytes of each part of a candidate working set
-    # -> its rows (see _candidate_rows).
-    starts: dict[bytes, tuple[tuple[int, ...], np.ndarray, np.ndarray]] | None
-    candidates: dict[tuple[bytes, ...], np.ndarray] | None
+    def __init__(self, problem: QpProblem) -> None:
+        """Raises ValueError for dimension errors and a Hessian that is not
+        symmetric or not positive definite."""
+        problem._check_matrices()
+        n, m_in = problem.n, problem.ineq_matrix.shape[0]
+        self.hessian = problem.hessian.copy()
+        self.ineq_matrix = problem.ineq_matrix.copy()
+        self.hessian.flags.writeable = self.ineq_matrix.flags.writeable = False
+        self.finite_bounds = _finite_bounds(problem)
+        # The variables whose lower and upper bounds are finite, so rows.
+        self.finite_lo = finite_lo = np.flatnonzero(np.isfinite(problem.lower))
+        self.finite_hi = finite_hi = np.flatnonzero(np.isfinite(problem.upper))
+        eye = np.eye(n)
+        a_all = np.vstack([self.ineq_matrix, 0.0 - eye[finite_lo], eye[finite_hi]])
+        # Each row's origin and its index: the inequality row's, or the
+        # variable's for a bound.
+        self.kind = np.repeat(
+            [_ROW_INEQ, _ROW_LOWER, _ROW_UPPER], [m_in, finite_lo.size, finite_hi.size]
+        )
+        self.orig_index = np.concatenate([np.arange(m_in), finite_lo, finite_hi])
+
+        # One equilibration pass: column scales from the stacked data, then
+        # unit inf-norm rows. Keeps mixed-unit problems (storage vs flow
+        # columns) within a sane condition number for the dense
+        # factorizations below. x_original = col_scale * x_scaled, and
+        # original dual = row_scale * scaled dual.
+        col_norm = np.max(np.abs(np.vstack([self.hessian, a_all])), axis=0)
+        self.col_scale = 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
+        a_s = a_all * self.col_scale[None, :]
+        row_norm = np.max(np.abs(a_s), axis=1, initial=0.0)
+        self.row_scale = 1.0 / np.maximum(row_norm, 1e-12)
+        self.a = a_s * self.row_scale[:, None]
+
+        # y = L'x with q_s = LL' (see module docstring); a_y is a in y.
+        self.q_s = self.col_scale[:, None] * self.hessian * self.col_scale[None, :]
+        try:
+            l_factor = np.linalg.cholesky(self.q_s)
+        except np.linalg.LinAlgError:
+            raise ValueError("hessian is not positive definite") from None
+        self.l_inv_t = scipy.linalg.solve_triangular(l_factor, eye, lower=True).T
+        self.a_y = self.a @ self.l_inv_t
+        # Row of each entry of a working set: inequality row i at i, the lower
+        # bound of variable j at m_in + j, its upper bound at m_in + n + j; -1
+        # where that bound is infinite.
+        entries = np.concatenate([np.arange(m_in), m_in + finite_lo, m_in + n + finite_hi])
+        self.candidate_row = np.full(m_in + 2 * n, -1)
+        self.candidate_row[entries] = np.arange(entries.size)
+        # tight.tobytes() -> (working rows, Q, R) of the start (see
+        # _start_factor), and the bytes of each part of a candidate working
+        # set -> its rows (see _candidate_rows); at most _START_CACHE_SIZE each.
+        self.starts: dict[bytes, tuple[tuple[int, ...], np.ndarray, np.ndarray]] = {}
+        self.candidates: dict[tuple[bytes, ...], np.ndarray] = {}
 
 
-_STRUCTURE_CACHE_SIZE = 8
 _START_CACHE_SIZE = 128
-# Both caches of a memoized structure hold at most _START_CACHE_SIZE entries.
-# (id(hessian), id(ineq_matrix), finite-bound masks) -> (hessian, ineq_matrix, structure).
-# An entry holds its arrays, so their ids cannot be reused while it lives.
-_structures: dict[tuple, tuple[np.ndarray, np.ndarray, _Structure]] = {}
 
 
-def _read_only(arr: np.ndarray) -> bool:
-    """True when neither arr nor the array whose memory it views can be written."""
-    base = arr.base
-    return not arr.flags.writeable and (
-        base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
-    )
-
-
-def _structure(problem: QpProblem) -> _Structure:
-    """The problem's structure, memoized while its Hessian and rows are read-only.
-
-    A caller that solves a family of problems with the same Hessian and rows
-    (the MPC, hour after hour) marks them read-only and gets the folding,
-    scaling and factorization once, the factor of each start's tight rows
-    once per set of rows, and the validation of each candidate working set
-    once; it must not make them writable again.
-    Writable arrays are never memoized.
-    """
-    finite_lo = np.isfinite(problem.lower)
-    finite_hi = np.isfinite(problem.upper)
-    if not (_read_only(problem.hessian) and _read_only(problem.ineq_matrix)):
-        return _build_structure(problem, finite_lo, finite_hi, memoized=False)
-    key = (id(problem.hessian), id(problem.ineq_matrix), finite_lo.tobytes(), finite_hi.tobytes())
-    entry = _structures.get(key)
-    if entry is None:
-        structure = _build_structure(problem, finite_lo, finite_hi, memoized=True)
-        entry = _structures[key] = (problem.hessian, problem.ineq_matrix, structure)
-        if len(_structures) > _STRUCTURE_CACHE_SIZE:
-            del _structures[next(iter(_structures))]
-    return entry[2]
-
-
-def forget(hessian: np.ndarray, ineq_matrix: np.ndarray) -> None:
-    """Drop the memoized structures of these arrays, with their cached starts
-    and candidates.
-
-    For a caller done with a family of problems (a finished weight of a
-    sweep), so that its factors do not wait for FIFO eviction.
-    """
-    for key in [key for key, entry in _structures.items()
-                if entry[0] is hessian and entry[1] is ineq_matrix]:
-        del _structures[key]
-
-
-def _build_structure(
-    problem: QpProblem, finite_lo: np.ndarray, finite_hi: np.ndarray, memoized: bool
-) -> _Structure:
-    problem._check_matrices()
-    n = problem.n
-    finite_lo = np.flatnonzero(finite_lo)
-    finite_hi = np.flatnonzero(finite_hi)
-    rows = [problem.ineq_matrix]
-    kind = [np.full(problem.ineq_matrix.shape[0], _ROW_INEQ)]
-    oidx = [np.arange(problem.ineq_matrix.shape[0])]
-    if finite_lo.size:
-        lo_rows = np.zeros((finite_lo.size, n))
-        lo_rows[np.arange(finite_lo.size), finite_lo] = -1.0
-        rows.append(lo_rows)
-        kind.append(np.full(finite_lo.size, _ROW_LOWER))
-        oidx.append(finite_lo)
-    if finite_hi.size:
-        hi_rows = np.zeros((finite_hi.size, n))
-        hi_rows[np.arange(finite_hi.size), finite_hi] = 1.0
-        rows.append(hi_rows)
-        kind.append(np.full(finite_hi.size, _ROW_UPPER))
-        oidx.append(finite_hi)
-    a_all = np.vstack(rows)
-
-    # One equilibration pass: column scales from the stacked data, then unit
-    # inf-norm rows. Keeps mixed-unit problems (storage vs flow columns)
-    # within a sane condition number for the dense factorizations below.
-    stacked = np.vstack([problem.hessian, a_all])
-    col_norm = np.max(np.abs(stacked), axis=0)
-    col_scale = 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
-
-    a_s = a_all * col_scale[None, :]
-    row_norm = np.max(np.abs(a_s), axis=1, initial=0.0)
-    row_scale = 1.0 / np.maximum(row_norm, 1e-12)
-    a_s = a_s * row_scale[:, None]
-
-    # y = L'x with q_s = LL' (see module docstring).
-    q_s = col_scale[:, None] * problem.hessian * col_scale[None, :]
-    try:
-        l_factor = np.linalg.cholesky(q_s)
-    except np.linalg.LinAlgError:
-        raise ValueError("hessian is not positive definite") from None
-    l_inv_t = scipy.linalg.solve_triangular(l_factor, np.eye(n), lower=True).T
-    m_in = problem.ineq_matrix.shape[0]
-    candidate_row = np.full(m_in + 2 * n, -1)
-    candidate_row[:m_in] = np.arange(m_in)
-    candidate_row[m_in + finite_lo] = m_in + np.arange(finite_lo.size)
-    candidate_row[m_in + n + finite_hi] = m_in + finite_lo.size + np.arange(finite_hi.size)
-    return _Structure(
-        a=a_s,
-        kind=np.concatenate(kind),
-        orig_index=np.concatenate(oidx),
-        finite_lo=finite_lo,
-        finite_hi=finite_hi,
-        row_scale=row_scale,
-        col_scale=col_scale,
-        q_s=q_s,
-        l_inv_t=l_inv_t,
-        a_y=a_s @ l_inv_t,
-        candidate_row=candidate_row,
-        starts={} if memoized else None,
-        candidates={} if memoized else None,
-    )
+def _finite_bounds(problem: QpProblem) -> bytes:
+    """Which of the problem's lower and upper bounds are finite, as bytes."""
+    return np.isfinite(problem.lower).tobytes() + np.isfinite(problem.upper).tobytes()
 
 
 def _max_violation(problem: QpProblem, x: np.ndarray) -> tuple[float, str]:
@@ -429,10 +359,10 @@ def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 
 
 def _start_factor(
-    fold: _Structure, tight: np.ndarray
+    fold: Structure, tight: np.ndarray
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The initial working rows and their complete QR in y (read-only), from
-    the rows tight at the start; kept in fold.starts when fold is memoized.
+    the rows tight at the start; kept in fold.starts.
 
     When the tight rows are independent, they are the working rows.
     Otherwise a pivoted QR picks an independent subset, which is then
@@ -440,7 +370,7 @@ def _start_factor(
     the rows.
     """
     key = tight.tobytes()
-    if fold.starts is not None and key in fold.starts:
+    if key in fold.starts:
         return fold.starts[key]
     w_rows = tight
     if tight.size <= fold.a.shape[1]:
@@ -454,8 +384,7 @@ def _start_factor(
     qf.flags.writeable = False
     rf.flags.writeable = False
     start = (tuple(w_rows.tolist()), qf, rf)
-    if fold.starts is not None:
-        _remember(fold.starts, key, start)
+    _remember(fold.starts, key, start)
     return start
 
 
@@ -466,27 +395,18 @@ def _remember(cache: dict, key, value) -> None:
         del cache[next(iter(cache))]
 
 
-def _candidate_rows(problem: QpProblem, fold: _Structure, working_set) -> np.ndarray:
+def _candidate_rows(problem: QpProblem, fold: Structure, working_set) -> np.ndarray:
     """The sorted rows of fold that working_set names: (inequality rows,
     lower-bound variables, upper-bound variables) in the problem's numbering.
 
     Raises ValueError naming an index out of range or an infinite bound.
-    A memoized fold remembers the rows of each working set it has checked.
+    fold.candidates keeps the rows of each working set checked, read-only.
     """
     parts = [np.asarray(part, dtype=np.intp).reshape(-1) for part in working_set]
-    if fold.candidates is None:
-        return _checked_rows(problem, fold, parts)
     key = tuple(part.tobytes() for part in parts)
     rows = fold.candidates.get(key)
-    if rows is None:
-        rows = _checked_rows(problem, fold, parts)
-        rows.flags.writeable = False
-        _remember(fold.candidates, key, rows)
-    return rows
-
-
-def _checked_rows(problem: QpProblem, fold: _Structure, parts: list[np.ndarray]) -> np.ndarray:
-    """_candidate_rows without the memo."""
+    if rows is not None:
+        return rows
     n, m_in = problem.n, problem.ineq_matrix.shape[0]
     names = ("inequality row", "lower bound of variable", "upper bound of variable")
     for name, index, size in zip(names, parts, (m_in, n, n)):
@@ -501,6 +421,8 @@ def _checked_rows(problem: QpProblem, fold: _Structure, parts: list[np.ndarray])
             infinite = index[fold.candidate_row[offset + index] < 0]
             if infinite.size:
                 raise ValueError(f"working_set names the {name} {infinite[0]}, which is infinite")
+    rows.flags.writeable = False
+    _remember(fold.candidates, key, rows)
     return rows
 
 
@@ -509,32 +431,45 @@ def solve(
     initial_point: np.ndarray | Callable[[], np.ndarray],
     max_iterations: int = MAX_ITERATIONS,
     working_sets: Sequence[tuple] = (),
+    structure: Structure | None = None,
 ) -> QpSolution:
     """Solve a dense convex QP from a feasible start and certify the result.
+
+    structure is the Structure of a problem of the same family, whose
+    caches this solve reads and extends; without one, the solve builds its
+    own.
 
     working_sets are candidate active sets, each in the form of
     QpSolution.working_set, tried in order: the optimum on the first
     candidate's rows that meets every row and whose multipliers have the
     right sign is returned as the solution, in one iteration (see the module
     docstring). A rejected candidate costs its snap and two tests, plus, the
-    first time a memoized structure sees it, its validation and the QR of
-    its rows. Only when every candidate is rejected does the solve start
-    from initial_point, an array or a function of no arguments that returns
-    one, called only then. initial_point, clipped into the bounds, must meet
+    first time the structure sees it, its validation and the QR of its
+    rows. Only when every candidate is rejected does the solve start from
+    initial_point, an array or a function of no arguments that returns one,
+    called only then. initial_point, clipped into the bounds, must meet
     every row within FEASIBILITY_TOL; the rows tight there seed the working
     set.
 
-    Raises ValueError for a problem with no variables, dimension errors, a
-    Hessian that is not positive definite, a cost or right-hand side entry
-    that is not finite, a NaN bound (infinite bounds are absent bounds), a
-    candidate that names a row out of range or an infinite bound (checked
-    when the candidate is reached), and a start that is not of length n, not
-    finite or not feasible (the message names its most violated constraint).
-    The start is checked only when it is used.
+    Raises ValueError for a problem with no variables, a structure whose
+    matrices the problem does not hold or whose finite bounds are not the
+    problem's, dimension errors, a Hessian that is not symmetric or not
+    positive definite, a cost or right-hand side entry that is not finite, a
+    NaN bound (infinite bounds are absent bounds), a candidate that names a
+    row out of range or an infinite bound (checked when the candidate is
+    reached), and a start that is not of length n, not finite or not
+    feasible (the message names its most violated constraint). The start is
+    checked only when it is used.
     """
     problem._check_data()
     n = problem.n
-    fold = _structure(problem)
+    if structure is None:
+        structure = Structure(problem)
+    elif problem.hessian is not structure.hessian or problem.ineq_matrix is not structure.ineq_matrix:
+        raise ValueError("the problem's hessian and ineq_matrix are not the structure's")
+    elif _finite_bounds(problem) != structure.finite_bounds:
+        raise ValueError("the problem's finite bounds are not the structure's")
+    fold = structure
     m = fold.a.shape[0]
     q_s, l_inv_t, a_y = fold.q_s, fold.l_inv_t, fold.a_y
     b_s = fold.row_scale * np.concatenate(

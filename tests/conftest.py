@@ -13,10 +13,11 @@ import pytest  # noqa: E402
 
 
 @pytest.fixture
-def no_memoized_structures():
-    """Empty the QP solver's memo of structures, with their start factors
-    and the rows of the candidate working sets they have checked, so that a
-    test counting factorizations or checks does not depend on test order."""
-    from lakempc import qp
+def no_qp_structure():
+    """Drop the MPC's solver structure (mpc._qp_structure), with its start
+    factors and the rows of the candidate working sets it has checked, so
+    that a test counting factorizations or checks does not depend on test
+    order."""
+    from lakempc import mpc
 
-    qp._structures.clear()
+    mpc._qp_structure.cache_clear()

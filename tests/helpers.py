@@ -327,3 +327,33 @@ def reference_backward_induction(
         values[t] = total[node_range, best]
         policy[t] = actions[node_range, best]
     return ValueTable(values=values, policy=policy, grid=grid, out_of_grid=out_of_grid)
+
+
+def assert_rerun_reuses_structure(monkeypatch, params, config, scenario, s0, n_steps):
+    """Run config's hourly loop again and check that it makes no QR and
+    checks no candidate working set again: the solver structure that
+    mpc._qp_structure keeps still holds every start factor and candidate's
+    rows the run needs, as the same arrays. Returns the run's trace."""
+    structure = mpc._qp_structure(config.horizon, params.surface_area, config.lam)
+    candidates = dict(structure.candidates)
+    assert candidates
+    qr_calls = []
+    inner = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        qr_calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    trace = mpc.run_hourly(params, config, scenario, s0, n_steps=n_steps)
+    monkeypatch.undo()
+    assert qr_calls == []
+    assert mpc._qp_structure(config.horizon, params.surface_area, config.lam) is structure
+    assert_same_entries(structure.candidates, candidates)
+    return trace
+
+
+def assert_same_entries(cache: dict, before: dict) -> None:
+    """cache holds the entries of before and no other, as the same objects."""
+    assert cache.keys() == before.keys()
+    assert all(cache[key] is value for key, value in before.items())

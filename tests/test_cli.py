@@ -235,6 +235,18 @@ def test_sweep_writes_one_row_per_weight(tmp_path, scenario_dir):
             assert 0.0 <= float(row[column]) <= 1.0
 
 
+@pytest.mark.parametrize("spec", ["0..1e2", "-1e-2..1e2", "1e3..1e400", ",", "1,nan", "1,abc"])
+def test_bad_sweep_weights_are_a_runtime_error(tmp_path, scenario_dir, capsys, spec):
+    # These once escaped as OverflowError, or failed inside the sweep on a
+    # NaN exponent or an empty array.
+    # With "=", argparse takes a leading "-" as part of the value.
+    argv = ["sweep", f"--lambdas={spec}", "--horizon", "6", *scenario_args(scenario_dir)]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --lambdas {spec!r}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_inflow_kind_is_usage_error(tmp_path, scenario_dir, capsys):
     argv = ["ddp", "--scenario", str(scenario_dir / "inflow_daily.csv"), "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_USAGE

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from lakempc import metrics, mpc, qp
-from lakempc.hydrology import LakeParams, storage_of_level
+from helpers import assert_rerun_reuses_structure
+from lakempc import metrics, mpc
+from lakempc.hydrology import DEMAND_REF, LakeParams, storage_of_level
 from lakempc.mpc import MpcConfig, run_hourly
 from lakempc.scenario import synthetic_year
 from lakempc.trace import ClosedLoopTrace
@@ -77,29 +78,29 @@ def test_violations_within_tolerance_are_not_counted():
     assert report.demand.area == pytest.approx(3 * 0.5 * metrics.DEFICIT_REL_TOL * 100.0)
 
 
-def test_sweep_leaves_only_the_last_weights_structure(monkeypatch, no_memoized_structures):
+def test_sweep_leaves_only_the_last_weights_structure(monkeypatch, no_qp_structure):
     # Each weight has its own Hessian, so its own solver structure, cached
-    # starts and checked candidates. A repeated run of the last weight
-    # reuses them: no QR, and no candidate working set checked again.
+    # starts and checked candidates; each run drops the previous weight's.
+    # A repeated run of the last weight reuses its structure: no QR, and no
+    # candidate working set checked again.
     params, config = LakeParams(), MpcConfig(horizon=6)
     scn = synthetic_year(2, first_day=104)
     s0 = storage_of_level(params, 1.08)
     sweep = metrics.lambda_sweep(params, config, scn, s0, [0.1, 1.0, 10.0], n_steps=24)
     assert len(sweep.reports) == 3
-    hessian, ineq_matrix = mpc._qp_matrices(6, params.surface_area, 10.0)
-    (entry,) = qp._structures.values()
-    assert entry[0] is hessian and entry[1] is ineq_matrix
-    assert entry[2].candidates
-    calls = []
+    assert mpc._qp_structure.cache_info().currsize == 1
+    misses = mpc._qp_structure.cache_info().misses
+    structure = mpc._qp_structure(6, params.surface_area, 10.0)
+    assert mpc._qp_structure.cache_info().misses == misses
+    assert structure.hessian[-1, -1] == 2.0 * 10.0 / DEMAND_REF**2
+    assert_rerun_reuses_structure(monkeypatch, params, MpcConfig(horizon=6, lam=10.0), scn, s0, 24)
 
-    def counting(inner):
-        def wrapper(*args, **kwargs):
-            calls.append(inner.__name__)
-            return inner(*args, **kwargs)
-        return wrapper
 
-    monkeypatch.setattr(np.linalg, "qr", counting(np.linalg.qr))
-    monkeypatch.setattr(qp, "_checked_rows", counting(qp._checked_rows))
-    run_hourly(params, MpcConfig(horizon=6, lam=10.0), scn, s0, n_steps=24)
-    assert calls == []
-    assert list(qp._structures.values()) == [entry]
+@pytest.mark.parametrize(
+    "lambdas", [[], [1.0, np.nan], [0.0], [-1.0, 1.0], [1.0, np.inf]],
+    ids=["empty", "nan", "zero", "negative", "infinite"],
+)
+def test_sweep_rejects_weights_outside_the_positive_reals(lambdas):
+    scn = synthetic_year(2, first_day=104)
+    with pytest.raises(ValueError, match="sweep weights must be one or more, positive and finite"):
+        metrics.lambda_sweep(LakeParams(), MpcConfig(horizon=6), scn, 1e8, lambdas, n_steps=24)

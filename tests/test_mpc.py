@@ -9,7 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import controller_cost, direct_cost_minimum, phase1_point
+from helpers import (
+    assert_rerun_reuses_structure,
+    controller_cost,
+    direct_cost_minimum,
+    phase1_point,
+)
 from lakempc import mpc, qp
 from lakempc.hydrology import (
     HOUR_SECONDS,
@@ -86,6 +91,13 @@ class TestAssembly:
         with pytest.raises(ValueError, match="ordered"):
             assemble_qp(PARAMS, config, 1e8, [0.0], [0.0], [(10.0, 5.0)])
 
+    @pytest.mark.parametrize("bound", [(10.0, np.inf), (-np.inf, 10.0), (np.nan, 10.0)])
+    def test_non_finite_bounds_rejected(self, bound):
+        # The solver structure of a configuration fixes which bounds are finite.
+        config = MpcConfig(horizon=2)
+        with pytest.raises(ValueError, match="^u_bounds must be finite at hour 4$"):
+            solve_step(PARAMS, config, 1e8, [0.0] * 2, [0.0] * 2, [(10.0, 20.0), bound], hour=4)
+
     def test_negative_storage_rejected(self):
         config = MpcConfig(horizon=1)
         with pytest.raises(ValueError, match="s0"):
@@ -155,27 +167,38 @@ class TestAssembly:
 
 class TestMatricesPerConfiguration:
     def test_matrices_are_shared_and_read_only(self):
+        # They are the configuration's solver structure's.
         config = MpcConfig(horizon=3)
         args = ([50.0] * 3, [80.0] * 3, [(10.0, 400.0)] * 3)
         first = assemble_qp(PARAMS, config, 1e8, *args)
         second = assemble_qp(PARAMS, config, 1.1e8, *args)
+        structure = mpc._qp_structure(3, PARAMS.surface_area, 1.0)
         for name in ("hessian", "ineq_matrix"):
             matrix = getattr(first, name)
-            assert matrix is getattr(second, name)
+            assert matrix is getattr(second, name) is getattr(structure, name)
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = 1.0
 
-    def test_one_factorization_per_run(self, cholesky_calls, no_memoized_structures):
+    def test_one_factorization_per_run(self, cholesky_calls, no_qp_structure):
         trace = run_hourly(
             PARAMS, MpcConfig(lam=0.37), constant_scenario(100.0, 90.0, 4), 1.2e8, n_steps=48
         )
         assert set(trace.solve_statuses) == {"optimal"}
-        assert len(cholesky_calls) <= 2
+        assert len(cholesky_calls) == 1
+
+    def test_second_run_factors_and_checks_nothing(self, monkeypatch, no_qp_structure):
+        # The structure outlives the run: a second run of the configuration
+        # in the process finds every start factor and candidate it needs.
+        config, scn = MpcConfig(horizon=6), synthetic_year(2, first_day=104)
+        s0 = storage_of_level(PARAMS, 1.08)
+        first = run_hourly(PARAMS, config, scn, s0, n_steps=24)
+        second = assert_rerun_reuses_structure(monkeypatch, PARAMS, config, scn, s0, n_steps=24)
+        assert np.array_equal(second.releases, first.releases)
 
     def test_writable_copies_give_the_same_bits(self):
         # A flood-window step from the demand start, which takes 7
-        # iterations. The copies are writable, so the solver cannot use the
-        # factorization it memoized for the shared matrices.
+        # iterations. The copies are writable and not the structure's
+        # matrices, so the solver builds them a structure of their own.
         config = MpcConfig()
         h = config.horizon
         scn = synthetic_year(3, first_day=104)
@@ -192,7 +215,9 @@ class TestMatricesPerConfiguration:
             lower=problem.lower,
             upper=problem.upper,
         )
-        shared = qp.solve(problem, initial_point=hint)
+        shared = qp.solve(
+            problem, initial_point=hint, structure=mpc._qp_structure(h, PARAMS.surface_area, 1.0)
+        )
         alone = qp.solve(copied, initial_point=hint)
         assert shared.status == alone.status == "optimal"
         assert shared.iterations == alone.iterations > 1
@@ -369,7 +394,7 @@ class TestRecovery:
         for solution in recovery:
             assert solution.status == "optimal" and solution.kkt_residual <= 1e-9
 
-    def test_recovery_steps_share_the_factorization(self, cholesky_calls, no_memoized_structures):
+    def test_recovery_steps_share_the_factorization(self, cholesky_calls, no_qp_structure):
         # Recovery hours change only bounds and right-hand sides.
         trace = run_hourly(
             PARAMS,
@@ -679,6 +704,10 @@ class TestConfig:
         "kwargs",
         [
             {"horizon": 0},
+            # These once passed and failed later on a slice index, or ran 1 hour.
+            {"horizon": 6.0},
+            {"horizon": "6"},
+            {"horizon": True},
             {"lam": -1.0},
             {"lam": 0.0},
             # These once passed and failed inside the solver without naming lam.
@@ -687,5 +716,23 @@ class TestConfig:
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
             MpcConfig(**kwargs)
+
+    @pytest.mark.parametrize("run", [run_hourly, run_daily])
+    @pytest.mark.parametrize("n_steps", [10.7, 24.0, True, "12"])
+    def test_step_count_must_be_an_integer(self, run, n_steps):
+        # These once ran int(n_steps) hours, or a bool's one.
+        scn = constant_scenario(10.0, 10.0, 3)
+        with pytest.raises(ValueError, match=r"^n_steps must be an integer, got "):
+            run(PARAMS, MpcConfig(), scn, 1e8, n_steps=n_steps)
+
+    def test_integer_step_count_of_another_type_runs(self):
+        scn = constant_scenario(10.0, 10.0, 3)
+        trace = run_daily(PARAMS, MpcConfig(), scn, 1e8, n_steps=np.int64(24))
+        assert trace.releases.size == 24
+
+    def test_integer_horizon_of_another_type_is_an_int(self):
+        config = MpcConfig(horizon=np.int64(6))
+        assert type(config.horizon) is int and config.horizon == 6

@@ -1,13 +1,20 @@
 """QP solver tests: certification against the active-set enumeration oracle."""
 
 import collections
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import dense_kkt_solution, enumeration_oracle, phase1_point, random_qp
+from helpers import (
+    assert_same_entries,
+    dense_kkt_solution,
+    enumeration_oracle,
+    phase1_point,
+    random_qp,
+)
 from lakempc import mpc, qp
 from lakempc.hydrology import (
     HOUR_SECONDS,
@@ -484,9 +491,9 @@ def _hourly_window(monkeypatch, first_day, level, counted=()):
     steps = []
     inner = qp.solve
 
-    def recording(problem, initial_point, working_sets=()):
+    def recording(problem, initial_point, working_sets=(), structure=None):
         counts.clear()
-        solution = inner(problem, initial_point, working_sets=working_sets)
+        solution = inner(problem, initial_point, working_sets=working_sets, structure=structure)
         calls = dict(counts)
         steps.append((problem, initial_point(), list(working_sets), solution, calls))
         return solution
@@ -585,7 +592,7 @@ class TestMpcScale:
             assert solution.iterations >= 30
         assert hinted.x == pytest.approx(cold.x, abs=1e-8)
 
-    def test_factorizations_per_solve_not_per_iteration(self, monkeypatch, no_memoized_structures):
+    def test_factorizations_per_solve_not_per_iteration(self, monkeypatch, no_qp_structure):
         # The first step of the hard dry-bound run: demand 300 against inflow
         # 20, 3e6 m^3 above the dry storage, started from the minimum-release
         # plan, not the MPC's own start, so that the solve stays long enough
@@ -617,7 +624,7 @@ class TestMpcScale:
 
     @pytest.mark.parametrize("first_day, level, n_dependent", HOURLY_WINDOWS)
     def test_one_qr_per_hourly_solve(
-        self, monkeypatch, no_memoized_structures, first_day, level, n_dependent
+        self, monkeypatch, no_qp_structure, first_day, level, n_dependent
     ):
         # A solve factors the rows of each candidate working set it tries
         # and, when none is optimal, the rows tight at its start. Independent
@@ -655,7 +662,7 @@ class TestMpcScale:
         "demand, n_tight, np_qr_calls", [(300.0, 73, 1), (5.0, 49, 2)]
     )
     def test_dependent_tight_rows_take_the_pivoted_path(
-        self, monkeypatch, no_memoized_structures, demand, n_tight, np_qr_calls
+        self, monkeypatch, no_qp_structure, demand, n_tight, np_qr_calls
     ):
         # More tight rows than variables skip the first QR; fewer but
         # dependent ones fail its rank test. Either way one pivoted QR picks
@@ -674,8 +681,11 @@ class TestMpcScale:
 
 
 def _only_structure():
-    """The one structure the solver has memoized."""
-    (structure,) = [entry[2] for entry in qp._structures.values()]
+    """The solver structure the MPC keeps, which _hourly_window's runs
+    (MpcConfig() on LakeParams()) built and used."""
+    hits = mpc._qp_structure.cache_info().hits
+    structure = mpc._qp_structure(24, LakeParams().surface_area, 1.0)
+    assert mpc._qp_structure.cache_info().hits == hits + 1
     return structure
 
 
@@ -690,25 +700,32 @@ def _assert_same_bits(solution, reference):
 
 
 class TestStartFactorCache:
-    """A memoized structure keeps the factor of each start's tight rows."""
+    """A structure keeps the factor of each start's tight rows."""
 
-    def test_cold_and_warm_starts_give_the_same_bits(self, monkeypatch, no_memoized_structures):
+    def test_cold_and_warm_starts_give_the_same_bits(self, monkeypatch, no_qp_structure):
         # Every solve of the window again, with the same start and
         # candidates: from the factors and candidate rows the window cached,
-        # then with both caches cleared before each solve.
+        # with both caches cleared before each solve, and with a structure
+        # of the solve's own.
         steps = _hourly_window(monkeypatch, 104, 1.08)
         structure = _only_structure()
         assert len(structure.starts) == START_SETS[104]
         for problem, start, candidates, solution, _ in steps:
-            _assert_same_bits(qp.solve(problem, start, working_sets=candidates), solution)
+            _assert_same_bits(
+                qp.solve(problem, start, working_sets=candidates, structure=structure), solution
+            )
         for problem, start, candidates, solution, _ in steps:
             structure.starts.clear()
             structure.candidates.clear()
+            _assert_same_bits(
+                qp.solve(problem, start, working_sets=candidates, structure=structure), solution
+            )
             _assert_same_bits(qp.solve(problem, start, working_sets=candidates), solution)
 
-    def test_writable_problem_leaves_no_cached_start(self, monkeypatch, no_memoized_structures):
-        # Its structure serves one solve, so solving it again pays the
-        # start's factorizations again (here the pivoted path's three).
+    def test_writable_problem_leaves_no_cached_start(self, monkeypatch, no_qp_structure):
+        # Solved without a structure, it gets one that serves that solve
+        # alone, so solving it again pays the start's factorizations again
+        # (here the pivoted path's three), and its own arrays stay writable.
         shared, start = _minimum_release_at_a_dry_cap(5.0)
         problem = qp.QpProblem(
             hessian=shared.hessian.copy(),
@@ -724,21 +741,22 @@ class TestStartFactorCache:
         counts.clear()
         _assert_same_bits(qp.solve(problem, start), first)
         assert dict(counts) == first_counts == {"scipy.linalg.qr": 1, "numpy.linalg.qr": 2}
-        assert qp._structures == {}
+        assert problem.hessian.flags.writeable and problem.ineq_matrix.flags.writeable
 
     def test_cached_factor_is_read_only_and_unchanged_by_a_solve(
-        self, monkeypatch, no_memoized_structures
+        self, monkeypatch, no_qp_structure
     ):
         # The window's longest solve (7 iterations) inserts and drops rows,
         # starting from the factor its first solve cached.
         steps = _hourly_window(monkeypatch, 104, 1.08)
         problem, start, _, solution, _ = max(steps, key=lambda step: step[3].iterations)
-        starts = _only_structure().starts
+        structure = _only_structure()
+        starts = structure.starts
         for _, q, r in starts.values():
             assert not (q.flags.writeable or r.flags.writeable)
         before = {key: (rows, q.copy(), r.copy()) for key, (rows, q, r) in starts.items()}
         counts = _count_calls(monkeypatch, ((qp, "_qr_insert"), (qp, "_qr_delete")))
-        _assert_same_bits(qp.solve(problem, start), solution)
+        _assert_same_bits(qp.solve(problem, start, structure=structure), solution)
         monkeypatch.undo()
         assert counts["lakempc.qp._qr_insert"] > 0 and counts["lakempc.qp._qr_delete"] > 0
         assert starts.keys() == before.keys()
@@ -772,13 +790,54 @@ class _CountedStart:
         return np.zeros(2)
 
 
-def _read_only_corner_qp():
-    """_corner_qp with a read-only Hessian and rows, whose structure the
-    solver memoizes."""
-    problem = _corner_qp()
-    problem.hessian.flags.writeable = False
-    problem.ineq_matrix.flags.writeable = False
-    return problem
+def _corner_family(upper=(3.0, 3.0)):
+    """_corner_qp(upper) and its structure, whose matrices the problem holds."""
+    structure = qp.Structure(_corner_qp(upper))
+    problem = dataclasses.replace(
+        _corner_qp(upper), hessian=structure.hessian, ineq_matrix=structure.ineq_matrix
+    )
+    return problem, structure
+
+
+class TestStructure:
+    """A structure serves only problems that hold its matrices and have its
+    finite bounds, and its matrices cannot change under its factors."""
+
+    def test_problem_with_other_matrices_rejected(self):
+        # Equal values are not enough: the structure's arrays are copies.
+        structure = qp.Structure(_corner_qp())
+        with pytest.raises(ValueError, match="hessian and ineq_matrix are not the structure's"):
+            qp.solve(_corner_qp(), np.zeros(2), structure=structure)
+        problem, _ = _corner_family()
+        with pytest.raises(ValueError, match="not the structure's"):
+            qp.solve(problem, np.zeros(2), structure=structure)
+
+    @pytest.mark.parametrize(
+        "bound, values", [("upper", [3.0, np.inf]), ("lower", [0.0, -np.inf]), ("upper", [3.0] * 2)]
+    )
+    def test_problem_with_other_finite_bounds_rejected(self, bound, values):
+        problem, structure = _corner_family(upper=[np.inf, 3.0])
+        problem = dataclasses.replace(problem, **{bound: values})
+        assert problem.hessian is structure.hessian
+        with pytest.raises(ValueError, match="finite bounds are not the structure's"):
+            qp.solve(problem, np.zeros(2), structure=structure)
+
+    def test_matrices_are_read_only_copies(self):
+        source = _corner_qp()
+        structure = qp.Structure(source)
+        for name in ("hessian", "ineq_matrix"):
+            matrix = getattr(structure, name)
+            assert matrix is not getattr(source, name)
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 5.0
+            getattr(source, name)[0, 0] = 5.0
+            assert matrix[0, 0] == 1.0
+
+    def test_served_problem_gives_the_one_shot_bits(self):
+        problem, structure = _corner_family()
+        solution = qp.solve(problem, np.zeros(2), structure=structure)
+        _assert_same_bits(solution, qp.solve(_corner_qp(), np.zeros(2)))
+        assert len(structure.starts) == 1
 
 
 class TestWorkingSetHint:
@@ -850,38 +909,39 @@ class TestWorkingSetHint:
         assert start.calls == 1
         _assert_same_bits(solution, qp.solve(problem, np.zeros(2)))
 
-    def test_memoized_structure_checks_each_candidate_once(self, monkeypatch, no_memoized_structures):
-        # A memoized structure remembers each candidate's rows: offering the
-        # same candidates again checks none of them. A candidate naming a
-        # missing row is rejected on first sight and on every later one,
-        # and the memo keeps nothing for it.
-        problem = _read_only_corner_qp()
+    def test_memoized_structure_checks_each_candidate_once(self):
+        # A structure remembers each candidate's rows, read-only: offering
+        # the same candidates again checks none of them, so the rows it
+        # holds stay the same arrays. A candidate naming a missing row is
+        # rejected on first sight and on every later one, and the structure
+        # keeps nothing for it.
+        problem, structure = _corner_family()
         candidates = [([], [], []), ([], [0, 1], []), ([0], [1], [])]
-        checks = _count_calls(monkeypatch, ((qp, "_checked_rows"),))
-        first = qp.solve(problem, np.zeros(2), working_sets=candidates)
-        assert checks["lakempc.qp._checked_rows"] == 3
-        _assert_same_bits(qp.solve(problem, np.zeros(2), working_sets=candidates), first)
-        assert checks["lakempc.qp._checked_rows"] == 3
+        first = qp.solve(problem, np.zeros(2), working_sets=candidates, structure=structure)
         assert first.warm_start
-        memo = _only_structure().candidates
+        memo = dict(structure.candidates)
         assert len(memo) == 3
+        assert not any(rows.flags.writeable for rows in memo.values())
+        again = qp.solve(problem, np.zeros(2), working_sets=candidates, structure=structure)
+        _assert_same_bits(again, first)
+        assert_same_entries(structure.candidates, memo)
         for bad, message in (
             (([0], [2], []), r"working_set lower bound of variable 2 is out of range \[0, 2\)"),
             (([3], [], []), r"working_set inequality row 3 is out of range \[0, 1\)"),
         ):
             for _ in range(2):
                 with pytest.raises(ValueError, match=message):
-                    qp.solve(problem, np.zeros(2), working_sets=[candidates[0], bad])
-        assert len(memo) == 3
-        monkeypatch.undo()
+                    qp.solve(
+                        problem, np.zeros(2), working_sets=[candidates[0], bad], structure=structure
+                    )
+        assert_same_entries(structure.candidates, memo)
 
-    def test_infinite_bound_rejected_on_a_memoized_structure(self, no_memoized_structures):
-        problem = _read_only_corner_qp()
-        problem.upper = np.array([3.0, np.inf])
+    def test_infinite_bound_rejected_on_a_memoized_structure(self):
+        problem, structure = _corner_family(upper=[3.0, np.inf])
         for _ in range(2):
             with pytest.raises(ValueError, match="upper bound of variable 1, which is infinite"):
-                qp.solve(problem, np.zeros(2), working_sets=[([], [], [1])])
-        assert _only_structure().candidates == {}
+                qp.solve(problem, np.zeros(2), working_sets=[([], [], [1])], structure=structure)
+        assert structure.candidates == {}
 
     def test_rows_are_held_to_their_own_scale(self):
         # The optimum on no rows, x0 = 1e-4, breaks x0 <= 0 by 1e-4: within
