@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hydrology import DEMAND_REF, LakeParams, level_of_storage, mass_balance, release_bounds
+from .hydrology import _finite, _integer
 from .trace import ClosedLoopTrace, closed_loop
 
 
@@ -46,6 +47,10 @@ class DdpConfig:
     action_samples: int = 101
 
     def __post_init__(self) -> None:
+        for name in ("w_flood", "w_demand", "w_dry", "storage_max"):
+            _finite(name, getattr(self, name))
+        self.grid_points = _integer("grid_points", self.grid_points)
+        self.action_samples = _integer("action_samples", self.action_samples)
         if min(self.w_flood, self.w_demand, self.w_dry) < 0.0:
             raise ValueError("objective weights must be nonnegative")
         if self.w_flood + self.w_demand + self.w_dry <= 0.0:
@@ -54,8 +59,8 @@ class DdpConfig:
             raise ValueError("grid_points must be at least 3")
         if self.action_samples < 2:
             raise ValueError("action_samples must be at least 2")
-        if not 0.0 < self.storage_max < np.inf:
-            raise ValueError(f"storage_max must be positive and finite, got {self.storage_max}")
+        if not self.storage_max > 0.0:
+            raise ValueError(f"storage_max must be positive, got {self.storage_max}")
 
 
 @dataclass

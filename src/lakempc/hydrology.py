@@ -18,13 +18,29 @@ multiple threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 HOUR_SECONDS = 3600.0
 # Normalization (m^3/s) of the demand deficit in the MPC's and the DDP's costs.
 DEMAND_REF = 100.0
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError naming it unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _finite(name: str, value) -> None:
+    """ValueError naming value unless it is a finite real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +70,8 @@ class LakeParams:
     sat_e: float = 2.015
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            _finite(field.name, getattr(self, field.name))
         if self.surface_area <= 0.0:
             raise ValueError("surface_area must be positive")
         if self.sat_k <= 0.0 or self.sat_e <= 0.0:

@@ -43,22 +43,21 @@ is affine in the data on each active set, and the same few sets come back
 (the critical regions of explicit MPC). An hourly step offers the last
 _RECENT_SETS distinct final working sets of the run, each shifted by an
 hour and as it is (see run_hourly); a daily step offers the previous day's
-set. When a candidate is optimal its snapped point is the step's solution
-(a warm start).
+set. When a candidate is optimal, the optimum on its rows is the step's
+solution (a warm start).
 
 Otherwise qp.solve needs a feasible start, and the step builds one close
 to its optimum, so the solver usually needs only a few active-set
 iterations. It is passed as a function, built only when every candidate
 fails.
 The flood and demand rows hold once their slacks take their binding
-values. Two guesses are tried: the previous step's plan (shifted by an hour
-in hourly mode) and the demand. A guess, clipped into the bounds, that
-crosses a dry row is trimmed onto the rows: its cumulative release is cut
-to the budget C_t, the tightest later cap less the minimum releases still
-to come. That leaves it between the lower bound and the guess, and it meets
-the rows whenever the minimum-release plan does, which after the lift is
-always. Of the feasible candidates the one with the lower objective is the
-start.
+values, so the start is a release plan: the demand, clipped into the
+bounds, and in daily mode also the previous day's plan, of which the one
+with the lower objective is kept. A plan that crosses a dry row is trimmed
+onto the rows: its cumulative release is cut to the budget C_t, the
+tightest later cap less the minimum releases still to come. That leaves it
+between the lower bound and the plan, and it meets the rows whenever the
+minimum-release plan does, which after the lift is always.
 
 The QP's Hessian and row matrix depend only on the horizon, the surface
 area and lam, so _qp_structure builds them, as a qp.Structure that also
@@ -71,7 +70,6 @@ structure is kept: a lambda sweep drops each weight's when it moves on.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +79,8 @@ from .hydrology import (
     DEMAND_REF,
     HOUR_SECONDS,
     LakeParams,
+    _finite,
+    _integer,
     level_of_storage,
     release_bounds,
     storage_of_level,
@@ -94,13 +94,6 @@ FLOOD_SLACK_REF = 1.0  # m
 DRY_MARGIN = 1e-9  # m
 # The distinct final working sets an hourly run keeps as candidates.
 _RECENT_SETS = 8
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; ValueError naming it unless it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 class MpcInfeasibleError(RuntimeError):
@@ -133,8 +126,12 @@ class MpcConfig:
         self.horizon = _integer("horizon", self.horizon)
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if not 0.0 < self.lam < np.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        _finite("lam", self.lam)
+        if not self.lam > 0.0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not isinstance(self.feasibility_recovery, bool):
+            value = self.feasibility_recovery
+            raise ValueError(f"feasibility_recovery must be a bool, got {value!r}")
 
 
 @dataclass
@@ -154,45 +151,20 @@ def _storage_bounds(params: LakeParams) -> tuple[float, float]:
     )
 
 
-def _check_horizon_inputs(config, s0, inflow_forecast, demand, u_bounds, hour=None):
-    h = config.horizon
-    where = f" at hour {hour}" if hour is not None else ""
-    if not 0.0 <= s0 < np.inf:
-        raise ValueError(f"s0 must be finite and nonnegative{where}, got {s0}")
-    inflow_forecast = np.asarray(inflow_forecast, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    u_bounds = np.asarray(u_bounds, dtype=float).reshape(-1, 2)
-    if inflow_forecast.shape != (h,) or demand.shape != (h,) or u_bounds.shape != (h, 2):
-        raise ValueError(
-            f"horizon mismatch{where}: expected {h} forecast/demand/bound entries, got "
-            f"{inflow_forecast.size}/{demand.size}/{u_bounds.shape[0]}"
-        )
-    for name, series in (("inflow forecast", inflow_forecast), ("demand", demand)):
-        finite = np.isfinite(series)
-        if not finite.all():
-            t = int(np.argmin(finite))
-            raise ValueError(f"{name} is {series[t]} at horizon step {t}{where}")
-    if not np.isfinite(u_bounds).all():
-        raise ValueError(f"u_bounds must be finite{where}")
-    if np.any(u_bounds[:, 0] > u_bounds[:, 1]):
-        raise ValueError(f"u_bounds must be ordered (lower <= upper){where}")
-    return inflow_forecast, demand, u_bounds
-
-
 def assemble_qp(
     params: LakeParams,
     config: MpcConfig,
     s0: float,
     inflow_forecast,
     demand,
-    u_bounds,
     hour: int | None = None,
 ) -> qp.QpProblem:
     """Build the decision-step QP.
 
     Decision vector: (u[0..H-1], slack_flood[0..H-1], slack_demand[0..H-1]).
-    slack_flood[t] refers to the storage reached after step t. Constraint
-    rows:
+    slack_flood[t] refers to the storage reached after step t. The release
+    bounds of every step are hydrology.release_bounds at s0's level, the
+    level measured when the step is decided. Constraint rows:
 
         storage lower (hard):  s(t)/A >= s_min/A + DRY_MARGIN
         storage upper (soft):  s(t)/A <= s_max/A + slack_flood(t)
@@ -207,15 +179,26 @@ def assemble_qp(
     and shared by every call with the same horizon, surface area and lam.
 
     Raises ValueError for a negative or non-finite s0, arrays whose length
-    is not the horizon, a forecast or demand entry that is not finite (the
-    message names the series and the horizon step) and bounds that are not
-    finite or not ordered.
+    is not the horizon and a forecast or demand entry that is not finite
+    (the message names the series and the horizon step).
     Each message names the hour when one is given.
     """
     h = config.horizon
-    inflow_forecast, demand, u_bounds = _check_horizon_inputs(
-        config, s0, inflow_forecast, demand, u_bounds, hour
-    )
+    where = f" at hour {hour}" if hour is not None else ""
+    if not 0.0 <= s0 < np.inf:
+        raise ValueError(f"s0 must be finite and nonnegative{where}, got {s0}")
+    inflow_forecast = np.asarray(inflow_forecast, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    if inflow_forecast.shape != (h,) or demand.shape != (h,):
+        raise ValueError(
+            f"horizon mismatch{where}: expected {h} forecast/demand entries, got "
+            f"{inflow_forecast.size}/{demand.size}"
+        )
+    for name, series in (("inflow forecast", inflow_forecast), ("demand", demand)):
+        finite = np.isfinite(series)
+        if not finite.all():
+            t = int(np.argmin(finite))
+            raise ValueError(f"{name} is {series[t]} at horizon step {t}{where}")
     area = params.surface_area
     s_min, s_max = _storage_bounds(params)
     structure = _qp_structure(h, area, config.lam)
@@ -237,10 +220,8 @@ def assemble_qp(
         -demand,
     ]
 
-    lower = np.full(n_var, -np.inf)
-    upper = np.full(n_var, np.inf)
-    lower[:h] = u_bounds[:, 0]
-    upper[:h] = u_bounds[:, 1]
+    lower, upper = np.full(n_var, -np.inf), np.full(n_var, np.inf)
+    lower[:h], upper[:h] = release_bounds(params, level_of_storage(params, s0))
     lower[h:2 * h] = 0.0
 
     return qp.QpProblem(
@@ -352,7 +333,6 @@ def solve_step(
     s0: float,
     inflow_forecast,
     demand,
-    u_bounds,
     u_hint=None,
     hour: int | None = None,
     working_sets=(),
@@ -367,16 +347,16 @@ def solve_step(
 
     working_sets are candidates for the optimal active set, each in the form
     of qp.QpSolution.working_set, which qp.solve tries in order. When none
-    is optimal, the solver starts from a point built from u_hint, a guess at
-    the plan (the shifted previous plan in closed loop): whichever of it and
-    the demand, each clipped into the bounds and, where it crosses a dry
-    row, trimmed onto the dry rows, has the lower objective (see
-    _feasible_point). That point is built only then.
+    is optimal, the solver starts from the demand or, when given, u_hint, a
+    guess at the plan (the previous day's plan in daily mode): whichever,
+    clipped into the bounds and, where it crosses a dry row, trimmed onto
+    the dry rows, has the lower objective (see _feasible_point). That point
+    is built only then.
     """
     h = config.horizon
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
-    problem = assemble_qp(params, config, s0, inflow_forecast, demand, u_bounds, hour=hour)
+    problem = assemble_qp(params, config, s0, inflow_forecast, demand, hour=hour)
     lower, dry_rhs = problem.lower[:h], problem.ineq_rhs[:h]
     # The dry rows of the minimum-release plan: no plan reaches lower values.
     floor = problem.ineq_matrix[:h, :h] @ lower
@@ -411,11 +391,6 @@ def solve_step(
         recovery_used=recovery_used,
         solve_diagnostics=solution,
     )
-
-
-def _frozen_bounds(params: LakeParams, storage: float, n: int) -> np.ndarray:
-    """The release bounds at the storage's level, repeated over n hours."""
-    return np.tile(release_bounds(params, level_of_storage(params, storage)), (n, 1))
 
 
 def _shifted(working_set, h: int):
@@ -463,13 +438,12 @@ def run_hourly(
     n_steps = limit if n_steps is None else _integer("n_steps", n_steps)
     if not 1 <= n_steps <= limit:
         raise ValueError(f"n_steps must lie in [1, {limit}], got {n_steps}")
-    hint = None
     # ((key, set), (key, shifted set)) of each recent final set, most recent first.
     recent = []
     shift_first = True
 
     def decide(t, storage):
-        nonlocal hint, shift_first
+        nonlocal shift_first
         offered = {}  # key -> (shifted, candidate), in the order offered
         for forms in recent:
             for shifted in (shift_first, not shift_first):
@@ -481,8 +455,6 @@ def run_hourly(
             storage,
             scenario.inflow_hourly[t:t + h],
             scenario.demand_hourly[t:t + h],
-            _frozen_bounds(params, storage, h),
-            u_hint=hint,
             hour=t,
             working_sets=[candidate for _, candidate in offered.values()],
         )
@@ -498,7 +470,6 @@ def run_hourly(
             recent.remove(forms)
         recent.insert(0, forms)
         del recent[_RECENT_SETS:]
-        hint = np.append(step.planned_releases[1:], step.planned_releases[-1])
         return step.planned_releases[:1], step
 
     return closed_loop(
@@ -557,7 +528,6 @@ def run_daily(
             storage,
             np.full(HOURS_PER_DAY, day_inflow),
             scenario.demand_hourly[t0:t0 + HOURS_PER_DAY],
-            _frozen_bounds(params, storage, HOURS_PER_DAY),
             u_hint=hint,
             hour=t0,
             working_sets=() if previous is None else (previous,),

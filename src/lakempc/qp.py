@@ -12,22 +12,19 @@ still violates a row by more than FEASIBILITY_TOL is rejected.
 
 A caller that solves a family of problems can first offer candidate
 active sets: working sets in the form of QpSolution.working_set (the rows a
-solve ended on), tried in order. For each, the solver snaps onto its rows
-(see _snap) from the factor the structure caches for that set of rows, and
-returns the first such point, counted as one iteration, at which every row
-holds within 1e-9 (1 + |b_i|) of its own scaled right-hand side and every
-multiplier passes the loop's sign test. The feasibility test is row by
-row: with _snap's scale, the largest |b|, three hours of the MPC's
-synthetic year accept a flood row broken by up to 2e-5 m, and one of them,
-broken by 4.9e-7 m, even passes certification. Only when every candidate
-is rejected does the solve start from the caller's start, which may be
-given as a function so that it is built only then. Either way the result
-is certified as below. The structure (below) also remembers the rows of
-each candidate it has checked, keyed by the candidate's bytes, so a
-candidate seen before costs a dict lookup, the snap and the two tests when
-it is rejected: about 30 us at the MPC's size on a 2-vCPU Xeon, against
-150 us for a solve that takes its first candidate and 550 us for one from
-the start.
+solve ended on), tried in order. For each, the solver computes the optimum
+on its rows and their multipliers (_working_optimum, below) from the factor
+the structure caches for that set of rows, and returns the first such point,
+counted as one iteration, at which every row holds within 1e-9 (1 + |b_i|)
+of its own scaled right-hand side and every multiplier passes the loop's
+sign test. Only when every candidate is rejected does the solve start from
+the caller's start, which may be given as a function so that it is built
+only then. Either way the result is certified as below. The structure
+(below) also remembers the rows of each candidate it has checked, keyed by
+the candidate's bytes, so a candidate seen before costs a dict lookup, the
+optimum and the two tests when it is rejected: about 30 us at the MPC's
+size on a 2-vCPU Xeon, against 150 us for a solve that takes its first
+candidate and 550 us for one from the start.
 
 The work that depends only on the Hessian, the rows and which bounds are
 finite is held by a Structure: folding the finite bounds in as rows, the
@@ -52,28 +49,30 @@ structure keeps this start factor for each set of tight rows it has seen,
 and for each candidate's rows (above), up to _START_CACHE_SIZE sets (first
 in, first out; about 70 kB each at the MPC's 72 variables), so the MPC's
 hours, which start from few distinct sets, pay one QR per set rather than
-one per solve. The daily MPC on two jittered years uses 65 sets, and with
-room for 64 it paid 79 QRs again on every pass over them. The cached Q
-and R are read-only: the solve only replaces them. The factor is then updated by
+one per solve. The daily MPC on two jittered years uses 65 sets, so room
+for 64 would cost 79 QRs on every pass over them. The cached Q and R are
+read-only: the solve only replaces them. The factor is then updated by
 scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and
 the triangular solves call LAPACK's trtrs; both skip scipy's argument
 checks, which cost more than the work on matrices this small.
-At a stationary point every working row whose multiplier is negative
-is dropped at once, highest position first. Dropping several rows can steer
-the next step straight back into one of them. So when the step after such a
-drop is blocked at zero length, the solve drops one row at a time from then
-on, and it cannot cycle between multi-drops and re-insertions. A single
-drop takes the most negative multiplier; among multipliers within a
-relative 1e-9 of it (the MPC's hours are alike, so ties are exact) it takes
-the row last in the working set, rather than leaving the choice to
-rounding. At the end the same factor gives the exact optimum on the
-working rows and its multipliers, in two triangular solves (see _snap):
-that snaps x onto the rows, and no KKT matrix is formed.
-Every multiplier is read from that factor, lam = -R^-1 Q1'g in y (Nocedal &
-Wright, Numerical Optimization, ch. 16), at the iteration limit too. R is
-tested for rank only at the start: a row enters the working set only when it
-blocks the step (a.p > 0 with p in the working rows' null space), so it adds
-rank, and "optimal" is still decided by the certification below.
+At a stationary point, and at the iteration limit, the same factor gives
+the exact optimum on the working rows and its multipliers in two
+triangular solves (_working_optimum; Nocedal & Wright, Numerical
+Optimization, ch. 16), and no KKT matrix is formed. Every working row whose
+multiplier is negative is dropped at once, highest position first. Dropping
+several rows can steer the next step straight back into one of them. So
+when the step after such a drop is blocked at zero length, the solve drops
+one row at a time from then on, and it cannot cycle between multi-drops and
+re-insertions. A single drop takes the most negative multiplier; among
+multipliers within a relative 1e-9 of it (the MPC's hours are alike, so
+ties are exact) it takes the row last in the working set, rather than
+leaving the choice to rounding. When no multiplier is negative the solve
+returns the optimum on the working rows, which clears the drift the steps
+inherited from the start, if it meets every row by the candidates' test,
+and the iterate otherwise. R is tested for rank only at the start: a row
+enters the working set only when it blocks the step (a.p > 0 with p in the
+working rows' null space), so it adds rank, and "optimal" is still decided
+by the certification below.
 
 Every returned solution carries an independently recomputed KKT residual;
 `status == "optimal"` is only reported when that residual passes the
@@ -443,7 +442,7 @@ def solve(
     QpSolution.working_set, tried in order: the optimum on the first
     candidate's rows that meets every row and whose multipliers have the
     right sign is returned as the solution, in one iteration (see the module
-    docstring). A rejected candidate costs its snap and two tests, plus, the
+    docstring). A rejected candidate costs its optimum and two tests, plus, the
     first time the structure sees it, its validation and the QR of its
     rows. Only when every candidate is rejected does the solve start from
     initial_point, an array or a function of no arguments that returns one,
@@ -479,6 +478,10 @@ def solve(
     c_y = l_inv_t.T @ c_s
     # A row holds when within this of its own scaled right-hand side.
     row_tol = 1e-9 * (1.0 + np.abs(b_s))
+
+    def _meets_rows(x_s):
+        """Whether x_s holds every row, each to its own scale; NaN fails."""
+        return bool((fold.a @ x_s - b_s <= row_tol).all())
 
     def _scaled_grad(x_s):
         return q_s @ x_s + c_s
@@ -545,11 +548,8 @@ def solve(
         w_rows, qf, rf = _start_factor(fold, _candidate_rows(problem, fold, working_set))
         w_list = list(w_rows)
         x_s, lam = _working_optimum()
-        # Row by row, so that a row with a small right-hand side is held to
-        # its own scale; a NaN fails both tests.
-        if (fold.a @ x_s - b_s <= row_tol).all() and (
-            lam >= _lam_tol(_scaled_grad(x_s))
-        ).all():
+        # A NaN fails both tests.
+        if _meets_rows(x_s) and (lam >= _lam_tol(_scaled_grad(x_s))).all():
             return _finish(x_s, lam, "optimal", 1, warm_start=True)
 
     if callable(initial_point):
@@ -578,25 +578,6 @@ def solve(
     in_w = np.zeros(m, dtype=bool)
     in_w[w_list] = True
 
-    def _factor_duals(g_y):
-        """The working rows' multipliers -R^-1 Q1'g_y, with A_w' = Q1 R in y."""
-        mw = len(w_list)
-        return _solve_upper(rf[:mw], -(qf[:, :mw].T @ g_y))
-
-    def _snap(x_cur, lam_cur):
-        """The exact optimum on the working set (_working_optimum) when it is
-        feasible, else (x_cur, lam_cur).
-
-        Clears drift the null-space steps inherited from the starting point,
-        which otherwise shows up as a complementarity residual against large
-        constraint multipliers."""
-        x_new, lam = _working_optimum()
-        # A NaN in x_new fails this test too.
-        viol = float((fold.a @ x_new - b_s).max(initial=0.0))
-        if viol <= 1e-9 * (1.0 + float(np.abs(b_s).max(initial=0.0))):
-            return x_new, lam
-        return x_cur, lam_cur
-
     # Drops are multi until a multi-drop is followed by a zero-length step;
     # from then on this solve drops one row at a time.
     single_drop = False
@@ -612,10 +593,10 @@ def solve(
         p_norm = float(np.abs(p).max(initial=0.0))
         step_tol = 1e-11 * (1.0 + float(np.abs(x_s).max(initial=0.0)))
         if p_norm <= step_tol:
-            lam = _factor_duals(g_y)
+            x_w, lam = _working_optimum()
             lam_tol = _lam_tol(g)
             if lam.size == 0 or lam.min() >= lam_tol:
-                return _finish(*_snap(x_s, lam), "optimal", iterations)
+                return _finish(x_w if _meets_rows(x_w) else x_s, lam, "optimal", iterations)
             if single_drop:
                 lam_min = float(lam.min())
                 drop = np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1:]
@@ -651,5 +632,5 @@ def solve(
         else:
             x_s = x_s + p
 
-    lam = _factor_duals(l_inv_t.T @ _scaled_grad(x_s))
+    lam = _working_optimum()[1]
     return _finish(x_s, lam, "iteration-limit", iterations, "iteration limit reached")

@@ -177,12 +177,12 @@ def direct_cost_minimum(
     s0: float,
     inflow,
     demand,
-    u_bounds,
     grid_points: int = 41,
 ) -> float:
     """Minimum of controller_cost by dense grid search plus polish.
 
-    The feasible set is the release box and the hard dry storage rows,
+    The feasible set is the release box, the rating-curve bounds at s0's
+    level (hydrology.release_bounds) in every step, and the hard dry storage rows,
     s(t) >= s_min + A * DRY_MARGIN. When the minimum-release plan breaks
     some row by more than qp.FEASIBILITY_TOL (in m), the dry bound cannot be
     held, and the set is that of the lexicographic recovery policy: with k
@@ -194,7 +194,7 @@ def direct_cost_minimum(
     """
     h = config.horizon
     inflow = np.asarray(inflow, dtype=float)
-    u_bounds = np.asarray(u_bounds, dtype=float).reshape(h, 2)
+    u_bounds = np.tile(release_bounds(params, level_of_storage(params, s0)), (h, 1))
     area = params.surface_area
     s_floor = mpc._storage_bounds(params)[0] + area * mpc.DRY_MARGIN
 

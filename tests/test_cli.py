@@ -171,6 +171,15 @@ def test_bad_config_value_names_its_key(tmp_path, scenario_dir, capsys, line):
     assert f"error: {config}: config key {line.split()[0]}: " in capsys.readouterr().err
 
 
+def test_non_finite_ddp_weight_names_its_key(tmp_path, scenario_dir, capsys):
+    # This once ran the backward pass on NaN costs and exited 0.
+    config = tmp_path / "settings.cfg"
+    config.write_text("w_flood = nan\n", encoding="utf-8")
+    argv = ["ddp", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert "error: w_flood must be a finite real number, got nan" in capsys.readouterr().err
+
+
 def test_config_values_act_like_their_flags(tmp_path, scenario_dir):
     # The int cast, the float cast of "lambda" and the true-boolean cast.
     config = tmp_path / "settings.cfg"

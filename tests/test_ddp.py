@@ -304,3 +304,24 @@ class TestConfigValidation:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             DdpConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            # These once passed; grid_points 3.5 then failed in the backward
+            # pass with a TypeError.
+            ("w_flood", np.nan),
+            ("w_flood", np.inf),
+            ("grid_points", 3.5),
+            ("w_dry", "0"),
+            ("action_samples", True),
+            ("storage_max", np.nan),
+        ],
+    )
+    def test_unusable_value_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            DdpConfig(**{name: value})
+
+    def test_integer_counts_of_another_type_are_ints(self):
+        config = DdpConfig(grid_points=np.int64(5), action_samples=np.int32(3))
+        assert type(config.grid_points) is int and type(config.action_samples) is int

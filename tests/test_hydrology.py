@@ -220,6 +220,16 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             LakeParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        # The first three once passed.
+        [("surface_area", np.nan), ("mef", np.nan), ("sat_n", np.inf), ("sat_k", "33"),
+         ("dry_threshold", True)],
+    )
+    def test_unusable_value_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+            LakeParams(**{name: value})
+
     def test_negative_state_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             step_hourly(PARAMS, -1.0, inflow=0.0, command=0.0)

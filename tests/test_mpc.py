@@ -57,15 +57,18 @@ class TestAssembly:
         # q = w = 0: nothing to do, tie-break wants u = 0, the MEF-style lower
         # bound stops it at 10.
         config = MpcConfig(horizon=1)
-        step = solve_step(PARAMS, config, 1.2e8, [0.0], [0.0], [(10.0, 440.0)])
+        step = solve_step(PARAMS, config, 1.2e8, [0.0], [0.0])
         assert step.planned_releases[0] == pytest.approx(10.0, abs=1e-9)
         assert step.slack_demand[0] == pytest.approx(0.0, abs=1e-9)
         assert step.slack_max[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_step_deficit_slack(self):
-        # Demand 100 but the release is capped at 50: slack carries the deficit.
-        config = MpcConfig(horizon=1)
-        step = solve_step(PARAMS, config, 1.2e8, [0.0], [100.0], [(10.0, 50.0)])
+        # Demand 100 but the rating curve caps the release at 50: slack
+        # carries the deficit.
+        params = LakeParams(sat_k=50.0, sat_e=1e-12)
+        bounds = release_bounds(params, level_of_storage(params, 1.2e8))
+        assert bounds == pytest.approx((10.0, 50.0))
+        step = solve_step(params, MpcConfig(horizon=1), 1.2e8, [0.0], [100.0])
         assert step.planned_releases[0] == pytest.approx(50.0, abs=1e-8)
         assert step.slack_demand[0] == pytest.approx(-50.0, abs=1e-8)
 
@@ -77,37 +80,24 @@ class TestAssembly:
             1.2e8,
             np.full(6, 100.0),
             np.full(6, 100.0),
-            np.tile((10.0, 400.0), (6, 1)),
         )
         assert step.slack_max == pytest.approx(np.zeros(6), abs=1e-9)
 
     def test_horizon_mismatch_rejected(self):
         config = MpcConfig(horizon=4)
         with pytest.raises(ValueError, match="horizon"):
-            assemble_qp(PARAMS, config, 1e8, [1.0, 2.0], [0.0] * 4, [(0.0, 1.0)] * 4)
-
-    def test_unordered_bounds_rejected(self):
-        config = MpcConfig(horizon=1)
-        with pytest.raises(ValueError, match="ordered"):
-            assemble_qp(PARAMS, config, 1e8, [0.0], [0.0], [(10.0, 5.0)])
-
-    @pytest.mark.parametrize("bound", [(10.0, np.inf), (-np.inf, 10.0), (np.nan, 10.0)])
-    def test_non_finite_bounds_rejected(self, bound):
-        # The solver structure of a configuration fixes which bounds are finite.
-        config = MpcConfig(horizon=2)
-        with pytest.raises(ValueError, match="^u_bounds must be finite at hour 4$"):
-            solve_step(PARAMS, config, 1e8, [0.0] * 2, [0.0] * 2, [(10.0, 20.0), bound], hour=4)
+            assemble_qp(PARAMS, config, 1e8, [1.0, 2.0], [0.0] * 4)
 
     def test_negative_storage_rejected(self):
         config = MpcConfig(horizon=1)
         with pytest.raises(ValueError, match="s0"):
-            assemble_qp(PARAMS, config, -1.0, [0.0], [0.0], [(0.0, 10.0)])
+            assemble_qp(PARAMS, config, -1.0, [0.0], [0.0])
 
     @pytest.mark.parametrize("s0", [np.nan, np.inf])
     def test_non_finite_storage_rejected(self, s0):
         config = MpcConfig(horizon=1)
         with pytest.raises(ValueError, match=r"^s0 must be finite and nonnegative at hour 3, got"):
-            solve_step(PARAMS, config, s0, [0.0], [0.0], [(0.0, 10.0)], hour=3)
+            solve_step(PARAMS, config, s0, [0.0], [0.0], hour=3)
 
     @pytest.mark.parametrize(
         "series, step, value",
@@ -119,12 +109,11 @@ class TestAssembly:
         h = config.horizon
         inflow, demand = np.full(h, 50.0), np.full(h, 80.0)
         (inflow if series == "inflow forecast" else demand)[step] = value
-        bounds = np.tile((10.0, 400.0), (h, 1))
         message = f"^{series} is {value} at horizon step {step}"
         with pytest.raises(ValueError, match=message + " at hour 17$"):
-            solve_step(PARAMS, config, 1.2e8, inflow, demand, bounds, hour=17)
+            solve_step(PARAMS, config, 1.2e8, inflow, demand, hour=17)
         with pytest.raises(ValueError, match=message + "$"):
-            assemble_qp(PARAMS, config, 1.2e8, inflow, demand, bounds)
+            assemble_qp(PARAMS, config, 1.2e8, inflow, demand)
 
     def test_poisoned_scenario_fails_at_the_first_hour_that_sees_it(self):
         # Hour 7's 24-hour forecast is the first to reach index 30.
@@ -134,13 +123,14 @@ class TestAssembly:
             run_hourly(PARAMS, MpcConfig(), scn, 1.2e8, n_steps=12)
 
     def test_decision_vector_layout(self):
+        # The release bounds are the rating-curve bounds at s0's level.
         config = MpcConfig(horizon=3)
-        problem = assemble_qp(
-            PARAMS, config, 1e8, [50.0] * 3, [80.0] * 3, [(10.0, 400.0)] * 3
-        )
+        problem = assemble_qp(PARAMS, config, 1e8, [50.0] * 3, [80.0] * 3)
+        r_min, r_max = release_bounds(PARAMS, level_of_storage(PARAMS, 1e8))
         assert problem.n == 9
-        assert problem.lower[:3] == pytest.approx([10.0] * 3)
-        assert problem.upper[:3] == pytest.approx([400.0] * 3)
+        assert r_min == 10.0 and r_max > r_min
+        assert np.array_equal(problem.lower[:3], [r_min] * 3)
+        assert np.array_equal(problem.upper[:3], [r_max] * 3)
         assert problem.lower[3:6] == pytest.approx([0.0] * 3)  # flood slack >= 0
         assert np.all(np.isinf(problem.lower[6:9]))  # demand slack free below
 
@@ -150,13 +140,12 @@ class TestAssembly:
         # the same floats it must hold to a few units in the last place.
         config = MpcConfig()
         h, area = config.horizon, PARAMS.surface_area
-        bounds = np.tile((0.0, 1.0), (h, 1))
         rng = np.random.default_rng(8)
         worst = 0.0
         for _ in range(200):
             s0 = S_MIN + float(rng.uniform(0.0, 5e4))
             inflow = rng.uniform(0.0, 5.0, h)
-            rhs = assemble_qp(PARAMS, config, s0, inflow, np.zeros(h), bounds).ineq_rhs[:h]
+            rhs = assemble_qp(PARAMS, config, s0, inflow, np.zeros(h)).ineq_rhs[:h]
             volume = Fraction(s0) - Fraction(S_MIN)
             for t in range(h):
                 volume += Fraction(HOUR_SECONDS) * Fraction(float(inflow[t]))
@@ -169,7 +158,7 @@ class TestMatricesPerConfiguration:
     def test_matrices_are_shared_and_read_only(self):
         # They are the configuration's solver structure's.
         config = MpcConfig(horizon=3)
-        args = ([50.0] * 3, [80.0] * 3, [(10.0, 400.0)] * 3)
+        args = ([50.0] * 3, [80.0] * 3)
         first = assemble_qp(PARAMS, config, 1e8, *args)
         second = assemble_qp(PARAMS, config, 1.1e8, *args)
         structure = mpc._qp_structure(3, PARAMS.surface_area, 1.0)
@@ -204,8 +193,7 @@ class TestMatricesPerConfiguration:
         scn = synthetic_year(3, first_day=104)
         s0 = storage_of_level(PARAMS, 1.08)
         inflow, demand = scn.inflow_hourly[12:12 + h], scn.demand_hourly[12:12 + h]
-        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
-        problem = assemble_qp(PARAMS, config, s0, inflow, demand, bounds)
+        problem = assemble_qp(PARAMS, config, s0, inflow, demand)
         hint = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, None)
         copied = qp.QpProblem(
             hessian=problem.hessian.copy(),
@@ -251,9 +239,7 @@ class TestSlackOptimality:
         s0 = S_MAX - 5e6
         inflow = np.full(8, 900.0)
         demand = np.full(8, 150.0)
-        level = level_of_storage(PARAMS, s0)
-        bounds = release_bounds(PARAMS, level)
-        step = solve_step(PARAMS, config, s0, inflow, demand, np.tile(bounds, (8, 1)))
+        step = solve_step(PARAMS, config, s0, inflow, demand)
         u = step.planned_releases
         storages = s0 + 3600.0 * np.cumsum(inflow - u)
         levels = storages / PARAMS.surface_area + PARAMS.level_offset
@@ -415,8 +401,8 @@ class TestRecovery:
         h = config.horizon
         s0 = storage_of_level(PARAMS, -0.2005)
         inflow, demand = np.full(h, 30.0), np.full(h, 200.0)
-        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
-        step = solve_step(PARAMS, config, s0, inflow, demand, bounds)
+        r_min = release_bounds(PARAMS, level_of_storage(PARAMS, s0))[0]
+        step = solve_step(PARAMS, config, s0, inflow, demand)
         assert step.recovery_used
         assert step.solve_diagnostics.kkt_residual <= 1e-9
 
@@ -424,11 +410,11 @@ class TestRecovery:
             storages = s0 + HOUR_SECONDS * np.cumsum(inflow - u)
             return storages / PARAMS.surface_area + PARAMS.level_offset
 
-        at_minimum = levels(bounds[:, 0])
+        at_minimum = levels(np.full(h, r_min))
         k = int(np.flatnonzero(at_minimum < PARAMS.dry_threshold + mpc.DRY_MARGIN)[-1])
-        assert step.planned_releases[:k + 1] == pytest.approx(bounds[:k + 1, 0], abs=1e-9)
+        assert step.planned_releases[:k + 1] == pytest.approx(np.full(k + 1, r_min), abs=1e-9)
         assert np.min(levels(step.planned_releases)[k + 1:]) >= PARAMS.dry_threshold
-        assert step.planned_releases[k + 1] > bounds[k + 1, 0]
+        assert step.planned_releases[k + 1] > r_min
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -448,31 +434,23 @@ class TestRecovery:
         config = MpcConfig(horizon=horizon, lam=lam)
         s0 = S_MIN + offset
         inflow, demand = inflow[:horizon], demand[:horizon]
-        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (horizon, 1))
-        step = solve_step(PARAMS, config, s0, inflow, demand, bounds)
+        step = solve_step(PARAMS, config, s0, inflow, demand)
         assert step.solve_diagnostics.status == "optimal"
         cost = controller_cost(PARAMS, config, s0, inflow, demand, step.planned_releases)[0]
-        best = direct_cost_minimum(PARAMS, config, s0, inflow, demand, bounds)
+        best = direct_cost_minimum(PARAMS, config, s0, inflow, demand)
         assert cost == pytest.approx(best, rel=1e-6, abs=1e-12)
 
 
-def _no_linprog(*args, **kwargs):
-    raise AssertionError("the MPC reached the phase-1 LP")
-
-
 class TestFeasibleStart:
-    def test_dry_bound_and_recovery_runs_never_call_phase1(self):
+    def test_drawdown_holds_the_dry_bound_and_a_dry_lake_recovers(self):
         # From day 182 at 0.29 m the summer demand drags the lake down. From
         # about hour 100 on, the clipped demand would cross the dry bound
         # within the 24-hour horizon, and a plan trimmed onto the dry rows
         # must supply the start.
         summer = synthetic_year(6, first_day=182)
         dry = constant_scenario(0.0, 0.0, 2)
-        with mock.patch.object(qp, "linprog", _no_linprog):
-            trace = run_hourly(
-                PARAMS, MpcConfig(), summer, storage_of_level(PARAMS, 0.29), n_steps=108
-            )
-            recovery = run_hourly(PARAMS, MpcConfig(), dry, S_MIN + 100.0, n_steps=2)
+        trace = run_hourly(PARAMS, MpcConfig(), summer, storage_of_level(PARAMS, 0.29), n_steps=108)
+        recovery = run_hourly(PARAMS, MpcConfig(), dry, S_MIN + 100.0, n_steps=2)
         assert np.min(trace.levels) >= PARAMS.dry_threshold - 1e-9
         assert set(trace.solve_statuses) == {"optimal"}
         assert recovery.recovery_hours == 2
@@ -489,9 +467,8 @@ class TestFeasibleStart:
     def test_feasibility_verdict_matches_phase1(self, offset, inflow, demand):
         config = MpcConfig(horizon=4)
         s0 = S_MIN + offset
-        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (4, 1))
-        step = solve_step(PARAMS, config, s0, inflow, demand, bounds)
-        reference = phase1_point(assemble_qp(PARAMS, config, s0, inflow, demand, bounds))
+        step = solve_step(PARAMS, config, s0, inflow, demand)
+        reference = phase1_point(assemble_qp(PARAMS, config, s0, inflow, demand))
         assert step.recovery_used == (reference is None)
         assert step.solve_diagnostics.status == "optimal"
 
@@ -515,8 +492,7 @@ class TestStartFromGuesses:
     ):
         config = MpcConfig(horizon=horizon)
         s0 = S_MIN + offset
-        bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (horizon, 1))
-        problem = assemble_qp(PARAMS, config, s0, inflow[:horizon], np.zeros(horizon), bounds)
+        problem = assemble_qp(PARAMS, config, s0, inflow[:horizon], np.zeros(horizon))
         lower, upper = problem.lower[:horizon], problem.upper[:horizon]
         rows, rhs = problem.ineq_matrix[:horizon, :horizon], problem.ineq_rhs[:horizon]
         u = np.clip(guess[:horizon], lower, upper)
@@ -537,8 +513,7 @@ class TestStartFromGuesses:
         inflow, demand = np.full(h, 20.0), np.full(h, 150.0)
 
         def start(s0, u_hint):
-            bounds = np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1))
-            problem = assemble_qp(PARAMS, config, s0, inflow, demand, bounds)
+            problem = assemble_qp(PARAMS, config, s0, inflow, demand)
             x = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, u_hint)
             assert np.max(problem.ineq_matrix[:h] @ x - problem.ineq_rhs[:h]) <= qp.FEASIBILITY_TOL
             minimum = mpc._with_slacks(PARAMS, s0, inflow, demand, problem.lower[:h])
@@ -585,10 +560,7 @@ class TestWorkingSetHints:
         h = config.horizon
         scn = synthetic_year(2, first_day=182)
         s0 = storage_of_level(PARAMS, 0.29)
-        args = (
-            PARAMS, config, s0, scn.inflow_hourly[:h], scn.demand_hourly[:h],
-            np.tile(release_bounds(PARAMS, level_of_storage(PARAMS, s0)), (h, 1)),
-        )
+        args = (PARAMS, config, s0, scn.inflow_hourly[:h], scn.demand_hourly[:h])
         with mock.patch.object(mpc, "_feasible_point", wraps=mpc._feasible_point) as start:
             cold = solve_step(*args)
             assert start.call_count == 1
@@ -713,6 +685,12 @@ class TestConfig:
             # These once passed and failed inside the solver without naming lam.
             {"lam": np.nan},
             {"lam": np.inf},
+            # These once raised TypeError, passed as the weight 1, or turned
+            # recovery on.
+            {"lam": "1"},
+            {"lam": True},
+            {"feasibility_recovery": "no"},
+            {"feasibility_recovery": 1},
         ],
     )
     def test_validation(self, kwargs):

@@ -16,13 +16,7 @@ from helpers import (
     random_qp,
 )
 from lakempc import mpc, qp
-from lakempc.hydrology import (
-    HOUR_SECONDS,
-    LakeParams,
-    level_of_storage,
-    release_bounds,
-    storage_of_level,
-)
+from lakempc.hydrology import HOUR_SECONDS, LakeParams, storage_of_level
 from lakempc.scenario import synthetic_year
 
 
@@ -554,10 +548,9 @@ def _minimum_release_at_a_dry_cap(demand):
     inflow = np.full(h, 20.0)
     inflow[0] = 0.0
     demand = np.full(h, demand)
-    bounds = np.tile([10.0, 400.0], (h, 1))
     s0 = mpc._storage_bounds(params)[0] + area * mpc.DRY_MARGIN + HOUR_SECONDS * 10.0
-    problem = mpc.assemble_qp(params, config, s0, inflow, demand, bounds)
-    start = mpc._with_slacks(params, s0, inflow, demand, bounds[:, 0])
+    problem = mpc.assemble_qp(params, config, s0, inflow, demand)
+    start = mpc._with_slacks(params, s0, inflow, demand, problem.lower[:h])
     return problem, start
 
 
@@ -613,8 +606,7 @@ class TestMpcScale:
         h = config.horizon
         s0 = mpc._storage_bounds(params)[0] + 3e6
         inflow, demand = np.full(h, 20.0), np.full(h, 300.0)
-        bounds = np.tile(release_bounds(params, level_of_storage(params, s0)), (h, 1))
-        problem = mpc.assemble_qp(params, config, s0, inflow, demand, bounds)
+        problem = mpc.assemble_qp(params, config, s0, inflow, demand)
         hint = mpc._with_slacks(params, s0, inflow, demand, problem.lower[:h])
         counts.clear()
         solution = qp.solve(problem, initial_point=hint)
@@ -628,7 +620,7 @@ class TestMpcScale:
     ):
         # A solve factors the rows of each candidate working set it tries
         # and, when none is optimal, the rows tight at its start. Independent
-        # rows take one complete QR, which serves the whole solve, snap
+        # rows take one complete QR, which serves the whole solve, its optimum
         # included; dependent ones are first thinned by a pivoted QR. A set
         # of rows seen before in the window, by any candidate or start,
         # reuses its factor and takes none. No step solves a dense system.
