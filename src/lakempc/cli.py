@@ -80,7 +80,11 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def build_settings(overrides: dict[str, str]):
-    """Route override keys onto the three config dataclasses; bad values name their key."""
+    """The LakeParams, MpcConfig and DdpConfig that the override keys set.
+
+    A value that does not cast, or that its dataclass rejects, raises a
+    ValueError naming the key as it was written.
+    """
     overrides = dict(overrides)
     written = {"lam": "lambda"} if "lambda" in overrides else {}
     if "lambda" in overrides:
@@ -103,8 +107,27 @@ def build_settings(overrides: dict[str, str]):
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    params = LakeParams(**targets[0][1])
-    return params, targets[1][1], targets[2][1]
+    return tuple(_build(cls, kwargs, written) for cls, kwargs in targets)
+
+
+def _build(cls, kwargs: dict, written: dict):
+    """cls(**kwargs). Its ValueError is raised again naming the key it
+    rejects: the first whose value alone is rejected, or else (values that
+    fail only together) every key given."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        keys = [key for key in kwargs if _rejected(cls, key, kwargs[key])][:1] or list(kwargs)
+        names = ", ".join(written.get(key, key) for key in keys)
+        raise ValueError(f"config key{'s' if len(keys) > 1 else ''} {names}: {exc}") from None
+
+
+def _rejected(cls, key: str, value) -> bool:
+    try:
+        cls(**{key: value})
+    except ValueError:
+        return True
+    return False
 
 
 def _settings(args):
@@ -284,18 +307,15 @@ def _prepare_out(path) -> Path:
     return out
 
 
-def _mpc_config(args, mpc_overrides: dict) -> mpc_mod.MpcConfig:
-    kwargs = dict(mpc_overrides)
-    if args.lam is not None:
-        kwargs["lam"] = args.lam
-    if args.horizon is not None:
-        kwargs["horizon"] = args.horizon
-    return mpc_mod.MpcConfig(**kwargs)
+def _mpc_config(args, config: mpc_mod.MpcConfig) -> mpc_mod.MpcConfig:
+    """config with the --lambda and --horizon flags given, which override the file."""
+    flags = {"lam": getattr(args, "lam", None), "horizon": args.horizon}
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_simulate(args) -> int:
-    params, mpc_overrides, _ = _settings(args)
-    config = _mpc_config(args, mpc_overrides)
+    params, mpc_config, _ = _settings(args)
+    config = _mpc_config(args, mpc_config)
     scn = load_scenario(args, params)
     s0 = parse_s0(args.s0, params)
     if args.mode == "hourly":
@@ -312,10 +332,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     lambdas = _parse_lambdas(args.lambdas)
-    params, mpc_overrides, _ = _settings(args)
-    if args.horizon is not None:
-        mpc_overrides["horizon"] = args.horizon
-    base_config = mpc_mod.MpcConfig(**mpc_overrides)
+    params, mpc_config, _ = _settings(args)
+    base_config = _mpc_config(args, mpc_config)
     scn = load_scenario(args, params)
     s0 = parse_s0(args.s0, params)
     sweep = metrics.lambda_sweep(params, base_config, scn, s0, lambdas)
@@ -326,8 +344,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ddp(args) -> int:
-    params, _, ddp_overrides = _settings(args)
-    config = ddp_mod.DdpConfig(**ddp_overrides)
+    params, _, config = _settings(args)
     scn = load_scenario(args, params)
     s0 = parse_s0(args.s0, params)
     table = ddp_mod.backward_induction(params, config, scn.inflow_hourly, scn.demand_hourly)

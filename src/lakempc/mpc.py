@@ -40,11 +40,12 @@ every other step.
 Each step first offers qp.solve candidates for its optimal active set.
 Between steps only the right-hand side and the cost move, so the optimum
 is affine in the data on each active set, and the same few sets come back
-(the critical regions of explicit MPC). An hourly step offers the last
-_RECENT_SETS distinct final working sets of the run, each shifted by an
-hour and as it is (see run_hourly); a daily step offers the previous day's
-set. When a candidate is optimal, the optimum on its rows is the step's
-solution (a warm start).
+(the critical regions of explicit MPC). An hourly step offers first the
+final set that followed the last hour's final set the last time that set
+was final, then the last _RECENT_SETS distinct final working sets of the
+run, each shifted by an hour and as it is (see run_hourly); a daily step
+offers the previous day's set. When a candidate is optimal, the optimum on
+its rows is the step's solution (a warm start).
 
 Otherwise qp.solve needs a feasible start, and the step builds one close
 to its optimum, so the solver usually needs only a few active-set
@@ -194,11 +195,13 @@ def assemble_qp(
             f"horizon mismatch{where}: expected {h} forecast/demand entries, got "
             f"{inflow_forecast.size}/{demand.size}"
         )
-    for name, series in (("inflow forecast", inflow_forecast), ("demand", demand)):
-        finite = np.isfinite(series)
-        if not finite.all():
-            t = int(np.argmin(finite))
-            raise ValueError(f"{name} is {series[t]} at horizon step {t}{where}")
+    # One pass clears finite series; only a failing one is diagnosed.
+    if not (np.isfinite(inflow_forecast).all() and np.isfinite(demand).all()):
+        for name, series in (("inflow forecast", inflow_forecast), ("demand", demand)):
+            finite = np.isfinite(series)
+            if not finite.all():
+                t = int(np.argmin(finite))
+                raise ValueError(f"{name} is {series[t]} at horizon step {t}{where}")
     area = params.surface_area
     s_min, s_max = _storage_bounds(params)
     structure = _qp_structure(h, area, config.lam)
@@ -423,13 +426,18 @@ def run_hourly(
     (deterministic control). Every step needs a full horizon of lookahead,
     so at most scenario.n_hours - horizon steps can be simulated.
 
-    Each step offers the solver candidates for its active set: the last
-    _RECENT_SETS distinct final working sets of the run, most recent first,
-    each in two forms, shifted by an hour (_shifted, computed once when the
-    set enters the list) and as it is, without repeats. The form that was
-    optimal last goes first in each pair; until a candidate is, the shifted
-    one. On the flood window the sets cycle with a period of about ten
-    hours, so the set that fits an hour was often final a few hours before.
+    Each step offers the solver candidates for its active set, without
+    repeats. First, as it is, the set that followed the last hour's final
+    set the last time that set was final (the run keeps the latest such
+    transition of each set). Then the last _RECENT_SETS distinct final
+    working sets of the run, most recent first, each in two forms, shifted
+    by an hour (_shifted, computed once when the set enters the list) and as
+    it is. The form last taken from this list goes first in each pair;
+    until one is, the shifted one. On the flood window the final sets
+    cycle through the same sequence with a period of about ten hours, so
+    the set that followed the current one last time is usually the next
+    one: on days 104-120 from 1.08 m an hour rejects 0.45 candidates before
+    the one it takes, against 1.57 with the list alone.
     """
     h = config.horizon
     limit = scenario.n_hours - h
@@ -441,10 +449,19 @@ def run_hourly(
     # ((key, set), (key, shifted set)) of each recent final set, most recent first.
     recent = []
     shift_first = True
+    # The key of a final set -> (key, set) of the final set of the hour
+    # after it, the last time it was final; and the key of the last hour's.
+    successor = {}
+    last = None
 
     def decide(t, storage):
-        nonlocal shift_first
-        offered = {}  # key -> (shifted, candidate), in the order offered
+        nonlocal shift_first, last
+        # key -> (shifted, candidate) in the order offered; shifted is None
+        # for the successor, whose taking leaves shift_first as it is.
+        offered = {}
+        if last in successor:
+            key, candidate = successor[last]
+            offered[key] = (None, candidate)
         for forms in recent:
             for shifted in (shift_first, not shift_first):
                 key, candidate = forms[shifted]
@@ -460,8 +477,12 @@ def run_hourly(
         )
         solution = step.solve_diagnostics
         key = _key(solution.working_set)
-        if solution.warm_start and key in offered:
-            shift_first = offered[key][0]
+        # A candidate whose rows are dependent ends on fewer rows, not offered.
+        taken = offered.get(key, (None,))[0] if solution.warm_start else None
+        if taken is not None:
+            shift_first = taken
+        successor[last] = (key, solution.working_set)
+        last = key
         forms = next((forms for forms in recent if forms[0][0] == key), None)
         if forms is None:
             shifted = _shifted(solution.working_set, h)

@@ -125,6 +125,40 @@ def dense_kkt_solution(
     return sol[:n], ineq_duals, bound_duals
 
 
+def reference_kkt_components(problem: qp.QpProblem, solution: qp.QpSolution) -> dict[str, float]:
+    """qp.kkt_components as it was written before its temporaries were
+    trimmed, kept frozen: the four components, each the largest violation
+    (at least 0, NaN when any entry is NaN) of its conditions on the
+    unscaled problem. qp.kkt_components must reproduce it bit for bit."""
+
+    def worst(*terms):
+        return float(np.concatenate(terms).max(initial=0.0))
+
+    x = np.asarray(solution.x, dtype=float)
+    q, c = problem.hessian, problem.linear_cost
+    a_in, b_in = problem.ineq_matrix, problem.ineq_rhs
+    lo, hi = problem.lower, problem.upper
+    mu = np.atleast_1d(np.asarray(solution.ineq_duals, dtype=float))
+    beta = np.atleast_1d(np.asarray(solution.bound_duals, dtype=float))
+
+    grad = q @ x + c
+    if a_in.shape[0]:
+        grad = grad + a_in.T @ mu
+    grad = grad + beta
+    slack = b_in - a_in @ x
+    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
+    gap_lo = np.where(finite_lo, x - lo, 0.0)
+    gap_hi = np.where(finite_hi, hi - x, 0.0)
+    return {
+        "stationarity": worst(np.abs(grad)),
+        "primal": worst(-slack, -gap_lo, -gap_hi),
+        "dual": worst(-mu, np.where(finite_hi, 0.0, beta), np.where(finite_lo, 0.0, -beta)),
+        "complementarity": worst(
+            np.abs(mu * slack), np.abs(np.where(beta > 0.0, beta * gap_hi, beta * gap_lo))
+        ),
+    }
+
+
 def random_qp(rng: np.random.Generator) -> tuple[qp.QpProblem, np.ndarray]:
     """Random strictly convex QP with n <= 6 and at most 8 constraint rows,
     and a point that meets every row and bound with some slack."""
@@ -185,12 +219,14 @@ def direct_cost_minimum(
     level (hydrology.release_bounds) in every step, and the hard dry storage rows,
     s(t) >= s_min + A * DRY_MARGIN. When the minimum-release plan breaks
     some row by more than qp.FEASIBILITY_TOL (in m), the dry bound cannot be
-    held, and the set is that of the lexicographic recovery policy: with k
-    the last step whose row that plan breaks, the releases of steps 0..k are
-    held at their lower bounds and only the rows after k are imposed. The
-    objective is convex, so the SLSQP polish from the best grid point is a
-    global minimizer. A point counts as feasible with 1e-3 m^3 (7e-12 m) of
-    slack on the storage rows, which SLSQP's point in level units needs.
+    held, and the set is that of the lexicographic recovery policy (the mpc
+    module docstring): with k the last step whose row that plan breaks, the
+    releases of steps 0..k are held at their lower bounds, and each later
+    row is lifted to the plan's storage where that is lower, s(t) >=
+    min(s_min + A * DRY_MARGIN, s_plan(t)). The objective is convex, so the
+    SLSQP polish from the best grid point is a global minimizer. A point
+    counts as feasible with 1e-3 m^3 (7e-12 m) of slack on the storage rows,
+    which SLSQP's point in level units needs.
     """
     h = config.horizon
     inflow = np.asarray(inflow, dtype=float)
@@ -202,8 +238,10 @@ def direct_cost_minimum(
         return s0 + HOUR_SECONDS * np.cumsum(inflow[None, :] - np.atleast_2d(u), axis=1)
 
     lower = u_bounds[:, 0]
-    broken = np.flatnonzero((s_floor - storages(lower)[0]) / area > qp.FEASIBILITY_TOL)
+    at_minimum = storages(lower)[0]
+    broken = np.flatnonzero((s_floor - at_minimum) / area > qp.FEASIBILITY_TOL)
     fixed = int(broken[-1]) + 1 if broken.size else 0
+    s_bound = np.minimum(s_floor, at_minimum) if broken.size else np.full(h, s_floor)
     if fixed == h:
         return float(controller_cost(params, config, s0, inflow, demand, lower)[0])
 
@@ -215,7 +253,7 @@ def direct_cost_minimum(
         return controller_cost(params, config, s0, inflow, demand, plans(free))
 
     def feasible(free):
-        return np.all(storages(plans(free))[:, fixed:] >= s_floor - 1e-3, axis=1)
+        return np.all(storages(plans(free))[:, fixed:] >= s_bound[fixed:] - 1e-3, axis=1)
 
     axes = [np.linspace(u_bounds[t, 0], u_bounds[t, 1], grid_points) for t in range(fixed, h)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -224,7 +262,7 @@ def direct_cost_minimum(
     seed = mesh[int(np.argmin(values))]
 
     constraints = [
-        {"type": "ineq", "fun": lambda free, t=t: (storages(plans(free))[0, t] - s_floor) / area}
+        {"type": "ineq", "fun": lambda free, t=t: (storages(plans(free))[0, t] - s_bound[t]) / area}
         for t in range(fixed, h)
     ]
     result = minimize(

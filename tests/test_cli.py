@@ -177,7 +177,41 @@ def test_non_finite_ddp_weight_names_its_key(tmp_path, scenario_dir, capsys):
     config.write_text("w_flood = nan\n", encoding="utf-8")
     argv = ["ddp", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_RUNTIME
-    assert "error: w_flood must be a finite real number, got nan" in capsys.readouterr().err
+    message = f"error: {config}: config key w_flood: w_flood must be a finite real number, got nan"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_rejected_config_value_names_its_file_and_key(tmp_path, scenario_dir, capsys, command):
+    # The value casts, and MpcConfig rejects it: the message once named
+    # neither the file nor the key as written.
+    config = tmp_path / "settings.cfg"
+    config.write_text("horizon = 6\nlambda = -1\n", encoding="utf-8")
+    argv = [command, *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    message = f"error: {config}: config key lambda: lam must be positive, got -1.0"
+    assert message in capsys.readouterr().err
+
+
+def test_weights_rejected_only_together_name_every_key(tmp_path, scenario_dir, capsys):
+    config = tmp_path / "settings.cfg"
+    config.write_text("w_flood = 0\nw_demand = 0\n", encoding="utf-8")
+    argv = ["ddp", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    message = f"error: {config}: config keys w_flood, w_demand: objective weights must sum"
+    assert message in capsys.readouterr().err
+
+
+def test_flags_override_the_config_file(tmp_path, scenario_dir):
+    config = tmp_path / "settings.cfg"
+    config.write_text("horizon = 8\nlambda = 2\n", encoding="utf-8")
+    common = ["simulate", "--mode", "hourly", *scenario_args(scenario_dir), "--horizon", "6"]
+    by_both = [*common, "--lambda", "0.5", "--config", str(config), "--out", str(tmp_path / "both")]
+    by_flags = [*common, "--lambda", "0.5", "--out", str(tmp_path / "flags")]
+    assert cli_main(by_both) == EXIT_OK
+    assert cli_main(by_flags) == EXIT_OK
+    trace = (tmp_path / "both" / "trace.csv").read_bytes()
+    assert trace == (tmp_path / "flags" / "trace.csv").read_bytes()
 
 
 def test_config_values_act_like_their_flags(tmp_path, scenario_dir):

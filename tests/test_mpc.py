@@ -425,11 +425,14 @@ class TestRecovery:
         lam=st.sampled_from([0.1, 1.0, 10.0]),
     )
     # A recovery step that holds the minimum release for two hours, a normal
-    # step whose dry rows cap the releases, and one that starts on the
-    # bound, where SLSQP stops at its iteration limit.
+    # step whose dry rows cap the releases, one that starts on the bound,
+    # where SLSQP stops at its iteration limit, and a recovery step whose
+    # minimum-release plan ends DRY_MARGIN below the bound, so that only the
+    # lifted row admits it.
     @example(horizon=3, offset=-5e4, inflow=[12.0, 20.0, 40.0], demand=[150.0] * 3, lam=1.0)
     @example(horizon=3, offset=1e5, inflow=[5.0] * 3, demand=[150.0] * 3, lam=1.0)
     @example(horizon=2, offset=0.0, inflow=[39.25, 25.0, 0.0], demand=[39.25, 25.0, 0.0], lam=10.0)
+    @example(horizon=2, offset=0.0, inflow=[0.0, 20.0, 0.0], demand=[0.0, 0.0, 0.0], lam=0.1)
     def test_plan_cost_matches_the_oracle(self, horizon, offset, inflow, demand, lam):
         config = MpcConfig(horizon=horizon, lam=lam)
         s0 = S_MIN + offset
@@ -570,10 +573,12 @@ class TestWorkingSetHints:
         assert warm.planned_releases == pytest.approx(cold.planned_releases, rel=1e-12)
 
     def test_candidates_are_the_recent_final_sets_in_both_forms(self, monkeypatch):
-        # Five flood days: each hour offers the last 8 distinct final working
-        # sets, most recent first, each shifted and as it is, the form last
-        # taken first (shifted until one is taken), and no candidate twice.
-        # The start is built only for an hour that takes none.
+        # Five flood days. Each hour first offers, as it is, the final set
+        # that followed the last hour's final set the last time that set was
+        # final. Then it offers the last 8 distinct final working sets, most
+        # recent first, each shifted and as it is, the form last taken from
+        # this list first (shifted until one is taken), and no candidate
+        # twice. The start is built only for an hour that takes none.
         h = MpcConfig().horizon
         offered, solutions = [], []
         inner = mpc.solve_step
@@ -594,30 +599,47 @@ class TestWorkingSetHints:
         def shifted(rows):
             return [index.tolist() for index in mpc._shifted(tuple(np.array(i, int) for i in rows), h)]
 
-        recent, shift_first = [], True
+        recent, shift_first, successor, last = [], True, {}, None
         taken_forms, taken_older, distinct = set(), 0, set()
+        successor_taken = rejected = 0
         for candidates, solution in zip(offered, solutions):
             expected = {}  # candidate (as a string) -> whether it is a shifted form
+            if last in successor:
+                expected[successor[last]] = None
             for rows in recent:
                 forms = [(shifted(rows), True), (rows, False)]
                 for form, is_shifted in forms if shift_first else forms[::-1]:
                     expected.setdefault(repr(form), is_shifted)
             assert [repr(c) for c in candidates] == list(expected)
-            final = [rows.tolist() for rows in solution.working_set]
+            final_rows = [rows.tolist() for rows in solution.working_set]
+            final = repr(final_rows)
             if solution.warm_start:
-                shift_first = expected[repr(final)]
-                taken_forms.add(shift_first)
-                taken_older += repr(final) not in (repr(recent[0]), repr(shifted(recent[0])))
-            distinct.add(repr(final))
-            if final in recent:
-                recent.remove(final)
-            recent = [final, *recent][:8]
+                rejected += list(expected).index(final)
+                if expected[final] is None:
+                    successor_taken += 1
+                else:
+                    shift_first = expected[final]
+                    taken_forms.add(shift_first)
+                    taken_older += final not in (repr(recent[0]), repr(shifted(recent[0])))
+            else:
+                rejected += len(candidates)
+            if last is not None:
+                successor[last] = final
+            last = final
+            distinct.add(final)
+            if final_rows in recent:
+                recent.remove(final_rows)
+            recent = [final_rows, *recent][:8]
         assert taken_forms == {True, False}
         assert taken_older > 0
+        # Most warm hours take the successor, and an hour rejects fewer
+        # than one candidate on average.
+        assert successor_taken > trace.warm_starts.sum() / 2
+        assert rejected < len(offered)
         # The list fills, and on the flood the shifted form of one set is
-        # often an older set as it is, so no hour offers 16 candidates.
+        # often an older set as it is, so no hour offers 17 candidates.
         assert len(recent) == 8 and len(distinct) > 8
-        assert max(len(c) for c in offered) < 16
+        assert max(len(c) for c in offered) < 17
         assert start.call_count == int(np.sum(~trace.warm_starts)) < 10
 
 

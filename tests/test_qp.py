@@ -14,6 +14,7 @@ from helpers import (
     enumeration_oracle,
     phase1_point,
     random_qp,
+    reference_kkt_components,
 )
 from lakempc import mpc, qp
 from lakempc.hydrology import HOUR_SECONDS, LakeParams, storage_of_level
@@ -298,6 +299,20 @@ class TestNonFiniteData:
 
 
 class TestEdgesAndErrors:
+    def test_float_arrays_are_held_as_given_and_an_empty_row_block_is_shaped(self):
+        # A structure serves only problems that hold its very arrays, so
+        # building a problem must not copy float64 arrays. An empty row
+        # block of the wrong shape still becomes (0, n).
+        arrays = {
+            "hessian": np.eye(2), "linear_cost": np.zeros(2), "ineq_matrix": np.ones((1, 2)),
+            "ineq_rhs": np.ones(1), "lower": np.zeros(2), "upper": np.ones(2),
+        }
+        problem = qp.QpProblem(**arrays)
+        assert all(getattr(problem, name) is value for name, value in arrays.items())
+        empty = qp.QpProblem(**{**arrays, "ineq_matrix": np.zeros((0, 0)), "ineq_rhs": np.zeros(0)})
+        assert empty.ineq_matrix.shape == (0, 2)
+        assert qp.solve(empty, np.ones(2)).status == "optimal"
+
     def test_infeasible_diagnostic(self):
         # x <= 0 and x >= 1: no start is feasible.
         problem = qp.QpProblem(
@@ -452,15 +467,15 @@ def _assert_matches_dense_kkt(problem, solution):
 
 
 # (first day, start level in m, starts whose tight rows are dependent).
-# Days 104-105 from 1.08 m cross the flood threshold: 41 of the 48 solves
-# take a candidate working set, and the other 7 take up to 7 iterations
-# from their starts, three of whose 72 tight rows have rank 48 (one set).
-# The candidates tried and the starts use 24 distinct sets of rows. Days
+# Days 104-105 from 1.08 m cross the flood threshold: 44 of the 48 solves
+# take a candidate working set, and the other 4 take up to 7 iterations
+# from their starts, one of whose 72 tight rows have rank 48. The
+# candidates tried and the starts use 23 distinct sets of rows. Days
 # 182-183 from 0.29 m: 47 optimal candidates and one one-iteration solve,
 # all on one set.
-HOURLY_WINDOWS = [(104, 1.08, 3), (182, 0.29, 0)]
-START_SETS = {104: 24, 182: 1}
-WARM_STARTS = {104: 41, 182: 47}
+HOURLY_WINDOWS = [(104, 1.08, 1), (182, 0.29, 0)]
+START_SETS = {104: 23, 182: 1}
+WARM_STARTS = {104: 44, 182: 47}
 FACTOR_CALLS = ((np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "solve"), (np.linalg, "lstsq"))
 
 
@@ -572,6 +587,76 @@ class TestSnapAgainstDenseKkt:
     def test_every_step_of_an_hourly_window(self, monkeypatch, first_day, level):
         for problem, _, _, solution, _ in _hourly_window(monkeypatch, first_day, level):
             _assert_matches_dense_kkt(problem, solution)
+
+
+def _assert_same_components(problem, solution):
+    """qp.kkt_components equals the frozen reference bit for bit: the same
+    keys in the same order, and each value with the same bytes (NaN where
+    the reference is NaN, whatever its sign bit)."""
+    components = qp.kkt_components(problem, solution)
+    reference = reference_kkt_components(problem, solution)
+    assert list(components) == list(reference)
+    for key, expected in reference.items():
+        if np.isnan(expected):
+            assert np.isnan(components[key]), key
+        else:
+            assert np.float64(components[key]).tobytes() == np.float64(expected).tobytes(), key
+
+
+class TestKktComponentsAgainstReference:
+    """qp.kkt_components against a frozen copy of its earlier form."""
+
+    @pytest.mark.parametrize("first_day, level", [window[:2] for window in HOURLY_WINDOWS])
+    def test_every_solve_of_an_hourly_window(self, monkeypatch, first_day, level):
+        # Each certified solution, and a copy moved off the optimum with its
+        # multipliers flipped, so that every component is nonzero somewhere.
+        rng = np.random.default_rng(first_day)
+        for problem, _, _, solution, _ in _hourly_window(monkeypatch, first_day, level):
+            _assert_same_components(problem, solution)
+            moved = dataclasses.replace(
+                solution,
+                x=solution.x + rng.normal(scale=1e-3 * np.abs(solution.x).max(), size=problem.n),
+                ineq_duals=-solution.ineq_duals,
+                bound_duals=-solution.bound_duals,
+            )
+            _assert_same_components(problem, moved)
+
+    @pytest.mark.parametrize(
+        "x, ineq_duals, bound_duals, rhs, lower, upper",
+        [
+            # At both finite bounds and on the row: every gap and slack is 0.
+            ([0.0, 1.0], [0.0], [-1.0, 0.0], 1.0, [0.0, -np.inf], [np.inf, 1.0]),
+            # Multipliers pushing against absent bounds, both ways.
+            ([0.5, 0.5], [0.0], [2.0, -3.0], 1.0, [-np.inf, -np.inf], [np.inf, np.inf]),
+            ([0.5, 0.5], [-1.0], [-2.0, 3.0], 1.0, [-np.inf, 0.0], [1.0, np.inf]),
+            # Infinite bounds the point breaks by an infinite gap nowhere.
+            ([-1e300, 1e300], [0.0], [0.0, 0.0], 1.0, [-np.inf, -np.inf], [np.inf, np.inf]),
+            # NaN in the point, a multiplier, the right-hand side, a bound.
+            ([np.nan, 0.5], [0.0], [0.0, 0.0], 1.0, [0.0, 0.0], [1.0, 1.0]),
+            ([0.5, 0.5], [np.nan], [0.0, 0.0], 1.0, [0.0, 0.0], [1.0, 1.0]),
+            ([0.5, 0.5], [0.0], [0.0, np.nan], 1.0, [0.0, -np.inf], [1.0, np.inf]),
+            ([0.5, 0.5], [0.0], [0.0, 0.0], np.nan, [0.0, 0.0], [1.0, 1.0]),
+            ([0.5, 0.5], [0.0], [1.0, 0.0], 1.0, [np.nan, 0.0], [1.0, np.inf]),
+        ],
+    )
+    def test_nan_and_infinite_bounds(self, x, ineq_duals, bound_duals, rhs, lower, upper):
+        problem = qp.QpProblem(
+            hessian=np.eye(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]],
+            ineq_rhs=[rhs], lower=lower, upper=upper,
+        )
+        solution = qp.QpSolution(
+            x=np.array(x), ineq_duals=np.array(ineq_duals), bound_duals=np.array(bound_duals),
+            objective=0.0, status="optimal", kkt_residual=0.0,
+        )
+        _assert_same_components(problem, solution)
+
+    def test_no_rows(self):
+        problem = qp.QpProblem(hessian=np.eye(2), linear_cost=[-1.0, 2.0], upper=[0.5, np.inf])
+        solution = qp.QpSolution(
+            x=np.array([0.5, -2.0]), ineq_duals=np.zeros(0), bound_duals=np.array([0.5, -1.0]),
+            objective=0.0, status="optimal", kkt_residual=0.0,
+        )
+        _assert_same_components(problem, solution)
 
 
 class TestMpcScale:
