@@ -62,7 +62,7 @@ minimum-release plan does, which after the lift is always.
 
 The QP's Hessian and row matrix depend only on the horizon, the surface
 area and lam, so _qp_structure builds them, as a qp.Structure that also
-holds their factors and the solver's caches, once per such configuration.
+holds their factors and the solver's cache, once per such configuration.
 Every step's problem holds the structure's read-only matrices, and the
 step passes the structure to qp.solve. Only the latest configuration's
 structure is kept: a lambda sweep drops each weight's when it moves on.
@@ -240,9 +240,12 @@ def assemble_qp(
 @functools.lru_cache(maxsize=1)
 def _qp_structure(h: int, area: float, lam: float) -> qp.Structure:
     """The qp.Structure of assemble_qp's QP: its read-only Hessian and row
-    matrix, their factors, and the start factors and candidate rows that
-    qp.solve caches. Every step of a run, and of any later run of the same
-    configuration while it is the last one asked for, shares it.
+    matrix, their factors, and the working-set factors that qp.solve
+    caches. Every step of a run, and of any later run of the same
+    configuration while it is the last one asked for, shares it. Its rows
+    fall in blocks of h, one row per horizon step, which _shifted relies
+    on: 3h inequality rows (dry, flood, demand), 2h finite lower bounds (u,
+    slack_flood) and h finite upper bounds (u).
     """
     n_var = 3 * h
     iu, iem, ied = 0, h, 2 * h
@@ -396,21 +399,13 @@ def solve_step(
     )
 
 
-def _shifted(working_set, h: int):
-    """The working set one hour later: in every block of h rows or
-    variables, position p moves to p - 1, position 0 leaves, and position
-    h - 1 also stays (the next plan's guess repeats the last release)."""
-    def shift(index):
-        index = index.tolist()
-        moved = [i - 1 for i in index if i % h] + [i for i in index if i % h == h - 1]
-        return np.array(sorted(moved), dtype=np.intp)
-
-    return tuple(shift(index) for index in working_set)
-
-
-def _key(working_set) -> tuple[bytes, ...]:
-    """A hashable value equal for equal working sets."""
-    return tuple(index.tobytes() for index in working_set)
+def _shifted(working_set: tuple[int, ...], h: int) -> tuple[int, ...]:
+    """The working set one hour later. The structure's rows fall in blocks
+    of h (see _qp_structure): in every block, position p moves to p - 1,
+    position 0 leaves, and position h - 1 also stays (the next plan's guess
+    repeats the last release)."""
+    moved = [i - 1 for i in working_set if i % h] + [i for i in working_set if i % h == h - 1]
+    return tuple(sorted(moved))
 
 
 def run_hourly(
@@ -446,26 +441,24 @@ def run_hourly(
     n_steps = limit if n_steps is None else _integer("n_steps", n_steps)
     if not 1 <= n_steps <= limit:
         raise ValueError(f"n_steps must lie in [1, {limit}], got {n_steps}")
-    # ((key, set), (key, shifted set)) of each recent final set, most recent first.
-    recent = []
+    # Each recent final set -> its shifted form, least recent first.
+    recent = {}
     shift_first = True
-    # The key of a final set -> (key, set) of the final set of the hour
-    # after it, the last time it was final; and the key of the last hour's.
+    # A final set -> the final set of the hour after it, the last time it
+    # was final; and the last hour's final set.
     successor = {}
     last = None
 
     def decide(t, storage):
         nonlocal shift_first, last
-        # key -> (shifted, candidate) in the order offered; shifted is None
-        # for the successor, whose taking leaves shift_first as it is.
+        # candidate -> whether it is the shifted form, in the order offered;
+        # None for the successor, whose taking leaves shift_first as it is.
         offered = {}
         if last in successor:
-            key, candidate = successor[last]
-            offered[key] = (None, candidate)
-        for forms in recent:
+            offered[successor[last]] = None
+        for forms in reversed(recent.items()):
             for shifted in (shift_first, not shift_first):
-                key, candidate = forms[shifted]
-                offered.setdefault(key, (shifted, candidate))
+                offered.setdefault(forms[shifted], shifted)
         step = solve_step(
             params,
             config,
@@ -473,24 +466,19 @@ def run_hourly(
             scenario.inflow_hourly[t:t + h],
             scenario.demand_hourly[t:t + h],
             hour=t,
-            working_sets=[candidate for _, candidate in offered.values()],
+            working_sets=list(offered),
         )
         solution = step.solve_diagnostics
-        key = _key(solution.working_set)
+        final = solution.working_set
         # A candidate whose rows are dependent ends on fewer rows, not offered.
-        taken = offered.get(key, (None,))[0] if solution.warm_start else None
+        taken = offered.get(final) if solution.warm_start else None
         if taken is not None:
             shift_first = taken
-        successor[last] = (key, solution.working_set)
-        last = key
-        forms = next((forms for forms in recent if forms[0][0] == key), None)
-        if forms is None:
-            shifted = _shifted(solution.working_set, h)
-            forms = ((key, solution.working_set), (_key(shifted), shifted))
-        else:
-            recent.remove(forms)
-        recent.insert(0, forms)
-        del recent[_RECENT_SETS:]
+        successor[last] = final
+        last = final
+        recent[final] = recent.pop(final) if final in recent else _shifted(final, h)
+        if len(recent) > _RECENT_SETS:
+            del recent[next(iter(recent))]
         return step.planned_releases[:1], step
 
     return closed_loop(

@@ -10,53 +10,52 @@ inequality rows and bounds only. The caller supplies a feasible start, and
 the solver does not search for one: a start that, clipped into the bounds,
 still violates a row by more than FEASIBILITY_TOL is rejected.
 
-A caller that solves a family of problems can first offer candidate
-active sets: working sets in the form of QpSolution.working_set (the rows a
-solve ended on), tried in order. For each, the solver computes the optimum
-on its rows (_working_optimum, below) from the factor the structure caches
-for that set of rows, and tests it first against every row: each must hold
-within 1e-9 (1 + |b_i|) of its own scaled right-hand side. Only an optimum
-that passes gets its multipliers, which must pass the loop's sign test; on
-the MPC's synthetic hourly year, 1260 of the 1270 rejected candidates fail
-a row. The first candidate that passes both is returned, counted as one
-iteration. Only when every candidate is rejected does the solve start from
-the caller's start, which may be given as a function so that it is built
-only then. Either way the result is certified as below. The structure
-(below) also remembers the rows of each candidate it has checked, keyed by
-the candidate's bytes, so a candidate seen before costs a dict lookup, the
-optimum and the row test when it fails a row: about 30 us at the MPC's
-size on a shared 2-vCPU Xeon, against 120 us for a solve that takes its
-first candidate and 450 us for one from the start.
-
 The work that depends only on the Hessian, the rows and which bounds are
 finite is held by a Structure: folding the finite bounds in as rows, the
 equilibration, the factor of the scaled Hessian, Q = LL' (it fails unless
 the Hessian is positive definite), and the rows in y = L'x of Goldfarb &
-Idnani (1983), where the Hessian is the identity. A caller that re-solves
-one family of problems with new right-hand sides, costs and bound values
-(the MPC, every hour) builds one Structure and passes it to every solve;
-it and its caches (below) live as long as the caller holds it. It keeps
-read-only copies of the Hessian and the row matrix, and solve rejects a
-problem that does not hold those very arrays, so no factor can go stale.
-Without a structure, solve builds one for that solve alone. Each solve
-scales its own right-hand side and cost, checks its vectors and the
+Idnani (1983), where the Hessian is the identity. Its rows are the
+inequality rows first, then one row per finite lower bound, then one per
+finite upper bound, each block in variable order. A working set is a
+sorted tuple of these rows, in solve's input and output alike. A caller
+that re-solves one family of problems with new right-hand sides, costs and
+bound values (the MPC, every hour) builds one Structure and passes it to
+every solve; it and its cache (below) live as long as the caller holds it.
+It keeps read-only copies of the Hessian and the row matrix, and solve
+rejects a problem that does not hold those very arrays, so no factor can go
+stale. Without a structure, solve builds one for that solve alone. Each
+solve scales its own right-hand side and cost, checks its vectors and the
 start, and certifies its result on the full problem.
+
+A caller that solves a family of problems can first offer candidate
+working sets, such as the QpSolution.working_set of earlier solves, tried
+in order. For each, the solver computes the optimum on its rows
+(_working_optimum, below) from the factor the structure caches for them,
+and tests it first against every row: each must hold within 1e-9
+(1 + |b_i|) of its own scaled right-hand side. Only an optimum that passes
+gets its multipliers, which must pass the loop's sign test; on the MPC's
+synthetic hourly year, 1260 of the 1270 rejected candidates fail a row.
+The first candidate that passes both is returned, counted as one
+iteration. Only when every candidate is rejected does the solve start from
+the caller's start, which may be given as a function so that it is built
+only then. Either way the result is certified as below. A candidate the
+structure has seen before costs a dict lookup, the optimum and the row
+test when it fails a row: about 20 us at the MPC's size on a shared 2-vCPU
+Xeon, against 100 us for a solve that takes its first candidate and 450 us
+for one from the start.
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
 The working-set factor starts as the complete QR of the rows tight at the
-start; when they are dependent (or outnumber the variables), a pivoted QR
-first picks an independent subset and that is factored instead. A
-structure keeps this start factor for each set of tight rows it has seen,
-and for each candidate's rows (above), up to _START_CACHE_SIZE sets (first
-in, first out; about 70 kB each at the MPC's 72 variables), so the MPC's
-hours, which start from few distinct sets, pay one QR per set rather than
-one per solve. The daily MPC on two jittered years uses 65 sets, so room
-for 64 would cost 79 QRs on every pass over them. It keeps as many final
-working sets' layouts (_Layout: the gathers that turn the multipliers into
-the solution's duals and working set), so a solution that ends on a set
-seen before builds none of them. The cached Q and R are
-read-only: the solve only replaces them. The factor is then updated by
+start, or of a candidate's rows; when they are dependent (or outnumber the
+variables), a pivoted QR first picks an independent subset and that is
+factored instead. The structure's one cache, Structure.starts, keeps this
+factor for each such tuple of rows it has seen, up to _START_CACHE_SIZE
+(first in, first out; about 70 kB each at the MPC's 72 variables), so the
+MPC's hours, which start from few distinct sets, pay one QR per set rather
+than one per solve. The daily MPC on two jittered years uses 65 sets, so
+room for 64 would cost 79 QRs on every pass over them. The cached Q and R
+are read-only: the solve only replaces them. The factor is then updated by
 scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and
 the triangular solves call LAPACK's trtrs; both skip scipy's argument
 checks, which cost more than the work on matrices this small.
@@ -90,7 +89,6 @@ from __future__ import annotations
 import bisect
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -106,11 +104,6 @@ MAX_ITERATIONS = 10_000
 _qr_insert = getattr(scipy.linalg.qr_insert, "__wrapped__", scipy.linalg.qr_insert)
 _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 (_trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)
-
-_ROW_INEQ = 0
-_ROW_LOWER = 1
-_ROW_UPPER = 2
-
 
 def _as_matrix(value, n_cols: int) -> np.ndarray:
     if value is None:
@@ -223,10 +216,9 @@ class QpSolution:
     kkt_residual: float
     iterations: int = 0
     message: str = ""
-    # The final working rows as (inequality rows, variables at their lower
-    # bound, variables at their upper bound), in the problem's numbering;
-    # solve accepts it back as a candidate working set.
-    working_set: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    # The final working rows, a sorted tuple of the Structure's rows; solve
+    # accepts it back as a candidate working set.
+    working_set: tuple[int, ...] | None = None
     warm_start: bool = False  # a candidate working set was optimal
 
 
@@ -284,17 +276,19 @@ class Structure:
 
     Built from a problem, it serves every problem that holds its hessian and
     ineq_matrix, read-only copies of the problem's, and has finite bounds
-    where it has (see solve). It folds the finite bounds in as rows, and
-    holds their equilibration and the factor of the scaled Hessian. The
-    right-hand side and the linear cost are scaled per solve with row_scale
-    and col_scale.
+    where it has (see solve). Its rows are the inequality rows, then one
+    per finite lower bound (of the variables finite_lo), then one per finite
+    upper bound (finite_hi). It holds their equilibration and the factor of
+    the scaled Hessian, and the solves' one cache, starts (_start_factor).
+    The right-hand side and the linear cost are scaled per solve with
+    row_scale and col_scale.
     """
 
     def __init__(self, problem: QpProblem) -> None:
         """Raises ValueError for dimension errors and a Hessian that is not
         symmetric or not positive definite."""
         problem._check_matrices()
-        n, m_in = problem.n, problem.ineq_matrix.shape[0]
+        n = problem.n
         self.hessian = problem.hessian.copy()
         self.ineq_matrix = problem.ineq_matrix.copy()
         self.hessian.flags.writeable = self.ineq_matrix.flags.writeable = False
@@ -304,12 +298,6 @@ class Structure:
         self.finite_hi = finite_hi = np.flatnonzero(np.isfinite(problem.upper))
         eye = np.eye(n)
         a_all = np.vstack([self.ineq_matrix, 0.0 - eye[finite_lo], eye[finite_hi]])
-        # Each row's origin and its index: the inequality row's, or the
-        # variable's for a bound.
-        self.kind = np.repeat(
-            [_ROW_INEQ, _ROW_LOWER, _ROW_UPPER], [m_in, finite_lo.size, finite_hi.size]
-        )
-        self.orig_index = np.concatenate([np.arange(m_in), finite_lo, finite_hi])
 
         # One equilibration pass: column scales from the stacked data, then
         # unit inf-norm rows. Keeps mixed-unit problems (storage vs flow
@@ -331,19 +319,9 @@ class Structure:
             raise ValueError("hessian is not positive definite") from None
         self.l_inv_t = scipy.linalg.solve_triangular(l_factor, eye, lower=True).T
         self.a_y = self.a @ self.l_inv_t
-        # Row of each entry of a working set: inequality row i at i, the lower
-        # bound of variable j at m_in + j, its upper bound at m_in + n + j; -1
-        # where that bound is infinite.
-        entries = np.concatenate([np.arange(m_in), m_in + finite_lo, m_in + n + finite_hi])
-        self.candidate_row = np.full(m_in + 2 * n, -1)
-        self.candidate_row[entries] = np.arange(entries.size)
-        # tight.tobytes() -> (working rows, Q, R) of the start (see
-        # _start_factor), the bytes of each part of a candidate working set
-        # -> its rows (see _candidate_rows), and a final set of working rows
-        # -> its _Layout; at most _START_CACHE_SIZE each.
-        self.starts: dict[bytes, tuple[tuple[int, ...], np.ndarray, np.ndarray]] = {}
-        self.candidates: dict[tuple[bytes, ...], np.ndarray] = {}
-        self.layouts: dict[tuple[int, ...], _Layout] = {}
+        # The rows tight at a start, or a candidate working set -> (working
+        # rows as a tuple and as an intp array, Q, R).
+        self.starts: dict[tuple[int, ...], tuple] = {}
 
 
 _START_CACHE_SIZE = 128
@@ -392,20 +370,34 @@ def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 
 
 def _start_factor(
-    fold: Structure, tight: np.ndarray
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The initial working rows and their complete QR in y (read-only), from
-    the rows tight at the start; kept in fold.starts.
+    fold: Structure, key: tuple[int, ...]
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The working rows and their complete QR in y for the sorted rows key
+    (the rows tight at a start, or a candidate working set): (the rows as a
+    tuple, the rows as an intp array, Q, R), the arrays read-only. Kept in
+    fold.starts, so a key seen before costs a lookup.
 
-    When the tight rows are independent, they are the working rows.
-    Otherwise a pivoted QR picks an independent subset, which is then
-    factored; L^-T is nonsingular, so independence in y is independence of
-    the rows.
+    When the rows are independent, they are the working rows. Otherwise a
+    pivoted QR picks an independent subset, which is then factored; L^-T is
+    nonsingular, so independence in y is independence of the rows.
+
+    Raises ValueError, naming key, when a key not seen before is not a
+    strictly increasing tuple of integer rows in [0, m).
     """
-    key = tight.tobytes()
-    if key in fold.starts:
-        return fold.starts[key]
-    w_rows = tight
+    start = fold.starts.get(key)
+    if start is not None:
+        return start
+    m = fold.a.shape[0]
+    if not (
+        isinstance(key, tuple)
+        and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in key)
+        and all(i < j for i, j in zip(key, key[1:]))
+        and (not key or (0 <= key[0] and key[-1] < m))
+    ):
+        raise ValueError(
+            f"working_set {key!r} is not a strictly increasing tuple of rows in [0, {m})"
+        )
+    tight = w_rows = np.array(key, dtype=np.intp)
     if tight.size <= fold.a.shape[1]:
         qf, rf = np.linalg.qr(fold.a_y[tight].T, mode="complete")
     if tight.size > fold.a.shape[1] or not _full_rank(rf, 1e-8):
@@ -414,109 +406,51 @@ def _start_factor(
         rank = int(np.sum(diag > 1e-10 * max(1.0, diag[0])))
         w_rows = np.sort(tight[piv[:rank]])
         qf, rf = np.linalg.qr(fold.a_y[w_rows].T, mode="complete")
-    qf.flags.writeable = False
-    rf.flags.writeable = False
-    start = (tuple(w_rows.tolist()), qf, rf)
-    _remember(fold.starts, key, start)
+    for arr in (w_rows, qf, rf):
+        arr.flags.writeable = False
+    start = (tuple(w_rows.tolist()), w_rows, qf, rf)
+    fold.starts[key] = start
+    if len(fold.starts) > _START_CACHE_SIZE:
+        del fold.starts[next(iter(fold.starts))]
     return start
-
-
-def _remember(cache: dict, key, value) -> None:
-    """cache[key] = value, evicting the oldest entry beyond _START_CACHE_SIZE."""
-    cache[key] = value
-    if len(cache) > _START_CACHE_SIZE:
-        del cache[next(iter(cache))]
-
-
-class _Layout(NamedTuple):
-    """What a solution reads of its set of working rows, all read-only."""
-
-    rows: np.ndarray  # the rows, as an intp array
-    row_scale: np.ndarray  # their row scales
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray]  # which are inequality, lower, upper rows
-    working_set: tuple[np.ndarray, np.ndarray, np.ndarray]  # QpSolution.working_set
-
-
-def _layout(fold: Structure, w_rows: tuple[int, ...]) -> _Layout:
-    """The _Layout of the working rows w_rows; kept in fold.layouts."""
-    layout = fold.layouts.get(w_rows)
-    if layout is None:
-        rows = np.array(w_rows, dtype=np.intp)
-        kind, index = fold.kind[rows], fold.orig_index[rows]
-        masks = tuple(kind == k for k in (_ROW_INEQ, _ROW_LOWER, _ROW_UPPER))
-        layout = _Layout(rows, fold.row_scale[rows], masks, tuple(index[mask] for mask in masks))
-        for arr in (rows, layout.row_scale, *masks, *layout.working_set):
-            arr.flags.writeable = False
-        _remember(fold.layouts, w_rows, layout)
-    return layout
-
-
-def _candidate_rows(problem: QpProblem, fold: Structure, working_set) -> np.ndarray:
-    """The sorted rows of fold that working_set names: (inequality rows,
-    lower-bound variables, upper-bound variables) in the problem's numbering.
-
-    Raises ValueError naming an index out of range or an infinite bound.
-    fold.candidates keeps the rows of each working set checked, read-only.
-    """
-    parts = [np.asarray(part, dtype=np.intp).reshape(-1) for part in working_set]
-    key = tuple(part.tobytes() for part in parts)
-    rows = fold.candidates.get(key)
-    if rows is not None:
-        return rows
-    n, m_in = problem.n, problem.ineq_matrix.shape[0]
-    names = ("inequality row", "lower bound of variable", "upper bound of variable")
-    for name, index, size in zip(names, parts, (m_in, n, n)):
-        if index.size and not (index.min() >= 0 and index.max() < size):
-            bad = index[(index < 0) | (index >= size)][0]
-            raise ValueError(f"working_set {name} {bad} is out of range [0, {size})")
-    rows = np.unique(
-        fold.candidate_row[np.concatenate([parts[0], parts[1] + m_in, parts[2] + (m_in + n)])]
-    )
-    if rows.size and rows[0] < 0:
-        for name, index, offset in zip(names[1:], parts[1:], (m_in, m_in + n)):
-            infinite = index[fold.candidate_row[offset + index] < 0]
-            if infinite.size:
-                raise ValueError(f"working_set names the {name} {infinite[0]}, which is infinite")
-    rows.flags.writeable = False
-    _remember(fold.candidates, key, rows)
-    return rows
 
 
 def solve(
     problem: QpProblem,
     initial_point: np.ndarray | Callable[[], np.ndarray],
     max_iterations: int = MAX_ITERATIONS,
-    working_sets: Sequence[tuple] = (),
+    working_sets: Sequence[tuple[int, ...]] = (),
     structure: Structure | None = None,
 ) -> QpSolution:
     """Solve a dense convex QP from a feasible start and certify the result.
 
     structure is the Structure of a problem of the same family, whose
-    caches this solve reads and extends; without one, the solve builds its
+    cache this solve reads and extends; without one, the solve builds its
     own.
 
-    working_sets are candidate active sets, each in the form of
-    QpSolution.working_set, tried in order: the optimum on the first
-    candidate's rows that meets every row and whose multipliers have the
-    right sign is returned as the solution, in one iteration (see the module
-    docstring). A rejected candidate costs its optimum and the row test, and
-    its multipliers and their sign test when it meets every row, plus, the
-    first time the structure sees it, its validation and the QR of its
-    rows. Only when every candidate is rejected does the solve start from
-    initial_point, an array or a function of no arguments that returns one,
-    called only then. initial_point, clipped into the bounds, must meet
-    every row within FEASIBILITY_TOL; the rows tight there seed the working
-    set.
+    working_sets are candidate active sets, each a sorted tuple of the
+    structure's rows like QpSolution.working_set, tried in order: the
+    optimum on the first candidate's rows that meets every row and whose
+    multipliers have the right sign is returned as the solution, in one
+    iteration (see the module docstring). A rejected candidate costs its
+    optimum and the row test, and its multipliers and their sign test when
+    it meets every row, plus, the first time the structure sees it, its
+    validation and the QR of its rows. Only when every candidate is rejected
+    does the solve start from initial_point, an array or a function of no
+    arguments that returns one, called only then. initial_point, clipped
+    into the bounds, must meet every row within FEASIBILITY_TOL; the rows
+    tight there seed the working set.
 
     Raises ValueError for a problem with no variables, a structure whose
     matrices the problem does not hold or whose finite bounds are not the
     problem's, dimension errors, a Hessian that is not symmetric or not
     positive definite, a cost or right-hand side entry that is not finite, a
-    NaN bound (infinite bounds are absent bounds), a candidate that names a
-    row out of range or an infinite bound (checked when the candidate is
-    reached), and a start that is not of length n, not finite or not
-    feasible (the message names its most violated constraint). The start is
-    checked only when it is used.
+    NaN bound (infinite bounds are absent bounds), a candidate not seen
+    before that is not a strictly increasing tuple of rows in [0, m) (checked
+    when the candidate is reached; m counts the rows and the finite bounds),
+    and a start that is not of length n, not finite or not feasible (the
+    message names its most violated constraint). The start is checked only
+    when it is used.
     """
     problem._check_data()
     n = problem.n
@@ -527,7 +461,7 @@ def solve(
     elif _finite_bounds(problem) != structure.finite_bounds:
         raise ValueError("the problem's finite bounds are not the structure's")
     fold = structure
-    m = fold.a.shape[0]
+    m, m_in, n_lo = fold.a.shape[0], problem.ineq_matrix.shape[0], fold.finite_lo.size
     q_s, l_inv_t, a_y = fold.q_s, fold.l_inv_t, fold.a_y
     b_s = fold.row_scale * np.concatenate(
         [problem.ineq_rhs, -problem.lower[fold.finite_lo], problem.upper[fold.finite_hi]]
@@ -548,31 +482,30 @@ def solve(
         """The most negative multiplier that still counts as nonnegative."""
         return -1e-9 * (1.0 + float(np.abs(g).max(initial=0.0)))
 
-    def _finish(x_s, lam, layout, status, iterations, message="", warm_start=False):
+    def _finish(x_s, lam, working_set, rows, status, iterations, message="", warm_start=False):
+        """The solution at x_s, lam the multipliers of the working rows."""
         x = fold.col_scale * x_s
-        ineq_duals = np.zeros(problem.ineq_matrix.shape[0])
-        bound_duals = np.zeros(n)
-        vals = layout.row_scale * lam
-        ineq, lower, upper = layout.masks
-        in_ineq, in_lower, in_upper = layout.working_set
+        # The multiplier of every row, zero off the working set.
+        duals = np.zeros(m)
+        duals[rows] = fold.row_scale[rows] * lam
         # Scrub multiplier noise: tiny negatives on working rows are
         # numerical, not meaningful. On a bound row, one would push against
         # the opposite bound, which may be absent.
-        tiny = 1e-9 * max(1.0, float(np.abs(vals[ineq]).max(initial=0.0)))
-        vals[(vals < 0.0) & (vals > -tiny)] = 0.0
-        ineq_duals[in_ineq] = vals[ineq]
-        bound_duals[in_upper] = vals[upper]
-        bound_duals[in_lower] -= vals[lower]
+        tiny = 1e-9 * max(1.0, float(np.abs(duals[:m_in]).max(initial=0.0)))
+        duals[(duals < 0.0) & (duals > -tiny)] = 0.0
+        bound_duals = np.zeros(n)
+        bound_duals[fold.finite_hi] = duals[m_in + n_lo:]
+        bound_duals[fold.finite_lo] -= duals[m_in:m_in + n_lo]
         sol = QpSolution(
             x=x,
-            ineq_duals=ineq_duals,
+            ineq_duals=duals[:m_in],
             bound_duals=bound_duals,
             objective=problem.objective_value(x),
             status=status,
             kkt_residual=np.nan,
             iterations=iterations,
             message=message,
-            working_set=layout.working_set,
+            working_set=working_set,
             warm_start=warm_start,
         )
         sol.kkt_residual = kkt_residual(problem, sol)
@@ -603,13 +536,12 @@ def solve(
             return x_s, None
         return x_s, -_solve_upper(r, t + q1.T @ c_y) if mw else np.zeros(0)
 
-    for working_set in working_sets:
-        w_rows, qf, rf = _start_factor(fold, _candidate_rows(problem, fold, working_set))
-        layout = _layout(fold, w_rows)
-        x_s, lam = _working_optimum(layout.rows, rows_first=True)
+    for candidate in working_sets:
+        w_rows, rows, qf, rf = _start_factor(fold, candidate)
+        x_s, lam = _working_optimum(rows, rows_first=True)
         # A NaN fails both tests.
         if lam is not None and (lam >= _lam_tol(_scaled_grad(x_s))).all():
-            return _finish(x_s, lam, layout, "optimal", 1, warm_start=True)
+            return _finish(x_s, lam, w_rows, rows, "optimal", 1, warm_start=True)
 
     if callable(initial_point):
         initial_point = initial_point()
@@ -631,7 +563,7 @@ def solve(
     # Initial working set: from the rows tight at x0.
     resid = fold.a @ x_s - b_s
     tight = np.flatnonzero(resid >= -row_tol)
-    w_rows, qf, rf = _start_factor(fold, tight)
+    w_rows, _, qf, rf = _start_factor(fold, tuple(tight.tolist()))
     w_list = list(w_rows)
 
     in_w = np.zeros(m, dtype=bool)
@@ -656,7 +588,7 @@ def solve(
             lam_tol = _lam_tol(g)
             if lam.size == 0 or lam.min() >= lam_tol:
                 x_s = x_w if _meets_rows(x_w) else x_s
-                return _finish(x_s, lam, _layout(fold, tuple(w_list)), "optimal", iterations)
+                return _finish(x_s, lam, tuple(w_list), w_list, "optimal", iterations)
             if single_drop:
                 lam_min = float(lam.min())
                 drop = np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1:]
@@ -693,5 +625,6 @@ def solve(
             x_s = x_s + p
 
     lam = _working_optimum(w_list)[1]
-    layout = _layout(fold, tuple(w_list))
-    return _finish(x_s, lam, layout, "iteration-limit", iterations, "iteration limit reached")
+    return _finish(
+        x_s, lam, tuple(w_list), w_list, "iteration-limit", iterations, "iteration limit reached"
+    )

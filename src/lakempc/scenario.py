@@ -57,7 +57,8 @@ class Scenario:
 
     inflow_daily optionally carries the per-day inflow values when the
     scenario was built from daily information; the daily controller uses it
-    as its (coarser) forecast. It is None for purely hourly sources.
+    as its (coarser) forecast. It is None for purely hourly sources. A day
+    whose value is negative or not finite raises ValueError naming the day.
     """
 
     inflow_hourly: np.ndarray
@@ -81,6 +82,7 @@ class Scenario:
             self.inflow_daily = np.asarray(self.inflow_daily, dtype=float)
             if self.inflow_daily.size != self.n_days:
                 raise ValueError("inflow_daily must hold one value per day")
+            _check_daily_inflow(self.inflow_daily)
 
     @property
     def n_hours(self) -> int:
@@ -89,6 +91,16 @@ class Scenario:
     @property
     def n_days(self) -> int:
         return self.n_hours // HOURS_PER_DAY
+
+
+def _check_daily_inflow(daily: np.ndarray) -> None:
+    """ValueError naming the first day whose inflow is negative or not finite."""
+    ok = (daily >= 0.0) & (daily < math.inf)
+    if not ok.all():
+        day = int(np.argmin(ok))
+        raise ValueError(
+            f"daily inflow must be finite and nonnegative, got {daily[day]} on day {day}"
+        )
 
 
 def expand_daily(daily_values) -> np.ndarray:
@@ -105,12 +117,7 @@ def synth_inflow(daily_values, g: GaussianInflowParams) -> np.ndarray:
     is negative or not finite raises ValueError naming the day.
     """
     daily = np.asarray(daily_values, dtype=float)
-    ok = (daily >= 0.0) & (daily < math.inf)
-    if not ok.all():
-        day = int(np.argmin(ok))
-        raise ValueError(
-            f"daily inflow must be finite and nonnegative, got {daily[day]} on day {day}"
-        )
+    _check_daily_inflow(daily)
     return expand_daily(daily) + np.tile(g.intraday(), daily.size)
 
 
@@ -151,7 +158,16 @@ def synthetic_year(
     jitter > 0 multiplies each daily inflow by a lognormal-ish factor
     (1 + jitter * standard normal, floored at 0.1) drawn from `seed`;
     it defaults to off so runs are deterministic.
+
+    Raises ValueError naming n_days below 1, a negative first_day and a
+    jitter that is negative or not finite.
     """
+    if not n_days >= 1:
+        raise ValueError(f"n_days must be at least 1, got {n_days}")
+    if not first_day >= 0:
+        raise ValueError(f"first_day must be nonnegative, got {first_day}")
+    if not 0.0 <= jitter < math.inf:
+        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
     days = np.arange(first_day, first_day + n_days)
     daily_q = default_daily_inflow(int(days[-1]) + 1)[days]
     daily_w = default_daily_demand(int(days[-1]) + 1)[days]

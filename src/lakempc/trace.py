@@ -100,7 +100,8 @@ def mass_balance_error(trace: ClosedLoopTrace) -> float:
 def closed_loop(
     params: LakeParams, inflow, demand, s0: float, decide, label: str
 ) -> ClosedLoopTrace:
-    """Run the plant over len(inflow) hours under the policy decide (see module docstring)."""
+    """Run the plant over len(inflow) hours under the policy decide (see
+    module docstring). Raises ValueError for an s0 that is not finite."""
     inflow = np.array(inflow, dtype=float)
     demand = np.array(demand, dtype=float)
     n_hours = inflow.size
@@ -115,6 +116,8 @@ def closed_loop(
     statuses: list[str] = []
     recovery_hours = 0
     storage = storages[0] = float(s0)
+    if not np.isfinite(storage):
+        raise ValueError(f"s0 must be finite, got {s0}")
     t = 0
     while t < n_hours:
         plan, step = decide(t, storage)

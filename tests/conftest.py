@@ -14,10 +14,10 @@ import pytest  # noqa: E402
 
 @pytest.fixture
 def no_qp_structure():
-    """Drop the MPC's solver structure (mpc._qp_structure), with its start
-    factors and the rows of the candidate working sets it has checked, so
-    that a test counting factorizations or checks does not depend on test
-    order."""
+    """Drop the MPC's solver structure (mpc._qp_structure), with its one
+    cache, the factors of every start and candidate working set it has
+    seen, so that a test counting factorizations or checks does not depend
+    on test order."""
     from lakempc import mpc
 
     mpc._qp_structure.cache_clear()

@@ -370,11 +370,12 @@ def reference_backward_induction(
 def assert_rerun_reuses_structure(monkeypatch, params, config, scenario, s0, n_steps):
     """Run config's hourly loop again and check that it makes no QR and
     checks no candidate working set again: the solver structure that
-    mpc._qp_structure keeps still holds every start factor and candidate's
-    rows the run needs, as the same arrays. Returns the run's trace."""
+    mpc._qp_structure keeps still holds every factor the run needs, of its
+    starts and its candidates, as the same entries. Returns the run's
+    trace."""
     structure = mpc._qp_structure(config.horizon, params.surface_area, config.lam)
-    candidates = dict(structure.candidates)
-    assert candidates
+    starts = dict(structure.starts)
+    assert starts
     qr_calls = []
     inner = np.linalg.qr
 
@@ -387,7 +388,7 @@ def assert_rerun_reuses_structure(monkeypatch, params, config, scenario, s0, n_s
     monkeypatch.undo()
     assert qr_calls == []
     assert mpc._qp_structure(config.horizon, params.surface_area, config.lam) is structure
-    assert_same_entries(structure.candidates, candidates)
+    assert_same_entries(structure.starts, starts)
     return trace
 
 

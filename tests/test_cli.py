@@ -290,6 +290,28 @@ def test_bad_sweep_weights_are_a_runtime_error(tmp_path, scenario_dir, capsys, s
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("s0", ["nan", "level:nan", "inf"])
+def test_non_finite_s0_is_a_runtime_error(tmp_path, scenario_dir, capsys, s0):
+    # The DDP run once exited 0 and wrote a trace and report of NaN or inf.
+    argv = ["ddp", *scenario_args(scenario_dir), f"--s0={s0}", "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: s0 must be finite, got ") and err.count("\n") == 1
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--days", "0", "n_days"), ("--jitter", "-0.5", "jitter"), ("--jitter", "nan", "jitter")],
+)
+def test_bad_synth_argument_is_a_runtime_error(tmp_path, capsys, flag, value, name):
+    # --days 0 once ended in an IndexError traceback; a negative or NaN
+    # jitter was taken as 0.
+    assert cli_main(["synth", f"{flag}={value}", "--out", str(tmp_path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+
+
 def test_missing_inflow_kind_is_usage_error(tmp_path, scenario_dir, capsys):
     argv = ["ddp", "--scenario", str(scenario_dir / "inflow_daily.csv"), "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_USAGE

@@ -79,8 +79,8 @@ def test_violations_within_tolerance_are_not_counted():
 
 
 def test_sweep_leaves_only_the_last_weights_structure(monkeypatch, no_qp_structure):
-    # Each weight has its own Hessian, so its own solver structure, cached
-    # starts and checked candidates; each run drops the previous weight's.
+    # Each weight has its own Hessian, so its own solver structure and its
+    # cache of working-set factors; each run drops the previous weight's.
     # A repeated run of the last weight reuses its structure: no QR, and no
     # candidate working set checked again.
     params, config = LakeParams(), MpcConfig(horizon=6)

@@ -554,9 +554,25 @@ class TestStartFromGuesses:
 
 class TestWorkingSetHints:
     def test_shift_moves_every_block_by_an_hour(self):
-        # Blocks of 6: position 0 leaves, 5 moves to 4 and also stays.
-        shifted = mpc._shifted((np.array([0, 5, 6, 11, 14]), np.array([2]), np.array([], int)), 6)
-        assert [rows.tolist() for rows in shifted] == [[4, 5, 10, 11, 13], [1], []]
+        # Blocks of 6: position 0 leaves, 5 moves to 4 and also stays. Row 20
+        # is the lower bound of u[2].
+        assert mpc._shifted((0, 5, 6, 11, 14, 20), 6) == (4, 5, 10, 11, 13, 19)
+
+    def test_structure_rows_fall_in_blocks_of_the_horizon(self, no_qp_structure):
+        # What _shifted relies on: row r of the hourly structure belongs to
+        # horizon step r % h. Its blocks are the dry, flood and demand rows,
+        # the lower bounds of u and slack_flood and the upper bounds of u.
+        h = 6
+        structure = mpc._qp_structure(h, PARAMS.surface_area, 1.0)
+        ineq = structure.ineq_matrix
+        assert ineq.shape[0] == 3 * h and structure.a.shape[0] == 6 * h
+        assert structure.finite_lo.tolist() == list(range(2 * h))
+        assert structure.finite_hi.tolist() == list(range(h))
+        # An inequality row's step is the last release it holds; a bound's
+        # is its variable's.
+        steps = [int(np.flatnonzero(row[:h]).max()) for row in ineq]
+        steps += [int(j) % h for j in (*structure.finite_lo, *structure.finite_hi)]
+        assert steps == [r % h for r in range(6 * h)]
 
     def test_hit_builds_no_start(self):
         config = MpcConfig()
@@ -584,7 +600,7 @@ class TestWorkingSetHints:
         inner = mpc.solve_step
 
         def recording(*args, **kwargs):
-            offered.append([[rows.tolist() for rows in c] for c in kwargs["working_sets"]])
+            offered.append(list(kwargs["working_sets"]))
             step = inner(*args, **kwargs)
             solutions.append(step.solve_diagnostics)
             return step
@@ -596,23 +612,19 @@ class TestWorkingSetHints:
                 storage_of_level(PARAMS, 1.08), n_steps=120,
             )
 
-        def shifted(rows):
-            return [index.tolist() for index in mpc._shifted(tuple(np.array(i, int) for i in rows), h)]
-
         recent, shift_first, successor, last = [], True, {}, None
         taken_forms, taken_older, distinct = set(), 0, set()
         successor_taken = rejected = 0
         for candidates, solution in zip(offered, solutions):
-            expected = {}  # candidate (as a string) -> whether it is a shifted form
+            expected = {}  # candidate -> whether it is a shifted form
             if last in successor:
                 expected[successor[last]] = None
             for rows in recent:
-                forms = [(shifted(rows), True), (rows, False)]
+                forms = [(mpc._shifted(rows, h), True), (rows, False)]
                 for form, is_shifted in forms if shift_first else forms[::-1]:
-                    expected.setdefault(repr(form), is_shifted)
-            assert [repr(c) for c in candidates] == list(expected)
-            final_rows = [rows.tolist() for rows in solution.working_set]
-            final = repr(final_rows)
+                    expected.setdefault(form, is_shifted)
+            assert candidates == list(expected)
+            final = solution.working_set
             if solution.warm_start:
                 rejected += list(expected).index(final)
                 if expected[final] is None:
@@ -620,16 +632,16 @@ class TestWorkingSetHints:
                 else:
                     shift_first = expected[final]
                     taken_forms.add(shift_first)
-                    taken_older += final not in (repr(recent[0]), repr(shifted(recent[0])))
+                    taken_older += final not in (recent[0], mpc._shifted(recent[0], h))
             else:
                 rejected += len(candidates)
             if last is not None:
                 successor[last] = final
             last = final
             distinct.add(final)
-            if final_rows in recent:
-                recent.remove(final_rows)
-            recent = [final_rows, *recent][:8]
+            if final in recent:
+                recent.remove(final)
+            recent = [final, *recent][:8]
         assert taken_forms == {True, False}
         assert taken_older > 0
         # Most warm hours take the successor, and an hour rejects fewer

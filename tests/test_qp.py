@@ -476,6 +476,10 @@ def _assert_matches_dense_kkt(problem, solution):
 HOURLY_WINDOWS = [(104, 1.08, 1), (182, 0.29, 0)]
 START_SETS = {104: 23, 182: 1}
 WARM_STARTS = {104: 44, 182: 47}
+# The nonzero duals of the windows' solutions, by block. On day 182 the
+# optimum meets the demand exactly, so its working rows (the demand rows and
+# the flood slacks' lower bounds) all have zero multipliers.
+NONZERO_DUALS = {104: {"inequality": 773, "lower": 86}, 182: {}}
 FACTOR_CALLS = ((np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "solve"), (np.linalg, "lstsq"))
 
 
@@ -519,12 +523,20 @@ def _hourly_window(monkeypatch, first_day, level, counted=()):
     return steps
 
 
-def _tight_rows(problem, start):
-    """The rows (finite bounds folded in) tight at the clipped start."""
+def _folded_rows(problem):
+    """The problem's rows with its finite bounds folded in, in the order of
+    qp.Structure's rows (inequality rows, finite lower bounds, finite upper
+    bounds), and their right-hand sides."""
     n = problem.n
     lo, hi = np.flatnonzero(np.isfinite(problem.lower)), np.flatnonzero(np.isfinite(problem.upper))
     rows = np.vstack([problem.ineq_matrix, -np.eye(n)[lo], np.eye(n)[hi]])
     rhs = np.concatenate([problem.ineq_rhs, -problem.lower[lo], problem.upper[hi]])
+    return rows, rhs
+
+
+def _tight_rows(problem, start):
+    """The folded rows tight at the clipped start."""
+    rows, rhs = _folded_rows(problem)
     x = np.clip(start, problem.lower, problem.upper)
     return rows[rhs - rows @ x <= 1e-9 * (np.abs(rhs) + np.abs(rows) @ np.abs(x))]
 
@@ -533,16 +545,12 @@ def _tried(candidates, solution):
     """The candidates a solve tried: up to the one it took, or all of them."""
     if not solution.warm_start:
         return candidates
-    keys = [tuple(np.asarray(part).tobytes() for part in candidate) for candidate in candidates]
-    return candidates[:keys.index(tuple(part.tobytes() for part in solution.working_set)) + 1]
+    return candidates[:candidates.index(solution.working_set) + 1]
 
 
 def _hint_rows(problem, working_set):
-    """The rows (finite bounds folded in) a working set names, in the order
-    of _tight_rows."""
-    ineq, lower, upper = working_set
-    eye = np.eye(problem.n)
-    return np.vstack([problem.ineq_matrix[ineq], -eye[lower], eye[upper]])
+    """The folded rows a working set names."""
+    return _folded_rows(problem)[0][list(working_set)]
 
 
 def _independent(rows, n):
@@ -772,8 +780,7 @@ def _assert_same_bits(solution, reference):
     assert (solution.kkt_residual, solution.iterations, solution.warm_start) == (
         reference.kkt_residual, reference.iterations, reference.warm_start
     )
-    for rows, expected in zip(solution.working_set, reference.working_set):
-        assert np.array_equal(rows, expected)
+    assert solution.working_set == reference.working_set
 
 
 class TestStartFactorCache:
@@ -781,9 +788,8 @@ class TestStartFactorCache:
 
     def test_cold_and_warm_starts_give_the_same_bits(self, monkeypatch, no_qp_structure):
         # Every solve of the window again, with the same start and
-        # candidates: from the factors and candidate rows the window cached,
-        # with both caches cleared before each solve, and with a structure
-        # of the solve's own.
+        # candidates: from the factors the window cached, with the cache
+        # cleared before each solve, and with a structure of the solve's own.
         steps = _hourly_window(monkeypatch, 104, 1.08)
         structure = _only_structure()
         assert len(structure.starts) == START_SETS[104]
@@ -793,7 +799,6 @@ class TestStartFactorCache:
             )
         for problem, start, candidates, solution, _ in steps:
             structure.starts.clear()
-            structure.candidates.clear()
             _assert_same_bits(
                 qp.solve(problem, start, working_sets=candidates, structure=structure), solution
             )
@@ -829,29 +834,31 @@ class TestStartFactorCache:
         problem, start, _, solution, _ = max(steps, key=lambda step: step[3].iterations)
         structure = _only_structure()
         starts = structure.starts
-        for _, q, r in starts.values():
-            assert not (q.flags.writeable or r.flags.writeable)
-        before = {key: (rows, q.copy(), r.copy()) for key, (rows, q, r) in starts.items()}
+        for _, rows, q, r in starts.values():
+            assert not (rows.flags.writeable or q.flags.writeable or r.flags.writeable)
+        before = {key: (w_rows, q.copy(), r.copy()) for key, (w_rows, _, q, r) in starts.items()}
         counts = _count_calls(monkeypatch, ((qp, "_qr_insert"), (qp, "_qr_delete")))
         _assert_same_bits(qp.solve(problem, start, structure=structure), solution)
         monkeypatch.undo()
         assert counts["lakempc.qp._qr_insert"] > 0 and counts["lakempc.qp._qr_delete"] > 0
         assert starts.keys() == before.keys()
-        for key, (rows, q, r) in starts.items():
-            assert rows == before[key][0]
+        for key, (w_rows, _, q, r) in starts.items():
+            assert w_rows == before[key][0]
             assert np.array_equal(q, before[key][1]) and np.array_equal(r, before[key][2])
 
 
-def _corner_qp(upper=(3.0, 3.0)):
-    """min 0.5 |x - (2, -1)|^2 s.t. x0 + x1 <= 1 and 0 <= x <= upper. The
-    optimum (1, 0) holds the row (multiplier 1) and x1's lower bound
-    (multiplier 2), so its working set is ([0], [1], [])."""
+def _corner_qp(upper=(3.0, 3.0), lower=(0.0, 0.0)):
+    """min 0.5 |x - (2, -1)|^2 s.t. x0 + x1 <= 1 and lower <= x <= upper.
+    With the default lower bounds, its structure's rows are the inequality
+    row (0), the lower bounds of x0 and x1 (1, 2) and the finite upper
+    bounds, and the optimum (1, 0) holds the inequality row (multiplier 1)
+    and x1's lower bound (multiplier 2), so its working set is (0, 2)."""
     return qp.QpProblem(
         hessian=np.eye(2),
         linear_cost=[-2.0, 1.0],
         ineq_matrix=[[1.0, 1.0]],
         ineq_rhs=[1.0],
-        lower=np.zeros(2),
+        lower=lower,
         upper=upper,
     )
 
@@ -923,7 +930,7 @@ class TestWorkingSetHint:
     def test_solution_reports_its_working_set(self):
         solution = qp.solve(_corner_qp(), np.zeros(2))
         assert not solution.warm_start
-        assert [rows.tolist() for rows in solution.working_set] == [[0], [1], []]
+        assert solution.working_set == (0, 2)
 
     def test_optimal_hint_is_the_solution_without_the_start(self):
         problem = _corner_qp()
@@ -940,10 +947,10 @@ class TestWorkingSetHint:
         [
             # The optima on these rows break a row: (2, -1) and (2, -1) break
             # x1 >= 0, (2, 0) breaks x0 + x1 <= 1.
-            ([], [], []), ([0], [], []), ([], [1], []),
+            (), (0,), (2,),
             # The optimum on these rows, (0, 0), is feasible, but x0's lower
             # bound has multiplier -2.
-            ([], [0, 1], []),
+            (1, 2),
         ],
         ids=["no rows", "row only", "bound only", "negative multiplier"],
     )
@@ -956,16 +963,42 @@ class TestWorkingSetHint:
         _assert_same_bits(solution, qp.solve(problem, np.zeros(2)))
 
     @pytest.mark.parametrize(
-        "working_set, message",
+        "lower, upper, working_set, m",
         [
-            (([1], [], []), r"working_set inequality row 1 is out of range \[0, 1\)"),
-            (([-1], [], []), r"working_set inequality row -1 is out of range \[0, 1\)"),
-            (([0], [2], []), r"working_set lower bound of variable 2 is out of range \[0, 2\)"),
-            (([], [], [5]), r"working_set upper bound of variable 5 is out of range \[0, 2\)"),
-            (([], [], [1]), r"working_set names the upper bound of variable 1, which is infinite"),
+            # No finite bound: the inequality row is the only row.
+            ([-np.inf] * 2, [np.inf] * 2, (1,), 1),
+            ([-np.inf] * 2, [np.inf] * 2, (-1, 0), 1),
+            # No finite upper bound: x1's lower bound is the last row.
+            ([0.0] * 2, [np.inf] * 2, (0, 3), 3),
+            # x0's upper bound is the last row; x1's, infinite, has none.
+            ([0.0] * 2, [3.0, np.inf], (4,), 4),
+        ],
+        # The ids keep the names these cases had when a candidate was a
+        # triple of inequality rows, lower bounds and upper bounds.
+        ids=[
+            "working_set0-working_set inequality row 1, past the last row",
+            "working_set1-working_set inequality row -1",
+            "working_set2-working_set lower-bound row 3, past the last row",
+            "working_set3-working_set upper-bound row 4, past the last row",
         ],
     )
-    def test_hint_naming_a_missing_row_rejected(self, working_set, message):
+    def test_hint_naming_a_missing_row_rejected(self, lower, upper, working_set, m):
+        message = re.escape(
+            f"working_set {working_set!r} is not a strictly increasing tuple of rows in [0, {m})"
+        )
+        with pytest.raises(ValueError, match=message):
+            qp.solve(_corner_qp(upper, lower), np.zeros(2), working_sets=[working_set])
+
+    @pytest.mark.parametrize(
+        "working_set",
+        [(0, 0), (2, 1), (1.0,), range(2)],
+        ids=["repeated", "unsorted", "not integers", "not a tuple"],
+    )
+    def test_malformed_candidate_rejected(self, working_set):
+        # x1's upper bound is infinite, so the structure has 4 rows.
+        message = re.escape(
+            f"working_set {working_set!r} is not a strictly increasing tuple of rows in [0, 4)"
+        )
         with pytest.raises(ValueError, match=message):
             qp.solve(_corner_qp(upper=[3.0, np.inf]), np.zeros(2), working_sets=[working_set])
 
@@ -974,7 +1007,7 @@ class TestWorkingSetHint:
         start = _CountedStart()
         optimal = qp.solve(problem, np.zeros(2)).working_set
         # A row broken, then a negative multiplier (see the test above).
-        solution = qp.solve(problem, start, working_sets=[([], [], []), ([], [0, 1], []), optimal])
+        solution = qp.solve(problem, start, working_sets=[(), (1, 2), optimal])
         assert start.calls == 0
         assert (solution.warm_start, solution.iterations) == (True, 1)
         _assert_same_bits(solution, qp.solve(problem, start, working_sets=[optimal]))
@@ -982,43 +1015,36 @@ class TestWorkingSetHint:
     def test_every_rejected_candidate_falls_back_to_the_start(self):
         problem = _corner_qp()
         start = _CountedStart()
-        solution = qp.solve(problem, start, working_sets=[([], [], []), ([0], [], []), ([], [0, 1], [])])
+        solution = qp.solve(problem, start, working_sets=[(), (0,), (1, 2)])
         assert start.calls == 1
         _assert_same_bits(solution, qp.solve(problem, np.zeros(2)))
 
     def test_memoized_structure_checks_each_candidate_once(self):
-        # A structure remembers each candidate's rows, read-only: offering
-        # the same candidates again checks none of them, so the rows it
-        # holds stay the same arrays. A candidate naming a missing row is
-        # rejected on first sight and on every later one, and the structure
-        # keeps nothing for it.
+        # A structure keeps each candidate's factor, read-only: offering the
+        # same candidates again checks and factors none of them, so the
+        # entries it holds stay the same objects. A candidate that is not
+        # sorted rows in range is rejected on first sight and on every
+        # later one, and the structure keeps nothing for it.
         problem, structure = _corner_family()
-        candidates = [([], [], []), ([], [0, 1], []), ([0], [1], [])]
+        candidates = [(), (1, 2), (0, 2)]
         first = qp.solve(problem, np.zeros(2), working_sets=candidates, structure=structure)
         assert first.warm_start
-        memo = dict(structure.candidates)
-        assert len(memo) == 3
-        assert not any(rows.flags.writeable for rows in memo.values())
+        memo = dict(structure.starts)
+        assert list(memo) == candidates
+        assert not any(arr.flags.writeable for entry in memo.values() for arr in entry[1:])
         again = qp.solve(problem, np.zeros(2), working_sets=candidates, structure=structure)
         _assert_same_bits(again, first)
-        assert_same_entries(structure.candidates, memo)
-        for bad, message in (
-            (([0], [2], []), r"working_set lower bound of variable 2 is out of range \[0, 2\)"),
-            (([3], [], []), r"working_set inequality row 3 is out of range \[0, 1\)"),
-        ):
+        assert_same_entries(structure.starts, memo)
+        for bad in ((0, 5), (2, 1)):
+            message = re.escape(
+                f"working_set {bad} is not a strictly increasing tuple of rows in [0, 5)"
+            )
             for _ in range(2):
                 with pytest.raises(ValueError, match=message):
                     qp.solve(
                         problem, np.zeros(2), working_sets=[candidates[0], bad], structure=structure
                     )
-        assert_same_entries(structure.candidates, memo)
-
-    def test_infinite_bound_rejected_on_a_memoized_structure(self):
-        problem, structure = _corner_family(upper=[3.0, np.inf])
-        for _ in range(2):
-            with pytest.raises(ValueError, match="upper bound of variable 1, which is infinite"):
-                qp.solve(problem, np.zeros(2), working_sets=[([], [], [1])], structure=structure)
-        assert structure.candidates == {}
+        assert_same_entries(structure.starts, memo)
 
     def test_rows_are_held_to_their_own_scale(self):
         # The optimum on no rows, x0 = 1e-4, breaks x0 <= 0 by 1e-4: within
@@ -1026,7 +1052,7 @@ class TestWorkingSetHint:
         problem = qp.QpProblem(
             hessian=np.eye(2), linear_cost=[-1e-4, 0.0], ineq_matrix=np.eye(2), ineq_rhs=[0.0, 1e6]
         )
-        solution = qp.solve(problem, np.zeros(2), working_sets=[([], [], [])])
+        solution = qp.solve(problem, np.zeros(2), working_sets=[()])
         assert not solution.warm_start
         assert solution.status == "optimal"
         assert solution.x == pytest.approx([0.0, 0.0], abs=1e-15)
@@ -1042,6 +1068,38 @@ class TestWorkingSetHint:
             assert solution.kkt_residual <= 1e-9
             assert np.max(np.abs(solution.x - cold.x)) <= 1e-12 * np.max(np.abs(cold.x))
 
+
+    @pytest.mark.parametrize("first_day, level", [window[:2] for window in HOURLY_WINDOWS])
+    def test_working_set_rows_are_tight_and_hold_every_dual(self, monkeypatch, first_day, level):
+        # Every row of a solution's working set is tight at x, and every
+        # nonzero dual sits on one of its rows with that row's block's sign:
+        # positive on an inequality or upper-bound row, negative on a
+        # lower-bound row (bound_duals nets a variable's two).
+        nonzero = collections.Counter()
+        for problem, _, _, solution, _ in _hourly_window(monkeypatch, first_day, level):
+            rows, rhs = _folded_rows(problem)
+            working = list(solution.working_set)
+            x = solution.x
+            gap = rhs[working] - rows[working] @ x
+            scale = 1.0 + np.abs(rhs[working]) + np.abs(rows[working]) @ np.abs(x)
+            assert np.all(np.abs(gap) <= 1e-9 * scale)
+            m_in = problem.ineq_matrix.shape[0]
+            lo = np.flatnonzero(np.isfinite(problem.lower)).tolist()
+            hi = np.flatnonzero(np.isfinite(problem.upper)).tolist()
+            row_of = {
+                "lower": {j: m_in + k for k, j in enumerate(lo)},
+                "upper": {j: m_in + len(lo) + k for k, j in enumerate(hi)},
+            }
+            assert np.all(solution.ineq_duals >= 0.0)
+            dual_rows = set(np.flatnonzero(solution.ineq_duals).tolist())
+            nonzero.update(["inequality"] * len(dual_rows))
+            for j in np.flatnonzero(solution.bound_duals).tolist():
+                block = "upper" if solution.bound_duals[j] > 0.0 else "lower"
+                assert j in row_of[block]
+                dual_rows.add(row_of[block][j])
+                nonzero[block] += 1
+            assert dual_rows <= set(working)
+        assert nonzero == NONZERO_DUALS[first_day]
 
 def _upper_factor(layout):
     """A well-conditioned 48x48 upper-triangular factor: C-ordered,

@@ -105,6 +105,14 @@ class TestScenarioType:
                 inflow_daily=np.ones(3),
             )
 
+    @pytest.mark.parametrize(
+        "daily, day", [([-500.0, 100.0], 0), ([100.0, np.nan], 1), ([100.0, np.inf], 1)]
+    )
+    def test_bad_daily_inflow_named_with_its_day(self, daily, day):
+        # These were accepted, and the daily controller planned on them.
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got .* on day {day}$"):
+            Scenario(np.full(48, 100.0), np.full(48, 50.0), inflow_daily=daily)
+
     def test_expansion_then_daily_aggregation_recovers_totals(self):
         daily = np.array([5.0, 80.0, 130.0])
         scn = Scenario(
@@ -141,6 +149,22 @@ class TestSyntheticYear:
         c = synthetic_year(30, jitter=0.1, seed=43)
         assert np.array_equal(a.inflow_hourly, b.inflow_hourly)
         assert not np.array_equal(a.inflow_hourly, c.inflow_hourly)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"n_days": 0}, "n_days"),
+            ({"first_day": -1}, "first_day"),
+            ({"jitter": -0.5}, "jitter"),
+            ({"jitter": np.nan}, "jitter"),
+            ({"jitter": np.inf}, "jitter"),
+        ],
+    )
+    def test_bad_argument_named(self, kwargs, name):
+        # n_days 0 raised IndexError, first_day -1 took day 1's inflow, and
+        # a negative or NaN jitter was taken as 0.
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            synthetic_year(**{"n_days": 3, **kwargs})
 
     def test_constant_scenario(self):
         scn = constant_scenario(100.0, 60.0, 2)
