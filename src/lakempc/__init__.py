@@ -19,7 +19,6 @@ from .hydrology import (
 from .metrics import RunReport, compare_runs, compute_report, lambda_sweep
 from .mpc import (
     MpcConfig,
-    MpcInfeasibleError,
     MpcStepResult,
     assemble_qp,
     run_daily,
@@ -44,7 +43,6 @@ __all__ = [
     "GaussianInflowParams",
     "LakeParams",
     "MpcConfig",
-    "MpcInfeasibleError",
     "MpcStepResult",
     "QpProblem",
     "QpSolution",

@@ -45,25 +45,19 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 # configuration files: plain "key = value" lines. Each key is a field of
 # exactly one of LakeParams, MpcConfig and DdpConfig, which share no field
-# name, so a key sets one value ("lambda" is accepted for "lam"). The lake's
-# thresholds live only in LakeParams; the MPC derives its storage bounds
-# from them.
+# name, so a key sets one value ("lambda" is accepted for "lam"). Every
+# field is an int or a float. A file gives each key, and lam or lambda, at
+# most once. The lake's thresholds live only in LakeParams; the MPC derives
+# its storage bounds from them.
 
 
 def _cast_like(default, raw: str):
-    if isinstance(default, bool):
-        lowered = raw.strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    return float(raw)
+    return int(raw) if isinstance(default, int) else float(raw)
 
 
 def parse_config_file(path) -> dict[str, str]:
+    """The file's entries, key -> value. ValueError naming the file and the
+    line for a line that is not 'key = value' or a key given before."""
     entries: dict[str, str] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         text = line.split("#", 1)[0].strip()
@@ -72,7 +66,10 @@ def parse_config_file(path) -> dict[str, str]:
         for sep in ("=", ":"):
             if sep in text:
                 key, _, value = text.partition(sep)
-                entries[key.strip()] = value.strip()
+                key = key.strip()
+                if key in entries:
+                    raise ValueError(f"{path}: line {line_no}: config key {key} is given twice")
+                entries[key] = value.strip()
                 break
         else:
             raise ValueError(f"{path}: line {line_no}: expected 'key = value', got {line!r}")
@@ -83,8 +80,11 @@ def build_settings(overrides: dict[str, str]):
     """The LakeParams, MpcConfig and DdpConfig that the override keys set.
 
     A value that does not cast, or that its dataclass rejects, raises a
-    ValueError naming the key as it was written.
+    ValueError naming the key as it was written, and so do lam and lambda
+    given together.
     """
+    if "lam" in overrides and "lambda" in overrides:
+        raise ValueError("config keys lam, lambda: give one of them, not both")
     overrides = dict(overrides)
     written = {"lam": "lambda"} if "lambda" in overrides else {}
     if "lambda" in overrides:
@@ -191,6 +191,7 @@ def write_trace_csv(path, trace: ClosedLoopTrace) -> None:
         ("kkt_residual", trace.kkt_residuals),
         ("qp_iterations", trace.solve_iterations),
         ("warm_start", trace.warm_starts),
+        ("recovery", trace.recovery),
     ):
         if series is not None:
             columns.append((name, series))

@@ -29,13 +29,15 @@ Every coefficient of u in the hard dry rows is nonnegative (they cap the
 cumulative release, sum_{tau<=t} u <= c_t), so lowering a release never
 breaks one: the hard problem is feasible exactly when the minimum-release
 plan u = lower bound meets them. When it does not, the step is a recovery
-step with a lexicographic policy: release the minimum until the lake can be
-held at the dry bound again, then minimize the usual cost. With k the last
-horizon step whose dry row that plan fails, the releases of steps 0..k are
-fixed at their lower bounds, the dry rows up to k are lifted to the plan's
-value at k and the later rows to the plan's values. Only bounds and
+step, and every step that needs one recovers, with a lexicographic policy:
+release the minimum until the lake can be held at the dry bound again, then
+minimize the usual cost (prioritized infeasibility handling). With k the
+last horizon step whose dry row that plan fails, the releases of steps 0..k
+are fixed at their lower bounds, the dry rows up to k are lifted to the
+plan's value at k and the later rows to the plan's values. Only bounds and
 right-hand sides change, so recovery steps share the factorization of
-every other step.
+every other step. The closed-loop trace marks each hour whose step
+recovered (ClosedLoopTrace.recovery).
 
 Each step first offers qp.solve candidates for its optimal active set.
 Between steps only the right-hand side and the cost move, so the optimum
@@ -43,9 +45,9 @@ is affine in the data on each active set, and the same few sets come back
 (the critical regions of explicit MPC). An hourly step offers first the
 final set that followed the last hour's final set the last time that set
 was final, then the last _RECENT_SETS distinct final working sets of the
-run, each shifted by an hour and as it is (see run_hourly); a daily step
-offers the previous day's set. When a candidate is optimal, the optimum on
-its rows is the step's solution (a warm start).
+run, each shifted by an hour and then as it is, in that fixed order (see
+run_hourly); a daily step offers the previous day's set. When a candidate
+is optimal, the optimum on its rows is the step's solution (a warm start).
 
 Otherwise qp.solve needs a feasible start, and the step builds one close
 to its optimum, so the solver usually needs only a few active-set
@@ -97,31 +99,20 @@ DRY_MARGIN = 1e-9  # m
 _RECENT_SETS = 8
 
 
-class MpcInfeasibleError(RuntimeError):
-    """A decision step had no feasible release plan and recovery was disabled."""
-
-    def __init__(self, message: str, hour: int | None = None):
-        super().__init__(message)
-        self.hour = hour
-
-
 @dataclass
 class MpcConfig:
     """Controller configuration.
 
     horizon is the prediction horizon in hours and lam the weight of the
     demand-deficit cost (the module docstring gives the cost, whose other
-    scalings are module constants). With feasibility_recovery a step
-    whose dry rows no release plan meets releases the minimum until the lake
-    can be held at the dry bound again (see the module docstring); without
-    it the step raises MpcInfeasibleError naming the hour and the dry row.
-    The storage bounds come from LakeParams: s_min and s_max are the
-    storages at its dry and flood thresholds.
+    scalings are module constants). A step whose dry rows no release plan
+    meets always recovers (see the module docstring). The storage bounds
+    come from LakeParams: s_min and s_max are the storages at its dry and
+    flood thresholds.
     """
 
     horizon: int = 24
     lam: float = 1.0
-    feasibility_recovery: bool = True
 
     def __post_init__(self) -> None:
         self.horizon = _integer("horizon", self.horizon)
@@ -130,9 +121,6 @@ class MpcConfig:
         _finite("lam", self.lam)
         if not self.lam > 0.0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not isinstance(self.feasibility_recovery, bool):
-            value = self.feasibility_recovery
-            raise ValueError(f"feasibility_recovery must be a bool, got {value!r}")
 
 
 @dataclass
@@ -346,10 +334,8 @@ def solve_step(
     """Assemble and solve one decision step.
 
     When the minimum-release plan fails a dry row, the step is a recovery
-    step: it holds the minimum release through the last failing row and
-    lifts the dry rows (see the module docstring). Without
-    config.feasibility_recovery it raises MpcInfeasibleError naming the hour
-    and the first failing dry row instead.
+    step (recovery_used): it holds the minimum release through the last
+    failing row and lifts the dry rows (see the module docstring).
 
     working_sets are candidates for the optimal active set, each in the form
     of qp.QpSolution.working_set, which qp.solve tries in order. When none
@@ -369,14 +355,6 @@ def solve_step(
     failing = np.flatnonzero(floor - dry_rhs > qp.FEASIBILITY_TOL)
     recovery_used = failing.size > 0
     if recovery_used:
-        if not config.feasibility_recovery:
-            t = int(failing[0])
-            where = f" at hour {hour}" if hour is not None else ""
-            raise MpcInfeasibleError(
-                f"decision step infeasible{where}: the dry bound at horizon step {t} "
-                f"fails even at minimum release, short by {floor[t] - dry_rhs[t]:.6g} m",
-                hour=hour,
-            )
         # dry_rhs is a view of problem.ineq_rhs: the lift edits the problem.
         k = int(failing[-1])
         problem.upper[:k + 1] = lower[:k + 1]
@@ -421,18 +399,17 @@ def run_hourly(
     (deterministic control). Every step needs a full horizon of lookahead,
     so at most scenario.n_hours - horizon steps can be simulated.
 
-    Each step offers the solver candidates for its active set, without
-    repeats. First, as it is, the set that followed the last hour's final
-    set the last time that set was final (the run keeps the latest such
-    transition of each set). Then the last _RECENT_SETS distinct final
-    working sets of the run, most recent first, each in two forms, shifted
-    by an hour (_shifted, computed once when the set enters the list) and as
-    it is. The form last taken from this list goes first in each pair;
-    until one is, the shifted one. On the flood window the final sets
-    cycle through the same sequence with a period of about ten hours, so
-    the set that followed the current one last time is usually the next
-    one: on days 104-120 from 1.08 m an hour rejects 0.45 candidates before
-    the one it takes, against 1.57 with the list alone.
+    Each step offers the solver candidates for its active set in one fixed
+    order, without repeats. First, as it is, the set that followed the last
+    hour's final set the last time that set was final (the run keeps the
+    latest such transition of each set). Then the last _RECENT_SETS
+    distinct final working sets of the run, most recent first, each shifted
+    by an hour (_shifted, computed once when the set enters the list) and
+    then as it is. On the flood window the final sets cycle through the
+    same sequence with a period of about ten hours, so the set that
+    followed the current one last time is usually the next one: on days
+    104-120 from 1.08 m an hour rejects 0.45 candidates before the one it
+    takes, against 1.57 with the list alone.
     """
     h = config.horizon
     limit = scenario.n_hours - h
@@ -443,22 +420,16 @@ def run_hourly(
         raise ValueError(f"n_steps must lie in [1, {limit}], got {n_steps}")
     # Each recent final set -> its shifted form, least recent first.
     recent = {}
-    shift_first = True
     # A final set -> the final set of the hour after it, the last time it
     # was final; and the last hour's final set.
     successor = {}
     last = None
 
     def decide(t, storage):
-        nonlocal shift_first, last
-        # candidate -> whether it is the shifted form, in the order offered;
-        # None for the successor, whose taking leaves shift_first as it is.
-        offered = {}
-        if last in successor:
-            offered[successor[last]] = None
-        for forms in reversed(recent.items()):
-            for shifted in (shift_first, not shift_first):
-                offered.setdefault(forms[shifted], shifted)
+        nonlocal last
+        offered = [successor[last]] if last in successor else []
+        for rows, shifted in reversed(recent.items()):
+            offered += (shifted, rows)
         step = solve_step(
             params,
             config,
@@ -466,14 +437,9 @@ def run_hourly(
             scenario.inflow_hourly[t:t + h],
             scenario.demand_hourly[t:t + h],
             hour=t,
-            working_sets=list(offered),
+            working_sets=list(dict.fromkeys(offered)),
         )
-        solution = step.solve_diagnostics
-        final = solution.working_set
-        # A candidate whose rows are dependent ends on fewer rows, not offered.
-        taken = offered.get(final) if solution.warm_start else None
-        if taken is not None:
-            shift_first = taken
+        final = step.solve_diagnostics.working_set
         successor[last] = final
         last = final
         recent[final] = recent.pop(final) if final in recent else _shifted(final, h)

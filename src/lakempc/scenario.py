@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .hydrology import _integer
+
 HOURS_PER_DAY = 24
 
 TIMESERIES_KINDS = ("inflow_daily", "inflow_hourly", "demand_daily", "demand_hourly")
@@ -57,8 +59,9 @@ class Scenario:
 
     inflow_daily optionally carries the per-day inflow values when the
     scenario was built from daily information; the daily controller uses it
-    as its (coarser) forecast. It is None for purely hourly sources. A day
-    whose value is negative or not finite raises ValueError naming the day.
+    as its (coarser) forecast. It is None for purely hourly sources. A flow
+    that is negative or not finite raises ValueError naming the series and
+    the hour, or the day of inflow_daily.
     """
 
     inflow_hourly: np.ndarray
@@ -74,15 +77,13 @@ class Scenario:
             raise ValueError(f"scenario length {t} is not a positive multiple of 24")
         if self.demand_hourly.size != t:
             raise ValueError("inflow and demand series must have equal length")
-        if np.any(self.inflow_hourly < 0.0) or np.any(self.demand_hourly < 0.0):
-            raise ValueError("flows must be nonnegative")
-        if not np.all(np.isfinite(self.inflow_hourly)) or not np.all(np.isfinite(self.demand_hourly)):
-            raise ValueError("flows must be finite")
+        _check_flows("inflow_hourly", self.inflow_hourly, "hour")
+        _check_flows("demand_hourly", self.demand_hourly, "hour")
         if self.inflow_daily is not None:
             self.inflow_daily = np.asarray(self.inflow_daily, dtype=float)
             if self.inflow_daily.size != self.n_days:
                 raise ValueError("inflow_daily must hold one value per day")
-            _check_daily_inflow(self.inflow_daily)
+            _check_flows("daily inflow", self.inflow_daily, "day")
 
     @property
     def n_hours(self) -> int:
@@ -93,14 +94,14 @@ class Scenario:
         return self.n_hours // HOURS_PER_DAY
 
 
-def _check_daily_inflow(daily: np.ndarray) -> None:
-    """ValueError naming the first day whose inflow is negative or not finite."""
-    ok = (daily >= 0.0) & (daily < math.inf)
+def _check_flows(name: str, flows: np.ndarray, unit: str) -> None:
+    """ValueError naming the series and the first entry, a day or an hour
+    (unit), that is negative or not finite."""
+    ok = (flows >= 0.0) & (flows < math.inf)
     if not ok.all():
-        day = int(np.argmin(ok))
-        raise ValueError(
-            f"daily inflow must be finite and nonnegative, got {daily[day]} on day {day}"
-        )
+        i = int(np.argmin(ok))
+        where = f"on day {i}" if unit == "day" else f"at hour {i}"
+        raise ValueError(f"{name} must be finite and nonnegative, got {flows[i]} {where}")
 
 
 def expand_daily(daily_values) -> np.ndarray:
@@ -117,7 +118,7 @@ def synth_inflow(daily_values, g: GaussianInflowParams) -> np.ndarray:
     is negative or not finite raises ValueError naming the day.
     """
     daily = np.asarray(daily_values, dtype=float)
-    _check_daily_inflow(daily)
+    _check_flows("daily inflow", daily, "day")
     return expand_daily(daily) + np.tile(g.intraday(), daily.size)
 
 
@@ -159,12 +160,15 @@ def synthetic_year(
     (1 + jitter * standard normal, floored at 0.1) drawn from `seed`;
     it defaults to off so runs are deterministic.
 
-    Raises ValueError naming n_days below 1, a negative first_day and a
-    jitter that is negative or not finite.
+    Raises ValueError naming an n_days or first_day that is not an integer
+    (a bool is not), n_days below 1, a negative first_day and a jitter that
+    is negative or not finite.
     """
-    if not n_days >= 1:
+    n_days = _integer("n_days", n_days)
+    first_day = _integer("first_day", first_day)
+    if n_days < 1:
         raise ValueError(f"n_days must be at least 1, got {n_days}")
-    if not first_day >= 0:
+    if first_day < 0:
         raise ValueError(f"first_day must be nonnegative, got {first_day}")
     if not 0.0 <= jitter < math.inf:
         raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")

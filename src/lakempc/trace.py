@@ -13,7 +13,7 @@ returns (commands, step):
 * step: the MpcStepResult of the QP solve behind the commands, whose slacks,
   KKT residual, iteration count, warm start, status and recovery flag are
   recorded for each applied hour, or None for a policy without solver
-  diagnostics.
+  diagnostics. A daily step that recovered marks all of its hours.
 
 The result is a :class:`ClosedLoopTrace`, one row per hour.
 """
@@ -38,8 +38,8 @@ class ClosedLoopTrace:
 
     The controller diagnostics (slacks, KKT residuals, active-set iterations
     of the solve behind each hour, whether that solve took a candidate
-    working set, solver statuses) are None for runs that did not come from the
-    QP controller.
+    working set, whether its step was a recovery step, solver statuses) are
+    None for runs that did not come from the QP controller.
     """
 
     levels: np.ndarray
@@ -48,13 +48,13 @@ class ClosedLoopTrace:
     commands: np.ndarray
     inflows: np.ndarray
     demands: np.ndarray
-    recovery_hours: int = 0
     label: str = ""
     slack_flood: np.ndarray | None = None
     slack_demand: np.ndarray | None = None
     kkt_residuals: np.ndarray | None = None
     solve_iterations: np.ndarray | None = None
     warm_starts: np.ndarray | None = None
+    recovery: np.ndarray | None = None
     solve_statuses: list[str] | None = None
 
     def __post_init__(self) -> None:
@@ -70,7 +70,7 @@ class ClosedLoopTrace:
             raise ValueError(f"storages must have length {t + 1}, got {self.storages.size}")
         for name, dtype in (
             ("slack_flood", float), ("slack_demand", float), ("kkt_residuals", float),
-            ("solve_iterations", int), ("warm_starts", bool),
+            ("solve_iterations", int), ("warm_starts", bool), ("recovery", bool),
         ):
             value = getattr(self, name)
             if value is not None:
@@ -82,6 +82,11 @@ class ClosedLoopTrace:
     @property
     def n_hours(self) -> int:
         return self.levels.size
+
+    @property
+    def recovery_hours(self) -> int:
+        """The hours whose step was a recovery step (0 without diagnostics)."""
+        return 0 if self.recovery is None else int(self.recovery.sum())
 
 
 def mass_balance_error(trace: ClosedLoopTrace) -> float:
@@ -113,8 +118,8 @@ def closed_loop(
     kkt_residuals = np.zeros(n_hours)
     iterations = np.zeros(n_hours, dtype=int)
     warm_starts = np.zeros(n_hours, dtype=bool)
+    recovery = np.zeros(n_hours, dtype=bool)
     statuses: list[str] = []
-    recovery_hours = 0
     storage = storages[0] = float(s0)
     if not np.isfinite(storage):
         raise ValueError(f"s0 must be finite, got {s0}")
@@ -139,7 +144,7 @@ def closed_loop(
                 statuses.append(step.solve_diagnostics.status)
             t += 1
         if step is not None:
-            recovery_hours += n_apply * int(step.recovery_used)
+            recovery[t - n_apply:t] = step.recovery_used
     solved = bool(statuses)
     return ClosedLoopTrace(
         levels=storages[1:] / params.surface_area + params.level_offset,
@@ -148,12 +153,12 @@ def closed_loop(
         commands=commands,
         inflows=inflow,
         demands=demand,
-        recovery_hours=recovery_hours,
         label=label,
         slack_flood=slack_flood if solved else None,
         slack_demand=slack_demand if solved else None,
         kkt_residuals=kkt_residuals if solved else None,
         solve_iterations=iterations if solved else None,
         warm_starts=warm_starts if solved else None,
+        recovery=recovery if solved else None,
         solve_statuses=statuses if solved else None,
     )

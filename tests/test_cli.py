@@ -78,7 +78,7 @@ def test_simulate_output_matches_golden_files(tmp_path, mode_args):
     # Days 104-106 from 1.08 m, where the flood rows bind. The expected files
     # were written by `lakempc simulate` on these inputs: the reports and
     # plot data before the storage bounds moved from MpcConfig to
-    # LakeParams, trace.csv when it gained warm_start. kkt_residual prints
+    # LakeParams, trace.csv when it gained recovery. kkt_residual prints
     # round-off noise whose digits follow the solver's rounding path, so it
     # is checked against the solver's tolerance instead of byte for byte.
     golden = GOLDEN_SIMULATE / mode_args[1]
@@ -143,25 +143,26 @@ def test_configured_dry_threshold_holds(tmp_path, mode_args):
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "recovery"])
-def test_strict_mode_names_the_infeasible_hour(tmp_path, scenario_dir, capsys, strict):
+def test_strict_mode_names_the_infeasible_hour(tmp_path, scenario_dir, strict):
     # From -0.25 m the lake starts below the -0.2 m dry bound, so no release
-    # plan of the first hour holds it.
+    # plan of the first hour holds it. A strict mode once stopped such a run
+    # with an error naming the hour. Every step now recovers, and the trace's
+    # recovery column names the hours: the run from an empty config file
+    # and the one without a file both mark hour 0.
     config = tmp_path / "lake.cfg"
-    config.write_text("feasibility_recovery = false\n" if strict else "\n", encoding="utf-8")
+    config.write_text("\n", encoding="utf-8")
     argv = [
         "simulate", "--mode", "hourly", "--horizon", "6", *scenario_args(scenario_dir),
-        "--s0", "level:-0.25", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--s0", "level:-0.25", "--out", str(tmp_path / "out"),
     ]
-    if strict:
-        assert cli_main(argv) == EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert "hour 0" in err and "horizon step 0" in err
-    else:
-        assert cli_main(argv) == EXIT_OK
+    assert cli_main(argv if strict else [*argv, "--config", str(config)]) == EXIT_OK
+    with (tmp_path / "out" / "trace.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows[0]["recovery"] == "1"
 
 
 @pytest.mark.parametrize(
-    "line", ["horizon = six", "mef = ten", "feasibility_recovery = maybe", "lambda = abc"]
+    "line", ["horizon = six", "mef = ten", "w_demand = heavy", "lambda = abc"]
 )
 def test_bad_config_value_names_its_key(tmp_path, scenario_dir, capsys, line):
     config = tmp_path / "settings.cfg"
@@ -215,9 +216,9 @@ def test_flags_override_the_config_file(tmp_path, scenario_dir):
 
 
 def test_config_values_act_like_their_flags(tmp_path, scenario_dir):
-    # The int cast, the float cast of "lambda" and the true-boolean cast.
+    # The int cast and the float cast of "lambda".
     config = tmp_path / "settings.cfg"
-    config.write_text("horizon = 6\nlambda = 0.5\nfeasibility_recovery = yes\n", encoding="utf-8")
+    config.write_text("horizon = 6\nlambda = 0.5\n", encoding="utf-8")
     common = ["simulate", "--mode", "hourly", *scenario_args(scenario_dir)]
     by_file = [*common, "--config", str(config), "--out", str(tmp_path / "file")]
     by_flags = [*common, "--horizon", "6", "--lambda", "0.5", "--out", str(tmp_path / "flags")]
@@ -261,10 +262,12 @@ def test_hourly_trace_csv_has_qp_iterations(tmp_path, scenario_dir):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 3 * 24 - 6
     assert all(int(row["qp_iterations"]) >= 1 for row in rows)
-    # Then whether the solve took a candidate working set: the first hour has none.
-    assert list(rows[0])[-2:] == ["qp_iterations", "warm_start"]
+    # Then whether the solve took a candidate working set: the first hour has
+    # none. Last whether its step recovered: from 0.4 m in January none does.
+    assert list(rows[0])[-3:] == ["qp_iterations", "warm_start", "recovery"]
     assert {row["warm_start"] for row in rows} == {"0", "1"} and rows[0]["warm_start"] == "0"
     assert all(row["qp_iterations"] == "1" for row in rows if row["warm_start"] == "1")
+    assert {row["recovery"] for row in rows} == {"0"}
 
 
 def test_sweep_writes_one_row_per_weight(tmp_path, scenario_dir):
@@ -333,6 +336,8 @@ def test_demand_without_kind_is_usage_error(tmp_path, scenario_dir, capsys):
         "tie_break_weight = 1e-3",
         "demand_ref = 50",
         "storage_range = (0, 1e8)",
+        # Recovery is the only dry-bound policy.
+        "feasibility_recovery = false",
     ],
 )
 def test_removed_config_keys_rejected(tmp_path, scenario_dir, capsys, line):
@@ -340,7 +345,26 @@ def test_removed_config_keys_rejected(tmp_path, scenario_dir, capsys, line):
     config.write_text(line + "\n", encoding="utf-8")
     argv = ["ddp", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_RUNTIME
-    assert "unknown config keys" in capsys.readouterr().err
+    key = line.split()[0]
+    assert f"error: {config}: unknown config keys: {key}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("horizon = 6\n# a comment\nhorizon = 12\n", "line 3: config key horizon is given twice"),
+        ("lam = 2\nlambda = 0.5\n", "config keys lam, lambda: give one of them, not both"),
+    ],
+    ids=["repeated", "lam-and-lambda"],
+)
+def test_ambiguous_config_file_rejected(tmp_path, scenario_dir, capsys, text, message):
+    # Both once ran silently with the value given last.
+    config = tmp_path / "settings.cfg"
+    config.write_text(text, encoding="utf-8")
+    argv = ["simulate", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_config_classes_share_no_field_name():

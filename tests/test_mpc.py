@@ -1,6 +1,5 @@
 """Controller tests: QP assembly, slack semantics, closed-loop behavior."""
 
-import re
 from fractions import Fraction
 from unittest import mock
 
@@ -25,7 +24,6 @@ from lakempc.hydrology import (
 )
 from lakempc.mpc import (
     MpcConfig,
-    MpcInfeasibleError,
     assemble_qp,
     run_daily,
     run_hourly,
@@ -337,18 +335,6 @@ class TestRecovery:
         assert trace.recovery_hours == 2
         assert trace.commands == pytest.approx([10.0, 10.0], abs=1e-8)
 
-    def test_recovery_disabled_raises_with_hour(self):
-        scn = constant_scenario(0.0, 0.0, 2)
-        config = MpcConfig(feasibility_recovery=False)
-        with pytest.raises(
-            MpcInfeasibleError, match=r"hour 0: the dry bound at horizon step 0 .*short by"
-        ) as info:
-            run_hourly(PARAMS, config, scn, S_MIN + 100.0, n_steps=2)
-        # The 10 m^3/s minimum release drains 36000 m^3 against 100 m^3 to spare.
-        expected = (36_000.0 - 100.0) / PARAMS.surface_area + mpc.DRY_MARGIN
-        shortfall = float(re.search(r"short by (\S+) m", str(info.value)).group(1))
-        assert shortfall == pytest.approx(expected, rel=1e-5)
-
     @pytest.mark.parametrize("run", [run_hourly, run_daily], ids=["hourly", "daily"])
     def test_recovery_solves_are_certified(self, run):
         # From -0.30 m in the summer the lake starts below the dry bound and
@@ -379,6 +365,26 @@ class TestRecovery:
         assert any(solution.warm_start for solution in recovery)
         for solution in recovery:
             assert solution.status == "optimal" and solution.kkt_residual <= 1e-9
+
+    @pytest.mark.parametrize("run", [run_hourly, run_daily], ids=["hourly", "daily"])
+    def test_trace_marks_the_hours_of_recovery_steps(self, monkeypatch, run):
+        # The run of test_recovery_solves_are_certified: each applied hour
+        # carries the recovery flag of the step behind it, all 24 of a day.
+        steps = []
+        inner = mpc.solve_step
+
+        def recording(*args, **kwargs):
+            steps.append(inner(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(mpc, "solve_step", recording)
+        scn = synthetic_year(20, first_day=182)
+        trace = run(PARAMS, MpcConfig(), scn, storage_of_level(PARAMS, -0.30))
+        hours_per_step = trace.n_hours // len(steps)
+        expected = np.repeat([step.recovery_used for step in steps], hours_per_step)
+        assert trace.recovery.dtype == bool
+        assert trace.recovery.tolist() == expected.tolist()
+        assert 0 < trace.recovery_hours == trace.recovery.sum() < trace.n_hours
 
     def test_recovery_steps_share_the_factorization(self, cholesky_calls, no_qp_structure):
         # Recovery hours change only bounds and right-hand sides.
@@ -592,8 +598,7 @@ class TestWorkingSetHints:
         # Five flood days. Each hour first offers, as it is, the final set
         # that followed the last hour's final set the last time that set was
         # final. Then it offers the last 8 distinct final working sets, most
-        # recent first, each shifted and as it is, the form last taken from
-        # this list first (shifted until one is taken), and no candidate
+        # recent first, each shifted and then as it is, and no candidate
         # twice. The start is built only for an hour that takes none.
         h = MpcConfig().horizon
         offered, solutions = [], []
@@ -612,17 +617,17 @@ class TestWorkingSetHints:
                 storage_of_level(PARAMS, 1.08), n_steps=120,
             )
 
-        recent, shift_first, successor, last = [], True, {}, None
+        recent, successor, last = [], {}, None
         taken_forms, taken_older, distinct = set(), 0, set()
         successor_taken = rejected = 0
         for candidates, solution in zip(offered, solutions):
-            expected = {}  # candidate -> whether it is a shifted form
+            # candidate -> whether it is a shifted form, None for the successor
+            expected = {}
             if last in successor:
                 expected[successor[last]] = None
             for rows in recent:
-                forms = [(mpc._shifted(rows, h), True), (rows, False)]
-                for form, is_shifted in forms if shift_first else forms[::-1]:
-                    expected.setdefault(form, is_shifted)
+                expected.setdefault(mpc._shifted(rows, h), True)
+                expected.setdefault(rows, False)
             assert candidates == list(expected)
             final = solution.working_set
             if solution.warm_start:
@@ -630,8 +635,7 @@ class TestWorkingSetHints:
                 if expected[final] is None:
                     successor_taken += 1
                 else:
-                    shift_first = expected[final]
-                    taken_forms.add(shift_first)
+                    taken_forms.add(expected[final])
                     taken_older += final not in (recent[0], mpc._shifted(recent[0], h))
             else:
                 rejected += len(candidates)
@@ -719,12 +723,9 @@ class TestConfig:
             # These once passed and failed inside the solver without naming lam.
             {"lam": np.nan},
             {"lam": np.inf},
-            # These once raised TypeError, passed as the weight 1, or turned
-            # recovery on.
+            # These once raised TypeError or passed as the weight 1.
             {"lam": "1"},
             {"lam": True},
-            {"feasibility_recovery": "no"},
-            {"feasibility_recovery": 1},
         ],
     )
     def test_validation(self, kwargs):

@@ -93,6 +93,18 @@ class TestScenarioType:
         with pytest.raises(ValueError, match="nonnegative"):
             Scenario(inflow_hourly=bad, demand_hourly=np.ones(24))
 
+    @pytest.mark.parametrize(
+        "name, hour, value",
+        [("inflow_hourly", 30, -1.0), ("demand_hourly", 40, np.nan), ("inflow_hourly", 47, np.inf)],
+    )
+    def test_bad_hourly_flow_named_with_its_series_and_hour(self, name, hour, value):
+        # These once said only "flows must be nonnegative" or "flows must be finite".
+        flows = {"inflow_hourly": np.ones(48), "demand_hourly": np.ones(48)}
+        flows[name][hour] = value
+        message = f"^{name} must be finite and nonnegative, got {value} at hour {hour}$"
+        with pytest.raises(ValueError, match=message):
+            Scenario(**flows)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             Scenario(inflow_hourly=np.ones(24), demand_hourly=np.ones(48))
@@ -158,11 +170,15 @@ class TestSyntheticYear:
             ({"jitter": -0.5}, "jitter"),
             ({"jitter": np.nan}, "jitter"),
             ({"jitter": np.inf}, "jitter"),
+            ({"n_days": 2.5}, "n_days"),
+            ({"first_day": 1.5}, "first_day"),
+            ({"n_days": True}, "n_days"),
         ],
     )
     def test_bad_argument_named(self, kwargs, name):
         # n_days 0 raised IndexError, first_day -1 took day 1's inflow, and
-        # a negative or NaN jitter was taken as 0.
+        # a negative or NaN jitter was taken as 0. A fractional n_days or
+        # first_day raised IndexError, and n_days True built a 1-day year.
         with pytest.raises(ValueError, match=f"^{name} must be "):
             synthetic_year(**{"n_days": 3, **kwargs})
 
