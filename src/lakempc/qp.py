@@ -40,9 +40,10 @@ iteration. Only when every candidate is rejected does the solve start from
 the caller's start, which may be given as a function so that it is built
 only then. Either way the result is certified as below. A candidate the
 structure has seen before costs a dict lookup, the optimum and the row
-test when it fails a row: about 20 us at the MPC's size on a shared 2-vCPU
-Xeon, against 100 us for a solve that takes its first candidate and 450 us
-for one from the start.
+test when it fails a row: about 25-30 us at the MPC's size on a shared
+2-vCPU Xeon, against 125-145 us for a solve that takes its first candidate
+and 520-610 us for one from the start (timeit medians over the solves of
+days 104-120 from 1.08 m; the machine's speed moves by up to 2x).
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
@@ -78,9 +79,17 @@ enters the working set only when it blocks the step (a.p > 0 with p in the
 working rows' null space), so it adds rank, and "optimal" is still decided
 by the certification below.
 
-Every returned solution carries an independently recomputed KKT residual;
-`status == "optimal"` is only reported when that residual passes the
-certification tolerance. Problem sizes are expected to stay small (tens of
+Every returned solution carries a KKT residual recomputed on the original,
+unscaled problem; `status == "optimal"` is only reported when that residual
+passes the certification tolerance. It is computed from the structure's
+unscaled stacked rows A_all = [A; -I_lo; I_hi] (Structure.a_all), their
+right-hand side b_all and the m-vector of row multipliers, with one product
+each way: stationarity max|Qx + c + A_all'duals| from A_all'duals, and
+primal feasibility, the multipliers' sign and complementarity from the
+slack b_all - A_all x. kkt_components and kkt_residual remain the
+independent check, on the netted bound multipliers of QpSolution, that the
+tests run against the solver; the stacked residual is never below theirs
+(see _finish). Problem sizes are expected to stay small (tens of
 variables, low hundreds of constraints), so all linear algebra is dense.
 """
 
@@ -92,8 +101,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-# Unused here; perfbench/tracer.LAYER_FUNCTIONS wraps qp.linprog by name.
-from scipy.optimize import linprog  # noqa: F401
 
 FEASIBILITY_TOL = 1e-8
 KKT_TOL = 1e-6
@@ -104,6 +111,19 @@ MAX_ITERATIONS = 10_000
 _qr_insert = getattr(scipy.linalg.qr_insert, "__wrapped__", scipy.linalg.qr_insert)
 _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 (_trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)
+
+
+def __getattr__(name: str):
+    """qp.linprog, imported only when asked for: nothing here calls it, but
+    perfbench/tracer.LAYER_FUNCTIONS wraps it by name, and importing
+    scipy.optimize on every import of lakempc costs about a third of a
+    second. The hook goes once the benchmark stops naming qp.linprog."""
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _as_matrix(value, n_cols: int) -> np.ndarray:
     if value is None:
@@ -278,8 +298,10 @@ class Structure:
     ineq_matrix, read-only copies of the problem's, and has finite bounds
     where it has (see solve). Its rows are the inequality rows, then one
     per finite lower bound (of the variables finite_lo), then one per finite
-    upper bound (finite_hi). It holds their equilibration and the factor of
-    the scaled Hessian, and the solves' one cache, starts (_start_factor).
+    upper bound (finite_hi): unscaled and read-only, a_all = [A; -I_lo;
+    I_hi] and its C-contiguous transpose a_all_t, on which each solve is
+    certified. It holds their equilibration and the factor of the scaled
+    Hessian, and the solves' one cache, starts (_start_factor).
     The right-hand side and the linear cost are scaled per solve with
     row_scale and col_scale.
     """
@@ -297,7 +319,10 @@ class Structure:
         self.finite_lo = finite_lo = np.flatnonzero(np.isfinite(problem.lower))
         self.finite_hi = finite_hi = np.flatnonzero(np.isfinite(problem.upper))
         eye = np.eye(n)
-        a_all = np.vstack([self.ineq_matrix, 0.0 - eye[finite_lo], eye[finite_hi]])
+        # The unscaled rows, and their transpose, certify each solve (_finish).
+        self.a_all = a_all = np.vstack([self.ineq_matrix, 0.0 - eye[finite_lo], eye[finite_hi]])
+        self.a_all_t = np.ascontiguousarray(a_all.T)
+        a_all.flags.writeable = self.a_all_t.flags.writeable = False
 
         # One equilibration pass: column scales from the stacked data, then
         # unit inf-norm rows. Keeps mixed-unit problems (storage vs flow
@@ -463,9 +488,10 @@ def solve(
     fold = structure
     m, m_in, n_lo = fold.a.shape[0], problem.ineq_matrix.shape[0], fold.finite_lo.size
     q_s, l_inv_t, a_y = fold.q_s, fold.l_inv_t, fold.a_y
-    b_s = fold.row_scale * np.concatenate(
+    b_all = np.concatenate(
         [problem.ineq_rhs, -problem.lower[fold.finite_lo], problem.upper[fold.finite_hi]]
     )
+    b_s = fold.row_scale * b_all
     c_s = fold.col_scale * problem.linear_cost
     c_y = l_inv_t.T @ c_s
     # A row holds when within this of its own scaled right-hand side.
@@ -483,7 +509,11 @@ def solve(
         return -1e-9 * (1.0 + float(np.abs(g).max(initial=0.0)))
 
     def _finish(x_s, lam, working_set, rows, status, iterations, message="", warm_start=False):
-        """The solution at x_s, lam the multipliers of the working rows."""
+        """The solution at x_s, lam the multipliers of the working rows, and
+        its KKT residual on the stacked rows a_all: the largest of |Qx + c +
+        a_all'duals|, each row's violation, each negative multiplier
+        (weighted, below) and |duals * slack|, NaN when any is NaN, which is
+        not certified."""
         x = fold.col_scale * x_s
         # The multiplier of every row, zero off the working set.
         duals = np.zeros(m)
@@ -496,20 +526,32 @@ def solve(
         bound_duals = np.zeros(n)
         bound_duals[fold.finite_hi] = duals[m_in + n_lo:]
         bound_duals[fold.finite_lo] -= duals[m_in:m_in + n_lo]
+        qx = fold.hessian @ x
+        grad = qx + problem.linear_cost
+        grad += fold.a_all_t @ duals
+        slack = b_all - fold.a_all @ x
+        # kkt_components nets each variable's bound multipliers, and so reads
+        # a negative one as a multiplier of the opposite bound, times that
+        # bound's gap. Weighing each negative multiplier by the largest bound
+        # gap (at least 1) keeps this residual at least kkt_residual's; a
+        # variable's two bound rows are parallel, so no working set holds both.
+        weight = max(1.0, float(slack[m_in:].max(initial=0.0)))
+        residual = _worst(
+            np.abs(grad, out=grad), -slack, np.minimum(duals, 0.0) * -weight, np.abs(duals * slack)
+        )
         sol = QpSolution(
             x=x,
             ineq_duals=duals[:m_in],
             bound_duals=bound_duals,
-            objective=problem.objective_value(x),
+            objective=float(x @ (0.5 * qx + problem.linear_cost)),
             status=status,
-            kkt_residual=np.nan,
+            kkt_residual=residual,
             iterations=iterations,
             message=message,
             working_set=working_set,
             warm_start=warm_start,
         )
-        sol.kkt_residual = kkt_residual(problem, sol)
-        if status == "optimal" and not sol.kkt_residual <= KKT_TOL:
+        if status == "optimal" and not residual <= KKT_TOL:
             sol.status = "iteration-limit"
             sol.message = f"converged but certification failed (kkt residual {sol.kkt_residual:.3e})"
         return sol

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hydrology import _integer
+from .hydrology import _finite, _integer
 
 HOURS_PER_DAY = 24
 
@@ -160,18 +160,23 @@ def synthetic_year(
     (1 + jitter * standard normal, floored at 0.1) drawn from `seed`;
     it defaults to off so runs are deterministic.
 
-    Raises ValueError naming an n_days or first_day that is not an integer
-    (a bool is not), n_days below 1, a negative first_day and a jitter that
-    is negative or not finite.
+    Raises ValueError naming an n_days, first_day or seed that is not an
+    integer (a bool is not), n_days below 1, a negative first_day or seed,
+    and a jitter that is not a finite real number (a bool is not) or is
+    negative.
     """
     n_days = _integer("n_days", n_days)
     first_day = _integer("first_day", first_day)
+    seed = _integer("seed", seed)
+    _finite("jitter", jitter)
     if n_days < 1:
         raise ValueError(f"n_days must be at least 1, got {n_days}")
     if first_day < 0:
         raise ValueError(f"first_day must be nonnegative, got {first_day}")
-    if not 0.0 <= jitter < math.inf:
-        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if jitter < 0.0:
+        raise ValueError(f"jitter must be nonnegative, got {jitter}")
     days = np.arange(first_day, first_day + n_days)
     daily_q = default_daily_inflow(int(days[-1]) + 1)[days]
     daily_w = default_daily_demand(int(days[-1]) + 1)[days]

@@ -7,6 +7,9 @@ both are checked here against this checkout.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,22 @@ PATCHED = [("lakempc.mpc", "solve_step"), ("lakempc.cli", "write_trace_csv")]
 @pytest.mark.parametrize("module, attr", _layer_functions() + PATCHED)
 def test_traced_function_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # qp.linprog is imported only when asked for. The check runs in a fresh
+    # interpreter, because the tests' helpers import scipy.optimize.
+    src = Path(qp.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, lakempc; print('scipy.optimize' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"
+
+
+def test_unknown_qp_attribute_raises():
+    with pytest.raises(AttributeError, match="'lakempc.qp' has no attribute 'no_such_name'"):
+        qp.no_such_name
 
 
 def test_result_readers_accept_real_results():

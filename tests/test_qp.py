@@ -243,7 +243,9 @@ class TestKktResidual:
         assert np.isnan(qp.kkt_residual(finite, solution))
 
     def test_nan_residual_is_not_certified(self, monkeypatch):
-        monkeypatch.setattr(qp, "kkt_residual", lambda problem, solution: float("nan"))
+        # A NaN among the terms _finish's stacked pass reduces.
+        worst = qp._worst
+        monkeypatch.setattr(qp, "_worst", lambda *terms: worst(*terms, np.array([np.nan])))
         problem = qp.QpProblem(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
         solution = qp.solve(problem, [2.0])
         assert solution.status == "iteration-limit"
@@ -665,6 +667,91 @@ class TestKktComponentsAgainstReference:
             objective=0.0, status="optimal", kkt_residual=0.0,
         )
         _assert_same_components(problem, solution)
+
+
+PARAMS = LakeParams()
+
+
+def _every_solve(monkeypatch, run):
+    """(problem, solution) of every qp.solve that run() makes and, after each
+    one offered candidate working sets, of the same problem solved cold from
+    its start (with a structure of its own, so the run is not disturbed)."""
+    solves = []
+    inner = qp.solve
+
+    def recording(problem, initial_point, working_sets=(), structure=None):
+        solution = inner(problem, initial_point, working_sets=working_sets, structure=structure)
+        solves.append((problem, solution))
+        if working_sets:
+            solves.append((problem, inner(problem, initial_point)))
+        return solution
+
+    monkeypatch.setattr(qp, "solve", recording)
+    run()
+    monkeypatch.undo()
+    return solves
+
+
+class TestStackedCertificate:
+    """The residual that solve certifies, computed on the structure's
+    stacked rows, against the independent qp.kkt_residual."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: mpc.run_hourly(
+                PARAMS, mpc.MpcConfig(), synthetic_year(3, first_day=104),
+                storage_of_level(PARAMS, 1.08), n_steps=48,
+            ),
+            lambda: mpc.run_hourly(
+                PARAMS, mpc.MpcConfig(), synthetic_year(3, first_day=182),
+                storage_of_level(PARAMS, 0.29), n_steps=48,
+            ),
+            # A lake 100 m^3 above the dry bound with no inflow cannot
+            # release the minimum, so the step recovers.
+            lambda: mpc.solve_step(
+                PARAMS, mpc.MpcConfig(horizon=6), mpc._storage_bounds(PARAMS)[0] + 100.0,
+                np.zeros(6), np.zeros(6),
+            ),
+            lambda: mpc.run_daily(
+                PARAMS, mpc.MpcConfig(), synthetic_year(3, first_day=104),
+                storage_of_level(PARAMS, 1.08),
+            ),
+        ],
+        ids=["hourly-104", "hourly-182", "recovery", "daily-104"],
+    )
+    def test_equals_kkt_residual_on_every_solve(self, monkeypatch, run):
+        solves = _every_solve(monkeypatch, run)
+        assert solves
+        for problem, solution in solves:
+            assert solution.status == "optimal"
+            assert abs(solution.kkt_residual - qp.kkt_residual(problem, solution)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "linear_cost, start, upper",
+        [
+            # The lower bound's multiplier is negative, and the upper bound
+            # is 10 or 0.5 away; then the upper bound's multiplier is
+            # negative, the lower bound 10 away.
+            (-1.0, 0.0, 10.0),
+            (-1.0, 0.0, 0.5),
+            (1.0, 10.0, 10.0),
+        ],
+    )
+    def test_negative_bound_multiplier_reports_at_least_kkt_components(
+        self, linear_cost, start, upper
+    ):
+        # With no iteration, the solution is the start with the multiplier
+        # of its tight bound, which has the wrong sign. kkt_components nets
+        # it into a multiplier of the opposite bound, times that bound's gap.
+        problem = qp.QpProblem(hessian=[[1.0]], linear_cost=[linear_cost], lower=[0.0], upper=[upper])
+        solution = qp.solve(problem, [start], max_iterations=0)
+        assert solution.status == "iteration-limit"
+        # bound_duals holds a lower bound's multiplier negated (kkt_components).
+        tight_multiplier = solution.bound_duals[0] if start == upper else -solution.bound_duals[0]
+        assert tight_multiplier < 0.0
+        components = qp.kkt_components(problem, solution)
+        assert solution.kkt_residual >= max(components.values()) > qp.KKT_TOL
 
 
 class TestMpcScale:

@@ -173,12 +173,18 @@ class TestSyntheticYear:
             ({"n_days": 2.5}, "n_days"),
             ({"first_day": 1.5}, "first_day"),
             ({"n_days": True}, "n_days"),
+            ({"jitter": True}, "jitter"),
+            ({"jitter": "0.1"}, "jitter"),
+            ({"seed": 1.5, "jitter": 0.1}, "seed"),
+            ({"seed": -1, "jitter": 0.1}, "seed"),
         ],
     )
     def test_bad_argument_named(self, kwargs, name):
         # n_days 0 raised IndexError, first_day -1 took day 1's inflow, and
         # a negative or NaN jitter was taken as 0. A fractional n_days or
         # first_day raised IndexError, and n_days True built a 1-day year.
+        # jitter True ran as 1.0, jitter "0.1" and seed 1.5 raised TypeError,
+        # and seed -1 raised numpy's ValueError, which names no argument.
         with pytest.raises(ValueError, match=f"^{name} must be "):
             synthetic_year(**{"n_days": 3, **kwargs})
 
