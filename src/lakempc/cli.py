@@ -154,9 +154,6 @@ def parse_s0(spec: str, params: LakeParams) -> float:
 
 def load_scenario(args, params: LakeParams) -> scenario_mod.Scenario:
     inflow = scenario_mod.load_timeseries(args.scenario, f"inflow_{args.inflow_kind}")
-    inflow_daily = None
-    if args.inflow_kind == "daily":
-        inflow_daily = inflow[:: scenario_mod.HOURS_PER_DAY].copy()
     if args.demand:
         demand = scenario_mod.load_timeseries(args.demand, f"demand_{args.demand_kind}")
     else:
@@ -171,7 +168,6 @@ def load_scenario(args, params: LakeParams) -> scenario_mod.Scenario:
         inflow_hourly=inflow,
         demand_hourly=demand,
         label=Path(args.scenario).stem,
-        inflow_daily=inflow_daily,
     )
 
 
@@ -240,16 +236,14 @@ def write_level_plotdata(path, trace: ClosedLoopTrace, params: LakeParams) -> No
 def write_sweep_files(outdir: Path, sweep: metrics.SweepResult) -> None:
     with (outdir / "sweep.csv").open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        metric_names = [
-            f"{block}_{key}" for block in metrics.ALL_BLOCKS for key, _ in metrics._BLOCK_LABELS[block]
-        ]
+        tables = [metrics.report_rows(report) for report in sweep.reports]
+        metric_names = [f"{block}_{key}" for block, key, _, _ in tables[0]]
         writer.writerow(["lambda"] + metric_names + ["flood_hours_norm", "deficit_hours_norm"])
-        for i, lam in enumerate(sweep.lambdas):
-            row_values = [value for _, _, _, value in metrics.report_rows(sweep.reports[i])]
+        for lam, rows, flood, deficit in zip(
+            sweep.lambdas, tables, sweep.flood_hours_norm, sweep.deficit_hours_norm
+        ):
             writer.writerow(
-                [_fmt(lam)]
-                + [_fmt(v) for v in row_values]
-                + [_fmt(sweep.flood_hours_norm[i]), _fmt(sweep.deficit_hours_norm[i])]
+                [_fmt(lam)] + [_fmt(value) for _, _, _, value in rows] + [_fmt(flood), _fmt(deficit)]
             )
     with (outdir / "plotdata_sweep.csv").open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -314,6 +308,17 @@ def _mpc_config(args, config: mpc_mod.MpcConfig) -> mpc_mod.MpcConfig:
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
+def _write_run(command: str, args, trace: ClosedLoopTrace, params: LakeParams) -> int:
+    """Write one run's trace.csv, report files and level plot data to
+    args.out, and say so."""
+    out = _prepare_out(args.out)
+    write_trace_csv(out / "trace.csv", trace)
+    write_report_files(out, metrics.compute_report(params, trace))
+    write_level_plotdata(out / "plotdata_level.csv", trace, params)
+    print(f"{command}: wrote trace.csv, report.csv, report.txt, plotdata_level.csv to {out}")
+    return EXIT_OK
+
+
 def cmd_simulate(args) -> int:
     params, mpc_config, _ = _settings(args)
     config = _mpc_config(args, mpc_config)
@@ -323,12 +328,7 @@ def cmd_simulate(args) -> int:
         trace = mpc_mod.run_hourly(params, config, scn, s0)
     else:
         trace = mpc_mod.run_daily(params, config, scn, s0)
-    out = _prepare_out(args.out)
-    write_trace_csv(out / "trace.csv", trace)
-    write_report_files(out, metrics.compute_report(params, trace))
-    write_level_plotdata(out / "plotdata_level.csv", trace, params)
-    print(f"simulate: wrote trace.csv, report.csv, report.txt, plotdata_level.csv to {out}")
-    return EXIT_OK
+    return _write_run("simulate", args, trace, params)
 
 
 def cmd_sweep(args) -> int:
@@ -350,12 +350,7 @@ def cmd_ddp(args) -> int:
     s0 = parse_s0(args.s0, params)
     table = ddp_mod.backward_induction(params, config, scn.inflow_hourly, scn.demand_hourly)
     trace = ddp_mod.simulate_policy(params, table, scn.inflow_hourly, scn.demand_hourly, s0)
-    out = _prepare_out(args.out)
-    write_trace_csv(out / "trace.csv", trace)
-    write_report_files(out, metrics.compute_report(params, trace))
-    write_level_plotdata(out / "plotdata_level.csv", trace, params)
-    print(f"ddp: wrote trace.csv, report.csv, report.txt, plotdata_level.csv to {out}")
-    return EXIT_OK
+    return _write_run("ddp", args, trace, params)
 
 
 def cmd_compare(args) -> int:
@@ -387,7 +382,8 @@ def cmd_synth(args) -> int:
     out = _prepare_out(args.out)
     scenario_mod.save_timeseries(out / "inflow_hourly.csv", scn.inflow_hourly, "inflow")
     scenario_mod.save_timeseries(out / "demand_hourly.csv", scn.demand_hourly, "demand")
-    scenario_mod.save_timeseries(out / "inflow_daily.csv", scn.inflow_daily, "inflow")
+    day_means = scn.inflow_hourly.reshape(scn.n_days, scenario_mod.HOURS_PER_DAY).mean(axis=1)
+    scenario_mod.save_timeseries(out / "inflow_daily.csv", day_means, "inflow")
     print(f"synth: wrote inflow_hourly.csv, demand_hourly.csv, inflow_daily.csv to {out}")
     return EXIT_OK
 

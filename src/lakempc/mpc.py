@@ -33,11 +33,11 @@ step, and every step that needs one recovers, with a lexicographic policy:
 release the minimum until the lake can be held at the dry bound again, then
 minimize the usual cost (prioritized infeasibility handling). With k the
 last horizon step whose dry row that plan fails, the releases of steps 0..k
-are fixed at their lower bounds, the dry rows up to k are lifted to the
-plan's value at k and the later rows to the plan's values. Only bounds and
-right-hand sides change, so recovery steps share the factorization of
-every other step. The closed-loop trace marks each hour whose step
-recovered (ClosedLoopTrace.recovery).
+are fixed at their lower bounds (their upper-bound rows take r_min), the
+dry rows up to k are lifted to the plan's value at k and the later rows to
+the plan's values. Only right-hand sides change, so recovery steps share
+the factorization of every other step. The closed-loop trace marks each
+hour whose step recovered (ClosedLoopTrace.recovery).
 
 Each step first offers qp.solve candidates for its optimal active set.
 Between steps only the right-hand side and the cost move, so the optimum
@@ -158,6 +158,8 @@ def assemble_qp(
         storage lower (hard):  s(t)/A >= s_min/A + DRY_MARGIN
         storage upper (soft):  s(t)/A <= s_max/A + slack_flood(t)
         demand:                u(t) >= w(t) + slack_demand(t)
+        bounds:                u(t) >= r_min, slack_flood(t) >= 0,
+                               u(t) <= r_max
 
     with s(t) = s0 + 3600 * sum_{tau<t} (q - u) and s_min, s_max the
     storages at the lake's dry and flood thresholds. The problem may be
@@ -200,6 +202,7 @@ def assemble_qp(
     # s(t) for t=1..H before releases, all divided by the surface area.
     inflow_volume = HOUR_SECONDS * np.cumsum(inflow_forecast)
     stored_q = (s0 + inflow_volume) / area
+    r_min, r_max = release_bounds(params, level_of_storage(params, s0))
     rhs = [
         # Dry: 3600/A sum u <= (s(t)_inflow - s_min)/A - margin.
         # s0 - s_min first: near the dry bound it is exact, and the cap does
@@ -209,19 +212,16 @@ def assemble_qp(
         s_max / area - stored_q,
         # Demand: -u + slack_demand <= -w
         -demand,
+        # Bounds: -u <= -r_min, -slack_flood <= -0.0, u <= r_max
+        np.full(h, -r_min),
+        np.full(h, -0.0),
+        np.full(h, r_max),
     ]
-
-    lower, upper = np.full(n_var, -np.inf), np.full(n_var, np.inf)
-    lower[:h], upper[:h] = release_bounds(params, level_of_storage(params, s0))
-    lower[h:2 * h] = 0.0
-
     return qp.QpProblem(
         hessian=structure.hessian,
         linear_cost=linear,
         ineq_matrix=structure.ineq_matrix,
         ineq_rhs=np.concatenate(rhs),
-        lower=lower,
-        upper=upper,
     )
 
 
@@ -231,9 +231,9 @@ def _qp_structure(h: int, area: float, lam: float) -> qp.Structure:
     matrix, their factors, and the working-set factors that qp.solve
     caches. Every step of a run, and of any later run of the same
     configuration while it is the last one asked for, shares it. Its rows
-    fall in blocks of h, one row per horizon step, which _shifted relies
-    on: 3h inequality rows (dry, flood, demand), 2h finite lower bounds (u,
-    slack_flood) and h finite upper bounds (u).
+    fall in six blocks of h, one row per horizon step, which _shifted and
+    solve_step rely on: dry, flood, demand, the lower bounds of u and of
+    slack_flood (-I), and the upper bounds of u (I).
     """
     n_var = 3 * h
     iu, iem, ied = 0, h, 2 * h
@@ -253,12 +253,9 @@ def _qp_structure(h: int, area: float, lam: float) -> qp.Structure:
     demand_rows = np.zeros((h, n_var))
     demand_rows[:, iu:iem] = -np.eye(h)
     demand_rows[:, ied:] = np.eye(h)
-    ineq_matrix = np.vstack([dry_rows, flood_rows, demand_rows])
-
-    # assemble_qp's finite bounds: both on u, the lower on slack_flood.
-    lower, upper = np.full(n_var, -np.inf), np.full(n_var, np.inf)
-    lower[:ied] = upper[:iem] = 0.0
-    return qp.Structure(qp.QpProblem(hessian, np.zeros(n_var), ineq_matrix, None, lower, upper))
+    eye = np.eye(n_var)
+    ineq_matrix = np.vstack([dry_rows, flood_rows, demand_rows, 0.0 - eye[:ied], eye[:iem]])
+    return qp.Structure(qp.QpProblem(hessian, np.zeros(n_var), ineq_matrix))
 
 
 def _with_slacks(params, s0, inflow_forecast, demand, u):
@@ -292,16 +289,18 @@ def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint):
     """A start for a problem whose minimum-release plan meets the dry rows.
 
     The guesses are u_hint (when given) and the demand, each clipped into
-    the bounds. A guess that fails a dry row (the first H rows of the
-    problem) by more than qp.FEASIBILITY_TOL is replaced by its trim onto
-    the dry rows (_trim_to_dry_rows). Returns the feasible candidate of
-    lower objective, u_hint's on a tie. The trim meets the rows whenever the
-    minimum-release plan does, so that plan is returned only when rounding
-    leaves neither trimmed guess within tolerance.
+    the release bounds (the problem's bound rows). A guess that fails a dry
+    row (the first H rows of the problem) by more than qp.FEASIBILITY_TOL
+    is replaced by its trim onto the dry rows (_trim_to_dry_rows). Returns
+    the feasible candidate of lower objective, u_hint's on a tie. The trim
+    meets the rows whenever the minimum-release plan does, so that plan is
+    returned only when rounding leaves neither trimmed guess within
+    tolerance.
     """
     h = demand.size
-    lower, upper = problem.lower[:h], problem.upper[:h]
-    dry_matrix, dry_rhs = problem.ineq_matrix[:h], problem.ineq_rhs[:h]
+    rhs = problem.ineq_rhs
+    dry_rhs, lower, upper = rhs[:h], -rhs[3 * h:4 * h], rhs[5 * h:]
+    dry_matrix = problem.ineq_matrix[:h]
     cap = dry_rhs * params.surface_area / HOUR_SECONDS
 
     def with_excess(u):
@@ -349,15 +348,17 @@ def solve_step(
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
     problem = assemble_qp(params, config, s0, inflow_forecast, demand, hour=hour)
-    lower, dry_rhs = problem.lower[:h], problem.ineq_rhs[:h]
+    # The dry rows' and the upper bounds' right-hand sides are views of
+    # problem.ineq_rhs (row blocks of _qp_structure): the lift edits the problem.
+    rhs = problem.ineq_rhs
+    dry_rhs, lower, upper = rhs[:h], -rhs[3 * h:4 * h], rhs[5 * h:]
     # The dry rows of the minimum-release plan: no plan reaches lower values.
     floor = problem.ineq_matrix[:h, :h] @ lower
     failing = np.flatnonzero(floor - dry_rhs > qp.FEASIBILITY_TOL)
     recovery_used = failing.size > 0
     if recovery_used:
-        # dry_rhs is a view of problem.ineq_rhs: the lift edits the problem.
         k = int(failing[-1])
-        problem.upper[:k + 1] = lower[:k + 1]
+        upper[:k + 1] = lower[:k + 1]
         dry_rhs[:k + 1] = np.maximum(dry_rhs[:k + 1], floor[k])
         dry_rhs[k + 1:] = np.maximum(dry_rhs[k + 1:], floor[k + 1:])
     solution = qp.solve(
@@ -378,10 +379,10 @@ def solve_step(
 
 
 def _shifted(working_set: tuple[int, ...], h: int) -> tuple[int, ...]:
-    """The working set one hour later. The structure's rows fall in blocks
-    of h (see _qp_structure): in every block, position p moves to p - 1,
-    position 0 leaves, and position h - 1 also stays (the next plan's guess
-    repeats the last release)."""
+    """The working set one hour later. The structure's rows fall in six
+    blocks of h, one row per horizon step (see _qp_structure): in every
+    block, position p moves to p - 1, position 0 leaves, and position h - 1
+    also stays (the next plan's guess repeats the last release)."""
     moved = [i - 1 for i in working_set if i % h] + [i for i in working_set if i % h == h - 1]
     return tuple(sorted(moved))
 
@@ -467,9 +468,8 @@ def run_daily(
     """Daily open-loop mode: solve once per day, apply all 24 actions.
 
     The release bounds are frozen at the level measured when the day's
-    problem is assembled, and the forecast is the day's inflow at daily
-    resolution (scenario.inflow_daily when available, otherwise the day's
-    mean), held constant over the 24 hours. The plant still saturates every
+    problem is assembled, and the forecast is the day's mean hourly inflow,
+    held constant over the 24 hours. The plant still saturates every
     applied action at its true hourly bounds.
 
     The day's QP is degenerate under a constant forecast (weakly active
@@ -493,10 +493,7 @@ def run_daily(
 
     def decide(t0, storage):
         nonlocal hint, previous
-        if scenario.inflow_daily is not None:
-            day_inflow = float(scenario.inflow_daily[t0 // HOURS_PER_DAY])
-        else:
-            day_inflow = float(np.mean(scenario.inflow_hourly[t0:t0 + HOURS_PER_DAY]))
+        day_inflow = float(np.mean(scenario.inflow_hourly[t0:t0 + HOURS_PER_DAY]))
         step = solve_step(
             params,
             config,

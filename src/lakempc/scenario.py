@@ -55,19 +55,15 @@ class GaussianInflowParams:
 
 @dataclass
 class Scenario:
-    """Hourly inflow/demand trajectories, a label and optional daily inflows.
+    """Hourly inflow/demand trajectories and a label.
 
-    inflow_daily optionally carries the per-day inflow values when the
-    scenario was built from daily information; the daily controller uses it
-    as its (coarser) forecast. It is None for purely hourly sources. A flow
-    that is negative or not finite raises ValueError naming the series and
-    the hour, or the day of inflow_daily.
+    A flow that is negative or not finite raises ValueError naming the
+    series and the hour.
     """
 
     inflow_hourly: np.ndarray
     demand_hourly: np.ndarray
     label: str = ""
-    inflow_daily: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.inflow_hourly = np.asarray(self.inflow_hourly, dtype=float)
@@ -79,11 +75,6 @@ class Scenario:
             raise ValueError("inflow and demand series must have equal length")
         _check_flows("inflow_hourly", self.inflow_hourly, "hour")
         _check_flows("demand_hourly", self.demand_hourly, "hour")
-        if self.inflow_daily is not None:
-            self.inflow_daily = np.asarray(self.inflow_daily, dtype=float)
-            if self.inflow_daily.size != self.n_days:
-                raise ValueError("inflow_daily must hold one value per day")
-            _check_flows("daily inflow", self.inflow_daily, "day")
 
     @property
     def n_hours(self) -> int:
@@ -193,7 +184,6 @@ def synthetic_year(
         inflow_hourly=inflow,
         demand_hourly=expand_daily(daily_w),
         label=label,
-        inflow_daily=daily_q,
     )
 
 
@@ -203,7 +193,6 @@ def constant_scenario(inflow: float, demand: float, n_days: int, label: str = "c
         inflow_hourly=np.full(t, float(inflow)),
         demand_hourly=np.full(t, float(demand)),
         label=label,
-        inflow_daily=np.full(n_days, float(inflow)),
     )
 
 

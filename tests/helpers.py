@@ -27,45 +27,72 @@ from lakempc.hydrology import (
 from lakempc.mpc import MpcConfig
 
 
+def box_rows(lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """The box lower <= x <= upper as rows A x <= b: one row -x_j <= -lower_j
+    per finite lower bound, then one row x_j <= upper_j per finite upper
+    bound, each block in variable order (the order mpc._qp_structure uses
+    for its bound rows). An infinite entry is an absent bound and gets no
+    row; a NaN entry gets a row whose right-hand side is NaN."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    lo, hi = np.flatnonzero(lower != -np.inf), np.flatnonzero(upper != np.inf)
+    eye = np.eye(lower.size)
+    return np.vstack([0.0 - eye[lo], eye[hi]]), np.concatenate([-lower[lo], upper[hi]])
+
+
+def bounded_qp(
+    hessian, linear_cost, ineq_matrix=None, ineq_rhs=None, lower=None, upper=None
+) -> qp.QpProblem:
+    """A QpProblem with the box lower <= x <= upper (None: no bound)
+    appended to its rows by box_rows: the inequality rows first, then the
+    finite lower bounds, then the finite upper bounds."""
+    base = qp.QpProblem(hessian, linear_cost, ineq_matrix, ineq_rhs)
+    n = base.n
+    rows, rhs = box_rows(
+        np.full(n, -np.inf) if lower is None else lower,
+        np.full(n, np.inf) if upper is None else upper,
+    )
+    return qp.QpProblem(
+        base.hessian,
+        base.linear_cost,
+        np.vstack([base.ineq_matrix, rows]),
+        np.concatenate([base.ineq_rhs, rhs]),
+    )
+
+
+def release_bounds_of(problem: qp.QpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The release bounds (lower, upper) of an mpc.assemble_qp problem, read
+    off its bound rows: the fourth of its six row blocks holds -lower, the
+    sixth upper. The upper bounds are views, so a recovery lift shows."""
+    blocks = np.split(problem.ineq_rhs, 6)
+    return -blocks[3], blocks[5]
+
+
 def enumeration_oracle(problem: qp.QpProblem) -> tuple[float, np.ndarray]:
     """Global optimum of a strictly convex QP by enumerating active sets.
 
-    Every subset of the inequality rows (finite bounds folded in) is solved
-    as an equality-constrained problem; the best feasible candidate is the
-    optimum. Exponential in the row count, so only for tiny instances.
+    Every subset of the rows is solved as an equality-constrained problem;
+    the best feasible candidate is the optimum. Exponential in the row
+    count, so only for tiny instances.
     """
     n = problem.n
-    rows: list[tuple[np.ndarray, float]] = [
-        (problem.ineq_matrix[i], float(problem.ineq_rhs[i]))
-        for i in range(problem.ineq_matrix.shape[0])
-    ]
-    for j in range(n):
-        if np.isfinite(problem.lower[j]):
-            e = np.zeros(n)
-            e[j] = -1.0
-            rows.append((e, -float(problem.lower[j])))
-        if np.isfinite(problem.upper[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append((e, float(problem.upper[j])))
-    a_all = np.array([r[0] for r in rows]).reshape(len(rows), n)
-    b_all = np.array([r[1] for r in rows])
+    a_all, b_all = problem.ineq_matrix, problem.ineq_rhs
+    m = a_all.shape[0]
     best_val, best_x = np.inf, None
-    for size in range(len(rows) + 1):
-        for subset in itertools.combinations(range(len(rows)), size):
+    for size in range(m + 1):
+        for subset in itertools.combinations(range(m), size):
             idx = list(subset)
             a_act = a_all[idx]
             b_act = b_all[idx]
-            m = a_act.shape[0]
-            kkt = np.zeros((n + m, n + m))
+            k = a_act.shape[0]
+            kkt = np.zeros((n + k, n + k))
             kkt[:n, :n] = problem.hessian
-            if m:
+            if k:
                 kkt[:n, n:] = a_act.T
                 kkt[n:, :n] = a_act
             rhs = np.concatenate([-problem.linear_cost, b_act])
             sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
             x = sol[:n]
-            if len(rows) and np.max(a_all @ x - b_all) > 1e-8:
+            if m and np.max(a_all @ x - b_all) > 1e-8:
                 continue
             value = problem.objective_value(x)
             if value < best_val - 1e-12:
@@ -74,12 +101,11 @@ def enumeration_oracle(problem: qp.QpProblem) -> tuple[float, np.ndarray]:
 
 
 def phase1_point(problem: qp.QpProblem) -> np.ndarray | None:
-    """A feasible point of the QP's constraints, or None when there is none.
+    """A feasible point of the QP's rows, or None when there is none.
 
     An elastic LP (scipy's HiGHS) minimizes the total violation of the
-    inequality rows under the native bounds. Its point, clipped into the
-    bounds, counts as feasible by the test qp.solve applies to a start: no
-    row violated by more than qp.FEASIBILITY_TOL.
+    rows. Its point counts as feasible by the test qp.solve applies to a
+    start: no row violated by more than qp.FEASIBILITY_TOL.
     """
     n = problem.n
     a_in, b_in = problem.ineq_matrix, problem.ineq_rhs
@@ -88,80 +114,60 @@ def phase1_point(problem: qp.QpProblem) -> np.ndarray | None:
         np.concatenate([np.zeros(n), np.ones(mi)]),
         A_ub=np.hstack([a_in, -np.eye(mi)]) if mi else None,
         b_ub=b_in if mi else None,
-        bounds=[(problem.lower[j], problem.upper[j]) for j in range(n)] + [(0.0, None)] * mi,
+        bounds=[(None, None)] * n + [(0.0, None)] * mi,
         method="highs",
     )
     assert res.success, res.message
-    x = np.clip(res.x[:n], problem.lower, problem.upper)
+    x = res.x[:n]
     return x if np.max(a_in @ x - b_in, initial=0.0) <= qp.FEASIBILITY_TOL else None
 
 
 def dense_kkt_solution(
     problem: qp.QpProblem, solution: qp.QpSolution
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The optimum on the rows whose returned multiplier is nonzero, by one
-    dense KKT solve on the unscaled data.
-
-    The rows are the inequality rows with a nonzero ineq_dual and, for each
-    variable with a nonzero bound_dual, its upper bound (positive dual) or
-    its lower bound (negative dual). Returns (x, ineq_duals, bound_duals) in
-    QpSolution's conventions; rows outside that set get zero multipliers.
-    """
+    dense KKT solve on the unscaled data: (x, duals), with zero multipliers
+    on the other rows."""
     n = problem.n
-    ineq = np.flatnonzero(solution.ineq_duals)
-    bound = np.flatnonzero(solution.bound_duals)
-    sign = np.sign(solution.bound_duals[bound])
-    rows = np.vstack([problem.ineq_matrix[ineq], sign[:, None] * np.eye(n)[bound]])
-    rhs = np.concatenate(
-        [problem.ineq_rhs[ineq], np.where(sign > 0, problem.upper[bound], -problem.lower[bound])]
-    )
+    active = np.flatnonzero(solution.duals)
+    rows = problem.ineq_matrix[active]
     m = rows.shape[0]
     kkt = np.block([[problem.hessian, rows.T], [rows, np.zeros((m, m))]])
-    sol = np.linalg.solve(kkt, np.concatenate([-problem.linear_cost, rhs]))
-    ineq_duals = np.zeros(problem.ineq_matrix.shape[0])
-    ineq_duals[ineq] = sol[n:n + ineq.size]
-    bound_duals = np.zeros(n)
-    bound_duals[bound] = sign * sol[n + ineq.size:]
-    return sol[:n], ineq_duals, bound_duals
+    sol = np.linalg.solve(kkt, np.concatenate([-problem.linear_cost, problem.ineq_rhs[active]]))
+    duals = np.zeros(problem.ineq_matrix.shape[0])
+    duals[active] = sol[n:]
+    return sol[:n], duals
 
 
 def reference_kkt_components(problem: qp.QpProblem, solution: qp.QpSolution) -> dict[str, float]:
-    """qp.kkt_components as it was written before its temporaries were
-    trimmed, kept frozen: the four components, each the largest violation
-    (at least 0, NaN when any entry is NaN) of its conditions on the
-    unscaled problem. qp.kkt_components must reproduce it bit for bit."""
+    """qp.kkt_components written out plainly and kept frozen: the four
+    components, each the largest violation (at least 0, NaN when any entry
+    is NaN) of its conditions on the unscaled problem. qp.kkt_components
+    must reproduce it bit for bit."""
 
     def worst(*terms):
         return float(np.concatenate(terms).max(initial=0.0))
 
     x = np.asarray(solution.x, dtype=float)
-    q, c = problem.hessian, problem.linear_cost
     a_in, b_in = problem.ineq_matrix, problem.ineq_rhs
-    lo, hi = problem.lower, problem.upper
-    mu = np.atleast_1d(np.asarray(solution.ineq_duals, dtype=float))
-    beta = np.atleast_1d(np.asarray(solution.bound_duals, dtype=float))
+    mu = np.atleast_1d(np.asarray(solution.duals, dtype=float))
 
-    grad = q @ x + c
+    grad = problem.hessian @ x + problem.linear_cost
     if a_in.shape[0]:
         grad = grad + a_in.T @ mu
-    grad = grad + beta
     slack = b_in - a_in @ x
-    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
-    gap_lo = np.where(finite_lo, x - lo, 0.0)
-    gap_hi = np.where(finite_hi, hi - x, 0.0)
     return {
         "stationarity": worst(np.abs(grad)),
-        "primal": worst(-slack, -gap_lo, -gap_hi),
-        "dual": worst(-mu, np.where(finite_hi, 0.0, beta), np.where(finite_lo, 0.0, -beta)),
-        "complementarity": worst(
-            np.abs(mu * slack), np.abs(np.where(beta > 0.0, beta * gap_hi, beta * gap_lo))
-        ),
+        "primal": worst(-slack),
+        "dual": worst(-mu),
+        "complementarity": worst(np.abs(mu * slack)),
     }
 
 
 def random_qp(rng: np.random.Generator) -> tuple[qp.QpProblem, np.ndarray]:
-    """Random strictly convex QP with n <= 6 and at most 8 constraint rows,
-    and a point that meets every row and bound with some slack."""
+    """Random strictly convex QP with n <= 6 and at most 8 rows, some of
+    them bounds on one variable, and a point that meets every row with
+    some slack."""
     n = int(rng.integers(1, 7))
     m_total = int(rng.integers(0, 9))
     m_ineq = int(rng.integers(0, m_total + 1))
@@ -180,15 +186,7 @@ def random_qp(rng: np.random.Generator) -> tuple[qp.QpProblem, np.ndarray]:
             lower[j] = feas[j] - abs(rng.standard_normal()) - 0.05
         else:
             upper[j] = feas[j] + abs(rng.standard_normal()) + 0.05
-    problem = qp.QpProblem(
-        hessian=hessian,
-        linear_cost=cost,
-        ineq_matrix=a_in,
-        ineq_rhs=b_in,
-        lower=lower,
-        upper=upper,
-    )
-    return problem, feas
+    return bounded_qp(hessian, cost, a_in, b_in, lower, upper), feas
 
 
 def controller_cost(params: LakeParams, config: MpcConfig, s0: float, inflow, demand, u):

@@ -13,6 +13,7 @@ from helpers import (
     controller_cost,
     direct_cost_minimum,
     phase1_point,
+    release_bounds_of,
 )
 from lakempc import mpc, qp
 from lakempc.hydrology import (
@@ -121,16 +122,32 @@ class TestAssembly:
             run_hourly(PARAMS, MpcConfig(), scn, 1.2e8, n_steps=12)
 
     def test_decision_vector_layout(self):
-        # The release bounds are the rating-curve bounds at s0's level.
+        # (u, slack_flood, slack_demand), h each; 6h rows in blocks of h.
         config = MpcConfig(horizon=3)
         problem = assemble_qp(PARAMS, config, 1e8, [50.0] * 3, [80.0] * 3)
-        r_min, r_max = release_bounds(PARAMS, level_of_storage(PARAMS, 1e8))
         assert problem.n == 9
-        assert r_min == 10.0 and r_max > r_min
-        assert np.array_equal(problem.lower[:3], [r_min] * 3)
-        assert np.array_equal(problem.upper[:3], [r_max] * 3)
-        assert problem.lower[3:6] == pytest.approx([0.0] * 3)  # flood slack >= 0
-        assert np.all(np.isinf(problem.lower[6:9]))  # demand slack free below
+        assert problem.ineq_matrix.shape == (18, 9) and problem.ineq_rhs.shape == (18,)
+        # The demand slack is free below: no row bounds it alone.
+        bound_rows = problem.ineq_matrix[9:]
+        assert not np.any(bound_rows[:, 6:])
+
+    @pytest.mark.parametrize("level", [-0.4, 0.0, 0.4, 1.5])
+    def test_last_rows_are_the_release_bounds_at_s0s_level(self, level):
+        # The last 3h rows bound u from below, slack_flood from below and u
+        # from above, one row per horizon step, at release_bounds of s0's
+        # level: -u <= -r_min, -slack_flood <= 0, u <= r_max.
+        h = 4
+        s0 = storage_of_level(PARAMS, level)
+        problem = assemble_qp(PARAMS, MpcConfig(horizon=h), s0, [50.0] * h, [80.0] * h)
+        r_min, r_max = release_bounds(PARAMS, level_of_storage(PARAMS, s0))
+        eye = np.eye(3 * h)
+        assert np.array_equal(problem.ineq_matrix[3 * h:], np.vstack([-eye[:2 * h], eye[:h]]))
+        rhs = problem.ineq_rhs[3 * h:]
+        expected = np.concatenate([np.full(h, -r_min), np.zeros(h), np.full(h, r_max)])
+        assert np.array_equal(rhs, expected)
+        # Zero right-hand sides carry a negative sign, as -0.0 lower bounds do.
+        assert np.all(np.signbit(rhs[h:2 * h]))
+        assert [b.tolist() for b in release_bounds_of(problem)] == [[r_min] * h, [r_max] * h]
 
     def test_dry_rows_right_hand_side_keeps_its_digits(self):
         # Just above the dry bound each right-hand side is a small difference
@@ -198,8 +215,6 @@ class TestMatricesPerConfiguration:
             linear_cost=problem.linear_cost,
             ineq_matrix=problem.ineq_matrix.copy(),
             ineq_rhs=problem.ineq_rhs,
-            lower=problem.lower,
-            upper=problem.upper,
         )
         shared = qp.solve(
             problem, initial_point=hint, structure=mpc._qp_structure(h, PARAMS.surface_area, 1.0)
@@ -207,7 +222,7 @@ class TestMatricesPerConfiguration:
         alone = qp.solve(copied, initial_point=hint)
         assert shared.status == alone.status == "optimal"
         assert shared.iterations == alone.iterations > 1
-        for name in ("x", "ineq_duals", "bound_duals"):
+        for name in ("x", "duals"):
             assert np.array_equal(getattr(shared, name), getattr(alone, name))
 
 
@@ -422,6 +437,31 @@ class TestRecovery:
         assert np.min(levels(step.planned_releases)[k + 1:]) >= PARAMS.dry_threshold
         assert step.planned_releases[k + 1] > r_min
 
+    def test_lift_sets_the_upper_bound_rows_through_k_to_the_minimum(self, monkeypatch):
+        # The setting above from 0.5 mm lower, where the minimum-release plan
+        # fails the dry rows of steps 0..5: the lift writes r_min into the
+        # upper-bound rows of u[0..5] and leaves r_max in the later ones.
+        config = MpcConfig(horizon=12)
+        h = config.horizon
+        s0 = storage_of_level(PARAMS, -0.203)
+        inflow, demand = np.full(h, 30.0), np.full(h, 200.0)
+        r_min, r_max = release_bounds(PARAMS, level_of_storage(PARAMS, s0))
+        problems = []
+        inner = qp.solve
+
+        def recording(problem, *args, **kwargs):
+            problems.append(problem)
+            return inner(problem, *args, **kwargs)
+
+        monkeypatch.setattr(qp, "solve", recording)
+        assert solve_step(PARAMS, config, s0, inflow, demand).recovery_used
+        (problem,) = problems
+        lower, upper = release_bounds_of(problem)
+        k = 5
+        assert upper.tolist() == [r_min] * (k + 1) + [r_max] * (h - k - 1)
+        assert lower.tolist() == [r_min] * h
+        assert r_min < r_max
+
     @settings(max_examples=30, deadline=None)
     @given(
         horizon=st.integers(2, 3),
@@ -483,8 +523,7 @@ class TestFeasibleStart:
 
 
 def _minimum_release_start(params, problem, s0, inflow, demand, u_hint):
-    u = problem.lower[:demand.size]
-    return mpc._with_slacks(params, s0, inflow, demand, u)
+    return mpc._with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
 
 
 class TestStartFromGuesses:
@@ -502,7 +541,7 @@ class TestStartFromGuesses:
         config = MpcConfig(horizon=horizon)
         s0 = S_MIN + offset
         problem = assemble_qp(PARAMS, config, s0, inflow[:horizon], np.zeros(horizon))
-        lower, upper = problem.lower[:horizon], problem.upper[:horizon]
+        lower, upper = release_bounds_of(problem)
         rows, rhs = problem.ineq_matrix[:horizon, :horizon], problem.ineq_rhs[:horizon]
         u = np.clip(guess[:horizon], lower, upper)
         cap = rhs * PARAMS.surface_area / HOUR_SECONDS
@@ -525,13 +564,13 @@ class TestStartFromGuesses:
             problem = assemble_qp(PARAMS, config, s0, inflow, demand)
             x = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, u_hint)
             assert np.max(problem.ineq_matrix[:h] @ x - problem.ineq_rhs[:h]) <= qp.FEASIBILITY_TOL
-            minimum = mpc._with_slacks(PARAMS, s0, inflow, demand, problem.lower[:h])
+            minimum = mpc._with_slacks(PARAMS, s0, inflow, demand, release_bounds_of(problem)[0])
             return problem, x, minimum
 
         # Far above the dry bound both guesses meet the dry rows as they are,
         # and the demand beats a hint at minimum release.
         problem, x, _ = start(1.2e8, np.full(h, 10.0))
-        assert np.array_equal(x[:h], np.clip(demand, problem.lower[:h], problem.upper[:h]))
+        assert np.array_equal(x[:h], np.clip(demand, *release_bounds_of(problem)))
         # Just above it both guesses cross a dry row, and their trims beat
         # the minimum-release plan.
         problem, x, minimum = start(S_MIN + 2e6, np.full(h, 300.0))
@@ -570,14 +609,12 @@ class TestWorkingSetHints:
         # the lower bounds of u and slack_flood and the upper bounds of u.
         h = 6
         structure = mpc._qp_structure(h, PARAMS.surface_area, 1.0)
-        ineq = structure.ineq_matrix
-        assert ineq.shape[0] == 3 * h and structure.a.shape[0] == 6 * h
-        assert structure.finite_lo.tolist() == list(range(2 * h))
-        assert structure.finite_hi.tolist() == list(range(h))
-        # An inequality row's step is the last release it holds; a bound's
-        # is its variable's.
-        steps = [int(np.flatnonzero(row[:h]).max()) for row in ineq]
-        steps += [int(j) % h for j in (*structure.finite_lo, *structure.finite_hi)]
+        rows = structure.ineq_matrix
+        assert rows.shape == (6 * h, 3 * h)
+        # A dry, flood or demand row's step is the last release it holds; a
+        # bound row's is its variable's.
+        steps = [int(np.flatnonzero(row[:h]).max()) for row in rows[:3 * h]]
+        steps += [int(np.flatnonzero(row).item()) % h for row in rows[3 * h:]]
         assert steps == [r % h for r in range(6 * h)]
 
     def test_hit_builds_no_start(self):
@@ -688,21 +725,18 @@ class TestDailyMode:
         daily = run_daily(PARAMS, MpcConfig(), scn, s0, n_steps=48)
         assert np.any(daily.releases < daily.commands - 1e-9)
 
-    def test_daily_forecast_prefers_daily_metadata(self):
-        # Hourly inflow carries an intra-day swing; the daily values are flat.
-        # With metadata the day plan sees the flat series, so planned releases
-        # are flat too; without it the plan still uses the day mean (equal
-        # here), so both runs agree, while an hourly run reacts to the swing.
+
+    def test_daily_forecast_is_the_day_mean(self):
+        # Hourly inflow with an intra-day swing around 100 m^3/s, 1e6 m^3
+        # above the dry bound, where the dry rows cap the plan: the day's
+        # plan sees only the mean, so it is the plan of a flat 100 m^3/s.
+        # A forecast of the first hour's 50 m^3/s would cap it 50 lower.
         swing = np.tile(np.concatenate([np.full(12, 50.0), np.full(12, 150.0)]), 3)
-        daily_info = np.full(3, 100.0)
-        with_meta = Scenario(
-            inflow_hourly=swing, demand_hourly=np.full(72, 100.0), inflow_daily=daily_info
-        )
-        without_meta = Scenario(inflow_hourly=swing, demand_hourly=np.full(72, 100.0))
-        s0 = 1.3e8
-        a = run_daily(PARAMS, MpcConfig(), with_meta, s0, n_steps=72)
-        b = run_daily(PARAMS, MpcConfig(), without_meta, s0, n_steps=72)
-        assert a.commands == pytest.approx(b.commands, abs=1e-9)
+        demand = np.full(72, 150.0)
+        s0 = S_MIN + 1e6
+        flat = run_daily(PARAMS, MpcConfig(), Scenario(np.full(72, 100.0), demand), s0, n_steps=72)
+        daily = run_daily(PARAMS, MpcConfig(), Scenario(swing, demand), s0, n_steps=72)
+        assert daily.commands == pytest.approx(flat.commands, abs=1e-9)
 
 
 class TestConfig:

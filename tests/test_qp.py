@@ -10,11 +10,13 @@ import scipy.linalg
 
 from helpers import (
     assert_same_entries,
+    bounded_qp,
     dense_kkt_solution,
     enumeration_oracle,
     phase1_point,
     random_qp,
     reference_kkt_components,
+    release_bounds_of,
 )
 from lakempc import mpc, qp
 from lakempc.hydrology import HOUR_SECONDS, LakeParams, storage_of_level
@@ -24,7 +26,7 @@ from lakempc.scenario import synthetic_year
 class TestTrivialProblems:
     def test_active_lower_bound(self):
         # min x^2 s.t. x >= 1
-        problem = qp.QpProblem(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
+        problem = bounded_qp(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
         solution = qp.solve(problem, [2.0])
         assert solution.status == "optimal"
         assert solution.x[0] == pytest.approx(1.0, abs=1e-10)
@@ -32,9 +34,7 @@ class TestTrivialProblems:
 
     def test_clamped_unconstrained_optimum(self):
         # min (x-2)^2 s.t. 0 <= x <= 1 -> x = 1
-        problem = qp.QpProblem(
-            hessian=[[2.0]], linear_cost=[-4.0], lower=[0.0], upper=[1.0]
-        )
+        problem = bounded_qp(hessian=[[2.0]], linear_cost=[-4.0], lower=[0.0], upper=[1.0])
         solution = qp.solve(problem, [0.5])
         assert solution.x[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -164,8 +164,6 @@ class TestInvariants:
                 linear_cost=alpha * problem.linear_cost,
                 ineq_matrix=problem.ineq_matrix,
                 ineq_rhs=problem.ineq_rhs,
-                lower=problem.lower,
-                upper=problem.upper,
             )
             again = qp.solve(scaled, feasible)
             assert again.x == pytest.approx(base.x, abs=1e-6)
@@ -176,17 +174,16 @@ class TestInvariants:
         for _ in range(25):
             problem, feasible = random_qp(rng)
             solution = qp.solve(problem, feasible)
-            if solution.ineq_duals.size:
-                assert np.min(solution.ineq_duals) >= -1e-9
+            if solution.duals.size:
+                assert np.min(solution.duals) >= -1e-9
 
 
 class TestKktResidual:
     def test_exact_solution_near_zero(self):
-        problem = qp.QpProblem(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
+        problem = bounded_qp(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
         solution = qp.QpSolution(
             x=np.array([1.0]),
-            ineq_duals=np.zeros(0),
-            bound_duals=np.array([-2.0]),  # pushes against the lower bound
+            duals=np.array([2.0]),  # the lower bound's row, -x <= -1
             objective=1.0,
             status="optimal",
             kkt_residual=0.0,
@@ -199,8 +196,7 @@ class TestKktResidual:
         assert solution.kkt_residual <= 1e-9
         nudged = qp.QpSolution(
             x=solution.x + np.array([1e-3, 0.0]),
-            ineq_duals=solution.ineq_duals,
-            bound_duals=solution.bound_duals,
+            duals=solution.duals,
             objective=solution.objective,
             status="optimal",
             kkt_residual=0.0,
@@ -217,8 +213,7 @@ class TestKktResidual:
         )
         point = qp.QpSolution(
             x=np.array([2.5, 1.2]),
-            ineq_duals=np.zeros(2),
-            bound_duals=np.zeros(2),
+            duals=np.zeros(2),
             objective=0.0,
             status="optimal",
             kkt_residual=0.0,
@@ -233,8 +228,7 @@ class TestKktResidual:
             hessian=np.eye(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[np.nan]
         )
         solution = qp.QpSolution(
-            x=np.ones(2), ineq_duals=np.zeros(1), bound_duals=np.zeros(2),
-            objective=-1.0, status="optimal", kkt_residual=0.0,
+            x=np.ones(2), duals=np.zeros(1), objective=-1.0, status="optimal", kkt_residual=0.0
         )
         assert np.isnan(qp.kkt_components(problem, solution)["primal"])
         assert np.isnan(qp.kkt_residual(problem, solution))
@@ -246,7 +240,7 @@ class TestKktResidual:
         # A NaN among the terms _finish's stacked pass reduces.
         worst = qp._worst
         monkeypatch.setattr(qp, "_worst", lambda *terms: worst(*terms, np.array([np.nan])))
-        problem = qp.QpProblem(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
+        problem = bounded_qp(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
         solution = qp.solve(problem, [2.0])
         assert solution.status == "iteration-limit"
         assert "certification failed" in solution.message
@@ -255,7 +249,7 @@ class TestKktResidual:
 class TestNonFiniteData:
     @staticmethod
     def _problem():
-        return qp.QpProblem(
+        return bounded_qp(
             hessian=np.eye(2),
             linear_cost=[-1.0, -1.0],
             ineq_matrix=[[1.0, 1.0]],
@@ -280,8 +274,6 @@ class TestNonFiniteData:
             ("linear_cost", 0, np.inf, "linear_cost is inf at variable 0"),
             ("linear_cost", 1, -np.inf, "linear_cost is -inf at variable 1"),
             ("ineq_rhs", 0, np.inf, "ineq_rhs is inf at row 0"),
-            ("lower", 1, np.nan, "lower bound is nan at variable 1"),
-            ("upper", 0, np.nan, "upper bound is nan at variable 0"),
         ],
     )
     def test_non_finite_entry_named(self, field, index, value, message):
@@ -291,14 +283,6 @@ class TestNonFiniteData:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             qp.solve(problem, np.zeros(2))
 
-    def test_infinite_bounds_are_absent_bounds(self):
-        problem = self._problem()
-        problem.upper[1] = np.inf
-        problem.lower[1] = -np.inf
-        solution = qp.solve(problem, np.zeros(2))
-        assert solution.status == "optimal"
-        assert solution.x == pytest.approx([0.5, 0.5], abs=1e-12)
-
 
 class TestEdgesAndErrors:
     def test_float_arrays_are_held_as_given_and_an_empty_row_block_is_shaped(self):
@@ -307,13 +291,21 @@ class TestEdgesAndErrors:
         # block of the wrong shape still becomes (0, n).
         arrays = {
             "hessian": np.eye(2), "linear_cost": np.zeros(2), "ineq_matrix": np.ones((1, 2)),
-            "ineq_rhs": np.ones(1), "lower": np.zeros(2), "upper": np.ones(2),
+            "ineq_rhs": np.ones(1),
         }
         problem = qp.QpProblem(**arrays)
         assert all(getattr(problem, name) is value for name, value in arrays.items())
         empty = qp.QpProblem(**{**arrays, "ineq_matrix": np.zeros((0, 0)), "ineq_rhs": np.zeros(0)})
         assert empty.ineq_matrix.shape == (0, 2)
         assert qp.solve(empty, np.ones(2)).status == "optimal"
+
+    def test_problem_is_rows_only(self):
+        # min 0.5 x'Qx + c'x s.t. A x <= b and nothing else: a bound is a row.
+        assert [field.name for field in dataclasses.fields(qp.QpProblem)] == [
+            "hessian", "linear_cost", "ineq_matrix", "ineq_rhs"
+        ]
+        with pytest.raises(TypeError, match="lower"):
+            qp.QpProblem(hessian=[[1.0]], linear_cost=[0.0], lower=[0.0])
 
     def test_infeasible_diagnostic(self):
         # x <= 0 and x >= 1: no start is feasible.
@@ -330,10 +322,10 @@ class TestEdgesAndErrors:
             qp.solve(problem, [0.0])
 
     def test_start_infeasibility_judged_with_the_feasibility_tolerance(self):
-        # x <= -2e-5 against x >= 0 misses by 2e-5, far above FEASIBILITY_TOL.
-        # A large but slack right-hand side elsewhere must not hide that, and
-        # the clip into x >= 0 must not either.
-        problem = qp.QpProblem(
+        # x <= -2e-5 against x >= 0 (row 2) misses by 2e-5, far above
+        # FEASIBILITY_TOL. A large but slack right-hand side elsewhere must
+        # not hide that.
+        problem = bounded_qp(
             hessian=[[2.0]],
             linear_cost=[0.0],
             ineq_matrix=[[1.0], [-1.0]],
@@ -341,14 +333,31 @@ class TestEdgesAndErrors:
             lower=[0.0],
         )
         assert phase1_point(problem) is None
-        with pytest.raises(ValueError, match=r"inequality row 0 violated by 2e-05$"):
+        with pytest.raises(ValueError, match=r"inequality row 2 violated by 2e-05$"):
             qp.solve(problem, [-2e-5])
 
-    def test_crossed_bounds_rejected(self):
-        problem = qp.QpProblem(
-            hessian=[[2.0]], linear_cost=[0.0], lower=[1.0], upper=[0.0]
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ([1.5, 0.5], "inequality row 2 violated by 0.5"),
+            ([0.5, -0.25], "inequality row 1 violated by 0.25"),
+        ],
+    )
+    def test_start_outside_a_bound_row_rejected(self, start, message):
+        # A bound is a row like any other: a start that breaks one is
+        # rejected, naming that row.
+        problem = bounded_qp(
+            hessian=np.eye(2), linear_cost=np.zeros(2), lower=[0.0, 0.0], upper=[1.0, 1.0]
         )
-        with pytest.raises(ValueError, match="bound"):
+        message = f"^initial_point is infeasible: {re.escape(message)}$"
+        with pytest.raises(ValueError, match=message):
+            qp.solve(problem, start)
+
+    def test_crossed_bounds_rejected(self):
+        # 1 <= x <= 0 leaves no feasible point: every start breaks a row.
+        problem = bounded_qp(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0], upper=[0.0])
+        assert phase1_point(problem) is None
+        with pytest.raises(ValueError, match=r"inequality row 0 violated by 0.5$"):
             qp.solve(problem, [0.5])
 
     def test_problem_without_variables_rejected(self):
@@ -381,9 +390,8 @@ class TestEdgesAndErrors:
         problem, feasible = _dense_qp(0)
         solution = qp.solve(problem, feasible, max_iterations=3)
         assert (solution.status, solution.iterations) == ("iteration-limit", 3)
-        duals = np.concatenate([solution.ineq_duals, solution.bound_duals])
-        assert np.all(np.isfinite(duals))
-        assert np.count_nonzero(duals) >= 1
+        assert np.all(np.isfinite(solution.duals))
+        assert np.count_nonzero(solution.duals) >= 1
 
     def test_feasible_hint_is_used(self):
         problem = qp.QpProblem(
@@ -397,7 +405,7 @@ class TestEdgesAndErrors:
         assert solution.x == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_hint_of_wrong_length_rejected(self):
-        problem = qp.QpProblem(
+        problem = bounded_qp(
             hessian=2.0 * np.eye(3), linear_cost=np.zeros(3), lower=np.zeros(3), upper=np.ones(3)
         )
         for hint in ([0.5], [0.5, 0.5], np.zeros(4), np.full((3, 1), 0.5)):
@@ -407,7 +415,7 @@ class TestEdgesAndErrors:
     def test_non_finite_start_rejected(self):
         # A NaN compares false against every row, so it would otherwise count
         # as feasible and run the solver to its iteration limit.
-        problem = qp.QpProblem(
+        problem = bounded_qp(
             hessian=2.0 * np.eye(2),
             linear_cost=np.zeros(2),
             ineq_matrix=[[1.0, 0.0]],
@@ -415,11 +423,10 @@ class TestEdgesAndErrors:
             lower=[-np.inf, 0.0],
             upper=[np.inf, 1.0],
         )
-        for start in ([np.nan, 0.5], [0.0, np.nan], [-np.inf, 0.5]):
+        # An infinite entry is not finite, whatever row bounds it.
+        for start in ([np.nan, 0.5], [0.0, np.nan], [-np.inf, 0.5], [0.0, np.inf]):
             with pytest.raises(ValueError, match="initial_point is not finite at variable"):
                 qp.solve(problem, start)
-        # An infinite entry that the bounds clip is a finite start.
-        assert qp.solve(problem, [0.0, np.inf]).status == "optimal"
 
     def test_infeasible_start_of_a_feasible_problem_rejected(self):
         # The problem is feasible, but the start is not: the solver rejects
@@ -437,7 +444,7 @@ class TestEdgesAndErrors:
 
 def _dense_qp(seed, n=40, m=80):
     """A strictly convex QP at MPC scale: dense Hessian of condition 1e4, m
-    inequality rows and box bounds, with a known feasible point. The
+    general rows and the rows of a box, with a known feasible point. The
     unconstrained optimum lies far outside, so many rows end up active."""
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -446,7 +453,7 @@ def _dense_qp(seed, n=40, m=80):
     a = rng.standard_normal((m, n))
     x_feasible = rng.uniform(-0.5, 0.5, n)
     b = a @ x_feasible + rng.uniform(0.0, 1.0, m)
-    problem = qp.QpProblem(
+    problem = bounded_qp(
         hessian=hessian,
         linear_cost=-hessian @ rng.uniform(-5.0, 5.0, n),
         ineq_matrix=a,
@@ -461,11 +468,9 @@ def _assert_matches_dense_kkt(problem, solution):
     """x within 1e-10 and the multipliers within 1e-8 of the dense KKT
     oracle on the rows the solution holds active, relative to their largest
     entries."""
-    x, ineq_duals, bound_duals = dense_kkt_solution(problem, solution)
+    x, oracle = dense_kkt_solution(problem, solution)
     assert np.max(np.abs(solution.x - x)) <= 1e-10 * np.max(np.abs(x))
-    duals = np.concatenate([solution.ineq_duals, solution.bound_duals])
-    oracle = np.concatenate([ineq_duals, bound_duals])
-    assert np.max(np.abs(duals - oracle), initial=0.0) <= 1e-8 * np.max(np.abs(oracle), initial=0.0)
+    assert np.max(np.abs(solution.duals - oracle), initial=0.0) <= 1e-8 * np.max(np.abs(oracle), initial=0.0)
 
 
 # (first day, start level in m, starts whose tight rows are dependent).
@@ -478,9 +483,10 @@ def _assert_matches_dense_kkt(problem, solution):
 HOURLY_WINDOWS = [(104, 1.08, 1), (182, 0.29, 0)]
 START_SETS = {104: 23, 182: 1}
 WARM_STARTS = {104: 44, 182: 47}
-# The nonzero duals of the windows' solutions, by block. On day 182 the
-# optimum meets the demand exactly, so its working rows (the demand rows and
-# the flood slacks' lower bounds) all have zero multipliers.
+# The nonzero duals of the windows' solutions, by kind of row: the dry, flood
+# and demand rows, and the lower and upper bound rows. On day 182 the optimum
+# meets the demand exactly, so its working rows (the demand rows and the
+# flood slacks' lower bounds) all have zero multipliers.
 NONZERO_DUALS = {104: {"inequality": 773, "lower": 86}, 182: {}}
 FACTOR_CALLS = ((np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "solve"), (np.linalg, "lstsq"))
 
@@ -525,22 +531,10 @@ def _hourly_window(monkeypatch, first_day, level, counted=()):
     return steps
 
 
-def _folded_rows(problem):
-    """The problem's rows with its finite bounds folded in, in the order of
-    qp.Structure's rows (inequality rows, finite lower bounds, finite upper
-    bounds), and their right-hand sides."""
-    n = problem.n
-    lo, hi = np.flatnonzero(np.isfinite(problem.lower)), np.flatnonzero(np.isfinite(problem.upper))
-    rows = np.vstack([problem.ineq_matrix, -np.eye(n)[lo], np.eye(n)[hi]])
-    rhs = np.concatenate([problem.ineq_rhs, -problem.lower[lo], problem.upper[hi]])
-    return rows, rhs
-
-
 def _tight_rows(problem, start):
-    """The folded rows tight at the clipped start."""
-    rows, rhs = _folded_rows(problem)
-    x = np.clip(start, problem.lower, problem.upper)
-    return rows[rhs - rows @ x <= 1e-9 * (np.abs(rhs) + np.abs(rows) @ np.abs(x))]
+    """The rows tight at the start."""
+    rows, rhs = problem.ineq_matrix, problem.ineq_rhs
+    return rows[rhs - rows @ start <= 1e-9 * (np.abs(rhs) + np.abs(rows) @ np.abs(start))]
 
 
 def _tried(candidates, solution):
@@ -548,11 +542,6 @@ def _tried(candidates, solution):
     if not solution.warm_start:
         return candidates
     return candidates[:candidates.index(solution.working_set) + 1]
-
-
-def _hint_rows(problem, working_set):
-    """The folded rows a working set names."""
-    return _folded_rows(problem)[0][list(working_set)]
 
 
 def _independent(rows, n):
@@ -575,7 +564,7 @@ def _minimum_release_at_a_dry_cap(demand):
     demand = np.full(h, demand)
     s0 = mpc._storage_bounds(params)[0] + area * mpc.DRY_MARGIN + HOUR_SECONDS * 10.0
     problem = mpc.assemble_qp(params, config, s0, inflow, demand)
-    start = mpc._with_slacks(params, s0, inflow, demand, problem.lower[:h])
+    start = mpc._with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
     return problem, start
 
 
@@ -626,45 +615,49 @@ class TestKktComponentsAgainstReference:
             moved = dataclasses.replace(
                 solution,
                 x=solution.x + rng.normal(scale=1e-3 * np.abs(solution.x).max(), size=problem.n),
-                ineq_duals=-solution.ineq_duals,
-                bound_duals=-solution.bound_duals,
+                duals=-solution.duals,
             )
             _assert_same_components(problem, moved)
 
     @pytest.mark.parametrize(
         "x, ineq_duals, bound_duals, rhs, lower, upper",
         [
-            # At both finite bounds and on the row: every gap and slack is 0.
-            ([0.0, 1.0], [0.0], [-1.0, 0.0], 1.0, [0.0, -np.inf], [np.inf, 1.0]),
-            # Multipliers pushing against absent bounds, both ways.
-            ([0.5, 0.5], [0.0], [2.0, -3.0], 1.0, [-np.inf, -np.inf], [np.inf, np.inf]),
+            # At both finite bounds and on the row: every slack is 0.
+            ([0.0, 1.0], [0.0], [1.0, 0.0], 1.0, [0.0, -np.inf], [np.inf, 1.0]),
+            # Every bound infinite, so absent: no bound rows.
+            ([0.5, 0.5], [0.0], [], 1.0, [-np.inf, -np.inf], [np.inf, np.inf]),
+            # Negative multipliers on the row and a bound row.
             ([0.5, 0.5], [-1.0], [-2.0, 3.0], 1.0, [-np.inf, 0.0], [1.0, np.inf]),
-            # Infinite bounds the point breaks by an infinite gap nowhere.
-            ([-1e300, 1e300], [0.0], [0.0, 0.0], 1.0, [-np.inf, -np.inf], [np.inf, np.inf]),
+            # A point far out, which no bound row limits.
+            ([-1e300, 1e300], [0.0], [], 1.0, [-np.inf, -np.inf], [np.inf, np.inf]),
             # NaN in the point, a multiplier, the right-hand side, a bound.
-            ([np.nan, 0.5], [0.0], [0.0, 0.0], 1.0, [0.0, 0.0], [1.0, 1.0]),
-            ([0.5, 0.5], [np.nan], [0.0, 0.0], 1.0, [0.0, 0.0], [1.0, 1.0]),
+            ([np.nan, 0.5], [0.0], [0.0] * 4, 1.0, [0.0, 0.0], [1.0, 1.0]),
+            ([0.5, 0.5], [np.nan], [0.0] * 4, 1.0, [0.0, 0.0], [1.0, 1.0]),
             ([0.5, 0.5], [0.0], [0.0, np.nan], 1.0, [0.0, -np.inf], [1.0, np.inf]),
-            ([0.5, 0.5], [0.0], [0.0, 0.0], np.nan, [0.0, 0.0], [1.0, 1.0]),
-            ([0.5, 0.5], [0.0], [1.0, 0.0], 1.0, [np.nan, 0.0], [1.0, np.inf]),
+            ([0.5, 0.5], [0.0], [0.0] * 4, np.nan, [0.0, 0.0], [1.0, 1.0]),
+            ([0.5, 0.5], [0.0], [1.0, 0.0, 0.0], 1.0, [np.nan, 0.0], [1.0, np.inf]),
         ],
     )
     def test_nan_and_infinite_bounds(self, x, ineq_duals, bound_duals, rhs, lower, upper):
-        problem = qp.QpProblem(
+        # The box becomes rows by box_rows (an infinite bound is absent, a
+        # NaN one a row with a NaN right-hand side); bound_duals are the
+        # multipliers of those rows.
+        problem = bounded_qp(
             hessian=np.eye(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]],
             ineq_rhs=[rhs], lower=lower, upper=upper,
         )
         solution = qp.QpSolution(
-            x=np.array(x), ineq_duals=np.array(ineq_duals), bound_duals=np.array(bound_duals),
-            objective=0.0, status="optimal", kkt_residual=0.0,
+            x=np.array(x), duals=np.array(ineq_duals + bound_duals), objective=0.0,
+            status="optimal", kkt_residual=0.0,
         )
+        assert solution.duals.shape == problem.ineq_rhs.shape
         _assert_same_components(problem, solution)
 
     def test_no_rows(self):
-        problem = qp.QpProblem(hessian=np.eye(2), linear_cost=[-1.0, 2.0], upper=[0.5, np.inf])
+        problem = qp.QpProblem(hessian=np.eye(2), linear_cost=[-1.0, 2.0])
         solution = qp.QpSolution(
-            x=np.array([0.5, -2.0]), ineq_duals=np.zeros(0), bound_duals=np.array([0.5, -1.0]),
-            objective=0.0, status="optimal", kkt_residual=0.0,
+            x=np.array([0.5, -2.0]), duals=np.zeros(0), objective=0.0, status="optimal",
+            kkt_residual=0.0,
         )
         _assert_same_components(problem, solution)
 
@@ -742,15 +735,16 @@ class TestStackedCertificate:
         self, linear_cost, start, upper
     ):
         # With no iteration, the solution is the start with the multiplier
-        # of its tight bound, which has the wrong sign. kkt_components nets
-        # it into a multiplier of the opposite bound, times that bound's gap.
-        problem = qp.QpProblem(hessian=[[1.0]], linear_cost=[linear_cost], lower=[0.0], upper=[upper])
+        # of its tight bound row (row 0 the lower, row 1 the upper), which
+        # has the wrong sign. The residual reports it as the dual violation,
+        # as kkt_components does.
+        problem = bounded_qp(hessian=[[1.0]], linear_cost=[linear_cost], lower=[0.0], upper=[upper])
         solution = qp.solve(problem, [start], max_iterations=0)
         assert solution.status == "iteration-limit"
-        # bound_duals holds a lower bound's multiplier negated (kkt_components).
-        tight_multiplier = solution.bound_duals[0] if start == upper else -solution.bound_duals[0]
-        assert tight_multiplier < 0.0
+        tight = int(start == upper)
+        assert solution.duals[tight] < 0.0 and solution.duals[1 - tight] == 0.0
         components = qp.kkt_components(problem, solution)
+        assert components["dual"] == -solution.duals[tight]
         assert solution.kkt_residual >= max(components.values()) > qp.KKT_TOL
 
 
@@ -787,7 +781,7 @@ class TestMpcScale:
         s0 = mpc._storage_bounds(params)[0] + 3e6
         inflow, demand = np.full(h, 20.0), np.full(h, 300.0)
         problem = mpc.assemble_qp(params, config, s0, inflow, demand)
-        hint = mpc._with_slacks(params, s0, inflow, demand, problem.lower[:h])
+        hint = mpc._with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
         counts.clear()
         solution = qp.solve(problem, initial_point=hint)
         assert solution.status == "optimal"
@@ -809,7 +803,7 @@ class TestMpcScale:
         for problem, start, candidates, solution, counts in _hourly_window(
             monkeypatch, first_day, level, FACTOR_CALLS
         ):
-            row_sets = [_hint_rows(problem, c) for c in _tried(candidates, solution)]
+            row_sets = [problem.ineq_matrix[list(c)] for c in _tried(candidates, solution)]
             if not solution.warm_start:
                 tight = _tight_rows(problem, start)
                 dependent += not _independent(tight, problem.n)
@@ -862,7 +856,7 @@ def _only_structure():
 
 
 def _assert_same_bits(solution, reference):
-    for name in ("x", "ineq_duals", "bound_duals"):
+    for name in ("x", "duals"):
         assert np.array_equal(getattr(solution, name), getattr(reference, name))
     assert (solution.kkt_residual, solution.iterations, solution.warm_start) == (
         reference.kkt_residual, reference.iterations, reference.warm_start
@@ -901,8 +895,6 @@ class TestStartFactorCache:
             linear_cost=shared.linear_cost,
             ineq_matrix=shared.ineq_matrix.copy(),
             ineq_rhs=shared.ineq_rhs,
-            lower=shared.lower,
-            upper=shared.upper,
         )
         counts = _count_calls(monkeypatch, FACTOR_CALLS)
         first = qp.solve(problem, start)
@@ -936,11 +928,11 @@ class TestStartFactorCache:
 
 def _corner_qp(upper=(3.0, 3.0), lower=(0.0, 0.0)):
     """min 0.5 |x - (2, -1)|^2 s.t. x0 + x1 <= 1 and lower <= x <= upper.
-    With the default lower bounds, its structure's rows are the inequality
-    row (0), the lower bounds of x0 and x1 (1, 2) and the finite upper
-    bounds, and the optimum (1, 0) holds the inequality row (multiplier 1)
-    and x1's lower bound (multiplier 2), so its working set is (0, 2)."""
-    return qp.QpProblem(
+    With the default lower bounds, its rows are x0 + x1 <= 1 (0), the lower
+    bounds of x0 and x1 (1, 2) and the finite upper bounds (bounded_qp),
+    and the optimum (1, 0) holds row 0 (multiplier 1) and x1's lower bound
+    (multiplier 2), so its working set is (0, 2)."""
+    return bounded_qp(
         hessian=np.eye(2),
         linear_cost=[-2.0, 1.0],
         ineq_matrix=[[1.0, 1.0]],
@@ -971,8 +963,8 @@ def _corner_family(upper=(3.0, 3.0)):
 
 
 class TestStructure:
-    """A structure serves only problems that hold its matrices and have its
-    finite bounds, and its matrices cannot change under its factors."""
+    """A structure serves only problems that hold its matrices, and its
+    matrices cannot change under its factors."""
 
     def test_problem_with_other_matrices_rejected(self):
         # Equal values are not enough: the structure's arrays are copies.
@@ -987,10 +979,15 @@ class TestStructure:
         "bound, values", [("upper", [3.0, np.inf]), ("lower", [0.0, -np.inf]), ("upper", [3.0] * 2)]
     )
     def test_problem_with_other_finite_bounds_rejected(self, bound, values):
+        # Other finite bounds are other bound rows, so another row matrix,
+        # even where the values of the rows they share are equal.
         problem, structure = _corner_family(upper=[np.inf, 3.0])
-        problem = dataclasses.replace(problem, **{bound: values})
+        other = _corner_qp(**{"upper": [np.inf, 3.0], bound: values})
+        problem = dataclasses.replace(
+            problem, ineq_matrix=other.ineq_matrix, ineq_rhs=other.ineq_rhs
+        )
         assert problem.hessian is structure.hessian
-        with pytest.raises(ValueError, match="finite bounds are not the structure's"):
+        with pytest.raises(ValueError, match="hessian and ineq_matrix are not the structure's"):
             qp.solve(problem, np.zeros(2), structure=structure)
 
     def test_matrices_are_read_only_copies(self):
@@ -1027,7 +1024,8 @@ class TestWorkingSetHint:
         assert start.calls == 0
         assert (warm.warm_start, warm.iterations, warm.status) == (True, 1, "optimal")
         assert warm.x == pytest.approx([1.0, 0.0], abs=1e-12)
-        assert warm.ineq_duals == pytest.approx([1.0]) and warm.bound_duals == pytest.approx([0.0, -2.0])
+        # Rows: x0 + x1 <= 1, the lower bounds of x0 and x1, the upper bounds.
+        assert warm.duals == pytest.approx([1.0, 0.0, 2.0, 0.0, 0.0])
 
     @pytest.mark.parametrize(
         "working_set",
@@ -1159,34 +1157,22 @@ class TestWorkingSetHint:
     @pytest.mark.parametrize("first_day, level", [window[:2] for window in HOURLY_WINDOWS])
     def test_working_set_rows_are_tight_and_hold_every_dual(self, monkeypatch, first_day, level):
         # Every row of a solution's working set is tight at x, and every
-        # nonzero dual sits on one of its rows with that row's block's sign:
-        # positive on an inequality or upper-bound row, negative on a
-        # lower-bound row (bound_duals nets a variable's two).
+        # nonzero dual is positive and sits on one of its rows.
+        kinds = ["inequality"] * 3 + ["lower"] * 2 + ["upper"]  # the six row blocks
         nonzero = collections.Counter()
         for problem, _, _, solution, _ in _hourly_window(monkeypatch, first_day, level):
-            rows, rhs = _folded_rows(problem)
+            rows, rhs = problem.ineq_matrix, problem.ineq_rhs
             working = list(solution.working_set)
             x = solution.x
             gap = rhs[working] - rows[working] @ x
             scale = 1.0 + np.abs(rhs[working]) + np.abs(rows[working]) @ np.abs(x)
             assert np.all(np.abs(gap) <= 1e-9 * scale)
-            m_in = problem.ineq_matrix.shape[0]
-            lo = np.flatnonzero(np.isfinite(problem.lower)).tolist()
-            hi = np.flatnonzero(np.isfinite(problem.upper)).tolist()
-            row_of = {
-                "lower": {j: m_in + k for k, j in enumerate(lo)},
-                "upper": {j: m_in + len(lo) + k for k, j in enumerate(hi)},
-            }
-            assert np.all(solution.ineq_duals >= 0.0)
-            dual_rows = set(np.flatnonzero(solution.ineq_duals).tolist())
-            nonzero.update(["inequality"] * len(dual_rows))
-            for j in np.flatnonzero(solution.bound_duals).tolist():
-                block = "upper" if solution.bound_duals[j] > 0.0 else "lower"
-                assert j in row_of[block]
-                dual_rows.add(row_of[block][j])
-                nonzero[block] += 1
-            assert dual_rows <= set(working)
+            assert np.all(solution.duals >= 0.0)
+            dual_rows = np.flatnonzero(solution.duals)
+            assert set(dual_rows.tolist()) <= set(working)
+            nonzero.update(kinds[i // (problem.n // 3)] for i in dual_rows)
         assert nonzero == NONZERO_DUALS[first_day]
+
 
 def _upper_factor(layout):
     """A well-conditioned 48x48 upper-triangular factor: C-ordered,

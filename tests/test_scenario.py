@@ -109,29 +109,18 @@ class TestScenarioType:
         with pytest.raises(ValueError, match="equal length"):
             Scenario(inflow_hourly=np.ones(24), demand_hourly=np.ones(48))
 
-    def test_daily_metadata_size_checked(self):
-        with pytest.raises(ValueError, match="per day"):
-            Scenario(
-                inflow_hourly=np.ones(48),
-                demand_hourly=np.ones(48),
-                inflow_daily=np.ones(3),
-            )
-
     @pytest.mark.parametrize(
         "daily, day", [([-500.0, 100.0], 0), ([100.0, np.nan], 1), ([100.0, np.inf], 1)]
     )
     def test_bad_daily_inflow_named_with_its_day(self, daily, day):
-        # These were accepted, and the daily controller planned on them.
+        # A scenario holds hourly series only; daily inflow values enter
+        # through synth_inflow, which names the day of a bad one.
         with pytest.raises(ValueError, match=f"finite and nonnegative, got .* on day {day}$"):
-            Scenario(np.full(48, 100.0), np.full(48, 50.0), inflow_daily=daily)
+            synth_inflow(daily, GaussianInflowParams())
 
     def test_expansion_then_daily_aggregation_recovers_totals(self):
         daily = np.array([5.0, 80.0, 130.0])
-        scn = Scenario(
-            inflow_hourly=expand_daily(daily),
-            demand_hourly=np.zeros(72),
-            inflow_daily=daily,
-        )
+        scn = Scenario(inflow_hourly=expand_daily(daily), demand_hourly=np.zeros(72))
         day_totals = scn.inflow_hourly.reshape(scn.n_days, 24).sum(axis=1)
         assert day_totals == pytest.approx(24.0 * daily, rel=1e-12)
 
