@@ -32,22 +32,24 @@ plan u = lower bound meets them. When it does not, the step is a recovery
 step, and every step that needs one recovers, with a lexicographic policy:
 release the minimum until the lake can be held at the dry bound again, then
 minimize the usual cost (prioritized infeasibility handling). With k the
-last horizon step whose dry row that plan fails, the releases of steps 0..k
-are fixed at their lower bounds (their upper-bound rows take r_min), the
-dry rows up to k are lifted to the plan's value at k and the later rows to
-the plan's values. Only right-hand sides change, so recovery steps share
-the factorization of every other step. The closed-loop trace marks each
-hour whose step recovered (ClosedLoopTrace.recovery).
+last horizon step whose dry row that plan fails beyond qp.FEASIBILITY_TOL
+(-1 when none does), the releases of steps 0..k are fixed at their lower
+bounds (their upper-bound rows take r_min), the dry rows up to k are lifted
+to the plan's value at k and the later rows to the plan's values. Only
+right-hand sides change, so recovery steps share the factorization of every
+other step. The trace marks each hour whose step recovered (k >= 0).
 
 Each step first offers qp.solve candidates for its optimal active set.
 Between steps only the right-hand side and the cost move, so the optimum
 is affine in the data on each active set, and the same few sets come back
-(the critical regions of explicit MPC). An hourly step offers first the
-final set that followed the last hour's final set the last time that set
-was final, then the last _RECENT_SETS distinct final working sets of the
-run, each shifted by an hour and then as it is, in that fixed order (see
-run_hourly); a daily step offers the previous day's set. When a candidate
-is optimal, the optimum on its rows is the step's solution (a warm start).
+(the critical regions of explicit MPC): the structure keeps each offered
+set's affine law, and a candidate costs one product with it. An hourly
+step offers first the final set that followed the last hour's final set
+the last time that set was final, then the last _RECENT_SETS distinct
+final working sets of the run, each shifted by an hour and then as it is,
+in that fixed order (see run_hourly); a daily step offers the previous
+day's set. When a candidate is optimal, its law's optimum is the step's
+solution (a warm start).
 
 Otherwise qp.solve needs a feasible start, and the step builds one close
 to its optimum, so the solver usually needs only a few active-set
@@ -355,12 +357,13 @@ def solve_step(
     # The dry rows of the minimum-release plan: no plan reaches lower values.
     floor = problem.ineq_matrix[:h, :h] @ lower
     failing = np.flatnonzero(floor - dry_rhs > qp.FEASIBILITY_TOL)
-    recovery_used = failing.size > 0
+    # k = -1 when no row fails beyond the tolerance; rows missed by less are lifted.
+    k = int(failing[-1]) if failing.size else -1
+    recovery_used = k >= 0
     if recovery_used:
-        k = int(failing[-1])
         upper[:k + 1] = lower[:k + 1]
         dry_rhs[:k + 1] = np.maximum(dry_rhs[:k + 1], floor[k])
-        dry_rhs[k + 1:] = np.maximum(dry_rhs[k + 1:], floor[k + 1:])
+    dry_rhs[k + 1:] = np.maximum(dry_rhs[k + 1:], floor[k + 1:])
     solution = qp.solve(
         problem,
         initial_point=lambda: _feasible_point(

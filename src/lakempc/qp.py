@@ -28,21 +28,24 @@ and certifies its result on the full problem.
 
 A caller that solves a family of problems can first offer candidate
 working sets, such as the QpSolution.working_set of earlier solves, tried
-in order. For each, the solver computes the optimum on its rows
-(_working_optimum, below) from the factor the structure caches for them,
-and tests it first against every row: each must hold within 1e-9
-(1 + |b_i|) of its own scaled right-hand side. Only an optimum that passes
-gets its multipliers, which must pass the loop's sign test; on the MPC's
-synthetic hourly year, 1260 of the 1270 rejected candidates fail a row.
-The first candidate that passes both is returned, counted as one
-iteration. Only when every candidate is rejected does the solve start from
-the caller's start, which may be given as a function so that it is built
-only then. Either way the result is certified as below. A candidate the
-structure has seen before costs a dict lookup, the optimum and the row
-test when it fails a row: about 25-30 us at the MPC's size on a shared
-2-vCPU Xeon, against 125-145 us for a solve that takes its first candidate
-and 520-610 us for one from the start (timeit medians over the solves of
-days 104-120 from 1.08 m; the machine's speed moves by up to 2x).
+in order. On a fixed working set the optimum and its multipliers are affine
+in (b, c), the critical regions of explicit MPC (Bemporad, Morari, Dua &
+Pistikopoulos 2002), so the structure keeps for each set offered as a
+candidate the matrix K of that law (_affine_law), the inverse of its KKT
+matrix: [x; lam] = K [-c; b_w]. A candidate costs one product with K, then
+the slack b - Ax: every row must hold within 1e-9 (1/row_scale_i + |b_i|),
+the loop's scaled test in the row's own units. Only then are its multipliers
+tested, by the loop's sign test on the scaled gradient col_scale (Qx + c);
+on the MPC's synthetic hourly year, 1260 of the 1270 rejected candidates
+fail a row. The first candidate that passes both is returned, counted as
+one iteration, and certified from the same slack and Qx. Only when every
+candidate is rejected does the solve start from the caller's start, which
+may be given as a function so that it is built only then. A candidate the
+structure has seen before costs a dict lookup, the product and the row test
+when it fails a row: about 11-12 us at the MPC's size on a shared 2-vCPU
+Xeon, against 44-49 us for a solve that takes its first candidate and
+315-370 us for one from the start (timeit medians over every fourth solve
+of days 104-120 from 1.08 m; the machine's speed moves by up to 2x).
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
@@ -51,14 +54,16 @@ start, or of a candidate's rows; when they are dependent (or outnumber the
 variables), a pivoted QR first picks an independent subset and that is
 factored instead. The structure's one cache, Structure.starts, keeps this
 factor for each such tuple of rows it has seen, up to _START_CACHE_SIZE
-(first in, first out; about 70 kB each at the MPC's 72 variables), so the
-MPC's hours, which start from few distinct sets, pay one QR per set rather
-than one per solve. The daily MPC on two jittered years uses 65 sets, so
-room for 64 would cost 79 QRs on every pass over them. The cached Q and R
-are read-only: the solve only replaces them. The factor is then updated by
-scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and
-the triangular solves call LAPACK's trtrs; both skip scipy's argument
-checks, which cost more than the work on matrices this small.
+(first in, first out; about 70 kB each at the MPC's 72 variables; a
+candidate's packed K takes 37-83 kB, and a set first seen as a candidate
+keeps K alone), so the MPC's hours, which start from few distinct sets,
+pay one QR per set rather than one per solve. The daily MPC on two
+jittered years uses 65 sets, so room for 64 would cost 79 QRs on every
+pass over them. The cached Q and R are read-only: the solve only replaces
+them. The factor is then updated by scipy's qr_insert and qr_delete (Gill,
+Golub, Murray & Saunders 1974), and the triangular solves call LAPACK's
+trtrs; both skip scipy's argument checks, which cost more than the work on
+matrices this small.
 At a stationary point, and at the iteration limit, the same factor gives
 the exact optimum on the working rows and its multipliers in two
 triangular solves (_working_optimum; Nocedal & Wright, Numerical
@@ -72,11 +77,11 @@ multipliers within a relative 1e-9 of it (the MPC's hours are alike, so
 ties are exact) it takes the row last in the working set, rather than
 leaving the choice to rounding. When no multiplier is negative the solve
 returns the optimum on the working rows, which clears the drift the steps
-inherited from the start, if it meets every row by the candidates' test,
-and the iterate otherwise. R is tested for rank only at the start: a row
-enters the working set only when it blocks the step (a.p > 0 with p in the
-working rows' null space), so it adds rank, and "optimal" is still decided
-by the certification below.
+inherited from the start, if it meets every row by the candidates' test
+(in scaled units), and the iterate otherwise. R is tested for rank only at
+the start: a row enters the working set only when it blocks the step (a.p >
+0 with p in the working rows' null space), so it adds rank, and "optimal"
+is still decided by the certification below.
 
 Every returned solution carries a KKT residual recomputed on the original,
 unscaled problem; `status == "optimal"` is only reported when that residual
@@ -84,10 +89,11 @@ passes the certification tolerance. It is computed from the structure's
 unscaled rows, the right-hand side and the m-vector of row multipliers
 (QpSolution.duals), with one product each way: stationarity max|Qx + c +
 A'duals| from A'duals, and primal feasibility, the multipliers' sign and
-complementarity from the slack b - A x. kkt_components and kkt_residual
-remain the independent check that the tests run against the solver.
-Problem sizes are expected to stay small (tens of variables, low hundreds
-of constraints), so all linear algebra is dense.
+complementarity from the slack b - A x (for a candidate, the Qx and the
+slack its tests read). kkt_components and kkt_residual remain the
+independent check that the tests run against the solver. Problem sizes are
+expected to stay small (tens of variables, low hundreds of constraints), so
+all linear algebra is dense.
 """
 
 from __future__ import annotations
@@ -104,10 +110,12 @@ KKT_TOL = 1e-6
 MAX_ITERATIONS = 10_000
 
 # The QR updates without scipy's array validation (the solver passes
-# checked, finite float arrays), and LAPACK's triangular solve.
+# checked, finite float arrays), LAPACK's triangular solve and packing,
+# and BLAS's symmetric packed product.
 _qr_insert = getattr(scipy.linalg.qr_insert, "__wrapped__", scipy.linalg.qr_insert)
 _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
-(_trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)
+(_trtrs, _trttp) = scipy.linalg.get_lapack_funcs(("trtrs", "trttp"), dtype=np.float64)
+(_spmv,) = scipy.linalg.get_blas_funcs(("spmv",), dtype=np.float64)
 
 
 def __getattr__(name: str):
@@ -259,10 +267,11 @@ class Structure:
     Built from a problem, it serves every problem that holds its hessian and
     ineq_matrix, read-only copies of the problem's (see solve). Each solve
     is certified on the unscaled rows ineq_matrix and their C-contiguous,
-    read-only transpose ineq_matrix_t. It holds the rows' equilibration and
-    the factor of the scaled Hessian, and the solves' one cache, starts
-    (_start_factor). The right-hand side and the linear cost are scaled per
-    solve with row_scale and col_scale.
+    read-only transpose ineq_matrix_t. It holds the rows' equilibration
+    (row_norm = 1/row_scale) and the factor of the scaled Hessian, and the
+    solves' one cache, starts (_start_factor gives an entry's parts). The
+    right-hand side and the linear cost are scaled per solve with row_scale
+    and col_scale.
     """
 
     def __init__(self, problem: QpProblem) -> None:
@@ -283,8 +292,8 @@ class Structure:
         col_norm = np.max(np.abs(np.vstack([self.hessian, a])), axis=0)
         self.col_scale = 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
         a_s = a * self.col_scale[None, :]
-        row_norm = np.max(np.abs(a_s), axis=1, initial=0.0)
-        self.row_scale = 1.0 / np.maximum(row_norm, 1e-12)
+        self.row_norm = np.maximum(np.max(np.abs(a_s), axis=1, initial=0.0), 1e-12)
+        self.row_scale = 1.0 / self.row_norm
         self.a = a_s * self.row_scale[:, None]
 
         # y = L'x with q_s = LL' (see module docstring); a_y is a in y.
@@ -296,7 +305,7 @@ class Structure:
         self.l_inv_t = scipy.linalg.solve_triangular(l_factor, np.eye(problem.n), lower=True).T
         self.a_y = self.a @ self.l_inv_t
         # The rows tight at a start, or a candidate working set -> (working
-        # rows as a tuple and as an intp array, Q, R).
+        # rows as a tuple and as an intp array, Q, R, K); see _start_factor.
         self.starts: dict[tuple[int, ...], tuple] = {}
 
 
@@ -337,13 +346,15 @@ def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def _start_factor(
-    structure: Structure, key: tuple[int, ...]
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+def _start_factor(structure: Structure, key: tuple[int, ...], law: bool = False) -> tuple:
     """The working rows and their complete QR in y for the sorted rows key
     (the rows tight at a start, or a candidate working set): (the rows as a
-    tuple, the rows as an intp array, Q, R), the arrays read-only. Kept in
-    structure.starts, so a key seen before costs a lookup.
+    tuple, the rows as an intp array, Q, R, K), the arrays read-only. K is
+    the rows' _affine_law, built the first time it is asked for (law), and
+    None before. A key first seen as a candidate keeps its law and not its
+    factor: Q and R are None until the key is a start's rows, and it is
+    factored again then. Kept in structure.starts, so a key seen before
+    costs a lookup.
 
     When the rows are independent, they are the working rows. Otherwise a
     pivoted QR picks an independent subset, which is then factored; L^-T is
@@ -353,10 +364,8 @@ def _start_factor(
     strictly increasing tuple of integer rows in [0, m).
     """
     start = structure.starts.get(key)
-    if start is not None:
-        return start
-    m = structure.a.shape[0]
-    if not (
+    new, m = start is None, structure.a.shape[0]
+    if new and not (
         isinstance(key, tuple)
         and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in key)
         and all(i < j for i, j in zip(key, key[1:]))
@@ -365,22 +374,59 @@ def _start_factor(
         raise ValueError(
             f"working_set {key!r} is not a strictly increasing tuple of rows in [0, {m})"
         )
-    tight = w_rows = np.array(key, dtype=np.intp)
-    if tight.size <= structure.a.shape[1]:
-        qf, rf = np.linalg.qr(structure.a_y[tight].T, mode="complete")
-    if tight.size > structure.a.shape[1] or not _full_rank(rf, 1e-8):
-        _, r, piv = scipy.linalg.qr(structure.a[tight].T, pivoting=True, mode="economic")
-        diag = np.abs(np.diag(r))
-        rank = int(np.sum(diag > 1e-10 * max(1.0, diag[0])))
-        w_rows = np.sort(tight[piv[:rank]])
-        qf, rf = np.linalg.qr(structure.a_y[w_rows].T, mode="complete")
-    for arr in (w_rows, qf, rf):
-        arr.flags.writeable = False
-    start = (tuple(w_rows.tolist()), w_rows, qf, rf)
-    structure.starts[key] = start
-    if len(structure.starts) > _START_CACHE_SIZE:
-        del structure.starts[next(iter(structure.starts))]
+    if new or (start[2] is None and not law):
+        tight = w_rows = np.array(key, dtype=np.intp)
+        if tight.size <= structure.a.shape[1]:
+            qf, rf = np.linalg.qr(structure.a_y[tight].T, mode="complete")
+        if tight.size > structure.a.shape[1] or not _full_rank(rf, 1e-8):
+            _, r, piv = scipy.linalg.qr(structure.a[tight].T, pivoting=True, mode="economic")
+            diag = np.abs(np.diag(r))
+            rank = int(np.sum(diag > 1e-10 * max(1.0, diag[0])))
+            w_rows = np.sort(tight[piv[:rank]])
+            qf, rf = np.linalg.qr(structure.a_y[w_rows].T, mode="complete")
+        for arr in (w_rows, qf, rf):
+            arr.flags.writeable = False
+        law_k = None if new else start[4]
+        start = structure.starts[key] = (tuple(w_rows.tolist()), w_rows, qf, rf, law_k)
+        if len(structure.starts) > _START_CACHE_SIZE:
+            del structure.starts[next(iter(structure.starts))]
+    if law and start[4] is None:
+        factor = (None, None) if new else start[2:4]
+        start = structure.starts[key] = (*start[:2], *factor, _affine_law(structure, *start[1:4]))
     return start
+
+
+def _affine_law(structure: Structure, rows, qf, rf) -> np.ndarray:
+    """K, read-only: the inverse of the rows' KKT matrix [[Q, A_w'], [A_w, 0]]
+    (factored in qf and rf), in the problem's units, so that [x; lam] = K
+    [-c; b[rows]] are the optimum on the rows and their multipliers. K is
+    symmetric and kept packed, its lower triangle row by row (BLAS's packed
+    upper form), for one spmv product. With D = diag(col_scale), S =
+    diag(row_scale[rows]), P = D L^-T Z, V = R^-T S and G = D L^-T Q1 V,
+    _working_optimum gives K = [[P P', G], [G', -V'V]]."""
+    mw = rows.size
+    v = _solve_upper(rf[:mw], np.diag(structure.row_scale[rows]), trans=1)
+    t = structure.col_scale[:, None] * (structure.l_inv_t @ qf)
+    g, p = t[:, :mw] @ v, t[:, mw:]
+    # LAPACK packs the transpose's upper triangle by columns: K's lower one by rows.
+    law = _trttp(np.block([[p @ p.T, g], [g.T, -(v.T @ v)]]).T, uplo="U")[0]
+    law.flags.writeable = False
+    return law
+
+
+def _working_optimum(structure, qf, rf, rows, b_s, c_y):
+    """The exact optimum on the working rows (the rows factored in qf and
+    rf, a sorted sequence) and its multipliers, in scaled units, from the
+    working-set factor.
+
+    With A_w' = Q1 R in y, Z the rest of the complete Q, c_y = L^-1 c and
+    t = R^-T b_w, the optimum on the rows is y = Q1 t - ZZ'c_y with
+    multipliers lam = -R^-1 (t + Q1'c_y)."""
+    mw = len(rows)
+    r, q1, z = rf[:mw], qf[:, :mw], qf[:, mw:]
+    t = _solve_upper(r, b_s[rows], trans=1)
+    y = q1 @ t - z @ (z.T @ c_y)
+    return structure.l_inv_t @ y, -_solve_upper(r, t + q1.T @ c_y)
 
 
 def solve(
@@ -400,14 +446,14 @@ def solve(
     structure's rows like QpSolution.working_set, tried in order: the
     optimum on the first candidate's rows that meets every row and whose
     multipliers have the right sign is returned as the solution, in one
-    iteration (see the module docstring). A rejected candidate costs its
-    optimum and the row test, and its multipliers and their sign test when
-    it meets every row, plus, the first time the structure sees it, its
-    validation and the QR of its rows. Only when every candidate is rejected
-    does the solve start from initial_point, an array or a function of no
-    arguments that returns one, called only then. initial_point must meet
-    every row within FEASIBILITY_TOL; the rows tight there seed the working
-    set.
+    iteration (see the module docstring). A rejected candidate costs the
+    product of its affine law and the row test, and the sign test when it
+    meets every row, plus, the first time the structure sees it, its
+    validation, the QR of its rows and its law. Only when every candidate
+    is rejected does the solve start from initial_point, an array or a
+    function of no arguments that returns one, called only then.
+    initial_point must meet every row within FEASIBILITY_TOL; the rows tight
+    there seed the working set.
 
     Raises ValueError for a problem with no variables, a structure whose
     matrices the problem does not hold, dimension errors, a Hessian that is
@@ -425,34 +471,25 @@ def solve(
     elif problem.hessian is not structure.hessian or problem.ineq_matrix is not structure.ineq_matrix:
         raise ValueError("the problem's hessian and ineq_matrix are not the structure's")
     m = structure.a.shape[0]
-    q_s, l_inv_t, a_y = structure.q_s, structure.l_inv_t, structure.a_y
-    b = problem.ineq_rhs
-    b_s = structure.row_scale * b
-    c_s = structure.col_scale * problem.linear_cost
-    c_y = l_inv_t.T @ c_s
-    # A row holds when within this of its own scaled right-hand side.
-    row_tol = 1e-9 * (1.0 + np.abs(b_s))
-
-    def _meets_rows(x_s):
-        """Whether x_s holds every row, each to its own scale; NaN fails."""
-        return bool((structure.a @ x_s - b_s <= row_tol).all())
-
-    def _scaled_grad(x_s):
-        return q_s @ x_s + c_s
+    hessian, a = structure.hessian, structure.ineq_matrix
+    b, c = problem.ineq_rhs, problem.linear_cost
 
     def _lam_tol(g):
-        """The most negative multiplier that still counts as nonnegative."""
+        """The most negative scaled multiplier that counts as nonnegative."""
         return -1e-9 * (1.0 + float(np.abs(g).max(initial=0.0)))
 
-    def _finish(x_s, lam, working_set, rows, status, iterations, message="", warm_start=False):
-        """The solution at x_s, lam the multipliers of the working rows, and
-        its KKT residual: the largest of |Qx + c + A'duals|, each row's
-        violation, each negative multiplier and |duals * slack|, NaN when any
-        is NaN, which is not certified."""
-        x = structure.col_scale * x_s
+    def _finish(x, lam, working_set, rows, status, iterations, message="", warm_start=False,
+                qx=None, slack=None):
+        """The solution at x, lam the multipliers of the working rows (both
+        unscaled), and its KKT residual: the largest of |Qx + c + A'duals|,
+        each row's violation, each negative multiplier and |duals * slack|,
+        NaN when any is NaN, which is not certified. Qx and the slack b - Ax
+        are computed unless given."""
+        if qx is None:
+            qx, slack = hessian @ x, b - a @ x
         # The multiplier of every row, zero off the working set.
         duals = np.zeros(m)
-        duals[rows] = structure.row_scale[rows] * lam
+        duals[rows] = lam
         # Scrub multiplier noise: tiny negatives on working rows are
         # numerical, not meaningful. The threshold scales with the largest
         # multiplier of any row, bound rows included; on the 16 runs of
@@ -460,15 +497,13 @@ def solve(
         # from the MPC's other rows alone.
         tiny = 1e-9 * max(1.0, float(np.abs(duals).max(initial=0.0)))
         duals[(duals < 0.0) & (duals > -tiny)] = 0.0
-        qx = structure.hessian @ x
-        grad = qx + problem.linear_cost
+        grad = qx + c
         grad += structure.ineq_matrix_t @ duals
-        slack = b - structure.ineq_matrix @ x
         residual = _worst(np.abs(grad, out=grad), -slack, -duals, np.abs(duals * slack))
         sol = QpSolution(
             x=x,
             duals=duals,
-            objective=float(x @ (0.5 * qx + problem.linear_cost)),
+            objective=float(x @ (0.5 * qx + c)),
             status=status,
             kkt_residual=residual,
             iterations=iterations,
@@ -481,34 +516,19 @@ def solve(
             sol.message = f"converged but certification failed (kkt residual {sol.kkt_residual:.3e})"
         return sol
 
-    def _working_optimum(rows, rows_first=False):
-        """The exact optimum on the working rows (the rows factored in qf
-        and rf, a sorted sequence) and its multipliers, from the
-        working-set factor. With rows_first, the multipliers are computed
-        only when the optimum meets every row, and are None otherwise.
-
-        With A_w' = Q1 R in y, Z the rest of the complete Q, c_y = L^-1 c
-        and t = R^-T b_w, the optimum on the rows is y = Q1 t - ZZ'c_y with
-        multipliers lam = -R^-1 (t + Q1'c_y)."""
-        mw = len(rows)
-        z = qf[:, mw:]
-        y = -(z @ (z.T @ c_y))
-        if mw:
-            r = rf[:mw]
-            q1 = qf[:, :mw]
-            t = _solve_upper(r, b_s[rows], trans=1)
-            y += q1 @ t
-        x_s = l_inv_t @ y
-        if rows_first and not _meets_rows(x_s):
-            return x_s, None
-        return x_s, -_solve_upper(r, t + q1.T @ c_y) if mw else np.zeros(0)
-
+    # The loop's scaled row test below, in each row's own units.
+    cand_tol = -1e-9 * (structure.row_norm + np.abs(b))
     for candidate in working_sets:
-        w_rows, rows, qf, rf = _start_factor(structure, candidate)
-        x_s, lam = _working_optimum(rows, rows_first=True)
+        w_rows, rows, _, _, law = _start_factor(structure, candidate, law=True)
+        x_lam = _spmv(n + rows.size, 1.0, law, np.concatenate((-c, b[rows])))
+        x, lam = x_lam[:n], x_lam[n:]
+        slack = b - a @ x
         # A NaN fails both tests.
-        if lam is not None and (lam >= _lam_tol(_scaled_grad(x_s))).all():
-            return _finish(x_s, lam, w_rows, rows, "optimal", 1, warm_start=True)
+        if not (slack >= cand_tol).all():
+            continue
+        qx = hessian @ x
+        if (lam >= _lam_tol(structure.col_scale * (qx + c)) * structure.row_scale[rows]).all():
+            return _finish(x, lam, w_rows, rows, "optimal", 1, warm_start=True, qx=qx, slack=slack)
 
     if callable(initial_point):
         initial_point = initial_point()
@@ -523,11 +543,24 @@ def solve(
     if worst > FEASIBILITY_TOL:
         raise ValueError(f"initial_point is infeasible: {label} violated by {worst:.6g}")
     x_s = x0 / structure.col_scale
+    q_s, l_inv_t, a_y = structure.q_s, structure.l_inv_t, structure.a_y
+    b_s = structure.row_scale * b
+    c_s = structure.col_scale * c
+    c_y = l_inv_t.T @ c_s
+    # A row holds when within this of its own scaled right-hand side.
+    row_tol = 1e-9 * (1.0 + np.abs(b_s))
+
+    def _meets_rows(x_s):
+        """Whether x_s holds every row, each to its own scale; NaN fails."""
+        return bool((structure.a @ x_s - b_s <= row_tol).all())
+
+    def _unscaled(x_s, lam, rows):
+        return structure.col_scale * x_s, structure.row_scale[rows] * lam
 
     # Initial working set: from the rows tight at x0.
     resid = structure.a @ x_s - b_s
     tight = np.flatnonzero(resid >= -row_tol)
-    w_rows, _, qf, rf = _start_factor(structure, tuple(tight.tolist()))
+    w_rows, _, qf, rf, _ = _start_factor(structure, tuple(tight.tolist()))
     w_list = list(w_rows)
 
     in_w = np.zeros(m, dtype=bool)
@@ -541,18 +574,19 @@ def solve(
     while iterations < max_iterations:
         iterations += 1
         mw = len(w_list)
-        g = _scaled_grad(x_s)
+        g = q_s @ x_s + c_s
         g_y = l_inv_t.T @ g
         z = qf[:, mw:]
         p = -(l_inv_t @ (z @ (z.T @ g_y)))
         p_norm = float(np.abs(p).max(initial=0.0))
         step_tol = 1e-11 * (1.0 + float(np.abs(x_s).max(initial=0.0)))
         if p_norm <= step_tol:
-            x_w, lam = _working_optimum(w_list)
+            x_w, lam = _working_optimum(structure, qf, rf, w_list, b_s, c_y)
             lam_tol = _lam_tol(g)
             if lam.size == 0 or lam.min() >= lam_tol:
                 x_s = x_w if _meets_rows(x_w) else x_s
-                return _finish(x_s, lam, tuple(w_list), w_list, "optimal", iterations)
+                x, lam = _unscaled(x_s, lam, w_list)
+                return _finish(x, lam, tuple(w_list), w_list, "optimal", iterations)
             if single_drop:
                 lam_min = float(lam.min())
                 drop = np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1:]
@@ -588,7 +622,8 @@ def solve(
         else:
             x_s = x_s + p
 
-    lam = _working_optimum(w_list)[1]
+    lam = _working_optimum(structure, qf, rf, w_list, b_s, c_y)[1]
     return _finish(
-        x_s, lam, tuple(w_list), w_list, "iteration-limit", iterations, "iteration limit reached"
+        *_unscaled(x_s, lam, w_list), tuple(w_list), w_list, "iteration-limit", iterations,
+        "iteration limit reached",
     )

@@ -513,6 +513,11 @@ class TestFeasibleStart:
     # Short of the dry bound by 2.7e-5 m at the last step: an LP tolerance
     # scaled by the 300 m^3/s demand once called this feasible.
     @example(offset=7999.03, inflow=[17.28, 14.42, 2.5, 2.5], demand=[0.0, 178.5, 299.0, 50.0])
+    # On the dry bound, the minimum-release plan misses a dry row by less
+    # than qp.FEASIBILITY_TOL: no recovery, but the row must be lifted, or
+    # the start meets it only within tolerance and the solve stops
+    # uncertified at the iteration limit.
+    @example(offset=0.0, inflow=[10.0] * 4, demand=[0.0, 0.0, 0.0, 133.0])
     def test_feasibility_verdict_matches_phase1(self, offset, inflow, demand):
         config = MpcConfig(horizon=4)
         s0 = S_MIN + offset

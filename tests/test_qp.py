@@ -685,40 +685,44 @@ def _every_solve(monkeypatch, run):
     return solves
 
 
+# The MPC runs whose every solve the certificate and affine-law tests check.
+MPC_RUNS = {
+    "hourly-104": lambda: mpc.run_hourly(
+        PARAMS, mpc.MpcConfig(), synthetic_year(3, first_day=104),
+        storage_of_level(PARAMS, 1.08), n_steps=48,
+    ),
+    "hourly-182": lambda: mpc.run_hourly(
+        PARAMS, mpc.MpcConfig(), synthetic_year(3, first_day=182),
+        storage_of_level(PARAMS, 0.29), n_steps=48,
+    ),
+    # A lake 100 m^3 above the dry bound with no inflow cannot release the
+    # minimum, so the step recovers.
+    "recovery": lambda: mpc.solve_step(
+        PARAMS, mpc.MpcConfig(horizon=6), mpc._storage_bounds(PARAMS)[0] + 100.0,
+        np.zeros(6), np.zeros(6),
+    ),
+    "daily-104": lambda: mpc.run_daily(
+        PARAMS, mpc.MpcConfig(), synthetic_year(3, first_day=104),
+        storage_of_level(PARAMS, 1.08),
+    ),
+}
+
+
 class TestStackedCertificate:
     """The residual that solve certifies, computed on the structure's
     stacked rows, against the independent qp.kkt_residual."""
 
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda: mpc.run_hourly(
-                PARAMS, mpc.MpcConfig(), synthetic_year(3, first_day=104),
-                storage_of_level(PARAMS, 1.08), n_steps=48,
-            ),
-            lambda: mpc.run_hourly(
-                PARAMS, mpc.MpcConfig(), synthetic_year(3, first_day=182),
-                storage_of_level(PARAMS, 0.29), n_steps=48,
-            ),
-            # A lake 100 m^3 above the dry bound with no inflow cannot
-            # release the minimum, so the step recovers.
-            lambda: mpc.solve_step(
-                PARAMS, mpc.MpcConfig(horizon=6), mpc._storage_bounds(PARAMS)[0] + 100.0,
-                np.zeros(6), np.zeros(6),
-            ),
-            lambda: mpc.run_daily(
-                PARAMS, mpc.MpcConfig(), synthetic_year(3, first_day=104),
-                storage_of_level(PARAMS, 1.08),
-            ),
-        ],
-        ids=["hourly-104", "hourly-182", "recovery", "daily-104"],
-    )
+    @pytest.mark.parametrize("run", MPC_RUNS.values(), ids=MPC_RUNS.keys())
     def test_equals_kkt_residual_on_every_solve(self, monkeypatch, run):
+        # A hit is certified from its affine law's slack and Qx, a solve
+        # from the start from its own; kkt_components checks both.
         solves = _every_solve(monkeypatch, run)
         assert solves
         for problem, solution in solves:
             assert solution.status == "optimal"
             assert abs(solution.kkt_residual - qp.kkt_residual(problem, solution)) <= 1e-15
+            if solution.warm_start:
+                assert max(qp.kkt_components(problem, solution).values()) <= qp.KKT_TOL
 
     @pytest.mark.parametrize(
         "linear_cost, start, upper",
@@ -908,22 +912,185 @@ class TestStartFactorCache:
         self, monkeypatch, no_qp_structure
     ):
         # The window's longest solve (7 iterations) inserts and drops rows,
-        # starting from the factor its first solve cached.
+        # starting from the factor its first solve cached. Every solve of
+        # the window then takes or rejects its candidates again by their
+        # affine laws.
         steps = _hourly_window(monkeypatch, 104, 1.08)
         problem, start, _, solution, _ = max(steps, key=lambda step: step[3].iterations)
         structure = _only_structure()
         starts = structure.starts
-        for _, rows, q, r in starts.values():
-            assert not (rows.flags.writeable or q.flags.writeable or r.flags.writeable)
-        before = {key: (w_rows, q.copy(), r.copy()) for key, (w_rows, _, q, r) in starts.items()}
+        laws = 0
+        for _, rows, q, r, law in starts.values():
+            # A factor, a law or both: a key first seen as a candidate keeps its law alone.
+            assert (q is None) == (r is None) and (q is not None or law is not None)
+            assert not any(arr.flags.writeable for arr in (rows, q, r, law) if arr is not None)
+            if law is not None:
+                laws += 1
+                size = problem.n + rows.size
+                assert law.shape == (size * (size + 1) // 2,)
+        assert laws > 0
+        before = {key: copy_entry(entry) for key, entry in starts.items()}
         counts = _count_calls(monkeypatch, ((qp, "_qr_insert"), (qp, "_qr_delete")))
         _assert_same_bits(qp.solve(problem, start, structure=structure), solution)
         monkeypatch.undo()
         assert counts["lakempc.qp._qr_insert"] > 0 and counts["lakempc.qp._qr_delete"] > 0
+        for problem, start, candidates, solution, _ in steps:
+            _assert_same_bits(
+                qp.solve(problem, start, working_sets=candidates, structure=structure), solution
+            )
         assert starts.keys() == before.keys()
-        for key, (w_rows, _, q, r) in starts.items():
-            assert w_rows == before[key][0]
-            assert np.array_equal(q, before[key][1]) and np.array_equal(r, before[key][2])
+        for key, entry in starts.items():
+            assert entry[0] == before[key][0]
+            for array, copied in zip(entry[1:], before[key][1:]):
+                assert (array is None and copied is None) or np.array_equal(array, copied)
+
+
+class _Rejected(Exception):
+    """Raised by a start that a solve reaches only when it rejects every
+    candidate."""
+
+
+def _reject():
+    raise _Rejected
+
+
+def _factor_path(structure, problem, rows, qf, rf):
+    """The optimum on rows and its multipliers, unscaled, and whether a
+    candidate on them is optimal, computed from the rows' factor as the
+    solve's loop does: each row held within 1e-9 (1 + |b_i|) of its scaled
+    right-hand side, each scaled multiplier at least -1e-9 (1 + the scaled
+    gradient's largest entry)."""
+    b_s = structure.row_scale * problem.ineq_rhs
+    c_s = structure.col_scale * problem.linear_cost
+    x_s, lam = qp._working_optimum(structure, qf, rf, rows, b_s, structure.l_inv_t.T @ c_s)
+    grad = structure.q_s @ x_s + c_s
+    optimal = bool(
+        (structure.a @ x_s - b_s <= 1e-9 * (1.0 + np.abs(b_s))).all()
+        and (lam >= -1e-9 * (1.0 + np.abs(grad).max())).all()
+    )
+    return structure.col_scale * x_s, structure.row_scale[rows] * lam, optimal
+
+
+# Candidates (distinct within a solve) whose optimum the factor path takes
+# and rejects in each of MPC_RUNS: one per solve is optimal.
+AFFINE_LAW_VERDICTS = {
+    "hourly-104": {True: 48, False: 343},
+    "hourly-182": {True: 48},
+    "recovery": {True: 1},
+    "daily-104": {True: 3, False: 2},
+}
+# The keys of the days-104 window's start factors that no solve tried as a
+# candidate: the rows tight at a cold start, 3 of its 23 keys.
+COLD_ONLY_KEYS = 3
+
+
+def unpacked(law):
+    """The symmetric matrix whose lower triangle, row by row, is law."""
+    size = int(np.sqrt(2 * law.size))
+    full = np.zeros((size, size))
+    full[np.tril_indices(size)] = law
+    return full + np.tril(full, -1).T
+
+
+class TestAffineLaw:
+    """Each candidate's affine law, [x; lam] = K [-c; b[rows]] with K the
+    packed inverse of its KKT matrix, against the working-set factor it was
+    derived from."""
+
+    @pytest.mark.parametrize("name", MPC_RUNS)
+    def test_verdict_and_optimum_match_the_factor_path(self, monkeypatch, no_qp_structure, name):
+        # Every candidate each solve is offered, tried or not, and its final
+        # working set (the recovery step is offered none): the law's optimum
+        # and multipliers against the factor's, and solve's verdict on the
+        # candidate alone against the factor path's.
+        solves = []
+        inner = qp.solve
+
+        def recording(problem, initial_point, working_sets=(), structure=None):
+            solution = inner(problem, initial_point, working_sets=working_sets, structure=structure)
+            solves.append((problem, structure, [*working_sets, solution.working_set]))
+            return solution
+
+        monkeypatch.setattr(qp, "solve", recording)
+        MPC_RUNS[name]()
+        monkeypatch.undo()
+        verdicts = collections.Counter()
+        for problem, structure, candidates in solves:
+            n, b, c = problem.n, problem.ineq_rhs, problem.linear_cost
+            for candidate in dict.fromkeys(candidates):
+                law = qp._start_factor(structure, candidate, law=True)[4]
+                # The factor, made again when the candidate kept its law alone.
+                _, rows, qf, rf, _ = qp._start_factor(structure, candidate)
+                x_lam = unpacked(law) @ np.concatenate([-c, b[rows]])
+                x, lam, optimal = _factor_path(structure, problem, rows, qf, rf)
+                assert np.max(np.abs(x_lam[:n] - x)) <= 1e-12 * np.max(np.abs(x))
+                # Multipliers that are all round-off (day 182's) are held to
+                # the scale of the cost instead.
+                lam_scale = max(np.max(np.abs(lam), initial=0.0), np.max(np.abs(c)))
+                assert np.max(np.abs(x_lam[n:] - lam), initial=0.0) <= 1e-12 * lam_scale
+                try:
+                    solution = qp.solve(
+                        problem, _reject, working_sets=[candidate], structure=structure
+                    )
+                except _Rejected:
+                    solution = None
+                assert (solution is not None) == optimal
+                if optimal:
+                    assert solution.warm_start
+                    assert np.max(np.abs(solution.x - x)) <= 1e-12 * np.max(np.abs(x))
+                verdicts[optimal] += 1
+        assert verdicts[True] > 0
+        assert verdicts == AFFINE_LAW_VERDICTS[name]
+
+    def test_built_once_per_candidate_over_two_passes(self, monkeypatch, no_qp_structure):
+        # Two passes over the days-104 window: the first builds one law for
+        # each candidate a solve tried, the second none. The rows tight at a
+        # start that no solve tried as a candidate get no law.
+        counted = ((qp, "_affine_law"),)
+        passes = [_hourly_window(monkeypatch, 104, 1.08, counted) for _ in range(2)]
+        built = [sum(step[4].get("lakempc.qp._affine_law", 0) for step in steps) for steps in passes]
+        tried = {
+            candidate
+            for _, _, candidates, solution, _ in passes[0]
+            for candidate in _tried(candidates, solution)
+        }
+        assert built == [len(tried), 0]
+        starts = _only_structure().starts
+        assert {key for key, entry in starts.items() if entry[4] is not None} == tried
+        assert len(starts.keys() - tried) == COLD_ONLY_KEYS
+        # A key first seen as a candidate keeps its law alone; here no
+        # candidate's rows were first a start's, so every law is alone.
+        assert {key for key, entry in starts.items() if entry[2] is None} == tried
+
+
+    def test_candidate_keeps_its_law_alone_until_it_is_a_start(self, monkeypatch):
+        # The corner QP's optimum (1, 0) holds rows (0, 2). Offered first as
+        # a candidate, the set keeps its law and no factor; as the rows
+        # tight at the start (1, 0) it is factored again and keeps both.
+        # Seen first as a start's rows, it keeps its factor when its law is
+        # added.
+        optimal = (0, 2)
+        problem, structure = _corner_family()
+        counts = _count_calls(monkeypatch, FACTOR_CALLS)
+        assert qp.solve(problem, _reject, working_sets=[optimal], structure=structure).warm_start
+        _, _, q, r, law = structure.starts[optimal]
+        assert q is None and r is None and law is not None
+        start = np.array([1.0, 0.0])
+        assert qp.solve(problem, start, structure=structure).working_set == optimal
+        _, _, q, r, kept = structure.starts[optimal]
+        assert q is not None and r is not None and kept is law
+        assert counts == {"numpy.linalg.qr": 2}
+        problem, structure = _corner_family()
+        qp.solve(problem, start, structure=structure)
+        _, _, q, r, _ = structure.starts[optimal]
+        qp.solve(problem, _reject, working_sets=[optimal], structure=structure)
+        entry = structure.starts[optimal]
+        assert entry[2] is q and entry[3] is r and entry[4] is not None
+
+
+def copy_entry(entry):
+    """A copy of a Structure.starts entry, its arrays copied."""
+    return tuple(item.copy() if isinstance(item, np.ndarray) else item for item in entry)
 
 
 def _corner_qp(upper=(3.0, 3.0), lower=(0.0, 0.0)):
@@ -1002,10 +1169,12 @@ class TestStructure:
             assert matrix[0, 0] == 1.0
 
     def test_served_problem_gives_the_one_shot_bits(self):
+        # The start's tight rows are no candidate, so they get no affine law.
         problem, structure = _corner_family()
         solution = qp.solve(problem, np.zeros(2), structure=structure)
         _assert_same_bits(solution, qp.solve(_corner_qp(), np.zeros(2)))
         assert len(structure.starts) == 1
+        assert next(iter(structure.starts.values()))[4] is None
 
 
 class TestWorkingSetHint:
@@ -1116,7 +1285,9 @@ class TestWorkingSetHint:
         assert first.warm_start
         memo = dict(structure.starts)
         assert list(memo) == candidates
-        assert not any(arr.flags.writeable for entry in memo.values() for arr in entry[1:])
+        assert not any(
+            arr.flags.writeable for entry in memo.values() for arr in entry[1:] if arr is not None
+        )
         again = qp.solve(problem, np.zeros(2), working_sets=candidates, structure=structure)
         _assert_same_bits(again, first)
         assert_same_entries(structure.starts, memo)
@@ -1141,6 +1312,29 @@ class TestWorkingSetHint:
         assert not solution.warm_start
         assert solution.status == "optimal"
         assert solution.x == pytest.approx([0.0, 0.0], abs=1e-15)
+
+    def test_rows_are_held_in_their_own_units(self):
+        # The optimum on no rows, x = 5e-13, breaks 1e6 x <= 0 by 5e-7:
+        # within 1e-9 of the row's norm after equilibration (1e3), so the
+        # candidate is taken, and certified with that violation.
+        problem = qp.QpProblem(
+            hessian=np.eye(1), linear_cost=[-5e-13], ineq_matrix=[[1e6]], ineq_rhs=[0.0]
+        )
+        solution = qp.solve(problem, np.zeros(1), working_sets=[()])
+        assert solution.warm_start and solution.status == "optimal"
+        assert solution.kkt_residual == qp.kkt_residual(problem, solution) == pytest.approx(5e-7)
+
+    def test_multipliers_are_held_in_their_rows_scale(self):
+        # On the row 1e6 x <= 0 the optimum is x = 0 with multiplier -5e-10:
+        # -5e-7 in the row's equilibrated scale (1e-3 per unit), below the
+        # sign test's -1e-9, so the candidate is rejected and the solve
+        # finds x = -5e-4 off the row.
+        problem = qp.QpProblem(
+            hessian=np.eye(1), linear_cost=[5e-4], ineq_matrix=[[1e6]], ineq_rhs=[0.0]
+        )
+        solution = qp.solve(problem, np.zeros(1), working_sets=[(0,)])
+        assert not solution.warm_start and solution.status == "optimal"
+        assert solution.x == pytest.approx([-5e-4], rel=1e-12)
 
     @pytest.mark.parametrize("first_day, level", [window[:2] for window in HOURLY_WINDOWS])
     def test_optimal_hints_match_the_cold_solve(self, monkeypatch, first_day, level):

@@ -20,16 +20,29 @@ Run it in two checkouts and diff the output:
 
     python3 tools/trace_digests.py > a.txt   # in each checkout
     diff a.txt b.txt
+
+``--save DIR`` also writes each run's releases and storages to DIR, one
+``.npz`` file per run. ``--against DIR`` adds a last column, ``against``:
+the largest |difference| of the run's releases and storages from those
+saved in DIR, as a share of the saved series' scale, for every run,
+jittered members included ("missing" when DIR holds no such run). So, to
+compare two checkouts' traces to the last bit that moved:
+
+    python3 tools/trace_digests.py --save /tmp/base      # in the first
+    python3 tools/trace_digests.py --against /tmp/base   # in the second
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -48,7 +61,15 @@ from lakempc import mpc  # noqa: E402
 SEEDS = (0, workloads.HELD_OUT_SEED)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=Path, metavar="DIR", help="write each run's series to DIR")
+    parser.add_argument(
+        "--against", type=Path, metavar="DIR", help="compare each run's series with DIR's"
+    )
+    args = parser.parse_args(argv)
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
     log = workloads.DecisionLog()
     log.install()
     capture = workloads.TraceCapture()
@@ -63,8 +84,30 @@ def main() -> int:
                     with contextlib.redirect_stdout(io.StringIO()):  # the CLI's messages
                         runs = workloads.run_member(workload, member, log, capture)
                     for run in runs:
-                        print(_line(name, seed, j, member, run, reference, iterations))
+                        line = _line(name, seed, j, member, run, reference, iterations)
+                        if run.trace is not None:
+                            line += _compare(f"{name}-{seed}-{j}-{run.label}.npz", run, args)
+                        print(line)
     return 0
+
+
+def _compare(file_name: str, run, args) -> str:
+    """Save the run's series under --save, and return its --against column
+    (with its leading space), or ""."""
+    series = {
+        f"{run.label}.{key}": np.asarray(getattr(run.trace, key), dtype=float)
+        for key in gate.REFERENCE_SERIES
+    }
+    if args.save is not None:
+        np.savez(args.save / file_name, **series)
+    if args.against is None:
+        return ""
+    path = args.against / file_name
+    if not path.is_file():
+        return " missing"
+    with np.load(path) as saved:
+        deviation = gate.reference_deviation(run.trace, dict(saved), run.label)
+    return f" {max(deviation.values()):.3e}"
 
 
 def _count_iterations() -> list[int]:
