@@ -7,9 +7,13 @@ interpolated linearly between grid nodes; the forward pass looks the policy
 up at the nearest node and runs it through the same closed-loop engine and
 plant as the controllers.
 
-One stage is one hour. The backward pass moves every (node, action) pair
-through :func:`hydrology.mass_balance`, the plant's own transition, so a
-release that would overdraw the lake empties it to exactly 0 here too.
+One stage is one hour. The backward pass moves every distinct (node,
+release) pair through :func:`hydrology.mass_balance`, the plant's own
+transition, so a release that would overdraw the lake empties it to exactly
+0 here too. A node whose release bounds collapse (at the empty lake, above
+the flood threshold, and wherever the rating curve falls below the minimum
+environmental flow) has one release, not action_samples equal copies of
+it, and costs one pair; on the default grid 135 of the 201 nodes do.
 The actions and the grid are fixed for the run, so the transition depends
 only on the hour's (inflow, demand) pair: it is computed once per run of
 equal hours (a daily-held series repeats it 24 times), and the repeated
@@ -132,13 +136,17 @@ class _GridLocator:
 def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) -> ValueTable:
     """Solve the finite-horizon problem backwards over the storage grid.
 
-    For every node, action_samples candidate releases uniform in the node's
-    physical bounds are tried; the next storage and the discharged release
-    follow the plant's mass balance, the cost-to-go is interpolated
-    linearly, and ties go to the smaller release. The grid starts at the
-    empty lake, below which the mass balance never goes; transitions above
-    its top are clamped to the top node without extra penalty, and
-    out_of_grid counts them on every hour, repeated hours included.
+    Each node's candidates are action_samples releases uniform in its
+    physical bounds; the next storage and the discharged release follow the
+    plant's mass balance, the cost-to-go is interpolated linearly, and ties
+    go to the smaller release. A node whose bounds collapse (r_min ==
+    r_max) has action_samples copies of one release, whose totals are equal,
+    so it is evaluated once and takes that release: the values and the
+    policy are those of trying every copy, bit for bit. The grid starts at
+    the empty lake, below which the mass balance never goes; transitions
+    above its top are clamped to the top node without extra penalty, and
+    out_of_grid counts them on every hour, repeated hours included, a
+    collapsed node's one transition as action_samples of them.
 
     A stage's transition (next storages, discharged releases, stage costs
     and out-of-grid count) is computed once per run of hours with equal
@@ -168,24 +176,34 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     level_offset = params.level_offset
 
     n_nodes, n_act = config.grid_points, config.action_samples
-    actions = np.zeros((n_nodes, n_act))
-    for i in range(n_nodes):
-        r_min, r_max = release_bounds(params, level_of_storage(params, grid[i]))
-        actions[i] = np.linspace(r_min, r_max, n_act)
-    nodes = grid[:, None]
+    bounds = np.array([release_bounds(params, level_of_storage(params, s)) for s in grid])
+    free = np.flatnonzero(bounds[:, 0] < bounds[:, 1])
+    collapsed = np.flatnonzero(bounds[:, 0] == bounds[:, 1])
+    free_actions = np.zeros((free.size, n_act))
+    for row, (r_min, r_max) in enumerate(bounds[free]):
+        free_actions[row] = np.linspace(r_min, r_max, n_act)
+    # One flat array of the distinct (node, release) pairs: the free nodes'
+    # samples row by row, then one pair per collapsed node.
+    n_free_pairs = free_actions.size
+    pair_storage = np.concatenate([np.repeat(grid[free], n_act), grid[collapsed]])
+    pair_release = np.concatenate([free_actions.ravel(), bounds[collapsed, 0]])
 
     values = np.zeros((t_end + 1, n_nodes))
     policy = np.zeros((t_end, n_nodes))
-    node_range = np.arange(n_nodes)
+    policy[:, collapsed] = bounds[collapsed, 0]
+    free_range = np.arange(free.size)
     out_of_grid = 0
     for t in range(t_end - 1, -1, -1):
         if t == t_end - 1 or inflow[t] != inflow[t + 1] or demand[t] != demand[t + 1]:
-            next_s, released = mass_balance(nodes, inflow[t], actions)
-            n_outside = int(np.count_nonzero(next_s > grid[-1]))
+            next_s, released = mass_balance(pair_storage, inflow[t], pair_release)
+            outside = next_s > grid[-1]
+            # A collapsed node stands for its action_samples equal releases.
+            n_outside = int(np.count_nonzero(outside[:n_free_pairs])) + n_act * int(
+                np.count_nonzero(outside[n_free_pairs:])
+            )
             if n_outside:
                 next_s = np.minimum(next_s, grid[-1])
             stage = stage_cost(params, config, next_s / area + level_offset, released, demand[t])
-            next_s = next_s.ravel()
             locator = None
             cost_to_go = np.interp(next_s, grid, values[t + 1])
         else:
@@ -193,11 +211,13 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
                 locator = _GridLocator(grid, next_s)
             cost_to_go = locator.interp(values[t + 1])
         out_of_grid += n_outside
-        total = cost_to_go.reshape(n_nodes, n_act)
+        total = cost_to_go
         total += stage
-        best = np.argmin(total, axis=1)  # first minimum: ties go to the smaller release
-        values[t] = total[node_range, best]
-        policy[t] = actions[node_range, best]
+        choice = total[:n_free_pairs].reshape(free.size, n_act)
+        best = np.argmin(choice, axis=1)  # first minimum: ties go to the smaller release
+        values[t, free] = choice[free_range, best]
+        policy[t, free] = free_actions[free_range, best]
+        values[t, collapsed] = total[n_free_pairs:]
     if out_of_grid:
         warnings.warn(
             f"{out_of_grid} grid transitions were clamped to the storage grid's top node",

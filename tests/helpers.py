@@ -8,12 +8,15 @@ checking.
 
 from __future__ import annotations
 
+import csv
 import itertools
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
 from lakempc import mpc, qp
+from lakempc.cli import _fmt
 from lakempc.ddp import DdpConfig, ValueTable, stage_cost
 from lakempc.hydrology import (
     DEMAND_REF,
@@ -25,6 +28,7 @@ from lakempc.hydrology import (
     saturate_release,
 )
 from lakempc.mpc import MpcConfig
+from lakempc.trace import ClosedLoopTrace
 
 
 def box_rows(lower, upper) -> tuple[np.ndarray, np.ndarray]:
@@ -394,3 +398,44 @@ def assert_same_entries(cache: dict, before: dict) -> None:
     """cache holds the entries of before and no other, as the same objects."""
     assert cache.keys() == before.keys()
     assert all(cache[key] is value for key, value in before.items())
+
+
+def reference_write_trace_csv(path, trace: ClosedLoopTrace) -> None:
+    """cli.write_trace_csv as one csv.writer row of _fmt strings per hour:
+    the hour, the plant columns, then each solver column the trace has.
+    The CLI's writer must produce the same bytes."""
+    columns = [
+        trace.inflows, trace.demands, trace.commands, trace.releases,
+        trace.storages[:-1], trace.storages[1:], trace.levels,
+    ]
+    names = [
+        "inflow_m3s", "demand_m3s", "command_m3s", "release_m3s",
+        "storage_start_m3", "storage_end_m3", "level_m",
+    ]
+    for name, series in (
+        ("slack_flood_m", trace.slack_flood),
+        ("slack_demand_m3s", trace.slack_demand),
+        ("kkt_residual", trace.kkt_residuals),
+        ("qp_iterations", trace.solve_iterations),
+        ("warm_start", trace.warm_starts),
+        ("recovery", trace.recovery),
+    ):
+        if series is not None:
+            names.append(name)
+            columns.append(series)
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t"] + names)
+        for t in range(trace.n_hours):
+            writer.writerow([t] + [_fmt(series[t]) for series in columns])
+
+
+def reference_write_level_plotdata(path, trace: ClosedLoopTrace, params: LakeParams) -> None:
+    """cli.write_level_plotdata as one csv.writer row of _fmt strings per
+    hour: the hour, its level and the two thresholds."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "level_m", "flood_threshold_m", "dry_threshold_m"])
+        flood, dry = _fmt(params.flood_threshold), _fmt(params.dry_threshold)
+        for t in range(trace.n_hours):
+            writer.writerow([t, _fmt(trace.levels[t]), flood, dry])

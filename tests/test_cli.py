@@ -4,13 +4,24 @@ import csv
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import reference_write_level_plotdata, reference_write_trace_csv
 from lakempc import qp, scenario
-from lakempc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _fmt, cli_main
+from lakempc.cli import (
+    EXIT_OK,
+    EXIT_RUNTIME,
+    EXIT_USAGE,
+    _fmt,
+    cli_main,
+    write_level_plotdata,
+    write_trace_csv,
+)
 from lakempc.ddp import DdpConfig
 from lakempc.hydrology import LakeParams, storage_of_level
 from lakempc.mpc import MpcConfig, run_daily
+from lakempc.trace import ClosedLoopTrace
 
 GOLDEN_DDP = Path(__file__).parent / "data" / "ddp_3day"
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate_3day"
@@ -421,3 +432,52 @@ def test_zero_lambda_rejected(tmp_path, scenario_dir, capsys):
     argv = ["simulate", *scenario_args(scenario_dir), "--lambda", "0", "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_RUNTIME
     assert "lam must be positive" in capsys.readouterr().err
+
+
+def _awkward_floats(rng, size):
+    """Floats of every magnitude and sign, with the values whose text is
+    special: NaN, +-inf, -0.0 and the extremes 1e-300 and 1e300."""
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-320.0, 308.0, size)
+    whole = rng.random(size) < 0.3
+    values[whole] = np.round(rng.uniform(-1e7, 1e7, whole.sum()))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e300, 0.0, 1234567.0, 5e-324])
+    picks = rng.random(size) < 0.2
+    values[picks] = rng.choice(special, int(picks.sum()))
+    values[: special.size] = special[: values.size]
+    return values
+
+
+def _awkward_trace(rng, n_hours, solver_columns):
+    """A trace whose every float column holds _awkward_floats; with
+    solver_columns, also int iteration counts and bool flags, as an MPC run
+    records them, and none of them without, as the DDP forward pass."""
+    series = {
+        name: _awkward_floats(rng, n_hours)
+        for name in ("levels", "releases", "commands", "inflows", "demands")
+    }
+    extra = {}
+    if solver_columns:
+        extra = {
+            "slack_flood": _awkward_floats(rng, n_hours),
+            "slack_demand": _awkward_floats(rng, n_hours),
+            "kkt_residuals": _awkward_floats(rng, n_hours),
+            "solve_iterations": rng.integers(0, 10**6, n_hours),
+            "warm_starts": rng.random(n_hours) < 0.5,
+            "recovery": rng.random(n_hours) < 0.5,
+        }
+    return ClosedLoopTrace(storages=_awkward_floats(rng, n_hours + 1), **series, **extra)
+
+
+@pytest.mark.parametrize("solver_columns", [False, True], ids=["ddp", "mpc"])
+@pytest.mark.parametrize("n_hours", [1, 1000, 2345])
+def test_csv_writers_match_the_csv_module(tmp_path, solver_columns, n_hours):
+    # The writers format whole chunks of rows at once; each file must equal
+    # csv.writer's rows of _fmt strings byte for byte, across chunk edges.
+    trace = _awkward_trace(np.random.default_rng(n_hours), n_hours, solver_columns)
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    reference_write_trace_csv(tmp_path / "expected.csv", trace)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    for params in (LakeParams(), LakeParams(level_offset=-1, dry_threshold=0, flood_threshold=2)):
+        write_level_plotdata(tmp_path / "level.csv", trace, params)
+        reference_write_level_plotdata(tmp_path / "expected_level.csv", trace, params)
+        assert (tmp_path / "level.csv").read_bytes() == (tmp_path / "expected_level.csv").read_bytes()

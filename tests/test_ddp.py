@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_force_ddp_value,
@@ -24,6 +26,7 @@ from lakempc.hydrology import (
     LakeParams,
     level_of_storage,
     mass_balance,
+    rating_curve,
     release_bounds,
 )
 from lakempc.scenario import GaussianInflowParams, expand_daily, synthetic_year
@@ -160,6 +163,32 @@ def _clamping_instance():
     return PARAMS, config, inflow, expand_daily([40.0, 45.0])
 
 
+def _flood_clamping_instance():
+    """A grid whose top nodes lie above the flood threshold, under an inflow
+    that outruns their full discharge: their release bounds collapse onto
+    the rating curve, so one pair per node stands for action_samples
+    clamped transitions in out_of_grid."""
+    config = DdpConfig(grid_points=21, storage_max=2.4e8, action_samples=11)
+    inflow = expand_daily([600.0, 700.0])
+    top = level_of_storage(PARAMS, config.storage_max)
+    assert top > PARAMS.flood_threshold
+    assert release_bounds(PARAMS, top) == (rating_curve(PARAMS, top),) * 2
+    assert rating_curve(PARAMS, top) < inflow.min()
+    return PARAMS, config, inflow, expand_daily([50.0, 60.0])
+
+
+def _mef_above_rating_instance():
+    """A minimum environmental flow the rating curve cannot pass at low
+    levels: there the release bounds collapse onto the rating curve, below
+    the flood threshold."""
+    params = LakeParams(mef=200.0)
+    low = level_of_storage(params, 1e7)
+    assert rating_curve(params, low) < params.mef
+    assert release_bounds(params, low) == (rating_curve(params, low),) * 2
+    window = synthetic_year(5, first_day=180)
+    return params, DdpConfig(), window.inflow_hourly, window.demand_hourly
+
+
 def _bit_identity_cases():
     """Inputs on which the backward pass must match the stage-by-stage reference.
 
@@ -176,22 +205,53 @@ def _bit_identity_cases():
         "intraday-window": (PARAMS, DdpConfig(), intraday.inflow_hourly, intraday.demand_hourly),
         "clamped-at-top": _clamping_instance(),
         "exact-grid": (exact_params, exact_config, [0.0] * 6, [30.0] * 3 + [7.0] * 3),
+        "flood-clamped-at-top": _flood_clamping_instance(),
+        "mef-above-rating": _mef_above_rating_instance(),
     }
+
+
+def _assert_tables_match_reference(params, config, inflow, demand) -> ValueTable:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamped instances warn
+        table = backward_induction(params, config, inflow, demand)
+    expected = reference_backward_induction(params, config, inflow, demand)
+    assert np.array_equal(table.values, expected.values)
+    assert np.array_equal(table.policy, expected.policy)
+    assert table.out_of_grid == expected.out_of_grid
+    return table
 
 
 class TestTransitionReuse:
     @pytest.mark.parametrize("case", sorted(_bit_identity_cases()))
     def test_tables_bit_identical_to_stagewise_reference(self, case):
-        params, config, inflow, demand = _bit_identity_cases()[case]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the clamped case warns
-            table = backward_induction(params, config, inflow, demand)
-        expected = reference_backward_induction(params, config, inflow, demand)
-        assert np.array_equal(table.values, expected.values)
-        assert np.array_equal(table.policy, expected.policy)
-        assert table.out_of_grid == expected.out_of_grid
-        if case == "clamped-at-top":
+        table = _assert_tables_match_reference(*_bit_identity_cases()[case])
+        if case in ("clamped-at-top", "flood-clamped-at-top"):
             assert table.out_of_grid > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid_points=st.integers(3, 12),
+        action_samples=st.integers(2, 6),
+        storage_max=st.floats(1e5, 5e8),
+        mef=st.floats(0.0, 300.0),
+        hours=st.lists(
+            st.tuples(st.floats(0.0, 800.0), st.floats(0.0, 400.0), st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_small_instances_match_stagewise_reference(
+        self, grid_points, action_samples, storage_max, mef, hours
+    ):
+        # Small grids with any mix of free nodes and nodes whose release
+        # bounds collapse (the empty lake, above the flood threshold, where
+        # the rating curve falls below mef), and runs of equal hours.
+        config = DdpConfig(
+            grid_points=grid_points, action_samples=action_samples, storage_max=storage_max
+        )
+        inflow = np.repeat([q for q, _, _ in hours], [n for _, _, n in hours])
+        demand = np.repeat([w for _, w, _ in hours], [n for _, _, n in hours])
+        _assert_tables_match_reference(LakeParams(mef=mef), config, inflow, demand)
 
     def test_locator_interp_equals_np_interp(self):
         # Node values spread over six decades, so the cell formula evaluated at
