@@ -30,6 +30,7 @@ import numpy as np
 
 from .hydrology import DEMAND_REF, LakeParams, level_of_storage, mass_balance, release_bounds
 from .hydrology import _finite, _integer
+from .scenario import _check_flows
 from .trace import ClosedLoopTrace, closed_loop
 
 
@@ -163,13 +164,8 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     demand = np.asarray(demand, dtype=float)
     if inflow.shape != demand.shape or inflow.ndim != 1 or inflow.size == 0:
         raise ValueError("inflow and demand must be equal-length nonempty 1-d arrays")
-    for name, series in (("inflow", inflow), ("demand", demand)):
-        bad = np.flatnonzero(~np.isfinite(series) | (series < 0.0))
-        if bad.size:
-            hour = int(bad[0])
-            raise ValueError(
-                f"{name} must be finite and nonnegative, got {series[hour]} at hour {hour}"
-            )
+    _check_flows("inflow", inflow, "hour")
+    _check_flows("demand", demand, "hour")
     t_end = inflow.size
     grid = np.linspace(0.0, config.storage_max, config.grid_points)
     area = params.surface_area
@@ -233,13 +229,17 @@ def simulate_policy(
 
     The commanded release still passes through the physical saturation at
     the true (off-grid) level and the plant's mass balance, so the trace
-    obeys the same plant model as every other run.
+    obeys the same plant model as every other run. Raises ValueError for
+    series not of the table's length, and for a negative or non-finite
+    inflow or demand, naming the first such hour.
     """
     inflow = np.asarray(inflow, dtype=float)
     demand = np.asarray(demand, dtype=float)
     t_end = table.n_steps
     if inflow.shape != (t_end,) or demand.shape != (t_end,):
         raise ValueError(f"inflow/demand must have length {t_end} to match the value table")
+    _check_flows("inflow", inflow, "hour")
+    _check_flows("demand", demand, "hour")
     grid = table.grid
 
     def decide(t, storage):

@@ -162,13 +162,16 @@ def step_hourly(
 
     The release bounds are evaluated at the pre-step level (explicit-Euler
     convention), the command is saturated to them, and the result goes
-    through :func:`mass_balance`.
+    through :func:`mass_balance`. A negative storage, a negative or
+    non-finite inflow and a non-finite command raise ValueError.
 
     Returns:
         (new storage in m^3, release actually discharged in m^3/s)
     """
-    if inflow < 0.0:
-        raise ValueError(f"inflow must be nonnegative, got {inflow}")
+    if not 0.0 <= inflow < math.inf:
+        raise ValueError(f"inflow must be finite and nonnegative, got {inflow}")
+    if not -math.inf < command < math.inf:
+        raise ValueError(f"command must be finite, got {command}")
     level = level_of_storage(params, storage)
     release = saturate_release(release_bounds(params, level), command)
     new_storage, release = mass_balance(storage, inflow, release)

@@ -4,7 +4,9 @@ Each decision step assembles a convex QP over the release plan u and two
 soft-constraint slacks: flood exceedance (in level units) and demand deficit
 (in flow units). Storage variables are eliminated by forward substitution of
 the mass balance, and the storage constraints are carried in level units so
-absolute feasibility tolerances are meaningful.
+absolute feasibility tolerances are meaningful. The flood slack needs no
+bound row: it enters only its flood row and its own cost, and the least
+slack^2 over slack >= e is at max(e, 0), so every optimum holds it >= 0.
 
 Cost per step of the horizon, after nondimensionalization:
 
@@ -75,6 +77,7 @@ structure is kept: a lambda sweep drops each weight's when it moves on.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +102,8 @@ FLOOD_SLACK_REF = 1.0  # m
 DRY_MARGIN = 1e-9  # m
 # The distinct final working sets an hourly run keeps as candidates.
 _RECENT_SETS = 8
+# assemble_qp's five row blocks of h, in its docstring's order; neg_lower holds -r_min.
+_RowBlocks = namedtuple("_RowBlocks", "dry flood demand neg_lower upper")
 
 
 @dataclass
@@ -142,6 +147,11 @@ def _storage_bounds(params: LakeParams) -> tuple[float, float]:
     )
 
 
+def _row_blocks(rhs: np.ndarray) -> _RowBlocks:
+    """The right-hand side of assemble_qp's rows in its five blocks, as views."""
+    return _RowBlocks._make(rhs.reshape(len(_RowBlocks._fields), -1))
+
+
 def assemble_qp(
     params: LakeParams,
     config: MpcConfig,
@@ -160,13 +170,13 @@ def assemble_qp(
         storage lower (hard):  s(t)/A >= s_min/A + DRY_MARGIN
         storage upper (soft):  s(t)/A <= s_max/A + slack_flood(t)
         demand:                u(t) >= w(t) + slack_demand(t)
-        bounds:                u(t) >= r_min, slack_flood(t) >= 0,
-                               u(t) <= r_max
+        releases:              r_min <= u(t) <= r_max
 
     with s(t) = s0 + 3600 * sum_{tau<t} (q - u) and s_min, s_max the
-    storages at the lake's dry and flood thresholds. The problem may be
-    infeasible: when the minimum-release plan fails a dry row, solve_step
-    fixes the leading releases and lifts the dry rows before solving it.
+    storages at the lake's dry and flood thresholds (slack_flood needs no
+    bound: see the module docstring). The problem may be infeasible: when
+    the minimum-release plan fails a dry row, solve_step fixes the leading
+    releases and lifts the dry rows before solving it.
 
     The Hessian and the row matrix are those of _qp_structure, read-only
     and shared by every call with the same horizon, surface area and lam.
@@ -203,27 +213,24 @@ def assemble_qp(
 
     # s(t) for t=1..H before releases, all divided by the surface area.
     inflow_volume = HOUR_SECONDS * np.cumsum(inflow_forecast)
-    stored_q = (s0 + inflow_volume) / area
     r_min, r_max = release_bounds(params, level_of_storage(params, s0))
-    rhs = [
-        # Dry: 3600/A sum u <= (s(t)_inflow - s_min)/A - margin.
-        # s0 - s_min first: near the dry bound it is exact, and the cap does
-        # not lose its digits to the cancellation of two large storages.
-        (s0 - s_min + inflow_volume) / area - DRY_MARGIN,
-        # Flood: -3600/A sum u - slack_flood <= (s_max - s(t)_inflow)/A
-        s_max / area - stored_q,
-        # Demand: -u + slack_demand <= -w
-        -demand,
-        # Bounds: -u <= -r_min, -slack_flood <= -0.0, u <= r_max
-        np.full(h, -r_min),
-        np.full(h, -0.0),
-        np.full(h, r_max),
-    ]
+    rhs = np.empty(structure.ineq_matrix.shape[0])
+    rows = _row_blocks(rhs)
+    # Dry: 3600/A sum u <= (s(t)_inflow - s_min)/A - margin.
+    # s0 - s_min first: near the dry bound it is exact, and the cap does
+    # not lose its digits to the cancellation of two large storages.
+    rows.dry[:] = (s0 - s_min + inflow_volume) / area - DRY_MARGIN
+    # Flood: -3600/A sum u - slack_flood <= (s_max - s(t)_inflow)/A
+    rows.flood[:] = s_max / area - (s0 + inflow_volume) / area
+    # Demand: -u + slack_demand <= -w
+    rows.demand[:] = -demand
+    # Releases: -u <= -r_min, u <= r_max
+    rows.neg_lower[:], rows.upper[:] = -r_min, r_max
     return qp.QpProblem(
         hessian=structure.hessian,
         linear_cost=linear,
         ineq_matrix=structure.ineq_matrix,
-        ineq_rhs=np.concatenate(rhs),
+        ineq_rhs=rhs,
     )
 
 
@@ -233,9 +240,9 @@ def _qp_structure(h: int, area: float, lam: float) -> qp.Structure:
     matrix, their factors, and the working-set factors that qp.solve
     caches. Every step of a run, and of any later run of the same
     configuration while it is the last one asked for, shares it. Its rows
-    fall in six blocks of h, one row per horizon step, which _shifted and
-    solve_step rely on: dry, flood, demand, the lower bounds of u and of
-    slack_flood (-I), and the upper bounds of u (I).
+    fall in the five blocks of h of _RowBlocks, one row per horizon step,
+    which _shifted and _row_blocks rely on: dry, flood, demand, the lower
+    bounds of u (-I) and the upper bounds of u (I).
     """
     n_var = 3 * h
     iu, iem, ied = 0, h, 2 * h
@@ -255,8 +262,8 @@ def _qp_structure(h: int, area: float, lam: float) -> qp.Structure:
     demand_rows = np.zeros((h, n_var))
     demand_rows[:, iu:iem] = -np.eye(h)
     demand_rows[:, ied:] = np.eye(h)
-    eye = np.eye(n_var)
-    ineq_matrix = np.vstack([dry_rows, flood_rows, demand_rows, 0.0 - eye[:ied], eye[:iem]])
+    eye = np.eye(h, n_var)
+    ineq_matrix = np.vstack([dry_rows, flood_rows, demand_rows, 0.0 - eye, eye])
     return qp.Structure(qp.QpProblem(hessian, np.zeros(n_var), ineq_matrix))
 
 
@@ -287,22 +294,19 @@ def _trim_to_dry_rows(u, lower, cap):
     return np.clip(np.diff(total, prepend=0.0), lower, u)
 
 
-def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint):
+def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint, dry_rhs, lower, upper):
     """A start for a problem whose minimum-release plan meets the dry rows.
 
-    The guesses are u_hint (when given) and the demand, each clipped into
-    the release bounds (the problem's bound rows). A guess that fails a dry
-    row (the first H rows of the problem) by more than qp.FEASIBILITY_TOL
-    is replaced by its trim onto the dry rows (_trim_to_dry_rows). Returns
-    the feasible candidate of lower objective, u_hint's on a tie. The trim
-    meets the rows whenever the minimum-release plan does, so that plan is
-    returned only when rounding leaves neither trimmed guess within
-    tolerance.
+    dry_rhs, lower and upper are the problem's dry right-hand sides and
+    release bounds (_row_blocks). The guesses are u_hint (when given) and
+    the demand, each clipped into the release bounds. A guess that fails a
+    dry row by more than qp.FEASIBILITY_TOL is replaced by its trim onto
+    the dry rows (_trim_to_dry_rows). Returns the feasible candidate of
+    lower objective, u_hint's on a tie. The trim meets the rows whenever
+    the minimum-release plan does, so that plan is returned only when
+    rounding leaves neither trimmed guess within tolerance.
     """
-    h = demand.size
-    rhs = problem.ineq_rhs
-    dry_rhs, lower, upper = rhs[:h], -rhs[3 * h:4 * h], rhs[5 * h:]
-    dry_matrix = problem.ineq_matrix[:h]
+    dry_matrix = problem.ineq_matrix[:demand.size]
     cap = dry_rhs * params.surface_area / HOUR_SECONDS
 
     def with_excess(u):
@@ -350,10 +354,9 @@ def solve_step(
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
     problem = assemble_qp(params, config, s0, inflow_forecast, demand, hour=hour)
-    # The dry rows' and the upper bounds' right-hand sides are views of
-    # problem.ineq_rhs (row blocks of _qp_structure): the lift edits the problem.
-    rhs = problem.ineq_rhs
-    dry_rhs, lower, upper = rhs[:h], -rhs[3 * h:4 * h], rhs[5 * h:]
+    # dry_rhs and upper are views of problem.ineq_rhs: the lift edits the problem.
+    rows = _row_blocks(problem.ineq_rhs)
+    dry_rhs, lower, upper = rows.dry, -rows.neg_lower, rows.upper
     # The dry rows of the minimum-release plan: no plan reaches lower values.
     floor = problem.ineq_matrix[:h, :h] @ lower
     failing = np.flatnonzero(floor - dry_rhs > qp.FEASIBILITY_TOL)
@@ -367,7 +370,7 @@ def solve_step(
     solution = qp.solve(
         problem,
         initial_point=lambda: _feasible_point(
-            params, problem, s0, inflow_forecast, demand, u_hint
+            params, problem, s0, inflow_forecast, demand, u_hint, dry_rhs, lower, upper
         ),
         working_sets=working_sets,
         structure=_qp_structure(h, params.surface_area, config.lam),
@@ -382,7 +385,7 @@ def solve_step(
 
 
 def _shifted(working_set: tuple[int, ...], h: int) -> tuple[int, ...]:
-    """The working set one hour later. The structure's rows fall in six
+    """The working set one hour later. The structure's rows fall in five
     blocks of h, one row per horizon step (see _qp_structure): in every
     block, position p moves to p - 1, position 0 leaves, and position h - 1
     also stays (the next plan's guess repeats the last release)."""

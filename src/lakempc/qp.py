@@ -36,16 +36,16 @@ matrix: [x; lam] = K [-c; b_w]. A candidate costs one product with K, then
 the slack b - Ax: every row must hold within 1e-9 (1/row_scale_i + |b_i|),
 the loop's scaled test in the row's own units. Only then are its multipliers
 tested, by the loop's sign test on the scaled gradient col_scale (Qx + c);
-on the MPC's synthetic hourly year, 1260 of the 1270 rejected candidates
-fail a row. The first candidate that passes both is returned, counted as
-one iteration, and certified from the same slack and Qx. Only when every
+on the synthetic hourly year from 0.4 m, 806 of the 1264 rejected candidates
+fail a row. The first candidate that passes both is returned, counted as one
+iteration, and certified from the same slack and Qx. Only when every
 candidate is rejected does the solve start from the caller's start, which
 may be given as a function so that it is built only then. A candidate the
 structure has seen before costs a dict lookup, the product and the row test
 when it fails a row: about 11-12 us at the MPC's size on a shared 2-vCPU
 Xeon, against 44-49 us for a solve that takes its first candidate and
-315-370 us for one from the start (timeit medians over every fourth solve
-of days 104-120 from 1.08 m; the machine's speed moves by up to 2x).
+315-370 us for one from the start (timeit medians over every fourth solve of
+days 104-120 from 1.08 m; the machine's speed moves by up to 2x).
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
@@ -54,16 +54,16 @@ start, or of a candidate's rows; when they are dependent (or outnumber the
 variables), a pivoted QR first picks an independent subset and that is
 factored instead. The structure's one cache, Structure.starts, keeps this
 factor for each such tuple of rows it has seen, up to _START_CACHE_SIZE
-(first in, first out; about 70 kB each at the MPC's 72 variables; a
-candidate's packed K takes 37-83 kB, and a set first seen as a candidate
-keeps K alone), so the MPC's hours, which start from few distinct sets,
-pay one QR per set rather than one per solve. The daily MPC on two
-jittered years uses 65 sets, so room for 64 would cost 79 QRs on every
-pass over them. The cached Q and R are read-only: the solve only replaces
-them. The factor is then updated by scipy's qr_insert and qr_delete (Gill,
-Golub, Murray & Saunders 1974), and the triangular solves call LAPACK's
-trtrs; both skip scipy's argument checks, which cost more than the work on
-matrices this small.
+(first in, first out; 42-69 kB at the MPC's 72 variables, and a set tried as
+a candidate also keeps its packed K, 22-58 kB), so the MPC's hours, which
+start from few distinct sets, pay one QR per set rather than one per solve,
+whether the set comes first as a candidate or as a start. The daily MPC on
+the two years of the CLI benchmark at seed 7919 uses 65 sets, so room for 64
+would cost 79 QRs on every pass over them. The cached Q and R are read-only:
+the solve only replaces them. The factor is then updated by scipy's
+qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and the
+triangular solves call LAPACK's trtrs; both skip scipy's argument checks,
+which cost more than the work on matrices this small.
 At a stationary point, and at the iteration limit, the same factor gives
 the exact optimum on the working rows and its multipliers in two
 triangular solves (_working_optimum; Nocedal & Wright, Numerical
@@ -351,10 +351,8 @@ def _start_factor(structure: Structure, key: tuple[int, ...], law: bool = False)
     (the rows tight at a start, or a candidate working set): (the rows as a
     tuple, the rows as an intp array, Q, R, K), the arrays read-only. K is
     the rows' _affine_law, built the first time it is asked for (law), and
-    None before. A key first seen as a candidate keeps its law and not its
-    factor: Q and R are None until the key is a start's rows, and it is
-    factored again then. Kept in structure.starts, so a key seen before
-    costs a lookup.
+    None before. Kept in structure.starts, so a key seen before costs a
+    lookup, and its factor is never built twice.
 
     When the rows are independent, they are the working rows. Otherwise a
     pivoted QR picks an independent subset, which is then factored; L^-T is
@@ -364,17 +362,17 @@ def _start_factor(structure: Structure, key: tuple[int, ...], law: bool = False)
     strictly increasing tuple of integer rows in [0, m).
     """
     start = structure.starts.get(key)
-    new, m = start is None, structure.a.shape[0]
-    if new and not (
-        isinstance(key, tuple)
-        and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in key)
-        and all(i < j for i, j in zip(key, key[1:]))
-        and (not key or (0 <= key[0] and key[-1] < m))
-    ):
-        raise ValueError(
-            f"working_set {key!r} is not a strictly increasing tuple of rows in [0, {m})"
-        )
-    if new or (start[2] is None and not law):
+    if start is None:
+        m = structure.a.shape[0]
+        if not (
+            isinstance(key, tuple)
+            and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in key)
+            and all(i < j for i, j in zip(key, key[1:]))
+            and (not key or (0 <= key[0] and key[-1] < m))
+        ):
+            raise ValueError(
+                f"working_set {key!r} is not a strictly increasing tuple of rows in [0, {m})"
+            )
         tight = w_rows = np.array(key, dtype=np.intp)
         if tight.size <= structure.a.shape[1]:
             qf, rf = np.linalg.qr(structure.a_y[tight].T, mode="complete")
@@ -386,13 +384,11 @@ def _start_factor(structure: Structure, key: tuple[int, ...], law: bool = False)
             qf, rf = np.linalg.qr(structure.a_y[w_rows].T, mode="complete")
         for arr in (w_rows, qf, rf):
             arr.flags.writeable = False
-        law_k = None if new else start[4]
-        start = structure.starts[key] = (tuple(w_rows.tolist()), w_rows, qf, rf, law_k)
+        start = structure.starts[key] = (tuple(w_rows.tolist()), w_rows, qf, rf, None)
         if len(structure.starts) > _START_CACHE_SIZE:
             del structure.starts[next(iter(structure.starts))]
     if law and start[4] is None:
-        factor = (None, None) if new else start[2:4]
-        start = structure.starts[key] = (*start[:2], *factor, _affine_law(structure, *start[1:4]))
+        start = structure.starts[key] = (*start[:4], _affine_law(structure, *start[1:4]))
     return start
 
 
@@ -492,9 +488,7 @@ def solve(
         duals[rows] = lam
         # Scrub multiplier noise: tiny negatives on working rows are
         # numerical, not meaningful. The threshold scales with the largest
-        # multiplier of any row, bound rows included; on the 16 runs of
-        # tools/trace_digests.py the traces equal those of a threshold taken
-        # from the MPC's other rows alone.
+        # multiplier of any row.
         tiny = 1e-9 * max(1.0, float(np.abs(duals).max(initial=0.0)))
         duals[(duals < 0.0) & (duals > -tiny)] = 0.0
         grad = qx + c

@@ -34,8 +34,9 @@ from lakempc.trace import ClosedLoopTrace
 def box_rows(lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """The box lower <= x <= upper as rows A x <= b: one row -x_j <= -lower_j
     per finite lower bound, then one row x_j <= upper_j per finite upper
-    bound, each block in variable order (the order mpc._qp_structure uses
-    for its bound rows). An infinite entry is an absent bound and gets no
+    bound, each block in variable order (the order of mpc._qp_structure's
+    release-bound rows, and of its flood slack's lower bounds in
+    six_block_problem). An infinite entry is an absent bound and gets no
     row; a NaN entry gets a row whose right-hand side is NaN."""
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     lo, hi = np.flatnonzero(lower != -np.inf), np.flatnonzero(upper != np.inf)
@@ -65,10 +66,32 @@ def bounded_qp(
 
 def release_bounds_of(problem: qp.QpProblem) -> tuple[np.ndarray, np.ndarray]:
     """The release bounds (lower, upper) of an mpc.assemble_qp problem, read
-    off its bound rows: the fourth of its six row blocks holds -lower, the
-    sixth upper. The upper bounds are views, so a recovery lift shows."""
-    blocks = np.split(problem.ineq_rhs, 6)
-    return -blocks[3], blocks[5]
+    off its bound rows by mpc._row_blocks. The upper bounds are views, so a
+    recovery lift shows."""
+    rows = mpc._row_blocks(problem.ineq_rhs)
+    return -rows.neg_lower, rows.upper
+
+
+def feasible_point(params, problem, s0, inflow, demand, u_hint) -> np.ndarray:
+    """mpc._feasible_point of an mpc.assemble_qp problem, handed its dry
+    right-hand sides and release bounds as solve_step hands them."""
+    dry_rhs = mpc._row_blocks(problem.ineq_rhs).dry
+    return mpc._feasible_point(
+        params, problem, s0, inflow, demand, u_hint, dry_rhs, *release_bounds_of(problem)
+    )
+
+
+def six_block_problem(problem: qp.QpProblem) -> qp.QpProblem:
+    """An mpc.assemble_qp problem with a sixth block of rows, the flood
+    slacks' lower bounds -slack_flood <= -0.0, appended by bounded_qp: the
+    problem as it was built before those rows were dropped as redundant."""
+    n = problem.n
+    h = n // 3
+    lower = np.full(n, -np.inf)
+    lower[h:2 * h] = 0.0
+    return bounded_qp(
+        problem.hessian, problem.linear_cost, problem.ineq_matrix, problem.ineq_rhs, lower=lower
+    )
 
 
 def enumeration_oracle(problem: qp.QpProblem) -> tuple[float, np.ndarray]:
@@ -223,12 +246,13 @@ def direct_cost_minimum(
     some row by more than qp.FEASIBILITY_TOL (in m), the dry bound cannot be
     held, and the set is that of the lexicographic recovery policy (the mpc
     module docstring): with k the last step whose row that plan breaks, the
-    releases of steps 0..k are held at their lower bounds, and each later
-    row is lifted to the plan's storage where that is lower, s(t) >=
-    min(s_min + A * DRY_MARGIN, s_plan(t)). The objective is convex, so the
-    SLSQP polish from the best grid point is a global minimizer. A point
-    counts as feasible with 1e-3 m^3 (7e-12 m) of slack on the storage rows,
-    which SLSQP's point in level units needs.
+    releases of steps 0..k are held at their lower bounds. Each row after
+    k (every row when none breaks) is lifted to the plan's storage where
+    that is lower, s(t) >= min(s_min + A * DRY_MARGIN, s_plan(t)), as
+    solve_step lifts a row the plan misses by less than the tolerance. The
+    objective is convex, so the SLSQP polish from the best grid point is a
+    global minimizer. A point counts as feasible with 1e-3 m^3 (7e-12 m) of
+    slack on the storage rows, which SLSQP's point in level units needs.
     """
     h = config.horizon
     inflow = np.asarray(inflow, dtype=float)
@@ -243,7 +267,7 @@ def direct_cost_minimum(
     at_minimum = storages(lower)[0]
     broken = np.flatnonzero((s_floor - at_minimum) / area > qp.FEASIBILITY_TOL)
     fixed = int(broken[-1]) + 1 if broken.size else 0
-    s_bound = np.minimum(s_floor, at_minimum) if broken.size else np.full(h, s_floor)
+    s_bound = np.minimum(s_floor, at_minimum)
     if fixed == h:
         return float(controller_cost(params, config, s0, inflow, demand, lower)[0])
 

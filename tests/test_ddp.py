@@ -323,6 +323,21 @@ class TestSimulatePolicy:
         with pytest.raises(ValueError, match="length"):
             simulate_policy(params, table, [0.0, 1.0], [0.0, 1.0], grid[0])
 
+    @pytest.mark.parametrize(
+        "series, hour, value",
+        # A NaN inflow once wrote NaN storages from its hour on.
+        [("inflow", 1, np.nan), ("inflow", 2, np.inf), ("demand", 0, -1.0), ("demand", 2, np.nan)],
+    )
+    def test_unusable_flow_names_its_hour(self, series, hour, value):
+        params, config, grid = exact_grid_ddp_instance()
+        flows = {"inflow": [0.0] * 3, "demand": [30.0] * 3}
+        table = backward_induction(params, config, flows["inflow"], flows["demand"])
+        flows[series][hour] = value
+        with pytest.raises(
+            ValueError, match=f"^{series} must be finite and nonnegative, got {value} at hour {hour}$"
+        ):
+            simulate_policy(params, table, flows["inflow"], flows["demand"], grid[1])
+
 
 class TestGridRefinement:
     def test_refining_never_worsens_forward_cost_materially(self):

@@ -151,6 +151,21 @@ class TestStepHourly:
         with pytest.raises(ValueError, match="inflow"):
             step_hourly(PARAMS, 1e8, inflow=-1.0, command=0.0)
 
+    @pytest.mark.parametrize(
+        "inflow, command, message",
+        # Each once returned a NaN or infinite storage, or a NaN release.
+        [
+            (np.nan, 50.0, "inflow must be finite and nonnegative, got nan"),
+            (np.inf, 50.0, "inflow must be finite and nonnegative, got inf"),
+            (10.0, np.nan, "command must be finite, got nan"),
+            (10.0, np.inf, "command must be finite, got inf"),
+            (10.0, -np.inf, "command must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_flow_rejected(self, inflow, command, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            step_hourly(PARAMS, 1e8, inflow=inflow, command=command)
+
     @given(
         commands=st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=1, max_size=50),
         inflows=st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=50, max_size=50),

@@ -12,6 +12,7 @@ from helpers import (
     assert_rerun_reuses_structure,
     controller_cost,
     direct_cost_minimum,
+    feasible_point,
     phase1_point,
     release_bounds_of,
 )
@@ -122,31 +123,32 @@ class TestAssembly:
             run_hourly(PARAMS, MpcConfig(), scn, 1.2e8, n_steps=12)
 
     def test_decision_vector_layout(self):
-        # (u, slack_flood, slack_demand), h each; 6h rows in blocks of h.
+        # (u, slack_flood, slack_demand), h each; 5h rows in blocks of h.
         config = MpcConfig(horizon=3)
         problem = assemble_qp(PARAMS, config, 1e8, [50.0] * 3, [80.0] * 3)
         assert problem.n == 9
-        assert problem.ineq_matrix.shape == (18, 9) and problem.ineq_rhs.shape == (18,)
-        # The demand slack is free below: no row bounds it alone.
-        bound_rows = problem.ineq_matrix[9:]
-        assert not np.any(bound_rows[:, 6:])
+        assert problem.ineq_matrix.shape == (15, 9) and problem.ineq_rhs.shape == (15,)
+        assert mpc._qp_structure(24, PARAMS.surface_area, 1.0).ineq_matrix.shape == (120, 72)
+        # Neither slack is bounded alone: no row has its only nonzero in a
+        # slack column.
+        for row in problem.ineq_matrix:
+            assert np.any(row[:3])
 
     @pytest.mark.parametrize("level", [-0.4, 0.0, 0.4, 1.5])
     def test_last_rows_are_the_release_bounds_at_s0s_level(self, level):
-        # The last 3h rows bound u from below, slack_flood from below and u
-        # from above, one row per horizon step, at release_bounds of s0's
-        # level: -u <= -r_min, -slack_flood <= 0, u <= r_max.
+        # The last 2h rows bound u from below and from above, one row per
+        # horizon step, at release_bounds of s0's level: -u <= -r_min,
+        # u <= r_max. _row_blocks reads them as views of the right-hand side.
         h = 4
         s0 = storage_of_level(PARAMS, level)
         problem = assemble_qp(PARAMS, MpcConfig(horizon=h), s0, [50.0] * h, [80.0] * h)
         r_min, r_max = release_bounds(PARAMS, level_of_storage(PARAMS, s0))
-        eye = np.eye(3 * h)
-        assert np.array_equal(problem.ineq_matrix[3 * h:], np.vstack([-eye[:2 * h], eye[:h]]))
-        rhs = problem.ineq_rhs[3 * h:]
-        expected = np.concatenate([np.full(h, -r_min), np.zeros(h), np.full(h, r_max)])
-        assert np.array_equal(rhs, expected)
-        # Zero right-hand sides carry a negative sign, as -0.0 lower bounds do.
-        assert np.all(np.signbit(rhs[h:2 * h]))
+        eye = np.eye(h, 3 * h)
+        assert np.array_equal(problem.ineq_matrix[3 * h:], np.vstack([-eye, eye]))
+        rows = mpc._row_blocks(problem.ineq_rhs)
+        assert rows.neg_lower.tolist() == [-r_min] * h and rows.upper.tolist() == [r_max] * h
+        assert all(np.shares_memory(block, problem.ineq_rhs) for block in rows)
+        assert np.array_equal(np.concatenate(rows), problem.ineq_rhs)
         assert [b.tolist() for b in release_bounds_of(problem)] == [[r_min] * h, [r_max] * h]
 
     def test_dry_rows_right_hand_side_keeps_its_digits(self):
@@ -209,7 +211,7 @@ class TestMatricesPerConfiguration:
         s0 = storage_of_level(PARAMS, 1.08)
         inflow, demand = scn.inflow_hourly[12:12 + h], scn.demand_hourly[12:12 + h]
         problem = assemble_qp(PARAMS, config, s0, inflow, demand)
-        hint = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, None)
+        hint = feasible_point(PARAMS, problem, s0, inflow, demand, None)
         copied = qp.QpProblem(
             hessian=problem.hessian.copy(),
             linear_cost=problem.linear_cost,
@@ -479,6 +481,10 @@ class TestRecovery:
     @example(horizon=3, offset=1e5, inflow=[5.0] * 3, demand=[150.0] * 3, lam=1.0)
     @example(horizon=2, offset=0.0, inflow=[39.25, 25.0, 0.0], demand=[39.25, 25.0, 0.0], lam=10.0)
     @example(horizon=2, offset=0.0, inflow=[0.0, 20.0, 0.0], demand=[0.0, 0.0, 0.0], lam=0.1)
+    # On the dry bound with inflow equal to the minimum release, that plan
+    # misses each row by DRY_MARGIN, inside the tolerance: no recovery, but
+    # the rows are lifted, so the plan is feasible.
+    @example(horizon=2, offset=0.0, inflow=[10.0, 10.0, 0.0], demand=[0.0, 0.0, 0.0], lam=0.1)
     def test_plan_cost_matches_the_oracle(self, horizon, offset, inflow, demand, lam):
         config = MpcConfig(horizon=horizon, lam=lam)
         s0 = S_MIN + offset
@@ -527,8 +533,8 @@ class TestFeasibleStart:
         assert step.solve_diagnostics.status == "optimal"
 
 
-def _minimum_release_start(params, problem, s0, inflow, demand, u_hint):
-    return mpc._with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
+def _minimum_release_start(params, problem, s0, inflow, demand, u_hint, dry_rhs, lower, upper):
+    return mpc._with_slacks(params, s0, inflow, demand, lower)
 
 
 class TestStartFromGuesses:
@@ -567,7 +573,7 @@ class TestStartFromGuesses:
 
         def start(s0, u_hint):
             problem = assemble_qp(PARAMS, config, s0, inflow, demand)
-            x = mpc._feasible_point(PARAMS, problem, s0, inflow, demand, u_hint)
+            x = feasible_point(PARAMS, problem, s0, inflow, demand, u_hint)
             assert np.max(problem.ineq_matrix[:h] @ x - problem.ineq_rhs[:h]) <= qp.FEASIBILITY_TOL
             minimum = mpc._with_slacks(PARAMS, s0, inflow, demand, release_bounds_of(problem)[0])
             return problem, x, minimum
@@ -610,17 +616,15 @@ class TestWorkingSetHints:
 
     def test_structure_rows_fall_in_blocks_of_the_horizon(self, no_qp_structure):
         # What _shifted relies on: row r of the hourly structure belongs to
-        # horizon step r % h. Its blocks are the dry, flood and demand rows,
-        # the lower bounds of u and slack_flood and the upper bounds of u.
+        # horizon step r % h. Its blocks, those of _row_blocks, are the dry,
+        # flood and demand rows and the lower and upper bounds of u.
         h = 6
         structure = mpc._qp_structure(h, PARAMS.surface_area, 1.0)
         rows = structure.ineq_matrix
-        assert rows.shape == (6 * h, 3 * h)
-        # A dry, flood or demand row's step is the last release it holds; a
-        # bound row's is its variable's.
-        steps = [int(np.flatnonzero(row[:h]).max()) for row in rows[:3 * h]]
-        steps += [int(np.flatnonzero(row).item()) % h for row in rows[3 * h:]]
-        assert steps == [r % h for r in range(6 * h)]
+        assert rows.shape == (len(mpc._RowBlocks._fields) * h, 3 * h)
+        # A row's step is the last release it holds.
+        steps = [int(np.flatnonzero(row[:h]).max()) for row in rows]
+        assert steps == [r % h for r in range(rows.shape[0])]
 
     def test_hit_builds_no_start(self):
         config = MpcConfig()

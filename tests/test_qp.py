@@ -17,9 +17,10 @@ from helpers import (
     random_qp,
     reference_kkt_components,
     release_bounds_of,
+    six_block_problem,
 )
 from lakempc import mpc, qp
-from lakempc.hydrology import HOUR_SECONDS, LakeParams, storage_of_level
+from lakempc.hydrology import LakeParams, storage_of_level
 from lakempc.scenario import synthetic_year
 
 
@@ -483,11 +484,10 @@ def _assert_matches_dense_kkt(problem, solution):
 HOURLY_WINDOWS = [(104, 1.08, 1), (182, 0.29, 0)]
 START_SETS = {104: 23, 182: 1}
 WARM_STARTS = {104: 44, 182: 47}
-# The nonzero duals of the windows' solutions, by kind of row: the dry, flood
-# and demand rows, and the lower and upper bound rows. On day 182 the optimum
-# meets the demand exactly, so its working rows (the demand rows and the
-# flood slacks' lower bounds) all have zero multipliers.
-NONZERO_DUALS = {104: {"inequality": 773, "lower": 86}, 182: {}}
+# The nonzero duals of the windows' solutions, by row block (mpc._row_blocks).
+# On day 182 the optimum meets the demand exactly, so its working rows, the
+# demand rows, all have zero multipliers.
+NONZERO_DUALS = {104: {"flood": 773, "neg_lower": 72}, 182: {}}
 FACTOR_CALLS = ((np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "solve"), (np.linalg, "lstsq"))
 
 
@@ -550,22 +550,43 @@ def _independent(rows, n):
     return k == 0 or (k <= n and np.linalg.matrix_rank(rows) == k)
 
 
-def _minimum_release_at_a_dry_cap(demand):
-    """The MPC problem, and its minimum-release plan as the start, for a
-    lake that plan takes exactly onto the dry bound in the first hour: the
-    lake starts one hour of minimum release (10 m^3/s) above the bound, and
-    that hour has no inflow. The tight dry row is then a multiple of the
-    first release's lower-bound row. With the demand above the minimum
-    release every demand row is tight too: 73 tight rows for 72 variables."""
+def _recovery_start(monkeypatch, demand):
+    """The MPC problem of a recovery step, lifted as solve_step lifts it,
+    and its minimum-release plan as the start. The lake is 100 m^3 above
+    the dry bound with no inflow, so the step holds every release at its
+    minimum (10 m^3/s): both bound rows of every release are tight, and so
+    is the last dry row. With the demand above the minimum release every
+    demand row is tight too, 73 rows for 72 variables; with it below, the
+    49 tight rows are fewer but dependent."""
     params, config = LakeParams(), mpc.MpcConfig()
-    h, area = config.horizon, params.surface_area
-    inflow = np.full(h, 20.0)
-    inflow[0] = 0.0
-    demand = np.full(h, demand)
-    s0 = mpc._storage_bounds(params)[0] + area * mpc.DRY_MARGIN + HOUR_SECONDS * 10.0
-    problem = mpc.assemble_qp(params, config, s0, inflow, demand)
+    h = config.horizon
+    inflow, demand = np.zeros(h), np.full(h, demand)
+    s0 = mpc._storage_bounds(params)[0] + 100.0
+    problems = []
+    inner = qp.solve
+
+    def recording(problem, *args, **kwargs):
+        problems.append(problem)
+        return inner(problem, *args, **kwargs)
+
+    monkeypatch.setattr(qp, "solve", recording)
+    assert mpc.solve_step(params, config, s0, inflow, demand).recovery_used
+    monkeypatch.undo()
+    (problem,) = problems
     start = mpc._with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
     return problem, start
+
+
+def _dry_bound_step():
+    """The first step of the hard dry-bound run, and the minimum-release
+    plan as its start, not the MPC's own: demand 300 against inflow 20, 3e6
+    m^3 above the dry storage. Its solve inserts and drops rows."""
+    params, config = LakeParams(), mpc.MpcConfig()
+    h = config.horizon
+    s0 = mpc._storage_bounds(params)[0] + 3e6
+    inflow, demand = np.full(h, 20.0), np.full(h, 300.0)
+    problem = mpc.assemble_qp(params, config, s0, inflow, demand)
+    return problem, mpc._with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
 
 
 class TestSnapAgainstDenseKkt:
@@ -752,6 +773,36 @@ class TestStackedCertificate:
         assert solution.kkt_residual >= max(components.values()) > qp.KKT_TOL
 
 
+class TestFloodSlackBound:
+    """The MPC's QP has no row -slack_flood <= 0: the flood slack enters
+    only its own flood row and its own cost term, so no optimum needs one."""
+
+    @pytest.mark.parametrize("name", ["hourly-104", "hourly-182", "recovery"])
+    def test_plans_match_the_six_block_problem(self, monkeypatch, name):
+        # Every step's problem, lifted where it recovers, solved cold with
+        # the bound rows back: the same plan, and a flood slack that stays
+        # nonnegative without them.
+        steps = []
+        inner = qp.solve
+
+        def recording(problem, initial_point, working_sets=(), structure=None):
+            solution = inner(problem, initial_point, working_sets=working_sets, structure=structure)
+            steps.append((problem, initial_point(), solution))
+            return solution
+
+        monkeypatch.setattr(qp, "solve", recording)
+        MPC_RUNS[name]()
+        monkeypatch.undo()
+        assert len(steps) == (1 if name == "recovery" else 48)
+        for problem, start, solution in steps:
+            h = problem.n // 3
+            reference = qp.solve(six_block_problem(problem), start)
+            assert solution.status == reference.status == "optimal"
+            plan = solution.x[:h]
+            assert np.max(np.abs(plan - reference.x[:h])) <= 1e-9 * np.max(np.abs(plan))
+            assert np.min(solution.x[h:2 * h]) >= -1e-12
+
+
 class TestMpcScale:
     def test_dense_hessian_long_solve_from_hint_and_phase1(self):
         problem, x_feasible = _dense_qp(0)
@@ -764,10 +815,7 @@ class TestMpcScale:
         assert hinted.x == pytest.approx(cold.x, abs=1e-8)
 
     def test_factorizations_per_solve_not_per_iteration(self, monkeypatch, no_qp_structure):
-        # The first step of the hard dry-bound run: demand 300 against inflow
-        # 20, 3e6 m^3 above the dry storage, started from the minimum-release
-        # plan, not the MPC's own start, so that the solve stays long enough
-        # to run many row insertions and deletions.
+        # The dry-bound step from its minimum-release plan.
         counts = collections.Counter()
 
         def counting(label, inner):
@@ -780,12 +828,7 @@ class TestMpcScale:
             (np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "cholesky"), (scipy.linalg, "cho_factor")
         ):
             monkeypatch.setattr(owner, name, counting(f"{owner.__name__}.{name}", getattr(owner, name)))
-        params, config = LakeParams(), mpc.MpcConfig()
-        h = config.horizon
-        s0 = mpc._storage_bounds(params)[0] + 3e6
-        inflow, demand = np.full(h, 20.0), np.full(h, 300.0)
-        problem = mpc.assemble_qp(params, config, s0, inflow, demand)
-        hint = mpc._with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
+        problem, hint = _dry_bound_step()
         counts.clear()
         solution = qp.solve(problem, initial_point=hint)
         assert solution.status == "optimal"
@@ -837,7 +880,7 @@ class TestMpcScale:
         # More tight rows than variables skip the first QR; fewer but
         # dependent ones fail its rank test. Either way one pivoted QR picks
         # the working set and one complete QR factors it.
-        problem, start = _minimum_release_at_a_dry_cap(demand)
+        problem, start = _recovery_start(monkeypatch, demand)
         tight = _tight_rows(problem, start)
         assert tight.shape[0] == n_tight
         assert not _independent(tight, problem.n)
@@ -893,7 +936,7 @@ class TestStartFactorCache:
         # Solved without a structure, it gets one that serves that solve
         # alone, so solving it again pays the start's factorizations again
         # (here the pivoted path's three), and its own arrays stay writable.
-        shared, start = _minimum_release_at_a_dry_cap(5.0)
+        shared, start = _recovery_start(monkeypatch, 5.0)
         problem = qp.QpProblem(
             hessian=shared.hessian.copy(),
             linear_cost=shared.linear_cost,
@@ -911,18 +954,19 @@ class TestStartFactorCache:
     def test_cached_factor_is_read_only_and_unchanged_by_a_solve(
         self, monkeypatch, no_qp_structure
     ):
-        # The window's longest solve (7 iterations) inserts and drops rows,
-        # starting from the factor its first solve cached. Every solve of
-        # the window then takes or rejects its candidates again by their
-        # affine laws.
+        # After the days-104 window, the dry-bound step's second solve
+        # inserts and drops rows, starting from the factor its first solve
+        # cached. Every solve of the window then takes or rejects its
+        # candidates again by their affine laws.
         steps = _hourly_window(monkeypatch, 104, 1.08)
-        problem, start, _, solution, _ = max(steps, key=lambda step: step[3].iterations)
         structure = _only_structure()
+        problem, start = _dry_bound_step()
+        solution = qp.solve(problem, start, structure=structure)
         starts = structure.starts
         laws = 0
         for _, rows, q, r, law in starts.values():
-            # A factor, a law or both: a key first seen as a candidate keeps its law alone.
-            assert (q is None) == (r is None) and (q is not None or law is not None)
+            # Every entry holds its factor; a key tried as a candidate also its law.
+            assert q is not None and r is not None
             assert not any(arr.flags.writeable for arr in (rows, q, r, law) if arr is not None)
             if law is not None:
                 laws += 1
@@ -1018,9 +1062,7 @@ class TestAffineLaw:
         for problem, structure, candidates in solves:
             n, b, c = problem.n, problem.ineq_rhs, problem.linear_cost
             for candidate in dict.fromkeys(candidates):
-                law = qp._start_factor(structure, candidate, law=True)[4]
-                # The factor, made again when the candidate kept its law alone.
-                _, rows, qf, rf, _ = qp._start_factor(structure, candidate)
+                _, rows, qf, rf, law = qp._start_factor(structure, candidate, law=True)
                 x_lam = unpacked(law) @ np.concatenate([-c, b[rows]])
                 x, lam, optimal = _factor_path(structure, problem, rows, qf, rf)
                 assert np.max(np.abs(x_lam[:n] - x)) <= 1e-12 * np.max(np.abs(x))
@@ -1058,28 +1100,25 @@ class TestAffineLaw:
         starts = _only_structure().starts
         assert {key for key, entry in starts.items() if entry[4] is not None} == tried
         assert len(starts.keys() - tried) == COLD_ONLY_KEYS
-        # A key first seen as a candidate keeps its law alone; here no
-        # candidate's rows were first a start's, so every law is alone.
-        assert {key for key, entry in starts.items() if entry[2] is None} == tried
+        assert all(entry[2] is not None and entry[3] is not None for entry in starts.values())
 
-
-    def test_candidate_keeps_its_law_alone_until_it_is_a_start(self, monkeypatch):
+    def test_candidate_keeps_factor_and_law_and_then_starts_without_a_qr(self, monkeypatch):
         # The corner QP's optimum (1, 0) holds rows (0, 2). Offered first as
-        # a candidate, the set keeps its law and no factor; as the rows
-        # tight at the start (1, 0) it is factored again and keeps both.
+        # a candidate, the set keeps its factor and its law; as the rows
+        # tight at the start (1, 0) it then costs no QR and keeps its entry.
         # Seen first as a start's rows, it keeps its factor when its law is
         # added.
         optimal = (0, 2)
         problem, structure = _corner_family()
         counts = _count_calls(monkeypatch, FACTOR_CALLS)
         assert qp.solve(problem, _reject, working_sets=[optimal], structure=structure).warm_start
-        _, _, q, r, law = structure.starts[optimal]
-        assert q is None and r is None and law is not None
+        entry = structure.starts[optimal]
+        assert all(part is not None for part in entry)
+        assert counts == {"numpy.linalg.qr": 1}
         start = np.array([1.0, 0.0])
         assert qp.solve(problem, start, structure=structure).working_set == optimal
-        _, _, q, r, kept = structure.starts[optimal]
-        assert q is not None and r is not None and kept is law
-        assert counts == {"numpy.linalg.qr": 2}
+        assert structure.starts[optimal] is entry
+        assert counts == {"numpy.linalg.qr": 1}
         problem, structure = _corner_family()
         qp.solve(problem, start, structure=structure)
         _, _, q, r, _ = structure.starts[optimal]
@@ -1285,9 +1324,7 @@ class TestWorkingSetHint:
         assert first.warm_start
         memo = dict(structure.starts)
         assert list(memo) == candidates
-        assert not any(
-            arr.flags.writeable for entry in memo.values() for arr in entry[1:] if arr is not None
-        )
+        assert not any(arr.flags.writeable for entry in memo.values() for arr in entry[1:])
         again = qp.solve(problem, np.zeros(2), working_sets=candidates, structure=structure)
         _assert_same_bits(again, first)
         assert_same_entries(structure.starts, memo)
@@ -1352,7 +1389,7 @@ class TestWorkingSetHint:
     def test_working_set_rows_are_tight_and_hold_every_dual(self, monkeypatch, first_day, level):
         # Every row of a solution's working set is tight at x, and every
         # nonzero dual is positive and sits on one of its rows.
-        kinds = ["inequality"] * 3 + ["lower"] * 2 + ["upper"]  # the six row blocks
+        kinds = mpc._RowBlocks._fields
         nonzero = collections.Counter()
         for problem, _, _, solution, _ in _hourly_window(monkeypatch, first_day, level):
             rows, rhs = problem.ineq_matrix, problem.ineq_rhs
