@@ -162,12 +162,14 @@ def step_hourly(
 
     The release bounds are evaluated at the pre-step level (explicit-Euler
     convention), the command is saturated to them, and the result goes
-    through :func:`mass_balance`. A negative storage, a negative or
-    non-finite inflow and a non-finite command raise ValueError.
+    through :func:`mass_balance`. A negative or non-finite storage, a
+    negative or non-finite inflow and a non-finite command raise ValueError.
 
     Returns:
         (new storage in m^3, release actually discharged in m^3/s)
     """
+    if not 0.0 <= storage < math.inf:
+        raise ValueError(f"storage must be finite and nonnegative, got {storage}")
     if not 0.0 <= inflow < math.inf:
         raise ValueError(f"inflow must be finite and nonnegative, got {inflow}")
     if not -math.inf < command < math.inf:

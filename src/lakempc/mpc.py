@@ -53,18 +53,13 @@ in that fixed order (see run_hourly); a daily step offers the previous
 day's set. When a candidate is optimal, its law's optimum is the step's
 solution (a warm start).
 
-Otherwise qp.solve needs a feasible start, and the step builds one close
-to its optimum, so the solver usually needs only a few active-set
-iterations. It is passed as a function, built only when every candidate
-fails.
-The flood and demand rows hold once their slacks take their binding
-values, so the start is a release plan: the demand, clipped into the
-bounds, and in daily mode also the previous day's plan, of which the one
-with the lower objective is kept. A plan that crosses a dry row is trimmed
-onto the rows: its cumulative release is cut to the budget C_t, the
-tightest later cap less the minimum releases still to come. That leaves it
-between the lower bound and the plan, and it meets the rows whenever the
-minimum-release plan does, which after the lift is always.
+Otherwise qp.solve needs a feasible start, built only then (it is passed
+as a function). The flood and demand rows hold once their slacks take
+their binding values, so a start is a release plan. The candidates are the
+demand and, in daily mode, first the previous day's plan, each clipped
+into the bounds and kept only when it meets the dry rows, and then the
+minimum-release plan, which after the lift always meets them. The start is
+the candidate of lowest objective (_feasible_point).
 
 The QP's Hessian and row matrix depend only on the horizon, the surface
 area and lam, so _qp_structure builds them, as a qp.Structure that also
@@ -277,53 +272,26 @@ def _with_slacks(params, s0, inflow_forecast, demand, u):
     return np.concatenate([u, em, ed])
 
 
-def _trim_to_dry_rows(u, lower, cap):
-    """The plan u with its cumulative release cut onto the caps sum u <= cap.
-
-    The budget C_t = L_t + min_{k>=t}(cap_k - L_k), with L the cumulative
-    minimum release, is the tightest later cap less the minimum releases in
-    between; the trimmed cumulative release is U + min(0, running min of
-    C - U), U = cumsum(u). The result lies in [lower, u] and meets every cap
-    whenever the minimum-release plan does; otherwise the clip leaves a row
-    that still fails.
-    """
-    floor = np.cumsum(lower)
-    budget = floor + np.minimum.accumulate((cap - floor)[::-1])[::-1]
-    total = np.cumsum(u)
-    total += np.minimum(np.minimum.accumulate(budget - total), 0.0)
-    return np.clip(np.diff(total, prepend=0.0), lower, u)
-
-
 def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint, dry_rhs, lower, upper):
     """A start for a problem whose minimum-release plan meets the dry rows.
 
     dry_rhs, lower and upper are the problem's dry right-hand sides and
-    release bounds (_row_blocks). The guesses are u_hint (when given) and
-    the demand, each clipped into the release bounds. A guess that fails a
-    dry row by more than qp.FEASIBILITY_TOL is replaced by its trim onto
-    the dry rows (_trim_to_dry_rows). Returns the feasible candidate of
-    lower objective, u_hint's on a tie. The trim meets the rows whenever
-    the minimum-release plan does, so that plan is returned only when
-    rounding leaves neither trimmed guess within tolerance.
+    release bounds (_row_blocks). The candidates are the guesses, u_hint
+    (when given) and the demand, each clipped into the release bounds, then
+    the minimum-release plan lower, each with its binding slacks. A guess is
+    kept when it meets every dry row within qp.FEASIBILITY_TOL; the
+    minimum-release plan is always kept, since after the lift it meets them
+    (qp.solve's start check names the row if it ever does not). Returns the
+    kept candidate of lowest objective, the first on a tie.
     """
     dry_matrix = problem.ineq_matrix[:demand.size]
-    cap = dry_rhs * params.surface_area / HOUR_SECONDS
-
-    def with_excess(u):
-        x = _with_slacks(params, s0, inflow_forecast, demand, u)
-        return x, dry_matrix @ x - dry_rhs
-
     starts = []
     for guess in (demand,) if u_hint is None else (u_hint, demand):
-        u = np.clip(guess, lower, upper)
-        x, excess = with_excess(u)
-        if np.max(excess) > qp.FEASIBILITY_TOL:
-            x, excess = with_excess(_trim_to_dry_rows(u, lower, cap))
-        if np.max(excess) <= qp.FEASIBILITY_TOL:
+        x = _with_slacks(params, s0, inflow_forecast, demand, np.clip(guess, lower, upper))
+        if np.max(dry_matrix @ x - dry_rhs) <= qp.FEASIBILITY_TOL:
             starts.append(x)
-    if starts:
-        return min(starts, key=problem.objective_value)
-    return _with_slacks(params, s0, inflow_forecast, demand, lower)
+    starts.append(_with_slacks(params, s0, inflow_forecast, demand, lower))
+    return min(starts, key=problem.objective_value)
 
 
 def solve_step(
@@ -344,11 +312,11 @@ def solve_step(
 
     working_sets are candidates for the optimal active set, each in the form
     of qp.QpSolution.working_set, which qp.solve tries in order. When none
-    is optimal, the solver starts from the demand or, when given, u_hint, a
-    guess at the plan (the previous day's plan in daily mode): whichever,
-    clipped into the bounds and, where it crosses a dry row, trimmed onto
-    the dry rows, has the lower objective (see _feasible_point). That point
-    is built only then.
+    is optimal, the solver starts from the candidate of lowest objective
+    among u_hint, a guess at the plan (the previous day's plan in daily
+    mode), and the demand, each clipped into the bounds and kept only where
+    it meets the dry rows, and the minimum-release plan (_feasible_point).
+    That point is built only then.
     """
     h = config.horizon
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
@@ -477,6 +445,12 @@ def run_daily(
     problem is assembled, and the forecast is the day's mean hourly inflow,
     held constant over the 24 hours. The plant still saturates every
     applied action at its true hourly bounds.
+
+    So the daily plan holds the hard dry bound when the inflow is constant
+    within each day. Otherwise the lake runs below the day-mean path by the
+    day's cumulative shortfall: under an intra-day bell q_tau of mean q_bar
+    the deepest point is 3600 * max_t sum_{tau<=t} (q_bar - q_tau) / A -
+    DRY_MARGIN below the bound, A the surface area.
 
     The day's QP is degenerate under a constant forecast (weakly active
     rows, tied multipliers), so the last bits of its plan, duals and KKT

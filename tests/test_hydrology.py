@@ -166,6 +166,19 @@ class TestStepHourly:
         with pytest.raises(ValueError, match=f"^{message}$"):
             step_hourly(PARAMS, 1e8, inflow=inflow, command=command)
 
+    @pytest.mark.parametrize(
+        "storage, message",
+        # The first two once returned (nan, 50.0) and (nan, inf).
+        [
+            (np.nan, "storage must be finite and nonnegative, got nan"),
+            (np.inf, "storage must be finite and nonnegative, got inf"),
+            (-1.0, "storage must be finite and nonnegative, got -1.0"),
+        ],
+    )
+    def test_unusable_storage_rejected(self, storage, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            step_hourly(PARAMS, storage, inflow=10.0, command=50.0)
+
     @given(
         commands=st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=1, max_size=50),
         inflows=st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=50, max_size=50),

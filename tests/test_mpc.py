@@ -31,7 +31,13 @@ from lakempc.mpc import (
     run_hourly,
     solve_step,
 )
-from lakempc.scenario import Scenario, constant_scenario, expand_daily, synthetic_year
+from lakempc.scenario import (
+    GaussianInflowParams,
+    Scenario,
+    constant_scenario,
+    expand_daily,
+    synthetic_year,
+)
 from lakempc.trace import mass_balance_error
 
 PARAMS = LakeParams()
@@ -500,8 +506,8 @@ class TestFeasibleStart:
     def test_drawdown_holds_the_dry_bound_and_a_dry_lake_recovers(self):
         # From day 182 at 0.29 m the summer demand drags the lake down. From
         # about hour 100 on, the clipped demand would cross the dry bound
-        # within the 24-hour horizon, and a plan trimmed onto the dry rows
-        # must supply the start.
+        # within the 24-hour horizon, and the start falls back to the
+        # minimum-release plan.
         summer = synthetic_year(6, first_day=182)
         dry = constant_scenario(0.0, 0.0, 2)
         trace = run_hourly(PARAMS, MpcConfig(), summer, storage_of_level(PARAMS, 0.29), n_steps=108)
@@ -509,6 +515,20 @@ class TestFeasibleStart:
         assert np.min(trace.levels) >= PARAMS.dry_threshold - 1e-9
         assert set(trace.solve_statuses) == {"optimal"}
         assert recovery.recovery_hours == 2
+
+    @pytest.mark.parametrize(
+        "run, days, level",
+        # A dry summer that recovers for 98 hours (44 iterations once), and
+        # the daily synthetic year (31 once): a start trimmed onto the dry
+        # rows spent their budget early and sat on a full vertex.
+        [(run_hourly, (182, 20), -0.30), (run_daily, (0, 366), 0.4)],
+    )
+    def test_cold_solves_stay_short(self, run, days, level):
+        first_day, n_days = days
+        scn = synthetic_year(n_days, first_day=first_day)
+        trace = run(PARAMS, MpcConfig(), scn, storage_of_level(PARAMS, level))
+        assert set(trace.solve_statuses) == {"optimal"}
+        assert trace.solve_iterations.max() <= 10
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -538,34 +558,6 @@ def _minimum_release_start(params, problem, s0, inflow, demand, u_hint, dry_rhs,
 
 
 class TestStartFromGuesses:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        horizon=st.integers(1, 24),
-        offset=st.floats(0.0, 3e6),
-        inflow=st.lists(st.floats(0.0, 60.0), min_size=24, max_size=24),
-        guess=st.lists(st.floats(0.0, 500.0), min_size=24, max_size=24),
-    )
-    @example(horizon=24, offset=100.0, inflow=[0.0] * 24, guess=[300.0] * 24)
-    def test_trim_meets_the_dry_rows_whenever_minimum_release_does(
-        self, horizon, offset, inflow, guess
-    ):
-        config = MpcConfig(horizon=horizon)
-        s0 = S_MIN + offset
-        problem = assemble_qp(PARAMS, config, s0, inflow[:horizon], np.zeros(horizon))
-        lower, upper = release_bounds_of(problem)
-        rows, rhs = problem.ineq_matrix[:horizon, :horizon], problem.ineq_rhs[:horizon]
-        u = np.clip(guess[:horizon], lower, upper)
-        cap = rhs * PARAMS.surface_area / HOUR_SECONDS
-        trimmed = mpc._trim_to_dry_rows(u, lower, cap)
-
-        def meets(plan):
-            return np.max(rows @ plan - rhs) <= qp.FEASIBILITY_TOL
-
-        assert np.all(lower <= trimmed) and np.all(trimmed <= u)
-        assert meets(trimmed) == meets(lower)
-        if np.all(rows @ u <= rhs):
-            assert trimmed == pytest.approx(u, rel=1e-12, abs=1e-9)
-
     def test_start_is_the_feasible_candidate_of_lower_objective(self):
         config = MpcConfig(horizon=6)
         h = config.horizon
@@ -582,9 +574,17 @@ class TestStartFromGuesses:
         # and the demand beats a hint at minimum release.
         problem, x, _ = start(1.2e8, np.full(h, 10.0))
         assert np.array_equal(x[:h], np.clip(demand, *release_bounds_of(problem)))
-        # Just above it both guesses cross a dry row, and their trims beat
-        # the minimum-release plan.
-        problem, x, minimum = start(S_MIN + 2e6, np.full(h, 300.0))
+        # Just above it both guesses cross a dry row, and the start is the
+        # minimum-release plan.
+        _, x, minimum = start(S_MIN + 2e6, np.full(h, 300.0))
+        assert np.array_equal(x, minimum)
+        # A hint that meets the rows is kept while the demand crosses one.
+        hint = np.full(h, 100.0)
+        problem, x, minimum = start(S_MIN + 2e6, hint)
+        lower, upper = release_bounds_of(problem)
+        rows, rhs = problem.ineq_matrix[:h, :h], problem.ineq_rhs[:h]
+        assert np.max(rows @ np.clip(demand, lower, upper) - rhs) > qp.FEASIBILITY_TOL
+        assert np.array_equal(x[:h], np.clip(hint, lower, upper))
         assert problem.objective_value(x) < problem.objective_value(minimum)
 
     @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4])
@@ -746,6 +746,23 @@ class TestDailyMode:
         flat = run_daily(PARAMS, MpcConfig(), Scenario(np.full(72, 100.0), demand), s0, n_steps=72)
         daily = run_daily(PARAMS, MpcConfig(), Scenario(swing, demand), s0, n_steps=72)
         assert daily.commands == pytest.approx(flat.commands, abs=1e-9)
+
+    @pytest.mark.parametrize("amplitude, decay", [(0.0, 0.06), (25.0, 0.06), (100.0, 0.6)])
+    def test_dry_bound_holds_only_under_a_flat_day(self, amplitude, decay):
+        # The day's plan rides the dry bound on the day-mean inflow, so the
+        # lake falls below it by the day's largest cumulative shortfall.
+        bell = GaussianInflowParams(amplitude=amplitude, decay=decay)
+        scn = synthetic_year(15, intraday=bell, first_day=182)
+        trace = run_daily(PARAMS, MpcConfig(), scn, storage_of_level(PARAMS, 0.29))
+        day = bell.intraday()
+        shortfall = HOUR_SECONDS * np.max(np.cumsum(day.mean() - day)) / PARAMS.surface_area
+        lowest = np.min(trace.levels)
+        if amplitude == 0.0:
+            assert lowest >= PARAMS.dry_threshold - 1e-9
+        else:
+            assert lowest == pytest.approx(
+                PARAMS.dry_threshold - (shortfall - mpc.DRY_MARGIN), rel=0.0, abs=1e-12
+            )
 
 
 class TestConfig:

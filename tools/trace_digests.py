@@ -4,15 +4,16 @@ For every member of the three benchmark workloads at seeds 0 and 7919, the
 script runs the member through ``perfbench/workloads.run_member`` and prints,
 per run (an hourly MPC run, or the CLI's DDP and daily MPC runs):
 
-    workload seed member label digest rel_dev stor_dev control_cost iterations warm
+    workload seed member label digest rel_dev stor_dev control_cost iterations max_iter warm
 
 ``digest`` is ``workloads.trace_digest`` (equal digests, equal bits),
 ``rel_dev`` and ``stor_dev`` the member-0 deviation of releases and storages
 from ``perfbench/reference/`` as a share of scale ("-" for jittered members),
 ``control_cost`` the paper's objective to 17 digits, ``iterations`` the
-active-set iterations of the run's decisions, summed, and ``warm`` the
-run's hours whose decision took a candidate working set
-(``trace.warm_starts.sum()``); both are "-" for the DDP. The package is
+active-set iterations of the run's decisions, summed, ``max_iter`` the
+most any one decision took (a sum hides a single long solve), and
+``warm`` the run's hours whose decision took a candidate working set
+(``trace.warm_starts.sum()``); all three are "-" for the DDP. The package is
 imported from this checkout's ``src/``, and the benchmark's modules are
 only read.
 
@@ -133,11 +134,13 @@ def _line(name, seed, j, member, run, reference, iterations) -> str:
     if member.jitter_seed is None:
         dev = gate.reference_deviation(trace, reference, run.label)
         deviation = [f"{dev[series]:.3e}" for series in gate.REFERENCE_SERIES]
-    total = str(sum(iterations[run.decisions])) if run.is_mpc else "-"
+    counts = iterations[run.decisions]
+    total = str(sum(counts)) if run.is_mpc else "-"
+    worst = str(max(counts)) if run.is_mpc else "-"
     warm = str(int(trace.warm_starts.sum())) if run.is_mpc else "-"
     cost = f"{workloads.control_cost(trace):.17g}"
     digest = workloads.trace_digest(trace)
-    return " ".join([name, str(seed), str(j), run.label, digest, *deviation, cost, total, warm])
+    return " ".join([name, str(seed), str(j), run.label, digest, *deviation, cost, total, worst, warm])
 
 
 if __name__ == "__main__":
