@@ -63,10 +63,23 @@ the candidate of lowest objective (_feasible_point).
 
 The QP's Hessian and row matrix depend only on the horizon, the surface
 area and lam, so _qp_structure builds them, as a qp.Structure that also
-holds their factors and the solver's cache, once per such configuration.
-Every step's problem holds the structure's read-only matrices, and the
-step passes the structure to qp.solve. Only the latest configuration's
-structure is kept: a lambda sweep drops each weight's when it moves on.
+holds their factors, the solver's cache and a contiguous copy of the dry
+rows' release columns, once per such configuration. Only the latest
+configuration's structure is kept: a lambda sweep drops each weight's when
+it moves on. The five row blocks are named once, as slices of the rows for
+each horizon (_block_slices).
+
+So a step builds only vectors. assemble_qp writes the cost and the
+right-hand side block by block, in place, into one array each, and wraps
+them with the structure's read-only matrices in a QpProblem; solve_step
+lifts the dry rows in place and hands the problem and the structure to
+qp.solve. Each input is checked once, where it enters: assemble_qp checks
+s0, the shapes and the finiteness of the forecast and the demand (the
+message names the series, the horizon step and the hour); qp.solve checks
+the cost and the right-hand side it is handed, each candidate the first
+time the structure sees it, and the start only when it builds one.
+solve_step adds no check of its own, and the lift keeps the right-hand
+side finite.
 """
 
 from __future__ import annotations
@@ -142,9 +155,15 @@ def _storage_bounds(params: LakeParams) -> tuple[float, float]:
     )
 
 
-def _row_blocks(rhs: np.ndarray) -> _RowBlocks:
-    """The right-hand side of assemble_qp's rows in its five blocks, as views."""
-    return _RowBlocks._make(rhs.reshape(len(_RowBlocks._fields), -1))
+@functools.lru_cache(maxsize=None)
+def _block_slices(h: int) -> _RowBlocks:
+    """The slices of assemble_qp's rows that hold its five blocks, for horizon h."""
+    return _RowBlocks._make(slice(i * h, (i + 1) * h) for i in range(len(_RowBlocks._fields)))
+
+
+def _at(hour: int | None) -> str:
+    """The end of an error message that names the hour, when one is given."""
+    return "" if hour is None else f" at hour {hour}"
 
 
 def assemble_qp(
@@ -182,62 +201,75 @@ def assemble_qp(
     Each message names the hour when one is given.
     """
     h = config.horizon
-    where = f" at hour {hour}" if hour is not None else ""
     if not 0.0 <= s0 < np.inf:
-        raise ValueError(f"s0 must be finite and nonnegative{where}, got {s0}")
+        raise ValueError(f"s0 must be finite and nonnegative{_at(hour)}, got {s0}")
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
     if inflow_forecast.shape != (h,) or demand.shape != (h,):
         raise ValueError(
-            f"horizon mismatch{where}: expected {h} forecast/demand entries, got "
+            f"horizon mismatch{_at(hour)}: expected {h} forecast/demand entries, got "
             f"{inflow_forecast.size}/{demand.size}"
         )
     # One pass clears finite series; only a failing one is diagnosed.
-    if not (np.isfinite(inflow_forecast).all() and np.isfinite(demand).all()):
+    if not (qp._every(np.isfinite(inflow_forecast)) and qp._every(np.isfinite(demand))):
         for name, series in (("inflow forecast", inflow_forecast), ("demand", demand)):
             finite = np.isfinite(series)
             if not finite.all():
                 t = int(np.argmin(finite))
-                raise ValueError(f"{name} is {series[t]} at horizon step {t}{where}")
+                raise ValueError(f"{name} is {series[t]} at horizon step {t}{_at(hour)}")
     area = params.surface_area
     s_min, s_max = _storage_bounds(params)
     structure = _qp_structure(h, area, config.lam)
-    n_var = structure.hessian.shape[0]
-    linear = np.zeros(n_var)
-    linear[:h] = -2.0 * TIE_BREAK_WEIGHT * demand
+    # The cost and each block of b are written in place, one operation at a
+    # time in the order of the formula beside it, so the bits are its bits.
+    linear = np.zeros(structure.hessian.shape[0])
+    np.multiply(-2.0 * TIE_BREAK_WEIGHT, demand, out=linear[:h])
 
     # s(t) for t=1..H before releases, all divided by the surface area.
-    inflow_volume = HOUR_SECONDS * np.cumsum(inflow_forecast)
+    inflow_volume = HOUR_SECONDS * inflow_forecast.cumsum()
     r_min, r_max = release_bounds(params, level_of_storage(params, s0))
     rhs = np.empty(structure.ineq_matrix.shape[0])
-    rows = _row_blocks(rhs)
+    blocks = _block_slices(h)
     # Dry: 3600/A sum u <= (s(t)_inflow - s_min)/A - margin.
     # s0 - s_min first: near the dry bound it is exact, and the cap does
     # not lose its digits to the cancellation of two large storages.
-    rows.dry[:] = (s0 - s_min + inflow_volume) / area - DRY_MARGIN
+    dry = rhs[blocks.dry]
+    np.add(s0 - s_min, inflow_volume, out=dry)
+    np.divide(dry, area, out=dry)
+    np.subtract(dry, DRY_MARGIN, out=dry)
     # Flood: -3600/A sum u - slack_flood <= (s_max - s(t)_inflow)/A
-    rows.flood[:] = s_max / area - (s0 + inflow_volume) / area
+    flood = rhs[blocks.flood]
+    np.add(s0, inflow_volume, out=flood)
+    np.divide(flood, area, out=flood)
+    np.subtract(s_max / area, flood, out=flood)
     # Demand: -u + slack_demand <= -w
-    rows.demand[:] = -demand
+    np.negative(demand, out=rhs[blocks.demand])
     # Releases: -u <= -r_min, u <= r_max
-    rows.neg_lower[:], rows.upper[:] = -r_min, r_max
-    return qp.QpProblem(
-        hessian=structure.hessian,
-        linear_cost=linear,
-        ineq_matrix=structure.ineq_matrix,
-        ineq_rhs=rhs,
-    )
+    rhs[blocks.neg_lower], rhs[blocks.upper] = -r_min, r_max
+    return qp.QpProblem(structure.hessian, linear, structure.ineq_matrix, rhs)
+
+
+class _StepStructure(qp.Structure):
+    """A qp.Structure that also holds dry_releases, a C-contiguous,
+    read-only copy of the dry rows' release columns: its product with the
+    minimum-release plan is the plan's dry rows, which every step reads."""
+
+    def __init__(self, problem: qp.QpProblem, h: int) -> None:
+        super().__init__(problem)
+        self.dry_releases = np.ascontiguousarray(self.ineq_matrix[_block_slices(h).dry, :h])
+        self.dry_releases.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=1)
-def _qp_structure(h: int, area: float, lam: float) -> qp.Structure:
-    """The qp.Structure of assemble_qp's QP: its read-only Hessian and row
-    matrix, their factors, and the working-set factors that qp.solve
-    caches. Every step of a run, and of any later run of the same
-    configuration while it is the last one asked for, shares it. Its rows
-    fall in the five blocks of h of _RowBlocks, one row per horizon step,
-    which _shifted and _row_blocks rely on: dry, flood, demand, the lower
-    bounds of u (-I) and the upper bounds of u (I).
+def _qp_structure(h: int, area: float, lam: float) -> _StepStructure:
+    """The _StepStructure of assemble_qp's QP: its read-only Hessian and
+    row matrix, their factors, the working-set factors that qp.solve
+    caches, and the dry rows' release columns. Every step of a run, and of
+    any later run of the same configuration while it is the last one asked
+    for, shares it. Its rows fall in the five blocks of h of _RowBlocks,
+    one row per horizon step, which _shifted and _block_slices rely on:
+    dry, flood, demand, the lower bounds of u (-I) and the upper bounds of
+    u (I).
     """
     n_var = 3 * h
     iu, iem, ied = 0, h, 2 * h
@@ -259,7 +291,7 @@ def _qp_structure(h: int, area: float, lam: float) -> qp.Structure:
     demand_rows[:, ied:] = np.eye(h)
     eye = np.eye(h, n_var)
     ineq_matrix = np.vstack([dry_rows, flood_rows, demand_rows, 0.0 - eye, eye])
-    return qp.Structure(qp.QpProblem(hessian, np.zeros(n_var), ineq_matrix))
+    return _StepStructure(qp.QpProblem(hessian, np.zeros(n_var), ineq_matrix), h)
 
 
 def _with_slacks(params, s0, inflow_forecast, demand, u):
@@ -276,7 +308,7 @@ def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint, dry_rh
     """A start for a problem whose minimum-release plan meets the dry rows.
 
     dry_rhs, lower and upper are the problem's dry right-hand sides and
-    release bounds (_row_blocks). The candidates are the guesses, u_hint
+    release bounds (_block_slices). The candidates are the guesses, u_hint
     (when given) and the demand, each clipped into the release bounds, then
     the minimum-release plan lower, each with its binding slacks. A guess is
     kept when it meets every dry row within qp.FEASIBILITY_TOL; the
@@ -284,6 +316,8 @@ def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint, dry_rh
     (qp.solve's start check names the row if it ever does not). Returns the
     kept candidate of lowest objective, the first on a tie.
     """
+    inflow_forecast = np.asarray(inflow_forecast, dtype=float)
+    demand = np.asarray(demand, dtype=float)
     dry_matrix = problem.ineq_matrix[:demand.size]
     starts = []
     for guess in (demand,) if u_hint is None else (u_hint, demand):
@@ -319,37 +353,33 @@ def solve_step(
     That point is built only then.
     """
     h = config.horizon
-    inflow_forecast = np.asarray(inflow_forecast, dtype=float)
-    demand = np.asarray(demand, dtype=float)
     problem = assemble_qp(params, config, s0, inflow_forecast, demand, hour=hour)
+    structure = _qp_structure(h, params.surface_area, config.lam)
+    rhs, blocks = problem.ineq_rhs, _block_slices(h)
     # dry_rhs and upper are views of problem.ineq_rhs: the lift edits the problem.
-    rows = _row_blocks(problem.ineq_rhs)
-    dry_rhs, lower, upper = rows.dry, -rows.neg_lower, rows.upper
+    dry_rhs, lower, upper = rhs[blocks.dry], -rhs[blocks.neg_lower], rhs[blocks.upper]
     # The dry rows of the minimum-release plan: no plan reaches lower values.
-    floor = problem.ineq_matrix[:h, :h] @ lower
-    failing = np.flatnonzero(floor - dry_rhs > qp.FEASIBILITY_TOL)
+    floor = structure.dry_releases.dot(lower)
+    failing = (floor - dry_rhs > qp.FEASIBILITY_TOL).nonzero()[0]
     # k = -1 when no row fails beyond the tolerance; rows missed by less are lifted.
     k = int(failing[-1]) if failing.size else -1
     recovery_used = k >= 0
     if recovery_used:
         upper[:k + 1] = lower[:k + 1]
         dry_rhs[:k + 1] = np.maximum(dry_rhs[:k + 1], floor[k])
-    dry_rhs[k + 1:] = np.maximum(dry_rhs[k + 1:], floor[k + 1:])
+    lifted = dry_rhs[k + 1:]
+    np.maximum(lifted, floor[k + 1:], out=lifted)
     solution = qp.solve(
         problem,
         initial_point=lambda: _feasible_point(
             params, problem, s0, inflow_forecast, demand, u_hint, dry_rhs, lower, upper
         ),
         working_sets=working_sets,
-        structure=_qp_structure(h, params.surface_area, config.lam),
+        structure=structure,
     )
-    return MpcStepResult(
-        planned_releases=solution.x[:h],
-        slack_max=solution.x[h:2 * h],
-        slack_demand=solution.x[2 * h:],
-        recovery_used=recovery_used,
-        solve_diagnostics=solution,
-    )
+    x = solution.x
+    # planned_releases, slack_max, slack_demand, recovery_used, solve_diagnostics
+    return MpcStepResult(x[:h], x[h:2 * h], x[2 * h:], recovery_used, solution)
 
 
 def _shifted(working_set: tuple[int, ...], h: int) -> tuple[int, ...]:

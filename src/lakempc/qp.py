@@ -33,19 +33,23 @@ in (b, c), the critical regions of explicit MPC (Bemporad, Morari, Dua &
 Pistikopoulos 2002), so the structure keeps for each set offered as a
 candidate the matrix K of that law (_affine_law), the inverse of its KKT
 matrix: [x; lam] = K [-c; b_w]. A candidate costs one product with K, then
-the slack b - Ax: every row must hold within 1e-9 (1/row_scale_i + |b_i|),
+the excess Ax - b: every row must hold within 1e-9 (1/row_scale_i + |b_i|),
 the loop's scaled test in the row's own units. Only then are its multipliers
 tested, by the loop's sign test on the scaled gradient col_scale (Qx + c);
 on the synthetic hourly year from 0.4 m, 806 of the 1264 rejected candidates
 fail a row. The first candidate that passes both is returned, counted as one
-iteration, and certified from the same slack and Qx. Only when every
+iteration, and certified from the same excess and Qx. Only when every
 candidate is rejected does the solve start from the caller's start, which
-may be given as a function so that it is built only then. A candidate the
-structure has seen before costs a dict lookup, the product and the row test
-when it fails a row: about 11-12 us at the MPC's size on a shared 2-vCPU
-Xeon, against 44-49 us for a solve that takes its first candidate and
-315-370 us for one from the start (timeit medians over every fourth solve of
-days 104-120 from 1.08 m; the machine's speed moves by up to 2x).
+may be given as a function so that it is built only then. A rejected
+candidate the structure has seen before costs a dict lookup, the product,
+the row test and, when it meets every row, the sign test: about 10-12 us at
+the MPC's size on a shared 2-vCPU Xeon, against 32-36 us for a solve that
+takes its first candidate and 300-320 us for one from the start (medians
+over every fourth solve of days 104-120 from 1.08 m of the least of five
+timeit repeats; the machine's speed moves by up to 2x). Each solve checks
+its cost and right-hand side once, on entry, and builds the law's argument
+[-c; b_w] in one buffer; the certification below works on the working rows'
+multipliers.
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
@@ -59,7 +63,11 @@ a candidate also keeps its packed K, 22-58 kB), so the MPC's hours, which
 start from few distinct sets, pay one QR per set rather than one per solve,
 whether the set comes first as a candidate or as a start. The daily MPC on
 the two years of the CLI benchmark at seed 7919 uses 65 sets, so room for 64
-would cost 79 QRs on every pass over them. The cached Q and R are read-only:
+would cost 79 QRs on every pass over them. The hourly MPC on the synthetic
+year from 0.4 m uses 131 sets: with room for 128 it made 165 QRs and 128
+laws, with room for all 139 and 103. The cap, 256, also holds the 210 sets
+of that year with daily inflow jitter 0.3 (seed 7919), which made 255 QRs
+and 202 laws at 128 and makes 221 and 174. The cached Q and R are read-only:
 the solve only replaces them. The factor is then updated by scipy's
 qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and the
 triangular solves call LAPACK's trtrs; both skip scipy's argument checks,
@@ -89,11 +97,13 @@ passes the certification tolerance. It is computed from the structure's
 unscaled rows, the right-hand side and the m-vector of row multipliers
 (QpSolution.duals), with one product each way: stationarity max|Qx + c +
 A'duals| from A'duals, and primal feasibility, the multipliers' sign and
-complementarity from the slack b - A x (for a candidate, the Qx and the
-slack its tests read). kkt_components and kkt_residual remain the
-independent check that the tests run against the solver. Problem sizes are
-expected to stay small (tens of variables, low hundreds of constraints), so
-all linear algebra is dense.
+complementarity from the excess A x - b, the slack's negative (for a
+candidate, the Qx and the excess its tests read); the multipliers' sign and
+complementarity are read on the working rows only, as every other row's
+multiplier is zero. kkt_components and kkt_residual remain the independent
+check that the tests run against the solver. Problem sizes are expected to
+stay small (tens of variables, low hundreds of constraints), so all linear
+algebra is dense.
 """
 
 from __future__ import annotations
@@ -143,6 +153,12 @@ def _as_vector(value, length: int | None = None) -> np.ndarray:
     return np.atleast_1d(np.asarray(value, dtype=float))
 
 
+def _every(mask: np.ndarray) -> bool:
+    """mask.all() for a boolean array, as a count: ndarray.all's Python
+    wrapper costs several times the work at the sizes solved here."""
+    return np.count_nonzero(mask) == mask.size
+
+
 def _is_float_array(value, ndim: int) -> bool:
     return type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == ndim
 
@@ -185,7 +201,7 @@ class QpProblem:
             raise ValueError("inequality block dimensions inconsistent")
         # A NaN would pass every comparison below and in the certification.
         # One pass clears a valid problem; only a failing one is diagnosed.
-        if np.isfinite(self.linear_cost).all() and np.isfinite(self.ineq_rhs).all():
+        if _every(np.isfinite(self.linear_cost)) and _every(np.isfinite(self.ineq_rhs)):
             return
         for name, vec, entry in (
             ("linear_cost", self.linear_cost, "variable"),
@@ -309,7 +325,10 @@ class Structure:
         self.starts: dict[tuple[int, ...], tuple] = {}
 
 
-_START_CACHE_SIZE = 128
+# The synthetic hourly year from 0.4 m meets 131 distinct sets of rows, the
+# year with daily inflow jitter 0.3 (seed 7919) 210; this holds either with
+# room to spare (see the module docstring).
+_START_CACHE_SIZE = 256
 
 
 def _max_violation(problem: QpProblem, x: np.ndarray) -> tuple[float, str]:
@@ -425,6 +444,55 @@ def _working_optimum(structure, qf, rf, rows, b_s, c_y):
     return structure.l_inv_t @ y, -_solve_upper(r, t + q1.T @ c_y)
 
 
+def _lam_tol(g: np.ndarray) -> float:
+    """The most negative scaled multiplier that counts as nonnegative, for
+    the scaled gradient g."""
+    return -1e-9 * (1.0 + float(np.abs(g).max(initial=0.0)))
+
+
+def _unscaled(structure: Structure, x_s: np.ndarray, lam: np.ndarray, rows) -> tuple:
+    """x and the working rows' multipliers lam in the problem's units."""
+    return structure.col_scale * x_s, structure.row_scale[rows] * lam
+
+
+def _finish(structure, problem, x, lam, working_set, rows, status, iterations, qx=None,
+            grad=None, excess=None, message="", warm_start=False) -> QpSolution:
+    """The solution at x, lam the multipliers of the working rows (both
+    unscaled, lam scrubbed in place), and its KKT residual: the largest of
+    |Qx + c + A'duals|, each row's violation, each negative multiplier and
+    |duals * slack|, at least +0.0, and NaN when any is NaN, which is not
+    certified. The multipliers and |duals * slack| are taken on the working
+    rows: every other row's multiplier is zero. Qx, grad = Qx + c and the
+    excess Ax - b, the slack's negative, are computed unless given.
+
+    Here and in solve's candidate test the products are ndarray.dot: the
+    same BLAS call as @, for less of numpy's overhead."""
+    c = problem.linear_cost
+    if qx is None:
+        qx, excess = structure.hessian.dot(x), structure.ineq_matrix.dot(x) - problem.ineq_rhs
+        grad = qx + c
+    # Scrub multiplier noise: tiny negatives on working rows are numerical,
+    # not meaningful. The threshold scales with the largest multiplier.
+    if not lam.min(initial=0.0) >= 0.0:
+        tiny = 1e-9 * max(1.0, float(np.abs(lam).max()))
+        lam[(lam < 0.0) & (lam > -tiny)] = 0.0
+    # The multiplier of every row, zero off the working set.
+    duals = np.zeros(structure.row_norm.size)
+    duals[rows] = lam
+    grad += structure.ineq_matrix_t.dot(duals)
+    # + 0.0: a zero residual is +0.0 whatever the sign of its zero terms.
+    residual = _worst(np.abs(grad, out=grad), excess, -lam, np.abs(lam * excess[rows])) + 0.0
+    objective = float(x.dot(0.5 * qx + c))
+    # Positional, in QpSolution's field order.
+    sol = QpSolution(
+        x, duals, objective, status, residual, iterations, message, working_set, warm_start
+    )
+    if status == "optimal" and not residual <= KKT_TOL:
+        sol.status = "iteration-limit"
+        sol.message = f"converged but certification failed (kkt residual {sol.kkt_residual:.3e})"
+    return sol
+
+
 def solve(
     problem: QpProblem,
     initial_point: np.ndarray | Callable[[], np.ndarray],
@@ -470,59 +538,26 @@ def solve(
     hessian, a = structure.hessian, structure.ineq_matrix
     b, c = problem.ineq_rhs, problem.linear_cost
 
-    def _lam_tol(g):
-        """The most negative scaled multiplier that counts as nonnegative."""
-        return -1e-9 * (1.0 + float(np.abs(g).max(initial=0.0)))
-
-    def _finish(x, lam, working_set, rows, status, iterations, message="", warm_start=False,
-                qx=None, slack=None):
-        """The solution at x, lam the multipliers of the working rows (both
-        unscaled), and its KKT residual: the largest of |Qx + c + A'duals|,
-        each row's violation, each negative multiplier and |duals * slack|,
-        NaN when any is NaN, which is not certified. Qx and the slack b - Ax
-        are computed unless given."""
-        if qx is None:
-            qx, slack = hessian @ x, b - a @ x
-        # The multiplier of every row, zero off the working set.
-        duals = np.zeros(m)
-        duals[rows] = lam
-        # Scrub multiplier noise: tiny negatives on working rows are
-        # numerical, not meaningful. The threshold scales with the largest
-        # multiplier of any row.
-        tiny = 1e-9 * max(1.0, float(np.abs(duals).max(initial=0.0)))
-        duals[(duals < 0.0) & (duals > -tiny)] = 0.0
-        grad = qx + c
-        grad += structure.ineq_matrix_t @ duals
-        residual = _worst(np.abs(grad, out=grad), -slack, -duals, np.abs(duals * slack))
-        sol = QpSolution(
-            x=x,
-            duals=duals,
-            objective=float(x @ (0.5 * qx + c)),
-            status=status,
-            kkt_residual=residual,
-            iterations=iterations,
-            message=message,
-            working_set=working_set,
-            warm_start=warm_start,
-        )
-        if status == "optimal" and not residual <= KKT_TOL:
-            sol.status = "iteration-limit"
-            sol.message = f"converged but certification failed (kkt residual {sol.kkt_residual:.3e})"
-        return sol
-
     # The loop's scaled row test below, in each row's own units.
-    cand_tol = -1e-9 * (structure.row_norm + np.abs(b))
+    cand_tol = 1e-9 * (structure.row_norm + np.abs(b))
+    # The laws' argument [-c; b[rows]]: -c once, then each candidate's rows.
+    law_arg = np.empty(n + m)
+    np.negative(c, out=law_arg[:n])
     for candidate in working_sets:
         w_rows, rows, _, _, law = _start_factor(structure, candidate, law=True)
-        x_lam = _spmv(n + rows.size, 1.0, law, np.concatenate((-c, b[rows])))
+        mw = rows.size
+        law_arg[n:n + mw] = b[rows]
+        x_lam = _spmv(n + mw, 1.0, law, law_arg)
         x, lam = x_lam[:n], x_lam[n:]
-        slack = b - a @ x
+        excess = a.dot(x) - b
         # A NaN fails both tests.
-        if not (slack >= cand_tol).all():
+        if not _every(excess <= cand_tol):
             continue
-        qx = hessian @ x
-        if (lam >= _lam_tol(structure.col_scale * (qx + c)) * structure.row_scale[rows]).all():
-            return _finish(x, lam, w_rows, rows, "optimal", 1, warm_start=True, qx=qx, slack=slack)
+        qx = hessian.dot(x)
+        grad = qx + c
+        if _every(lam >= _lam_tol(structure.col_scale * grad) * structure.row_scale[rows]):
+            return _finish(structure, problem, x, lam, w_rows, rows, "optimal", 1, qx, grad, excess,
+                           warm_start=True)
 
     if callable(initial_point):
         initial_point = initial_point()
@@ -543,13 +578,6 @@ def solve(
     c_y = l_inv_t.T @ c_s
     # A row holds when within this of its own scaled right-hand side.
     row_tol = 1e-9 * (1.0 + np.abs(b_s))
-
-    def _meets_rows(x_s):
-        """Whether x_s holds every row, each to its own scale; NaN fails."""
-        return bool((structure.a @ x_s - b_s <= row_tol).all())
-
-    def _unscaled(x_s, lam, rows):
-        return structure.col_scale * x_s, structure.row_scale[rows] * lam
 
     # Initial working set: from the rows tight at x0.
     resid = structure.a @ x_s - b_s
@@ -578,9 +606,12 @@ def solve(
             x_w, lam = _working_optimum(structure, qf, rf, w_list, b_s, c_y)
             lam_tol = _lam_tol(g)
             if lam.size == 0 or lam.min() >= lam_tol:
-                x_s = x_w if _meets_rows(x_w) else x_s
-                x, lam = _unscaled(x_s, lam, w_list)
-                return _finish(x, lam, tuple(w_list), w_list, "optimal", iterations)
+                # x_w when it holds every row, each to its own scale; NaN fails.
+                x_s = x_w if (structure.a @ x_w - b_s <= row_tol).all() else x_s
+                x, lam = _unscaled(structure, x_s, lam, w_list)
+                return _finish(
+                    structure, problem, x, lam, tuple(w_list), w_list, "optimal", iterations
+                )
             if single_drop:
                 lam_min = float(lam.min())
                 drop = np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1:]
@@ -617,7 +648,8 @@ def solve(
             x_s = x_s + p
 
     lam = _working_optimum(structure, qf, rf, w_list, b_s, c_y)[1]
+    x, lam = _unscaled(structure, x_s, lam, w_list)
     return _finish(
-        *_unscaled(x_s, lam, w_list), tuple(w_list), w_list, "iteration-limit", iterations,
-        "iteration limit reached",
+        structure, problem, x, lam, tuple(w_list), w_list, "iteration-limit", iterations,
+        message="iteration limit reached",
     )

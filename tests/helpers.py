@@ -64,21 +64,56 @@ def bounded_qp(
     )
 
 
+def row_blocks(problem: qp.QpProblem) -> mpc._RowBlocks:
+    """The right-hand side of an mpc.assemble_qp problem in its five blocks,
+    as views, cut by mpc._block_slices."""
+    rhs = problem.ineq_rhs
+    return mpc._RowBlocks._make(rhs[block] for block in mpc._block_slices(problem.n // 3))
+
+
 def release_bounds_of(problem: qp.QpProblem) -> tuple[np.ndarray, np.ndarray]:
     """The release bounds (lower, upper) of an mpc.assemble_qp problem, read
-    off its bound rows by mpc._row_blocks. The upper bounds are views, so a
+    off its bound rows by row_blocks. The upper bounds are views, so a
     recovery lift shows."""
-    rows = mpc._row_blocks(problem.ineq_rhs)
+    rows = row_blocks(problem)
     return -rows.neg_lower, rows.upper
 
 
 def feasible_point(params, problem, s0, inflow, demand, u_hint) -> np.ndarray:
     """mpc._feasible_point of an mpc.assemble_qp problem, handed its dry
     right-hand sides and release bounds as solve_step hands them."""
-    dry_rhs = mpc._row_blocks(problem.ineq_rhs).dry
+    dry_rhs = row_blocks(problem).dry
     return mpc._feasible_point(
         params, problem, s0, inflow, demand, u_hint, dry_rhs, *release_bounds_of(problem)
     )
+
+
+def reference_step(
+    params, config, s0, inflow, demand, u_hint=None, hour=None, working_sets=()
+) -> tuple[qp.QpSolution, bool]:
+    """mpc.solve_step by its documented parts, each through its checked,
+    public entry: the problem of mpc.assemble_qp; the recovery lift of
+    mpc's module docstring, from the minimum-release plan's dry rows
+    (the product of the problem's own dry rows with its lower bounds); and
+    qp.solve on the configuration's structure, with mpc._feasible_point
+    as the start. Returns the solution and whether the step recovered."""
+    h = config.horizon
+    problem = mpc.assemble_qp(params, config, s0, inflow, demand, hour=hour)
+    rows = row_blocks(problem)
+    lower, upper, dry = -rows.neg_lower, rows.upper, rows.dry
+    plan = problem.ineq_matrix[:h, :h] @ lower
+    failing = [t for t in range(h) if plan[t] - dry[t] > qp.FEASIBILITY_TOL]
+    k = failing[-1] if failing else -1
+    upper[:k + 1] = lower[:k + 1]
+    dry[:k + 1] = np.maximum(dry[:k + 1], plan[k])
+    dry[k + 1:] = np.maximum(dry[k + 1:], plan[k + 1:])
+    solution = qp.solve(
+        problem,
+        lambda: mpc._feasible_point(params, problem, s0, inflow, demand, u_hint, dry, lower, upper),
+        working_sets=working_sets,
+        structure=mpc._qp_structure(h, params.surface_area, config.lam),
+    )
+    return solution, k >= 0
 
 
 def six_block_problem(problem: qp.QpProblem) -> qp.QpProblem:

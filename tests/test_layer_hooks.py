@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from lakempc import ddp, mpc, qp
-from lakempc.hydrology import LakeParams
+from lakempc.hydrology import LakeParams, storage_of_level
 from lakempc.scenario import synthetic_year
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -75,3 +75,33 @@ def test_result_readers_accept_real_results():
     table = ddp.backward_induction(params, ddp.DdpConfig(), scn.inflow_hourly, scn.demand_hourly)
     out_of_grid, n_steps = info["ddp.backward"](table)
     assert n_steps == 24 and out_of_grid >= 0
+
+
+@pytest.mark.parametrize("mode", ["hourly", "daily"])
+def test_each_decision_calls_each_wrapped_layer_once(monkeypatch, mode):
+    # workloads.DecisionLog wraps mpc.solve_step, and the tracer wraps
+    # mpc.assemble_qp and qp.solve, each by replacing the module attribute.
+    # A decision that reached one of them by another name would leave the
+    # benchmark's decision log or its layer spans short.
+    events = []
+    for module, attr in ((mpc, "solve_step"), (mpc, "assemble_qp"), (qp, "solve")):
+        def counting(*args, _inner=getattr(module, attr), _name=attr, **kwargs):
+            events.append(f"{_name} in")
+            result = _inner(*args, **kwargs)
+            events.append(f"{_name} out")
+            return result
+
+        monkeypatch.setattr(module, attr, counting)
+    params, config = LakeParams(), mpc.MpcConfig()
+    if mode == "hourly":
+        scn, decisions = synthetic_year(2, first_day=104), 12
+        trace = mpc.run_hourly(params, config, scn, storage_of_level(params, 1.08), n_steps=12)
+    else:
+        scn, decisions = synthetic_year(3), 3
+        trace = mpc.run_daily(params, config, scn, storage_of_level(params, 0.4))
+    assert set(trace.solve_statuses) == {"optimal"}
+    decision = [
+        "solve_step in", "assemble_qp in", "assemble_qp out", "solve in", "solve out",
+        "solve_step out",
+    ]
+    assert events == decision * decisions

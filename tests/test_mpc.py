@@ -14,7 +14,9 @@ from helpers import (
     direct_cost_minimum,
     feasible_point,
     phase1_point,
+    reference_step,
     release_bounds_of,
+    row_blocks,
 )
 from lakempc import mpc, qp
 from lakempc.hydrology import (
@@ -144,14 +146,14 @@ class TestAssembly:
     def test_last_rows_are_the_release_bounds_at_s0s_level(self, level):
         # The last 2h rows bound u from below and from above, one row per
         # horizon step, at release_bounds of s0's level: -u <= -r_min,
-        # u <= r_max. _row_blocks reads them as views of the right-hand side.
+        # u <= r_max. row_blocks reads them as views of the right-hand side.
         h = 4
         s0 = storage_of_level(PARAMS, level)
         problem = assemble_qp(PARAMS, MpcConfig(horizon=h), s0, [50.0] * h, [80.0] * h)
         r_min, r_max = release_bounds(PARAMS, level_of_storage(PARAMS, s0))
         eye = np.eye(h, 3 * h)
         assert np.array_equal(problem.ineq_matrix[3 * h:], np.vstack([-eye, eye]))
-        rows = mpc._row_blocks(problem.ineq_rhs)
+        rows = row_blocks(problem)
         assert rows.neg_lower.tolist() == [-r_min] * h and rows.upper.tolist() == [r_max] * h
         assert all(np.shares_memory(block, problem.ineq_rhs) for block in rows)
         assert np.array_equal(np.concatenate(rows), problem.ineq_rhs)
@@ -608,6 +610,80 @@ class TestStartFromGuesses:
         assert trace.solve_iterations.sum() < reference.solve_iterations.sum()
 
 
+def _recorded_steps(monkeypatch, run, *args, **kwargs):
+    """(args, kwargs, result) of every mpc.solve_step call of run(*args, **kwargs)."""
+    steps = []
+    inner = mpc.solve_step
+
+    def recording(*step_args, **step_kwargs):
+        step = inner(*step_args, **step_kwargs)
+        steps.append((step_args, step_kwargs, step))
+        return step
+
+    monkeypatch.setattr(mpc, "solve_step", recording)
+    run(*args, **kwargs)
+    monkeypatch.undo()
+    return steps
+
+
+class TestSameBitsAsTheCheckedPath:
+    """solve_step against helpers.reference_step, built from the public
+    assemble_qp, the documented lift and qp.solve: the same bits."""
+
+    @staticmethod
+    def _assert_same_bits(step, args, kwargs):
+        reference, recovered = reference_step(*args, **kwargs)
+        solution = step.solve_diagnostics
+        h = args[1].horizon
+        assert np.array_equal(step.planned_releases, reference.x[:h])
+        assert np.array_equal(solution.duals, reference.duals)
+        assert solution.kkt_residual == reference.kkt_residual
+        assert solution.working_set == reference.working_set
+        assert solution.warm_start == reference.warm_start
+        assert step.recovery_used == recovered
+
+    @pytest.mark.parametrize("first_day, level, warm", [(104, 1.08, 44), (182, 0.29, 47)])
+    def test_every_decision_of_an_hourly_window(self, monkeypatch, first_day, level, warm):
+        steps = _recorded_steps(
+            monkeypatch, run_hourly, PARAMS, MpcConfig(), synthetic_year(3, first_day=first_day),
+            storage_of_level(PARAMS, level), n_steps=48,
+        )
+        assert len(steps) == 48
+        assert sum(step.solve_diagnostics.warm_start for _, _, step in steps) == warm
+        for args, kwargs, step in steps:
+            self._assert_same_bits(step, args, kwargs)
+
+    def test_every_decision_of_a_daily_run(self, monkeypatch):
+        # Days after the first also hand the solver the previous plan as u_hint.
+        steps = _recorded_steps(
+            monkeypatch, run_daily, PARAMS, MpcConfig(), synthetic_year(3),
+            storage_of_level(PARAMS, 0.4),
+        )
+        assert len(steps) == 3 and steps[1][1]["u_hint"] is not None
+        for args, kwargs, step in steps:
+            self._assert_same_bits(step, args, kwargs)
+
+    @pytest.mark.parametrize(
+        "offset, inflow, recovers",
+        # 100 m^3 above the dry bound with no inflow, the step recovers. On
+        # the bound with inflow equal to the minimum release, that plan
+        # misses every dry row by DRY_MARGIN, inside the tolerance: no
+        # recovery, but every row is lifted.
+        [(100.0, 0.0, True), (0.0, 10.0, False)],
+    )
+    def test_lifted_step_cold_and_warm(self, offset, inflow, recovers):
+        # First from its start, then from its own final working set.
+        h = MpcConfig().horizon
+        args = (PARAMS, MpcConfig(), S_MIN + offset, np.full(h, inflow), np.full(h, 50.0))
+        cold = solve_step(*args)
+        assert cold.recovery_used == recovers and not cold.solve_diagnostics.warm_start
+        self._assert_same_bits(cold, args, {})
+        kwargs = {"working_sets": [cold.solve_diagnostics.working_set]}
+        warm = solve_step(*args, **kwargs)
+        assert warm.solve_diagnostics.warm_start
+        self._assert_same_bits(warm, args, kwargs)
+
+
 class TestWorkingSetHints:
     def test_shift_moves_every_block_by_an_hour(self):
         # Blocks of 6: position 0 leaves, 5 moves to 4 and also stays. Row 20
@@ -616,7 +692,7 @@ class TestWorkingSetHints:
 
     def test_structure_rows_fall_in_blocks_of_the_horizon(self, no_qp_structure):
         # What _shifted relies on: row r of the hourly structure belongs to
-        # horizon step r % h. Its blocks, those of _row_blocks, are the dry,
+        # horizon step r % h. Its blocks, those of _block_slices, are the dry,
         # flood and demand rows and the lower and upper bounds of u.
         h = 6
         structure = mpc._qp_structure(h, PARAMS.surface_area, 1.0)

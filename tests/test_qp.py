@@ -180,6 +180,17 @@ class TestInvariants:
 
 
 class TestKktResidual:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_zero_residual_is_positive_zero(self, n):
+        # min |x|^2/2 over x <= 0, from the candidate of all n rows: every
+        # term of the residual is a zero, the negated multipliers -0.0, and
+        # numpy's max over such terms returns -0.0 at these lengths, which
+        # a trace would write as "-0".
+        problem = qp.QpProblem(np.eye(n), np.zeros(n), np.eye(n), np.zeros(n))
+        solution = qp.solve(problem, np.zeros(n), working_sets=[tuple(range(n))])
+        assert solution.warm_start and solution.status == "optimal"
+        assert solution.kkt_residual == 0.0 and not np.signbit(solution.kkt_residual)
+
     def test_exact_solution_near_zero(self):
         problem = bounded_qp(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
         solution = qp.QpSolution(
@@ -484,7 +495,7 @@ def _assert_matches_dense_kkt(problem, solution):
 HOURLY_WINDOWS = [(104, 1.08, 1), (182, 0.29, 0)]
 START_SETS = {104: 23, 182: 1}
 WARM_STARTS = {104: 44, 182: 47}
-# The nonzero duals of the windows' solutions, by row block (mpc._row_blocks).
+# The nonzero duals of the windows' solutions, by row block (mpc._block_slices).
 # On day 182 the optimum meets the demand exactly, so its working rows, the
 # demand rows, all have zero multipliers.
 NONZERO_DUALS = {104: {"flood": 773, "neg_lower": 72}, 182: {}}
@@ -913,6 +924,23 @@ def _assert_same_bits(solution, reference):
 
 class TestStartFactorCache:
     """A structure keeps the factor of each start's tight rows."""
+
+    def test_cap_holds_more_sets_than_a_year_meets(self):
+        # The synthetic hourly year meets 131 distinct sets, more than the
+        # 128 the cache once held, which made it factor sets again. Fill a
+        # fresh MPC structure (six-hour horizon, 30 rows) with single rows
+        # and then pairs: every key is still there, as the same entry,
+        # until the cap is passed, and then the first one leaves.
+        assert qp._START_CACHE_SIZE >= 210
+        structure = mpc._qp_structure.__wrapped__(6, LakeParams().surface_area, 1.0)
+        m = structure.a.shape[0]
+        keys = [(i,) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
+        keys = keys[:qp._START_CACHE_SIZE + 1]
+        entries = {key: qp._start_factor(structure, key) for key in keys[:-1]}
+        assert len(entries) > 128
+        assert_same_entries(structure.starts, entries)
+        qp._start_factor(structure, keys[-1])
+        assert list(structure.starts) == keys[1:]
 
     def test_cold_and_warm_starts_give_the_same_bits(self, monkeypatch, no_qp_structure):
         # Every solve of the window again, with the same start and
