@@ -54,12 +54,16 @@ day's set. When a candidate is optimal, its law's optimum is the step's
 solution (a warm start).
 
 Otherwise qp.solve needs a feasible start, built only then (it is passed
-as a function). The flood and demand rows hold once their slacks take
-their binding values, so a start is a release plan. The candidates are the
-demand and, in daily mode, first the previous day's plan, each clipped
-into the bounds and kept only when it meets the dry rows, and then the
-minimum-release plan, which after the lift always meets them. The start is
-the candidate of lowest objective (_feasible_point).
+as a function) and read off the problem's own rows, lifted as they are:
+no storage is recomputed from s0 and the forecast. The flood and demand
+rows hold once their slacks take their binding values, so a start is a
+release plan. The candidates are the demand (the demand rows' -rhs) and,
+in daily mode, first the previous day's plan, each clipped into the bounds
+and kept only when it meets the dry rows, and then the minimum-release
+plan, which after the lift always meets them. One product with the dry
+rows' release columns gives a plan's dry rows and, negated, its flood
+rows' release part, so its binding flood slack. The start is the
+candidate of lowest objective (_feasible_point).
 
 The QP's Hessian and row matrix depend only on the horizon, the surface
 area and lam, so _qp_structure builds them, as a qp.Structure that also
@@ -294,37 +298,31 @@ def _qp_structure(h: int, area: float, lam: float) -> _StepStructure:
     return _StepStructure(qp.QpProblem(hessian, np.zeros(n_var), ineq_matrix), h)
 
 
-def _with_slacks(params, s0, inflow_forecast, demand, u):
-    """The plan u with both slacks set to their binding values."""
-    area = params.surface_area
-    s_max = _storage_bounds(params)[1]
-    storage = (s0 + HOUR_SECONDS * np.cumsum(inflow_forecast - u)) / area
-    em = np.maximum(storage - s_max / area, 0.0)
-    ed = np.minimum(u - demand, 0.0)
-    return np.concatenate([u, em, ed])
+def _feasible_point(problem, structure, h, u_hint, lower, upper):
+    """A start for a problem whose minimum-release plan meets the dry rows,
+    read off the problem's own rows (_block_slices), lifted as they are.
 
-
-def _feasible_point(params, problem, s0, inflow_forecast, demand, u_hint, dry_rhs, lower, upper):
-    """A start for a problem whose minimum-release plan meets the dry rows.
-
-    dry_rhs, lower and upper are the problem's dry right-hand sides and
-    release bounds (_block_slices). The candidates are the guesses, u_hint
-    (when given) and the demand, each clipped into the release bounds, then
-    the minimum-release plan lower, each with its binding slacks. A guess is
-    kept when it meets every dry row within qp.FEASIBILITY_TOL; the
-    minimum-release plan is always kept, since after the lift it meets them
-    (qp.solve's start check names the row if it ever does not). Returns the
-    kept candidate of lowest objective, the first on a tie.
+    lower and upper are the release bounds. The candidates are the guesses,
+    u_hint (when given) and the demand (the demand rows' -rhs), each clipped
+    into the bounds, then the minimum-release plan lower. A plan's drawn
+    level, structure.dry_releases times it, is its dry rows' left-hand side
+    and the negative of its flood rows' release part, so the flood slack
+    takes max(-rhs_flood - drawn, 0) and the demand slack min(u - demand,
+    0). A guess is kept when it meets every dry row within
+    qp.FEASIBILITY_TOL; the minimum-release plan is always kept, since after
+    the lift it meets them (qp.solve's start check names the row if it ever
+    does not). Returns the kept candidate of lowest objective, the first on
+    a tie.
     """
-    inflow_forecast = np.asarray(inflow_forecast, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    dry_matrix = problem.ineq_matrix[:demand.size]
+    rhs, blocks = problem.ineq_rhs, _block_slices(h)
+    demand, above_flood = -rhs[blocks.demand], -rhs[blocks.flood]
     starts = []
-    for guess in (demand,) if u_hint is None else (u_hint, demand):
-        x = _with_slacks(params, s0, inflow_forecast, demand, np.clip(guess, lower, upper))
-        if np.max(dry_matrix @ x - dry_rhs) <= qp.FEASIBILITY_TOL:
-            starts.append(x)
-    starts.append(_with_slacks(params, s0, inflow_forecast, demand, lower))
+    for guess in ((demand,) if u_hint is None else (u_hint, demand)) + (lower,):
+        u = np.clip(guess, lower, upper)
+        drawn = structure.dry_releases.dot(u)
+        if guess is lower or np.max(drawn - rhs[blocks.dry]) <= qp.FEASIBILITY_TOL:
+            slacks = (np.maximum(above_flood - drawn, 0.0), np.minimum(u - demand, 0.0))
+            starts.append(np.concatenate([u, *slacks]))
     return min(starts, key=problem.objective_value)
 
 
@@ -350,7 +348,7 @@ def solve_step(
     among u_hint, a guess at the plan (the previous day's plan in daily
     mode), and the demand, each clipped into the bounds and kept only where
     it meets the dry rows, and the minimum-release plan (_feasible_point).
-    That point is built only then.
+    That point is built only then, from the lifted problem's rows alone.
     """
     h = config.horizon
     problem = assemble_qp(params, config, s0, inflow_forecast, demand, hour=hour)
@@ -371,9 +369,7 @@ def solve_step(
     np.maximum(lifted, floor[k + 1:], out=lifted)
     solution = qp.solve(
         problem,
-        initial_point=lambda: _feasible_point(
-            params, problem, s0, inflow_forecast, demand, u_hint, dry_rhs, lower, upper
-        ),
+        initial_point=lambda: _feasible_point(problem, structure, h, u_hint, lower, upper),
         working_sets=working_sets,
         structure=structure,
     )

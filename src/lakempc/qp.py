@@ -33,9 +33,10 @@ in (b, c), the critical regions of explicit MPC (Bemporad, Morari, Dua &
 Pistikopoulos 2002), so the structure keeps for each set offered as a
 candidate the matrix K of that law (_affine_law), the inverse of its KKT
 matrix: [x; lam] = K [-c; b_w]. A candidate costs one product with K, then
-the excess Ax - b: every row must hold within 1e-9 (1/row_scale_i + |b_i|),
-the loop's scaled test in the row's own units. Only then are its multipliers
-tested, by the loop's sign test on the scaled gradient col_scale (Qx + c);
+the excess Ax - b, judged by the solve's one row test: row i holds when its
+excess is at most 1e-9 (1/row_scale_i + |b_i|), a relative 1e-9 of the
+scaled row in the row's own units. Only then are its multipliers tested, by
+the loop's sign test on the scaled gradient col_scale (Qx + c);
 on the synthetic hourly year from 0.4 m, 806 of the 1264 rejected candidates
 fail a row. The first candidate that passes both is returned, counted as one
 iteration, and certified from the same excess and Qx. Only when every
@@ -53,11 +54,14 @@ multipliers.
 
 With Z the null-space basis of the working rows in y, the step is the
 projection p = -L^-T ZZ' L^-1 g: no reduced Hessian is formed or factored.
-The working-set factor starts as the complete QR of the rows tight at the
-start, or of a candidate's rows; when they are dependent (or outnumber the
-variables), a pivoted QR first picks an independent subset and that is
-factored instead. The structure's one cache, Structure.starts, keeps this
-factor for each such tuple of rows it has seen, up to _START_CACHE_SIZE
+A start is judged from one excess Ax0 - b: a row it violates by more than
+FEASIBILITY_TOL is named, and the rows that the row test counts as held
+with equality (excess at least minus its tolerance) are tight there. The
+working-set factor starts as the complete QR of those tight rows, or of a
+candidate's rows; when they are dependent (or outnumber the variables), a
+pivoted QR first picks an independent subset and that is factored
+instead. The structure's one cache, Structure.starts, keeps this factor for
+each such tuple of rows it has seen, up to _START_CACHE_SIZE
 (first in, first out; 42-69 kB at the MPC's 72 variables, and a set tried as
 a candidate also keeps its packed K, 22-58 kB), so the MPC's hours, which
 start from few distinct sets, pay one QR per set rather than one per solve,
@@ -85,11 +89,12 @@ multipliers within a relative 1e-9 of it (the MPC's hours are alike, so
 ties are exact) it takes the row last in the working set, rather than
 leaving the choice to rounding. When no multiplier is negative the solve
 returns the optimum on the working rows, which clears the drift the steps
-inherited from the start, if it meets every row by the candidates' test
-(in scaled units), and the iterate otherwise. R is tested for rank only at
-the start: a row enters the working set only when it blocks the step (a.p >
-0 with p in the working rows' null space), so it adds rank, and "optimal"
-is still decided by the certification below.
+inherited from the start, if its excess meets the same row test, and the
+iterate otherwise. So the candidates, the start's check and tight rows and
+this snap share one excess and one row test, in each row's own units. R is
+tested for rank only at the start: a row enters the working set only when
+it blocks the step (a.p > 0 with p in the working rows' null space), so it
+adds rank, and "optimal" is still decided by the certification below.
 
 Every returned solution carries a KKT residual recomputed on the original,
 unscaled problem; `status == "optimal"` is only reported when that residual
@@ -331,15 +336,6 @@ class Structure:
 _START_CACHE_SIZE = 256
 
 
-def _max_violation(problem: QpProblem, x: np.ndarray) -> tuple[float, str]:
-    """Largest row violation at x and the row's name."""
-    res = problem.ineq_matrix @ x - problem.ineq_rhs
-    if res.size == 0:
-        return 0.0, "no row"
-    i = int(np.argmax(res))
-    return float(res[i]), f"inequality row {i}"
-
-
 def _full_rank(r: np.ndarray, tol: float) -> bool:
     """True when no diagonal entry of the triangular factor r is below tol
     times its largest one (or 1). An empty factor has full rank."""
@@ -538,7 +534,8 @@ def solve(
     hessian, a = structure.hessian, structure.ineq_matrix
     b, c = problem.ineq_rhs, problem.linear_cost
 
-    # The loop's scaled row test below, in each row's own units.
+    # The one row test of the candidates, the start's tight rows and the snap:
+    # a row holds when its excess Ax - b is at most 1e-9 (1/row_scale + |b|).
     cand_tol = 1e-9 * (structure.row_norm + np.abs(b))
     # The laws' argument [-c; b[rows]]: -c once, then each candidate's rows.
     law_arg = np.empty(n + m)
@@ -568,22 +565,21 @@ def solve(
     if not np.isfinite(x0).all():
         j = int(np.argmin(np.isfinite(x0)))
         raise ValueError(f"initial_point is not finite at variable {j}")
-    worst, label = _max_violation(problem, x0)
-    if worst > FEASIBILITY_TOL:
-        raise ValueError(f"initial_point is infeasible: {label} violated by {worst:.6g}")
+    # One excess checks the start and picks its tight rows, which seed the working set.
+    excess = a.dot(x0) - b
+    if excess.max(initial=0.0) > FEASIBILITY_TOL:
+        i = int(np.argmax(excess))
+        raise ValueError(
+            f"initial_point is infeasible: inequality row {i} violated by {excess[i]:.6g}"
+        )
+    tight = np.flatnonzero(excess >= -cand_tol)
+    w_rows, _, qf, rf, _ = _start_factor(structure, tuple(tight.tolist()))
+    w_list = list(w_rows)
     x_s = x0 / structure.col_scale
     q_s, l_inv_t, a_y = structure.q_s, structure.l_inv_t, structure.a_y
     b_s = structure.row_scale * b
     c_s = structure.col_scale * c
     c_y = l_inv_t.T @ c_s
-    # A row holds when within this of its own scaled right-hand side.
-    row_tol = 1e-9 * (1.0 + np.abs(b_s))
-
-    # Initial working set: from the rows tight at x0.
-    resid = structure.a @ x_s - b_s
-    tight = np.flatnonzero(resid >= -row_tol)
-    w_rows, _, qf, rf, _ = _start_factor(structure, tuple(tight.tolist()))
-    w_list = list(w_rows)
 
     in_w = np.zeros(m, dtype=bool)
     in_w[w_list] = True
@@ -606,8 +602,8 @@ def solve(
             x_w, lam = _working_optimum(structure, qf, rf, w_list, b_s, c_y)
             lam_tol = _lam_tol(g)
             if lam.size == 0 or lam.min() >= lam_tol:
-                # x_w when it holds every row, each to its own scale; NaN fails.
-                x_s = x_w if (structure.a @ x_w - b_s <= row_tol).all() else x_s
+                # x_w when it holds every row by the one row test; NaN fails.
+                x_s = x_w if _every(a.dot(structure.col_scale * x_w) - b <= cand_tol) else x_s
                 x, lam = _unscaled(structure, x_s, lam, w_list)
                 return _finish(
                     structure, problem, x, lam, tuple(w_list), w_list, "optimal", iterations

@@ -57,8 +57,8 @@ class GaussianInflowParams:
 class Scenario:
     """Hourly inflow/demand trajectories and a label.
 
-    A flow that is negative or not finite raises ValueError naming the
-    series and the hour.
+    A series that is not 1-d, and a flow that is negative or not finite,
+    raise ValueError naming the series (and its shape or the hour).
     """
 
     inflow_hourly: np.ndarray
@@ -66,8 +66,11 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self) -> None:
-        self.inflow_hourly = np.asarray(self.inflow_hourly, dtype=float)
-        self.demand_hourly = np.asarray(self.demand_hourly, dtype=float)
+        for name in ("inflow_hourly", "demand_hourly"):
+            series = np.asarray(getattr(self, name), dtype=float)
+            if series.ndim != 1:
+                raise ValueError(f"{name} must be 1-d, got shape {series.shape}")
+            setattr(self, name, series)
         t = self.inflow_hourly.size
         if t == 0 or t % HOURS_PER_DAY != 0:
             raise ValueError(f"scenario length {t} is not a positive multiple of 24")

@@ -106,7 +106,8 @@ def closed_loop(
     params: LakeParams, inflow, demand, s0: float, decide, label: str
 ) -> ClosedLoopTrace:
     """Run the plant over len(inflow) hours under the policy decide (see
-    module docstring). Raises ValueError for an s0 that is not finite."""
+    module docstring). Raises ValueError for an s0 that is not finite or
+    is negative."""
     inflow = np.array(inflow, dtype=float)
     demand = np.array(demand, dtype=float)
     n_hours = inflow.size
@@ -123,6 +124,8 @@ def closed_loop(
     storage = storages[0] = float(s0)
     if not np.isfinite(storage):
         raise ValueError(f"s0 must be finite, got {s0}")
+    if storage < 0.0:
+        raise ValueError(f"s0 must be nonnegative, got {storage}")
     t = 0
     while t < n_hours:
         plan, step = decide(t, storage)

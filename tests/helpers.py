@@ -79,13 +79,45 @@ def release_bounds_of(problem: qp.QpProblem) -> tuple[np.ndarray, np.ndarray]:
     return -rows.neg_lower, rows.upper
 
 
-def feasible_point(params, problem, s0, inflow, demand, u_hint) -> np.ndarray:
-    """mpc._feasible_point of an mpc.assemble_qp problem, handed its dry
-    right-hand sides and release bounds as solve_step hands them."""
-    dry_rhs = row_blocks(problem).dry
-    return mpc._feasible_point(
-        params, problem, s0, inflow, demand, u_hint, dry_rhs, *release_bounds_of(problem)
-    )
+def feasible_point(params, config, problem: qp.QpProblem, u_hint=None) -> np.ndarray:
+    """mpc._feasible_point of an mpc.assemble_qp problem of config, handed
+    the configuration's structure and the release bounds as solve_step
+    hands them."""
+    h = config.horizon
+    structure = mpc._qp_structure(h, params.surface_area, config.lam)
+    return mpc._feasible_point(problem, structure, h, u_hint, *release_bounds_of(problem))
+
+
+def with_slacks(params, s0, inflow, demand, u) -> np.ndarray:
+    """The plan u with both slacks at their binding values, the flood slack
+    from the storages the plan reaches, recomputed from s0 and the forecast:
+    the start's formula before it was read off the problem's rows, kept
+    frozen."""
+    area = params.surface_area
+    s_max = mpc._storage_bounds(params)[1]
+    storage = (s0 + HOUR_SECONDS * np.cumsum(inflow - u)) / area
+    em = np.maximum(storage - s_max / area, 0.0)
+    ed = np.minimum(u - demand, 0.0)
+    return np.concatenate([u, em, ed])
+
+
+def reference_start(params, problem, s0, inflow, demand, u_hint, dry_rhs, lower, upper):
+    """mpc._feasible_point as it was before it read its start off the
+    problem's rows, kept frozen: the same candidates in the same order
+    (u_hint when given, then the demand, each clipped into [lower, upper]
+    and kept when it meets the dry rows dry_rhs within
+    qp.FEASIBILITY_TOL, then the minimum-release plan), each with_slacks,
+    and the first of lowest objective."""
+    inflow = np.asarray(inflow, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    dry_matrix = problem.ineq_matrix[:demand.size]
+    starts = []
+    for guess in (demand,) if u_hint is None else (u_hint, demand):
+        x = with_slacks(params, s0, inflow, demand, np.clip(guess, lower, upper))
+        if np.max(dry_matrix @ x - dry_rhs) <= qp.FEASIBILITY_TOL:
+            starts.append(x)
+    starts.append(with_slacks(params, s0, inflow, demand, lower))
+    return min(starts, key=problem.objective_value)
 
 
 def reference_step(
@@ -95,8 +127,9 @@ def reference_step(
     public entry: the problem of mpc.assemble_qp; the recovery lift of
     mpc's module docstring, from the minimum-release plan's dry rows
     (the product of the problem's own dry rows with its lower bounds); and
-    qp.solve on the configuration's structure, with mpc._feasible_point
-    as the start. Returns the solution and whether the step recovered."""
+    qp.solve on the configuration's structure, started from reference_start,
+    whose slacks come from the storages, not the rows. Returns the solution
+    and whether the step recovered."""
     h = config.horizon
     problem = mpc.assemble_qp(params, config, s0, inflow, demand, hour=hour)
     rows = row_blocks(problem)
@@ -109,7 +142,7 @@ def reference_step(
     dry[k + 1:] = np.maximum(dry[k + 1:], plan[k + 1:])
     solution = qp.solve(
         problem,
-        lambda: mpc._feasible_point(params, problem, s0, inflow, demand, u_hint, dry, lower, upper),
+        lambda: reference_start(params, problem, s0, inflow, demand, u_hint, dry, lower, upper),
         working_sets=working_sets,
         structure=mpc._qp_structure(h, params.surface_area, config.lam),
     )

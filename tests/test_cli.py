@@ -357,6 +357,17 @@ def test_non_finite_s0_is_a_runtime_error(tmp_path, scenario_dir, capsys, s0):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["ddp"], ["simulate", "--horizon", "6"]])
+def test_negative_s0_is_a_runtime_error_naming_s0(tmp_path, scenario_dir, capsys, command):
+    # The DDP run once failed in the plant with "storage must be finite and
+    # nonnegative, got -5.0", naming neither s0 nor the hour.
+    argv = [*command, *scenario_args(scenario_dir), "--s0=-5", "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: s0 must be ") and "-5.0" in err and err.count("\n") == 1
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, name",
     [("--days", "0", "n_days"), ("--jitter", "-0.5", "jitter"), ("--jitter", "nan", "jitter")],

@@ -17,8 +17,10 @@ from helpers import (
     reference_step,
     release_bounds_of,
     row_blocks,
+    with_slacks,
 )
 from lakempc import mpc, qp
+from lakempc.ddp import DdpConfig, trace_cost
 from lakempc.hydrology import (
     HOUR_SECONDS,
     LakeParams,
@@ -26,6 +28,7 @@ from lakempc.hydrology import (
     release_bounds,
     storage_of_level,
 )
+from lakempc.metrics import compute_report
 from lakempc.mpc import (
     MpcConfig,
     assemble_qp,
@@ -219,7 +222,7 @@ class TestMatricesPerConfiguration:
         s0 = storage_of_level(PARAMS, 1.08)
         inflow, demand = scn.inflow_hourly[12:12 + h], scn.demand_hourly[12:12 + h]
         problem = assemble_qp(PARAMS, config, s0, inflow, demand)
-        hint = feasible_point(PARAMS, problem, s0, inflow, demand, None)
+        hint = feasible_point(PARAMS, config, problem)
         copied = qp.QpProblem(
             hessian=problem.hessian.copy(),
             linear_cost=problem.linear_cost,
@@ -237,8 +240,14 @@ class TestMatricesPerConfiguration:
 
 
 def _demand_slack(u, w):
-    """The binding demand slack _with_slacks sets for release u against demand w."""
-    x = mpc._with_slacks(PARAMS, 1.2e8, np.zeros(1), np.array([w]), np.array([u]))
+    """The binding demand slack of _feasible_point's start for release u
+    against demand w: a one-hour step far above the dry bound whose release
+    bounds are pinned at u, so every candidate is the plan u."""
+    config = MpcConfig(horizon=1)
+    problem = assemble_qp(PARAMS, config, 1.2e8, np.zeros(1), np.array([w]))
+    structure = mpc._qp_structure(1, PARAMS.surface_area, config.lam)
+    x = mpc._feasible_point(problem, structure, 1, None, np.array([u]), np.array([u]))
+    assert x[0] == u
     return x[2]
 
 
@@ -344,6 +353,24 @@ class TestClosedLoop:
         trace = run_hourly(PARAMS, MpcConfig(), scn, storage_of_level(PARAMS, 1.08), n_steps=30)
         assert set(trace.solve_statuses) == {"optimal"}
         assert max(trace.solve_iterations) <= 10
+
+    def test_longer_horizon_costs_less_and_floods_no_more(self):
+        # The paper's tuning: days 100-239 from 0.4 m, the first 3312 hours
+        # (what H = 48 can run), priced at w_flood = w_demand = 1. H = 6 / 24
+        # / 48 cost 4552.520 / 4532.686 / 4496.327 with 992 / 978 / 940
+        # flood hours. A shorter window is not monotone (on the first 1200
+        # hours H = 12 costs more than H = 6), so it is not shortened.
+        scn = synthetic_year(140, first_day=100)
+        s0 = storage_of_level(PARAMS, 0.4)
+        weights = DdpConfig(w_flood=1.0, w_demand=1.0)
+        costs, flood_hours = [], []
+        for horizon in (6, 24, 48):
+            trace = run_hourly(PARAMS, MpcConfig(horizon=horizon), scn, s0, n_steps=3312)
+            assert set(trace.solve_statuses) == {"optimal"}
+            costs.append(trace_cost(PARAMS, weights, trace))
+            flood_hours.append(compute_report(PARAMS, trace).flood.hours)
+        assert costs[0] > costs[1] > costs[2]
+        assert flood_hours[0] >= flood_hours[1] >= flood_hours[2]
 
     def test_scenario_too_short_rejected(self):
         scn = constant_scenario(10.0, 10.0, 1)
@@ -555,8 +582,13 @@ class TestFeasibleStart:
         assert step.solve_diagnostics.status == "optimal"
 
 
-def _minimum_release_start(params, problem, s0, inflow, demand, u_hint, dry_rhs, lower, upper):
-    return mpc._with_slacks(params, s0, inflow, demand, lower)
+def _minimum_release_start(problem, structure, h, u_hint, lower, upper):
+    """A stand-in for _feasible_point: the minimum-release plan with its
+    binding slacks, read off the problem's flood and demand rows."""
+    rows = row_blocks(problem)
+    drawn = problem.ineq_matrix[:h, :h] @ lower
+    slacks = np.maximum(-rows.flood - drawn, 0.0), np.minimum(lower + rows.demand, 0.0)
+    return np.concatenate([lower, *slacks])
 
 
 class TestStartFromGuesses:
@@ -567,9 +599,9 @@ class TestStartFromGuesses:
 
         def start(s0, u_hint):
             problem = assemble_qp(PARAMS, config, s0, inflow, demand)
-            x = feasible_point(PARAMS, problem, s0, inflow, demand, u_hint)
+            x = feasible_point(PARAMS, config, problem, u_hint)
             assert np.max(problem.ineq_matrix[:h] @ x - problem.ineq_rhs[:h]) <= qp.FEASIBILITY_TOL
-            minimum = mpc._with_slacks(PARAMS, s0, inflow, demand, release_bounds_of(problem)[0])
+            minimum = with_slacks(PARAMS, s0, inflow, demand, release_bounds_of(problem)[0])
             return problem, x, minimum
 
         # Far above the dry bound both guesses meet the dry rows as they are,
@@ -660,6 +692,17 @@ class TestSameBitsAsTheCheckedPath:
             storage_of_level(PARAMS, 0.4),
         )
         assert len(steps) == 3 and steps[1][1]["u_hint"] is not None
+        for args, kwargs, step in steps:
+            self._assert_same_bits(step, args, kwargs)
+
+    def test_cold_days_that_start_from_the_hint(self, monkeypatch):
+        # Days 104-107 from 1.08 m: no day takes a candidate, and the last
+        # two start from the previous day's plan, clipped into the bounds.
+        steps = _recorded_steps(
+            monkeypatch, run_daily, PARAMS, MpcConfig(), synthetic_year(4, first_day=104),
+            storage_of_level(PARAMS, 1.08),
+        )
+        assert not any(step.solve_diagnostics.warm_start for _, _, step in steps)
         for args, kwargs, step in steps:
             self._assert_same_bits(step, args, kwargs)
 

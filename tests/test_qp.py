@@ -18,6 +18,7 @@ from helpers import (
     reference_kkt_components,
     release_bounds_of,
     six_block_problem,
+    with_slacks,
 )
 from lakempc import mpc, qp
 from lakempc.hydrology import LakeParams, storage_of_level
@@ -584,7 +585,7 @@ def _recovery_start(monkeypatch, demand):
     assert mpc.solve_step(params, config, s0, inflow, demand).recovery_used
     monkeypatch.undo()
     (problem,) = problems
-    start = mpc._with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
+    start = with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
     return problem, start
 
 
@@ -597,7 +598,7 @@ def _dry_bound_step():
     s0 = mpc._storage_bounds(params)[0] + 3e6
     inflow, demand = np.full(h, 20.0), np.full(h, 300.0)
     problem = mpc.assemble_qp(params, config, s0, inflow, demand)
-    return problem, mpc._with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
+    return problem, with_slacks(params, s0, inflow, demand, release_bounds_of(problem)[0])
 
 
 class TestSnapAgainstDenseKkt:

@@ -105,6 +105,15 @@ class TestScenarioType:
         with pytest.raises(ValueError, match=message):
             Scenario(**flows)
 
+    @pytest.mark.parametrize("name", ["inflow_hourly", "demand_hourly"])
+    def test_series_must_be_one_dimensional(self, name):
+        # A (48, 1) inflow once built a 48-hour scenario, whose hourly run
+        # then failed with "expected 6 forecast/demand entries, got 6/6".
+        flows = {"inflow_hourly": np.full(48, 100.0), "demand_hourly": np.full(48, 50.0)}
+        flows[name] = flows[name].reshape(48, 1)
+        with pytest.raises(ValueError, match=rf"^{name} must be 1-d, got shape \(48, 1\)$"):
+            Scenario(**flows)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             Scenario(inflow_hourly=np.ones(24), demand_hourly=np.ones(48))

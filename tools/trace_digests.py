@@ -4,16 +4,18 @@ For every member of the three benchmark workloads at seeds 0 and 7919, the
 script runs the member through ``perfbench/workloads.run_member`` and prints,
 per run (an hourly MPC run, or the CLI's DDP and daily MPC runs):
 
-    workload seed member label digest rel_dev stor_dev control_cost iterations max_iter warm
+    workload seed member label digest rel_dev stor_dev control_cost iterations max_iter warm cold
 
 ``digest`` is ``workloads.trace_digest`` (equal digests, equal bits),
 ``rel_dev`` and ``stor_dev`` the member-0 deviation of releases and storages
 from ``perfbench/reference/`` as a share of scale ("-" for jittered members),
 ``control_cost`` the paper's objective to 17 digits, ``iterations`` the
 active-set iterations of the run's decisions, summed, ``max_iter`` the
-most any one decision took (a sum hides a single long solve), and
-``warm`` the run's hours whose decision took a candidate working set
-(``trace.warm_starts.sum()``); all three are "-" for the DDP. The package is
+most any one decision took (a sum hides a single long solve), ``warm``
+the run's hours whose decision took a candidate working set
+(``trace.warm_starts.sum()``), and ``cold`` the run's decisions that took
+none and so solved from the controller's feasible start (a daily decision
+counts once, not 24 times); all four are "-" for the DDP. The package is
 imported from this checkout's ``src/``, and the benchmark's modules are
 only read.
 
@@ -75,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     log.install()
     capture = workloads.TraceCapture()
     capture.install()
-    iterations = _count_iterations()
+    solves = _record_solves()
     with tempfile.TemporaryDirectory(prefix="trace-digests-") as tmp:
         for name, workload in workloads.WORKLOADS.items():
             reference = gate.load_reference(name)
@@ -85,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
                     with contextlib.redirect_stdout(io.StringIO()):  # the CLI's messages
                         runs = workloads.run_member(workload, member, log, capture)
                     for run in runs:
-                        line = _line(name, seed, j, member, run, reference, iterations)
+                        line = _line(name, seed, j, member, run, reference, solves)
                         if run.trace is not None:
                             line += _compare(f"{name}-{seed}-{j}-{run.label}.npz", run, args)
                         print(line)
@@ -111,22 +113,23 @@ def _compare(file_name: str, run, args) -> str:
     return f" {max(deviation.values()):.3e}"
 
 
-def _count_iterations() -> list[int]:
+def _record_solves() -> list[tuple[int, bool]]:
     """Wrap mpc.solve_step (over the benchmark's own wrapper) to record each
-    decision's active-set iterations, in the order of the benchmark's log."""
+    decision's active-set iterations and whether it took a candidate, in the
+    order of the benchmark's log."""
     inner = mpc.solve_step
-    counts = []
+    solves = []
 
-    def counting(*args, **kwargs):
+    def recording(*args, **kwargs):
         step = inner(*args, **kwargs)
-        counts.append(step.solve_diagnostics.iterations)
+        solves.append((step.solve_diagnostics.iterations, step.solve_diagnostics.warm_start))
         return step
 
-    mpc.solve_step = counting
-    return counts
+    mpc.solve_step = recording
+    return solves
 
 
-def _line(name, seed, j, member, run, reference, iterations) -> str:
+def _line(name, seed, j, member, run, reference, solves) -> str:
     trace = run.trace
     if trace is None:
         return f"{name} {seed} {j} {run.label} exit={run.exit_code}"
@@ -134,13 +137,15 @@ def _line(name, seed, j, member, run, reference, iterations) -> str:
     if member.jitter_seed is None:
         dev = gate.reference_deviation(trace, reference, run.label)
         deviation = [f"{dev[series]:.3e}" for series in gate.REFERENCE_SERIES]
-    counts = iterations[run.decisions]
+    counts = [iterations for iterations, _ in solves[run.decisions]]
     total = str(sum(counts)) if run.is_mpc else "-"
     worst = str(max(counts)) if run.is_mpc else "-"
     warm = str(int(trace.warm_starts.sum())) if run.is_mpc else "-"
+    cold = str(sum(not taken for _, taken in solves[run.decisions])) if run.is_mpc else "-"
     cost = f"{workloads.control_cost(trace):.17g}"
     digest = workloads.trace_digest(trace)
-    return " ".join([name, str(seed), str(j), run.label, digest, *deviation, cost, total, worst, warm])
+    fields = [name, str(seed), str(j), run.label, digest, *deviation, cost, total, worst, warm, cold]
+    return " ".join(fields)
 
 
 if __name__ == "__main__":
