@@ -9,9 +9,10 @@ Subcommands:
     compare   side-by-side table of previously written reports
     synth     write the documented synthetic scenario as CSV files
 
-Numeric CSV output is formatted to 6 significant digits, so identical
-inputs give byte-identical files. Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+Every CSV table (trace, report, level plot data, sweep, comparison) is
+written by one function, _write_columns: numbers to 6 significant digits,
+so identical inputs give byte-identical files. Exit codes: 0 success,
+1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -45,17 +46,28 @@ def _fmt(value) -> str:
 _CSV_CHUNK_ROWS = 1000
 
 
-def _write_columns(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length columns as a CSV file, byte for byte what csv.writer
-    writes for rows of _fmt strings: %d for int and bool columns, %.6g for
-    the others, \r\n line ends. Each row is one % over the columns'
-    .tolist() values, joined ~1000 rows at a time, so the whole file is
-    never held as one string."""
-    row_fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.6g" for c in columns) + "\r\n"
+def _write_columns(path, columns: list[tuple[str, object]]) -> None:
+    """Write (name, column) pairs as a CSV file, byte for byte what csv.writer
+    writes for the names and then rows of _fmt strings, \r\n line ends.
+
+    A column is an array or a sequence of equal length: int and bool
+    columns are written with %d, float columns with %.6g and string columns
+    with %s. The names go through csv.writer, so a run name with a comma is
+    quoted; a string cell is written as it is, so it may only be one of the
+    package's block and metric names and labels, which need no quoting. The
+    columns are pairs, not a dict, so two compared runs of the same name keep
+    both their columns. Each row is one % over the columns' .tolist()
+    values, joined ~1000 rows at a time, so the whole file is never held as
+    one string.
+    """
+    arrays = [np.asarray(column) for _, column in columns]
+    row_fmt = ",".join(
+        "%d" if a.dtype.kind in "biu" else "%s" if a.dtype.kind == "U" else "%.6g" for a in arrays
+    ) + "\r\n"
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            chunk = [c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns]
+        csv.writer(handle).writerow([name for name, _ in columns])
+        for start in range(0, len(arrays[0]), _CSV_CHUNK_ROWS):
+            chunk = [a[start:start + _CSV_CHUNK_ROWS].tolist() for a in arrays]
             handle.write("".join([row_fmt % row for row in zip(*chunk)]))
 
 
@@ -128,23 +140,20 @@ def build_settings(overrides: dict[str, str]):
 
 
 def _build(cls, kwargs: dict, written: dict):
-    """cls(**kwargs). Its ValueError is raised again naming the key it
-    rejects: the first whose value alone is rejected, or else (values that
-    fail only together) every key given."""
+    """cls(**kwargs). When it raises ValueError, the first key whose value
+    alone is rejected is named with that rejection's own message; when
+    every value passes alone (they fail only together), every key given is
+    named with the message of the build with all of them."""
     try:
         return cls(**kwargs)
-    except ValueError as exc:
-        keys = [key for key in kwargs if _rejected(cls, key, kwargs[key])][:1] or list(kwargs)
-        names = ", ".join(written.get(key, key) for key in keys)
-        raise ValueError(f"config key{'s' if len(keys) > 1 else ''} {names}: {exc}") from None
-
-
-def _rejected(cls, key: str, value) -> bool:
-    try:
-        cls(**{key: value})
-    except ValueError:
-        return True
-    return False
+    except ValueError as joint:
+        for key, value in kwargs.items():
+            try:
+                cls(**{key: value})
+            except ValueError as alone:
+                raise ValueError(f"config key {written.get(key, key)}: {alone}") from None
+        names = ", ".join(written.get(key, key) for key in kwargs)
+        raise ValueError(f"config key{'s' if len(kwargs) > 1 else ''} {names}: {joint}") from None
 
 
 def _settings(args):
@@ -189,7 +198,10 @@ def load_scenario(args, params: LakeParams) -> scenario_mod.Scenario:
 
 
 def write_trace_csv(path, trace: ClosedLoopTrace) -> None:
+    """The hour, the plant columns, then each solver column the trace has
+    (the DDP's trace has none)."""
     columns = [
+        ("t", np.arange(trace.n_hours)),
         ("inflow_m3s", trace.inflows),
         ("demand_m3s", trace.demands),
         ("command_m3s", trace.commands),
@@ -197,33 +209,21 @@ def write_trace_csv(path, trace: ClosedLoopTrace) -> None:
         ("storage_start_m3", trace.storages[:-1]),
         ("storage_end_m3", trace.storages[1:]),
         ("level_m", trace.levels),
-    ]
-    for name, series in (
         ("slack_flood_m", trace.slack_flood),
         ("slack_demand_m3s", trace.slack_demand),
         ("kkt_residual", trace.kkt_residuals),
         ("qp_iterations", trace.solve_iterations),
         ("warm_start", trace.warm_starts),
         ("recovery", trace.recovery),
-    ):
-        if series is not None:
-            columns.append((name, series))
-    _write_columns(
-        path,
-        ["t"] + [name for name, _ in columns],
-        [np.arange(trace.n_hours)] + [series for _, series in columns],
-    )
+    ]
+    _write_columns(path, [(name, series) for name, series in columns if series is not None])
 
 
-def write_report_files(outdir: Path, report: metrics.RunReport, blocks=metrics.ALL_BLOCKS) -> None:
-    rows = metrics.report_rows(report, blocks)
-    with (outdir / "report.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["block", "metric", "value"])
-        for block, key, _, value in rows:
-            writer.writerow([block, key, _fmt(value)])
-    width = max(len(label) for _, _, label, _ in rows) + 2
-    text = "".join(f"{label:<{width}}{_fmt(value)}\n" for _, _, label, value in rows)
+def write_report_files(outdir: Path, report: metrics.RunReport) -> None:
+    blocks, keys, labels, values = zip(*metrics.report_rows(report))
+    _write_columns(outdir / "report.csv", [("block", blocks), ("metric", keys), ("value", values)])
+    width = max(map(len, labels)) + 2
+    text = "".join(f"{label:<{width}}{_fmt(value)}\n" for label, value in zip(labels, values))
     (outdir / "report.txt").write_text(text, encoding="utf-8")
 
 
@@ -243,49 +243,39 @@ def read_report(path) -> metrics.RunReport:
 
 def write_level_plotdata(path, trace: ClosedLoopTrace, params: LakeParams) -> None:
     n = trace.n_hours
-    _write_columns(
-        path,
-        ["t", "level_m", "flood_threshold_m", "dry_threshold_m"],
-        [
-            np.arange(n),
-            trace.levels,
-            np.full(n, params.flood_threshold),
-            np.full(n, params.dry_threshold),
-        ],
-    )
+    _write_columns(path, [
+        ("t", np.arange(n)),
+        ("level_m", trace.levels),
+        ("flood_threshold_m", np.full(n, params.flood_threshold)),
+        ("dry_threshold_m", np.full(n, params.dry_threshold)),
+    ])
 
 
 def write_sweep_files(outdir: Path, sweep: metrics.SweepResult) -> None:
-    with (outdir / "sweep.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        tables = [metrics.report_rows(report) for report in sweep.reports]
-        metric_names = [f"{block}_{key}" for block, key, _, _ in tables[0]]
-        writer.writerow(["lambda"] + metric_names + ["flood_hours_norm", "deficit_hours_norm"])
-        for lam, rows, flood, deficit in zip(
-            sweep.lambdas, tables, sweep.flood_hours_norm, sweep.deficit_hours_norm
-        ):
-            writer.writerow(
-                [_fmt(lam)] + [_fmt(value) for _, _, _, value in rows] + [_fmt(flood), _fmt(deficit)]
-            )
-    with (outdir / "plotdata_sweep.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["lambda", "flood_hours_norm", "deficit_hours_norm"])
-        for i, lam in enumerate(sweep.lambdas):
-            writer.writerow(
-                [_fmt(lam), _fmt(sweep.flood_hours_norm[i]), _fmt(sweep.deficit_hours_norm[i])]
-            )
+    """sweep.csv: one row per weight, its report's metrics and the normalized
+    violation hours; plotdata_sweep.csv: the weight and the normalized hours."""
+    tables = [metrics.report_rows(report) for report in sweep.reports]
+    metric_columns = [
+        (f"{block}_{key}", [rows[i][3] for rows in tables])
+        for i, (block, key, _, _) in enumerate(tables[0])
+    ]
+    lambdas = ("lambda", sweep.lambdas)
+    norms = [
+        ("flood_hours_norm", sweep.flood_hours_norm),
+        ("deficit_hours_norm", sweep.deficit_hours_norm),
+    ]
+    _write_columns(outdir / "sweep.csv", [lambdas, *metric_columns, *norms])
+    _write_columns(outdir / "plotdata_sweep.csv", [lambdas, *norms])
 
 
 def write_comparison_files(outdir: Path, table: metrics.ComparisonTable) -> None:
-    with (outdir / "comparison.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["metric"] + table.names + [f"reldiff_{name}" for name in table.names[1:]]
-        )
-        for row in table.rows:
-            writer.writerow(
-                [row.label] + [_fmt(v) for v in row.values] + [_fmt(d) for d in row.rel_diffs]
-            )
+    values = [(name, [row.values[j] for row in table.rows]) for j, name in enumerate(table.names)]
+    rel_diffs = [
+        (f"reldiff_{name}", [row.rel_diffs[j] for row in table.rows])
+        for j, name in enumerate(table.names[1:])
+    ]
+    labels = ("metric", [row.label for row in table.rows])
+    _write_columns(outdir / "comparison.csv", [labels, *values, *rel_diffs])
     (outdir / "comparison.txt").write_text(table.format_text(), encoding="utf-8")
 
 
@@ -324,10 +314,15 @@ def _prepare_out(path) -> Path:
     return out
 
 
-def _mpc_config(args, config: mpc_mod.MpcConfig) -> mpc_mod.MpcConfig:
-    """config with the --lambda and --horizon flags given, which override the file."""
-    flags = {"lam": getattr(args, "lam", None), "horizon": args.horizon}
-    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+def _inputs(args):
+    """A run command's params, MPC config, DDP config, scenario and s0, built
+    and checked in that order. The --lambda and --horizon flags given
+    override the config file."""
+    params, mpc_config, ddp_config = _settings(args)
+    flags = {"lam": getattr(args, "lam", None), "horizon": getattr(args, "horizon", None)}
+    given = {key: value for key, value in flags.items() if value is not None}
+    mpc_config = dataclasses.replace(mpc_config, **given)
+    return params, mpc_config, ddp_config, load_scenario(args, params), parse_s0(args.s0, params)
 
 
 def _write_run(command: str, args, trace: ClosedLoopTrace, params: LakeParams) -> int:
@@ -342,24 +337,15 @@ def _write_run(command: str, args, trace: ClosedLoopTrace, params: LakeParams) -
 
 
 def cmd_simulate(args) -> int:
-    params, mpc_config, _ = _settings(args)
-    config = _mpc_config(args, mpc_config)
-    scn = load_scenario(args, params)
-    s0 = parse_s0(args.s0, params)
-    if args.mode == "hourly":
-        trace = mpc_mod.run_hourly(params, config, scn, s0)
-    else:
-        trace = mpc_mod.run_daily(params, config, scn, s0)
-    return _write_run("simulate", args, trace, params)
+    params, config, _, scn, s0 = _inputs(args)
+    run = mpc_mod.run_hourly if args.mode == "hourly" else mpc_mod.run_daily
+    return _write_run("simulate", args, run(params, config, scn, s0), params)
 
 
 def cmd_sweep(args) -> int:
     lambdas = _parse_lambdas(args.lambdas)
-    params, mpc_config, _ = _settings(args)
-    base_config = _mpc_config(args, mpc_config)
-    scn = load_scenario(args, params)
-    s0 = parse_s0(args.s0, params)
-    sweep = metrics.lambda_sweep(params, base_config, scn, s0, lambdas)
+    params, config, _, scn, s0 = _inputs(args)
+    sweep = metrics.lambda_sweep(params, config, scn, s0, lambdas)
     out = _prepare_out(args.out)
     write_sweep_files(out, sweep)
     print(f"sweep: wrote sweep.csv and plotdata_sweep.csv to {out}")
@@ -367,9 +353,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ddp(args) -> int:
-    params, _, config = _settings(args)
-    scn = load_scenario(args, params)
-    s0 = parse_s0(args.s0, params)
+    params, _, config, scn, s0 = _inputs(args)
     table = ddp_mod.backward_induction(params, config, scn.inflow_hourly, scn.demand_hourly)
     trace = ddp_mod.simulate_policy(params, table, scn.inflow_hourly, scn.demand_hourly, s0)
     return _write_run("ddp", args, trace, params)

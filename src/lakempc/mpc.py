@@ -199,9 +199,10 @@ def assemble_qp(
     The Hessian and the row matrix are those of _qp_structure, read-only
     and shared by every call with the same horizon, surface area and lam.
 
-    Raises ValueError for a negative or non-finite s0, arrays whose length
-    is not the horizon and a forecast or demand entry that is not finite
-    (the message names the series and the horizon step).
+    Raises ValueError for a negative or non-finite s0, a forecast or demand
+    that is not a 1-d array of horizon length (the message names the series
+    and its shape) and a forecast or demand entry that is not finite (the
+    message names the series and the horizon step).
     Each message names the hour when one is given.
     """
     h = config.horizon
@@ -210,10 +211,12 @@ def assemble_qp(
     inflow_forecast = np.asarray(inflow_forecast, dtype=float)
     demand = np.asarray(demand, dtype=float)
     if inflow_forecast.shape != (h,) or demand.shape != (h,):
-        raise ValueError(
-            f"horizon mismatch{_at(hour)}: expected {h} forecast/demand entries, got "
-            f"{inflow_forecast.size}/{demand.size}"
+        got = ", ".join(
+            f"{name} shape {series.shape}"
+            for name, series in (("inflow forecast", inflow_forecast), ("demand", demand))
+            if series.shape != (h,)
         )
+        raise ValueError(f"horizon mismatch{_at(hour)}: expected shape ({h},), got {got}")
     # One pass clears finite series; only a failing one is diagnosed.
     if not (qp._every(np.isfinite(inflow_forecast)) and qp._every(np.isfinite(demand))):
         for name, series in (("inflow forecast", inflow_forecast), ("demand", demand)):

@@ -67,11 +67,10 @@ a candidate also keeps its packed K, 22-58 kB), so the MPC's hours, which
 start from few distinct sets, pay one QR per set rather than one per solve,
 whether the set comes first as a candidate or as a start. The daily MPC on
 the two years of the CLI benchmark at seed 7919 uses 65 sets, so room for 64
-would cost 79 QRs on every pass over them. The hourly MPC on the synthetic
-year from 0.4 m uses 131 sets: with room for 128 it made 165 QRs and 128
-laws, with room for all 139 and 103. The cap, 256, also holds the 210 sets
-of that year with daily inflow jitter 0.3 (seed 7919), which made 255 QRs
-and 202 laws at 128 and makes 221 and 174. The cached Q and R are read-only:
+would cost 79 QRs on every pass over them. The cap, 256, holds the 131
+sets of the hourly MPC on the synthetic year from 0.4 m (139 QRs and 103
+laws) and the 210 sets of that year with daily inflow jitter 0.3 (seed
+7919; 221 QRs and 174 laws). The cached Q and R are read-only:
 the solve only replaces them. The factor is then updated by scipy's
 qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and the
 triangular solves call LAPACK's trtrs; both skip scipy's argument checks,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from lakempc import mpc, qp
+from lakempc import metrics, mpc, qp
 from lakempc.cli import _fmt
 from lakempc.ddp import DdpConfig, ValueTable, stage_cost
 from lakempc.hydrology import (
@@ -531,3 +531,55 @@ def reference_write_level_plotdata(path, trace: ClosedLoopTrace, params: LakePar
         flood, dry = _fmt(params.flood_threshold), _fmt(params.dry_threshold)
         for t in range(trace.n_hours):
             writer.writerow([t, _fmt(trace.levels[t]), flood, dry])
+
+
+def reference_write_report_files(outdir: Path, report: metrics.RunReport) -> None:
+    """cli.write_report_files as one csv.writer row of _fmt strings per
+    metric, and the aligned text table."""
+    rows = metrics.report_rows(report)
+    with (outdir / "report.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["block", "metric", "value"])
+        for block, key, _, value in rows:
+            writer.writerow([block, key, _fmt(value)])
+    width = max(len(label) for _, _, label, _ in rows) + 2
+    text = "".join(f"{label:<{width}}{_fmt(value)}\n" for _, _, label, value in rows)
+    (outdir / "report.txt").write_text(text, encoding="utf-8")
+
+
+def reference_write_sweep_files(outdir: Path, sweep: metrics.SweepResult) -> None:
+    """cli.write_sweep_files as one csv.writer row of _fmt strings per weight,
+    in both files."""
+    with (outdir / "sweep.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        tables = [metrics.report_rows(report) for report in sweep.reports]
+        metric_names = [f"{block}_{key}" for block, key, _, _ in tables[0]]
+        writer.writerow(["lambda"] + metric_names + ["flood_hours_norm", "deficit_hours_norm"])
+        for lam, rows, flood, deficit in zip(
+            sweep.lambdas, tables, sweep.flood_hours_norm, sweep.deficit_hours_norm
+        ):
+            writer.writerow(
+                [_fmt(lam)] + [_fmt(value) for _, _, _, value in rows] + [_fmt(flood), _fmt(deficit)]
+            )
+    with (outdir / "plotdata_sweep.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["lambda", "flood_hours_norm", "deficit_hours_norm"])
+        for i, lam in enumerate(sweep.lambdas):
+            writer.writerow(
+                [_fmt(lam), _fmt(sweep.flood_hours_norm[i]), _fmt(sweep.deficit_hours_norm[i])]
+            )
+
+
+def reference_write_comparison_files(outdir: Path, table: metrics.ComparisonTable) -> None:
+    """cli.write_comparison_files as one csv.writer row of _fmt strings per
+    metric, and the text table."""
+    with (outdir / "comparison.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            ["metric"] + table.names + [f"reldiff_{name}" for name in table.names[1:]]
+        )
+        for row in table.rows:
+            writer.writerow(
+                [row.label] + [_fmt(v) for v in row.values] + [_fmt(d) for d in row.rel_diffs]
+            )
+    (outdir / "comparison.txt").write_text(table.format_text(), encoding="utf-8")

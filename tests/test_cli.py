@@ -7,15 +7,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_write_level_plotdata, reference_write_trace_csv
-from lakempc import qp, scenario
+from helpers import (
+    reference_write_comparison_files,
+    reference_write_level_plotdata,
+    reference_write_report_files,
+    reference_write_sweep_files,
+    reference_write_trace_csv,
+)
+from lakempc import metrics, qp, scenario
 from lakempc.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
     _fmt,
     cli_main,
+    read_report,
+    write_comparison_files,
     write_level_plotdata,
+    write_report_files,
+    write_sweep_files,
     write_trace_csv,
 )
 from lakempc.ddp import DdpConfig
@@ -26,6 +36,7 @@ from lakempc.trace import ClosedLoopTrace
 GOLDEN_DDP = Path(__file__).parent / "data" / "ddp_3day"
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate_3day"
 GOLDEN_COMPARE = Path(__file__).parent / "data" / "compare_3day"
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_3day"
 
 
 @pytest.fixture
@@ -133,6 +144,24 @@ def test_compare_output_matches_golden_files(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN_COMPARE / name).read_bytes(), name
 
 
+def test_sweep_output_matches_golden_files(tmp_path):
+    # Days 182-184 from 0.29 m, where the summer demand runs short. The
+    # expected files were written by `lakempc sweep` on these inputs when
+    # each sweep file still had its own csv.writer.
+    argv = [
+        "sweep", "--lambdas", "1e-2..1e2", "--horizon", "6",
+        "--scenario", str(GOLDEN_SWEEP / "inflow_hourly.csv"),
+        "--inflow-kind", "hourly",
+        "--demand", str(GOLDEN_SWEEP / "demand_hourly.csv"),
+        "--demand-kind", "hourly",
+        "--s0", "level:0.29",
+        "--out", str(tmp_path),
+    ]
+    assert cli_main(argv) == EXIT_OK
+    for name in ("sweep.csv", "plotdata_sweep.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_SWEEP / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "mode_args", [["--mode", "hourly", "--horizon", "6"], ["--mode", "daily"]], ids=["hourly", "daily"]
 )
@@ -222,6 +251,18 @@ def test_weights_rejected_only_together_name_every_key(tmp_path, scenario_dir, c
     assert cli_main(argv) == EXIT_RUNTIME
     message = f"error: {config}: config keys w_flood, w_demand: objective weights must sum"
     assert message in capsys.readouterr().err
+
+
+def test_key_rejected_alone_is_named_with_its_own_message(tmp_path, scenario_dir, capsys):
+    # w_flood is rejected alone; the build with both keys rejects w_demand
+    # first. The error once named w_flood with the message about w_demand.
+    config = tmp_path / "settings.cfg"
+    config.write_text("w_flood = -1\nw_demand = nan\n", encoding="utf-8")
+    argv = ["ddp", *scenario_args(scenario_dir), "--config", str(config), "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"error: {config}: config key w_flood: objective weights must be nonnegative" in err
+    assert "w_demand" not in err
 
 
 def test_flags_override_the_config_file(tmp_path, scenario_dir):
@@ -479,12 +520,28 @@ def _awkward_trace(rng, n_hours, solver_columns):
     return ClosedLoopTrace(storages=_awkward_floats(rng, n_hours + 1), **series, **extra)
 
 
+def _awkward_reports(rng, n):
+    """n reports whose every metric holds _awkward_floats, but for the hour
+    counts, which hold ints."""
+    template = metrics.report_rows(read_report(GOLDEN_DDP / "report.csv"))
+    keys = [(block, key) for block, key, _, _ in template]
+    reports = []
+    for values in _awkward_floats(rng, n * len(keys)).reshape(n, len(keys)):
+        rows = [
+            (block, key, rng.integers(0, 10**6) if key == "hours" else value)
+            for (block, key), value in zip(keys, values)
+        ]
+        reports.append(metrics.report_from_rows(rows))
+    return reports
+
+
 @pytest.mark.parametrize("solver_columns", [False, True], ids=["ddp", "mpc"])
 @pytest.mark.parametrize("n_hours", [1, 1000, 2345])
 def test_csv_writers_match_the_csv_module(tmp_path, solver_columns, n_hours):
     # The writers format whole chunks of rows at once; each file must equal
     # csv.writer's rows of _fmt strings byte for byte, across chunk edges.
-    trace = _awkward_trace(np.random.default_rng(n_hours), n_hours, solver_columns)
+    rng = np.random.default_rng(n_hours)
+    trace = _awkward_trace(rng, n_hours, solver_columns)
     write_trace_csv(tmp_path / "trace.csv", trace)
     reference_write_trace_csv(tmp_path / "expected.csv", trace)
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
@@ -492,3 +549,38 @@ def test_csv_writers_match_the_csv_module(tmp_path, solver_columns, n_hours):
         write_level_plotdata(tmp_path / "level.csv", trace, params)
         reference_write_level_plotdata(tmp_path / "expected_level.csv", trace, params)
         assert (tmp_path / "level.csv").read_bytes() == (tmp_path / "expected_level.csv").read_bytes()
+    # The tables: the sweep has one row per weight (n_hours of them), the
+    # comparison one column per run, named as a user may name a run: with
+    # a comma or a quote, which csv.writer quotes, and one name twice.
+    got, expected = tmp_path / "got", tmp_path / "expected"
+    got.mkdir()
+    expected.mkdir()
+    reports = _awkward_reports(rng, n_hours)
+    sweep = metrics.SweepResult(
+        lambdas=list(_awkward_floats(rng, n_hours)),
+        reports=reports,
+        flood_hours_norm=_awkward_floats(rng, n_hours),
+        deficit_hours_norm=_awkward_floats(rng, n_hours),
+    )
+    names = ["a,b", 'say "hi"', "a,b", "plain"]
+    table = metrics.ComparisonTable(
+        names=names,
+        rows=[
+            metrics.ComparisonRow(label, list(_awkward_floats(rng, 4)), list(_awkward_floats(rng, 3)))
+            for _, _, label, _ in metrics.report_rows(reports[0])
+        ],
+    )
+    for directory, write_report, write_sweep, write_comparison in (
+        (got, write_report_files, write_sweep_files, write_comparison_files),
+        (expected, reference_write_report_files, reference_write_sweep_files,
+         reference_write_comparison_files),
+    ):
+        write_report(directory, reports[-1])
+        write_sweep(directory, sweep)
+        write_comparison(directory, table)
+    for name in ("report.csv", "report.txt", "sweep.csv", "plotdata_sweep.csv",
+                 "comparison.csv", "comparison.txt"):
+        assert (got / name).read_bytes() == (expected / name).read_bytes(), name
+    assert _read_csv(got / "comparison.csv")[0] == [
+        "metric", *names, *[f"reldiff_{name}" for name in names[1:]]
+    ]

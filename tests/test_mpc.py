@@ -99,6 +99,19 @@ class TestAssembly:
         with pytest.raises(ValueError, match="horizon"):
             assemble_qp(PARAMS, config, 1e8, [1.0, 2.0], [0.0] * 4)
 
+    def test_horizon_mismatch_names_each_series_and_its_shape(self):
+        # Both series hold 6 entries; the message once said "expected 6
+        # forecast/demand entries, got 6/6".
+        config = MpcConfig(horizon=6)
+        message = (
+            r"^horizon mismatch at hour 0: expected shape \(6,\), got inflow forecast shape "
+            r"\(6, 1\), demand shape \(2, 3\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            solve_step(PARAMS, config, 1.2e8, np.full((6, 1), 100.0), np.full((2, 3), 50.0), hour=0)
+        with pytest.raises(ValueError, match=r"got demand shape \(5,\)$"):
+            assemble_qp(PARAMS, config, 1.2e8, np.full(6, 100.0), np.full(5, 50.0))
+
     def test_negative_storage_rejected(self):
         config = MpcConfig(horizon=1)
         with pytest.raises(ValueError, match="s0"):

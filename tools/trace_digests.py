@@ -14,10 +14,13 @@ active-set iterations of the run's decisions, summed, ``max_iter`` the
 most any one decision took (a sum hides a single long solve), ``warm``
 the run's hours whose decision took a candidate working set
 (``trace.warm_starts.sum()``), and ``cold`` the run's decisions that took
-none and so solved from the controller's feasible start (a daily decision
-counts once, not 24 times); all four are "-" for the DDP. The package is
-imported from this checkout's ``src/``, and the benchmark's modules are
-only read.
+none and so solved from the controller's feasible start; all four are "-"
+for the DDP. The counts are read from the trace, which records each hour's
+decision in ``solve_iterations`` and ``warm_starts``: every
+``n_hours // decisions``-th entry is one decision (every hour in an hourly
+run, every 24th in a daily one), so a daily decision counts once, not 24
+times. The package is imported from this checkout's ``src/``, and the
+benchmark's modules are only read.
 
 Run it in two checkouts and diff the output:
 
@@ -59,8 +62,6 @@ use_checkout_source()
 
 import gate  # noqa: E402
 import workloads  # noqa: E402
-from lakempc import mpc  # noqa: E402
-
 SEEDS = (0, workloads.HELD_OUT_SEED)
 
 
@@ -77,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
     log.install()
     capture = workloads.TraceCapture()
     capture.install()
-    solves = _record_solves()
     with tempfile.TemporaryDirectory(prefix="trace-digests-") as tmp:
         for name, workload in workloads.WORKLOADS.items():
             reference = gate.load_reference(name)
@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
                     with contextlib.redirect_stdout(io.StringIO()):  # the CLI's messages
                         runs = workloads.run_member(workload, member, log, capture)
                     for run in runs:
-                        line = _line(name, seed, j, member, run, reference, solves)
+                        line = _line(name, seed, j, member, run, reference)
                         if run.trace is not None:
                             line += _compare(f"{name}-{seed}-{j}-{run.label}.npz", run, args)
                         print(line)
@@ -113,23 +113,7 @@ def _compare(file_name: str, run, args) -> str:
     return f" {max(deviation.values()):.3e}"
 
 
-def _record_solves() -> list[tuple[int, bool]]:
-    """Wrap mpc.solve_step (over the benchmark's own wrapper) to record each
-    decision's active-set iterations and whether it took a candidate, in the
-    order of the benchmark's log."""
-    inner = mpc.solve_step
-    solves = []
-
-    def recording(*args, **kwargs):
-        step = inner(*args, **kwargs)
-        solves.append((step.solve_diagnostics.iterations, step.solve_diagnostics.warm_start))
-        return step
-
-    mpc.solve_step = recording
-    return solves
-
-
-def _line(name, seed, j, member, run, reference, solves) -> str:
+def _line(name, seed, j, member, run, reference) -> str:
     trace = run.trace
     if trace is None:
         return f"{name} {seed} {j} {run.label} exit={run.exit_code}"
@@ -137,11 +121,13 @@ def _line(name, seed, j, member, run, reference, solves) -> str:
     if member.jitter_seed is None:
         dev = gate.reference_deviation(trace, reference, run.label)
         deviation = [f"{dev[series]:.3e}" for series in gate.REFERENCE_SERIES]
-    counts = [iterations for iterations, _ in solves[run.decisions]]
-    total = str(sum(counts)) if run.is_mpc else "-"
-    worst = str(max(counts)) if run.is_mpc else "-"
-    warm = str(int(trace.warm_starts.sum())) if run.is_mpc else "-"
-    cold = str(sum(not taken for _, taken in solves[run.decisions])) if run.is_mpc else "-"
+    total = worst = warm = cold = "-"
+    if run.is_mpc:
+        every = trace.n_hours // (run.decisions.stop - run.decisions.start)
+        counts = trace.solve_iterations[::every]
+        total, worst = str(counts.sum()), str(counts.max())
+        warm = str(int(trace.warm_starts.sum()))
+        cold = str(int((~trace.warm_starts[::every]).sum()))
     cost = f"{workloads.control_cost(trace):.17g}"
     digest = workloads.trace_digest(trace)
     fields = [name, str(seed), str(j), run.label, digest, *deviation, cost, total, worst, warm, cold]
