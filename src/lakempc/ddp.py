@@ -15,15 +15,18 @@ the flood threshold, and wherever the rating curve falls below the minimum
 environmental flow) has one release, not action_samples equal copies of
 it, and costs one pair; on the default grid 135 of the 201 nodes do.
 The actions and the grid are fixed for the run, so the transition depends
-only on the hour's (inflow, demand) pair: it is computed once per run of
-equal hours (a daily-held series repeats it 24 times), and the repeated
-hours interpolate from a cached grid locator that reproduces ``np.interp``
-bit for bit.
+only on the hour's (inflow, demand) pair. The pass walks the series in runs
+of equal pairs (a daily-held series repeats each pair 24 times) and computes
+each run's transition once. A run of one hour interpolates with
+``np.interp``; a longer run finds the cells of its next storages once, by
+arithmetic on the uniform grid (:class:`_GridLocator`), and every hour of
+it interpolates from them, bit for bit as ``np.interp`` would.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,30 +110,54 @@ def trace_cost(params: LakeParams, config: DdpConfig, trace: ClosedLoopTrace) ->
 
 
 class _GridLocator:
-    """Cached cells of fixed points on a grid, for repeated ``np.interp`` calls.
+    """Cached cells of fixed points on a uniform grid, for repeated ``np.interp`` calls.
 
     ``np.interp(x, grid, fp)`` returns ``slope * (x - grid[j]) + fp[j]`` in the
     cell ``grid[j] < x < grid[j + 1]``, with ``slope = (fp[j + 1] - fp[j]) /
     (grid[j + 1] - grid[j])``, and ``fp[j]`` itself where ``x == grid[j]``, the
     top node included. :meth:`interp` evaluates the same expressions from the
-    cached cell, offset and on-node points, so for finite ``fp`` it equals
-    ``np.interp`` bit for bit. The points must lie within the grid.
+    cached cell, offset and on-node points, into buffers the locator owns, so
+    for finite ``fp`` it equals ``np.interp`` bit for bit (until the next call
+    overwrites the result). The points must lie within the grid.
+
+    The grid must be ``np.linspace(0, top, n)``: its node k is ``k * grid[1]``
+    rounded once (the top is exact), so the truncated quotient ``x /
+    grid[1]`` is the last node at or below x, or one off either way where x
+    lies within rounding of a node. One comparison each way against ``grid``
+    itself then lands on the node ``np.interp``'s own search finds. A grid
+    that does not start at 0, or is not evenly spaced, breaks that bound.
+    The quotient divides, because the reciprocal of a subnormal spacing (a
+    top below about 4e-306 on 201 nodes) overflows. On the default grid's
+    6,801 points of a stage this takes about 60 µs, where a locator built
+    on ``np.searchsorted`` took about 90 µs; each :meth:`interp` then takes
+    about 18 µs, against about 40 µs for ``np.interp`` (Intel Xeon, numpy
+    2.4).
     """
 
     def __init__(self, grid: np.ndarray, x: np.ndarray) -> None:
-        upper = np.searchsorted(grid, x)  # first node >= x, at most the top node
-        self.cell = np.maximum(upper - 1, 0)
-        self.offset = x - grid[self.cell]
-        self.on_node = np.flatnonzero(grid[upper] == x)
-        self.node = upper[self.on_node]
+        last = grid.size - 1
+        node = (x / grid[1]).astype(np.intp)
+        np.minimum(node, last - 1, out=node)
+        node -= grid.take(node) > x
+        node += grid.take(node + 1) <= x  # last node <= x: the top for x == grid[-1]
+        self.cell = np.minimum(node, last - 1)
+        self.offset = x - grid.take(self.cell)
+        self.on_node = np.flatnonzero(grid.take(node) == x)
+        self.node = node.take(self.on_node)
         self.spacing = np.diff(grid)
+        self._slopes = np.empty(last)
+        self._base = np.empty(x.size)
+        self._out = np.empty(x.size)
 
     def interp(self, fp: np.ndarray) -> np.ndarray:
-        slopes = np.diff(fp) / self.spacing
-        out = slopes.take(self.cell)
+        slopes = np.subtract(fp[1:], fp[:-1], out=self._slopes)
+        slopes /= self.spacing
+        # mode="clip" (the cells are in range): with out=, the default "raise"
+        # gathers through a temporary copy.
+        out = slopes.take(self.cell, out=self._out, mode="clip")
         out *= self.offset
-        out += fp.take(self.cell)
-        out[self.on_node] = fp[self.node]
+        out += fp.take(self.cell, out=self._base, mode="clip")
+        out[self.on_node] = fp.take(self.node)
         return out
 
 
@@ -150,10 +177,18 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     collapsed node's one transition as action_samples of them.
 
     A stage's transition (next storages, discharged releases, stage costs
-    and out-of-grid count) is computed once per run of hours with equal
-    (inflow, demand) pairs and reused for the rest of the run. The first
-    hour of a run interpolates with ``np.interp``; the others reuse a grid
-    locator built on the second hour, which gives the same bits.
+    and out-of-grid count) depends only on the hour's (inflow, demand)
+    pair. The pass walks back over runs of hours with equal pairs, found by
+    comparing the pairs as Python floats once per hour, and computes each
+    run's transition once. A run of one hour interpolates with
+    ``np.interp``, which is cheaper than locating its points once; a longer
+    run builds one :class:`_GridLocator` on its transition and interpolates
+    every hour from it, with the same bits. Each free node's first minimum
+    is one flat pick (row argmin plus row offset). On the daily-held year
+    (366 runs of 24 hours) a stage takes about 36 µs, against 47 µs with
+    ``np.interp`` on a run's first hour and a ``np.searchsorted`` locator on
+    the rest; a year of one-hour runs (intra-day inflow) spends its stage
+    in ``np.interp`` and :func:`stage_cost` as before.
 
     Raises:
         ValueError: if the series differ in length or are empty, or if an
@@ -187,33 +222,39 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     values = np.zeros((t_end + 1, n_nodes))
     policy = np.zeros((t_end, n_nodes))
     policy[:, collapsed] = bounds[collapsed, 0]
-    free_range = np.arange(free.size)
+    row_offsets = np.arange(0, n_free_pairs, n_act)
+    inflows, demands = inflow.tolist(), demand.tolist()
     out_of_grid = 0
-    for t in range(t_end - 1, -1, -1):
-        if t == t_end - 1 or inflow[t] != inflow[t + 1] or demand[t] != demand[t + 1]:
-            next_s, released = mass_balance(pair_storage, inflow[t], pair_release)
-            outside = next_s > grid[-1]
-            # A collapsed node stands for its action_samples equal releases.
-            n_outside = int(np.count_nonzero(outside[:n_free_pairs])) + n_act * int(
-                np.count_nonzero(outside[n_free_pairs:])
-            )
-            if n_outside:
-                next_s = np.minimum(next_s, grid[-1])
-            stage = stage_cost(params, config, next_s / area + level_offset, released, demand[t])
-            locator = None
-            cost_to_go = np.interp(next_s, grid, values[t + 1])
-        else:
+    end = t_end  # the run of equal hours is first..end-1
+    while end:
+        q, w = inflows[end - 1], demands[end - 1]
+        first = end - 1
+        while first and inflows[first - 1] == q and demands[first - 1] == w:
+            first -= 1
+        next_s, released = mass_balance(pair_storage, q, pair_release)
+        outside = next_s > grid[-1]
+        # A collapsed node stands for its action_samples equal releases.
+        n_outside = int(np.count_nonzero(outside[:n_free_pairs])) + n_act * int(
+            np.count_nonzero(outside[n_free_pairs:])
+        )
+        if n_outside:
+            next_s = np.minimum(next_s, grid[-1])
+        out_of_grid += (end - first) * n_outside
+        stage = stage_cost(params, config, next_s / area + level_offset, released, w)
+        locator = _GridLocator(grid, next_s) if end - first > 1 else None
+        for t in range(end - 1, first - 1, -1):
             if locator is None:
-                locator = _GridLocator(grid, next_s)
-            cost_to_go = locator.interp(values[t + 1])
-        out_of_grid += n_outside
-        total = cost_to_go
-        total += stage
-        choice = total[:n_free_pairs].reshape(free.size, n_act)
-        best = np.argmin(choice, axis=1)  # first minimum: ties go to the smaller release
-        values[t, free] = choice[free_range, best]
-        policy[t, free] = free_actions[free_range, best]
-        values[t, collapsed] = total[n_free_pairs:]
+                total = np.interp(next_s, grid, values[t + 1])
+            else:
+                total = locator.interp(values[t + 1])
+            total += stage
+            # First minimum of each free node's row: ties go to the smaller release.
+            pick = total[:n_free_pairs].reshape(-1, n_act).argmin(axis=1)
+            pick += row_offsets
+            values[t, free] = total.take(pick)
+            policy[t, free] = pair_release.take(pick)
+            values[t, collapsed] = total[n_free_pairs:]
+        end = first
     if out_of_grid:
         warnings.warn(
             f"{out_of_grid} grid transitions were clamped to the storage grid's top node",
@@ -240,16 +281,17 @@ def simulate_policy(
         raise ValueError(f"inflow/demand must have length {t_end} to match the value table")
     _check_flows("inflow", inflow, "hour")
     _check_flows("demand", demand, "hour")
-    grid = table.grid
+    nodes = table.grid.tolist()
+    top = len(nodes) - 1
 
     def decide(t, storage):
-        pos = int(np.searchsorted(grid, storage))
-        if pos <= 0:
+        pos = bisect_left(nodes, storage)  # first node >= storage
+        if pos == 0:
             node = 0
-        elif pos >= grid.size:
-            node = grid.size - 1
-        else:
-            node = pos if grid[pos] - storage < storage - grid[pos - 1] else pos - 1
+        elif pos > top:
+            node = top
+        else:  # the nearer node; midway goes to the lower one
+            node = pos if nodes[pos] - storage < storage - nodes[pos - 1] else pos - 1
         return table.policy[t, node:node + 1], None
 
     return closed_loop(params, inflow, demand, s0, decide, "ddp")

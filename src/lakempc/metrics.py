@@ -6,8 +6,9 @@ and a violated area. An hour counts as a violation hour only when its
 violation exceeds LEVEL_TOL (levels) or DEFICIT_REL_TOL times the demand
 (deficits): a plan that sits on a threshold or meets the demand exactly
 leaves rounding noise of a few units in the last place, and that noise is
-no violation. RMSE and the deficit peak are taken over the counted hours
-(0 when none counts); the areas are exact sums over every hour. The demand
+no violation. RMSE, the deficit peak and the areas are taken over the
+counted hours only (0 when none counts), so that noise reaches no table
+cell. The demand
 deficit is measured against the applied release (what the districts
 receive), and the deficit peak is reported with a negative sign.
 """
@@ -87,15 +88,16 @@ _BLOCK_TYPES = {"flood": FloodMetrics, "demand": DemandMetrics, "dry": DryMetric
 
 
 def _violation_stats(violation: np.ndarray, tol) -> tuple[float, int, float]:
-    """(rmse over counted hours, counted hours, area) for a hinge series.
+    """(rmse, counted hours, area) for a hinge series.
 
-    An hour counts when its violation exceeds tol; the area sums every hour.
+    An hour counts when its violation exceeds tol; the rmse and the area are
+    taken over the counted hours only, so a violation at or below tol adds
+    nothing to either.
     """
-    mask = violation > tol
-    hours = int(np.sum(mask))
-    area = float(np.sum(violation))
-    rmse = math.sqrt(float(np.mean(violation[mask] ** 2))) if hours else 0.0
-    return rmse, hours, area
+    counted = violation[violation > tol]
+    hours = counted.size
+    rmse = math.sqrt(float(np.mean(counted**2))) if hours else 0.0
+    return rmse, hours, float(np.sum(counted))
 
 
 def compute_report(params: LakeParams, trace: ClosedLoopTrace) -> RunReport:

@@ -461,6 +461,22 @@ def reference_backward_induction(
     return ValueTable(values=values, policy=policy, grid=grid, out_of_grid=out_of_grid)
 
 
+def reference_nearest_node(grid: np.ndarray, storage: float) -> int:
+    """The storage node whose policy the DDP forward pass applies.
+
+    The rule as ``np.searchsorted`` first found it: the nearer of the two
+    nodes around the storage, the lower one at exactly midway, node 0 at or
+    below the bottom and the top node at or above the top.
+    ``ddp.simulate_policy`` must pick the same node.
+    """
+    pos = int(np.searchsorted(grid, storage))
+    if pos <= 0:
+        return 0
+    if pos >= grid.size:
+        return grid.size - 1
+    return pos if grid[pos] - storage < storage - grid[pos - 1] else pos - 1
+
+
 def assert_rerun_reuses_structure(monkeypatch, params, config, scenario, s0, n_steps):
     """Run config's hourly loop again and check that it makes no QR and
     checks no candidate working set again: the solver structure that

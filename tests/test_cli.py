@@ -162,6 +162,27 @@ def test_sweep_output_matches_golden_files(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN_SWEEP / name).read_bytes(), name
 
 
+def test_sweep_areas_leave_out_round_off(tmp_path):
+    # Days 104-106 from 1.08 m: no hour runs short of the demand, but at
+    # lambda = 10 one hour's release falls 7.1e-15 under it, far below the
+    # deficit tolerance. That hour counts no deficit hour and no area.
+    argv = [
+        "sweep", "--lambdas", "1e-2..1e2", "--horizon", "6",
+        "--scenario", str(GOLDEN_SIMULATE / "inflow_hourly.csv"),
+        "--inflow-kind", "hourly",
+        "--demand", str(GOLDEN_SIMULATE / "demand_hourly.csv"),
+        "--demand-kind", "hourly",
+        "--s0", "level:1.08",
+        "--out", str(tmp_path),
+    ]
+    assert cli_main(argv) == EXIT_OK
+    with (tmp_path / "sweep.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["lambda"] for row in rows] == ["0.01", "0.1", "1", "10", "100"]
+    for row in rows:
+        assert (row["demand_hours"], row["demand_area"]) == ("0", "0"), row["lambda"]
+
+
 @pytest.mark.parametrize(
     "mode_args", [["--mode", "hourly", "--horizon", "6"], ["--mode", "daily"]], ids=["hourly", "daily"]
 )

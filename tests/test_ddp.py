@@ -11,6 +11,7 @@ from helpers import (
     brute_force_ddp_value,
     exact_grid_ddp_instance,
     reference_backward_induction,
+    reference_nearest_node,
 )
 from lakempc import ddp
 from lakempc.ddp import (
@@ -207,6 +208,10 @@ def _bit_identity_cases():
         "exact-grid": (exact_params, exact_config, [0.0] * 6, [30.0] * 3 + [7.0] * 3),
         "flood-clamped-at-top": _flood_clamping_instance(),
         "mef-above-rating": _mef_above_rating_instance(),
+        # Every hour leaves this grid at the top; its spacing is subnormal.
+        "subnormal-spacing": (
+            PARAMS, DdpConfig(storage_max=1e-310), window.inflow_hourly[:48], window.demand_hourly[:48]
+        ),
     }
 
 
@@ -225,7 +230,7 @@ class TestTransitionReuse:
     @pytest.mark.parametrize("case", sorted(_bit_identity_cases()))
     def test_tables_bit_identical_to_stagewise_reference(self, case):
         table = _assert_tables_match_reference(*_bit_identity_cases()[case])
-        if case in ("clamped-at-top", "flood-clamped-at-top"):
+        if case in ("clamped-at-top", "flood-clamped-at-top", "subnormal-spacing"):
             assert table.out_of_grid > 0
 
     @settings(max_examples=60, deadline=None)
@@ -263,6 +268,34 @@ class TestTransitionReuse:
         locator = ddp._GridLocator(grid, x)
         for _ in range(5):
             fp = rng.random(grid.size) * 10.0 ** rng.uniform(-3.0, 3.0, grid.size)
+            assert np.array_equal(locator.interp(fp), np.interp(x, grid, fp))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 1000),
+        storage_max=st.floats(1e5, 1e10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_arithmetic_locator_equals_np_interp(self, n, storage_max, seed):
+        # The cell is estimated from x / grid[1] and corrected against the
+        # grid: on every node, on both floating-point neighbours of every
+        # node, at the ends and between nodes it must match np.interp's own
+        # search, and so its values, bit for bit.
+        grid = np.linspace(0.0, storage_max, n)
+        rng = np.random.default_rng(seed)
+        x = np.concatenate(
+            [
+                grid,
+                np.nextafter(grid[1:], -np.inf),
+                np.nextafter(grid[:-1], np.inf),
+                [0.0, storage_max],
+                rng.uniform(0.0, storage_max, 500),
+            ]
+        )
+        rng.shuffle(x)
+        locator = ddp._GridLocator(grid, x)
+        for _ in range(3):
+            fp = rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
             assert np.array_equal(locator.interp(fp), np.interp(x, grid, fp))
 
     @pytest.mark.parametrize(("intraday", "calls"), [(None, 3), (GaussianInflowParams(), 72)])
@@ -337,6 +370,53 @@ class TestSimulatePolicy:
             ValueError, match=f"^{series} must be finite and nonnegative, got {value} at hour {hour}$"
         ):
             simulate_policy(params, table, flows["inflow"], flows["demand"], grid[1])
+
+
+    @pytest.mark.parametrize(
+        ("storage", "node"),
+        [
+            (0.0, 0),
+            (1e6, 1),
+            (2e6, 2),
+            (4e6, 4),
+            (1.5e6, 1),  # exactly midway: the lower node
+            (np.nextafter(1.5e6, np.inf), 2),
+            (np.nextafter(1.5e6, -np.inf), 1),
+            (3.7e6, 4),
+            (4e6 + 1.0, 4),  # above the top: the top node
+            (9e9, 4),
+        ],
+    )
+    def test_policy_read_at_the_nearest_node(self, storage, node):
+        # Each node's policy is its own index, so the command names the node.
+        grid = np.linspace(0.0, 4e6, 5)
+        table = ValueTable(
+            values=np.zeros((2, 5)), policy=np.arange(5.0)[None, :], grid=grid
+        )
+        trace = simulate_policy(PARAMS, table, [0.0], [0.0], storage)
+        assert trace.commands[0] == node == reference_nearest_node(grid, storage)
+
+    def test_nearest_node_matches_searchsorted_rule(self):
+        # Midpoints and their neighbours, nodes and random storages on the
+        # default grid, each as the first storage of a one-hour run.
+        grid = np.linspace(0.0, DdpConfig().storage_max, DdpConfig().grid_points)
+        mid = 0.5 * (grid[:-1] + grid[1:])
+        rng = np.random.default_rng(5)
+        storages = np.concatenate(
+            [
+                grid,
+                mid,
+                np.nextafter(mid, np.inf),
+                np.nextafter(mid, -np.inf),
+                rng.uniform(0.0, 1.1 * grid[-1], 200),
+            ]
+        )
+        table = ValueTable(
+            values=np.zeros((2, grid.size)), policy=np.arange(float(grid.size))[None, :], grid=grid
+        )
+        for storage in storages:
+            trace = simulate_policy(PARAMS, table, [0.0], [0.0], storage)
+            assert trace.commands[0] == reference_nearest_node(grid, storage), storage
 
 
 class TestGridRefinement:

@@ -55,8 +55,8 @@ def test_rounding_noise_counts_no_violation_hour():
         a, b = getattr(exact, block), getattr(noisy, block)
         assert (a.hours, a.rmse) == (b.hours, b.rmse), block
         assert a.area == pytest.approx(b.area, rel=1e-12), block
-    # The areas stay exact sums, noise included.
-    assert noisy.demand.area > exact.demand.area
+    # The noise reaches no area either.
+    assert noisy.demand.area == exact.demand.area
 
 
 def test_violations_within_tolerance_are_not_counted():
@@ -68,14 +68,28 @@ def test_violations_within_tolerance_are_not_counted():
     report = metrics.compute_report(params, _trace(levels, releases, demands))
     assert (report.flood.hours, report.demand.hours) == (2, 1)
     assert report.flood.rmse == pytest.approx(np.sqrt(((2.0 * tol) ** 2 + 3.0**2) / 2.0))
-    assert report.flood.area == pytest.approx(2.5 * tol + 3.0)
+    assert report.flood.area == pytest.approx(2.0 * tol + 3.0, rel=0.0, abs=0.1 * tol)
+    assert report.demand.area == pytest.approx(2.0 * metrics.DEFICIT_REL_TOL * 100.0)
     assert report.demand.deficit_peak == pytest.approx(-2.0 * metrics.DEFICIT_REL_TOL * 100.0)
-    # Every deficit under the tolerance: no hour and no peak, but the area
-    # still sums them.
+    # Every deficit under the tolerance: no hour, no peak and no area.
     releases = demands - 0.5 * metrics.DEFICIT_REL_TOL * demands
     report = metrics.compute_report(params, _trace(levels, releases, demands))
     assert (report.demand.hours, report.demand.rmse, report.demand.deficit_peak) == (0, 0.0, 0.0)
-    assert report.demand.area == pytest.approx(3 * 0.5 * metrics.DEFICIT_REL_TOL * 100.0)
+    assert report.demand.area == 0.0
+
+
+def test_areas_sum_counted_hours_only():
+    # Entries at or below the tolerance, positive as solver round-off leaves
+    # them, count no hour and add nothing to the area or the rmse.
+    tol = 1e-9
+    violation = np.array([0.0, 7.1e-15, tol, 0.5, 1e-12, 2.0, 0.999 * tol])
+    rmse, hours, area = metrics._violation_stats(violation, tol)
+    assert (hours, area) == (2, 2.5)
+    assert rmse == pytest.approx(np.sqrt((0.5**2 + 2.0**2) / 2.0), rel=1e-15)
+    # With a tolerance per hour, as the deficits have.
+    rmse, hours, area = metrics._violation_stats(violation, np.full(violation.size, 1.0))
+    assert (rmse, hours, area) == (2.0, 1, 2.0)
+    assert metrics._violation_stats(np.full(4, 0.5 * tol), tol) == (0.0, 0, 0.0)
 
 
 def test_sweep_leaves_only_the_last_weights_structure(monkeypatch, no_qp_structure):

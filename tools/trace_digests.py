@@ -4,7 +4,7 @@ For every member of the three benchmark workloads at seeds 0 and 7919, the
 script runs the member through ``perfbench/workloads.run_member`` and prints,
 per run (an hourly MPC run, or the CLI's DDP and daily MPC runs):
 
-    workload seed member label digest rel_dev stor_dev control_cost iterations max_iter warm cold
+    workload seed member label digest rel_dev stor_dev control_cost iterations max_iter warm cold table
 
 ``digest`` is ``workloads.trace_digest`` (equal digests, equal bits),
 ``rel_dev`` and ``stor_dev`` the member-0 deviation of releases and storages
@@ -19,8 +19,13 @@ for the DDP. The counts are read from the trace, which records each hour's
 decision in ``solve_iterations`` and ``warm_starts``: every
 ``n_hours // decisions``-th entry is one decision (every hour in an hourly
 run, every 24th in a daily one), so a daily decision counts once, not 24
-times. The package is imported from this checkout's ``src/``, and the
-benchmark's modules are only read.
+times. ``table``, on a DDP line only ("-" on the others), is a sha256 over
+the backward pass's table (``values``, ``policy`` and ``out_of_grid``),
+computed again with the CLI's defaults from the series the CLI read
+(``scenario.load_timeseries`` of the member's CSV files): the forward trace
+visits few of the table's nodes, so a change that moves the table elsewhere
+shows only here. The package is imported from this checkout's ``src/``, and
+the benchmark's modules are only read.
 
 Run it in two checkouts and diff the output:
 
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -62,6 +68,8 @@ use_checkout_source()
 
 import gate  # noqa: E402
 import workloads  # noqa: E402
+from lakempc import ddp, hydrology, scenario  # noqa: E402
+
 SEEDS = (0, workloads.HELD_OUT_SEED)
 
 
@@ -130,8 +138,24 @@ def _line(name, seed, j, member, run, reference) -> str:
         cold = str(int((~trace.warm_starts[::every]).sum()))
     cost = f"{workloads.control_cost(trace):.17g}"
     digest = workloads.trace_digest(trace)
-    fields = [name, str(seed), str(j), run.label, digest, *deviation, cost, total, worst, warm, cold]
+    table = _table_digest(member) if run.label == "ddp" else "-"
+    fields = [
+        name, str(seed), str(j), run.label, digest, *deviation, cost, total, worst, warm, cold, table
+    ]
     return " ".join(fields)
+
+
+def _table_digest(member) -> str:
+    """sha256 over the DDP table of the member's CSV series, as ``lakempc ddp``
+    builds it with no config file."""
+    inflow = scenario.load_timeseries(member.inflow_csv, "inflow_hourly")
+    demand = scenario.load_timeseries(member.demand_csv, "demand_hourly")
+    table = ddp.backward_induction(hydrology.LakeParams(), ddp.DdpConfig(), inflow, demand)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(table.values).tobytes())
+    h.update(np.ascontiguousarray(table.policy).tobytes())
+    h.update(str(table.out_of_grid).encode())
+    return h.hexdigest()
 
 
 if __name__ == "__main__":
