@@ -21,13 +21,20 @@ each run's transition once. A run of one hour interpolates with
 ``np.interp``; a longer run finds the cells of its next storages once, by
 arithmetic on the uniform grid (:class:`_GridLocator`), and every hour of
 it interpolates from them, bit for bit as ``np.interp`` would.
+
+Stage t reads only the cost-to-go of hour t + 1, and the forward pass
+reads only one release per hour, so the pass keeps one row of cost-to-go,
+overwritten hour by hour, and the releases of the free nodes (the nodes
+with a choice) per hour; a collapsed node's one release is kept once.
+On the default year this is 4.6 MB of releases, where the full (T + 1) x
+201 values and T x 201 policy took 14.1 MB each.
 """
 
 from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,23 +78,95 @@ class DdpConfig:
             raise ValueError(f"storage_max must be positive, got {self.storage_max}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueTable:
-    """Cost-to-go and optimal release per (time, storage node).
+    """What the forward pass reads of the backward pass: the release per
+    (hour, storage node), and the hour-0 cost-to-go.
 
-    values[t][i] is the optimal cost from node i with t..T-1 still to play;
-    the terminal layer values[T] is identically zero. out_of_grid counts
+    values[i] is the optimal cost from node i over the whole run (the
+    cost-to-go of hour 0; the later hours' rows are dropped as the
+    backward pass moves on, and the terminal row is identically zero).
+    free holds, in increasing order, the nodes whose release bounds leave
+    a choice; policy[t, j] is node free[j]'s release at hour t, so policy
+    is T x len(free). A node that is not free has one release for every
+    hour, collapsed_release[i] (an entry at a free node is never read).
+    :meth:`release` reads either. The table stores releases, not indices
+    of the sampled actions, so it holds any release a node may take. On
+    the default grid 66 of the 201 nodes are free: a year's policy takes
+    4.6 MB, where a T x 201 one took 14.1 MB. out_of_grid counts
     transitions that rose above the grid and were clamped to its top node.
+    The table is frozen and its free indices are read-only, so the node to
+    column map that :meth:`release` reads, built once on construction,
+    cannot go stale.
+
+    Raises:
+        ValueError: naming the field, for a grid that is not a nonempty
+            1-d strictly increasing array, values not of the grid's shape,
+            free indices that are not strictly increasing integers within
+            the grid, a policy not of shape (T, len(free)) with T >= 1,
+            collapsed releases not of the grid's shape, or a release that
+            is not finite.
     """
 
     values: np.ndarray
-    policy: np.ndarray
     grid: np.ndarray
+    free: np.ndarray
+    policy: np.ndarray
+    collapsed_release: np.ndarray
     out_of_grid: int = 0
+    _column: list = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        grid = np.asarray(self.grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0 or not np.all(grid[1:] > grid[:-1]):
+            raise ValueError("grid must be a nonempty 1-d strictly increasing array")
+        n_nodes = grid.size
+        values = np.asarray(self.values, dtype=float)
+        collapsed_release = np.asarray(self.collapsed_release, dtype=float)
+        for name, array in (("values", values), ("collapsed_release", collapsed_release)):
+            if array.shape != (n_nodes,):
+                raise ValueError(f"{name} must have shape ({n_nodes},), got {array.shape}")
+        free = np.asarray(self.free)
+        if (
+            free.ndim != 1
+            or not (free.size == 0 or np.issubdtype(free.dtype, np.integer))
+            or np.any(free[1:] <= free[:-1])
+            or np.any((free < 0) | (free >= n_nodes))
+        ):
+            raise ValueError(
+                f"free must be strictly increasing node indices in [0, {n_nodes}), got {free}"
+            )
+        free = free.astype(np.intp)
+        free.flags.writeable = False
+        policy = np.asarray(self.policy, dtype=float)
+        if policy.ndim != 2 or policy.shape[0] < 1 or policy.shape[1] != free.size:
+            raise ValueError(f"policy must have shape (T, {free.size}), got {policy.shape}")
+        for name, array in (("policy", policy), ("collapsed_release", collapsed_release)):
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} must hold finite releases")
+        column = np.full(n_nodes, -1)
+        column[free] = np.arange(free.size)
+        fields = dict(
+            grid=grid,
+            values=values,
+            free=free,
+            policy=policy,
+            collapsed_release=collapsed_release,
+            _column=column.tolist(),
+        )
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
     @property
     def n_steps(self) -> int:
         return self.policy.shape[0]
+
+    def release(self, t: int, node: int) -> float:
+        """The release the table commands from node at hour t."""
+        column = self._column[node]
+        if column < 0:
+            return float(self.collapsed_release[node])
+        return float(self.policy[t, column])
 
 
 def stage_cost(params: LakeParams, config: DdpConfig, level, release, demand):
@@ -190,6 +269,13 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     the rest; a year of one-hour runs (intra-day inflow) spends its stage
     in ``np.interp`` and :func:`stage_cost` as before.
 
+    The pass keeps what :class:`ValueTable` holds and no more: one row of
+    cost-to-go, which the stage reads as hour t + 1's and then overwrites
+    with hour t's in place, and each hour's releases of the free nodes,
+    written into one contiguous row. On the default year its traced
+    allocations peak at 6.3 MB, where keeping the full values and policy
+    tables (14.1 MB each) peaked at 29.6 MB.
+
     Raises:
         ValueError: if the series differ in length or are empty, or if an
             inflow or demand is negative or not finite (naming the first such
@@ -219,9 +305,10 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     pair_storage = np.concatenate([np.repeat(grid[free], n_act), grid[collapsed]])
     pair_release = np.concatenate([free_actions.ravel(), bounds[collapsed, 0]])
 
-    values = np.zeros((t_end + 1, n_nodes))
-    policy = np.zeros((t_end, n_nodes))
-    policy[:, collapsed] = bounds[collapsed, 0]
+    cost_to_go = np.zeros(n_nodes)  # of hour t + 1, overwritten with hour t's
+    policy = np.empty((t_end, free.size))
+    collapsed_release = np.zeros(n_nodes)
+    collapsed_release[collapsed] = bounds[collapsed, 0]
     row_offsets = np.arange(0, n_free_pairs, n_act)
     inflows, demands = inflow.tolist(), demand.tolist()
     out_of_grid = 0
@@ -244,23 +331,30 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
         locator = _GridLocator(grid, next_s) if end - first > 1 else None
         for t in range(end - 1, first - 1, -1):
             if locator is None:
-                total = np.interp(next_s, grid, values[t + 1])
+                total = np.interp(next_s, grid, cost_to_go)
             else:
-                total = locator.interp(values[t + 1])
+                total = locator.interp(cost_to_go)
             total += stage
             # First minimum of each free node's row: ties go to the smaller release.
             pick = total[:n_free_pairs].reshape(-1, n_act).argmin(axis=1)
             pick += row_offsets
-            values[t, free] = total.take(pick)
-            policy[t, free] = pair_release.take(pick)
-            values[t, collapsed] = total[n_free_pairs:]
+            policy[t] = pair_release.take(pick)
+            cost_to_go[free] = total.take(pick)
+            cost_to_go[collapsed] = total[n_free_pairs:]
         end = first
     if out_of_grid:
         warnings.warn(
             f"{out_of_grid} grid transitions were clamped to the storage grid's top node",
             stacklevel=2,
         )
-    return ValueTable(values=values, policy=policy, grid=grid, out_of_grid=out_of_grid)
+    return ValueTable(
+        values=cost_to_go,
+        grid=grid,
+        free=free,
+        policy=policy,
+        collapsed_release=collapsed_release,
+        out_of_grid=out_of_grid,
+    )
 
 
 def simulate_policy(
@@ -292,6 +386,6 @@ def simulate_policy(
             node = top
         else:  # the nearer node; midway goes to the lower one
             node = pos if nodes[pos] - storage < storage - nodes[pos - 1] else pos - 1
-        return table.policy[t, node:node + 1], None
+        return (table.release(t, node),), None
 
     return closed_loop(params, inflow, demand, s0, decide, "ddp")

@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import itertools
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
 from lakempc import metrics, mpc, qp
 from lakempc.cli import _fmt
-from lakempc.ddp import DdpConfig, ValueTable, stage_cost
+from lakempc.ddp import DdpConfig, stage_cost
 from lakempc.hydrology import (
     DEMAND_REF,
     HOUR_SECONDS,
@@ -423,9 +424,20 @@ def brute_force_ddp_value(
     return best
 
 
+class ReferenceTable(NamedTuple):
+    """The full tables of :func:`reference_backward_induction`: values is
+    (T + 1) x n_nodes, its last row the zero terminal cost; policy is
+    T x n_nodes."""
+
+    values: np.ndarray
+    policy: np.ndarray
+    grid: np.ndarray
+    out_of_grid: int
+
+
 def reference_backward_induction(
     params: LakeParams, config: DdpConfig, inflow, demand
-) -> ValueTable:
+) -> ReferenceTable:
     """The DDP backward pass as one plain loop: every stage from scratch.
 
     Each hour moves every (node, action) pair through the plant's mass
@@ -458,7 +470,7 @@ def reference_backward_induction(
         best = np.argmin(total, axis=1)
         values[t] = total[node_range, best]
         policy[t] = actions[node_range, best]
-    return ValueTable(values=values, policy=policy, grid=grid, out_of_grid=out_of_grid)
+    return ReferenceTable(values=values, policy=policy, grid=grid, out_of_grid=out_of_grid)
 
 
 def reference_nearest_node(grid: np.ndarray, storage: float) -> int:

@@ -1,5 +1,7 @@
 """Dynamic-programming benchmark tests: DP optimality on exact-grid instances."""
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,6 +36,25 @@ from lakempc.scenario import GaussianInflowParams, expand_daily, synthetic_year
 from lakempc.trace import mass_balance_error
 
 PARAMS = LakeParams()
+
+
+def _release_table(table: ValueTable) -> np.ndarray:
+    """The T x n_nodes releases of a table, built from its compact fields."""
+    releases = np.tile(table.collapsed_release, (table.n_steps, 1))
+    releases[:, table.free] = table.policy
+    return releases
+
+
+def _all_free_table(policy, grid) -> ValueTable:
+    """A hand-built table whose every node has a choice."""
+    grid = np.asarray(grid, dtype=float)
+    return ValueTable(
+        values=np.zeros(grid.size),
+        grid=grid,
+        free=np.arange(grid.size),
+        policy=policy,
+        collapsed_release=np.zeros(grid.size),
+    )
 
 
 class TestStageCost:
@@ -73,11 +94,15 @@ class TestBackwardInduction:
         wet = [1, 2]  # bottom node is dry/absorbing with zero bounds
         for node in wet:
             r_min, r_max = release_bounds(params, level_of_storage(params, grid[node]))
-            assert table.policy[0, node] == pytest.approx(
+            assert table.release(0, node) == pytest.approx(
                 min(max(25.0, r_min), r_max), rel=1e-9
             )
-        assert table.policy[0, 0] == 0.0
-        assert np.all(table.values[-1] == 0.0)
+        assert table.release(0, 0) == 0.0
+        # The terminal cost-to-go is zero: one stage costs its stage cost alone.
+        for node in range(3):
+            next_s, released = mass_balance(grid[node], 0.0, table.release(0, node))
+            level = level_of_storage(params, next_s)
+            assert table.values[node] == stage_cost(params, config, level, released, 25.0)
 
     def test_two_stage_matches_exhaustive_enumeration(self):
         params, config, grid = exact_grid_ddp_instance()
@@ -87,7 +112,7 @@ class TestBackwardInduction:
         assert table.out_of_grid == 0
         for node in range(3):
             expected = brute_force_ddp_value(params, config, grid[node], inflow, demand)
-            assert table.values[0, node] == pytest.approx(expected, abs=1e-9)
+            assert table.values[node] == pytest.approx(expected, abs=1e-9)
 
     def test_three_stage_matches_exhaustive_enumeration(self):
         params, config, grid = exact_grid_ddp_instance()
@@ -96,21 +121,35 @@ class TestBackwardInduction:
         table = backward_induction(params, config, inflow, demand)
         for node in range(3):
             expected = brute_force_ddp_value(params, config, grid[node], inflow, demand)
-            assert table.values[0, node] == pytest.approx(expected, abs=1e-9)
+            assert table.values[node] == pytest.approx(expected, abs=1e-9)
 
     def test_flat_cost_ties_break_to_smaller_release(self):
         # No demand, no flood or dry exposure, zero dry weight: every action
         # is free, so the documented tie-break picks the smallest.
         params, config, grid = exact_grid_ddp_instance()
         table = backward_induction(params, config, [0.0], [0.0])
-        assert np.all(table.policy[0] == 0.0)
+        assert np.all(_release_table(table)[0] == 0.0)
 
     def test_values_nonnegative_terminal_zero(self):
         config = DdpConfig(grid_points=21, action_samples=11)
         scn = synthetic_year(3, first_day=100)
-        table = backward_induction(PARAMS, config, scn.inflow_hourly, scn.demand_hourly)
+        inflow, demand = scn.inflow_hourly, scn.demand_hourly
+        table = backward_induction(PARAMS, config, inflow, demand)
         assert np.all(table.values >= 0.0)
-        assert np.all(table.values[-1] == 0.0)
+        # Hour t's cost-to-go is the hour-0 cost-to-go of the run from hour t
+        # on, so each hour's row is checked through the table of its suffix.
+        for t in range(1, scn.n_hours):
+            suffix = backward_induction(PARAMS, config, inflow[t:], demand[t:])
+            assert np.all(suffix.values >= 0.0)
+        # The last hour plays against a zero terminal cost-to-go: each node's
+        # one-hour value is the stage cost of its release alone, and the
+        # releases are the whole run's last-hour releases.
+        grid = suffix.grid
+        for node in range(grid.size):
+            next_s, released = mass_balance(grid[node], inflow[-1], suffix.release(0, node))
+            level = level_of_storage(PARAMS, next_s)
+            assert suffix.values[node] == stage_cost(PARAMS, config, level, released, demand[-1])
+        assert np.array_equal(_release_table(table)[-1], _release_table(suffix)[0])
 
     def test_out_of_grid_transitions_counted(self):
         # A grid far too small for the flows: transitions clamp and warn.
@@ -128,7 +167,23 @@ class TestBackwardInduction:
         table = backward_induction(PARAMS, config, [5.0] * 48, [100.0] * 48)
         assert table.grid[0] == 0.0
         assert table.out_of_grid == 0
-        assert np.all(table.values[0] > 0.0)
+        assert np.all(table.values > 0.0)
+
+    def test_year_allocates_less_than_one_full_table(self):
+        # The pass keeps one row of cost-to-go and the free nodes' releases,
+        # about 6.3 MB on the default year; the full value and policy tables
+        # it once kept peaked at 29.6 MB.
+        scn = synthetic_year(366)
+        config = DdpConfig()
+        one_table = (scn.n_hours + 1) * config.grid_points * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            table = backward_induction(PARAMS, config, scn.inflow_hourly, scn.demand_hourly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_steps == scn.n_hours
+        assert peak < one_table
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
@@ -220,9 +275,11 @@ def _assert_tables_match_reference(params, config, inflow, demand) -> ValueTable
         warnings.simplefilter("ignore")  # clamped instances warn
         table = backward_induction(params, config, inflow, demand)
     expected = reference_backward_induction(params, config, inflow, demand)
-    assert np.array_equal(table.values, expected.values)
-    assert np.array_equal(table.policy, expected.policy)
+    assert np.array_equal(table.values, expected.values[0])
+    assert np.array_equal(_release_table(table), expected.policy)
     assert table.out_of_grid == expected.out_of_grid
+    releases = [[table.release(t, i) for i in range(table.grid.size)] for t in range(table.n_steps)]
+    assert np.array_equal(releases, expected.policy)
     return table
 
 
@@ -321,14 +378,14 @@ class TestSimulatePolicy:
         for node in range(3):
             trace = simulate_policy(params, table, inflow, demand, grid[node])
             assert trace_cost(params, config, trace) == pytest.approx(
-                table.values[0, node], abs=1e-6
+                table.values[node], abs=1e-6
             )
 
     def test_single_stage_policy_reproduced(self):
         params, config, grid = exact_grid_ddp_instance()
         table = backward_induction(params, config, [0.0], [25.0])
         trace = simulate_policy(params, table, [0.0], [25.0], grid[2])
-        assert trace.commands[0] == pytest.approx(table.policy[0, 2])
+        assert trace.commands[0] == pytest.approx(table.release(0, 2))
 
     def test_forward_trace_conserves_mass(self):
         config = DdpConfig(grid_points=31, action_samples=15)
@@ -343,7 +400,7 @@ class TestSimulatePolicy:
         # 100 m^3/s lies within the release bounds at 1e5 m^3, but the lake
         # holds only 27.78 m^3/s for the hour: the plant cuts the release.
         grid = np.array([0.0, 1e5, 2e5])
-        table = ValueTable(values=np.zeros((2, 3)), policy=np.full((1, 3), 100.0), grid=grid)
+        table = _all_free_table(np.full((1, 3), 100.0), grid)
         trace = simulate_policy(PARAMS, table, [0.0], [0.0], 1e5)
         assert trace.commands[0] == 100.0
         assert trace.releases[0] == pytest.approx(1e5 / HOUR_SECONDS, rel=1e-15)
@@ -390,9 +447,7 @@ class TestSimulatePolicy:
     def test_policy_read_at_the_nearest_node(self, storage, node):
         # Each node's policy is its own index, so the command names the node.
         grid = np.linspace(0.0, 4e6, 5)
-        table = ValueTable(
-            values=np.zeros((2, 5)), policy=np.arange(5.0)[None, :], grid=grid
-        )
+        table = _all_free_table(np.arange(5.0)[None, :], grid)
         trace = simulate_policy(PARAMS, table, [0.0], [0.0], storage)
         assert trace.commands[0] == node == reference_nearest_node(grid, storage)
 
@@ -411,12 +466,94 @@ class TestSimulatePolicy:
                 rng.uniform(0.0, 1.1 * grid[-1], 200),
             ]
         )
-        table = ValueTable(
-            values=np.zeros((2, grid.size)), policy=np.arange(float(grid.size))[None, :], grid=grid
-        )
+        table = _all_free_table(np.arange(float(grid.size))[None, :], grid)
         for storage in storages:
             trace = simulate_policy(PARAMS, table, [0.0], [0.0], storage)
             assert trace.commands[0] == reference_nearest_node(grid, storage), storage
+
+
+class TestValueTableValidation:
+    """A hand-built table is checked on construction, naming the field: a
+    3-column policy on a 5-node grid once failed only in the forward pass,
+    with "policy returned no command at hour 0"."""
+
+    GRID = np.linspace(0.0, 4e6, 5)
+
+    def _table(self, **fields):
+        table = {
+            "values": np.zeros(5),
+            "grid": self.GRID,
+            "free": np.array([1, 2, 3]),
+            "policy": np.ones((2, 3)),
+            "collapsed_release": np.zeros(5),
+        }
+        table.update(fields)
+        return ValueTable(**table)
+
+    def test_valid_table_reads_free_and_collapsed_nodes(self):
+        table = self._table(
+            policy=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+            collapsed_release=np.array([7.0, 0.0, 0.0, 0.0, 8.0]),
+        )
+        assert table.n_steps == 2
+        assert [table.release(1, node) for node in range(5)] == [7.0, 4.0, 5.0, 6.0, 8.0]
+
+    def test_fields_cannot_be_reassigned(self):
+        # release() reads a node-to-column map built on construction; a field
+        # swapped in afterwards, or free indices edited in place, would leave
+        # it stale.
+        table = self._table()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.free = np.array([0, 1, 2])
+        with pytest.raises(ValueError, match="read-only"):
+            table.free[0] = 0
+
+    @pytest.mark.parametrize(
+        "grid",
+        [np.zeros((1, 5)), np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.array([0.0, 2.0, 1.0, 3.0, 4.0])],
+        ids=["2-d", "repeated-node", "decreasing"],
+    )
+    def test_grid_not_strictly_increasing_rejected(self, grid):
+        with pytest.raises(ValueError, match="^grid must be"):
+            self._table(grid=grid)
+
+    def test_values_not_of_the_grid_rejected(self):
+        with pytest.raises(ValueError, match=r"^values must have shape \(5,\)"):
+            self._table(values=np.zeros((2, 5)))
+
+    @pytest.mark.parametrize(
+        "free",
+        [[2, 1, 3], [1, 1, 3], [-1, 2, 3], [1, 2, 5], [1.0, 2.0, 3.0], [[1, 2, 3]]],
+        ids=["decreasing", "repeated", "negative", "past-the-top", "float", "2-d"],
+    )
+    def test_free_not_increasing_node_indices_rejected(self, free):
+        with pytest.raises(ValueError, match=r"^free must be strictly increasing node indices in \[0, 5\)"):
+            self._table(free=np.array(free))
+
+    @pytest.mark.parametrize(
+        "policy", [np.ones((1, 5)), np.ones((0, 3)), np.ones(3)], ids=["5-columns", "no-hours", "1-d"]
+    )
+    def test_policy_not_hours_by_free_nodes_rejected(self, policy):
+        with pytest.raises(ValueError, match=r"^policy must have shape \(T, 3\)"):
+            self._table(policy=policy)
+
+    def test_three_column_policy_on_five_free_nodes_rejected(self):
+        with pytest.raises(ValueError, match=r"^policy must have shape \(T, 5\), got \(1, 3\)$"):
+            _all_free_table(np.zeros((1, 3)), self.GRID)
+
+    def test_collapsed_releases_not_of_the_grid_rejected(self):
+        with pytest.raises(ValueError, match=r"^collapsed_release must have shape \(5,\)"):
+            self._table(collapsed_release=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [("policy", np.nan), ("policy", np.inf), ("collapsed_release", -np.inf)],
+    )
+    def test_non_finite_release_rejected(self, name, value):
+        fields = {"policy": np.ones((2, 3)), "collapsed_release": np.zeros(5)}
+        fields[name].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{name} must hold finite releases$"):
+            self._table(**fields)
 
 
 class TestGridRefinement:

@@ -20,12 +20,13 @@ decision in ``solve_iterations`` and ``warm_starts``: every
 ``n_hours // decisions``-th entry is one decision (every hour in an hourly
 run, every 24th in a daily one), so a daily decision counts once, not 24
 times. ``table``, on a DDP line only ("-" on the others), is a sha256 over
-the backward pass's table (``values``, ``policy`` and ``out_of_grid``),
-computed again with the CLI's defaults from the series the CLI read
-(``scenario.load_timeseries`` of the member's CSV files): the forward trace
-visits few of the table's nodes, so a change that moves the table elsewhere
-shows only here. The package is imported from this checkout's ``src/``, and
-the benchmark's modules are only read.
+the backward pass's table (the hour-0 ``values``, the ``free`` nodes,
+their ``policy``, the ``collapsed_release`` of the others and
+``out_of_grid``), computed again with the CLI's defaults from the series
+the CLI read (``scenario.load_timeseries`` of the member's CSV files):
+the forward trace visits few of the table's nodes, so a change that moves
+the table elsewhere shows only here. The package is imported from this
+checkout's ``src/``, and the benchmark's modules are only read.
 
 Run it in two checkouts and diff the output:
 
@@ -152,8 +153,8 @@ def _table_digest(member) -> str:
     demand = scenario.load_timeseries(member.demand_csv, "demand_hourly")
     table = ddp.backward_induction(hydrology.LakeParams(), ddp.DdpConfig(), inflow, demand)
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(table.values).tobytes())
-    h.update(np.ascontiguousarray(table.policy).tobytes())
+    for field in (table.values, table.free, table.policy, table.collapsed_release):
+        h.update(np.ascontiguousarray(field).tobytes())
     h.update(str(table.out_of_grid).encode())
     return h.hexdigest()
 
