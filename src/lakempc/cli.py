@@ -168,10 +168,14 @@ def _settings(args):
 
 
 def parse_s0(spec: str, params: LakeParams) -> float:
-    """Initial storage: either cubic meters or 'level:<m>'."""
-    if spec.startswith("level:"):
-        return storage_of_level(params, float(spec[len("level:"):]))
-    return float(spec)
+    """Initial storage: either cubic meters or 'level:<m>'. ValueError
+    naming --s0 when the number is not one."""
+    level = spec.startswith("level:")
+    try:
+        value = float(spec[len("level:"):] if level else spec)
+    except ValueError:
+        raise ValueError(f"--s0 must be m^3 or level:<m>, got {spec!r}") from None
+    return storage_of_level(params, value) if level else value
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +464,8 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "demand", None) and args.demand_kind is None:
             parser.error("--demand-kind is required with --demand")
+        if getattr(args, "demand_kind", None) and not args.demand:
+            parser.error("--demand-kind needs --demand")
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:

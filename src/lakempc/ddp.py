@@ -14,6 +14,13 @@ transition, so a release that would overdraw the lake empties it to exactly
 the flood threshold, and wherever the rating curve falls below the minimum
 environmental flow) has one release, not action_samples equal copies of
 it, and costs one pair; on the default grid 135 of the 201 nodes do.
+The nodes with a choice (the free nodes, r_min < r_max) are one run of the
+grid: :func:`hydrology.release_bounds` leaves a choice exactly where the
+level lies above the gauge offset and at or below the flood threshold, and
+the rating curve there exceeds the minimum environmental flow. Levels rise
+with the nodes and the rating curve never falls as the level rises, so each
+of the three conditions holds on one run of nodes, and so do all three.
+
 The actions and the grid are fixed for the run, so the transition depends
 only on the hour's (inflow, demand) pair. The pass walks the series in runs
 of equal pairs (a daily-held series repeats each pair 24 times) and computes
@@ -24,17 +31,17 @@ it interpolates from them, bit for bit as ``np.interp`` would.
 
 Stage t reads only the cost-to-go of hour t + 1, and the forward pass
 reads only one release per hour, so the pass keeps one row of cost-to-go,
-overwritten hour by hour, and the releases of the free nodes (the nodes
-with a choice) per hour; a collapsed node's one release is kept once.
-On the default year this is 4.6 MB of releases, where the full (T + 1) x
-201 values and T x 201 policy took 14.1 MB each.
+overwritten hour by hour, and the releases of the free nodes per hour; a
+collapsed node's one release is kept once. On the default year this is
+4.6 MB of releases, where the full (T + 1) x 201 values and T x 201 policy
+took 14.1 MB each.
 """
 
 from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,26 +56,25 @@ class DdpConfig:
     """Weights, grid and action sampling for the backward optimization.
 
     hydrology.DEMAND_REF (m^3/s) normalizes the deficit term so the published
-    weights act on commensurate quantities; the flood and dry terms are
-    already in meters. The grid spans storages from the empty lake to
-    storage_max, by default three times the flood-threshold storage.
+    weights act on commensurate quantities; the flood term is already in
+    meters. The grid spans storages from the empty lake to storage_max, by
+    default three times the flood-threshold storage.
     """
 
     w_flood: float = 0.4
     w_demand: float = 0.6
-    w_dry: float = 0.0
     grid_points: int = 201
     storage_max: float = 656_550_000.0
     action_samples: int = 101
 
     def __post_init__(self) -> None:
-        for name in ("w_flood", "w_demand", "w_dry", "storage_max"):
+        for name in ("w_flood", "w_demand", "storage_max"):
             _finite(name, getattr(self, name))
         self.grid_points = _integer("grid_points", self.grid_points)
         self.action_samples = _integer("action_samples", self.action_samples)
-        if min(self.w_flood, self.w_demand, self.w_dry) < 0.0:
+        if min(self.w_flood, self.w_demand) < 0.0:
             raise ValueError("objective weights must be nonnegative")
-        if self.w_flood + self.w_demand + self.w_dry <= 0.0:
+        if self.w_flood + self.w_demand <= 0.0:
             raise ValueError("objective weights must sum to a positive number")
         if self.grid_points < 3:
             raise ValueError("grid_points must be at least 3")
@@ -86,35 +92,32 @@ class ValueTable:
     values[i] is the optimal cost from node i over the whole run (the
     cost-to-go of hour 0; the later hours' rows are dropped as the
     backward pass moves on, and the terminal row is identically zero).
-    free holds, in increasing order, the nodes whose release bounds leave
-    a choice; policy[t, j] is node free[j]'s release at hour t, so policy
-    is T x len(free). A node that is not free has one release for every
-    hour, collapsed_release[i] (an entry at a free node is never read).
-    :meth:`release` reads either. The table stores releases, not indices
-    of the sampled actions, so it holds any release a node may take. On
-    the default grid 66 of the 201 nodes are free: a year's policy takes
-    4.6 MB, where a T x 201 one took 14.1 MB. out_of_grid counts
-    transitions that rose above the grid and were clamped to its top node.
-    The table is frozen and its free indices are read-only, so the node to
-    column map that :meth:`release` reads, built once on construction,
-    cannot go stale.
+    The free nodes are one run of the grid (see the module docstring),
+    first_free to first_free + n - 1 for a T x n policy: policy[t, j] is
+    node first_free + j's release at hour t. A node outside the run has
+    one release for every hour, collapsed_release[i] (an entry inside the
+    run is never read). :meth:`release` reads either. The table stores
+    releases, not indices of the sampled actions, so it holds any release
+    a node may take. On the default grid nodes 1 to 66 are free: a year's
+    policy takes 4.6 MB, where a T x 201 one took 14.1 MB. out_of_grid
+    counts transitions that rose above the grid and were clamped to its
+    top node. The table is frozen, so no field can be swapped past these
+    checks.
 
     Raises:
         ValueError: naming the field, for a grid that is not a nonempty
-            1-d strictly increasing array, values not of the grid's shape,
-            free indices that are not strictly increasing integers within
-            the grid, a policy not of shape (T, len(free)) with T >= 1,
-            collapsed releases not of the grid's shape, or a release that
-            is not finite.
+            1-d strictly increasing array, values or collapsed releases
+            not of the grid's shape, a first_free that is not an integer in
+            [0, n_nodes], a policy not of shape (T, n) with T >= 1 and
+            first_free + n <= n_nodes, or a release that is not finite.
     """
 
     values: np.ndarray
     grid: np.ndarray
-    free: np.ndarray
+    first_free: int
     policy: np.ndarray
     collapsed_release: np.ndarray
     out_of_grid: int = 0
-    _column: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -126,35 +129,19 @@ class ValueTable:
         for name, array in (("values", values), ("collapsed_release", collapsed_release)):
             if array.shape != (n_nodes,):
                 raise ValueError(f"{name} must have shape ({n_nodes},), got {array.shape}")
-        free = np.asarray(self.free)
-        if (
-            free.ndim != 1
-            or not (free.size == 0 or np.issubdtype(free.dtype, np.integer))
-            or np.any(free[1:] <= free[:-1])
-            or np.any((free < 0) | (free >= n_nodes))
-        ):
-            raise ValueError(
-                f"free must be strictly increasing node indices in [0, {n_nodes}), got {free}"
-            )
-        free = free.astype(np.intp)
-        free.flags.writeable = False
+        first_free = _integer("first_free", self.first_free)
+        if not 0 <= first_free <= n_nodes:
+            raise ValueError(f"first_free must lie in [0, {n_nodes}], got {first_free}")
         policy = np.asarray(self.policy, dtype=float)
-        if policy.ndim != 2 or policy.shape[0] < 1 or policy.shape[1] != free.size:
-            raise ValueError(f"policy must have shape (T, {free.size}), got {policy.shape}")
+        room = n_nodes - first_free
+        if policy.ndim != 2 or policy.shape[0] < 1 or policy.shape[1] > room:
+            shape = policy.shape
+            raise ValueError(f"policy must have shape (T, n), T >= 1, n <= {room}, got {shape}")
         for name, array in (("policy", policy), ("collapsed_release", collapsed_release)):
             if not np.isfinite(array).all():
                 raise ValueError(f"{name} must hold finite releases")
-        column = np.full(n_nodes, -1)
-        column[free] = np.arange(free.size)
-        fields = dict(
-            grid=grid,
-            values=values,
-            free=free,
-            policy=policy,
-            collapsed_release=collapsed_release,
-            _column=column.tolist(),
-        )
-        for name, value in fields.items():
+        coerced = dict(grid=grid, values=values, policy=policy, collapsed_release=collapsed_release)
+        for name, value in (*coerced.items(), ("first_free", first_free)):
             object.__setattr__(self, name, value)  # the dataclass is frozen
 
     @property
@@ -163,22 +150,20 @@ class ValueTable:
 
     def release(self, t: int, node: int) -> float:
         """The release the table commands from node at hour t."""
-        column = self._column[node]
-        if column < 0:
-            return float(self.collapsed_release[node])
-        return float(self.policy[t, column])
+        column = node - self.first_free
+        if 0 <= column < self.policy.shape[1]:
+            return float(self.policy[t, column])
+        return float(self.collapsed_release[node])
 
 
 def stage_cost(params: LakeParams, config: DdpConfig, level, release, demand):
     """Weighted quadratic-hinge cost of one step, element-wise over arrays.
 
     The level is the one reached at the end of the step, matching how the
-    closed-loop trace records levels. Terms are summed flood, dry, demand;
-    the dry term is skipped at zero weight, where it adds exactly 0.
+    closed-loop trace records levels. Terms are summed flood, then demand;
+    no term charges a level below the dry threshold.
     """
     cost = config.w_flood * np.maximum(level - params.flood_threshold, 0.0) ** 2
-    if config.w_dry:
-        cost += config.w_dry * np.maximum(params.dry_threshold - level, 0.0) ** 2
     cost += config.w_demand * np.maximum((demand - release) / DEMAND_REF, 0.0) ** 2
     return cost
 
@@ -244,7 +229,8 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     """Solve the finite-horizon problem backwards over the storage grid.
 
     Each node's candidates are action_samples releases uniform in its
-    physical bounds; the next storage and the discharged release follow the
+    physical bounds, the free nodes' built by one ``np.linspace`` over
+    their run; the next storage and the discharged release follow the
     plant's mass balance, the cost-to-go is interpolated linearly, and ties
     go to the smaller release. A node whose bounds collapse (r_min ==
     r_max) has action_samples copies of one release, whose totals are equal,
@@ -294,11 +280,12 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
 
     n_nodes, n_act = config.grid_points, config.action_samples
     bounds = np.array([release_bounds(params, level_of_storage(params, s)) for s in grid])
-    free = np.flatnonzero(bounds[:, 0] < bounds[:, 1])
-    collapsed = np.flatnonzero(bounds[:, 0] == bounds[:, 1])
-    free_actions = np.zeros((free.size, n_act))
-    for row, (r_min, r_max) in enumerate(bounds[free]):
-        free_actions[row] = np.linspace(r_min, r_max, n_act)
+    # The free nodes are one run (module docstring); were a collapsed node
+    # inside it, it would take action_samples equal samples and its release.
+    choice = np.flatnonzero(bounds[:, 0] < bounds[:, 1])
+    free = slice(choice[0], choice[-1] + 1) if choice.size else slice(0, 0)
+    collapsed = np.delete(np.arange(n_nodes), free)
+    free_actions = np.linspace(bounds[free, 0], bounds[free, 1], n_act, axis=1)
     # One flat array of the distinct (node, release) pairs: the free nodes'
     # samples row by row, then one pair per collapsed node.
     n_free_pairs = free_actions.size
@@ -306,7 +293,7 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
     pair_release = np.concatenate([free_actions.ravel(), bounds[collapsed, 0]])
 
     cost_to_go = np.zeros(n_nodes)  # of hour t + 1, overwritten with hour t's
-    policy = np.empty((t_end, free.size))
+    policy = np.empty((t_end, len(free_actions)))
     collapsed_release = np.zeros(n_nodes)
     collapsed_release[collapsed] = bounds[collapsed, 0]
     row_offsets = np.arange(0, n_free_pairs, n_act)
@@ -343,14 +330,12 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
             cost_to_go[collapsed] = total[n_free_pairs:]
         end = first
     if out_of_grid:
-        warnings.warn(
-            f"{out_of_grid} grid transitions were clamped to the storage grid's top node",
-            stacklevel=2,
-        )
+        message = f"{out_of_grid} grid transitions were clamped to the storage grid's top node"
+        warnings.warn(message, stacklevel=2)
     return ValueTable(
         values=cost_to_go,
         grid=grid,
-        free=free,
+        first_free=free.start,
         policy=policy,
         collapsed_release=collapsed_release,
         out_of_grid=out_of_grid,

@@ -61,16 +61,17 @@ working-set factor starts as the complete QR of those tight rows, or of a
 candidate's rows; when they are dependent (or outnumber the variables), a
 pivoted QR first picks an independent subset and that is factored
 instead. The structure's one cache, Structure.starts, keeps this factor for
-each such tuple of rows it has seen, up to _START_CACHE_SIZE
+each such tuple of rows it has seen, up to _START_CACHE_BYTES of arrays
 (first in, first out; 42-69 kB at the MPC's 72 variables, and a set tried as
 a candidate also keeps its packed K, 22-58 kB), so the MPC's hours, which
 start from few distinct sets, pay one QR per set rather than one per solve,
-whether the set comes first as a candidate or as a start. The daily MPC on
-the two years of the CLI benchmark at seed 7919 uses 65 sets, so room for 64
-would cost 79 QRs on every pass over them. The cap, 256, holds the 131
-sets of the hourly MPC on the synthetic year from 0.4 m (139 QRs and 103
-laws) and the 210 sets of that year with daily inflow jitter 0.3 (seed
-7919; 221 QRs and 174 laws). The cached Q and R are read-only:
+whether the set comes first as a candidate or as a start. At the MPC's
+24-hour horizon the budget, 128 MiB, holds every set a run meets: the
+hourly MPC's 131 sets on the synthetic year from 0.4 m take 12.0 MB, and
+the 210 of that year with daily inflow jitter 0.3 (seed 7919) 19.2 MB.
+An entry grows with the square of the horizon (5.3 MB at 168 hours), and
+the budget, not a count of entries, keeps the cache's memory bounded
+there. The cached Q and R are read-only:
 the solve only replaces them. The factor is then updated by scipy's
 qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and the
 triangular solves call LAPACK's trtrs; both skip scipy's argument checks,
@@ -326,13 +327,15 @@ class Structure:
         self.a_y = self.a @ self.l_inv_t
         # The rows tight at a start, or a candidate working set -> (working
         # rows as a tuple and as an intp array, Q, R, K); see _start_factor.
+        # start_bytes counts the entries' arrays.
         self.starts: dict[tuple[int, ...], tuple] = {}
+        self.start_bytes = 0
 
 
-# The synthetic hourly year from 0.4 m meets 131 distinct sets of rows, the
-# year with daily inflow jitter 0.3 (seed 7919) 210; this holds either with
-# room to spare (see the module docstring).
-_START_CACHE_SIZE = 256
+# The bytes of arrays Structure.starts may hold. No entry of a 24-hour MPC
+# run exceeds 128 kB, and the synthetic year with daily inflow jitter 0.3
+# (seed 7919) caches 19.2 MB in all (see the module docstring).
+_START_CACHE_BYTES = 128 * 2**20
 
 
 def _full_rank(r: np.ndarray, tol: float) -> bool:
@@ -398,12 +401,28 @@ def _start_factor(structure: Structure, key: tuple[int, ...], law: bool = False)
             qf, rf = np.linalg.qr(structure.a_y[w_rows].T, mode="complete")
         for arr in (w_rows, qf, rf):
             arr.flags.writeable = False
-        start = structure.starts[key] = (tuple(w_rows.tolist()), w_rows, qf, rf, None)
-        if len(structure.starts) > _START_CACHE_SIZE:
-            del structure.starts[next(iter(structure.starts))]
+        start = (tuple(w_rows.tolist()), w_rows, qf, rf, None)
+        _remember(structure, key, start)
     if law and start[4] is None:
-        start = structure.starts[key] = (*start[:4], _affine_law(structure, *start[1:4]))
+        start = (*start[:4], _affine_law(structure, *start[1:4]))
+        _remember(structure, key, start)
     return start
+
+
+def _entry_bytes(entry: tuple) -> int:
+    return sum(arr.nbytes for arr in entry[1:] if arr is not None)
+
+
+def _remember(structure: Structure, key: tuple[int, ...], start: tuple) -> None:
+    """Keep start under key in structure.starts (in the place of key's
+    entry, if it has one), then drop first-in entries until their arrays
+    take at most _START_CACHE_BYTES. An entry larger than the budget alone
+    is dropped too; its caller still holds it."""
+    starts = structure.starts
+    structure.start_bytes += _entry_bytes(start) - _entry_bytes(starts.get(key, ()))
+    starts[key] = start
+    while structure.start_bytes > _START_CACHE_BYTES and starts:
+        structure.start_bytes -= _entry_bytes(starts.pop(next(iter(starts))))
 
 
 def _affine_law(structure: Structure, rows, qf, rf) -> np.ndarray:

@@ -389,7 +389,6 @@ def exact_grid_ddp_instance() -> tuple[LakeParams, DdpConfig, np.ndarray]:
     config = DdpConfig(
         w_flood=0.4,
         w_demand=0.6,
-        w_dry=0.0,
         grid_points=3,
         storage_max=2.0 * spacing,
         action_samples=2,

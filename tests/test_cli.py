@@ -409,6 +409,14 @@ def test_bad_sweep_weights_are_a_runtime_error(tmp_path, scenario_dir, capsys, s
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("s0", ["level:abc", "12x", "level:", ""])
+def test_s0_not_a_number_names_the_flag(tmp_path, scenario_dir, capsys, s0):
+    # It once printed only "could not convert string to float".
+    argv = ["ddp", *scenario_args(scenario_dir), f"--s0={s0}", "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: --s0 must be m^3 or level:<m>, got {s0!r}\n"
+
+
 @pytest.mark.parametrize("s0", ["nan", "level:nan", "inf"])
 def test_non_finite_s0_is_a_runtime_error(tmp_path, scenario_dir, capsys, s0):
     # The DDP run once exited 0 and wrote a trace and report of NaN or inf.
@@ -454,6 +462,16 @@ def test_demand_without_kind_is_usage_error(tmp_path, scenario_dir, capsys):
     assert "--demand-kind" in capsys.readouterr().err
 
 
+def test_demand_kind_without_demand_is_usage_error(tmp_path, scenario_dir, capsys):
+    # It once ran on the built-in demand profile, the flag ignored.
+    args = scenario_args(scenario_dir)
+    argv = [*args[:4], *args[6:], "--out", str(tmp_path)]
+    assert "--demand" not in argv
+    assert cli_main(["ddp", *argv]) == EXIT_USAGE
+    assert "error: --demand-kind needs --demand" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -465,6 +483,8 @@ def test_demand_without_kind_is_usage_error(tmp_path, scenario_dir, capsys):
         "storage_range = (0, 1e8)",
         # Recovery is the only dry-bound policy.
         "feasibility_recovery = false",
+        # The DDP has no dry term.
+        "w_dry = 0",
     ],
 )
 def test_removed_config_keys_rejected(tmp_path, scenario_dir, capsys, line):

@@ -31,6 +31,7 @@ from lakempc.hydrology import (
     mass_balance,
     rating_curve,
     release_bounds,
+    storage_of_level,
 )
 from lakempc.scenario import GaussianInflowParams, expand_daily, synthetic_year
 from lakempc.trace import mass_balance_error
@@ -41,17 +42,18 @@ PARAMS = LakeParams()
 def _release_table(table: ValueTable) -> np.ndarray:
     """The T x n_nodes releases of a table, built from its compact fields."""
     releases = np.tile(table.collapsed_release, (table.n_steps, 1))
-    releases[:, table.free] = table.policy
+    releases[:, table.first_free : table.first_free + table.policy.shape[1]] = table.policy
     return releases
 
 
 def _all_free_table(policy, grid) -> ValueTable:
-    """A hand-built table whose every node has a choice."""
+    """A hand-built table whose free nodes start at node 0 (every node when
+    the policy has a column per node)."""
     grid = np.asarray(grid, dtype=float)
     return ValueTable(
         values=np.zeros(grid.size),
         grid=grid,
-        free=np.arange(grid.size),
+        first_free=0,
         policy=policy,
         collapsed_release=np.zeros(grid.size),
     )
@@ -63,22 +65,18 @@ class TestStageCost:
         assert stage_cost(PARAMS, config, level=1.0, release=120.0, demand=100.0) == 0.0
 
     def test_flood_term_hand_value(self):
-        config = DdpConfig(w_flood=0.4, w_demand=0.6, w_dry=0.0)
+        config = DdpConfig(w_flood=0.4, w_demand=0.6)
         # 0.4 * (1.6 - 1.1)^2 = 0.1
         value = stage_cost(PARAMS, config, level=1.6, release=200.0, demand=100.0)
         assert value == pytest.approx(0.1, rel=1e-12)
 
     def test_dry_term_silent_at_zero_weight(self):
-        config = DdpConfig(w_flood=0.4, w_demand=0.6, w_dry=0.0)
+        # The DDP has no dry term: a level below the dry threshold costs nothing.
+        config = DdpConfig(w_flood=0.4, w_demand=0.6)
         assert stage_cost(PARAMS, config, level=-0.3, release=50.0, demand=10.0) == 0.0
 
-    def test_dry_term_active_when_weighted(self):
-        config = DdpConfig(w_flood=0.0, w_demand=0.0, w_dry=2.0)
-        value = stage_cost(PARAMS, config, level=-0.3, release=50.0, demand=10.0)
-        assert value == pytest.approx(2.0 * 0.1**2, rel=1e-12)
-
     def test_demand_normalization(self):
-        config = DdpConfig(w_flood=0.0, w_demand=1.0, w_dry=0.0)
+        config = DdpConfig(w_flood=0.0, w_demand=1.0)
         value = stage_cost(PARAMS, config, level=0.0, release=50.0, demand=150.0)
         assert value == pytest.approx(1.0, rel=1e-12)
 
@@ -124,8 +122,8 @@ class TestBackwardInduction:
             assert table.values[node] == pytest.approx(expected, abs=1e-9)
 
     def test_flat_cost_ties_break_to_smaller_release(self):
-        # No demand, no flood or dry exposure, zero dry weight: every action
-        # is free, so the documented tie-break picks the smallest.
+        # No demand and no flood exposure: every action costs the same, so
+        # the documented tie-break picks the smallest.
         params, config, grid = exact_grid_ddp_instance()
         table = backward_induction(params, config, [0.0], [0.0])
         assert np.all(_release_table(table)[0] == 0.0)
@@ -204,6 +202,53 @@ class TestBackwardInduction:
         config = DdpConfig(grid_points=21, action_samples=11)
         with pytest.raises(ValueError, match=message):
             backward_induction(PARAMS, config, inflow, demand)
+
+
+class TestFreeRun:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        surface_area=st.floats(1e5, 1e10),
+        level_offset=st.floats(-3.0, 0.0),
+        dry_rise=st.floats(1e-3, 2.0),
+        flood_rise=st.floats(1e-3, 2.0),
+        mef=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+        sat_k=st.floats(1e-2, 100.0),
+        # sat_n below -level_offset: the rating curve is 0 at low levels.
+        sat_n=st.floats(-2.0, 5.0),
+        sat_e=st.floats(0.1, 3.0),
+        n=st.integers(3, 300),
+        # A share below 1 puts the grid's top below the flood storage.
+        top_share=st.floats(0.01, 3.0),
+    )
+    def test_free_nodes_form_one_run(
+        self, surface_area, level_offset, dry_rise, flood_rise, mef, sat_k, sat_n, sat_e, n, top_share
+    ):
+        # ValueTable reads a node's release by its offset from first_free,
+        # so the nodes with a choice of release must be one run of the grid.
+        params = LakeParams(
+            surface_area=surface_area,
+            level_offset=level_offset,
+            dry_threshold=level_offset + dry_rise,
+            flood_threshold=level_offset + dry_rise + flood_rise,
+            mef=mef,
+            sat_k=sat_k,
+            sat_n=sat_n,
+            sat_e=sat_e,
+        )
+        top = top_share * storage_of_level(params, params.flood_threshold)
+        grid = np.linspace(0.0, top, n)
+        bounds = [release_bounds(params, level_of_storage(params, s)) for s in grid]
+        free = np.array([r_min < r_max for r_min, r_max in bounds])
+        assert np.count_nonzero(free[1:] & ~free[:-1]) + free[0] <= 1
+
+    def test_default_grid_run(self):
+        # Node 0, the empty lake, has no choice, and nor do the nodes above
+        # the flood threshold, from node 67 on.
+        scn = synthetic_year(1)
+        table = backward_induction(PARAMS, DdpConfig(), scn.inflow_hourly, scn.demand_hourly)
+        assert (table.first_free, table.policy.shape) == (1, (24, 66))
+        levels = [level_of_storage(PARAMS, s) for s in table.grid]
+        assert levels[66] <= PARAMS.flood_threshold < levels[67]
 
 
 def _clamping_instance():
@@ -483,7 +528,7 @@ class TestValueTableValidation:
         table = {
             "values": np.zeros(5),
             "grid": self.GRID,
-            "free": np.array([1, 2, 3]),
+            "first_free": 1,
             "policy": np.ones((2, 3)),
             "collapsed_release": np.zeros(5),
         }
@@ -497,16 +542,19 @@ class TestValueTableValidation:
         )
         assert table.n_steps == 2
         assert [table.release(1, node) for node in range(5)] == [7.0, 4.0, 5.0, 6.0, 8.0]
+        # The run may also end at the top node, or hold no node at all.
+        table = self._table(first_free=2, collapsed_release=np.arange(5.0))
+        assert [table.release(0, node) for node in range(5)] == [0.0, 1.0, 1.0, 1.0, 1.0]
+        table = self._table(first_free=5, policy=np.ones((2, 0)), collapsed_release=np.arange(5.0))
+        assert [table.release(1, node) for node in range(5)] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_fields_cannot_be_reassigned(self):
-        # release() reads a node-to-column map built on construction; a field
-        # swapped in afterwards, or free indices edited in place, would leave
-        # it stale.
+        # The table is frozen: a first_free swapped in afterwards would skip
+        # the checks against the policy's shape.
         table = self._table()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            table.free = np.array([0, 1, 2])
-        with pytest.raises(ValueError, match="read-only"):
-            table.free[0] = 0
+            table.first_free = 3
+        assert type(self._table(first_free=np.int64(1)).first_free) is int
 
     @pytest.mark.parametrize(
         "grid",
@@ -522,24 +570,31 @@ class TestValueTableValidation:
             self._table(values=np.zeros((2, 5)))
 
     @pytest.mark.parametrize(
-        "free",
-        [[2, 1, 3], [1, 1, 3], [-1, 2, 3], [1, 2, 5], [1.0, 2.0, 3.0], [[1, 2, 3]]],
-        ids=["decreasing", "repeated", "negative", "past-the-top", "float", "2-d"],
+        ("first_free", "message"),
+        [
+            (-1, r"must lie in \[0, 5\], got -1$"),
+            (6, r"must lie in \[0, 5\], got 6$"),
+            (1.0, "must be an integer, got 1.0$"),
+            (True, "must be an integer, got True$"),
+        ],
+        ids=["negative", "past-the-top", "float", "bool"],
     )
-    def test_free_not_increasing_node_indices_rejected(self, free):
-        with pytest.raises(ValueError, match=r"^free must be strictly increasing node indices in \[0, 5\)"):
-            self._table(free=np.array(free))
+    def test_first_free_not_a_node_index_rejected(self, first_free, message):
+        with pytest.raises(ValueError, match="^first_free " + message):
+            self._table(first_free=first_free)
 
     @pytest.mark.parametrize(
         "policy", [np.ones((1, 5)), np.ones((0, 3)), np.ones(3)], ids=["5-columns", "no-hours", "1-d"]
     )
     def test_policy_not_hours_by_free_nodes_rejected(self, policy):
-        with pytest.raises(ValueError, match=r"^policy must have shape \(T, 3\)"):
+        # From node 1 on a 5-node grid, the run holds at most 4 free nodes.
+        with pytest.raises(ValueError, match=r"^policy must have shape \(T, n\), T >= 1, n <= 4, got "):
             self._table(policy=policy)
 
-    def test_three_column_policy_on_five_free_nodes_rejected(self):
-        with pytest.raises(ValueError, match=r"^policy must have shape \(T, 5\), got \(1, 3\)$"):
-            _all_free_table(np.zeros((1, 3)), self.GRID)
+    def test_run_past_the_top_node_rejected(self):
+        # Three free nodes from node 3 would end past the top node, 4.
+        with pytest.raises(ValueError, match=r"^policy must .* n <= 2, got \(2, 3\)$"):
+            self._table(first_free=3)
 
     def test_collapsed_releases_not_of_the_grid_rejected(self):
         with pytest.raises(ValueError, match=r"^collapsed_release must have shape \(5,\)"):
@@ -576,7 +631,7 @@ class TestGridRefinement:
 class TestConfigValidation:
     def test_default_weights(self):
         config = DdpConfig()
-        assert (config.w_flood, config.w_demand, config.w_dry) == (0.4, 0.6, 0.0)
+        assert (config.w_flood, config.w_demand) == (0.4, 0.6)
         assert config.grid_points == 201
         assert config.action_samples == 101
 
@@ -584,7 +639,7 @@ class TestConfigValidation:
         "kwargs",
         [
             {"w_flood": -0.1},
-            {"w_flood": 0.0, "w_demand": 0.0, "w_dry": 0.0},
+            {"w_flood": 0.0, "w_demand": 0.0},
             {"grid_points": 2},
             {"action_samples": 1},
             {"storage_max": 0.0},
@@ -605,7 +660,7 @@ class TestConfigValidation:
             ("w_flood", np.nan),
             ("w_flood", np.inf),
             ("grid_points", 3.5),
-            ("w_dry", "0"),
+            ("w_demand", "0"),
             ("action_samples", True),
             ("storage_max", np.nan),
         ],

@@ -926,22 +926,44 @@ def _assert_same_bits(solution, reference):
 class TestStartFactorCache:
     """A structure keeps the factor of each start's tight rows."""
 
-    def test_cap_holds_more_sets_than_a_year_meets(self):
-        # The synthetic hourly year meets 131 distinct sets, more than the
-        # 128 the cache once held, which made it factor sets again. Fill a
-        # fresh MPC structure (six-hour horizon, 30 rows) with single rows
-        # and then pairs: every key is still there, as the same entry,
-        # until the cap is passed, and then the first one leaves.
-        assert qp._START_CACHE_SIZE >= 210
-        structure = mpc._qp_structure.__wrapped__(6, LakeParams().surface_area, 1.0)
-        m = structure.a.shape[0]
+    def test_cap_holds_more_sets_than_a_year_meets(self, monkeypatch):
+        # The cap is in bytes: an entry grows with the square of the horizon,
+        # and 256 entries at 168 hours once took 1.2 GB. The budget holds
+        # the jittered synthetic year's 210 sets (19.2 MB) even were each
+        # as large as the largest entry of a 24-hour run, 128 kB.
+        assert qp._START_CACHE_BYTES >= 210 * 128 * 1024
+
+        def fresh():  # a six-hour MPC structure: 30 rows
+            return mpc._qp_structure.__wrapped__(6, LakeParams().surface_area, 1.0)
+
+        # Under a budget of the first 40 keys' entries (singles, then
+        # pairs), each key stays, as the same entry, until the budget is
+        # passed. Then the first-in entries leave until the rest fit, both
+        # when an entry is built and when a packed K is added to one.
+        m = fresh().a.shape[0]
         keys = [(i,) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
-        keys = keys[:qp._START_CACHE_SIZE + 1]
-        entries = {key: qp._start_factor(structure, key) for key in keys[:-1]}
-        assert len(entries) > 128
+        sizing = fresh()
+        budget = sum(qp._entry_bytes(qp._start_factor(sizing, key)) for key in keys[:40])
+        monkeypatch.setattr(qp, "_START_CACHE_BYTES", budget)
+        structure = fresh()
+        entries = {key: qp._start_factor(structure, key) for key in keys[:40]}
         assert_same_entries(structure.starts, entries)
-        qp._start_factor(structure, keys[-1])
-        assert list(structure.starts) == keys[1:]
+        assert structure.start_bytes == budget
+        held = {key: qp._entry_bytes(entry) for key, entry in entries.items()}
+        for key, law in ((keys[40], False), (keys[55], True), (keys[30], True)):
+            held[key] = qp._entry_bytes(qp._start_factor(structure, key, law=law))
+            while sum(held.values()) > budget:
+                del held[next(iter(held))]
+            assert list(structure.starts) == list(held)
+            assert structure.start_bytes == sum(held.values())
+        assert structure.starts[keys[30]] is not entries[keys[30]]  # now with its K
+        assert len(structure.starts) < 40  # each of the three made the first ones leave
+        # An entry larger than the budget alone is built and handed out,
+        # with its K when asked for, and not kept.
+        monkeypatch.setattr(qp, "_START_CACHE_BYTES", 1)
+        entry = qp._start_factor(structure, keys[60], law=True)
+        assert entry[4] is not None and entry[0] == keys[60]
+        assert structure.starts == {} and structure.start_bytes == 0
 
     def test_cold_and_warm_starts_give_the_same_bits(self, monkeypatch, no_qp_structure):
         # Every solve of the window again, with the same start and
@@ -956,6 +978,7 @@ class TestStartFactorCache:
             )
         for problem, start, candidates, solution, _ in steps:
             structure.starts.clear()
+            structure.start_bytes = 0
             _assert_same_bits(
                 qp.solve(problem, start, working_sets=candidates, structure=structure), solution
             )
