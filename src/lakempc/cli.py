@@ -86,9 +86,10 @@ def _cast_like(default, raw: str):
 
 def parse_config_file(path) -> dict[str, str]:
     """The file's entries, key -> value. ValueError naming the file and the
-    line for a line that is not 'key = value' or a key given before."""
+    line for a line that is not 'key = value' or a key given before. A
+    leading UTF-8 byte-order mark is skipped."""
     entries: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -232,8 +233,12 @@ def write_report_files(outdir: Path, report: metrics.RunReport) -> None:
 
 
 def read_report(path) -> metrics.RunReport:
+    """The report a report.csv holds (a leading UTF-8 byte-order mark is
+    skipped). ValueError naming the file for a bad header, a row that is not
+    three cells, and every rejection of metrics.report_from_rows, an
+    infinite hour count's OverflowError included."""
     rows = []
-    with Path(path).open(newline="", encoding="utf-8") as handle:
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["block", "metric", "value"]:
@@ -241,8 +246,11 @@ def read_report(path) -> metrics.RunReport:
         for row in reader:
             if len(row) != 3:
                 raise ValueError(f"{path}: malformed report row {row!r}")
-            rows.append((row[0], row[1], float(row[2])))
-    return metrics.report_from_rows(rows, label=Path(path).stem)
+            rows.append(row)
+    try:
+        return metrics.report_from_rows(rows, label=Path(path).stem)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_level_plotdata(path, trace: ClosedLoopTrace, params: LakeParams) -> None:
@@ -321,11 +329,16 @@ def _prepare_out(path) -> Path:
 def _inputs(args):
     """A run command's params, MPC config, DDP config, scenario and s0, built
     and checked in that order. The --lambda and --horizon flags given
-    override the config file."""
+    override the config file, one at a time, so that a rejected value is
+    named by its flag."""
     params, mpc_config, ddp_config = _settings(args)
-    flags = {"lam": getattr(args, "lam", None), "horizon": getattr(args, "horizon", None)}
-    given = {key: value for key, value in flags.items() if value is not None}
-    mpc_config = dataclasses.replace(mpc_config, **given)
+    for flag, key in (("--lambda", "lam"), ("--horizon", "horizon")):
+        value = getattr(args, key, None)
+        if value is not None:
+            try:
+                mpc_config = dataclasses.replace(mpc_config, **{key: value})
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     return params, mpc_config, ddp_config, load_scenario(args, params), parse_s0(args.s0, params)
 
 
@@ -374,9 +387,11 @@ def cmd_compare(args) -> int:
             name, path = Path(spec).parent.name or Path(spec).stem, spec
         named.append((name, read_report(path)))
     blocks = tuple(args.blocks.split(",")) if args.blocks else metrics.ALL_BLOCKS
-    for block in blocks:
+    for i, block in enumerate(blocks):
         if block not in metrics.ALL_BLOCKS:
             raise ValueError(f"unknown metric block {block!r}")
+        if block in blocks[:i]:
+            raise ValueError(f"metric block {block!r} given twice")
     table = metrics.compare_runs(named, blocks=blocks)
     out = _prepare_out(args.out)
     write_comparison_files(out, table)

@@ -57,8 +57,14 @@ class DdpConfig:
 
     hydrology.DEMAND_REF (m^3/s) normalizes the deficit term so the published
     weights act on commensurate quantities; the flood term is already in
-    meters. The grid spans storages from the empty lake to storage_max, by
-    default three times the flood-threshold storage.
+    meters. The grid spans storages from the empty lake to storage_max,
+    by default 656,550,000 m^3: three times the flood-threshold storage of
+    the default lake (LakeParams(): 145.9 km^2, flood threshold 1.1 m above
+    a level offset of -0.4 m), a grid top at level 4.1 m. The default does
+    not follow the lake: with a larger surface area or a higher flood
+    threshold the top may lie below the threshold, and the transitions
+    that rise above it are clamped (see backward_induction), so such a lake
+    needs its own storage_max.
     """
 
     w_flood: float = 0.4
@@ -330,7 +336,11 @@ def backward_induction(params: LakeParams, config: DdpConfig, inflow, demand) ->
             cost_to_go[collapsed] = total[n_free_pairs:]
         end = first
     if out_of_grid:
-        message = f"{out_of_grid} grid transitions were clamped to the storage grid's top node"
+        top = level_of_storage(params, grid[-1])
+        message = (
+            f"{out_of_grid} grid transitions were clamped to the storage grid's top node"
+            f" (storage_max {config.storage_max:g} m^3, level {top:.6g} m)"
+        )
         warnings.warn(message, stacklevel=2)
     return ValueTable(
         values=cost_to_go,

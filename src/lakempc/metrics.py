@@ -8,15 +8,22 @@ violation exceeds LEVEL_TOL (levels) or DEFICIT_REL_TOL times the demand
 leaves rounding noise of a few units in the last place, and that noise is
 no violation. RMSE, the deficit peak and the areas are taken over the
 counted hours only (0 when none counts), so that noise reaches no table
-cell. The demand
-deficit is measured against the applied release (what the districts
-receive), and the deficit peak is reported with a negative sign.
+cell. The demand deficit is measured against the applied release (what the
+districts receive), and the deficit peak is reported with a negative sign.
+
+Each metric is declared once, as a field of its block's dataclass: the
+field's name is its key in report.csv and sweep.csv, its metadata's
+"label" is its row label in report.txt and the comparison table, and its
+type (int for the hour counts, float for the rest) is the type a value
+read back takes. _BLOCK_TYPES lists the blocks in table order.
+report_rows writes a report as rows, and report_from_rows reads them back
+and rejects rows that lack, repeat or invent a metric.
 """
 
-from __future__ import annotations
-
+# No "from __future__ import annotations": report_from_rows converts each
+# value with its field's type, so the annotations must be the types.
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,26 +40,26 @@ DEFICIT_REL_TOL = 1e-9  # times the hour's demand
 
 @dataclass(frozen=True)
 class FloodMetrics:
-    rmse: float
-    peak: float
-    hours: int
-    area: float
+    rmse: float = field(metadata={"label": "RMSE Flood [m]"})
+    peak: float = field(metadata={"label": "Lake Level Peak [m]"})
+    hours: int = field(metadata={"label": "Flood Hours"})
+    area: float = field(metadata={"label": "Area Flood [m*hours]"})
 
 
 @dataclass(frozen=True)
 class DemandMetrics:
-    rmse: float
-    deficit_peak: float
-    hours: int
-    area: float
+    rmse: float = field(metadata={"label": "RMSE Demand [m3/s]"})
+    deficit_peak: float = field(metadata={"label": "Deficit Peak [m3/s]"})
+    hours: int = field(metadata={"label": "Deficit Hours"})
+    area: float = field(metadata={"label": "Area Deficit [m3/s*hours]"})
 
 
 @dataclass(frozen=True)
 class DryMetrics:
-    rmse: float
-    level_min: float
-    hours: int
-    area: float
+    rmse: float = field(metadata={"label": "RMSE Dry [m]"})
+    level_min: float = field(metadata={"label": "Lake Level Minimum [m]"})
+    hours: int = field(metadata={"label": "Dry Hours"})
+    area: float = field(metadata={"label": "Area Dry [m*hours]"})
 
 
 @dataclass(frozen=True)
@@ -63,28 +70,8 @@ class RunReport:
     label: str = ""
 
 
-_BLOCK_LABELS = {
-    "flood": (
-        ("rmse", "RMSE Flood [m]"),
-        ("peak", "Lake Level Peak [m]"),
-        ("hours", "Flood Hours"),
-        ("area", "Area Flood [m*hours]"),
-    ),
-    "demand": (
-        ("rmse", "RMSE Demand [m3/s]"),
-        ("deficit_peak", "Deficit Peak [m3/s]"),
-        ("hours", "Deficit Hours"),
-        ("area", "Area Deficit [m3/s*hours]"),
-    ),
-    "dry": (
-        ("rmse", "RMSE Dry [m]"),
-        ("level_min", "Lake Level Minimum [m]"),
-        ("hours", "Dry Hours"),
-        ("area", "Area Dry [m*hours]"),
-    ),
-}
-ALL_BLOCKS = ("flood", "demand", "dry")
 _BLOCK_TYPES = {"flood": FloodMetrics, "demand": DemandMetrics, "dry": DryMetrics}
+ALL_BLOCKS = tuple(_BLOCK_TYPES)
 
 
 def _violation_stats(violation: np.ndarray, tol) -> tuple[float, int, float]:
@@ -128,22 +115,31 @@ def report_rows(report: RunReport, blocks=ALL_BLOCKS) -> list[tuple[str, str, st
     rows = []
     for block in blocks:
         metrics = getattr(report, block)
-        for key, label in _BLOCK_LABELS[block]:
-            rows.append((block, key, label, float(getattr(metrics, key))))
+        for f in fields(metrics):
+            rows.append((block, f.name, f.metadata["label"], float(getattr(metrics, f.name))))
     return rows
 
 
 def report_from_rows(rows, label: str = "") -> RunReport:
-    """Inverse of report_rows; missing entries raise KeyError."""
-    staging: dict[str, dict[str, float]] = {b: {} for b in ALL_BLOCKS}
+    """Inverse of report_rows: (block, field, value) rows, in any order, one
+    for each metric of every block. Each value passes through float() and
+    then its field's type. ValueError naming the block and the metric for a
+    row no field declares, a metric given twice or a metric missing."""
+    given = {}
     for block, key, value in rows:
-        staging[block][key] = float(value)
+        if block not in _BLOCK_TYPES or key not in {f.name for f in fields(_BLOCK_TYPES[block])}:
+            raise ValueError(f"unknown metric {block},{key}")
+        if (block, key) in given:
+            raise ValueError(f"metric {block},{key} is given twice")
+        given[block, key] = value
     blocks = {}
-    for block, fields in _BLOCK_LABELS.items():
-        values = staging[block]
-        blocks[block] = _BLOCK_TYPES[block](
-            **{key: int(values[key]) if key == "hours" else values[key] for key, _ in fields}
-        )
+    for block, block_type in _BLOCK_TYPES.items():
+        values = {}
+        for f in fields(block_type):
+            if (block, f.name) not in given:
+                raise ValueError(f"metric {block},{f.name} is missing")
+            values[f.name] = f.type(float(given[block, f.name]))
+        blocks[block] = block_type(**values)
     return RunReport(**blocks, label=label)
 
 

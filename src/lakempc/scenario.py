@@ -202,7 +202,8 @@ def constant_scenario(inflow: float, demand: float, n_days: int, label: str = "c
 def load_timeseries(path, kind: str) -> np.ndarray:
     """Read a flow series from CSV and return it at hourly resolution.
 
-    Format: UTF-8, comma-separated, header row `t,q_m3s` (inflow) or
+    Format: UTF-8 (a leading byte-order mark, as spreadsheet exports
+    write, is skipped), comma-separated, header row `t,q_m3s` (inflow) or
     `t,w_m3s` (demand), then rows `index,value` with a 0-based contiguous
     integer index. Daily kinds are expanded by constant hold. Hourly series
     must cover whole days. Malformed content raises ValueError naming the
@@ -214,7 +215,7 @@ def load_timeseries(path, kind: str) -> np.ndarray:
     expected_header = _HEADERS[quantity]
     path = Path(path)
     values: list[float] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

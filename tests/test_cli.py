@@ -21,6 +21,7 @@ from lakempc.cli import (
     EXIT_USAGE,
     _fmt,
     cli_main,
+    parse_config_file,
     read_report,
     write_comparison_files,
     write_level_plotdata,
@@ -525,6 +526,82 @@ def test_zero_lambda_rejected(tmp_path, scenario_dir, capsys):
     argv = ["simulate", *scenario_args(scenario_dir), "--lambda", "0", "--out", str(tmp_path)]
     assert cli_main(argv) == EXIT_RUNTIME
     assert "lam must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--lambda", "-1", "lam must be positive, got -1.0"),
+        ("--horizon", "0", "horizon must be at least 1"),
+    ],
+)
+def test_rejected_flag_value_names_the_flag(tmp_path, scenario_dir, capsys, flag, value, message):
+    # The config file's values are valid; only the flag's is not.
+    config = tmp_path / "settings.cfg"
+    config.write_text("horizon = 6\nlambda = 2\n", encoding="utf-8")
+    argv = ["simulate", *scenario_args(scenario_dir), "--config", str(config), flag, value,
+            "--out", str(tmp_path)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+
+
+def _edited_report(tmp_path, edit):
+    """The hourly golden report.csv with its lines edited, in tmp_path."""
+    lines = (GOLDEN_SIMULATE / "hourly" / "report.csv").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "edited" / "report.csv"
+    path.parent.mkdir()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [line for line in lines if line != "dry,area,0"], "metric dry,area is missing"),
+        (lambda lines: [line.replace("flood,", "flod,", 1) for line in lines], "unknown metric flod,rmse"),
+        (lambda lines: [*lines, "flood,rmse,5"], "metric flood,rmse is given twice"),
+        (lambda lines: [*lines, "flood,bogus,1"], "unknown metric flood,bogus"),
+        (
+            lambda lines: [line.replace("flood,hours,6", "flood,hours,inf") for line in lines],
+            "cannot convert float infinity to integer",
+        ),
+    ],
+    ids=["lacks", "misspelt-block", "repeats", "invents", "infinite-hours"],
+)
+def test_compare_rejects_a_report_that_is_not_one_report(tmp_path, capsys, edit, message):
+    # A missing row or unknown block was a KeyError traceback, and an
+    # infinite hour count an OverflowError one; a repeated row replaced the
+    # real value, and an unknown metric was ignored.
+    edited = _edited_report(tmp_path, edit)
+    argv = ["compare", str(GOLDEN_SIMULATE / "daily" / "report.csv"), str(edited),
+            "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {edited}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_block_given_twice_rejected(tmp_path, capsys):
+    # It once wrote every flood row twice.
+    reports = [str(GOLDEN_SIMULATE / mode / "report.csv") for mode in ("hourly", "daily")]
+    argv = ["compare", *reports, "--blocks", "flood,flood", "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: metric block 'flood' given twice\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_and_config_files_may_begin_with_a_byte_order_mark(tmp_path):
+    # Spreadsheet exports begin with one; the files read as the plain ones.
+    bom_report = tmp_path / "hourly" / "report.csv"
+    bom_report.parent.mkdir()
+    bom_report.write_bytes(b"\xef\xbb\xbf" + (GOLDEN_SIMULATE / "hourly" / "report.csv").read_bytes())
+    argv = ["compare", str(bom_report), str(GOLDEN_SIMULATE / "daily" / "report.csv"),
+            "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == EXIT_OK
+    for name in ("comparison.csv", "comparison.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN_COMPARE / name).read_bytes(), name
+    config = tmp_path / "settings.cfg"
+    config.write_text("\ufeffhorizon = 6\n", encoding="utf-8")
+    assert parse_config_file(config) == {"horizon": "6"}
 
 
 def _awkward_floats(rng, size):

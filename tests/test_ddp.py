@@ -156,6 +156,14 @@ class TestBackwardInduction:
             table = backward_induction(PARAMS, config, [500.0] * 2, [0.0] * 2)
         assert table.out_of_grid > 0
 
+    def test_clamp_warning_names_the_grid_top(self):
+        # The default storage_max fits the default lake only, so the warning
+        # says where the grid ends.
+        config = DdpConfig(grid_points=3, storage_max=1e5, action_samples=3)
+        top = level_of_storage(PARAMS, 1e5)
+        with pytest.warns(UserWarning, match=rf"\(storage_max 100000 m\^3, level {top:.6g} m\)"):
+            backward_induction(PARAMS, config, [500.0] * 2, [0.0] * 2)
+
     def test_grid_starts_at_the_empty_lake(self):
         # Demand far above inflow for two days: no node holds enough water,
         # so every node pays a deficit. A grid bottom above the empty lake

@@ -255,6 +255,13 @@ class TestLoadTimeseries:
         with pytest.raises(ValueError, match="empty"):
             load_timeseries(path, "inflow_daily")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet exports begin with one; it once failed the header check.
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        self._write(plain, "t,q_m3s", [f"{i},{40 + i}" for i in range(24)])
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert np.array_equal(load_timeseries(bom, "inflow_hourly"), load_timeseries(plain, "inflow_hourly"))
+
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
             load_timeseries(tmp_path / "x.csv", "inflow_weekly")

@@ -5,9 +5,10 @@ A line counts when it holds a token that is not a comment and lies outside
 every docstring (the string that opens a module, class or function body).
 So a statement spread over three lines counts three, and a line with code
 and a trailing comment counts once. Directories are searched for ``*.py``
-files; each file's count is printed, then the total of all of them:
+files; each file's count is printed, then the total of all of them. With
+no path, the package's source directory src/lakempc is counted:
 
-    python3 tools/code_lines.py src/lakempc
+    python3 tools/code_lines.py
     python3 tools/code_lines.py src/lakempc/ddp.py tests/helpers.py
 """
 
@@ -19,6 +20,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lakempc"
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -58,7 +61,10 @@ def code_lines(source: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="+", type=Path, help="files or directories")
+    parser.add_argument(
+        "paths", nargs="*", type=Path, default=[PACKAGE],
+        help="files or directories (default: src/lakempc)",
+    )
     args = parser.parse_args(argv)
     files = []
     for path in args.paths:
