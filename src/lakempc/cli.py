@@ -235,8 +235,7 @@ def write_report_files(outdir: Path, report: metrics.RunReport) -> None:
 def read_report(path) -> metrics.RunReport:
     """The report a report.csv holds (a leading UTF-8 byte-order mark is
     skipped). ValueError naming the file for a bad header, a row that is not
-    three cells, and every rejection of metrics.report_from_rows, an
-    infinite hour count's OverflowError included."""
+    three cells, and every rejection of metrics.report_from_rows."""
     rows = []
     with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -249,7 +248,7 @@ def read_report(path) -> metrics.RunReport:
             rows.append(row)
     try:
         return metrics.report_from_rows(rows, label=Path(path).stem)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

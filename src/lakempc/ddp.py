@@ -155,7 +155,13 @@ class ValueTable:
         return self.policy.shape[0]
 
     def release(self, t: int, node: int) -> float:
-        """The release the table commands from node at hour t."""
+        """The release the table commands from node at hour t. ValueError
+        for an hour outside [0, n_steps) or a node outside the grid, which
+        an index would wrap or fail on without naming."""
+        if not 0 <= t < self.policy.shape[0]:
+            raise ValueError(f"hour {t} is outside the table's hours [0, {self.policy.shape[0]})")
+        if not 0 <= node < self.grid.size:
+            raise ValueError(f"node {node} is outside the grid's nodes [0, {self.grid.size})")
         column = node - self.first_free
         if 0 <= column < self.policy.shape[1]:
             return float(self.policy[t, column])

@@ -122,9 +122,11 @@ def report_rows(report: RunReport, blocks=ALL_BLOCKS) -> list[tuple[str, str, st
 
 def report_from_rows(rows, label: str = "") -> RunReport:
     """Inverse of report_rows: (block, field, value) rows, in any order, one
-    for each metric of every block. Each value passes through float() and
-    then its field's type. ValueError naming the block and the metric for a
-    row no field declares, a metric given twice or a metric missing."""
+    for each metric of every block. Each value passes through float(), and
+    an hour count must then be a nonnegative whole number. ValueError naming
+    the block and the metric for a row no field declares, a metric given
+    twice or missing, a value float() cannot read, and an hour count that
+    is fractional, negative or not finite."""
     given = {}
     for block, key, value in rows:
         if block not in _BLOCK_TYPES or key not in {f.name for f in fields(_BLOCK_TYPES[block])}:
@@ -138,9 +140,24 @@ def report_from_rows(rows, label: str = "") -> RunReport:
         for f in fields(block_type):
             if (block, f.name) not in given:
                 raise ValueError(f"metric {block},{f.name} is missing")
-            values[f.name] = f.type(float(given[block, f.name]))
+            values[f.name] = _metric_value(f"{block},{f.name}", f.type, given[block, f.name])
         blocks[block] = block_type(**values)
     return RunReport(**blocks, label=label)
+
+
+def _metric_value(metric: str, kind: type, text):
+    """text read as a value of the metric's type: a float, or for an int
+    (an hour count) a nonnegative whole number. ValueError naming the
+    metric otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"metric {metric} is not a number: {text!r}") from None
+    if kind is int:
+        if not (value >= 0.0 and value.is_integer()):
+            raise ValueError(f"metric {metric} must be a nonnegative whole number, got {text}")
+        return int(value)
+    return value
 
 
 @dataclass

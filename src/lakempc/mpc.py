@@ -66,9 +66,12 @@ rows' release part, so its binding flood slack. The start is the
 candidate of lowest objective (_feasible_point).
 
 The QP's Hessian and row matrix depend only on the horizon, the surface
-area and lam, so _qp_structure builds them, as a qp.Structure that also
-holds their factors, the solver's cache and a contiguous copy of the dry
-rows' release columns, once per such configuration. Only the latest
+area and lam, so _qp_structure builds them once per such configuration, as
+a qp.Structure that also holds the solver's scaled copies of them, its
+cache and a contiguous copy of the dry rows' release columns. The Hessian
+is diagonal, and is kept as the vector of its diagonal: the solver's
+products with it, and with the transform that makes it the identity, are
+elementwise. Only the latest
 configuration's structure is kept: a lambda sweep drops each weight's when
 it moves on. The five row blocks are named once, as slices of the rows for
 each horizon (_block_slices).
@@ -196,8 +199,9 @@ def assemble_qp(
     the minimum-release plan fails a dry row, solve_step fixes the leading
     releases and lifts the dry rows before solving it.
 
-    The Hessian and the row matrix are those of _qp_structure, read-only
-    and shared by every call with the same horizon, surface area and lam.
+    The Hessian (the 1-d array of its diagonal) and the row matrix are
+    those of _qp_structure, read-only and shared by every call with the
+    same horizon, surface area and lam.
 
     Raises ValueError for a negative or non-finite s0, a forecast or demand
     that is not a 1-d array of horizon length (the message names the series
@@ -229,7 +233,7 @@ def assemble_qp(
     structure = _qp_structure(h, area, config.lam)
     # The cost and each block of b are written in place, one operation at a
     # time in the order of the formula beside it, so the bits are its bits.
-    linear = np.zeros(structure.hessian.shape[0])
+    linear = np.zeros(structure.hessian.size)
     np.multiply(-2.0 * TIE_BREAK_WEIGHT, demand, out=linear[:h])
 
     # s(t) for t=1..H before releases, all divided by the surface area.
@@ -269,9 +273,10 @@ class _StepStructure(qp.Structure):
 
 @functools.lru_cache(maxsize=1)
 def _qp_structure(h: int, area: float, lam: float) -> _StepStructure:
-    """The _StepStructure of assemble_qp's QP: its read-only Hessian and
-    row matrix, their factors, the working-set factors that qp.solve
-    caches, and the dry rows' release columns. Every step of a run, and of
+    """The _StepStructure of assemble_qp's QP: its read-only Hessian
+    diagonal and row matrix, the solver's scaled copies of them, the
+    working-set factors that qp.solve caches, and the dry rows' release
+    columns. Every step of a run, and of
     any later run of the same configuration while it is the last one asked
     for, shares it. Its rows fall in the five blocks of h of _RowBlocks,
     one row per horizon step, which _shifted and _block_slices rely on:
@@ -285,7 +290,6 @@ def _qp_structure(h: int, area: float, lam: float) -> _StepStructure:
     diag[iu:iem] = 2.0 * TIE_BREAK_WEIGHT
     diag[iem:ied] = 2.0 / FLOOD_SLACK_REF**2
     diag[ied:] = 2.0 * lam / DEMAND_REF**2
-    hessian = np.diag(diag)
 
     lower_tri = np.tril(np.ones((h, h))) * (HOUR_SECONDS / area)
     dry_rows = np.zeros((h, n_var))
@@ -298,7 +302,7 @@ def _qp_structure(h: int, area: float, lam: float) -> _StepStructure:
     demand_rows[:, ied:] = np.eye(h)
     eye = np.eye(h, n_var)
     ineq_matrix = np.vstack([dry_rows, flood_rows, demand_rows, 0.0 - eye, eye])
-    return _StepStructure(qp.QpProblem(hessian, np.zeros(n_var), ineq_matrix), h)
+    return _StepStructure(qp.QpProblem(diag, np.zeros(n_var), ineq_matrix), h)
 
 
 def _feasible_point(problem, structure, h, u_hint, lower, upper):
@@ -315,18 +319,18 @@ def _feasible_point(problem, structure, h, u_hint, lower, upper):
     qp.FEASIBILITY_TOL; the minimum-release plan is always kept, since after
     the lift it meets them (qp.solve's start check names the row if it ever
     does not). Returns the kept candidate of lowest objective, the first on
-    a tie.
+    a tie; the objectives are computed only when two or more are kept.
     """
     rhs, blocks = problem.ineq_rhs, _block_slices(h)
-    demand, above_flood = -rhs[blocks.demand], -rhs[blocks.flood]
+    demand, above_flood, rhs_dry = -rhs[blocks.demand], -rhs[blocks.flood], rhs[blocks.dry]
     starts = []
     for guess in ((demand,) if u_hint is None else (u_hint, demand)) + (lower,):
-        u = np.clip(guess, lower, upper)
+        u = np.minimum(np.maximum(guess, lower), upper)
         drawn = structure.dry_releases.dot(u)
-        if guess is lower or np.max(drawn - rhs[blocks.dry]) <= qp.FEASIBILITY_TOL:
+        if guess is lower or (drawn - rhs_dry).max() <= qp.FEASIBILITY_TOL:
             slacks = (np.maximum(above_flood - drawn, 0.0), np.minimum(u - demand, 0.0))
             starts.append(np.concatenate([u, *slacks]))
-    return min(starts, key=problem.objective_value)
+    return starts[0] if len(starts) == 1 else min(starts, key=problem.objective_value)
 
 
 def solve_step(

@@ -5,7 +5,8 @@ Solves
     s.t. A x <= b
 
 with a primal active-set method on an equilibrated copy of the data. The
-Hessian must be positive definite, so the optimum is unique. The rows are
+Hessian Q is diagonal and is given as the 1-d array of its diagonal, whose
+entries must be positive and finite, so the optimum is unique. The rows are
 inequality rows only: a bound on a variable is a row of A with one nonzero
 entry, which the active-set method treats like any other row (Nocedal &
 Wright, Numerical Optimization, ch. 16). The caller supplies a feasible
@@ -13,10 +14,13 @@ start, and the solver does not search for one: a start that violates a row
 by more than FEASIBILITY_TOL is rejected, naming the row.
 
 The work that depends only on the Hessian and the rows is held by a
-Structure: the equilibration, the factor of the scaled Hessian, Q = LL'
-(it fails unless the Hessian is positive definite), and the rows in y = L'x
-of Goldfarb & Idnani (1983), where the Hessian is the identity. A working
-set is a sorted tuple of row indices, in solve's input and output alike. A
+Structure: the equilibration, the scaled Hessian q_s, and the rows in y =
+L'x of Goldfarb & Idnani (1983), where the Hessian is the identity. With
+q_s diagonal, L = diag(sqrt(q_s)), so y = L'x only scales each column and
+l_inv = 1/sqrt(q_s) scales it back: every product with the Hessian, with L
+or with its inverse is elementwise, and no n x n matrix is formed (the
+MPC's Hessian, mpc._qp_structure's, is diagonal). A working set is a
+sorted tuple of row indices, in solve's input and output alike. A
 caller that re-solves one family of problems with new right-hand sides and
 costs (the MPC, every hour) builds one Structure and passes it to every
 solve; it and its cache (below) live as long as the caller holds it. It
@@ -44,10 +48,11 @@ candidate is rejected does the solve start from the caller's start, which
 may be given as a function so that it is built only then. A rejected
 candidate the structure has seen before costs a dict lookup, the product,
 the row test and, when it meets every row, the sign test: about 10-12 us at
-the MPC's size on a shared 2-vCPU Xeon, against 32-36 us for a solve that
-takes its first candidate and 300-320 us for one from the start (medians
-over every fourth solve of days 104-120 from 1.08 m of the least of five
-timeit repeats; the machine's speed moves by up to 2x). Each solve checks
+the MPC's size on a shared 2-vCPU Xeon, against 27-38 us for a solve that
+takes its first candidate and 230-290 us for one from the start, which
+takes 4 iterations at the median (medians over every fourth solve of days
+104-120 from 1.08 m of the least of five timeit repeats, three runs; the
+machine's speed moves by up to 2x). Each solve checks
 its cost and right-hand side once, on entry, and builds the law's argument
 [-c; b_w] in one buffer; the certification below works on the working rows'
 multipliers.
@@ -126,7 +131,7 @@ MAX_ITERATIONS = 10_000
 
 # The QR updates without scipy's array validation (the solver passes
 # checked, finite float arrays), LAPACK's triangular solve and packing,
-# and BLAS's symmetric packed product.
+# and BLAS's packed product of a matrix equal to its transpose.
 _qr_insert = getattr(scipy.linalg.qr_insert, "__wrapped__", scipy.linalg.qr_insert)
 _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 (_trtrs, _trttp) = scipy.linalg.get_lapack_funcs(("trtrs", "trttp"), dtype=np.float64)
@@ -170,7 +175,8 @@ def _is_float_array(value, ndim: int) -> bool:
 
 @dataclass
 class QpProblem:
-    """Dense convex QP data: min 0.5 x'Qx + c'x s.t. A x <= b. A missing
+    """Convex QP data: min 0.5 x'Qx + c'x s.t. A x <= b, where hessian is
+    the 1-d array of Q's diagonal (Q has no other nonzero entry). A missing
     row block may be passed as None."""
 
     hessian: np.ndarray
@@ -182,7 +188,7 @@ class QpProblem:
         # Arrays that are already float64 of the right rank (every MPC step's)
         # are kept as they are, which is what the conversions would do.
         if (
-            _is_float_array(self.hessian, 2)
+            _is_float_array(self.hessian, 1)
             and _is_float_array(self.linear_cost, 1)
             and _is_float_array(self.ineq_matrix, 2)
             and _is_float_array(self.ineq_rhs, 1)
@@ -219,18 +225,19 @@ class QpProblem:
 
     def _check_matrices(self) -> None:
         """The checks on the Hessian and the rows, which solve runs once per structure."""
-        n = self.n
-        if self.hessian.shape != (n, n):
-            raise ValueError(f"hessian shape {self.hessian.shape} does not match n={n}")
+        n, h = self.n, self.hessian
+        if h.shape != (n,):
+            raise ValueError(f"hessian must be the diagonal, of shape ({n},), got {h.shape}")
         if self.ineq_matrix.shape[1] != n:
             raise ValueError("inequality block dimensions inconsistent")
-        scale = max(1.0, float(np.max(np.abs(self.hessian))) if self.hessian.size else 1.0)
-        if float(np.max(np.abs(self.hessian - self.hessian.T), initial=0.0)) > 1e-9 * scale:
-            raise ValueError("hessian is not symmetric")
+        usable = (h > 0.0) & (h < np.inf)
+        if not usable.all():
+            i = int(np.argmin(usable))
+            raise ValueError(f"hessian is {h[i]} at variable {i}, not positive and finite")
 
     def objective_value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.hessian @ x + self.linear_cost @ x)
+        return float((0.5 * x * self.hessian).dot(x) + self.linear_cost.dot(x))
 
 
 @dataclass
@@ -254,7 +261,7 @@ def kkt_components(problem: QpProblem, solution: QpSolution) -> dict[str, float]
     a, b = problem.ineq_matrix, problem.ineq_rhs
     mu = _as_vector(solution.duals, a.shape[0])
 
-    grad = problem.hessian @ x
+    grad = problem.hessian * x
     grad += problem.linear_cost
     if a.shape[0]:
         grad += a.T @ mu
@@ -289,15 +296,16 @@ class Structure:
     ineq_matrix, read-only copies of the problem's (see solve). Each solve
     is certified on the unscaled rows ineq_matrix and their C-contiguous,
     read-only transpose ineq_matrix_t. It holds the rows' equilibration
-    (row_norm = 1/row_scale) and the factor of the scaled Hessian, and the
-    solves' one cache, starts (_start_factor gives an entry's parts). The
+    (row_norm = 1/row_scale), the scaled Hessian's diagonal q_s, l_inv =
+    1/sqrt(q_s), the scaled rows a and the rows in y, a_y, and the solves'
+    one cache, starts (_start_factor gives an entry's parts). The
     right-hand side and the linear cost are scaled per solve with row_scale
     and col_scale.
     """
 
     def __init__(self, problem: QpProblem) -> None:
-        """Raises ValueError for dimension errors and a Hessian that is not
-        symmetric or not positive definite."""
+        """Raises ValueError for dimension errors and a Hessian diagonal
+        with an entry that is not positive and finite."""
         problem._check_matrices()
         self.hessian = problem.hessian.copy()
         self.ineq_matrix = a = problem.ineq_matrix.copy()
@@ -305,26 +313,25 @@ class Structure:
         for matrix in (self.hessian, a, self.ineq_matrix_t):
             matrix.flags.writeable = False
 
-        # One equilibration pass: column scales from the stacked data, then
-        # unit inf-norm rows. Keeps mixed-unit problems (storage vs flow
-        # columns) within a sane condition number for the dense
-        # factorizations below. x_original = col_scale * x_scaled, and
+        # One equilibration pass: column scales from the Hessian's diagonal
+        # and the rows, then unit inf-norm rows. Keeps mixed-unit problems
+        # (storage vs flow columns) within a sane condition number for the
+        # QRs of the working rows. x_original = col_scale * x_scaled, and
         # original dual = row_scale * scaled dual.
-        col_norm = np.max(np.abs(np.vstack([self.hessian, a])), axis=0)
+        col_norm = np.maximum(self.hessian, np.max(np.abs(a), axis=0, initial=0.0))
         self.col_scale = 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
         a_s = a * self.col_scale[None, :]
         self.row_norm = np.maximum(np.max(np.abs(a_s), axis=1, initial=0.0), 1e-12)
         self.row_scale = 1.0 / self.row_norm
         self.a = a_s * self.row_scale[:, None]
 
-        # y = L'x with q_s = LL' (see module docstring); a_y is a in y.
-        self.q_s = self.col_scale[:, None] * self.hessian * self.col_scale[None, :]
-        try:
-            l_factor = np.linalg.cholesky(self.q_s)
-        except np.linalg.LinAlgError:
-            raise ValueError("hessian is not positive definite") from None
-        self.l_inv_t = scipy.linalg.solve_triangular(l_factor, np.eye(problem.n), lower=True).T
-        self.a_y = self.a @ self.l_inv_t
+        # y = L'x with L = diag(sqrt(q_s)) (see module docstring); a_y is a
+        # in y. + 0.0 writes each -0.0 of a (the negated rows' zeros) as
+        # +0.0, as the product with a dense L^-T did: the QR's reflectors
+        # follow the sign of a zero.
+        self.q_s = self.col_scale * self.hessian * self.col_scale
+        self.l_inv = 1.0 / np.sqrt(self.q_s)
+        self.a_y = self.a * self.l_inv + 0.0
         # The rows tight at a start, or a candidate working set -> (working
         # rows as a tuple and as an intp array, Q, R, K); see _start_factor.
         # start_bytes counts the entries' arrays.
@@ -348,8 +355,8 @@ def _full_rank(r: np.ndarray, tol: float) -> bool:
 def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """x with r x = b (trans 0) or r' x = b (trans 1), r upper triangular.
 
-    scipy.linalg.solve_triangular(r, b, trans=trans, check_finite=False) bit
-    for bit: the same LAPACK call, with its rule for a C-ordered r (solve the
+    scipy's triangular solve, called with check_finite=False, bit for bit:
+    the same LAPACK call, with its rule for a C-ordered r (solve the
     transposed lower system), without its argument checks.
     """
     if b.size == 0:
@@ -372,8 +379,9 @@ def _start_factor(structure: Structure, key: tuple[int, ...], law: bool = False)
     lookup, and its factor is never built twice.
 
     When the rows are independent, they are the working rows. Otherwise a
-    pivoted QR picks an independent subset, which is then factored; L^-T is
-    nonsingular, so independence in y is independence of the rows.
+    pivoted QR picks an independent subset, which is then factored; y = L'x
+    only scales the columns, so independence in y is independence of the
+    rows.
 
     Raises ValueError, naming key, when a key not seen before is not a
     strictly increasing tuple of integer rows in [0, m).
@@ -428,14 +436,15 @@ def _remember(structure: Structure, key: tuple[int, ...], start: tuple) -> None:
 def _affine_law(structure: Structure, rows, qf, rf) -> np.ndarray:
     """K, read-only: the inverse of the rows' KKT matrix [[Q, A_w'], [A_w, 0]]
     (factored in qf and rf), in the problem's units, so that [x; lam] = K
-    [-c; b[rows]] are the optimum on the rows and their multipliers. K is
-    symmetric and kept packed, its lower triangle row by row (BLAS's packed
-    upper form), for one spmv product. With D = diag(col_scale), S =
-    diag(row_scale[rows]), P = D L^-T Z, V = R^-T S and G = D L^-T Q1 V,
-    _working_optimum gives K = [[P P', G], [G', -V'V]]."""
+    [-c; b[rows]] are the optimum on the rows and their multipliers. K
+    equals its transpose and is kept packed, its lower triangle row by row
+    (BLAS's packed upper form), for one spmv product. With D =
+    diag(col_scale), S = diag(row_scale[rows]), P = D L^-T Z, V = R^-T S and
+    G = D L^-T Q1 V, _working_optimum gives K = [[P P', G], [G', -V'V]];
+    L^-T = diag(l_inv) scales the rows of qf."""
     mw = rows.size
     v = _solve_upper(rf[:mw], np.diag(structure.row_scale[rows]), trans=1)
-    t = structure.col_scale[:, None] * (structure.l_inv_t @ qf)
+    t = structure.col_scale[:, None] * (structure.l_inv[:, None] * qf)
     g, p = t[:, :mw] @ v, t[:, mw:]
     # LAPACK packs the transpose's upper triangle by columns: K's lower one by rows.
     law = _trttp(np.block([[p @ p.T, g], [g.T, -(v.T @ v)]]).T, uplo="U")[0]
@@ -455,7 +464,7 @@ def _working_optimum(structure, qf, rf, rows, b_s, c_y):
     r, q1, z = rf[:mw], qf[:, :mw], qf[:, mw:]
     t = _solve_upper(r, b_s[rows], trans=1)
     y = q1 @ t - z @ (z.T @ c_y)
-    return structure.l_inv_t @ y, -_solve_upper(r, t + q1.T @ c_y)
+    return structure.l_inv * y, -_solve_upper(r, t + q1.T @ c_y)
 
 
 def _lam_tol(g: np.ndarray) -> float:
@@ -479,11 +488,11 @@ def _finish(structure, problem, x, lam, working_set, rows, status, iterations, q
     rows: every other row's multiplier is zero. Qx, grad = Qx + c and the
     excess Ax - b, the slack's negative, are computed unless given.
 
-    Here and in solve's candidate test the products are ndarray.dot: the
-    same BLAS call as @, for less of numpy's overhead."""
+    Here and in solve's candidate test the row products are ndarray.dot:
+    the same BLAS call as @, for less of numpy's overhead."""
     c = problem.linear_cost
     if qx is None:
-        qx, excess = structure.hessian.dot(x), structure.ineq_matrix.dot(x) - problem.ineq_rhs
+        qx, excess = structure.hessian * x, structure.ineq_matrix.dot(x) - problem.ineq_rhs
         grad = qx + c
     # Scrub multiplier noise: tiny negatives on working rows are numerical,
     # not meaningful. The threshold scales with the largest multiplier.
@@ -535,12 +544,12 @@ def solve(
 
     Raises ValueError for a problem with no variables, a structure whose
     matrices the problem does not hold, dimension errors, a Hessian that is
-    not symmetric or not positive definite, a cost or right-hand side entry
-    that is not finite, a candidate not seen before that is not a strictly
-    increasing tuple of rows in [0, m) (checked when the candidate is
-    reached), and a start that is not of length n, not finite or not
-    feasible (the message names its most violated row). The start is
-    checked only when it is used.
+    not a 1-d diagonal of positive, finite entries, a cost or right-hand
+    side entry that is not finite, a candidate not seen before that is not
+    a strictly increasing tuple of rows in [0, m) (checked when the
+    candidate is reached), and a start that is not of length n, not finite
+    or not feasible (the message names its most violated row). The start
+    is checked only when it is used.
     """
     problem._check_data()
     n = problem.n
@@ -568,7 +577,7 @@ def solve(
         # A NaN fails both tests.
         if not _every(excess <= cand_tol):
             continue
-        qx = hessian.dot(x)
+        qx = hessian * x
         grad = qx + c
         if _every(lam >= _lam_tol(structure.col_scale * grad) * structure.row_scale[rows]):
             return _finish(structure, problem, x, lam, w_rows, rows, "optimal", 1, qx, grad, excess,
@@ -580,7 +589,7 @@ def solve(
     if x0.shape != (n,):
         raise ValueError(f"initial_point must have length {n}, got shape {x0.shape}")
     # A NaN would pass the violation test below, which only compares.
-    if not np.isfinite(x0).all():
+    if not _every(np.isfinite(x0)):
         j = int(np.argmin(np.isfinite(x0)))
         raise ValueError(f"initial_point is not finite at variable {j}")
     # One excess checks the start and picks its tight rows, which seed the working set.
@@ -591,16 +600,16 @@ def solve(
             f"initial_point is infeasible: inequality row {i} violated by {excess[i]:.6g}"
         )
     tight = np.flatnonzero(excess >= -cand_tol)
-    w_rows, _, qf, rf, _ = _start_factor(structure, tuple(tight.tolist()))
+    w_rows, rows, qf, rf, _ = _start_factor(structure, tuple(tight.tolist()))
     w_list = list(w_rows)
     x_s = x0 / structure.col_scale
-    q_s, l_inv_t, a_y = structure.q_s, structure.l_inv_t, structure.a_y
+    q_s, l_inv, a_y = structure.q_s, structure.l_inv, structure.a_y
     b_s = structure.row_scale * b
     c_s = structure.col_scale * c
-    c_y = l_inv_t.T @ c_s
+    c_y = l_inv * c_s
 
     in_w = np.zeros(m, dtype=bool)
-    in_w[w_list] = True
+    in_w[rows] = True
 
     # Drops are multi until a multi-drop is followed by a zero-length step;
     # from then on this solve drops one row at a time.
@@ -610,22 +619,26 @@ def solve(
     while iterations < max_iterations:
         iterations += 1
         mw = len(w_list)
-        g = q_s @ x_s + c_s
-        g_y = l_inv_t.T @ g
+        g = q_s * x_s + c_s
+        g_y = l_inv * g
         z = qf[:, mw:]
-        p = -(l_inv_t @ (z @ (z.T @ g_y)))
+        p = -(l_inv * (z @ (z.T @ g_y)))
         p_norm = float(np.abs(p).max(initial=0.0))
         step_tol = 1e-11 * (1.0 + float(np.abs(x_s).max(initial=0.0)))
         if p_norm <= step_tol:
             x_w, lam = _working_optimum(structure, qf, rf, w_list, b_s, c_y)
             lam_tol = _lam_tol(g)
             if lam.size == 0 or lam.min() >= lam_tol:
-                # x_w when it holds every row by the one row test; NaN fails.
-                x_s = x_w if _every(a.dot(structure.col_scale * x_w) - b <= cand_tol) else x_s
-                x, lam = _unscaled(structure, x_s, lam, w_list)
-                return _finish(
-                    structure, problem, x, lam, tuple(w_list), w_list, "optimal", iterations
-                )
+                # x_w when it holds every row by the one row test (NaN
+                # fails), certified from the excess that test read.
+                x, lam = _unscaled(structure, x_w, lam, w_list)
+                excess = a.dot(x) - b
+                if _every(excess <= cand_tol):
+                    qx = hessian * x
+                    return _finish(structure, problem, x, lam, tuple(w_list), w_list, "optimal",
+                                   iterations, qx, qx + c, excess)
+                return _finish(structure, problem, structure.col_scale * x_s, lam, tuple(w_list),
+                               w_list, "optimal", iterations)
             if single_drop:
                 lam_min = float(lam.min())
                 drop = np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1:]
@@ -645,8 +658,7 @@ def solve(
             x_s = x_s + p
             multi_dropped = False
             continue
-        ratios = np.full(m, np.inf)
-        ratios[blocking] = slack[blocking] / denom[blocking]
+        ratios = np.divide(slack, denom, out=np.full(m, np.inf), where=blocking)
         blocker = int(np.argmin(ratios))
         alpha = float(ratios[blocker])
         if multi_dropped and alpha * p_norm <= step_tol:

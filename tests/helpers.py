@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linprog, minimize
 
 from lakempc import metrics, mpc, qp
@@ -102,13 +103,39 @@ def with_slacks(params, s0, inflow, demand, u) -> np.ndarray:
     return np.concatenate([u, em, ed])
 
 
+def dense_objective(problem: qp.QpProblem, x) -> float:
+    """0.5 x'Qx + c'x with Q = np.diag(problem.hessian), the dense product
+    the objective took when the Hessian was a matrix, kept frozen."""
+    x = np.asarray(x, dtype=float)
+    return float(0.5 * x @ np.diag(problem.hessian) @ x + problem.linear_cost @ x)
+
+
+def reference_feasible_starts(problem, structure, h, u_hint, lower, upper) -> list[np.ndarray]:
+    """The starts mpc._feasible_point chooses among, as it built them when
+    the Hessian was a matrix, kept frozen: u_hint when given, then the
+    demand, each clipped by np.clip into [lower, upper] and kept when
+    np.max of its dry rows' excess is within qp.FEASIBILITY_TOL, then the
+    minimum-release plan, each with its binding slacks. Its start is the
+    first of lowest dense_objective."""
+    rhs, blocks = problem.ineq_rhs, mpc._block_slices(h)
+    demand, above_flood = -rhs[blocks.demand], -rhs[blocks.flood]
+    starts = []
+    for guess in ((demand,) if u_hint is None else (u_hint, demand)) + (lower,):
+        u = np.clip(guess, lower, upper)
+        drawn = structure.dry_releases.dot(u)
+        if guess is lower or np.max(drawn - rhs[blocks.dry]) <= qp.FEASIBILITY_TOL:
+            slacks = (np.maximum(above_flood - drawn, 0.0), np.minimum(u - demand, 0.0))
+            starts.append(np.concatenate([u, *slacks]))
+    return starts
+
+
 def reference_start(params, problem, s0, inflow, demand, u_hint, dry_rhs, lower, upper):
     """mpc._feasible_point as it was before it read its start off the
     problem's rows, kept frozen: the same candidates in the same order
     (u_hint when given, then the demand, each clipped into [lower, upper]
     and kept when it meets the dry rows dry_rhs within
     qp.FEASIBILITY_TOL, then the minimum-release plan), each with_slacks,
-    and the first of lowest objective."""
+    and the first of lowest dense_objective."""
     inflow = np.asarray(inflow, dtype=float)
     demand = np.asarray(demand, dtype=float)
     dry_matrix = problem.ineq_matrix[:demand.size]
@@ -118,7 +145,7 @@ def reference_start(params, problem, s0, inflow, demand, u_hint, dry_rhs, lower,
         if np.max(dry_matrix @ x - dry_rhs) <= qp.FEASIBILITY_TOL:
             starts.append(x)
     starts.append(with_slacks(params, s0, inflow, demand, lower))
-    return min(starts, key=problem.objective_value)
+    return min(starts, key=lambda x: dense_objective(problem, x))
 
 
 def reference_step(
@@ -181,7 +208,7 @@ def enumeration_oracle(problem: qp.QpProblem) -> tuple[float, np.ndarray]:
             b_act = b_all[idx]
             k = a_act.shape[0]
             kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = problem.hessian
+            kkt[:n, :n] = np.diag(problem.hessian)
             if k:
                 kkt[:n, n:] = a_act.T
                 kkt[n:, :n] = a_act
@@ -190,7 +217,7 @@ def enumeration_oracle(problem: qp.QpProblem) -> tuple[float, np.ndarray]:
             x = sol[:n]
             if m and np.max(a_all @ x - b_all) > 1e-8:
                 continue
-            value = problem.objective_value(x)
+            value = dense_objective(problem, x)
             if value < best_val - 1e-12:
                 best_val, best_x = value, x
     return best_val, best_x
@@ -228,7 +255,7 @@ def dense_kkt_solution(
     active = np.flatnonzero(solution.duals)
     rows = problem.ineq_matrix[active]
     m = rows.shape[0]
-    kkt = np.block([[problem.hessian, rows.T], [rows, np.zeros((m, m))]])
+    kkt = np.block([[np.diag(problem.hessian), rows.T], [rows, np.zeros((m, m))]])
     sol = np.linalg.solve(kkt, np.concatenate([-problem.linear_cost, problem.ineq_rhs[active]]))
     duals = np.zeros(problem.ineq_matrix.shape[0])
     duals[active] = sol[n:]
@@ -238,8 +265,9 @@ def dense_kkt_solution(
 def reference_kkt_components(problem: qp.QpProblem, solution: qp.QpSolution) -> dict[str, float]:
     """qp.kkt_components written out plainly and kept frozen: the four
     components, each the largest violation (at least 0, NaN when any entry
-    is NaN) of its conditions on the unscaled problem. qp.kkt_components
-    must reproduce it bit for bit."""
+    is NaN) of its conditions on the unscaled problem, with Qx the
+    Hessian's diagonal times x. qp.kkt_components must reproduce it bit for
+    bit."""
 
     def worst(*terms):
         return float(np.concatenate(terms).max(initial=0.0))
@@ -248,7 +276,7 @@ def reference_kkt_components(problem: qp.QpProblem, solution: qp.QpSolution) -> 
     a_in, b_in = problem.ineq_matrix, problem.ineq_rhs
     mu = np.atleast_1d(np.asarray(solution.duals, dtype=float))
 
-    grad = problem.hessian @ x + problem.linear_cost
+    grad = problem.hessian * x + problem.linear_cost
     if a_in.shape[0]:
         grad = grad + a_in.T @ mu
     slack = b_in - a_in @ x
@@ -263,13 +291,14 @@ def reference_kkt_components(problem: qp.QpProblem, solution: qp.QpSolution) -> 
 def random_qp(rng: np.random.Generator) -> tuple[qp.QpProblem, np.ndarray]:
     """Random strictly convex QP with n <= 6 and at most 8 rows, some of
     them bounds on one variable, and a point that meets every row with
-    some slack."""
+    some slack. Its Hessian's diagonal is that of basis'basis + shift for a
+    random square basis and shift in [0.3, 1.3)."""
     n = int(rng.integers(1, 7))
     m_total = int(rng.integers(0, 9))
     m_ineq = int(rng.integers(0, m_total + 1))
     n_bound = m_total - m_ineq
     basis = rng.standard_normal((n, n))
-    hessian = basis.T @ basis + (0.3 + rng.random()) * np.eye(n)
+    hessian = (basis**2).sum(axis=0) + (0.3 + rng.random())
     cost = rng.standard_normal(n)
     feas = rng.standard_normal(n)
     a_in = rng.standard_normal((m_ineq, n)) if m_ineq else None
@@ -283,6 +312,36 @@ def random_qp(rng: np.random.Generator) -> tuple[qp.QpProblem, np.ndarray]:
         else:
             upper[j] = feas[j] + abs(rng.standard_normal()) + 0.05
     return bounded_qp(hessian, cost, a_in, b_in, lower, upper), feas
+
+
+class DenseTransform(NamedTuple):
+    """qp.Structure's equilibration and y = L'x as they were computed when
+    the Hessian was a dense matrix (dense_transform)."""
+
+    col_scale: np.ndarray
+    row_scale: np.ndarray
+    a: np.ndarray
+    q_s: np.ndarray
+    l_inv_t: np.ndarray
+    a_y: np.ndarray
+
+
+def dense_transform(problem: qp.QpProblem) -> DenseTransform:
+    """The dense route of qp.Structure, kept frozen: the Hessian as the
+    matrix np.diag(problem.hessian), the column scales from the stacked
+    Hessian and rows, unit inf-norm rows, q_s the scaled Hessian, its
+    Cholesky factor L by np.linalg.cholesky, l_inv_t = L^-T by
+    scipy.linalg.solve_triangular, and the rows in y, a @ l_inv_t."""
+    hessian, a = np.diag(problem.hessian), problem.ineq_matrix
+    col_norm = np.max(np.abs(np.vstack([hessian, a])), axis=0)
+    col_scale = 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
+    a_s = a * col_scale[None, :]
+    row_scale = 1.0 / np.maximum(np.max(np.abs(a_s), axis=1, initial=0.0), 1e-12)
+    a = a_s * row_scale[:, None]
+    q_s = col_scale[:, None] * hessian * col_scale[None, :]
+    l_factor = np.linalg.cholesky(q_s)
+    l_inv_t = scipy.linalg.solve_triangular(l_factor, np.eye(problem.n), lower=True).T
+    return DenseTransform(col_scale, row_scale, a, q_s, l_inv_t, a @ l_inv_t)
 
 
 def controller_cost(params: LakeParams, config: MpcConfig, s0: float, inflow, demand, u):
@@ -360,8 +419,11 @@ def direct_cost_minimum(
         {"type": "ineq", "fun": lambda free, t=t: (storages(plans(free))[0, t] - s_bound[t]) / area}
         for t in range(fixed, h)
     ]
+    # SLSQP's ftol is absolute: the cost is polished in units of the best
+    # grid value, so that near-zero costs are polished to their own digits.
+    scale = float(values.min()) if 0.0 < values.min() < np.inf else 1.0
     result = minimize(
-        lambda free: float(cost(free)[0]),
+        lambda free: float(cost(free)[0]) / scale,
         seed,
         method="SLSQP",
         bounds=[(u_bounds[t, 0], u_bounds[t, 1]) for t in range(fixed, h)],

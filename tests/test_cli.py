@@ -554,6 +554,15 @@ def _edited_report(tmp_path, edit):
     return path
 
 
+def _replaced(line, by):
+    """An edit of report lines that replaces the one line equal to line."""
+    return lambda lines: [by if candidate == line else candidate for candidate in lines]
+
+
+def _not_whole(metric, value):
+    return f"metric {metric} must be a nonnegative whole number, got {value}"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -561,17 +570,25 @@ def _edited_report(tmp_path, edit):
         (lambda lines: [line.replace("flood,", "flod,", 1) for line in lines], "unknown metric flod,rmse"),
         (lambda lines: [*lines, "flood,rmse,5"], "metric flood,rmse is given twice"),
         (lambda lines: [*lines, "flood,bogus,1"], "unknown metric flood,bogus"),
-        (
-            lambda lines: [line.replace("flood,hours,6", "flood,hours,inf") for line in lines],
-            "cannot convert float infinity to integer",
-        ),
+        (_replaced("flood,hours,6", "flood,hours,inf"), _not_whole("flood,hours", "inf")),
+        (_replaced("flood,hours,6", "flood,hours,3.5"), _not_whole("flood,hours", "3.5")),
+        (_replaced("demand,hours,0", "demand,hours,-1"), _not_whole("demand,hours", "-1")),
+        (_replaced("dry,hours,0", "dry,hours,nan"), _not_whole("dry,hours", "nan")),
+        (_replaced("flood,hours,6", "flood,hours,abc"), "metric flood,hours is not a number: 'abc'"),
+        (_replaced("dry,area,0", "dry,area,"), "metric dry,area is not a number: ''"),
     ],
-    ids=["lacks", "misspelt-block", "repeats", "invents", "infinite-hours"],
+    ids=[
+        "lacks", "misspelt-block", "repeats", "invents", "infinite-hours", "fractional-hours",
+        "negative-hours", "nan-hours", "not-a-number", "empty-value",
+    ],
 )
 def test_compare_rejects_a_report_that_is_not_one_report(tmp_path, capsys, edit, message):
     # A missing row or unknown block was a KeyError traceback, and an
     # infinite hour count an OverflowError one; a repeated row replaced the
-    # real value, and an unknown metric was ignored.
+    # real value, and an unknown metric was ignored. A fractional hour count
+    # was truncated (3.5 compared as 3), a negative or NaN one read as an
+    # int or left a ValueError traceback, and a cell float() cannot read
+    # was named without its metric.
     edited = _edited_report(tmp_path, edit)
     argv = ["compare", str(GOLDEN_SIMULATE / "daily" / "report.csv"), str(edited),
             "--out", str(tmp_path / "out")]

@@ -556,6 +556,23 @@ class TestValueTableValidation:
         table = self._table(first_free=5, policy=np.ones((2, 0)), collapsed_release=np.arange(5.0))
         assert [table.release(1, node) for node in range(5)] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize(
+        ("t", "node", "message"),
+        [
+            (-1, 2, r"^hour -1 is outside the table's hours \[0, 2\)$"),
+            (2, 0, r"^hour 2 is outside the table's hours \[0, 2\)$"),
+            (-1, -1, r"^hour -1 is outside"),
+            (0, -1, r"^node -1 is outside the grid's nodes \[0, 5\)$"),
+            (1, 5, r"^node 5 is outside the grid's nodes \[0, 5\)$"),
+        ],
+        ids=["hour-before", "hour-past", "both", "node-below", "node-past"],
+    )
+    def test_release_outside_the_table_rejected(self, t, node, message):
+        # A negative hour or node once wrapped to the last one's release,
+        # and an hour past the end raised a bare IndexError.
+        with pytest.raises(ValueError, match=message):
+            self._table().release(t, node)
+
     def test_fields_cannot_be_reassigned(self):
         # The table is frozen: a first_free swapped in afterwards would skip
         # the checks against the policy's shape.

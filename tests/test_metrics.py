@@ -106,7 +106,7 @@ def test_sweep_leaves_only_the_last_weights_structure(monkeypatch, no_qp_structu
     misses = mpc._qp_structure.cache_info().misses
     structure = mpc._qp_structure(6, params.surface_area, 10.0)
     assert mpc._qp_structure.cache_info().misses == misses
-    assert structure.hessian[-1, -1] == 2.0 * 10.0 / DEMAND_REF**2
+    assert structure.hessian[-1] == 2.0 * 10.0 / DEMAND_REF**2
     assert_rerun_reuses_structure(monkeypatch, params, MpcConfig(horizon=6, lam=10.0), scn, s0, 24)
 
 

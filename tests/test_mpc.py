@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from helpers import (
     assert_rerun_reuses_structure,
     controller_cost,
+    dense_objective,
     direct_cost_minimum,
     feasible_point,
     phase1_point,
+    reference_feasible_starts,
     reference_step,
     release_bounds_of,
     row_blocks,
@@ -50,16 +52,18 @@ S_MIN, S_MAX = mpc._storage_bounds(PARAMS)
 
 
 @pytest.fixture
-def cholesky_calls(monkeypatch):
-    """One entry per np.linalg.cholesky call made during the test."""
+def structure_builds(monkeypatch):
+    """One entry per qp.Structure built during the test: the work that
+    depends only on the Hessian and the rows, the equilibration and the
+    rows in y, done once per structure."""
     calls = []
-    inner = np.linalg.cholesky
+    inner = qp.Structure.__init__
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(1)
-        return inner(*args, **kwargs)
+        inner(self, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(qp.Structure, "__init__", counting)
     return calls
 
 
@@ -207,14 +211,14 @@ class TestMatricesPerConfiguration:
             matrix = getattr(first, name)
             assert matrix is getattr(second, name) is getattr(structure, name)
             with pytest.raises(ValueError, match="read-only"):
-                matrix[0, 0] = 1.0
+                matrix.flat[0] = 1.0
 
-    def test_one_factorization_per_run(self, cholesky_calls, no_qp_structure):
+    def test_one_factorization_per_run(self, structure_builds, no_qp_structure):
         trace = run_hourly(
             PARAMS, MpcConfig(lam=0.37), constant_scenario(100.0, 90.0, 4), 1.2e8, n_steps=48
         )
         assert set(trace.solve_statuses) == {"optimal"}
-        assert len(cholesky_calls) == 1
+        assert len(structure_builds) == 1
 
     def test_second_run_factors_and_checks_nothing(self, monkeypatch, no_qp_structure):
         # The structure outlives the run: a second run of the configuration
@@ -451,7 +455,7 @@ class TestRecovery:
         assert trace.recovery.tolist() == expected.tolist()
         assert 0 < trace.recovery_hours == trace.recovery.sum() < trace.n_hours
 
-    def test_recovery_steps_share_the_factorization(self, cholesky_calls, no_qp_structure):
+    def test_recovery_steps_share_the_factorization(self, structure_builds, no_qp_structure):
         # Recovery hours change only bounds and right-hand sides.
         trace = run_hourly(
             PARAMS,
@@ -462,7 +466,7 @@ class TestRecovery:
         )
         assert trace.recovery_hours == 10
         assert set(trace.solve_statuses) == {"optimal"}
-        assert len(cholesky_calls) == 1
+        assert len(structure_builds) == 1
 
     def test_recovery_releases_the_minimum_until_the_bound_can_hold(self):
         # Below the dry bound with inflow above the 10 m^3/s minimum release:
@@ -533,6 +537,10 @@ class TestRecovery:
     # misses each row by DRY_MARGIN, inside the tolerance: no recovery, but
     # the rows are lifted, so the plan is feasible.
     @example(horizon=2, offset=0.0, inflow=[10.0, 10.0, 0.0], demand=[0.0, 0.0, 0.0], lam=0.1)
+    # On the dry bound with demand equal to inflow, the optimum releases
+    # 4e-5 m^3/s below the demand at a cost of 1.6e-14, which the oracle's
+    # polish once left at 1.1e-12.
+    @example(horizon=2, offset=0.0, inflow=[35.75, 22.0, 0.0], demand=[35.75, 22.0, 0.0], lam=0.1)
     def test_plan_cost_matches_the_oracle(self, horizon, offset, inflow, demand, lam):
         config = MpcConfig(horizon=horizon, lam=lam)
         s0 = S_MIN + offset
@@ -571,6 +579,60 @@ class TestFeasibleStart:
         trace = run(PARAMS, MpcConfig(), scn, storage_of_level(PARAMS, level))
         assert set(trace.solve_statuses) == {"optimal"}
         assert trace.solve_iterations.max() <= 10
+
+    @pytest.mark.parametrize(
+        "run, days, level, counts",
+        # Every cold decision of the daily year and of the summer recovery
+        # run: (decisions, those that keep two or more starts, those whose
+        # start is not the first kept). Only the daily hint makes a third.
+        [(run_daily, (0, 366), 0.4, (82, 81, 27)), (run_hourly, (182, 20), -0.30, (5, 1, 0))],
+        ids=["daily-year", "hourly-recovery"],
+    )
+    def test_start_is_the_dense_objectives_choice(self, run, days, level, counts):
+        # The start is the first of lowest frozen dense objective
+        # 0.5 x'diag(h)x + c'x among the starts built as the code built them
+        # when the Hessian was a matrix, byte for byte.
+        seen = np.zeros(3, dtype=int)
+        inner = mpc._feasible_point
+
+        def checking(problem, structure, h, u_hint, lower, upper):
+            start = inner(problem, structure, h, u_hint, lower, upper)
+            starts = reference_feasible_starts(problem, structure, h, u_hint, lower, upper)
+            expected = min(starts, key=lambda x: dense_objective(problem, x))
+            assert start.tobytes() == expected.tobytes()
+            seen[:] += (1, len(starts) > 1, expected is not starts[0])
+            return start
+
+        first_day, n_days = days
+        with mock.patch.object(mpc, "_feasible_point", checking):
+            trace = run(
+                PARAMS, MpcConfig(), synthetic_year(n_days, first_day=first_day),
+                storage_of_level(PARAMS, level),
+            )
+        assert set(trace.solve_statuses) == {"optimal"}
+        assert tuple(seen) == counts
+
+    def test_tied_starts_give_the_first(self):
+        # A hand-built one-hour step: the demand 2 meets the dry row, so it
+        # is kept beside the minimum-release plan 0. With a unit Hessian
+        # and no linear cost both cost exactly 2: (2, 0, 0) for the demand
+        # plan, (0, 0, -2) with its deficit for the minimum one. The demand
+        # comes first. A cost on the release breaks the tie the other way.
+        # Rows: dry, flood, demand, -lower, upper; only their right-hand
+        # sides and the structure's dry release column are read.
+        structure = mock.Mock(dry_releases=np.ones((1, 1)))
+        rhs = np.array([10.0, 10.0, -2.0, -0.0, 4.0])
+        lower, upper = np.zeros(1), np.full(1, 4.0)
+        demand_plan, minimum_plan = [2.0, 0.0, 0.0], [0.0, 0.0, -2.0]
+        for release_cost, expected in ((0.0, demand_plan), (1.0, minimum_plan)):
+            cost = np.array([release_cost, 0.0, 0.0])
+            problem = qp.QpProblem(np.ones(3), cost, np.zeros((5, 3)), rhs)
+            starts = reference_feasible_starts(problem, structure, 1, None, lower, upper)
+            assert [x.tolist() for x in starts] == [demand_plan, minimum_plan]
+            costs = [dense_objective(problem, x) for x in starts]
+            assert costs == ([2.0, 2.0] if release_cost == 0.0 else [4.0, 2.0])
+            start = mpc._feasible_point(problem, structure, 1, None, lower, upper)
+            assert start.tolist() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(

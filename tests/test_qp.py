@@ -12,6 +12,7 @@ from helpers import (
     assert_same_entries,
     bounded_qp,
     dense_kkt_solution,
+    dense_transform,
     enumeration_oracle,
     phase1_point,
     random_qp,
@@ -28,7 +29,7 @@ from lakempc.scenario import synthetic_year
 class TestTrivialProblems:
     def test_active_lower_bound(self):
         # min x^2 s.t. x >= 1
-        problem = bounded_qp(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
+        problem = bounded_qp(hessian=[2.0], linear_cost=[0.0], lower=[1.0])
         solution = qp.solve(problem, [2.0])
         assert solution.status == "optimal"
         assert solution.x[0] == pytest.approx(1.0, abs=1e-10)
@@ -36,7 +37,7 @@ class TestTrivialProblems:
 
     def test_clamped_unconstrained_optimum(self):
         # min (x-2)^2 s.t. 0 <= x <= 1 -> x = 1
-        problem = bounded_qp(hessian=[[2.0]], linear_cost=[-4.0], lower=[0.0], upper=[1.0])
+        problem = bounded_qp(hessian=[2.0], linear_cost=[-4.0], lower=[0.0], upper=[1.0])
         solution = qp.solve(problem, [0.5])
         assert solution.x[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -51,7 +52,7 @@ def _vertex_qp(hessian, tight_rows, lam, vertex, slack_rows, slack):
     slack_rows = np.asarray(slack_rows, dtype=float).reshape(-1, tight_rows.shape[1])
     return qp.QpProblem(
         hessian=hessian,
-        linear_cost=-hessian @ vertex - tight_rows.T @ lam,
+        linear_cost=-hessian * vertex - tight_rows.T @ lam,
         ineq_matrix=np.vstack([tight_rows, slack_rows]),
         ineq_rhs=np.concatenate([tight_rows @ vertex, slack_rows @ vertex + slack]),
     )
@@ -60,10 +61,11 @@ def _vertex_qp(hessian, tight_rows, lam, vertex, slack_rows, slack):
 def _degenerate_vertex_qp(rng):
     """n independent rows tight at a vertex with negative multipliers, all
     equal in half the draws, plus two duplicated or scaled copies of them
-    (tight too, zero multiplier) and random slack rows: 9 rows in all."""
+    (tight too, zero multiplier) and random slack rows: 9 rows in all. The
+    Hessian's diagonal is that of basis'basis + 0.5 for a random basis."""
     n = int(rng.integers(2, 5))
     basis = rng.standard_normal((n, n))
-    hessian = basis.T @ basis + 0.5 * np.eye(n)
+    hessian = (basis**2).sum(axis=0) + 0.5
     vertex = rng.standard_normal(n)
     rows = rng.standard_normal((n, n))
     lam = -np.ones(n) if rng.random() < 0.5 else -rng.uniform(0.2, 2.0, n)
@@ -93,7 +95,7 @@ def _cone_qp(rng):
         if np.linalg.matrix_rank(rows) == n:
             break
     problem = qp.QpProblem(
-        hessian=np.eye(n),
+        hessian=np.ones(n),
         linear_cost=rng.integers(-3, 4, n).astype(float),
         ineq_matrix=rows,
         ineq_rhs=np.zeros(rows.shape[0]),
@@ -140,7 +142,7 @@ class TestAgainstOracle:
         # x1 <= 0 and -x1 + 0.1 x2 <= 0 tight at 0 with multipliers -0.1 and
         # -1: with both dropped, the step crosses x1 <= 0 at once.
         problem = _vertex_qp(
-            np.eye(2), [[1.0, 0.0], [-1.0, 0.1]], [-0.1, -1.0], np.zeros(2), [[0.0, 1.0]], [5.0]
+            np.ones(2), [[1.0, 0.0], [-1.0, 0.1]], [-0.1, -1.0], np.zeros(2), [[0.0, 1.0]], [5.0]
         )
         _check_from_vertex(problem, np.zeros(2))
 
@@ -151,7 +153,7 @@ class TestInvariants:
         for _ in range(25):
             problem, feasible = random_qp(rng)
             solution = qp.solve(problem, feasible)
-            recomputed = 0.5 * solution.x @ problem.hessian @ solution.x
+            recomputed = 0.5 * solution.x @ np.diag(problem.hessian) @ solution.x
             recomputed += problem.linear_cost @ solution.x
             assert solution.objective == pytest.approx(recomputed, rel=1e-9, abs=1e-12)
 
@@ -187,13 +189,13 @@ class TestKktResidual:
         # term of the residual is a zero, the negated multipliers -0.0, and
         # numpy's max over such terms returns -0.0 at these lengths, which
         # a trace would write as "-0".
-        problem = qp.QpProblem(np.eye(n), np.zeros(n), np.eye(n), np.zeros(n))
+        problem = qp.QpProblem(np.ones(n), np.zeros(n), np.eye(n), np.zeros(n))
         solution = qp.solve(problem, np.zeros(n), working_sets=[tuple(range(n))])
         assert solution.warm_start and solution.status == "optimal"
         assert solution.kkt_residual == 0.0 and not np.signbit(solution.kkt_residual)
 
     def test_exact_solution_near_zero(self):
-        problem = bounded_qp(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
+        problem = bounded_qp(hessian=[2.0], linear_cost=[0.0], lower=[1.0])
         solution = qp.QpSolution(
             x=np.array([1.0]),
             duals=np.array([2.0]),  # the lower bound's row, -x <= -1
@@ -204,7 +206,7 @@ class TestKktResidual:
         assert qp.kkt_residual(problem, solution) <= 1e-12
 
     def test_perturbed_free_coordinate_detected(self):
-        problem = qp.QpProblem(hessian=2.0 * np.eye(2), linear_cost=[-2.0, -2.0])
+        problem = qp.QpProblem(hessian=np.full(2, 2.0), linear_cost=[-2.0, -2.0])
         solution = qp.solve(problem, np.zeros(2))
         assert solution.kkt_residual <= 1e-9
         nudged = qp.QpSolution(
@@ -219,7 +221,7 @@ class TestKktResidual:
 
     def test_infeasible_point_primal_residual_is_max_violation(self):
         problem = qp.QpProblem(
-            hessian=2.0 * np.eye(2),
+            hessian=np.full(2, 2.0),
             linear_cost=np.zeros(2),
             ineq_matrix=[[1.0, 0.0], [0.0, 1.0]],
             ineq_rhs=[1.0, 1.0],
@@ -238,14 +240,14 @@ class TestKktResidual:
         # max() drops a NaN that is not its first argument; the residual
         # must not.
         problem = qp.QpProblem(
-            hessian=np.eye(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[np.nan]
+            hessian=np.ones(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[np.nan]
         )
         solution = qp.QpSolution(
             x=np.ones(2), duals=np.zeros(1), objective=-1.0, status="optimal", kkt_residual=0.0
         )
         assert np.isnan(qp.kkt_components(problem, solution)["primal"])
         assert np.isnan(qp.kkt_residual(problem, solution))
-        finite = qp.QpProblem(hessian=np.eye(2), linear_cost=[-1.0, -1.0])
+        finite = qp.QpProblem(hessian=np.ones(2), linear_cost=[-1.0, -1.0])
         solution.x = np.array([1.0, np.nan])
         assert np.isnan(qp.kkt_residual(finite, solution))
 
@@ -253,7 +255,7 @@ class TestKktResidual:
         # A NaN among the terms _finish's stacked pass reduces.
         worst = qp._worst
         monkeypatch.setattr(qp, "_worst", lambda *terms: worst(*terms, np.array([np.nan])))
-        problem = bounded_qp(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0])
+        problem = bounded_qp(hessian=[2.0], linear_cost=[0.0], lower=[1.0])
         solution = qp.solve(problem, [2.0])
         assert solution.status == "iteration-limit"
         assert "certification failed" in solution.message
@@ -263,7 +265,7 @@ class TestNonFiniteData:
     @staticmethod
     def _problem():
         return bounded_qp(
-            hessian=np.eye(2),
+            hessian=np.ones(2),
             linear_cost=[-1.0, -1.0],
             ineq_matrix=[[1.0, 1.0]],
             ineq_rhs=[1.0],
@@ -275,7 +277,7 @@ class TestNonFiniteData:
         # Certified as optimal at x = (1, 1) with a zero residual before the
         # data was checked.
         problem = qp.QpProblem(
-            hessian=np.eye(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[np.nan]
+            hessian=np.ones(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[np.nan]
         )
         with pytest.raises(ValueError, match=r"^ineq_rhs is nan at row 0$"):
             qp.solve(problem, np.zeros(2))
@@ -303,7 +305,7 @@ class TestEdgesAndErrors:
         # building a problem must not copy float64 arrays. An empty row
         # block of the wrong shape still becomes (0, n).
         arrays = {
-            "hessian": np.eye(2), "linear_cost": np.zeros(2), "ineq_matrix": np.ones((1, 2)),
+            "hessian": np.ones(2), "linear_cost": np.zeros(2), "ineq_matrix": np.ones((1, 2)),
             "ineq_rhs": np.ones(1),
         }
         problem = qp.QpProblem(**arrays)
@@ -318,12 +320,12 @@ class TestEdgesAndErrors:
             "hessian", "linear_cost", "ineq_matrix", "ineq_rhs"
         ]
         with pytest.raises(TypeError, match="lower"):
-            qp.QpProblem(hessian=[[1.0]], linear_cost=[0.0], lower=[0.0])
+            qp.QpProblem(hessian=[1.0], linear_cost=[0.0], lower=[0.0])
 
     def test_infeasible_diagnostic(self):
         # x <= 0 and x >= 1: no start is feasible.
         problem = qp.QpProblem(
-            hessian=[[2.0]],
+            hessian=[2.0],
             linear_cost=[0.0],
             ineq_matrix=[[1.0], [-1.0]],
             ineq_rhs=[0.0, -1.0],
@@ -339,7 +341,7 @@ class TestEdgesAndErrors:
         # FEASIBILITY_TOL. A large but slack right-hand side elsewhere must
         # not hide that.
         problem = bounded_qp(
-            hessian=[[2.0]],
+            hessian=[2.0],
             linear_cost=[0.0],
             ineq_matrix=[[1.0], [-1.0]],
             ineq_rhs=[-2e-5, 1e3],
@@ -360,7 +362,7 @@ class TestEdgesAndErrors:
         # A bound is a row like any other: a start that breaks one is
         # rejected, naming that row.
         problem = bounded_qp(
-            hessian=np.eye(2), linear_cost=np.zeros(2), lower=[0.0, 0.0], upper=[1.0, 1.0]
+            hessian=np.ones(2), linear_cost=np.zeros(2), lower=[0.0, 0.0], upper=[1.0, 1.0]
         )
         message = f"^initial_point is infeasible: {re.escape(message)}$"
         with pytest.raises(ValueError, match=message):
@@ -368,33 +370,46 @@ class TestEdgesAndErrors:
 
     def test_crossed_bounds_rejected(self):
         # 1 <= x <= 0 leaves no feasible point: every start breaks a row.
-        problem = bounded_qp(hessian=[[2.0]], linear_cost=[0.0], lower=[1.0], upper=[0.0])
+        problem = bounded_qp(hessian=[2.0], linear_cost=[0.0], lower=[1.0], upper=[0.0])
         assert phase1_point(problem) is None
         with pytest.raises(ValueError, match=r"inequality row 0 violated by 0.5$"):
             qp.solve(problem, [0.5])
 
     def test_problem_without_variables_rejected(self):
-        problem = qp.QpProblem(hessian=np.zeros((0, 0)), linear_cost=np.zeros(0))
+        problem = qp.QpProblem(hessian=np.zeros(0), linear_cost=np.zeros(0))
         with pytest.raises(ValueError, match="no variables"):
             qp.solve(problem, np.zeros(0))
 
     def test_dimension_mismatch_rejected(self):
         problem = qp.QpProblem(
-            hessian=np.eye(2), linear_cost=[0.0, 0.0], ineq_matrix=[[1.0, 0.0]], ineq_rhs=[1.0, 2.0]
+            hessian=np.ones(2), linear_cost=[0.0, 0.0], ineq_matrix=[[1.0, 0.0]], ineq_rhs=[1.0, 2.0]
         )
         with pytest.raises(ValueError, match="inequality"):
             qp.solve(problem, np.zeros(2))
 
     def test_asymmetric_hessian_rejected(self):
-        problem = qp.QpProblem(hessian=[[1.0, 0.5], [0.0, 1.0]], linear_cost=[0.0, 0.0])
-        with pytest.raises(ValueError, match="symmetric"):
-            qp.solve(problem, np.zeros(2))
+        # The Hessian is the 1-d array of its diagonal: a matrix, symmetric
+        # or not, is rejected by its shape, and so is a diagonal of another
+        # length.
+        for hessian in ([[1.0, 0.5], [0.0, 1.0]], np.eye(2), [1.0, 1.0, 1.0]):
+            problem = qp.QpProblem(hessian=hessian, linear_cost=[0.0, 0.0])
+            message = f"hessian must be the diagonal, of shape (2,), got {np.shape(hessian)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                qp.solve(problem, np.zeros(2))
 
     def test_indefinite_hessian_rejected(self):
-        # Singular counts too: the solver needs a positive-definite Hessian.
-        for hessian in ([[-1.0]], [[0.0]], [[1.0, 1.0], [1.0, 1.0]]):
+        # Singular counts too: the solver needs a positive-definite Hessian,
+        # a diagonal of positive, finite entries. The first other entry is named.
+        for hessian, first in (
+            ([-1.0], "-1.0 at variable 0"),
+            ([1.0, 0.0], "0.0 at variable 1"),
+            ([1.0, -0.0, -2.0], "-0.0 at variable 1"),
+            ([np.nan, 1.0], "nan at variable 0"),
+            ([1.0, np.inf], "inf at variable 1"),
+        ):
             problem = qp.QpProblem(hessian=hessian, linear_cost=np.zeros(len(hessian)))
-            with pytest.raises(ValueError, match="not positive definite"):
+            message = f"hessian is {first}, not positive and finite"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 qp.solve(problem, np.zeros(len(hessian)))
 
     def test_iteration_limit_status(self):
@@ -408,7 +423,7 @@ class TestEdgesAndErrors:
 
     def test_feasible_hint_is_used(self):
         problem = qp.QpProblem(
-            hessian=2.0 * np.eye(2),
+            hessian=np.full(2, 2.0),
             linear_cost=np.zeros(2),
             ineq_matrix=[[-1.0, -1.0]],
             ineq_rhs=[-2.0],
@@ -419,7 +434,7 @@ class TestEdgesAndErrors:
 
     def test_hint_of_wrong_length_rejected(self):
         problem = bounded_qp(
-            hessian=2.0 * np.eye(3), linear_cost=np.zeros(3), lower=np.zeros(3), upper=np.ones(3)
+            hessian=np.full(3, 2.0), linear_cost=np.zeros(3), lower=np.zeros(3), upper=np.ones(3)
         )
         for hint in ([0.5], [0.5, 0.5], np.zeros(4), np.full((3, 1), 0.5)):
             with pytest.raises(ValueError, match="initial_point must have length 3"):
@@ -429,7 +444,7 @@ class TestEdgesAndErrors:
         # A NaN compares false against every row, so it would otherwise count
         # as feasible and run the solver to its iteration limit.
         problem = bounded_qp(
-            hessian=2.0 * np.eye(2),
+            hessian=np.full(2, 2.0),
             linear_cost=np.zeros(2),
             ineq_matrix=[[1.0, 0.0]],
             ineq_rhs=[1.0],
@@ -445,7 +460,7 @@ class TestEdgesAndErrors:
         # The problem is feasible, but the start is not: the solver rejects
         # it rather than searching for another.
         problem = qp.QpProblem(
-            hessian=2.0 * np.eye(2),
+            hessian=np.full(2, 2.0),
             linear_cost=np.zeros(2),
             ineq_matrix=[[-1.0, -1.0]],
             ineq_rhs=[-2.0],
@@ -456,19 +471,18 @@ class TestEdgesAndErrors:
 
 
 def _dense_qp(seed, n=40, m=80):
-    """A strictly convex QP at MPC scale: dense Hessian of condition 1e4, m
-    general rows and the rows of a box, with a known feasible point. The
+    """A strictly convex QP at MPC scale: m dense general rows and the rows
+    of a box, with a known feasible point, and a Hessian of condition 1e4,
+    its curvatures spread over four decades in random order. The
     unconstrained optimum lies far outside, so many rows end up active."""
     rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    hessian = (basis * np.logspace(0, 4, n)) @ basis.T
-    hessian = 0.5 * (hessian + hessian.T)
+    hessian = rng.permutation(np.logspace(0, 4, n))
     a = rng.standard_normal((m, n))
     x_feasible = rng.uniform(-0.5, 0.5, n)
     b = a @ x_feasible + rng.uniform(0.0, 1.0, m)
     problem = bounded_qp(
         hessian=hessian,
-        linear_cost=-hessian @ rng.uniform(-5.0, 5.0, n),
+        linear_cost=-hessian * rng.uniform(-5.0, 5.0, n),
         ineq_matrix=a,
         ineq_rhs=b,
         lower=-np.ones(n),
@@ -676,7 +690,7 @@ class TestKktComponentsAgainstReference:
         # NaN one a row with a NaN right-hand side); bound_duals are the
         # multipliers of those rows.
         problem = bounded_qp(
-            hessian=np.eye(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]],
+            hessian=np.ones(2), linear_cost=[-1.0, -1.0], ineq_matrix=[[1.0, 1.0]],
             ineq_rhs=[rhs], lower=lower, upper=upper,
         )
         solution = qp.QpSolution(
@@ -687,7 +701,7 @@ class TestKktComponentsAgainstReference:
         _assert_same_components(problem, solution)
 
     def test_no_rows(self):
-        problem = qp.QpProblem(hessian=np.eye(2), linear_cost=[-1.0, 2.0])
+        problem = qp.QpProblem(hessian=np.ones(2), linear_cost=[-1.0, 2.0])
         solution = qp.QpSolution(
             x=np.array([0.5, -2.0]), duals=np.zeros(0), objective=0.0, status="optimal",
             kkt_residual=0.0,
@@ -775,7 +789,7 @@ class TestStackedCertificate:
         # of its tight bound row (row 0 the lower, row 1 the upper), which
         # has the wrong sign. The residual reports it as the dual violation,
         # as kkt_components does.
-        problem = bounded_qp(hessian=[[1.0]], linear_cost=[linear_cost], lower=[0.0], upper=[upper])
+        problem = bounded_qp(hessian=[1.0], linear_cost=[linear_cost], lower=[0.0], upper=[upper])
         solution = qp.solve(problem, [start], max_iterations=0)
         assert solution.status == "iteration-limit"
         tight = int(start == upper)
@@ -816,7 +830,7 @@ class TestFloodSlackBound:
 
 
 class TestMpcScale:
-    def test_dense_hessian_long_solve_from_hint_and_phase1(self):
+    def test_long_solve_from_hint_and_phase1(self):
         problem, x_feasible = _dense_qp(0)
         hinted = qp.solve(problem, initial_point=x_feasible)
         cold = qp.solve(problem, initial_point=phase1_point(problem))
@@ -827,21 +841,10 @@ class TestMpcScale:
         assert hinted.x == pytest.approx(cold.x, abs=1e-8)
 
     def test_factorizations_per_solve_not_per_iteration(self, monkeypatch, no_qp_structure):
-        # The dry-bound step from its minimum-release plan.
-        counts = collections.Counter()
-
-        def counting(label, inner):
-            def wrapper(*args, **kwargs):
-                counts[label] += 1
-                return inner(*args, **kwargs)
-            return wrapper
-
-        for owner, name in (
-            (np.linalg, "qr"), (scipy.linalg, "qr"), (np.linalg, "cholesky"), (scipy.linalg, "cho_factor")
-        ):
-            monkeypatch.setattr(owner, name, counting(f"{owner.__name__}.{name}", getattr(owner, name)))
+        # The dry-bound step from its minimum-release plan. The diagonal
+        # Hessian needs no factor, so the working rows' QRs are all there is.
         problem, hint = _dry_bound_step()
-        counts.clear()
+        counts = _count_calls(monkeypatch, FACTOR_CALLS)
         solution = qp.solve(problem, initial_point=hint)
         assert solution.status == "optimal"
         assert solution.iterations <= 69
@@ -1058,8 +1061,8 @@ def _factor_path(structure, problem, rows, qf, rf):
     gradient's largest entry)."""
     b_s = structure.row_scale * problem.ineq_rhs
     c_s = structure.col_scale * problem.linear_cost
-    x_s, lam = qp._working_optimum(structure, qf, rf, rows, b_s, structure.l_inv_t.T @ c_s)
-    grad = structure.q_s @ x_s + c_s
+    x_s, lam = qp._working_optimum(structure, qf, rf, rows, b_s, structure.l_inv * c_s)
+    grad = structure.q_s * x_s + c_s
     optimal = bool(
         (structure.a @ x_s - b_s <= 1e-9 * (1.0 + np.abs(b_s))).all()
         and (lam >= -1e-9 * (1.0 + np.abs(grad).max())).all()
@@ -1191,7 +1194,7 @@ def _corner_qp(upper=(3.0, 3.0), lower=(0.0, 0.0)):
     and the optimum (1, 0) holds row 0 (multiplier 1) and x1's lower bound
     (multiplier 2), so its working set is (0, 2)."""
     return bounded_qp(
-        hessian=np.eye(2),
+        hessian=np.ones(2),
         linear_cost=[-2.0, 1.0],
         ineq_matrix=[[1.0, 1.0]],
         ineq_rhs=[1.0],
@@ -1255,9 +1258,30 @@ class TestStructure:
             matrix = getattr(structure, name)
             assert matrix is not getattr(source, name)
             with pytest.raises(ValueError, match="read-only"):
-                matrix[0, 0] = 5.0
-            getattr(source, name)[0, 0] = 5.0
-            assert matrix[0, 0] == 1.0
+                matrix.flat[0] = 5.0
+            getattr(source, name).flat[0] = 5.0
+            assert matrix.flat[0] == 1.0
+
+    @pytest.mark.parametrize("h", [6, 24, 168])
+    def test_diagonal_transform_has_the_dense_bits(self, h):
+        # The MPC's structure against the dense route, which factored
+        # np.diag(hessian) by Cholesky and multiplied the rows by the dense
+        # L^-T: byte for byte, so the sign of every zero counts (the negated
+        # flood rows hold -0.0 entries, which the dense product wrote +0.0).
+        structure = mpc._qp_structure.__wrapped__(h, LakeParams().surface_area, 1.0)
+        problem = qp.QpProblem(structure.hessian, np.zeros(3 * h), structure.ineq_matrix)
+        dense = dense_transform(problem)
+        # The dense factors are diagonal, so their diagonals are all they hold.
+        for matrix in (dense.q_s, dense.l_inv_t):
+            assert np.array_equal(matrix, np.diag(np.diag(matrix)))
+        assert np.any((structure.a == 0.0) & np.signbit(structure.a))
+        for name, expected in [
+            ("col_scale", dense.col_scale), ("row_scale", dense.row_scale), ("a", dense.a),
+            ("q_s", np.diag(dense.q_s)), ("l_inv", np.diag(dense.l_inv_t)), ("a_y", dense.a_y),
+        ]:
+            actual = getattr(structure, name)
+            assert actual.shape == expected.shape, name
+            assert actual.tobytes() == expected.tobytes(), name
 
     def test_served_problem_gives_the_one_shot_bits(self):
         # The start's tight rows are no candidate, so they get no affine law.
@@ -1395,7 +1419,7 @@ class TestWorkingSetHint:
         # The optimum on no rows, x0 = 1e-4, breaks x0 <= 0 by 1e-4: within
         # 1e-9 of the largest right-hand side (1e6) but not of its own.
         problem = qp.QpProblem(
-            hessian=np.eye(2), linear_cost=[-1e-4, 0.0], ineq_matrix=np.eye(2), ineq_rhs=[0.0, 1e6]
+            hessian=np.ones(2), linear_cost=[-1e-4, 0.0], ineq_matrix=np.eye(2), ineq_rhs=[0.0, 1e6]
         )
         solution = qp.solve(problem, np.zeros(2), working_sets=[()])
         assert not solution.warm_start
@@ -1407,7 +1431,7 @@ class TestWorkingSetHint:
         # within 1e-9 of the row's norm after equilibration (1e3), so the
         # candidate is taken, and certified with that violation.
         problem = qp.QpProblem(
-            hessian=np.eye(1), linear_cost=[-5e-13], ineq_matrix=[[1e6]], ineq_rhs=[0.0]
+            hessian=np.ones(1), linear_cost=[-5e-13], ineq_matrix=[[1e6]], ineq_rhs=[0.0]
         )
         solution = qp.solve(problem, np.zeros(1), working_sets=[()])
         assert solution.warm_start and solution.status == "optimal"
@@ -1419,7 +1443,7 @@ class TestWorkingSetHint:
         # sign test's -1e-9, so the candidate is rejected and the solve
         # finds x = -5e-4 off the row.
         problem = qp.QpProblem(
-            hessian=np.eye(1), linear_cost=[5e-4], ineq_matrix=[[1e6]], ineq_rhs=[0.0]
+            hessian=np.ones(1), linear_cost=[5e-4], ineq_matrix=[[1e6]], ineq_rhs=[0.0]
         )
         solution = qp.solve(problem, np.zeros(1), working_sets=[(0,)])
         assert not solution.warm_start and solution.status == "optimal"
