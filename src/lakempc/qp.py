@@ -77,10 +77,16 @@ the 210 of that year with daily inflow jitter 0.3 (seed 7919) 19.2 MB.
 An entry grows with the square of the horizon (5.3 MB at 168 hours), and
 the budget, not a count of entries, keeps the cache's memory bounded
 there. The cached Q and R are read-only:
-the solve only replaces them. The factor is then updated by scipy's
-qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974), and the
-triangular solves call LAPACK's trtrs; both skip scipy's argument checks,
-which cost more than the work on matrices this small.
+the solve only replaces them, or slices R. The factor is then updated by
+scipy's qr_insert and qr_delete (Gill, Golub, Murray & Saunders 1974),
+except that a drop of the last working row moves no entry of a complete
+QR: the solve keeps Q and slices off R's last column, the bytes qr_delete
+returns after copying Q (41 kB at the MPC's 72 variables, 2.0 MB at 504).
+Most drops take the last row: 363 of 371 on the daily year from 0.4 m,
+1008 of 1020 on the hourly year, and 15,116 of 21,459 at 168 hours on days
+90-169 from 0.4 m (tools/long_horizon.py). The triangular solves call
+LAPACK's trtrs; it and the updates skip scipy's argument checks, which
+cost more than the work on matrices this small.
 At a stationary point, and at the iteration limit, the same factor gives
 the exact optimum on the working rows and its multipliers in two
 triangular solves (_working_optimum; Nocedal & Wright, Numerical
@@ -442,25 +448,31 @@ def _affine_law(structure: Structure, rows, qf, rf) -> np.ndarray:
     diag(col_scale), S = diag(row_scale[rows]), P = D L^-T Z, V = R^-T S and
     G = D L^-T Q1 V, _working_optimum gives K = [[P P', G], [G', -V'V]];
     L^-T = diag(l_inv) scales the rows of qf."""
-    mw = rows.size
+    n, mw = qf.shape[0], rows.size
     v = _solve_upper(rf[:mw], np.diag(structure.row_scale[rows]), trans=1)
     t = structure.col_scale[:, None] * (structure.l_inv[:, None] * qf)
     g, p = t[:, :mw] @ v, t[:, mw:]
-    # LAPACK packs the transpose's upper triangle by columns: K's lower one by rows.
-    law = _trttp(np.block([[p @ p.T, g], [g.T, -(v.T @ v)]]).T, uplo="U")[0]
+    # K's upper block G is left unwritten: LAPACK packs the transpose's
+    # upper triangle by columns, which is K's lower one by rows.
+    k = np.empty((n + mw, n + mw))
+    np.matmul(p, p.T, out=k[:n, :n])
+    k[n:, :n] = g.T
+    vtv = np.matmul(v.T, v, out=k[n:, n:])
+    np.negative(vtv, out=vtv)
+    law = _trttp(k.T, uplo="U")[0]
     law.flags.writeable = False
     return law
 
 
 def _working_optimum(structure, qf, rf, rows, b_s, c_y):
     """The exact optimum on the working rows (the rows factored in qf and
-    rf, a sorted sequence) and its multipliers, in scaled units, from the
+    rf, a sorted intp array) and its multipliers, in scaled units, from the
     working-set factor.
 
     With A_w' = Q1 R in y, Z the rest of the complete Q, c_y = L^-1 c and
     t = R^-T b_w, the optimum on the rows is y = Q1 t - ZZ'c_y with
     multipliers lam = -R^-1 (t + Q1'c_y)."""
-    mw = len(rows)
+    mw = rows.size
     r, q1, z = rf[:mw], qf[:, :mw], qf[:, mw:]
     t = _solve_upper(r, b_s[rows], trans=1)
     y = q1 @ t - z @ (z.T @ c_y)
@@ -626,28 +638,34 @@ def solve(
         p_norm = float(np.abs(p).max(initial=0.0))
         step_tol = 1e-11 * (1.0 + float(np.abs(x_s).max(initial=0.0)))
         if p_norm <= step_tol:
-            x_w, lam = _working_optimum(structure, qf, rf, w_list, b_s, c_y)
+            rows = np.array(w_list, dtype=np.intp)
+            x_w, lam = _working_optimum(structure, qf, rf, rows, b_s, c_y)
             lam_tol = _lam_tol(g)
             if lam.size == 0 or lam.min() >= lam_tol:
                 # x_w when it holds every row by the one row test (NaN
                 # fails), certified from the excess that test read.
-                x, lam = _unscaled(structure, x_w, lam, w_list)
+                x, lam = _unscaled(structure, x_w, lam, rows)
                 excess = a.dot(x) - b
                 if _every(excess <= cand_tol):
                     qx = hessian * x
-                    return _finish(structure, problem, x, lam, tuple(w_list), w_list, "optimal",
+                    return _finish(structure, problem, x, lam, tuple(w_list), rows, "optimal",
                                    iterations, qx, qx + c, excess)
                 return _finish(structure, problem, structure.col_scale * x_s, lam, tuple(w_list),
-                               w_list, "optimal", iterations)
+                               rows, "optimal", iterations)
             if single_drop:
                 lam_min = float(lam.min())
                 drop = np.flatnonzero(lam <= lam_min + 1e-9 * abs(lam_min))[-1:]
             else:
                 drop = np.flatnonzero(lam < lam_tol)
             # Highest position first, so the positions still to drop hold.
+            # Dropping the last working row moves no entry of the factor:
+            # Q stays, and R loses its last column.
             for pos in drop[::-1]:
                 in_w[w_list.pop(pos)] = False
-                qf, rf = _qr_delete(qf, rf, pos, which="col", check_finite=False)
+                if pos == len(w_list):
+                    rf = rf[:, :pos]
+                else:
+                    qf, rf = _qr_delete(qf, rf, pos, which="col", check_finite=False)
             multi_dropped = drop.size > 1
             continue
 
@@ -673,9 +691,10 @@ def solve(
         else:
             x_s = x_s + p
 
-    lam = _working_optimum(structure, qf, rf, w_list, b_s, c_y)[1]
-    x, lam = _unscaled(structure, x_s, lam, w_list)
+    rows = np.array(w_list, dtype=np.intp)
+    lam = _working_optimum(structure, qf, rf, rows, b_s, c_y)[1]
+    x, lam = _unscaled(structure, x_s, lam, rows)
     return _finish(
-        structure, problem, x, lam, tuple(w_list), w_list, "iteration-limit", iterations,
+        structure, problem, x, lam, tuple(w_list), rows, "iteration-limit", iterations,
         message="iteration limit reached",
     )

@@ -344,6 +344,17 @@ def dense_transform(problem: qp.QpProblem) -> DenseTransform:
     return DenseTransform(col_scale, row_scale, a, q_s, l_inv_t, a @ l_inv_t)
 
 
+def reference_affine_law(structure: qp.Structure, rows, qf, rf) -> np.ndarray:
+    """qp._affine_law as it assembled K, kept frozen: the whole inverse KKT
+    matrix [[P P', G], [G', -V'V]] by np.block, packed by LAPACK's trttp
+    from its transpose's upper triangle."""
+    mw = rows.size
+    v = qp._solve_upper(rf[:mw], np.diag(structure.row_scale[rows]), trans=1)
+    t = structure.col_scale[:, None] * (structure.l_inv[:, None] * qf)
+    g, p = t[:, :mw] @ v, t[:, mw:]
+    return qp._trttp(np.block([[p @ p.T, g], [g.T, -(v.T @ v)]]).T, uplo="U")[0]
+
+
 def controller_cost(params: LakeParams, config: MpcConfig, s0: float, inflow, demand, u):
     """The nonlinear form of the controller objective (no slack variables,
     no tie-break) of each plan in u, one plan per row:

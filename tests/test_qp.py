@@ -16,6 +16,7 @@ from helpers import (
     enumeration_oracle,
     phase1_point,
     random_qp,
+    reference_affine_law,
     reference_kkt_components,
     release_bounds_of,
     six_block_problem,
@@ -917,6 +918,23 @@ def _only_structure():
     return structure
 
 
+def _start_rows(monkeypatch):
+    """The working rows' count of every start factor a solve takes (a
+    _start_factor call without law), in order, for as long as the
+    monkeypatch lasts."""
+    counts = []
+    inner = qp._start_factor
+
+    def recording(structure, key, law=False):
+        entry = inner(structure, key, law)
+        if not law:
+            counts.append(entry[1].size)
+        return entry
+
+    monkeypatch.setattr(qp, "_start_factor", recording)
+    return counts
+
+
 def _assert_same_bits(solution, reference):
     for name in ("x", "duals"):
         assert np.array_equal(getattr(solution, name), getattr(reference, name))
@@ -1029,10 +1047,14 @@ class TestStartFactorCache:
                 assert law.shape == (size * (size + 1) // 2,)
         assert laws > 0
         before = {key: copy_entry(entry) for key, entry in starts.items()}
-        counts = _count_calls(monkeypatch, ((qp, "_qr_insert"), (qp, "_qr_delete")))
+        counts = _count_calls(monkeypatch, ((qp, "_qr_insert"),))
+        start_rows = _start_rows(monkeypatch)
         _assert_same_bits(qp.solve(problem, start, structure=structure), solution)
         monkeypatch.undo()
-        assert counts["lakempc.qp._qr_insert"] > 0 and counts["lakempc.qp._qr_delete"] > 0
+        # Its drops slice the cached R or call _qr_delete; either way they
+        # are the start's rows plus the inserts less the final rows.
+        ((n_start,), inserts) = start_rows, counts["lakempc.qp._qr_insert"]
+        assert inserts > 0 and n_start + inserts - len(solution.working_set) > 0
         for problem, start, candidates, solution, _ in steps:
             _assert_same_bits(
                 qp.solve(problem, start, working_sets=candidates, structure=structure), solution
@@ -1041,7 +1063,77 @@ class TestStartFactorCache:
         for key, entry in starts.items():
             assert entry[0] == before[key][0]
             for array, copied in zip(entry[1:], before[key][1:]):
-                assert (array is None and copied is None) or np.array_equal(array, copied)
+                assert (array is None and copied is None) or (
+                    array.shape == copied.shape and array.tobytes() == copied.tobytes()
+                )
+
+
+def _factor_of(n, mw, layout):
+    """A complete QR of a random n x mw matrix: C-ordered as np.linalg.qr
+    gives it, or F-ordered as _qr_insert gives it (its last column inserted)."""
+    a = np.random.default_rng(n + mw).standard_normal((n, mw))
+    q, r = np.linalg.qr(a, mode="complete")
+    if layout == "C":
+        return q, r
+    return qp._qr_insert(q, r[:, :-1], a[:, -1], mw - 1, which="col", check_finite=False)
+
+
+class TestLastRowDrop:
+    """A drop of the last working row slices R and keeps Q, where
+    _qr_delete would copy both to the same bits."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("n", [6, 72, 504])
+    def test_qr_delete_of_the_last_column_is_the_slice(self, n, layout):
+        for mw in sorted({1, 2, n // 3, n}):
+            q, r = _factor_of(n, mw, layout)
+            assert (q.flags.f_contiguous, r.flags.f_contiguous) == (layout == "F",) * 2 or mw == 1
+            q_del, r_del = qp._qr_delete(q, r, mw - 1, which="col", check_finite=False)
+            sliced = r[:, :mw - 1]
+            assert q_del.tobytes() == q.tobytes()
+            assert r_del.shape == sliced.shape and r_del.tobytes() == sliced.tobytes()
+            for flag in ("c_contiguous", "f_contiguous"):
+                assert getattr(q_del.flags, flag) == getattr(q.flags, flag)
+                assert getattr(r_del.flags, flag) == getattr(sliced.flags, flag)
+            assert r_del.strides == sliced.strides or mw == 1  # an empty R's strides say nothing
+
+    @pytest.mark.parametrize(
+        "run, days, level, drops",
+        [(mpc.run_daily, (0, 366), 0.4, (82, 371, 8)), (mpc.run_hourly, (104, 17), 1.08, (4, 73, 1))],
+        ids=["daily-year", "hourly-104"],
+    )
+    def test_no_cold_decision_deletes_a_last_column(self, monkeypatch, run, days, level, drops):
+        # drops: the cold solves, their drops (the start's rows plus the
+        # inserts less the final rows) and the drops that call _qr_delete.
+        deleted = []
+        inner = qp._qr_delete
+
+        def deleting(q, r, k, *args, **kwargs):
+            deleted.append((k, r.shape[1]))
+            return inner(q, r, k, *args, **kwargs)
+
+        counts = _count_calls(monkeypatch, ((qp, "_qr_insert"),))
+        start_rows = _start_rows(monkeypatch)
+        solve = qp.solve
+
+        def recording(*args, **kwargs):
+            starts, inserts = len(start_rows), counts["lakempc.qp._qr_insert"]
+            solution = solve(*args, **kwargs)
+            if not solution.warm_start:
+                assert len(start_rows) == starts + 1
+                inserted = counts["lakempc.qp._qr_insert"] - inserts
+                counts["cold"] += 1
+                counts["drops"] += start_rows[-1] + inserted - len(solution.working_set)
+            return solution
+
+        monkeypatch.setattr(qp, "_qr_delete", deleting)
+        monkeypatch.setattr(qp, "solve", recording)
+        params = LakeParams()
+        run(params, mpc.MpcConfig(), synthetic_year(days[1], first_day=days[0]),
+            storage_of_level(params, level))
+        monkeypatch.undo()
+        assert all(k < columns - 1 for k, columns in deleted)
+        assert (counts["cold"], counts["drops"], len(deleted)) == drops
 
 
 class _Rejected(Exception):
@@ -1138,6 +1230,33 @@ class TestAffineLaw:
                 verdicts[optimal] += 1
         assert verdicts[True] > 0
         assert verdicts == AFFINE_LAW_VERDICTS[name]
+
+    @pytest.mark.parametrize("h, n_steps, sets", [(6, 48, 8), (24, 48, 21), (168, 24, 3)])
+    def test_law_has_the_block_assembly_bits(self, monkeypatch, no_qp_structure, h, n_steps, sets):
+        # Every candidate and final working set of n_steps MPC hours from
+        # day 104 at 1.08 m: K's packed bytes against the frozen np.block
+        # assembly of the whole matrix.
+        keys = {}
+        inner = qp.solve
+
+        def recording(problem, initial_point, working_sets=(), structure=None):
+            solution = inner(problem, initial_point, working_sets=working_sets, structure=structure)
+            keys.update(dict.fromkeys([*working_sets, solution.working_set], structure))
+            return solution
+
+        monkeypatch.setattr(qp, "solve", recording)
+        params = LakeParams()
+        mpc.run_hourly(
+            params, mpc.MpcConfig(horizon=h), synthetic_year(h // 24 + 3, first_day=104),
+            storage_of_level(params, 1.08), n_steps=n_steps,
+        )
+        monkeypatch.undo()
+        assert len(keys) == sets
+        for key, structure in keys.items():
+            _, rows, qf, rf, _ = qp._start_factor(structure, key)
+            law = qp._affine_law(structure, rows, qf, rf)
+            expected = reference_affine_law(structure, rows, qf, rf)
+            assert law.shape == expected.shape and law.tobytes() == expected.tobytes()
 
     def test_built_once_per_candidate_over_two_passes(self, monkeypatch, no_qp_structure):
         # Two passes over the days-104 window: the first builds one law for
